@@ -2,8 +2,9 @@
 
 Exit codes encode verdicts so harnesses never parse prose: 0 a linkage was
 found (or the requested action succeeded), 2 an obstruction witness was
-returned, 3 the constructive case analysis fell through (a bug signal), and
-1 malformed input.  Output is deterministic: fixed key order, no timestamps
+returned, 3 the constructive case analysis fell through or a certificate
+failed its own check (a bug signal; nothing is emitted), and 1 malformed
+input.  Output is deterministic: fixed key order, no timestamps
 in the certified body.
 """
 
@@ -16,11 +17,11 @@ import sys
 from .complexes import Polytope, build_cube_polytope, build_from_incidence, link_polytope
 from .errors import CaseNotCovered, CubelinkError
 from .hypercube import cube_graph, vertex_from_str, vertex_to_str
-from .linkage.cube import (cube_linkage, detect_config_3F, solve_3polytope,
-                           solve_cube, solve_cube_strong)
+from .linkage.certs import Unlinkable, certify
+from .linkage.cube import (cube_linkage, detect_config_3F, solve_cube,
+                           solve_cube_strong)
 from .linkage.cubical import solve_cubical, solve_cubical_strong
 from .linkage.link import solve_link
-from .linkage.star import detect_config_dF
 from .oracle import census, oracle_linkage
 from .paths import validate_linkage
 
@@ -156,20 +157,17 @@ def _constructive(host, pairs, avoid, strong):
         raise InputError("--avoid outside cube hosts requires --strong")
     if host.kind == "link":
         return solve_link(host.cube_dim, host.link_vertex, pairs)
-    P = host.polytope
-    if P.dim == 3 and len(pairs) == 2:
-        return solve_3polytope(P, pairs)
-    return solve_cubical(P, pairs)
+    return solve_cubical(host.polytope, pairs)
 
 
-def _oracle_solve(host, pairs, avoid):
-    sol = oracle_linkage(host.graph, pairs, avoid=avoid)
-    if sol is not None:
-        return {"linkage": [[host.label_of(v) for v in p] for p in sol]}, 0
-    witness = _detect_witness(host, pairs)
-    obs = (witness.to_json(host.label_of) if witness is not None
-           else {"kind": "search-exhausted"})
-    return {"obstruction": obs}, 2
+def _oracle_solve(host, pairs, avoid, instance):
+    def search(ps, trace):
+        trace.append("oracle/search")
+        sol = oracle_linkage(host.graph, ps, avoid=avoid)
+        if sol is None:
+            raise Unlinkable(_detect_witness(host, ps))
+        return sol
+    return certify(instance, pairs, search, lambda: host.graph, avoid)
 
 
 def _detect_witness(host, pairs):
@@ -237,31 +235,23 @@ def cmd_solve(args):
         "strong": bool(args.strong),
     }
     if args.method == "oracle":
-        result, code = _oracle_solve(host, pairs, avoid)
-        trace = ["oracle/search"]
+        cert = _oracle_solve(host, pairs, avoid, instance)
     else:
         cert = _constructive(host, pairs, avoid, args.strong)
-        cj = cert.to_json(label=host.label_of)
-        result, trace = cj["result"], cj["trace"]
-        code = 0 if cert.paths is not None else 2
-        if args.method == "auto" and code == 2:
+        if args.method == "auto" and cert.paths is None:
             # cross-check the witness against ground truth before emitting
             if oracle_linkage(host.graph, pairs, avoid=avoid) is not None:
                 raise CaseNotCovered("witness contradicted by search")
-    payload = {"instance": instance, "result": result, "trace": trace,
-               "valid": True}
+    payload = cert.to_json(label=host.label_of)
+    payload["instance"] = instance
     if args.trace:
-        for line in trace:
+        for line in cert.trace:
             print(line, file=sys.stderr)
     if args.dot:
-        paths = None
-        if "linkage" in result:
-            paths = [[host.vertex_of(l) for l in p]
-                     for p in result["linkage"]]
-        sys.stdout.write(_dot(host, pairs, paths))
+        sys.stdout.write(_dot(host, pairs, cert.paths))
     else:
         _emit(payload)
-    return code
+    return 0 if cert.paths is not None else 2
 
 
 # -- verify ------------------------------------------------------------------
@@ -285,30 +275,36 @@ def _face_distance(G, face, s, t):
 
 
 def _verify_obstruction(host, pairs, obs):
+    """Check a config-3F witness, the one configuration that blocks a host.
+
+    It blocks only two pairs in a 3-polytope: both pairs are the diagonals of
+    one 2-face.  config-dF blocks a linkage inside a vertex star, never a
+    whole host, so a host certificate carrying it is rejected.
+    """
     kind = obs.get("kind")
-    if kind not in ("config-3F", "config-dF"):
-        return False, f"unknown obstruction kind {kind!r}"
+    if kind != "config-3F":
+        return False, f"obstruction kind {kind!r} does not block a host"
+    dim = host.polytope.dim if host.polytope else host.cube_dim
+    if dim != 3 or len(pairs) != 2:
+        return False, "config-3F blocks only 2 pairs in a 3-polytope"
     X = {v for p in pairs for v in p}
     face = [host.vertex_of(l) for l in obs["facet"]]
     s1, t1 = (host.vertex_of(obs["pair"][0]), host.vertex_of(obs["pair"][1]))
     if (s1, t1) not in pairs and (t1, s1) not in pairs:
         return False, "witness pair is not one of the instance pairs"
-    want_terms = 4 if kind == "config-3F" else None
-    in_face = X & set(face)
-    if want_terms is not None and len(in_face) < want_terms:
+    if len(X & set(face)) < 4:
         return False, "too few terminals in the witness face"
     P = host.polytope or build_cube_polytope(host.cube_dim)
-    if not P.face_of(face):
-        return False, "witness face is not a face of the host"
-    j = P.dim_of(face)
-    if kind == "config-dF" and len(in_face) < P.dim + 1:
-        return False, "too few terminals in the witness facet"
+    if not P.face_of(face) or P.dim_of(face) != 2:
+        return False, "witness face is not a 2-face of the host"
     d = _face_distance(host.graph, face, s1, t1)
-    if d != j:
-        return False, f"pair distance {d} in face, expected {j}"
-    nbrs = [w for w in host.graph[t1] if w in set(face)]
+    if d != 2:
+        return False, f"pair distance {d} in face, expected 2"
+    nbrs = sorted(w for w in host.graph[t1] if w in set(face))
     if not all(w in X for w in nbrs):
         return False, "not every face neighbour of t1 is a terminal"
+    if sorted(host.vertex_of(l) for l in obs["blocking"]) != nbrs:
+        return False, "blocking list is not t1's face neighbours"
     return True, "ok"
 
 
@@ -322,15 +318,15 @@ def cmd_verify(args):
                  for a, b in inst["pairs"]]
         avoid = [host.vertex_of(l) for l in inst.get("avoid", [])]
         result = data["result"]
+        if "linkage" in result:
+            paths = [[host.vertex_of(l) for l in p] for p in result["linkage"]]
+            ok, msg = validate_linkage(host.graph, pairs, paths, avoid)
+        elif "obstruction" in result:
+            ok, msg = _verify_obstruction(host, pairs, result["obstruction"])
+        else:
+            ok, msg = False, "certificate has neither linkage nor obstruction"
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise InputError(f"bad certificate: {e}")
-    if "linkage" in result:
-        paths = [[host.vertex_of(l) for l in p] for p in result["linkage"]]
-        ok, msg = validate_linkage(host.graph, pairs, paths, avoid)
-    elif "obstruction" in result:
-        ok, msg = _verify_obstruction(host, pairs, result["obstruction"])
-    else:
-        ok, msg = False, "certificate has neither linkage nor obstruction"
     print(f"{'PASS' if ok else 'FAIL'}: {msg}")
     return 0 if ok else 1
 

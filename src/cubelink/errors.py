@@ -33,6 +33,10 @@ class CaseNotCovered(CubelinkError):
         self.trace = list(trace) if trace else []
 
 
+class CertificateInvalid(CaseNotCovered):
+    """A solver returned paths that fail the linkage check; nothing is emitted."""
+
+
 class OracleTimeout(CubelinkError):
     """The exhaustive oracle exceeded its budget; carries partial state."""
 

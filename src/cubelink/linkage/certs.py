@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import CubelinkError
+from ..errors import CertificateInvalid, CubelinkError
+from ..paths import validate_linkage
 
 
 def check_pairing(pairs):
@@ -39,10 +40,15 @@ class ObstructionWitness:
 
 
 class Unlinkable(CubelinkError):
-    """Raised internally when an instance is obstructed; carries the witness."""
+    """Raised internally when an instance is obstructed; carries the witness.
 
-    def __init__(self, witness: ObstructionWitness):
-        super().__init__(f"unlinkable: {witness.kind}")
+    The witness is None when an exhaustive search found no linkage and no
+    known configuration explains why.
+    """
+
+    def __init__(self, witness: ObstructionWitness | None):
+        super().__init__(
+            f"unlinkable: {witness.kind if witness else 'search-exhausted'}")
         self.witness = witness
 
 
@@ -55,14 +61,39 @@ class LinkageCertificate:
     valid: bool = False
 
     def to_json(self, label=str):
-        result = (
-            {"linkage": [[label(v) for v in p] for p in self.paths]}
-            if self.paths is not None
-            else {"obstruction": self.obstruction.to_json(label)}
-        )
+        if self.paths is not None:
+            result = {"linkage": [[label(v) for v in p] for p in self.paths]}
+        elif self.obstruction is not None:
+            result = {"obstruction": self.obstruction.to_json(label)}
+        else:
+            result = {"obstruction": {"kind": "search-exhausted"}}
         return {
             "instance": self.instance,
             "result": result,
             "trace": list(self.trace),
             "valid": self.valid,
         }
+
+
+def certify(instance, pairs, solve, graph, avoid=()) -> LinkageCertificate:
+    """Run `solve` and check its answer: the one way to a certificate.
+
+    `solve(pairs, trace)` returns one path per pair, in pair order, or raises
+    Unlinkable.  `graph()` builds the host graph; it is called only when
+    there are paths to check.  Paths that are not a linkage of `pairs` in
+    that graph avoiding `avoid` raise CertificateInvalid, so no unchecked
+    linkage is ever returned.
+    """
+    pairs = check_pairing(pairs)
+    trace: list = []
+    try:
+        paths = solve(pairs, trace)
+    except Unlinkable as e:
+        return LinkageCertificate(instance=instance, obstruction=e.witness,
+                                  trace=trace, valid=True)
+    ok, msg = validate_linkage(graph(), pairs, paths, avoid)
+    if not ok:
+        raise CertificateInvalid(f"solver output is not a linkage: {msg}",
+                                 trace=trace)
+    return LinkageCertificate(instance=instance, paths=paths, trace=trace,
+                              valid=True)

@@ -23,12 +23,12 @@ from ..hypercube import (
     vertex_to_str,
 )
 from ..oracle import cube_instance_key, invert_cube_map, oracle_linkage
-from ..paths import shortest_path, validate_linkage
+from ..paths import shortest_path
 from .certs import (
     LinkageCertificate,
     ObstructionWitness,
     Unlinkable,
-    check_pairing,
+    certify,
     terminals,
 )
 
@@ -121,28 +121,6 @@ def detect_config_3F(P, pairs):
                         kind="config-3F", facet=sorted(F), pair=(a, b),
                         blocking=sorted(nbrs))
     return None
-
-
-def solve_3polytope(P, pairs) -> LinkageCertificate:
-    """2-linkage in a cubical 3-polytope, or the blocking configuration."""
-    pairs = check_pairing(pairs)
-    if len(pairs) != 2:
-        raise ValueError("3-polytope solver handles exactly 2 pairs")
-    label = P.labels.get
-    instance = {"host": f"3-polytope({len(P.vertices)}v)",
-                "pairs": [[label(s), label(t)] for s, t in pairs]}
-    witness = detect_config_3F(P, pairs)
-    if witness is not None:
-        return LinkageCertificate(instance=instance, obstruction=witness,
-                                  trace=["3polytope/config-3F"], valid=True)
-    paths = oracle_linkage(P.graph, pairs)
-    if paths is None:
-        raise CaseNotCovered("unobstructed 3-polytope instance with no linkage",
-                             trace=["3polytope/search"])
-    ok, msg = validate_linkage(P.graph, pairs, paths)
-    assert ok, msg
-    return LinkageCertificate(instance=instance, paths=paths,
-                              trace=["3polytope/search"], valid=True)
 
 
 # -- short distances inside one facet ---------------------------------------
@@ -523,18 +501,9 @@ def _instance(d, pairs, avoid=()):
 
 def cube_linkage(d, pairs, avoid=()) -> LinkageCertificate:
     """Linkage in Q_d avoiding a vertex set, within proven capacity."""
-    pairs = check_pairing(pairs)
-    trace: list = []
-    instance = _instance(d, pairs, avoid)
-    try:
-        paths = _linkage(d, pairs, sorted(avoid), trace)
-    except Unlinkable as e:
-        return LinkageCertificate(instance=instance, obstruction=e.witness,
-                                  trace=trace, valid=True)
-    ok, msg = validate_linkage(cube_graph(d), pairs, paths, avoid)
-    assert ok, msg
-    return LinkageCertificate(instance=instance, paths=paths, trace=trace,
-                              valid=True)
+    return certify(_instance(d, pairs, avoid), pairs,
+                   lambda ps, trace: _linkage(d, ps, sorted(avoid), trace),
+                   lambda: cube_graph(d), avoid)
 
 
 def solve_cube(d, pairs) -> LinkageCertificate:
@@ -542,27 +511,13 @@ def solve_cube(d, pairs) -> LinkageCertificate:
 
     d = 3 at two pairs may return an obstruction certificate instead.
     """
-    pairs = check_pairing(pairs)
-    trace: list = []
-    instance = _instance(d, pairs)
-    try:
-        paths = _solve(d, pairs, trace)
-    except Unlinkable as e:
-        return LinkageCertificate(instance=instance, obstruction=e.witness,
-                                  trace=trace, valid=True)
-    ok, msg = validate_linkage(cube_graph(d), pairs, paths)
-    assert ok, msg
-    return LinkageCertificate(instance=instance, paths=paths, trace=trace,
-                              valid=True)
+    return certify(_instance(d, pairs), pairs,
+                   lambda ps, trace: _solve(d, ps, trace),
+                   lambda: cube_graph(d))
 
 
 def solve_cube_strong(d, pairs, x) -> LinkageCertificate:
     """Linkage of d/2 pairs in Q_d (d even) whose paths avoid x."""
-    pairs = check_pairing(pairs)
-    trace: list = []
-    instance = _instance(d, pairs, (x,))
-    paths = _strong(d, pairs, x, trace)
-    ok, msg = validate_linkage(cube_graph(d), pairs, paths, (x,))
-    assert ok, msg
-    return LinkageCertificate(instance=instance, paths=paths, trace=trace,
-                              valid=True)
+    return certify(_instance(d, pairs, (x,)), pairs,
+                   lambda ps, trace: _strong(d, ps, x, trace),
+                   lambda: cube_graph(d), (x,))

@@ -19,8 +19,8 @@ from collections import deque
 from ..complexes import Polytope, star_complex
 from ..errors import CaseNotCovered
 from ..oracle import oracle_linkage
-from ..paths import Cut, disjoint_paths, shortest_path, validate_linkage
-from .certs import (LinkageCertificate, Unlinkable, check_pairing, terminals)
+from ..paths import Cut, disjoint_paths, shortest_path
+from .certs import LinkageCertificate, Unlinkable, certify, terminals
 from .cube import detect_config_3F
 from .star import (_chain, _face_graph, _face_link, _other_facet, _star_solve,
                    detect_config_dF)
@@ -337,27 +337,13 @@ def solve_cubical(P: Polytope, pairs) -> LinkageCertificate:
 
     Dimension 3 at two pairs may return an obstruction certificate.
     """
-    pairs = check_pairing(pairs)
-    trace: list = []
-    instance = _instance(P, pairs)
-    try:
-        paths = _cubical_solve(P, pairs, trace)
-    except Unlinkable as e:
-        return LinkageCertificate(instance=instance, obstruction=e.witness,
-                                  trace=trace, valid=True)
-    ok, msg = validate_linkage(P.graph, pairs, paths)
-    assert ok, msg
-    return LinkageCertificate(instance=instance, paths=paths, trace=trace,
-                              valid=True)
+    return certify(_instance(P, pairs), pairs,
+                   lambda ps, trace: _cubical_solve(P, ps, trace),
+                   lambda: P.graph)
 
 
 def solve_cubical_strong(P: Polytope, pairs, x) -> LinkageCertificate:
     """Linkage of dim/2 pairs whose paths avoid the extra vertex x."""
-    pairs = check_pairing(pairs)
-    trace: list = []
-    instance = _instance(P, pairs, (x,))
-    paths = _cubical_strong_solve(P, pairs, x, trace)
-    ok, msg = validate_linkage(P.graph, pairs, paths, (x,))
-    assert ok, msg
-    return LinkageCertificate(instance=instance, paths=paths, trace=trace,
-                              valid=True)
+    return certify(_instance(P, pairs, (x,)), pairs,
+                   lambda ps, trace: _cubical_strong_solve(P, ps, x, trace),
+                   lambda: P.graph, (x,))

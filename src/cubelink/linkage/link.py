@@ -18,8 +18,8 @@ from ..hypercube import (
     project,
     vertex_to_str,
 )
-from ..paths import shortest_path, validate_linkage
-from .certs import LinkageCertificate, Unlinkable, check_pairing, terminals
+from ..paths import shortest_path
+from .certs import LinkageCertificate, Unlinkable, certify, terminals
 from .cube import _linkage, _solve_in_face, detect_config_3F
 
 
@@ -202,20 +202,12 @@ def _link_solve(D, v, pairs, trace):
 
 def solve_link(D, v, pairs) -> LinkageCertificate:
     """Linkage among up to floor(D/2) pairs in the link of v in Q_D."""
-    pairs = check_pairing(pairs)
-    full = (1 << D) - 1
-    trace: list = []
+    vo = v ^ ((1 << D) - 1)
     instance = {
         "host": f"link(Q_{D}, {vertex_to_str(v, D)})",
         "pairs": [[vertex_to_str(s, D), vertex_to_str(t, D)] for s, t in pairs],
-        "avoid": [vertex_to_str(v, D), vertex_to_str(v ^ full, D)],
+        "avoid": [vertex_to_str(v, D), vertex_to_str(vo, D)],
     }
-    try:
-        paths = _link_solve(D, v, pairs, trace)
-    except Unlinkable as e:
-        return LinkageCertificate(instance=instance, obstruction=e.witness,
-                                  trace=trace, valid=True)
-    ok, msg = validate_linkage(_host_graph(D, v, v ^ full), pairs, paths)
-    assert ok, msg
-    return LinkageCertificate(instance=instance, paths=paths, trace=trace,
-                              valid=True)
+    return certify(instance, pairs,
+                   lambda ps, trace: _link_solve(D, v, ps, trace),
+                   lambda: _host_graph(D, v, vo))

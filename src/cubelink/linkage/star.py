@@ -13,9 +13,9 @@ from __future__ import annotations
 from ..complexes import Complex, Polytope, star_complex
 from ..errors import CaseNotCovered, NoPath
 from ..hypercube import find_unassociated_pair
-from ..paths import Cut, disjoint_paths, shortest_path, validate_linkage
+from ..paths import Cut, disjoint_paths, shortest_path
 from .certs import (LinkageCertificate, ObstructionWitness, Unlinkable,
-                    check_pairing, terminals)
+                    certify, terminals)
 from .cube import _linkage
 from .link import _link_solve
 
@@ -892,21 +892,12 @@ def _star_solve(P, s1, pairs, trace):
 
 def solve_star(P, s1, pairs) -> LinkageCertificate:
     """Linkage for (d+1)/2 pairs inside the star of s1; s1 is a terminal."""
-    pairs = check_pairing(pairs)
     label = lambda v: P.labels[v]
-    trace: list = []
     instance = {
         "host": f"star({label(s1)}) in {P.dim}-polytope",
         "pairs": [[label(s), label(t)] for s, t in pairs],
         "avoid": [],
     }
-    try:
-        paths = _star_solve(P, s1, pairs, trace)
-    except Unlinkable as e:
-        return LinkageCertificate(instance=instance, obstruction=e.witness,
-                                  trace=trace, valid=True)
-    S1g = star_complex(P, s1).graph()
-    ok, msg = validate_linkage(S1g, pairs, paths)
-    assert ok, msg
-    return LinkageCertificate(instance=instance, paths=paths, trace=trace,
-                              valid=True)
+    return certify(instance, pairs,
+                   lambda ps, trace: _star_solve(P, s1, ps, trace),
+                   lambda: star_complex(P, s1).graph())

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cubelink
 from cubelink.cli import main
 from cubelink.hypercube import cube_graph, vertex_from_str
 from cubelink.paths import validate_linkage
@@ -120,6 +124,56 @@ def test_verify_obstruction_certificate(capsys, tmp_path):
     cert.write_text(json.dumps(data))
     code, out3, _ = run(capsys, "verify", str(cert))
     assert code == 1 and out3.startswith("FAIL")
+
+
+def _forged_obstruction(d, pairs, kind, facet, pair, blocking):
+    return {"instance": {"host": {"kind": "cube", "dim": d}, "pairs": pairs,
+                         "avoid": [], "strong": False},
+            "result": {"obstruction": {"kind": kind, "facet": facet,
+                                       "pair": pair, "blocking": blocking}},
+            "trace": [], "valid": True}
+
+
+@pytest.mark.parametrize("forged", [
+    # config-3F outside dimension 3: Q_4 links these pairs
+    _forged_obstruction(4, [["0000", "1100"], ["1000", "0100"]], "config-3F",
+                        ["0000", "0100", "1000", "1100"], ["1100", "0000"],
+                        ["0100", "1000"]),
+    # config-dF blocks only a star linkage: Q_5 links these pairs
+    _forged_obstruction(5, [["00000", "01111"], ["00111", "01011"],
+                            ["01101", "01110"]], "config-dF",
+                        [f"0{i:04b}" for i in range(16)], ["00000", "01111"],
+                        ["00111", "01011", "01101", "01110"]),
+    # a genuine Q_3 config-3F face, but a blocking list that is not t1's
+    # face neighbours
+    _forged_obstruction(3, [["000", "110"], ["010", "100"]], "config-3F",
+                        ["000", "010", "100", "110"], ["000", "110"],
+                        ["000", "010"]),
+], ids=["3F-in-Q4", "dF-in-Q5", "3F-wrong-blocking"])
+def test_verify_rejects_forged_obstruction(capsys, tmp_path, forged):
+    cert = tmp_path / "forged.json"
+    cert.write_text(json.dumps(forged))
+    code, out, _ = run(capsys, "verify", str(cert))
+    assert code == 1 and out.startswith("FAIL")
+
+
+PATCHED_SOLVE = """
+import sys
+import cubelink.linkage.cube as cube
+cube._solve = lambda d, pairs, trace: [[s, t] for s, t in pairs]
+from cubelink.cli import main
+sys.exit(main(["solve", "--cube", "5",
+               "--pairs", "00000-11111,00001-11110,00010-11101"]))
+"""
+
+
+def test_unchecked_linkage_never_emitted_under_python_O():
+    src = os.path.dirname(os.path.dirname(cubelink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-O", "-c", PATCHED_SOLVE], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 3, r.stderr
+    assert r.stdout == ""
 
 
 def test_census_q3_golden(capsys):

@@ -4,17 +4,17 @@ import random
 import pytest
 
 from cubelink.complexes import build_cube_polytope
-from cubelink.errors import CaseNotCovered
+from cubelink.errors import CaseNotCovered, CertificateInvalid
 from cubelink.hypercube import cube_graph, facet, opposite_facet, project
 from cubelink.linkage.cube import (
     build_Mx_paths,
     cube_linkage,
     scenario2_partition,
     short_distance_paths,
-    solve_3polytope,
     solve_cube,
     solve_cube_strong,
 )
+from cubelink.linkage.cubical import solve_cubical
 from cubelink.oracle import all_pairings, oracle_linkage
 from cubelink.paths import validate_linkage
 
@@ -143,7 +143,7 @@ def test_solve_3polytope_against_oracle():
     hits = {"linked": 0, "obstructed": 0}
     for X in itertools.combinations(range(8), 4):
         for pairs in all_pairings(X):
-            cert = solve_3polytope(P, pairs)
+            cert = solve_cubical(P, pairs)
             truth = oracle_linkage(P.graph, pairs)
             if truth is None:
                 assert cert.obstruction is not None
@@ -162,6 +162,15 @@ def test_certificates_report_instance_and_trace():
     assert cert.trace and all(isinstance(t, str) for t in cert.trace)
     j = cert.to_json()
     assert j["valid"] and j["result"]["linkage"]
+
+
+def test_solver_output_that_is_not_a_linkage_raises(monkeypatch):
+    import cubelink.linkage.cube as cube
+
+    monkeypatch.setattr(cube, "_solve",
+                        lambda d, pairs, trace: [[s, t] for s, t in pairs])
+    with pytest.raises(CertificateInvalid):
+        solve_cube(5, [(0, 31), (1, 30), (2, 29)])
 
 
 def test_deterministic_output():
