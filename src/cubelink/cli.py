@@ -1,4 +1,4 @@
-"""Command line front door: solve, verify, census, gen, and bench.
+"""Command line front door: solve, verify, census and gen.
 
 Exit codes encode verdicts so harnesses never parse prose: 0 a linkage was
 found (or the requested action succeeded), 2 an obstruction witness was
@@ -13,6 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from .complexes import Polytope, build_cube_polytope, build_from_incidence, link_polytope
 from .errors import CaseNotCovered, CubelinkError
@@ -33,46 +36,66 @@ class InputError(Exception):
 # -- host plumbing -----------------------------------------------------------
 
 
+@dataclass(eq=False)
 class Host:
-    """A solve/census host: its graph, labels, and a solver dispatch key."""
+    """A solve/verify/census host, built from its spec by one of HOST_KINDS.
 
-    def __init__(self, kind, spec, graph, label_of, vertex_of, polytope=None,
-                 cube_dim=None, link_vertex=None):
-        self.kind = kind
-        self.spec = spec
-        self.graph = graph
-        self.label_of = label_of
-        self.vertex_of = vertex_of
-        self.polytope = polytope
-        self.cube_dim = cube_dim
-        self.link_vertex = link_vertex
+    `solve(pairs, avoid)` and `strong(pairs, x)` return certificates.  The
+    face lattice, `polytope`, is built by `lattice()` the first time it is
+    read, which is only to find or check a config-3F witness.
+    """
+
+    spec: dict
+    dim: int
+    graph: dict
+    label_of: Callable
+    vertex_of: Callable
+    solve: Callable
+    strong: Callable
+    lattice: Callable
+
+    @cached_property
+    def polytope(self) -> Polytope:
+        return self.lattice()
+
+    def witness(self, pairs):
+        """The config-3F witness blocking `pairs`, or None.  It is the only
+        configuration that blocks a whole host: 2 pairs in dimension 3."""
+        if self.dim == 3 and len(pairs) == 2:
+            return detect_config_3F(self.polytope, pairs)
+        return None
 
 
-def _cube_host(d):
-    return Host("cube", {"kind": "cube", "dim": d}, cube_graph(d),
-                lambda v: vertex_to_str(v, d), _cube_resolver(d), cube_dim=d)
+def _cube_host(spec):
+    d = int(spec["dim"])
 
-
-def _cube_resolver(d):
-    def resolve(label):
+    def vertex_of(label):
         v = vertex_from_str(label)
         if len(label) != d:
             raise InputError(f"vertex {label!r} is not {d} bits")
         return v
-    return resolve
+
+    def solve(pairs, avoid):
+        return cube_linkage(d, pairs, avoid) if avoid else solve_cube(d, pairs)
+
+    return Host({"kind": "cube", "dim": d}, d, cube_graph(d),
+                lambda v: vertex_to_str(v, d), vertex_of, solve,
+                lambda pairs, x: solve_cube_strong(d, pairs, x),
+                lambda: build_cube_polytope(d))
 
 
-def _link_host(cube_dim, vertex_label=None):
-    v = vertex_from_str(vertex_label) if vertex_label else 0
-    P = link_polytope(cube_dim, v)
-    spec = {"kind": "link", "cube_dim": cube_dim,
-            "vertex": vertex_to_str(v, cube_dim)}
-    return Host("link", spec, P.graph, lambda u: P.labels[u],
-                _label_resolver(P.labels), polytope=P, cube_dim=cube_dim,
-                link_vertex=v)
+def _link_host(spec):
+    d = int(spec["cube_dim"])
+    v = vertex_from_str(spec["vertex"]) if spec.get("vertex") else 0
+    spec = {"kind": "link", "cube_dim": d, "vertex": vertex_to_str(v, d)}
+    return _polytope_host(spec, link_polytope(d, v),
+                          lambda pairs: solve_link(d, v, pairs))
 
 
-def _lattice_host(path):
+def _lattice_host(spec):
+    path = spec.get("path")
+    if not path:
+        raise InputError("lattice host needs --lattice FILE")
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -81,43 +104,57 @@ def _lattice_host(path):
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise InputError(f"bad lattice file {path}: {e}")
     spec = {"kind": "lattice", "path": str(path), "dim": P.dim}
-    return Host("lattice", spec, P.graph, lambda u: P.labels[u],
-                _label_resolver(P.labels), polytope=P)
+    return _polytope_host(spec, P, lambda pairs: solve_cubical(P, pairs))
 
 
-def _label_resolver(labels):
-    back = {lbl: v for v, lbl in labels.items()}
+def _polytope_host(spec, P, solve):
+    """A host on the lattice P whose plain solver is `solve(pairs)`."""
+    back = {lbl: v for v, lbl in P.labels.items()}
 
-    def resolve(label):
+    def vertex_of(label):
         if label not in back:
             raise InputError(f"unknown vertex label {label!r}")
         return back[label]
-    return resolve
+
+    def solve_avoiding(pairs, avoid):
+        if avoid:
+            raise InputError("--avoid outside cube hosts requires --strong")
+        return solve(pairs)
+
+    return Host(spec, P.dim, P.graph, P.labels.__getitem__, vertex_of,
+                solve_avoiding,
+                lambda pairs, x: solve_cubical_strong(P, pairs, x),
+                lambda: P)
 
 
-def _host_from_args(args, spec=None):
-    if spec is not None:
-        kind = spec.get("kind")
-        if kind == "cube":
-            return _cube_host(int(spec["dim"]))
-        if kind == "link":
-            return _link_host(int(spec["cube_dim"]), spec.get("vertex"))
-        if kind == "lattice":
-            path = getattr(args, "lattice", None) or spec.get("path")
-            if not path:
-                raise InputError("lattice host needs --lattice FILE")
-            return _lattice_host(path)
-        raise InputError(f"unknown host kind {kind!r}")
+HOST_KINDS = {"cube": _cube_host, "link": _link_host, "lattice": _lattice_host}
+
+
+def _flags_spec(args):
+    """The host spec that the --cube, --link or --lattice flag names."""
     given = [name for name in ("cube", "link", "lattice")
-             if getattr(args, name, None) is not None]
+             if getattr(args, name) is not None]
     if len(given) != 1:
         raise InputError("choose exactly one of --cube D, --link D, "
                          "--lattice FILE")
     if args.cube is not None:
-        return _cube_host(args.cube)
+        return {"kind": "cube", "dim": args.cube}
     if args.link is not None:
-        return _link_host(args.link, getattr(args, "vertex", None))
-    return _lattice_host(args.lattice)
+        return {"kind": "link", "cube_dim": args.link, "vertex": args.vertex}
+    return {"kind": "lattice", "path": args.lattice}
+
+
+def _host_from_args(args, spec=None):
+    """The host `spec` names, else the one the host flags name.  A --lattice
+    flag overrides the file of a lattice spec."""
+    if spec is None:
+        spec = _flags_spec(args)
+    if spec.get("kind") == "lattice" and args.lattice:
+        spec = dict(spec, path=args.lattice)
+    build = HOST_KINDS.get(spec.get("kind"))
+    if build is None:
+        raise InputError(f"unknown host kind {spec.get('kind')!r}")
+    return build(spec)
 
 
 def _parse_pairs(host, text):
@@ -140,24 +177,11 @@ def _parse_avoid(host, text):
 
 
 def _constructive(host, pairs, avoid, strong):
-    if strong:
-        if len(avoid) != 1:
-            raise InputError("--strong needs exactly one --avoid vertex")
-        x = avoid[0]
-        if host.kind == "cube":
-            return solve_cube_strong(host.cube_dim, pairs, x)
-        if host.polytope is not None:
-            return solve_cubical_strong(host.polytope, pairs, x)
-        raise InputError("--strong unsupported for this host")
-    if host.kind == "cube":
-        if avoid:
-            return cube_linkage(host.cube_dim, pairs, avoid)
-        return solve_cube(host.cube_dim, pairs)
-    if avoid:
-        raise InputError("--avoid outside cube hosts requires --strong")
-    if host.kind == "link":
-        return solve_link(host.cube_dim, host.link_vertex, pairs)
-    return solve_cubical(host.polytope, pairs)
+    if not strong:
+        return host.solve(pairs, avoid)
+    if len(avoid) != 1:
+        raise InputError("--strong needs exactly one --avoid vertex")
+    return host.strong(pairs, avoid[0])
 
 
 def _oracle_solve(host, pairs, avoid, instance):
@@ -165,18 +189,9 @@ def _oracle_solve(host, pairs, avoid, instance):
         trace.append("oracle/search")
         sol = oracle_linkage(host.graph, ps, avoid=avoid)
         if sol is None:
-            raise Unlinkable(_detect_witness(host, ps))
+            raise Unlinkable(host.witness(ps))
         return sol
     return certify(instance, pairs, search, lambda: host.graph, avoid)
-
-
-def _detect_witness(host, pairs):
-    P = host.polytope
-    if host.kind == "cube":
-        P = build_cube_polytope(host.cube_dim)
-    if P.dim == 3 and len(pairs) == 2:
-        return detect_config_3F(P, pairs)
-    return None
 
 
 def _emit(payload, out=None):
@@ -257,23 +272,6 @@ def cmd_solve(args):
 # -- verify ------------------------------------------------------------------
 
 
-def _face_distance(G, face, s, t):
-    from collections import deque
-
-    face = set(face)
-    seen = {s: 0}
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        if u == t:
-            return seen[u]
-        for w in G[u]:
-            if w in face and w not in seen:
-                seen[w] = seen[u] + 1
-                q.append(w)
-    return None
-
-
 def _verify_obstruction(host, pairs, obs):
     """Check a config-3F witness, the one configuration that blocks a host.
 
@@ -284,8 +282,7 @@ def _verify_obstruction(host, pairs, obs):
     kind = obs.get("kind")
     if kind != "config-3F":
         return False, f"obstruction kind {kind!r} does not block a host"
-    dim = host.polytope.dim if host.polytope else host.cube_dim
-    if dim != 3 or len(pairs) != 2:
+    if host.dim != 3 or len(pairs) != 2:
         return False, "config-3F blocks only 2 pairs in a 3-polytope"
     X = {v for p in pairs for v in p}
     face = [host.vertex_of(l) for l in obs["facet"]]
@@ -294,12 +291,11 @@ def _verify_obstruction(host, pairs, obs):
         return False, "witness pair is not one of the instance pairs"
     if len(X & set(face)) < 4:
         return False, "too few terminals in the witness face"
-    P = host.polytope or build_cube_polytope(host.cube_dim)
+    P = host.polytope
     if not P.face_of(face) or P.dim_of(face) != 2:
         return False, "witness face is not a 2-face of the host"
-    d = _face_distance(host.graph, face, s1, t1)
-    if d != 2:
-        return False, f"pair distance {d} in face, expected 2"
+    if P.opposite_in_face(face, t1) != s1:
+        return False, "witness pair is not opposite in the face"
     nbrs = sorted(w for w in host.graph[t1] if w in set(face))
     if not all(w in X for w in nbrs):
         return False, "not every face neighbour of t1 is a terminal"
@@ -336,13 +332,10 @@ def cmd_verify(args):
 
 def cmd_census(args):
     host = _host_from_args(args)
-    detector = None
-    P = host.polytope
-    if host.kind == "cube":
-        P = build_cube_polytope(host.cube_dim)
-    if P.dim == 3 and args.k == 2:
-        detector = (lambda pairs:
-                    "config-3F" if detect_config_3F(P, pairs) else None)
+
+    def detector(pairs):
+        return "config-3F" if host.witness(pairs) else None
+
     mode = "exhaustive" if args.exhaustive else "sample"
     if not args.exhaustive and not args.sample:
         raise InputError("census needs --exhaustive or --sample N")
@@ -364,28 +357,17 @@ def cmd_census(args):
 # -- gen ---------------------------------------------------------------------
 
 
-def _polytope_lattice_json(P: Polytope):
-    order = sorted(P.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    return {
-        "dim": P.dim,
-        "vertices": len(order),
-        "facets": [sorted(index[v] for v in f) for f in P.facets],
-        "labels": [P.labels[v] for v in order],
-    }
-
-
 def cmd_gen(args):
     if args.what == "cube":
         if args.dim is None:
             raise InputError("gen cube needs --dim")
-        _emit(_polytope_lattice_json(build_cube_polytope(args.dim)))
+        _emit(build_cube_polytope(args.dim).to_json())
         return 0
     if args.what == "link":
         if args.cube is None:
             raise InputError("gen link needs --cube D")
         v = vertex_from_str(args.vertex) if args.vertex else 0
-        _emit(_polytope_lattice_json(link_polytope(args.cube, v)))
+        _emit(link_polytope(args.cube, v).to_json())
         return 0
     if args.what == "random-instance":
         if args.cube is None or args.k is None:
@@ -405,32 +387,6 @@ def cmd_gen(args):
         _emit(inst)
         return 0
     raise InputError(f"unknown gen target {args.what!r}")
-
-
-# -- bench -------------------------------------------------------------------
-
-
-def cmd_bench(args):
-    import random
-    import time
-
-    rng = random.Random(args.seed)
-    rows = []
-    for d in (4, 5, 6, 7):
-        k = (d + 1) // 2
-        t0 = time.monotonic()
-        n = args.n
-        for _ in range(n):
-            X = rng.sample(range(1 << d), 2 * k)
-            pairs = [(X[2 * i], X[2 * i + 1]) for i in range(k)]
-            cert = solve_cube(d, pairs)
-            assert cert.paths is not None
-        dt = time.monotonic() - t0
-        rows.append((f"Q_{d} k={k}", n, dt))
-    for name, n, dt in rows:
-        print(f"{name:12s} {n:5d} solves  {dt:8.3f}s  "
-              f"{1000 * dt / n:8.2f} ms/solve")
-    return 0
 
 
 # -- entry point -------------------------------------------------------------
@@ -489,11 +445,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strong", action="store_true")
     p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("bench", help="time the constructive solver")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_bench)
     return ap
 
 

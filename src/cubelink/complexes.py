@@ -13,6 +13,7 @@ facet-ridge paths.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,7 +25,7 @@ from .paths import shortest_path, vertex_connectivity  # noqa: F401  (re-exporte
 class Polytope:
     """A cubical polytope given abstractly by its vertex-facet incidence."""
 
-    def __init__(self, dim, vertices, facets, labels=None, validate=True):
+    def __init__(self, dim, vertices, facets, labels=None):
         self.dim = dim
         self.vertices = sorted(vertices)
         self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
@@ -32,8 +33,7 @@ class Polytope:
         self._embed_cache = {}
         self._build_lattice()
         self.cubical = False
-        if validate:
-            self._validate_cubical()
+        self._validate_cubical()
 
     # -- lattice -----------------------------------------------------------
 
@@ -143,7 +143,17 @@ class Polytope:
         coords = {root: 0}
         for i, w in enumerate(sorted(adj[root])):
             coords[w] = 1 << i
-        order = sorted(f, key=lambda v: (self._dist_in(adj, root, v), v))
+        dist = {root: 0}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(dist) != len(f):
+            raise NotCubical("face graph disconnected", face=verts)
+        order = sorted(f, key=lambda v: (dist[v], v))
         for v in order:
             if v in coords:
                 continue
@@ -164,22 +174,6 @@ class Polytope:
                 raise NotCubical("adjacency not Hamming-1", face=verts)
         self._embed_cache[f] = (coords, j)
         return coords, j
-
-    @staticmethod
-    def _dist_in(adj, s, t):
-        from collections import deque
-
-        seen = {s: 0}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            if u == t:
-                return seen[u]
-            for w in adj[u]:
-                if w not in seen:
-                    seen[w] = seen[u] + 1
-                    q.append(w)
-        raise NotCubical("face graph disconnected")
 
     def opposite_in_face(self, f, v):
         """The vertex of face f at maximal cube distance from v."""
@@ -217,10 +211,13 @@ class Polytope:
         return nbrs[0]
 
     def to_json(self):
+        """The incidence as build_from_incidence reads it: facets as indices
+        into the sorted vertex list."""
+        index = {v: i for i, v in enumerate(self.vertices)}
         return {
             "dim": self.dim,
             "vertices": len(self.vertices),
-            "facets": [sorted(f) for f in self.facets],
+            "facets": [sorted(index[v] for v in f) for f in self.facets],
             "labels": [self.labels[v] for v in self.vertices],
         }
 

@@ -82,7 +82,9 @@ def certify(instance, pairs, solve, graph, avoid=()) -> LinkageCertificate:
     Unlinkable.  `graph()` builds the host graph; it is called only when
     there are paths to check.  Paths that are not a linkage of `pairs` in
     that graph avoiding `avoid` raise CertificateInvalid, so no unchecked
-    linkage is ever returned.
+    linkage is ever returned.  An Unlinkable without a witness (a search that
+    found nothing, with no configuration to explain it) gives a certificate
+    with `valid` False, since there is nothing to check.
     """
     pairs = check_pairing(pairs)
     trace: list = []
@@ -90,7 +92,7 @@ def certify(instance, pairs, solve, graph, avoid=()) -> LinkageCertificate:
         paths = solve(pairs, trace)
     except Unlinkable as e:
         return LinkageCertificate(instance=instance, obstruction=e.witness,
-                                  trace=trace, valid=True)
+                                  trace=trace, valid=e.witness is not None)
     ok, msg = validate_linkage(graph(), pairs, paths, avoid)
     if not ok:
         raise CertificateInvalid(f"solver output is not a linkage: {msg}",

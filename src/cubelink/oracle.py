@@ -154,7 +154,7 @@ def all_pairings(X):
 
 
 def census(G, k, host="", mode="exhaustive", sample=None, seed=0,
-           detector=None, per_instance_timeout_ms=None):
+           detector=None):
     """Classify pairings of 2k terminals via the oracle.
 
     mode "exhaustive": every X of size 2k and every pairing (|V| <= 16
@@ -186,7 +186,7 @@ def census(G, k, host="", mode="exhaustive", sample=None, seed=0,
                 yield [(X[2 * i], X[2 * i + 1]) for i in range(k)]
 
         instances = sampled()
-        budget = (per_instance_timeout_ms or oracle_timeout_ms()) / 1000.0
+        budget = oracle_timeout_ms() / 1000.0
     else:
         raise ValueError(f"unknown census mode {mode}")
 

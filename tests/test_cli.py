@@ -230,6 +230,41 @@ def test_gen_random_instance_then_solve(capsys, tmp_path):
     assert code in (0, 2)
 
 
-def test_bench_runs(capsys):
-    code, out, _ = run(capsys, "bench", "--n", "3")
-    assert code == 0 and "Q_7" in out
+def test_search_exhausted_is_not_valid(capsys, tmp_path):
+    # three pairs exceed Q_3's capacity: the oracle finds no linkage and no
+    # known configuration explains it, so there is no witness to check
+    code, out, _ = run(capsys, "solve", "--cube", "3", "--method", "oracle",
+                       "--pairs", "000-111,001-110,010-101")
+    data = json.loads(out)
+    assert code == 2
+    assert data["result"]["obstruction"] == {"kind": "search-exhausted"}
+    assert data["valid"] is False
+    cert = tmp_path / "exhausted.json"
+    cert.write_text(out)
+    code, out, _ = run(capsys, "verify", str(cert))
+    assert code == 1 and out.startswith("FAIL")
+
+
+def test_census_sample_on_q9(capsys):
+    code, out, _ = run(capsys, "census", "--cube", "9", "--k", "2",
+                       "--sample", "3")
+    assert code == 0 and json.loads(out)["total"] == 3
+
+
+def test_oracle_refutes_on_q9(capsys):
+    # every neighbour of 000000000 is a terminal of another pair
+    code, out, _ = run(capsys, "solve", "--cube", "9", "--method", "oracle",
+                       "--pairs", "000000000-111111111,100000000-010000000,"
+                       "001000000-000100000,000010000-000001000,"
+                       "000000100-000000010,000000001-110000000")
+    assert code == 2
+    assert json.loads(out)["result"]["obstruction"]["kind"] == "search-exhausted"
+
+
+def test_census_outside_dimension_3_builds_no_lattice(capsys, monkeypatch):
+    def no_lattice(d):
+        raise RuntimeError(f"face lattice of Q_{d} built")
+    monkeypatch.setattr("cubelink.cli.build_cube_polytope", no_lattice)
+    code, _, _ = run(capsys, "census", "--cube", "4", "--k", "2",
+                     "--exhaustive")
+    assert code == 0

@@ -193,3 +193,15 @@ def test_polytope_to_json_roundtrip():
                              [set(f) for f in j["facets"]], labels=j["labels"])
     assert Q.facets == P.facets
     assert Q.graph == P.graph
+
+
+def test_polytope_to_json_roundtrip_link():
+    # a vertex link keeps the cube's bitmasks as vertex ids, not 0..n-1
+    P = link_polytope(5, 0)
+    j = P.to_json()
+    Q = build_from_incidence(j["dim"], j["vertices"], j["facets"],
+                             labels=j["labels"])
+
+    def facet_labels(R):
+        return {frozenset(R.labels[v] for v in f) for f in R.facets}
+    assert facet_labels(Q) == facet_labels(P)
