@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 from .complexes import Polytope, build_cube_polytope, build_from_incidence, link_polytope
 from .errors import CaseNotCovered, CubelinkError
-from .hypercube import cube_graph, vertex_from_str, vertex_to_str
+from .hypercube import CubeAdjacency, cube_graph, vertex_from_str, vertex_to_str
 from .linkage.certs import Unlinkable, certify
 from .linkage.cube import (cube_linkage, detect_config_3F, solve_cube,
                            solve_cube_strong)
@@ -40,19 +41,28 @@ class InputError(Exception):
 class Host:
     """A solve/verify/census host, built from its spec by one of HOST_KINDS.
 
-    `solve(pairs, avoid)` and `strong(pairs, x)` return certificates.  The
-    face lattice, `polytope`, is built by `lattice()` the first time it is
-    read, which is only to find or check a config-3F witness.
+    `solve(pairs, avoid)` and `strong(pairs, x)` return certificates.
+    `adjacency` answers neighbour queries, enough to check a linkage; on a
+    cube host it computes them on access.  The whole graph, `graph`, is
+    built by `build_graph()` the first time it is read, which only a search
+    over the host (`--method oracle`, census) or `--dot` does.  The face
+    lattice, `polytope`, is built by `lattice()` the first time it is read,
+    which is only to find or check a config-3F witness.
     """
 
     spec: dict
     dim: int
-    graph: dict
+    adjacency: Mapping
     label_of: Callable
     vertex_of: Callable
     solve: Callable
     strong: Callable
+    build_graph: Callable
     lattice: Callable
+
+    @cached_property
+    def graph(self) -> dict:
+        return self.build_graph()
 
     @cached_property
     def polytope(self) -> Polytope:
@@ -66,27 +76,29 @@ class Host:
         return None
 
 
+def _bits(label, d):
+    """The vertex of Q_d that a d-bit label names."""
+    v = vertex_from_str(label)
+    if len(label) != d:
+        raise InputError(f"vertex {label!r} is not {d} bits")
+    return v
+
+
 def _cube_host(spec):
     d = int(spec["dim"])
-
-    def vertex_of(label):
-        v = vertex_from_str(label)
-        if len(label) != d:
-            raise InputError(f"vertex {label!r} is not {d} bits")
-        return v
 
     def solve(pairs, avoid):
         return cube_linkage(d, pairs, avoid) if avoid else solve_cube(d, pairs)
 
-    return Host({"kind": "cube", "dim": d}, d, cube_graph(d),
-                lambda v: vertex_to_str(v, d), vertex_of, solve,
-                lambda pairs, x: solve_cube_strong(d, pairs, x),
-                lambda: build_cube_polytope(d))
+    return Host({"kind": "cube", "dim": d}, d, CubeAdjacency(d),
+                lambda v: vertex_to_str(v, d), lambda label: _bits(label, d),
+                solve, lambda pairs, x: solve_cube_strong(d, pairs, x),
+                lambda: cube_graph(d), lambda: build_cube_polytope(d))
 
 
 def _link_host(spec):
     d = int(spec["cube_dim"])
-    v = vertex_from_str(spec["vertex"]) if spec.get("vertex") else 0
+    v = _bits(spec["vertex"], d) if spec.get("vertex") else 0
     spec = {"kind": "link", "cube_dim": d, "vertex": vertex_to_str(v, d)}
     return _polytope_host(spec, link_polytope(d, v),
                           lambda pairs: solve_link(d, v, pairs))
@@ -124,7 +136,7 @@ def _polytope_host(spec, P, solve):
     return Host(spec, P.dim, P.graph, P.labels.__getitem__, vertex_of,
                 solve_avoiding,
                 lambda pairs, x: solve_cubical_strong(P, pairs, x),
-                lambda: P)
+                lambda: P.graph, lambda: P)
 
 
 HOST_KINDS = {"cube": _cube_host, "link": _link_host, "lattice": _lattice_host}
@@ -149,6 +161,8 @@ def _host_from_args(args, spec=None):
     flag overrides the file of a lattice spec."""
     if spec is None:
         spec = _flags_spec(args)
+    if not isinstance(spec, dict):
+        raise InputError(f"host must be a JSON object, not {spec!r}")
     if spec.get("kind") == "lattice" and args.lattice:
         spec = dict(spec, path=args.lattice)
     build = HOST_KINDS.get(spec.get("kind"))
@@ -191,7 +205,7 @@ def _oracle_solve(host, pairs, avoid, instance):
         if sol is None:
             raise Unlinkable(host.witness(ps))
         return sol
-    return certify(instance, pairs, search, lambda: host.graph, avoid)
+    return certify(instance, pairs, search, lambda: host.adjacency, avoid)
 
 
 def _emit(payload, out=None):
@@ -296,7 +310,7 @@ def _verify_obstruction(host, pairs, obs):
         return False, "witness face is not a 2-face of the host"
     if P.opposite_in_face(face, t1) != s1:
         return False, "witness pair is not opposite in the face"
-    nbrs = sorted(w for w in host.graph[t1] if w in set(face))
+    nbrs = sorted(w for w in host.adjacency[t1] if w in set(face))
     if not all(w in X for w in nbrs):
         return False, "not every face neighbour of t1 is a terminal"
     if sorted(host.vertex_of(l) for l in obs["blocking"]) != nbrs:
@@ -316,7 +330,7 @@ def cmd_verify(args):
         result = data["result"]
         if "linkage" in result:
             paths = [[host.vertex_of(l) for l in p] for p in result["linkage"]]
-            ok, msg = validate_linkage(host.graph, pairs, paths, avoid)
+            ok, msg = validate_linkage(host.adjacency, pairs, paths, avoid)
         elif "obstruction" in result:
             ok, msg = _verify_obstruction(host, pairs, result["obstruction"])
         else:

@@ -11,9 +11,13 @@ Serialization: a vertex renders as a fixed-width binary string with coordinate
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations
+
+from .errors import NoPath
 
 MAX_DIM = 30
 
@@ -202,6 +206,129 @@ def cube_graph(d: int) -> dict[int, tuple[int, ...]]:
         v: tuple(sorted(v ^ (1 << i) for i in range(d)))
         for v in range(1 << d)
     }
+
+
+class CubeAdjacency(Mapping):
+    """Read-only adjacency of Q_d that computes ``G[v]`` on access.
+
+    It answers what ``cube_graph(d)`` answers, neighbours in increasing
+    order, without holding 2^d entries; a key outside 0..2^d-1 raises
+    KeyError.
+    """
+
+    def __init__(self, d: int):
+        _check_dim(d)
+        self.d = d
+
+    def __getitem__(self, v):
+        if v not in self:
+            raise KeyError(v)
+        return tuple(sorted(v ^ (1 << i) for i in range(self.d)))
+
+    def __contains__(self, v):
+        return isinstance(v, int) and 0 <= v < 1 << self.d
+
+    def __iter__(self):
+        return iter(range(1 << self.d))
+
+    def __len__(self):
+        return 1 << self.d
+
+
+def _astar(s, t, bits, forbidden, bound):
+    """A* from s to t over the flips `bits`, avoiding `forbidden`.
+
+    Yields None after each expansion and then the path, once t is generated;
+    raises NoPath when the frontier empties, that is when no path has at
+    most `bound` steps.  The Hamming distance to t is consistent on Q_d, so
+    a vertex's depth is final when it is expanded and the first path to
+    reach t is shortest.  Ties go to the deeper vertex, then the smaller.
+    """
+    depth = {s: 0}
+    prev = {s: None}
+    heap = [((s ^ t).bit_count(), 0, s)]
+    while heap:
+        _, neg_depth, u = heappop(heap)
+        if -neg_depth > depth[u]:
+            continue  # stale: u was reached by a shorter path since
+        g = depth[u] + 1
+        for b in bits:
+            w = u ^ b
+            if w == t:
+                path = [t, u]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                yield path[::-1]
+                return
+            if w in forbidden or depth.get(w, g + 1) <= g:
+                continue
+            f = g + (w ^ t).bit_count()
+            if f <= bound:
+                depth[w] = g
+                prev[w] = u
+                heappush(heap, (f, -g, w))
+        yield None
+    raise NoPath(f"no {s}-{t} path of at most {bound} steps avoiding "
+                 f"{len(forbidden)} vertices")
+
+
+def _search(s, t, bits, forbidden, bound):
+    """A shortest s-t path of at most `bound` steps, else NoPath.
+
+    A* from s towards t and A* from t towards s take turns expanding one
+    vertex each.  The first to reach its goal gives the path; the first
+    whose frontier empties proves there is none, which takes only a few
+    steps when either end is walled in.
+    """
+    ahead = _astar(s, t, bits, forbidden, bound)
+    back = _astar(t, s, bits, forbidden, bound)
+    while True:
+        path = next(ahead)
+        if path is not None:
+            return path
+        path = next(back)
+        if path is not None:
+            return path[::-1]
+
+
+def face_path(K: CubeFace, s: int, t: int, forbidden=()) -> list[int]:
+    """Shortest s-t path inside the face K avoiding `forbidden`; NoPath if
+    there is none.  s and t are never treated as forbidden.
+
+    K's graph is never built: the neighbours of v are ``v ^ (1 << i)`` over
+    K's free axes.  The path is the lexicographically least shortest one,
+    the path a breadth-first search with sorted neighbours returns: from s
+    it steps to the least neighbour that still has a shortest way on to t.
+    Whether one has is known from a path found earlier, or settled by a
+    search bounded by the steps left.
+    """
+    if not (K.contains(s) and K.contains(t)):
+        raise ValueError("path ends must lie in the face")
+    if s == t:
+        return [s]
+    forbidden = set(forbidden) - {s, t}
+    bits = [1 << i for i in range(K.d) if (K.free_mask >> i) & 1]
+    to_t = {}  # v -> steps of a shortest v-t path avoiding forbidden
+
+    def learn(path):
+        to_t.update((v, len(path) - 1 - i) for i, v in enumerate(path))
+
+    learn(_search(s, t, bits, forbidden, 1 << K.dim))
+    out = [s]
+    while out[-1] != t:
+        left = to_t[out[-1]] - 1
+        for w in sorted(out[-1] ^ b for b in bits):
+            if w in forbidden or (w ^ t).bit_count() > left:
+                continue
+            if w not in to_t:
+                try:
+                    learn(_search(w, t, bits, forbidden, left))
+                except NoPath:
+                    continue
+            if to_t[w] == left:
+                out.append(w)
+                break
+    return out
 
 
 def face_graph(K: CubeFace) -> dict[int, tuple[int, ...]]:

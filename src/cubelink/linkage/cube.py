@@ -4,26 +4,29 @@ solve_cube builds a Y-linkage for up to floor((d+1)/2) pairs by facet
 recursion; solve_cube_strong additionally avoids one extra terminal x.
 Both return LinkageCertificates whose paths are validated before return.
 Small dimensions (d <= 4) are settled by bounded exhaustive search, memoised
-up to cube symmetry.
+up to cube symmetry.  Above them no graph is built: paths inside a face come
+from hypercube.face_path and certificates are checked against the implicit
+CubeAdjacency.
 """
 
 from __future__ import annotations
 
 from ..errors import CaseNotCovered, NoPath
 from ..hypercube import (
+    CubeAdjacency,
     CubeFace,
     cube_graph,
     dist,
-    face_graph,
+    face_path,
     facet,
     find_unassociated_pair,
     opposite_facet,
     project,
     smallest_face,
     vertex_to_str,
+    whole_cube,
 )
 from ..oracle import cube_instance_key, invert_cube_map, oracle_linkage
-from ..paths import shortest_path
 from .certs import (
     LinkageCertificate,
     ObstructionWitness,
@@ -44,11 +47,14 @@ def face_maps(K: CubeFace):
                 out |= 1 << j
         return out
 
+    lift = [1 << i for i in free]
+
     def expand(w):
         v = K.fixed_values
-        for j, i in enumerate(free):
-            if (w >> j) & 1:
-                v |= 1 << i
+        while w:
+            low = w & -w
+            v |= lift[low.bit_length() - 1]
+            w ^= low
         return v
 
     return compress, expand
@@ -134,13 +140,12 @@ def short_distance_paths(F: CubeFace, X, pairs):
     does, keyed by the (s, t) tuple.
     """
     X = set(X)
-    G = face_graph(F)
-    if not X <= set(G):
+    if not all(F.contains(x) for x in X):
         raise ValueError("terminals must lie in the face")
     out = {}
     for s, t in pairs:
         try:
-            out[(s, t)] = shortest_path(G, s, t, X - {s, t})
+            out[(s, t)] = face_path(F, s, t, X)
         except NoPath:
             pass
     return out
@@ -238,7 +243,7 @@ def _solve(d, pairs, trace):
         return []
     if len(pairs) == 1:
         trace.append("cube/single-pair")
-        return [shortest_path(cube_graph(d), *pairs[0])]
+        return [face_path(whole_cube(d), *pairs[0])]
     if d == 3:
         from ..complexes import build_cube_polytope
 
@@ -356,7 +361,7 @@ def _scenario2(d, F, idx, pairs, trace):
 
     used = {v for p in paths1[1:] for v in p}
     try:
-        paths1[0] = shortest_path(face_graph(F), s1, t1, used)
+        paths1[0] = face_path(F, s1, t1, used)
     except NoPath:
         raise CaseNotCovered("in-facet pair cannot dodge the escape paths",
                              trace=list(trace) + ["cube/scenario-2/L1"])
@@ -417,7 +422,7 @@ def _strong(d, pairs, x, trace):
         raise ValueError("x must be unpaired")
     if d == 2:
         trace.append("cube/strong-base-d2")
-        return [shortest_path(cube_graph(2), *pairs[0], {x})]
+        return [face_path(whole_cube(2), *pairs[0], {x})]
     if d == 4:
         trace.append("cube/strong-base-d4")
         sol = _oracle_base(4, pairs, (x,))
@@ -503,7 +508,7 @@ def cube_linkage(d, pairs, avoid=()) -> LinkageCertificate:
     """Linkage in Q_d avoiding a vertex set, within proven capacity."""
     return certify(_instance(d, pairs, avoid), pairs,
                    lambda ps, trace: _linkage(d, ps, sorted(avoid), trace),
-                   lambda: cube_graph(d), avoid)
+                   lambda: CubeAdjacency(d), avoid)
 
 
 def solve_cube(d, pairs) -> LinkageCertificate:
@@ -513,11 +518,11 @@ def solve_cube(d, pairs) -> LinkageCertificate:
     """
     return certify(_instance(d, pairs), pairs,
                    lambda ps, trace: _solve(d, ps, trace),
-                   lambda: cube_graph(d))
+                   lambda: CubeAdjacency(d))
 
 
 def solve_cube_strong(d, pairs, x) -> LinkageCertificate:
     """Linkage of d/2 pairs in Q_d (d even) whose paths avoid x."""
     return certify(_instance(d, pairs, (x,)), pairs,
                    lambda ps, trace: _strong(d, ps, x, trace),
-                   lambda: cube_graph(d), (x,))
+                   lambda: CubeAdjacency(d), (x,))

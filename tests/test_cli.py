@@ -268,3 +268,34 @@ def test_census_outside_dimension_3_builds_no_lattice(capsys, monkeypatch):
     code, _, _ = run(capsys, "census", "--cube", "4", "--k", "2",
                      "--exhaustive")
     assert code == 0
+
+
+def test_solve_builds_no_cube_graph(capsys, monkeypatch):
+    def no_graph(d):
+        raise RuntimeError(f"graph of Q_{d} built")
+    monkeypatch.setattr("cubelink.cli.cube_graph", no_graph)
+    code, _, _ = run(capsys, "solve", "--cube", "6", "--pairs",
+                     "000000-111111,100000-011111,010000-101111")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_host_that_is_not_an_object_exit_1(capsys, tmp_path, command):
+    doc = {"host": 5, "pairs": []}
+    if command == "verify":
+        doc = {"instance": doc, "result": {"linkage": []}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", "--instance", str(path)] if command == "solve" \
+        else ["verify", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: host must be a JSON object")
+
+
+@pytest.mark.parametrize("label", ["1111111", "1"])
+def test_link_vertex_of_wrong_length_exit_1(capsys, label):
+    code, _, err = run(capsys, "solve", "--link", "5", "--vertex", label,
+                       "--pairs", "10000-01000")
+    assert code == 1
+    assert err == f"error: vertex {label!r} is not 5 bits\n"

@@ -5,7 +5,8 @@ import pytest
 
 from cubelink.complexes import build_cube_polytope
 from cubelink.errors import CaseNotCovered, CertificateInvalid
-from cubelink.hypercube import cube_graph, facet, opposite_facet, project
+from cubelink.hypercube import (CubeAdjacency, cube_graph, facet,
+                                opposite_facet, project)
 from cubelink.linkage.cube import (
     build_Mx_paths,
     cube_linkage,
@@ -196,3 +197,29 @@ def test_scenario_traces_cover_all_three():
     cert = solve_cube(5, pairs)
     assert "cube/scenario-3" in cert.trace
     assert_linked(cert, 5, pairs)
+
+
+def test_enclosed_terminal_in_common_facet():
+    # scenario 1 with t = 0 walled in: all terminals lie in the facet
+    # x_{d-1} = 0 and every in-facet neighbour of t is a terminal, so the
+    # pair (s, t) has no path in the facet and the search must say so fast
+    d = 21
+    walls = [1 << i for i in range(d - 1)]
+    pairs = [((1 << (d - 1)) - 1, 0)] + [(walls[i], walls[i + 1])
+                                         for i in range(0, d - 1, 2)]
+    cert = solve_cube(d, pairs)
+    assert cert.trace[0] == "cube/scenario-1"
+    ok, msg = validate_linkage(CubeAdjacency(d), pairs, cert.paths)
+    assert ok, msg
+
+
+@pytest.mark.parametrize("d", range(20, 31))
+def test_full_capacity_at_large_dimension(d):
+    # beyond the oracle's reach: checked against the implicit adjacency only
+    rng = random.Random(d)
+    for _ in range(3):
+        pairs = random_pairing(rng, d, (d + 1) // 2)
+        cert = solve_cube(d, pairs)
+        assert cert.valid
+        ok, msg = validate_linkage(CubeAdjacency(d), pairs, cert.paths)
+        assert ok, msg

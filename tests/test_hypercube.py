@@ -4,13 +4,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cubelink.errors import NoPath
 from cubelink.hypercube import (
+    CubeAdjacency,
     CubeFace,
     all_faces,
     associated_pairs,
     cube_graph,
     dist,
     face_graph,
+    face_path,
     facet,
     find_unassociated_pair,
     opposite_face,
@@ -22,6 +25,7 @@ from cubelink.hypercube import (
     vertex_to_str,
     whole_cube,
 )
+from cubelink.paths import shortest_path
 
 
 def test_dist_basics():
@@ -163,3 +167,56 @@ def test_face_graph_is_sub_cube():
     G = face_graph(K)
     assert len(G) == 8
     assert all(len(n) == 3 for n in G.values())
+
+
+def test_face_path_matches_bfs_on_face_graph():
+    # the path is the one BFS over the materialised face graph returns, so
+    # it is shortest, lies in K and avoids `forbidden`; NoPath exactly when
+    # BFS finds none
+    rng = random.Random(11)
+    refuted = 0
+    for _ in range(1500):
+        d = rng.randint(1, 8)
+        K = CubeFace(d, rng.randrange(1 << d) & ~(1 << rng.randrange(d)),
+                     rng.randrange(1 << d))
+        V = K.vertices()
+        s, t = rng.choice(V), rng.choice(V)
+        forbidden = set(rng.sample(V, rng.randint(0, len(V) // 2)))
+        try:
+            want = shortest_path(face_graph(K), s, t, forbidden)
+        except NoPath:
+            with pytest.raises(NoPath):
+                face_path(K, s, t, forbidden)
+            refuted += 1
+            continue
+        got = face_path(K, s, t, forbidden)
+        assert got == want
+        assert all(K.contains(v) for v in got)
+        assert not forbidden & set(got) - {s, t}
+    assert refuted > 10
+
+
+def test_face_path_walled_in_end_fails_fast():
+    # every face neighbour of t is forbidden: the search from t stops at once
+    d = 24
+    F = facet(d, d - 1, 0)
+    walls = {1 << i for i in range(d - 1)}
+    for s, t in (((1 << (d - 1)) - 1, 0), (0, (1 << (d - 1)) - 1)):
+        blocked = walls if t == 0 else {t ^ w for w in walls}
+        with pytest.raises(NoPath):
+            face_path(F, s, t, blocked)
+    with pytest.raises(ValueError):
+        face_path(F, 0, 1 << (d - 1))
+
+
+def test_cube_adjacency_matches_cube_graph():
+    for d in (1, 3, 6):
+        A, G = CubeAdjacency(d), cube_graph(d)
+        assert len(A) == len(G) and list(A) == sorted(G)
+        assert all(A[v] == G[v] for v in G)
+    A = CubeAdjacency(30)
+    assert A[0] == tuple(1 << i for i in range(30))
+    assert (1 << 30) - 1 in A and 1 << 30 not in A
+    for bad in (-1, 1 << 30, "0"):
+        with pytest.raises(KeyError):
+            A[bad]
