@@ -6,6 +6,12 @@ graph.  Cubicality is certified by embedding every face as a combinatorial
 cube (canonical BFS coordinate assignment); the embeddings double as the
 bridge to the bit-level solvers in `hypercube`.
 
+The lattice is indexed by facet incidence: facet i of the sorted facet list
+is the bit 1 << i, and every vertex and every proper face carries the mask
+of the facets containing it (a face's mask is the AND of its vertices').  A
+face lies in the complex generated by a set of facets exactly when its mask
+meets theirs, so stars, ridges and facet queries need no subset tests.
+
 A Complex is a downward-closed set of faces of a host polytope, supporting
 star / antistar / link, strong connectivity via the dual graph, and
 facet-ridge paths.
@@ -15,7 +21,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 from .errors import InconsistentIncidence, NoPath, NotCubical
 from .hypercube import cube_graph, vertex_to_str
@@ -25,7 +32,10 @@ from .paths import shortest_path, vertex_connectivity  # noqa: F401  (re-exporte
 class Polytope:
     """A cubical polytope given abstractly by its vertex-facet incidence."""
 
-    def __init__(self, dim, vertices, facets, labels=None):
+    def __init__(self, dim, vertices, facets, labels=None, embedded=None):
+        """`embedded` maps faces to cube embeddings already certified under
+        the same edges, as a vertex link's faces are in its host (see
+        linkage.cubical.vertex_link); those faces are not embedded again."""
         self.dim = dim
         self.vertices = sorted(vertices)
         self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
@@ -33,7 +43,7 @@ class Polytope:
         self._embed_cache = {}
         self._build_lattice()
         self.cubical = False
-        self._validate_cubical()
+        self._validate_cubical(embedded or {})
 
     # -- lattice -----------------------------------------------------------
 
@@ -48,18 +58,28 @@ class Polytope:
             for g in self.facets[i + 1:]:
                 if f <= g or g <= f:
                     raise InconsistentIncidence("facet contained in another facet")
+        # close the facets under intersection, testing vertex bitsets; the
+        # sets are filled in the same order as by intersecting the faces
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        bits = {f: reduce(or_, map(bit.__getitem__, f)) for f in self.facets}
+        facet_bits = list(bits.values())
+        seen = set(facet_bits)
+        seen.add(0)
         faces = set(self.facets)
         frontier = set(self.facets)
         while frontier:
             new = set()
             for f in frontier:
-                for g in self.facets:
-                    h = f & g
-                    if h and h not in faces and h != f:
+                # each distinct intersection once, at its first facet
+                meets = dict(zip(map(bits[f].__and__, facet_bits), self.facets))
+                for hb, g in meets.items():
+                    if hb not in seen:
+                        seen.add(hb)
+                        h = f & g
+                        bits[h] = hb
                         new.add(h)
             faces |= new
             frontier = new
-        self.proper_faces = faces
         self.graph = {v: set() for v in self.vertices}
         for f in faces:
             if len(f) == 2:
@@ -67,8 +87,19 @@ class Polytope:
                 self.graph[a].add(b)
                 self.graph[b].add(a)
         self.graph = {v: tuple(sorted(n)) for v, n in self.graph.items()}
+        # the incidence index: bit i stands for self.facets[i]
+        self.facet_bit = {f: 1 << i for i, f in enumerate(self.facets)}
+        vmask = dict.fromkeys(self.vertices, 0)
+        for f, bit in self.facet_bit.items():
+            for v in f:
+                vmask[v] |= bit
+        self.vertex_facets = vmask
+        self.face_facets = {f: reduce(and_, map(vmask.__getitem__, f))
+                            for f in faces}
+        # a set-like view of the faces, iterating in the closure's set order
+        self.proper_faces = self.face_facets.keys()
 
-    def _validate_cubical(self):
+    def _validate_cubical(self, embedded):
         self.face_dim = {}
         by_dim = {}
         for f in self.proper_faces:
@@ -76,14 +107,18 @@ class Polytope:
             j = n.bit_length() - 1
             if n != 1 << j:
                 raise NotCubical(f"face with {n} vertices", face=sorted(f))
-            if j > 0:
+            if f in embedded:
+                self._embed_cache[f] = embedded[f]
+            elif j > 0:
                 self.embed_face(f)  # raises NotCubical on failure
             self.face_dim[f] = j
-            by_dim.setdefault(j, set()).add(f)
+            by_dim.setdefault(j, []).append(f)
         if max(by_dim) != self.dim - 1:
             raise InconsistentIncidence(
                 f"facets have dimension {max(by_dim)}, expected {self.dim - 1}")
-        self.faces_by_dim = by_dim
+        for fs in by_dim.values():
+            fs.sort(key=sorted)
+        self.faces_by_dim = {j: tuple(fs) for j, fs in by_dim.items()}
         self.cubical = True
 
     def face_of(self, f) -> bool:
@@ -93,32 +128,45 @@ class Polytope:
         return self.face_dim[frozenset(f)]
 
     def faces_of_dim(self, j):
-        return sorted(self.faces_by_dim.get(j, ()), key=sorted)
+        """The j-faces, sorted by their sorted vertex lists."""
+        return self.faces_by_dim.get(j, ())
 
     def facets_containing(self, S):
-        S = set(S)
-        return [f for f in self.facets if S <= f]
+        """The facets containing every vertex of S, in facet order."""
+        bits = (1 << len(self.facets)) - 1
+        for v in S:
+            bits &= self.vertex_facets.get(v, 0)
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(self.facets[low.bit_length() - 1])
+            bits ^= low
+        return out
 
     def smallest_face(self, S):
         """Inclusion-minimal proper face containing S, or None (only the
-        improper whole polytope contains S)."""
-        S = set(S)
-        best = None
-        for f in self.proper_faces:
-            if S <= f and (best is None or len(f) < len(best)):
-                best = f
-        return best
+        improper whole polytope contains S).  It is the intersection of the
+        facets containing S."""
+        S = frozenset(S)
+        if not S:
+            return min(self.proper_faces, key=len)
+        facets = self.facets_containing(S)
+        return frozenset.intersection(*facets) if facets else None
 
     def subfaces(self, f):
         f = frozenset(f)
-        return [g for g in self.proper_faces if g <= f]
+        m = self.face_facets.get(f)
+        if m is None:
+            return [g for g in self.proper_faces if g <= f]
+        # g <= f exactly when every facet containing f contains g
+        return [g for g, gm in self.face_facets.items() if gm & m == m]
 
     def ridges_of_facet(self, f):
         """(dim-2)-faces of the polytope contained in the facet f."""
         f = frozenset(f)
-        want = self.face_dim[f] - 1
-        return sorted((g for g in self.proper_faces
-                       if g <= f and self.face_dim[g] == want), key=sorted)
+        m = self.face_facets[f]
+        return [g for g in self.faces_by_dim.get(self.face_dim[f] - 1, ())
+                if self.face_facets[g] & m == m]
 
     # -- cube structure of faces ------------------------------------------
 
@@ -141,7 +189,7 @@ class Polytope:
         if len(f) != 1 << j:
             raise NotCubical(f"face size {len(f)} but degree {j}", face=verts)
         coords = {root: 0}
-        for i, w in enumerate(sorted(adj[root])):
+        for i, w in enumerate(adj[root]):  # graph rows are sorted
             coords[w] = 1 << i
         dist = {root: 0}
         queue = deque([root])
@@ -153,8 +201,7 @@ class Polytope:
                     queue.append(w)
         if len(dist) != len(f):
             raise NotCubical("face graph disconnected", face=verts)
-        order = sorted(f, key=lambda v: (dist[v], v))
-        for v in order:
+        for v in sorted(verts, key=dist.__getitem__):  # by (dist, v)
             if v in coords:
                 continue
             preds = [coords[w] for w in adj[v] if w in coords]
@@ -166,12 +213,16 @@ class Polytope:
             coords[v] = code
         if len(set(coords.values())) != len(f):
             raise NotCubical("coordinate collision", face=verts)
-        inv = {c: v for v, c in coords.items()}
-        for v in verts:
-            nbr_codes = {coords[w] for w in adj[v]}
-            want = {coords[v] ^ (1 << i) for i in range(j)}
-            if nbr_codes != want:
+        # codes are distinct, so the neighbour codes are exactly the j
+        # Hamming-1 flips when there are j of them and each differs in one bit
+        for v, nbrs in adj.items():
+            c = coords[v]
+            if len(nbrs) != j:
                 raise NotCubical("adjacency not Hamming-1", face=verts)
+            for w in nbrs:
+                x = coords[w] ^ c
+                if x & (x - 1):
+                    raise NotCubical("adjacency not Hamming-1", face=verts)
         self._embed_cache[f] = (coords, j)
         return coords, j
 
@@ -272,26 +323,42 @@ def link_polytope(cube_dim: int, v: int) -> Polytope:
 
 @dataclass
 class Complex:
-    """A downward-closed set of faces of a host polytope."""
+    """A downward-closed set of faces of a host polytope.
+
+    A complex generated by facets also keeps their mask, `facet_bits`, from
+    which its vertices and graph are read without looking at its faces.
+    """
 
     host: Polytope
     faces: frozenset = field(default_factory=frozenset)
+    facet_bits: int | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def generated_by(cls, host, generators):
         gens = [frozenset(g) for g in generators]
+        bits = [host.facet_bit.get(g) for g in gens]
+        if None not in bits:
+            return cls.of_facets(host, reduce(or_, bits, 0))
         faces = {f for f in host.proper_faces if any(f <= g for g in gens)}
         return cls(host, frozenset(faces))
+
+    @classmethod
+    def of_facets(cls, host, bits):
+        """The complex generated by the facets in the mask `bits`: the faces
+        whose facet mask meets it."""
+        return cls(host, frozenset(f for f, m in host.face_facets.items()
+                                   if m & bits), bits)
 
     @classmethod
     def boundary(cls, host):
         return cls(host, frozenset(host.proper_faces))
 
     def vertex_set(self):
-        out = set()
-        for f in self.faces:
-            out |= f
-        return out
+        """The vertices, read off the facet masks or the 0-faces."""
+        bits = self.facet_bits
+        if bits is not None:
+            return {v for v, m in self.host.vertex_facets.items() if m & bits}
+        return {v for f in self.faces if len(f) == 1 for v in f}
 
     @property
     def dim(self):
@@ -308,14 +375,15 @@ class Complex:
         return all(self.host.face_dim[f] == d for f in self.maximal_faces())
 
     def graph(self):
-        verts = self.vertex_set()
-        adj = {v: set() for v in sorted(verts)}
-        for f in self.faces:
-            if len(f) == 2:
-                a, b = sorted(f)
-                adj[a].add(b)
-                adj[b].add(a)
-        return {v: tuple(sorted(n)) for v, n in adj.items()}
+        """The 1-skeleton: the host's edges that are faces of the complex."""
+        host, bits = self.host, self.facet_bits
+        if bits is not None:
+            vf = host.vertex_facets
+            return {v: tuple(w for w in host.graph[v] if vf[v] & vf[w] & bits)
+                    for v in sorted(self.vertex_set())}
+        faces = self.faces
+        return {v: tuple(w for w in host.graph[v] if frozenset((v, w)) in faces)
+                for v in sorted(self.vertex_set())}
 
     def star(self, x):
         """Faces containing x, plus their subfaces.  x is a vertex or face."""
@@ -393,7 +461,7 @@ class Complex:
 
 def star_complex(P: Polytope, v) -> Complex:
     """The star of a vertex in the boundary complex of P."""
-    return Complex.generated_by(P, [f for f in P.facets if v in f])
+    return Complex.of_facets(P, P.vertex_facets.get(v, 0))
 
 
 def antistar_complex(P: Polytope, X) -> Complex:
@@ -424,23 +492,21 @@ def technical_decomposition(P: Polytope, s1, s2, F1, F12):
     if not {s1, s2} <= F12:
         raise ValueError("F12 must contain s1 and s2")
     S1 = star_complex(P, s1)
-    S12_facets = [f for f in P.facets if {s1, s2} <= f]
+    S12_facets = P.facets_containing((s1, s2))
     S12 = Complex.generated_by(P, S12_facets)
     A1 = S1.antistar(F1)
     A12 = S12.restrict_to_vertices(S12.vertex_set() - F1 - F12)
     if len(S12_facets) <= 1:
         return {"S12": S12, "A1": A1, "A12": A12, "C": None}
-    want_ridge = P.dim - 2
     C_faces = set()
     for F in S12_facets:
         if F == F12:
             continue
-        ridges = [R for R in P.proper_faces
-                  if R <= F and P.face_dim[R] == want_ridge and not (R & F1)]
-        for R in ridges:
+        for R in P.ridges_of_facet(F):
+            if R & F1:
+                continue
             # boundary of R minus the vertices of F12
-            for g in P.proper_faces:
-                if g < R and not (g & F12):
-                    C_faces.add(g)
+            C_faces.update(g for g in P.subfaces(R)
+                           if g != R and not (g & F12))
     C = Complex(P, frozenset(C_faces))
     return {"S12": S12, "A1": A1, "A12": A12, "C": C}

@@ -14,7 +14,7 @@ the link of the avoided vertex, itself a cubical (d-1)-polytope.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 
 from ..complexes import Polytope, star_complex
 from ..errors import CaseNotCovered
@@ -63,7 +63,9 @@ def _route_into(G, X, B, forbidden=(), trace=None):
             f"routing cut by {len(e.separator)} vertices",
             trace=list(trace or ()) + [sorted(e.separator)])
     route = {p[0]: list(p) for p in sys}
-    assert set(route) == set(X)
+    if set(route) != set(X):
+        raise CaseNotCovered("routing missed a terminal",
+                             trace=list(trace or ()))
     return route
 
 
@@ -157,7 +159,8 @@ def _cubical_solve(P, pairs, trace):
     witness = detect_config_dF(P, s1, bar_pairs())
     out = None
     if witness is not None:
-        out = _break_config(P, s1, bar, route, bar_pairs(), witness, trace)
+        out = _break_config(P, s1, S1verts, bar, route, bar_pairs(), witness,
+                            trace)
     if out is None:
         bpairs = bar_pairs()
         bpaths = _star_solve(P, s1, bpairs, trace)
@@ -172,7 +175,7 @@ def _cubical_solve(P, pairs, trace):
     return full
 
 
-def _break_config(P, s1, bar, route, bpairs, witness, trace):
+def _break_config(P, s1, S1verts, bar, route, bpairs, witness, trace):
     """Dismantle the blocking facet configuration around s1.
 
     Either redirects one routing path toward the escape ridge (mutating
@@ -182,13 +185,14 @@ def _break_config(P, s1, bar, route, bpairs, witness, trace):
     """
     F1 = frozenset(witness.facet)
     bt1 = witness.pair[1]
-    S1verts = star_complex(P, s1).vertex_set()
     barX = set(bar.values()) | {s1}
     ridges = [R for R in P.ridges_of_facet(F1) if bt1 in R]
     for R in ridges:
         J = _other_facet(P, R, F1)
         RJ = P.opposite_subface(J, R)
-        assert not (RJ & F1)
+        if RJ & F1:
+            raise CaseNotCovered("escape ridge meets the blocked facet",
+                                 trace=list(trace))
         touching = [x for x in sorted(route) if set(route[x]) & RJ]
         if touching:
             trace.append("cubical/config-redirect")
@@ -268,19 +272,22 @@ def _relink_through_neighbour(P, s1, bar, bpairs, F1, R, bt1, trace):
     return out
 
 
+VERTEX_LINK_CACHE_SIZE = 32
+
+
 def vertex_link(P: Polytope, x) -> Polytope:
     """The link of a vertex as a cubical (dim-1)-polytope.
 
     Its facets are the ridges of the star facets that miss x; vertex ids are
-    inherited from P, so its paths are paths of P avoiding x.  Built lattices
-    are cached on P, as the construction is face-lattice heavy.
+    inherited from P, so its paths are paths of P avoiding x.  As the
+    construction is face-lattice heavy, the last VERTEX_LINK_CACHE_SIZE
+    lattices built are kept on P, least recently used dropped first.
     """
-    cache = getattr(P, "_vertex_link_cache", None)
-    if cache is None:
-        cache = P._vertex_link_cache = {}
+    cache = P.__dict__.setdefault("_vertex_link_cache", OrderedDict())
     if x in cache:
+        cache.move_to_end(x)
         return cache[x]
-    star_facets = [F for F in P.facets if x in F]
+    star_facets = P.facets_containing((x,))
     facets = set()
     for F in star_facets:
         for R in P.ridges_of_facet(F):
@@ -288,7 +295,20 @@ def vertex_link(P: Polytope, x) -> Polytope:
                 facets.add(R)
     verts = set().union(*star_facets) - {x}
     labels = {v: P.labels[v] for v in verts}
-    cache[x] = Polytope(P.dim - 1, verts, facets, labels=labels)
+    # The link's faces are the faces of the star that miss x: the ridges are
+    # its facets, and every smaller such face is where two larger ones meet.
+    # They are closed under taking subfaces in P, so each has the same edges
+    # in both lattices and P's embedding of it holds in the link.
+    star = P.vertex_facets[x]
+    faces = {f for f, m in P.face_facets.items() if m & star and x not in f}
+    link = Polytope(P.dim - 1, verts, facets, labels=labels,
+                    embedded={f: P.embed_face(f) for f in faces if len(f) > 1})
+    if link.proper_faces != faces:
+        raise CaseNotCovered(f"the link of {x} is not the star's faces "
+                             f"that miss it")
+    cache[x] = link
+    if len(cache) > VERTEX_LINK_CACHE_SIZE:
+        cache.popitem(last=False)
     return cache[x]
 
 

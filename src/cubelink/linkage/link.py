@@ -8,22 +8,24 @@ reroutes around v and its antipode when a facet-level linkage touches them.
 
 from __future__ import annotations
 
-from ..errors import CaseNotCovered, NoPath
+from ..errors import CaseNotCovered
 from ..hypercube import (
-    CubeFace,
+    CubeAdjacency,
     cube_graph,
+    face_path,
     facet,
     find_unassociated_pair,
     opposite_facet,
     project,
     vertex_to_str,
+    whole_cube,
 )
-from ..paths import shortest_path
 from .certs import LinkageCertificate, Unlinkable, certify, terminals
-from .cube import _linkage, _solve_in_face, detect_config_3F
+from .cube import _solve_in_face, detect_config_3F
 
 
 def _host_graph(D, v, vo):
+    """The link graph as a dict: Q_D without v and vo (2^D entries)."""
     G = cube_graph(D)
     return {u: tuple(w for w in G[u] if w not in (v, vo))
             for u in G if u not in (v, vo)}
@@ -70,10 +72,9 @@ def _link_solve(D, v, pairs, trace):
     if X & {v, vo}:
         raise ValueError("terminals must avoid the removed vertex pair")
     d = D - 1
-    G = _host_graph(D, v, vo)
     if len(pairs) == 1:
         trace.append("link/single-pair")
-        return [shortest_path(G, *pairs[0])]
+        return [face_path(whole_cube(D), *pairs[0], forbidden=(v, vo))]
     if d == 3:
         from ..complexes import link_polytope
 
@@ -94,7 +95,7 @@ def _link_solve(D, v, pairs, trace):
         trace.append("link/tiny")
         from ..oracle import oracle_linkage
 
-        sol = oracle_linkage(G, pairs)
+        sol = oracle_linkage(_host_graph(D, v, vo), pairs)
         if sol is None:
             raise CaseNotCovered("tiny link instance with no linkage",
                                  trace=list(trace))
@@ -132,13 +133,11 @@ def _link_solve(D, v, pairs, trace):
         if s1 == special:
             s1, t1 = t1, s1
         rest = [p for i, p in enumerate(pairs) if i != i1]
-        Gother = {u: tuple(w for w in cube_graph(D)[u] if other.contains(w))
-                  for u in cube_graph(D) if other.contains(u)}
         out = {}
         if not side.contains(s1):
             # both endpoints across from the removed vertex: settle the pair
             # there and link everyone else through projections on this side
-            L1 = shortest_path(Gother, s1, t1, (X | {vother}) - {s1, t1})
+            L1 = face_path(other, s1, t1, forbidden=X | {vother})
             ppairs = [(project(a, side), project(b, side)) for a, b in rest]
             sub = _solve_in_face(side, ppairs, trace, avoid=[vside])
             for (a, b), p in zip(rest, sub):
@@ -166,7 +165,7 @@ def _link_solve(D, v, pairs, trace):
                 w = M1[1]
                 head = [s1, w]
                 start = project(w, other)
-            tail = shortest_path(Gother, start, t1, (X | {vother}) - {t1})
+            tail = face_path(other, start, t1, forbidden=X | {vother})
             out[(s1, t1)] = head + tail
         paths = []
         for i, (a, b) in enumerate(pairs):
@@ -183,10 +182,8 @@ def _link_solve(D, v, pairs, trace):
     if idx is not None:
         trace.append("link/projected-reroute")
         a, b = pairs[idx]
-        GFo = {u: tuple(w for w in cube_graph(D)[u] if Fo.contains(w))
-               for u in cube_graph(D) if Fo.contains(u)}
-        sub[idx] = shortest_path(GFo, project(a, Fo), project(b, Fo),
-                                 (X | {vo}) - {project(a, Fo), project(b, Fo)})
+        sub[idx] = face_path(Fo, project(a, Fo), project(b, Fo),
+                             forbidden=X | {vo})
         ppairs[idx] = (project(a, Fo), project(b, Fo))
     paths = []
     for (a, b), (pa, pb), p in zip(pairs, ppairs, sub):
@@ -210,4 +207,4 @@ def solve_link(D, v, pairs) -> LinkageCertificate:
     }
     return certify(instance, pairs,
                    lambda ps, trace: _link_solve(D, v, ps, trace),
-                   lambda: _host_graph(D, v, vo))
+                   lambda: CubeAdjacency(D), avoid=(v, vo))

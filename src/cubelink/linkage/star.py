@@ -125,13 +125,13 @@ def _short_hop(P, src, target_face, allowed_end, banned, within):
 # -- dF-configuration --------------------------------------------------------
 
 
-def projections_star_injection(P, s, F):
+def projections_star_injection(P, s, F, trace=()):
     """The standard injection V(F) minus the antipode of s into the antistar.
 
     Built ridge by ridge: each ridge of F through s is pushed through the
     neighbouring facet onto its opposite ridge, first-come first-served in
     lexicographic ridge order.  Every image is a neighbour of its preimage
-    outside F.
+    outside F.  A map that is not such an injection raises CaseNotCovered.
     """
     F = frozenset(F)
     so = P.opposite_in_face(F, s)
@@ -143,9 +143,10 @@ def projections_star_injection(P, s, F):
         for v in sorted(R):
             if v not in f:
                 f[v] = P.project_in_face(J, Ro, v)
-    assert set(f) == set(F) - {so}
-    assert len(set(f.values())) == len(f)
-    assert not set(f.values()) & set(F)
+    images = set(f.values())
+    if set(f) != F - {so} or len(images) != len(f) or images & F:
+        raise CaseNotCovered("projections do not inject the facet into the "
+                             "antistar", trace=list(trace))
     return f
 
 
@@ -158,8 +159,8 @@ def detect_config_dF(P, s1, pairs):
     d = P.dim
     X = terminals(pairs)
     t1 = next(b if a == s1 else a for a, b in pairs if s1 in (a, b))
-    for F in sorted(P.facets, key=sorted):
-        if len(X & F) < d + 1 or s1 not in F or t1 not in F:
+    for F in P.facets_containing((s1, t1)):
+        if len(X & F) < d + 1:
             continue
         if _face_dist(P, F, s1, t1) != d - 1:
             continue
@@ -196,17 +197,19 @@ class _StarSolver:
         if not self.X <= self.S1verts:
             raise ValueError("terminals must lie in the star of s1")
         self.S1g = S1.graph()
-        cands = [f for f in P.facets if s1 in f and t1 in f]
+        cands = P.facets_containing((s1, t1))
         self.F1 = min(cands, key=lambda f: (-len(self.X & f), sorted(f)))
         self.A1verts = self.S1verts - self.F1
         self.A1g = _induced(self.S1g, self.A1verts)
-        self.inj = projections_star_injection(P, s1, self.F1)
+        self.inj = projections_star_injection(P, s1, self.F1, self.trace)
         self.s1o = P.opposite_in_face(self.F1, s1)
 
     def record(self, s, t, path):
         if path[0] != s:
             path = path[::-1]
-        assert path[0] == s and path[-1] == t, (s, t, path)
+        if path[0] != s or path[-1] != t:
+            raise CaseNotCovered(f"path {path} does not join {s} and {t}",
+                                 trace=list(self.trace))
         self.out[frozenset((s, t))] = path
 
     def record_sub(self, pairs, paths):
@@ -222,7 +225,9 @@ class _StarSolver:
         R1 = next(R for R in P.ridges_of_facet(F1) if self.s1 in R)
         J1 = _other_facet(P, R1, F1)
         RA = P.opposite_subface(J1, R1)
-        assert not RA & F1
+        if RA & F1:
+            raise CaseNotCovered("antistar ridge meets F1",
+                                 trace=list(self.trace))
         terms = [v for p in pairs2 for v in p]
         try:
             sys = disjoint_paths(self.A1g, set(terms), set(RA), 4)
@@ -376,7 +381,9 @@ class _StarSolver:
         self.record(s1, t1, _chain([s1], p1))
         J = _other_facet(P, R, F1)
         RJ = P.opposite_subface(J, R)
-        assert not RJ & F1
+        if RJ & F1:
+            raise CaseNotCovered("escape ridge meets F1",
+                                 trace=list(self.trace))
         try:
             sys = disjoint_paths(self.A1g, set(a1_terms), set(RJ),
                                  len(a1_terms))
@@ -431,8 +438,7 @@ class _StarSolver:
         P, F1, s1, t1 = self.P, self.F1, self.s1, self.t1
         self.trace.append("star/case3")
         s2, t2 = self.rest[0]
-        S12_facets = sorted((f for f in P.facets if s1 in f and s2 in f),
-                            key=sorted)
+        S12_facets = P.facets_containing((s1, s2))
         S12 = Complex.generated_by(P, S12_facets)
         G12_all = S12.graph()
         gamma_verts = S12.vertex_set() - F1
@@ -501,7 +507,9 @@ class _StarSolver:
                 w = p[-1]
                 route2[x] = p + [P.project_in_face(J12, U, w)]
         tilde = {x: route2[x][-1] for x in a1_terms}
-        assert not {tilde[x] for x in strays} & (hatX | {s1})
+        if {tilde[x] for x in strays} & (hatX | {s1}):
+            raise CaseNotCovered("stray landed on a terminal entry",
+                                 trace=list(self.trace))
         epairs = [(tilde[a], tilde[b]) for a, b in self.rest]
         sub = _face_link(P, F12, epairs, avoid=[s1], trace=self.trace)
         for (a, b), p in zip(self.rest, sub):

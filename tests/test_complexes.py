@@ -205,3 +205,139 @@ def test_polytope_to_json_roundtrip_link():
     def facet_labels(R):
         return {frozenset(R.labels[v] for v in f) for f in R.facets}
     assert facet_labels(Q) == facet_labels(P)
+
+
+# -- the facet-incidence index against brute-force definitions --------------
+
+
+def _reloaded():
+    j = link_polytope(6, 17).to_json()
+    return build_from_incidence(j["dim"], j["vertices"], j["facets"],
+                                labels=j["labels"])
+
+
+INDEX_HOSTS = {
+    "Q4": lambda: build_cube_polytope(4),
+    "Q5": lambda: build_cube_polytope(5),
+    "link(Q5,3)": lambda: link_polytope(5, 3),
+    "link(Q6,17)": lambda: link_polytope(6, 17),
+    "reloaded": _reloaded,
+}
+
+
+def _brute_generated(P, gens):
+    gens = [frozenset(g) for g in gens]
+    return frozenset(f for f in P.proper_faces if any(f <= g for g in gens))
+
+
+def _brute_vertices(faces):
+    return set().union(*faces) if faces else set()
+
+
+def _brute_graph(faces):
+    adj = {v: set() for v in sorted(_brute_vertices(faces))}
+    for f in faces:
+        if len(f) == 2:
+            a, b = sorted(f)
+            adj[a].add(b)
+            adj[b].add(a)
+    return {v: tuple(sorted(n)) for v, n in adj.items()}
+
+
+def _assert_complex(C, faces):
+    assert C.faces == faces
+    assert C.vertex_set() == _brute_vertices(faces)
+    G = C.graph()
+    want = _brute_graph(faces)
+    assert G == want and list(G) == list(want)
+
+
+@pytest.mark.parametrize("host", sorted(INDEX_HOSTS))
+def test_index_masks(host):
+    P = INDEX_HOSTS[host]()
+    bit = {f: 1 << i for i, f in enumerate(P.facets)}
+    for v in P.vertices:
+        assert P.vertex_facets[v] == sum(bit[f] for f in P.facets if v in f)
+    for f in P.proper_faces:
+        assert P.face_facets[f] == sum(bit[g] for g in P.facets if f <= g)
+    for j in range(P.dim):
+        want = sorted((f for f in P.proper_faces if P.face_dim[f] == j),
+                      key=sorted)
+        assert list(P.faces_of_dim(j)) == want
+
+
+@pytest.mark.parametrize("host", sorted(INDEX_HOSTS))
+def test_index_complexes_match_brute_force(host):
+    P = INDEX_HOSTS[host]()
+    rng = random.Random(5)
+    for v in P.vertices:
+        star = [f for f in P.facets if v in f]
+        _assert_complex(star_complex(P, v), _brute_generated(P, star))
+        _assert_complex(Complex.generated_by(P, star), _brute_generated(P, star))
+    for _ in range(10):
+        gens = rng.sample(P.facets, rng.randint(1, len(P.facets)))
+        _assert_complex(Complex.generated_by(P, gens), _brute_generated(P, gens))
+        # generators that are not all facets keep the subset test
+        mixed = gens[:1] + rng.sample(sorted(P.faces_of_dim(1), key=sorted), 3)
+        _assert_complex(Complex.generated_by(P, mixed),
+                        _brute_generated(P, mixed))
+    assert Complex.generated_by(P, []).faces == frozenset()
+    B = Complex.boundary(P)
+    _assert_complex(B, frozenset(P.proper_faces))
+    X = set(rng.sample(P.vertices, 3))
+    A = B.antistar(X)
+    _assert_complex(A, frozenset(f for f in P.proper_faces if not f & X))
+    S = star_complex(P, P.vertices[0]).restrict_to_vertices(P.vertices[::2])
+    _assert_complex(S, S.faces)
+
+
+@pytest.mark.parametrize("host", sorted(INDEX_HOSTS))
+def test_index_face_queries_match_brute_force(host):
+    P = INDEX_HOSTS[host]()
+    rng = random.Random(9)
+    faces = list(P.proper_faces)
+    for f in P.facets:
+        want = sorted((g for g in P.proper_faces
+                       if g <= f and P.face_dim[g] == P.face_dim[f] - 1),
+                      key=sorted)
+        assert P.ridges_of_facet(f) == want
+    for f in faces:
+        assert P.facets_containing(f) == [g for g in P.facets if f <= g]
+        assert P.smallest_face(f) == f
+        assert P.subfaces(f) == [g for g in P.proper_faces if g <= f]
+    for _ in range(200):
+        S = set(rng.sample(P.vertices, rng.randint(1, 3)))
+        assert P.facets_containing(S) == [g for g in P.facets if S <= g]
+        inside = [g for g in faces if S <= g]
+        want = min(inside, key=len) if inside else None
+        assert P.smallest_face(S) == want
+    assert P.facets_containing(set()) == P.facets
+    assert P.facets_containing({-1}) == []
+    assert P.smallest_face({-1}) is None
+    odd = frozenset(P.vertices[:3])
+    assert P.subfaces(odd) == [g for g in P.proper_faces if g <= odd]
+
+
+def _closure_by_intersection(P):
+    """The face set as the facets' closure under pairwise intersection of
+    the faces themselves, filled in the order the lattice promises."""
+    faces = set(P.facets)
+    frontier = set(P.facets)
+    while frontier:
+        new = set()
+        for f in frontier:
+            for g in P.facets:
+                h = f & g
+                if h and h not in faces:
+                    new.add(h)
+        faces |= new
+        frontier = new
+    return faces
+
+
+@pytest.mark.parametrize("host", sorted(INDEX_HOSTS))
+def test_closure_matches_intersecting_faces(host):
+    P = INDEX_HOSTS[host]()
+    # the same faces in the same iteration order, which the face queries and
+    # complexes inherit
+    assert list(P.proper_faces) == list(_closure_by_intersection(P))

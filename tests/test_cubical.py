@@ -157,3 +157,104 @@ def test_cubical_deterministic():
     a = solve_cubical(P, pairs)
     b = solve_cubical(P, pairs)
     assert a.paths == b.paths and a.trace == b.trace
+
+
+def _golden_certificates():
+    """About 100 seeded certificates on Q6, Q7 and link(Q7, 0), as JSON lines."""
+    import json
+
+    from cubelink.complexes import star_complex
+    from cubelink.linkage.star import solve_star
+
+    hosts = {"Q6": build_cube_polytope(6), "Q7": build_cube_polytope(7),
+             "linkQ7": link_polytope(7, 0)}
+    rng = random.Random(20180226)
+    lines = []
+
+    def add(cert):
+        lines.append(json.dumps(cert.to_json(), sort_keys=True))
+
+    for name, n in (("Q6", 25), ("Q7", 20), ("linkQ7", 20)):
+        P = hosts[name]
+        k = (P.dim + 1) // 2
+        for _ in range(n):
+            add(solve_cubical(P, random_pairing(rng, P.vertices, k)))
+    P = hosts["Q7"]
+    for _ in range(20):
+        s1 = rng.choice(P.vertices)
+        X = rng.sample(sorted(star_complex(P, s1).vertex_set() - {s1}), 7)
+        add(solve_star(P, s1, [(s1, X[0])] + random_pairing(rng, X[1:], 3)))
+    for name in ("Q6", "linkQ7"):
+        P = hosts[name]
+        for _ in range(8):
+            X = rng.sample(P.vertices, 7)
+            add(solve_cubical_strong(P, random_pairing(rng, X[:6], 3), X[6]))
+    return lines
+
+
+# Recorded with the face-scanning lattice queries that predate the incidence
+# index; every certificate must stay byte-identical.
+GOLDEN_SHA256 = "293cbb69af0ce08a2a3aeddd16838a2203f6ad16d96e2aac19578f1c184777a2"
+
+
+def test_certificates_match_golden_digest():
+    import hashlib
+
+    lines = _golden_certificates()
+    assert len(lines) == 101
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_SHA256
+
+
+def test_vertex_link_cache_is_bounded():
+    from cubelink.linkage.cubical import VERTEX_LINK_CACHE_SIZE, vertex_link
+
+    P = build_cube_polytope(6)
+    P.__dict__.pop("_vertex_link_cache", None)
+    first = vertex_link(P, 0)
+    for x in range(1, 2 * VERTEX_LINK_CACHE_SIZE):
+        vertex_link(P, x)
+        vertex_link(P, 0)  # the most recently used entry stays
+        assert len(P._vertex_link_cache) <= VERTEX_LINK_CACHE_SIZE
+    assert vertex_link(P, 0) is first
+    assert 1 not in P._vertex_link_cache
+    assert set(vertex_link(P, 1).vertices) == set(P.vertices) - {1, 62}
+
+
+@pytest.mark.parametrize("host", ["Q5", "linkQ6", "link(Q6,17)"])
+def test_vertex_link_matches_lattice_built_alone(host):
+    from cubelink.complexes import Polytope
+    from cubelink.linkage.cubical import vertex_link
+
+    P = {"Q5": lambda: build_cube_polytope(5),
+         "linkQ6": lambda: link_polytope(6, 0),
+         "link(Q6,17)": lambda: link_polytope(6, 17)}[host]()
+    for x in P.vertices[::3]:
+        L = vertex_link(P, x)
+        alone = Polytope(L.dim, L.vertices, L.facets, labels=L.labels)
+        assert list(L.proper_faces) == list(alone.proper_faces)
+        assert L.graph == alone.graph and L.face_facets == alone.face_facets
+        assert L.faces_by_dim == alone.faces_by_dim
+        assert list(L._embed_cache.items()) == list(alone._embed_cache.items())
+
+
+def test_link_q8_sweep():
+    from cubelink.complexes import star_complex
+    from cubelink.linkage.star import solve_star
+
+    P = link_polytope(8, 0)
+    k = (P.dim + 1) // 2
+    rng = random.Random(88)
+    for _ in range(40):
+        pairs = random_pairing(rng, P.vertices, k)
+        assert_linked(P, pairs, solve_cubical(P, pairs))
+    for _ in range(40):
+        s1 = rng.choice(P.vertices)
+        X = rng.sample(sorted(star_complex(P, s1).vertex_set() - {s1}), 2 * k - 1)
+        pairs = [(s1, X[0])] + random_pairing(rng, X[1:], k - 1)
+        cert = solve_star(P, s1, pairs)
+        if cert.obstruction is not None:
+            assert cert.obstruction.kind == "config-dF"
+            continue
+        ok, msg = validate_linkage(star_complex(P, s1).graph(), pairs, cert.paths)
+        assert ok, msg

@@ -97,3 +97,29 @@ def test_link_oracle_cross_check_q5():
         assert (cert.obstruction is None) == (truth is not None)
         if cert.paths:
             assert_linked(cert, 5, 0, pairs)
+
+
+def test_link_large_dimension_builds_no_graph(monkeypatch):
+    import statistics
+    import time
+
+    import cubelink.linkage.link as link
+    from cubelink.hypercube import CubeAdjacency
+
+    def no_graph(D):
+        raise AssertionError(f"built the {1 << D}-vertex graph of Q_{D}")
+    monkeypatch.setattr(link, "cube_graph", no_graph)
+    D, full = 16, (1 << 16) - 1
+    rng = random.Random(16)
+    times = []
+    for _ in range(3):
+        v = rng.randrange(1 << D)
+        X = rng.sample([x for x in range(1 << D) if x not in (v, v ^ full)], D)
+        pairs = [(X[2 * i], X[2 * i + 1]) for i in range(D // 2)]
+        t0 = time.perf_counter()
+        cert = solve_link(D, v, pairs)
+        times.append(time.perf_counter() - t0)
+        ok, msg = validate_linkage(CubeAdjacency(D), pairs, cert.paths,
+                                   avoid=(v, v ^ full))
+        assert ok, msg
+    assert statistics.median(times) < 0.1

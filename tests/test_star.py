@@ -108,3 +108,19 @@ def test_star_deterministic():
     a = solve_star(P, 0, pairs)
     b = solve_star(P, 0, pairs)
     assert a.paths == b.paths and a.trace == b.trace
+
+
+def test_broken_invariants_raise_case_not_covered(monkeypatch):
+    # plain checks, not asserts: they hold under python -O too
+    from cubelink.errors import CaseNotCovered
+    from cubelink.linkage.star import _StarSolver
+
+    P = build_cube_polytope(5)
+    solver = _StarSolver(P, 0, [(0, 30), (5, 9), (18, 24)], ["star/tag"])
+    with pytest.raises(CaseNotCovered) as e:
+        solver.record(5, 9, [5, 7])
+    assert e.value.trace == ["star/tag"]
+    F = P.facets[0]
+    monkeypatch.setattr(type(P), "project_in_face", lambda self, f, sub, v: v)
+    with pytest.raises(CaseNotCovered):
+        projections_star_injection(P, min(F), F)
