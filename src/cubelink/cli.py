@@ -380,7 +380,7 @@ def cmd_gen(args):
     if args.what == "link":
         if args.cube is None:
             raise InputError("gen link needs --cube D")
-        v = vertex_from_str(args.vertex) if args.vertex else 0
+        v = _bits(args.vertex, args.cube) if args.vertex else 0
         _emit(link_polytope(args.cube, v).to_json())
         return 0
     if args.what == "random-instance":

@@ -12,9 +12,10 @@ of the facets containing it (a face's mask is the AND of its vertices').  A
 face lies in the complex generated by a set of facets exactly when its mask
 meets theirs, so stars, ridges and facet queries need no subset tests.
 
-A Complex is a downward-closed set of faces of a host polytope, supporting
-star / antistar / link, strong connectivity via the dual graph, and
-facet-ridge paths.
+A Complex is a downward-closed set of faces of a host polytope, held as
+its faces, supporting star / antistar / link, strong connectivity via the
+dual graph, and facet-ridge paths.  The solvers build none: they read a
+star's graph off the masks with `Polytope.generated_graph`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from functools import lru_cache, reduce
 from operator import and_, or_
 
 from .errors import InconsistentIncidence, NoPath, NotCubical
-from .hypercube import cube_graph, vertex_to_str
-from .paths import shortest_path, vertex_connectivity  # noqa: F401  (re-exported auditor)
+from .hypercube import vertex_to_str
+from .paths import shortest_path
 
 
 class Polytope:
@@ -88,11 +89,10 @@ class Polytope:
                 self.graph[b].add(a)
         self.graph = {v: tuple(sorted(n)) for v, n in self.graph.items()}
         # the incidence index: bit i stands for self.facets[i]
-        self.facet_bit = {f: 1 << i for i, f in enumerate(self.facets)}
         vmask = dict.fromkeys(self.vertices, 0)
-        for f, bit in self.facet_bit.items():
+        for i, f in enumerate(self.facets):
             for v in f:
-                vmask[v] |= bit
+                vmask[v] |= 1 << i
         self.vertex_facets = vmask
         self.face_facets = {f: reduce(and_, map(vmask.__getitem__, f))
                             for f in faces}
@@ -167,6 +167,14 @@ class Polytope:
         m = self.face_facets[f]
         return [g for g in self.faces_by_dim.get(self.face_dim[f] - 1, ())
                 if self.face_facets[g] & m == m]
+
+    def generated_graph(self, bits):
+        """The graph of the complex generated by the facets in the mask
+        `bits`, keyed in vertex order: its keys are the complex's vertices,
+        and an edge is in it when the edge's facet mask meets `bits`."""
+        vf = self.vertex_facets
+        return {v: tuple(w for w in self.graph[v] if vf[v] & vf[w] & bits)
+                for v in self.vertices if vf[v] & bits}
 
     # -- cube structure of faces ------------------------------------------
 
@@ -323,41 +331,22 @@ def link_polytope(cube_dim: int, v: int) -> Polytope:
 
 @dataclass
 class Complex:
-    """A downward-closed set of faces of a host polytope.
-
-    A complex generated by facets also keeps their mask, `facet_bits`, from
-    which its vertices and graph are read without looking at its faces.
-    """
+    """A downward-closed set of faces of a host polytope."""
 
     host: Polytope
     faces: frozenset = field(default_factory=frozenset)
-    facet_bits: int | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def generated_by(cls, host, generators):
         gens = [frozenset(g) for g in generators]
-        bits = [host.facet_bit.get(g) for g in gens]
-        if None not in bits:
-            return cls.of_facets(host, reduce(or_, bits, 0))
         faces = {f for f in host.proper_faces if any(f <= g for g in gens)}
         return cls(host, frozenset(faces))
-
-    @classmethod
-    def of_facets(cls, host, bits):
-        """The complex generated by the facets in the mask `bits`: the faces
-        whose facet mask meets it."""
-        return cls(host, frozenset(f for f, m in host.face_facets.items()
-                                   if m & bits), bits)
 
     @classmethod
     def boundary(cls, host):
         return cls(host, frozenset(host.proper_faces))
 
     def vertex_set(self):
-        """The vertices, read off the facet masks or the 0-faces."""
-        bits = self.facet_bits
-        if bits is not None:
-            return {v for v, m in self.host.vertex_facets.items() if m & bits}
         return {v for f in self.faces if len(f) == 1 for v in f}
 
     @property
@@ -376,12 +365,7 @@ class Complex:
 
     def graph(self):
         """The 1-skeleton: the host's edges that are faces of the complex."""
-        host, bits = self.host, self.facet_bits
-        if bits is not None:
-            vf = host.vertex_facets
-            return {v: tuple(w for w in host.graph[v] if vf[v] & vf[w] & bits)
-                    for v in sorted(self.vertex_set())}
-        faces = self.faces
+        host, faces = self.host, self.faces
         return {v: tuple(w for w in host.graph[v] if frozenset((v, w)) in faces)
                 for v in sorted(self.vertex_set())}
 
@@ -461,52 +445,4 @@ class Complex:
 
 def star_complex(P: Polytope, v) -> Complex:
     """The star of a vertex in the boundary complex of P."""
-    return Complex.of_facets(P, P.vertex_facets.get(v, 0))
-
-
-def antistar_complex(P: Polytope, X) -> Complex:
-    return Complex.boundary(P).antistar(X)
-
-
-def link_complex(P: Polytope, v) -> Complex:
-    return Complex.boundary(P).link(v)
-
-
-def technical_decomposition(P: Polytope, s1, s2, F1, F12):
-    """The star-of-two-vertices decomposition with its spanning subcomplex.
-
-    Given adjacent-star data (s2 in star(s1); facet F1 containing s1 but not
-    s2; facet F12 containing both), returns a dict with:
-      S12: star of s2 inside star(s1)        (strongly connected, dim d-1)
-      A1:  antistar of F1 in star(s1)        (strongly connected, dim d-1)
-      A12: S12 induced away from F1 and F12  (dim d-2)
-      C:   spanning strongly connected (d-3)-subcomplex of A12, built
-           facet-by-facet: for each facet F != F12 of S12, the antistar of
-           F∩F1 in F is a union of ridges R_i of F avoiding F1; each
-           contributes its boundary stripped of F12's vertices.
-    C is None when S12 has a single facet (the decomposition degenerates).
-    """
-    F1, F12 = frozenset(F1), frozenset(F12)
-    if s1 not in F1 or s2 in F1:
-        raise ValueError("F1 must contain s1 and avoid s2")
-    if not {s1, s2} <= F12:
-        raise ValueError("F12 must contain s1 and s2")
-    S1 = star_complex(P, s1)
-    S12_facets = P.facets_containing((s1, s2))
-    S12 = Complex.generated_by(P, S12_facets)
-    A1 = S1.antistar(F1)
-    A12 = S12.restrict_to_vertices(S12.vertex_set() - F1 - F12)
-    if len(S12_facets) <= 1:
-        return {"S12": S12, "A1": A1, "A12": A12, "C": None}
-    C_faces = set()
-    for F in S12_facets:
-        if F == F12:
-            continue
-        for R in P.ridges_of_facet(F):
-            if R & F1:
-                continue
-            # boundary of R minus the vertices of F12
-            C_faces.update(g for g in P.subfaces(R)
-                           if g != R and not (g & F12))
-    C = Complex(P, frozenset(C_faces))
-    return {"S12": S12, "A1": A1, "A12": A12, "C": C}
+    return Complex.generated_by(P, P.facets_containing((v,)))

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations
+from types import MappingProxyType
 
 from .errors import NoPath
 
@@ -36,10 +36,6 @@ def vertex_from_str(s: str) -> int:
     if not s or any(c not in "01" for c in s):
         raise ValueError(f"bad vertex string {s!r}")
     return sum((1 << i) for i, c in enumerate(s) if c == "1")
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def dist(u: int, v: int) -> int:
@@ -88,17 +84,6 @@ class CubeFace:
                     v |= 1 << i
             out.append(v)
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "mask": vertex_to_str(self.fixed_mask, self.d),
-            "values": vertex_to_str(self.fixed_values, self.d),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CubeFace":
-        mask = obj["mask"]
-        return cls(len(mask), vertex_from_str(mask), vertex_from_str(obj["values"]))
 
 
 def whole_cube(d: int) -> CubeFace:
@@ -199,13 +184,14 @@ def find_unassociated_pair(d: int, Z) -> int:
 
 
 @lru_cache(maxsize=None)
-def cube_graph(d: int) -> dict[int, tuple[int, ...]]:
-    """Adjacency of Q_d with neighbours in increasing order."""
+def cube_graph(d: int) -> Mapping[int, tuple[int, ...]]:
+    """Adjacency of Q_d with neighbours in increasing order; read-only, as
+    every caller shares the cached mapping."""
     _check_dim(d)
-    return {
+    return MappingProxyType({
         v: tuple(sorted(v ^ (1 << i) for i in range(d)))
         for v in range(1 << d)
-    }
+    })
 
 
 class CubeAdjacency(Mapping):
@@ -336,20 +322,3 @@ def face_graph(K: CubeFace) -> dict[int, tuple[int, ...]]:
     verts = K.vertices()
     free = [i for i in range(K.d) if (K.free_mask >> i) & 1]
     return {v: tuple(sorted(v ^ (1 << i) for i in free)) for v in verts}
-
-
-def all_faces(d: int, dim: int) -> list[CubeFace]:
-    """All faces of Q_d of a given dimension, in canonical order."""
-    _check_dim(d)
-    if not 0 <= dim <= d:
-        raise ValueError("face dimension out of range")
-    out = []
-    for fixed in combinations(range(d), d - dim):
-        mask = sum(1 << i for i in fixed)
-        for bits in range(1 << len(fixed)):
-            values = 0
-            for j, i in enumerate(fixed):
-                if (bits >> j) & 1:
-                    values |= 1 << i
-            out.append(CubeFace(d, mask, values))
-    return sorted(out)

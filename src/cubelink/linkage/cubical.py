@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 
-from ..complexes import Polytope, star_complex
+from ..complexes import Polytope
 from ..errors import CaseNotCovered
 from ..oracle import oracle_linkage
 from ..paths import Cut, disjoint_paths, shortest_path
@@ -147,7 +147,7 @@ def _cubical_solve(P, pairs, trace):
     a, b = pairs[i1]
     t1 = b if a == s1 else a
     rest = [p for i, p in enumerate(pairs) if i != i1]
-    S1verts = star_complex(P, s1).vertex_set()
+    S1verts = set(P.generated_graph(P.vertex_facets[s1]))
     route = _route_into(G, X - {s1}, S1verts - {s1}, forbidden={s1},
                         trace=trace)
     route[s1] = [s1]

@@ -66,16 +66,18 @@ def _reroute_through_opposite(D, F, vside, vother, paths, idx, pairs, trace):
 
 def _link_solve(D, v, pairs, trace):
     """Linkage in Q_D avoiding v and its antipode; paths aligned to pairs."""
+    if len(pairs) > D // 2:
+        raise ValueError(f"at most {D // 2} pairs in the link of a vertex "
+                         f"of Q_{D}")
     full = (1 << D) - 1
     vo = v ^ full
     X = terminals(pairs)
     if X & {v, vo}:
         raise ValueError("terminals must avoid the removed vertex pair")
-    d = D - 1
     if len(pairs) == 1:
         trace.append("link/single-pair")
         return [face_path(whole_cube(D), *pairs[0], forbidden=(v, vo))]
-    if d == 3:
+    if D == 4:  # the link is a 3-polytope
         from ..complexes import link_polytope
 
         P = link_polytope(D, v)
@@ -89,15 +91,6 @@ def _link_solve(D, v, pairs, trace):
         sol = oracle_linkage(P.graph, pairs)
         if sol is None:
             raise CaseNotCovered("unobstructed link instance with no linkage",
-                                 trace=list(trace))
-        return sol
-    if d < 3:
-        trace.append("link/tiny")
-        from ..oracle import oracle_linkage
-
-        sol = oracle_linkage(_host_graph(D, v, vo), pairs)
-        if sol is None:
-            raise CaseNotCovered("tiny link instance with no linkage",
                                  trace=list(trace))
         return sol
 

@@ -10,7 +10,7 @@ witness.
 
 from __future__ import annotations
 
-from ..complexes import Complex, Polytope, star_complex
+from ..complexes import Polytope
 from ..errors import CaseNotCovered, NoPath
 from ..hypercube import find_unassociated_pair
 from ..paths import Cut, disjoint_paths, shortest_path
@@ -192,11 +192,10 @@ class _StarSolver:
 
     def setup(self):
         P, s1, t1 = self.P, self.s1, self.t1
-        S1 = star_complex(P, s1)
-        self.S1verts = S1.vertex_set()
+        self.S1g = P.generated_graph(P.vertex_facets.get(s1, 0))
+        self.S1verts = set(self.S1g)
         if not self.X <= self.S1verts:
             raise ValueError("terminals must lie in the star of s1")
-        self.S1g = S1.graph()
         cands = P.facets_containing((s1, t1))
         self.F1 = min(cands, key=lambda f: (-len(self.X & f), sorted(f)))
         self.A1verts = self.S1verts - self.F1
@@ -267,11 +266,6 @@ class _StarSolver:
             self.case2()
         else:
             self.case3()
-        return [self._aligned(p) for p in self.pairs]
-
-    def _aligned(self, pair):
-        p = self.out[frozenset(pair)]
-        return p if p[0] == pair[0] else p[::-1]
 
     # -- case 1: one terminal outside F1 --------------------------------
 
@@ -439,9 +433,8 @@ class _StarSolver:
         self.trace.append("star/case3")
         s2, t2 = self.rest[0]
         S12_facets = P.facets_containing((s1, s2))
-        S12 = Complex.generated_by(P, S12_facets)
-        G12_all = S12.graph()
-        gamma_verts = S12.vertex_set() - F1
+        G12_all = P.generated_graph(P.vertex_facets[s1] & P.vertex_facets[s2])
+        gamma_verts = set(G12_all) - F1
         a1_terms = sorted(self.X - {s1, t1})
         hat = {}
         route1 = {x: [x] for x in a1_terms if x in gamma_verts}
@@ -479,7 +472,7 @@ class _StarSolver:
                 self.record(a, b, _chain(route1[a], p, route1[b][::-1]))
             return
         # several facets around s1-s2: funnel strays through a far ridge cube
-        A12verts = S12.vertex_set() - F1 - frozenset(F12)
+        A12verts = set(G12_all) - F1 - frozenset(F12)
         GA12 = _induced(G12_all, A12verts)
         U = next(u for u in P.ridges_of_facet(F12) if s1 in u and s2 in u)
         J12 = _other_facet(P, U, F12)
@@ -889,17 +882,15 @@ def _star_solve(P, s1, pairs, trace):
         trace.append("star/config-dF")
         raise Unlinkable(witness)
     solver = _StarSolver(P, s1, pairs, trace)
-    paths = solver.solve()
-    by_pair = {frozenset(p): q for p, q in zip(solver.pairs, paths)}
-    out = []
-    for a, b in pairs:
-        p = by_pair[frozenset((a, b))]
-        out.append(p if p[0] == a else p[::-1])
-    return out
+    solver.solve()
+    return [solver._orient(solver.out[frozenset(p)], p[0]) for p in pairs]
 
 
 def solve_star(P, s1, pairs) -> LinkageCertificate:
-    """Linkage for (d+1)/2 pairs inside the star of s1; s1 is a terminal."""
+    """Linkage for (d+1)/2 pairs inside the star of s1 (d odd); s1 is a
+    terminal."""
+    if P.dim % 2 == 0:
+        raise ValueError("star linkage needs an odd-dimensional host")
     label = lambda v: P.labels[v]
     instance = {
         "host": f"star({label(s1)}) in {P.dim}-polytope",
@@ -908,4 +899,4 @@ def solve_star(P, s1, pairs) -> LinkageCertificate:
     }
     return certify(instance, pairs,
                    lambda ps, trace: _star_solve(P, s1, ps, trace),
-                   lambda: star_complex(P, s1).graph())
+                   lambda: P.generated_graph(P.vertex_facets.get(s1, 0)))

@@ -1,4 +1,4 @@
-"""Ground-truth engines: exhaustive linkage search, censuses, separator checks.
+"""Ground-truth engines: exhaustive linkage search, censuses, symmetry keys.
 
 Every count the acceptance suite trusts is produced here, independently of the
 constructive solvers.
@@ -9,33 +9,16 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import OracleTimeout
-from .paths import reachable
+from .errors import NoPath, OracleTimeout
+from .paths import reachable, shortest_path
 
 DEFAULT_TIMEOUT_MS = 10_000
 
 
 def oracle_timeout_ms() -> int:
     return int(os.environ.get("CUBELINK_ORACLE_TIMEOUT_MS", DEFAULT_TIMEOUT_MS))
-
-
-def _bfs_dist(G, s, t, forbidden):
-    if s == t:
-        return 0
-    seen = {s}
-    q = deque([(s, 0)])
-    while q:
-        u, du = q.popleft()
-        for w in G[u]:
-            if w == t:
-                return du + 1
-            if w not in seen and w not in forbidden:
-                seen.add(w)
-                q.append((w, du + 1))
-    return None
 
 
 def oracle_linkage(G, pairs, avoid=(), deadline=None):
@@ -47,19 +30,20 @@ def oracle_linkage(G, pairs, avoid=(), deadline=None):
     (max distance), with per-pair residual-reachability pruning.
     """
     avoid = set(avoid)
-    terminals = set()
-    for s, t in pairs:
-        terminals.update((s, t))
+    terminals = {v for p in pairs for v in p}
     if len(terminals) != 2 * len(pairs):
         raise ValueError("terminals not distinct")
     if avoid & terminals:
         raise ValueError("avoid overlaps terminals")
 
-    order = sorted(
-        range(len(pairs)),
-        key=lambda i: (-(_bfs_dist(G, *sorted(pairs[i]), avoid) or len(G)),
-                       sorted(pairs[i])),
-    )
+    def dist(s, t):
+        try:
+            return len(shortest_path(G, s, t, avoid)) - 1
+        except NoPath:
+            return len(G)
+
+    order = sorted(range(len(pairs)),
+                   key=lambda i: (-dist(*sorted(pairs[i])), sorted(pairs[i])))
     ordered = [tuple(sorted(pairs[i])) for i in order]
     found = {}
 
@@ -217,62 +201,6 @@ def census(G, k, host="", mode="exhaustive", sample=None, seed=0,
     return rep
 
 
-def separator_census(d):
-    """Exhaustively verify the structure of minimum separators of Q_d.
-
-    Every size-d separator must be the neighbourhood N(v) of some vertex, be
-    an independent set, and leave exactly two components, one of them {v}.
-    Returns a dict report; d <= 4.
-    """
-    from .hypercube import cube_graph
-
-    if d > 4:
-        raise ValueError("exhaustive separator census limited to d <= 4")
-    G = cube_graph(d)
-    verts = sorted(G)
-    neighborhoods = {frozenset(G[v]): v for v in verts}
-    report = {"d": d, "subsets": 0, "separators": 0, "violations": []}
-    for S in itertools.combinations(verts, d):
-        report["subsets"] += 1
-        Sset = set(S)
-        rest = [v for v in verts if v not in Sset]
-        comp = reachable(G, [rest[0]], Sset)
-        if len(comp) == len(rest):
-            continue  # not a separator
-        report["separators"] += 1
-        fs = frozenset(S)
-        if fs not in neighborhoods:
-            report["violations"].append({"separator": list(S), "why": "not a neighbourhood"})
-            continue
-        v = neighborhoods[fs]
-        if any(b in G[a] for a, b in itertools.combinations(S, 2)):
-            report["violations"].append({"separator": list(S), "why": "not independent"})
-        comps = []
-        left = set(rest)
-        while left:
-            c = reachable(G, [min(left)], Sset)
-            comps.append(c)
-            left -= c
-        if len(comps) != 2 or {v} not in comps:
-            report["violations"].append(
-                {"separator": list(S), "why": f"components {sorted(map(sorted, comps))}"})
-    return report
-
-
-def common_neighbor_check(G) -> bool:
-    """True iff no two vertices share three or more neighbours (no K_{2,3})."""
-    verts = sorted(G)
-    nbrs = {v: set(G[v]) for v in verts}
-    for u, v in itertools.combinations(verts, 2):
-        if len(nbrs[u] & nbrs[v]) > 2:
-            return False
-    return True
-
-
-def axis_permutations(d):
-    return list(itertools.permutations(range(d)))
-
-
 def _apply_perm(v, perm):
     out = 0
     for i, p in enumerate(perm):
@@ -294,7 +222,7 @@ def cube_instance_key(d, pairs, x=None):
     for t in anchors:
         shifted_pairs = [(a ^ t, b ^ t) for a, b in pairs]
         shifted_x = x ^ t if x is not None else None
-        for perm in axis_permutations(d):
+        for perm in itertools.permutations(range(d)):
             pp = tuple(sorted(tuple(sorted((_apply_perm(a, perm), _apply_perm(b, perm))))
                               for a, b in shifted_pairs))
             key = (pp, _apply_perm(shifted_x, perm) if x is not None else None)

@@ -1,36 +1,16 @@
 """Disjoint-path primitives over plain adjacency dicts.
 
 A graph here is a dict mapping each vertex to an iterable of neighbours
-(undirected: both directions present).  A path is a list of vertices; a
-PathSystem is a list of paths.  Everything is deterministic: neighbours are
-scanned in sorted order so repeated runs produce identical certificates.
+(undirected: both directions present).  A path is a list of vertices.
+Everything is deterministic: neighbours are scanned in sorted order so
+repeated runs produce identical certificates.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .errors import NoPath
-
-
-@dataclass
-class PathSystem:
-    """A list of pairwise vertex-disjoint paths."""
-
-    paths: list = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __len__(self):
-        return len(self.paths)
-
-    def vertices(self) -> set:
-        out = set()
-        for p in self.paths:
-            out.update(p)
-        return out
 
 
 class Cut(Exception):
@@ -42,12 +22,6 @@ class Cut(Exception):
     def __init__(self, separator):
         super().__init__(f"A-B separator of size {len(separator)}")
         self.separator = sorted(separator)
-
-
-def is_path(G, p) -> bool:
-    if len(set(p)) != len(p):
-        return False
-    return all(p[i + 1] in G[p[i]] for i in range(len(p) - 1))
 
 
 def shortest_path(G, s, t, forbidden=()):
@@ -73,11 +47,6 @@ def shortest_path(G, s, t, forbidden=()):
                 return path[::-1]
             q.append(w)
     raise NoPath(f"no {s}-{t} path avoiding {len(forbidden)} vertices")
-
-
-def x_valid_path(G, s, t, X):
-    """Shortest s-t path with no inner vertex in the terminal set X."""
-    return shortest_path(G, s, t, set(X) - {s, t})
 
 
 def reachable(G, sources, forbidden=()):
@@ -175,19 +144,17 @@ def disjoint_paths(G, A, B, k, forbidden=()):
     Vertices in both A and B become length-0 paths first.  When |A| < k or
     |B| < k the scarce side is treated as a fan hub: paths may share that
     endpoint but are otherwise disjoint.  Raises Cut with a separator witness
-    when no k such paths exist.  k = 0 returns an empty system.
+    when no k such paths exist.  Returns a list of paths; k = 0 returns [].
     """
     A, B = set(A), set(B)
     forbidden = set(forbidden)
     if forbidden & (A | B):
         raise ValueError("forbidden overlaps terminals")
-    if k == 0:
-        return PathSystem([])
     shared = sorted(A & B)
     paths = [[v] for v in shared[:k]]
     need = k - len(paths)
     if need <= 0:
-        return PathSystem(paths)
+        return paths
     A2 = A - set(shared)
     B2 = B - set(shared)
     blocked = forbidden | set(shared)
@@ -224,98 +191,7 @@ def disjoint_paths(G, A, B, k, forbidden=()):
                 p.append(node[0])
             node = step(node)
         paths2.append(p)
-    return PathSystem(paths + sorted(paths2))
-
-
-def min_vertex_cut_value(G, s, t):
-    """Size of a minimum vertex cut between non-adjacent s and t."""
-    if t in G[s]:
-        raise ValueError("adjacent vertices have no separating cut")
-    value, _, _ = _menger_flow(G, G[s], G[t], len(G), {s, t})
-    return value
-
-
-def vertex_connectivity(G) -> int:
-    """Exact vertex connectivity via max-flow over non-adjacent pairs.
-
-    Test-only auditor; desk-scale graphs only.
-    """
-    verts = sorted(G)
-    n = len(verts)
-    if n <= 1:
-        return 0
-    best = n - 1
-    # fix one vertex, pair against all non-neighbours; then pairs among N(v0)
-    v0 = verts[0]
-    others = [v for v in verts[1:] if v not in G[v0]]
-    if not others and all(set(G[v]) >= set(verts) - {v} for v in verts):
-        return n - 1  # complete graph
-    for t in others:
-        best = min(best, min_vertex_cut_value(G, v0, t))
-    for s in sorted(G[v0]):
-        for t in verts:
-            if t != s and t != v0 and t not in G[s] and s < t:
-                best = min(best, min_vertex_cut_value(G, s, t))
-    return best
-
-
-def evaluate_affine(coeffs, const, v):
-    return sum(c for i, c in enumerate(coeffs) if (v >> i) & 1) + const
-
-
-def linear_function_path(d, coeffs, const, u, v):
-    """A u-v path in Q_d whose inner vertices x all satisfy f(x) > 0.
-
-    f is the affine functional with the given coefficients and constant.
-    Requires f(u) >= 0, f(v) >= 0, and f > 0 somewhere.  The contract is
-    verified on the result; if the greedy construction fails, falls back to
-    exhaustive search over {f > 0} plus the endpoints.
-    """
-    from .hypercube import cube_graph
-
-    f = lambda x: evaluate_affine(coeffs, const, x)
-    if f(u) < 0 or f(v) < 0:
-        raise ValueError("endpoints must have f >= 0")
-    G = cube_graph(d)
-    if not any(f(x) > 0 for x in G):
-        raise ValueError("f must be positive somewhere")
-    if u == v:
-        return [u]
-
-    def climb(start):
-        # strictly f-increasing walk until f > 0
-        p = [start]
-        while f(p[-1]) <= 0:
-            nxt = max(sorted(G[p[-1]]), key=f)
-            if f(nxt) <= f(p[-1]):
-                return None
-            p.append(nxt)
-        return p
-
-    pu, pv = climb(u), climb(v)
-    if pu is not None and pv is not None:
-        positive = {x for x in G if f(x) > 0} | {pu[-1], pv[-1]}
-        try:
-            mid = shortest_path(G, pu[-1], pv[-1],
-                                set(G) - positive - set(pu) - set(pv))
-            cand = pu + mid[1:]
-            rest = pv[::-1]
-            if cand[-1] == rest[0]:
-                cand = cand + rest[1:]
-            if _inner_positive(cand, f) and is_path(G, cand):
-                return cand
-        except NoPath:
-            pass
-    # exhaustive fallback over the positive region plus endpoints
-    allowed = {x for x in G if f(x) > 0} | {u, v}
-    sub = {x: [w for w in G[x] if w in allowed] for x in allowed}
-    path = shortest_path(sub, u, v)
-    assert _inner_positive(path, f)
-    return path
-
-
-def _inner_positive(path, f):
-    return all(f(x) > 0 for x in path[1:-1])
+    return paths + sorted(paths2)
 
 
 def validate_linkage(G, pairs, paths, avoid=()):

@@ -1,0 +1,224 @@
+"""Brute-force auditors, called only by the tests, for the structure the
+solvers rely on: connectivity, separators, complexes, and cube faces."""
+
+import itertools
+
+from cubelink.complexes import Complex, Polytope, star_complex
+from cubelink.errors import NoPath
+from cubelink.hypercube import CubeFace, _check_dim, cube_graph
+from cubelink.paths import _menger_flow, reachable, shortest_path
+
+
+def is_path(G, p) -> bool:
+    if len(set(p)) != len(p):
+        return False
+    return all(p[i + 1] in G[p[i]] for i in range(len(p) - 1))
+
+
+def x_valid_path(G, s, t, X):
+    """Shortest s-t path with no inner vertex in the terminal set X."""
+    return shortest_path(G, s, t, set(X) - {s, t})
+
+
+def min_vertex_cut_value(G, s, t):
+    """Size of a minimum vertex cut between non-adjacent s and t."""
+    if t in G[s]:
+        raise ValueError("adjacent vertices have no separating cut")
+    value, _, _ = _menger_flow(G, G[s], G[t], len(G), {s, t})
+    return value
+
+
+def vertex_connectivity(G) -> int:
+    """Exact vertex connectivity via max-flow over non-adjacent pairs.
+
+    Test-only auditor; desk-scale graphs only.
+    """
+    verts = sorted(G)
+    n = len(verts)
+    if n <= 1:
+        return 0
+    best = n - 1
+    # fix one vertex, pair against all non-neighbours; then pairs among N(v0)
+    v0 = verts[0]
+    others = [v for v in verts[1:] if v not in G[v0]]
+    if not others and all(set(G[v]) >= set(verts) - {v} for v in verts):
+        return n - 1  # complete graph
+    for t in others:
+        best = min(best, min_vertex_cut_value(G, v0, t))
+    for s in sorted(G[v0]):
+        for t in verts:
+            if t != s and t != v0 and t not in G[s] and s < t:
+                best = min(best, min_vertex_cut_value(G, s, t))
+    return best
+
+
+def evaluate_affine(coeffs, const, v):
+    return sum(c for i, c in enumerate(coeffs) if (v >> i) & 1) + const
+
+
+def linear_function_path(d, coeffs, const, u, v):
+    """A u-v path in Q_d whose inner vertices x all satisfy f(x) > 0.
+
+    f is the affine functional with the given coefficients and constant.
+    Requires f(u) >= 0, f(v) >= 0, and f > 0 somewhere.  The contract is
+    verified on the result; if the greedy construction fails, falls back to
+    exhaustive search over {f > 0} plus the endpoints.
+    """
+    f = lambda x: evaluate_affine(coeffs, const, x)
+    if f(u) < 0 or f(v) < 0:
+        raise ValueError("endpoints must have f >= 0")
+    G = cube_graph(d)
+    if not any(f(x) > 0 for x in G):
+        raise ValueError("f must be positive somewhere")
+    if u == v:
+        return [u]
+
+    def climb(start):
+        # strictly f-increasing walk until f > 0
+        p = [start]
+        while f(p[-1]) <= 0:
+            nxt = max(sorted(G[p[-1]]), key=f)
+            if f(nxt) <= f(p[-1]):
+                return None
+            p.append(nxt)
+        return p
+
+    pu, pv = climb(u), climb(v)
+    if pu is not None and pv is not None:
+        positive = {x for x in G if f(x) > 0} | {pu[-1], pv[-1]}
+        try:
+            mid = shortest_path(G, pu[-1], pv[-1],
+                                set(G) - positive - set(pu) - set(pv))
+            cand = pu + mid[1:]
+            rest = pv[::-1]
+            if cand[-1] == rest[0]:
+                cand = cand + rest[1:]
+            if _inner_positive(cand, f) and is_path(G, cand):
+                return cand
+        except NoPath:
+            pass
+    # exhaustive fallback over the positive region plus endpoints
+    allowed = {x for x in G if f(x) > 0} | {u, v}
+    sub = {x: [w for w in G[x] if w in allowed] for x in allowed}
+    path = shortest_path(sub, u, v)
+    assert _inner_positive(path, f)
+    return path
+
+
+def _inner_positive(path, f):
+    return all(f(x) > 0 for x in path[1:-1])
+
+
+def separator_census(d):
+    """Exhaustively verify the structure of minimum separators of Q_d.
+
+    Every size-d separator must be the neighbourhood N(v) of some vertex, be
+    an independent set, and leave exactly two components, one of them {v}.
+    Returns a dict report; d <= 4.
+    """
+    if d > 4:
+        raise ValueError("exhaustive separator census limited to d <= 4")
+    G = cube_graph(d)
+    verts = sorted(G)
+    neighborhoods = {frozenset(G[v]): v for v in verts}
+    report = {"d": d, "subsets": 0, "separators": 0, "violations": []}
+    for S in itertools.combinations(verts, d):
+        report["subsets"] += 1
+        Sset = set(S)
+        rest = [v for v in verts if v not in Sset]
+        comp = reachable(G, [rest[0]], Sset)
+        if len(comp) == len(rest):
+            continue  # not a separator
+        report["separators"] += 1
+        fs = frozenset(S)
+        if fs not in neighborhoods:
+            report["violations"].append({"separator": list(S), "why": "not a neighbourhood"})
+            continue
+        v = neighborhoods[fs]
+        if any(b in G[a] for a, b in itertools.combinations(S, 2)):
+            report["violations"].append({"separator": list(S), "why": "not independent"})
+        comps = []
+        left = set(rest)
+        while left:
+            c = reachable(G, [min(left)], Sset)
+            comps.append(c)
+            left -= c
+        if len(comps) != 2 or {v} not in comps:
+            report["violations"].append(
+                {"separator": list(S), "why": f"components {sorted(map(sorted, comps))}"})
+    return report
+
+
+def common_neighbor_check(G) -> bool:
+    """True iff no two vertices share three or more neighbours (no K_{2,3})."""
+    verts = sorted(G)
+    nbrs = {v: set(G[v]) for v in verts}
+    for u, v in itertools.combinations(verts, 2):
+        if len(nbrs[u] & nbrs[v]) > 2:
+            return False
+    return True
+
+
+def antistar_complex(P: Polytope, X) -> Complex:
+    return Complex.boundary(P).antistar(X)
+
+
+def link_complex(P: Polytope, v) -> Complex:
+    return Complex.boundary(P).link(v)
+
+
+def technical_decomposition(P: Polytope, s1, s2, F1, F12):
+    """The star-of-two-vertices decomposition with its spanning subcomplex.
+
+    Given adjacent-star data (s2 in star(s1); facet F1 containing s1 but not
+    s2; facet F12 containing both), returns a dict with:
+      S12: star of s2 inside star(s1)        (strongly connected, dim d-1)
+      A1:  antistar of F1 in star(s1)        (strongly connected, dim d-1)
+      A12: S12 induced away from F1 and F12  (dim d-2)
+      C:   spanning strongly connected (d-3)-subcomplex of A12, built
+           facet-by-facet: for each facet F != F12 of S12, the antistar of
+           F∩F1 in F is a union of ridges R_i of F avoiding F1; each
+           contributes its boundary stripped of F12's vertices.
+    C is None when S12 has a single facet (the decomposition degenerates).
+    """
+    F1, F12 = frozenset(F1), frozenset(F12)
+    if s1 not in F1 or s2 in F1:
+        raise ValueError("F1 must contain s1 and avoid s2")
+    if not {s1, s2} <= F12:
+        raise ValueError("F12 must contain s1 and s2")
+    S1 = star_complex(P, s1)
+    S12_facets = P.facets_containing((s1, s2))
+    S12 = Complex.generated_by(P, S12_facets)
+    A1 = S1.antistar(F1)
+    A12 = S12.restrict_to_vertices(S12.vertex_set() - F1 - F12)
+    if len(S12_facets) <= 1:
+        return {"S12": S12, "A1": A1, "A12": A12, "C": None}
+    C_faces = set()
+    for F in S12_facets:
+        if F == F12:
+            continue
+        for R in P.ridges_of_facet(F):
+            if R & F1:
+                continue
+            # boundary of R minus the vertices of F12
+            C_faces.update(g for g in P.subfaces(R)
+                           if g != R and not (g & F12))
+    C = Complex(P, frozenset(C_faces))
+    return {"S12": S12, "A1": A1, "A12": A12, "C": C}
+
+
+def all_faces(d: int, dim: int) -> list[CubeFace]:
+    """All faces of Q_d of a given dimension, in canonical order."""
+    _check_dim(d)
+    if not 0 <= dim <= d:
+        raise ValueError("face dimension out of range")
+    out = []
+    for fixed in itertools.combinations(range(d), d - dim):
+        mask = sum(1 << i for i in fixed)
+        for bits in range(1 << len(fixed)):
+            values = 0
+            for j, i in enumerate(fixed):
+                if (bits >> j) & 1:
+                    values |= 1 << i
+            out.append(CubeFace(d, mask, values))
+    return sorted(out)

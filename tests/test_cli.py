@@ -299,3 +299,18 @@ def test_link_vertex_of_wrong_length_exit_1(capsys, label):
                        "--pairs", "10000-01000")
     assert code == 1
     assert err == f"error: vertex {label!r} is not 5 bits\n"
+
+
+def test_link_over_capacity_exit_1(capsys):
+    code, out, err = run(capsys, "solve", "--link", "3", "--pairs",
+                         "100-010,001-110")
+    assert code == 1 and out == ""
+    assert err.startswith("error: at most 1 pairs")
+
+
+@pytest.mark.parametrize("label", ["1111", "1"])
+def test_gen_link_vertex_of_wrong_length_exit_1(capsys, label):
+    code, out, err = run(capsys, "gen", "link", "--cube", "3",
+                         "--vertex", label)
+    assert code == 1 and out == ""
+    assert err == f"error: vertex {label!r} is not 3 bits\n"

@@ -2,19 +2,13 @@ import random
 
 import pytest
 
-from cubelink.complexes import (
-    Complex,
-    Polytope,
-    antistar_complex,
-    build_cube_polytope,
-    build_from_incidence,
-    link_complex,
-    link_polytope,
-    star_complex,
-    technical_decomposition,
-)
+from cubelink.complexes import (Complex, Polytope, build_cube_polytope,
+                                build_from_incidence, link_polytope,
+                                star_complex)
 from cubelink.errors import InconsistentIncidence, NoPath, NotCubical
 from cubelink.hypercube import cube_graph, opposite_vertex, whole_cube
+
+from audit import antistar_complex, link_complex, technical_decomposition
 
 
 def comb(n, k):
@@ -274,9 +268,15 @@ def test_index_complexes_match_brute_force(host):
         star = [f for f in P.facets if v in f]
         _assert_complex(star_complex(P, v), _brute_generated(P, star))
         _assert_complex(Complex.generated_by(P, star), _brute_generated(P, star))
+        G = P.generated_graph(P.vertex_facets[v])
+        want = star_complex(P, v).graph()
+        assert G == want and list(G) == list(want)
     for _ in range(10):
         gens = rng.sample(P.facets, rng.randint(1, len(P.facets)))
         _assert_complex(Complex.generated_by(P, gens), _brute_generated(P, gens))
+        G = P.generated_graph(sum(1 << P.facets.index(g) for g in gens))
+        want = _brute_graph(_brute_generated(P, gens))
+        assert G == want and list(G) == list(want)
         # generators that are not all facets keep the subset test
         mixed = gens[:1] + rng.sample(sorted(P.faces_of_dim(1), key=sorted), 3)
         _assert_complex(Complex.generated_by(P, mixed),

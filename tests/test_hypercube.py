@@ -8,7 +8,6 @@ from cubelink.errors import NoPath
 from cubelink.hypercube import (
     CubeAdjacency,
     CubeFace,
-    all_faces,
     associated_pairs,
     cube_graph,
     dist,
@@ -26,6 +25,8 @@ from cubelink.hypercube import (
     whole_cube,
 )
 from cubelink.paths import shortest_path
+
+from audit import all_faces
 
 
 def test_dist_basics():
@@ -150,6 +151,13 @@ def test_find_unassociated_pair_defines_unassociated_split():
             for z in Z:
                 assert (z ^ (1 << axis)) not in Z
                 _ = F1  # split exists for every returned axis
+
+
+def test_cube_graph_is_read_only():
+    G = cube_graph(3)
+    with pytest.raises(TypeError):
+        G[0] = ()
+    assert G[0] == (1, 2, 4) and cube_graph(3) is G
 
 
 def test_cube_graph_degrees_and_order():

@@ -123,3 +123,8 @@ def test_link_large_dimension_builds_no_graph(monkeypatch):
                                    avoid=(v, v ^ full))
         assert ok, msg
     assert statistics.median(times) < 0.1
+
+
+def test_link_rejects_more_than_capacity():
+    with pytest.raises(ValueError):  # at most floor(4/2) = 2 pairs
+        solve_link(4, 0, [(1, 14), (2, 13), (4, 11)])

@@ -11,13 +11,13 @@ from cubelink.oracle import (
     all_pairings,
     apply_cube_map,
     census,
-    common_neighbor_check,
     cube_instance_key,
     invert_cube_map,
     oracle_linkage,
-    separator_census,
 )
 from cubelink.paths import validate_linkage
+
+from audit import common_neighbor_check, separator_census
 
 
 def test_oracle_simple_linkage():

@@ -6,18 +6,11 @@ import pytest
 from cubelink.errors import NoPath
 from cubelink.hypercube import cube_graph
 from cubelink.oracle import oracle_linkage
-from cubelink.paths import (
-    Cut,
-    disjoint_paths,
-    is_path,
-    linear_function_path,
-    min_vertex_cut_value,
-    reachable,
-    shortest_path,
-    validate_linkage,
-    vertex_connectivity,
-    x_valid_path,
-)
+from cubelink.paths import (Cut, disjoint_paths, reachable, shortest_path,
+                            validate_linkage)
+
+from audit import (is_path, linear_function_path, min_vertex_cut_value,
+                   vertex_connectivity, x_valid_path)
 
 
 def bfs_dist(G, s, t):

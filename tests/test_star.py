@@ -124,3 +124,10 @@ def test_broken_invariants_raise_case_not_covered(monkeypatch):
     monkeypatch.setattr(type(P), "project_in_face", lambda self, f, sub, v: v)
     with pytest.raises(CaseNotCovered):
         projections_star_injection(P, min(F), F)
+
+
+def test_star_rejects_even_dimension():
+    # the construction needs d odd; an even host used to fail inside case 1
+    P = build_cube_polytope(6)
+    with pytest.raises(ValueError):
+        solve_star(P, 61, [(61, 10), (42, 26), (58, 57)])
