@@ -3,14 +3,20 @@
 solve_cube builds a Y-linkage for up to floor((d+1)/2) pairs by facet
 recursion; solve_cube_strong additionally avoids one extra terminal x.
 Both return LinkageCertificates whose paths are validated before return.
-Small dimensions (d <= 4) are settled by bounded exhaustive search, memoised
-up to cube symmetry.  Above them no graph is built: paths inside a face come
-from hypercube.face_path and certificates are checked against the implicit
-CubeAdjacency.
+Small dimensions (d <= 4) are settled by exhaustive search, memoised up to
+cube symmetry; the search has no deadline yet (ROADMAP item 4).  Above them
+no graph is built: paths inside a face come from hypercube.face_path and
+certificates are checked against the implicit CubeAdjacency.
+
+Steps that every linkage solver repeats are written once here: splicing
+routes onto a linkage found at their ends (_splice) and running a base-case
+search (_search), alone or after a config-3F check (_base_3F).  The Menger
+router (_route_into) sits beside _chain in star.py.
 """
 
 from __future__ import annotations
 
+from ..complexes import build_cube_polytope
 from ..errors import CaseNotCovered, NoPath
 from ..hypercube import (
     CubeAdjacency,
@@ -60,26 +66,76 @@ def face_maps(K: CubeFace):
     return compress, expand
 
 
+# -- solver steps shared by every linkage solver ----------------------------
+
+
+def _orient(path, start):
+    """The path, reversed if need be so that it begins at `start`."""
+    return path if path[0] == start else path[::-1]
+
+
+def _hops(X, proj):
+    """Routes of one edge from each x in X to proj(x), or just [x] where
+    proj fixes x."""
+    routes = {}
+    for x in X:
+        y = proj(x)
+        routes[x] = [x] if y == x else [x, y]
+    return routes
+
+
+def _splice(pairs, route, solve):
+    """Link the pairs through their routes.
+
+    route[x] runs from the terminal x to its entry vertex.  `solve` links
+    the entry pairs; each of its paths runs between a pair's two entries,
+    either way round, and is joined to the routes at its ends.
+    """
+    sub = solve([(route[a][-1], route[b][-1]) for a, b in pairs])
+    return [route[a][:-1] + _orient(p, route[a][-1]) + route[b][-2::-1]
+            for (a, b), p in zip(pairs, sub)]
+
+
+def _search(trace, tag, search):
+    """Tag the trace and return the linkage an exhaustive search finds.
+
+    Every base-case search on the solve path runs through here, with no
+    deadline yet (ROADMAP item 4).  A search that finds nothing raises
+    CaseNotCovered with its tag last in the trace.
+    """
+    trace.append(tag)
+    sol = search()
+    if sol is None:
+        raise CaseNotCovered(f"{tag} found no linkage", trace=list(trace))
+    return sol
+
+
+def _base_3F(P, pairs, trace, tags, search):
+    """The base of a cubical 3-polytope P: Unlinkable with a config-3F
+    witness, else the search's linkage; `tags` are (obstructed, search)."""
+    witness = detect_config_3F(P, pairs)
+    if witness is not None:
+        trace.append(tags[0])
+        raise Unlinkable(witness)
+    return _search(trace, tags[1], search)
+
+
 # -- exhaustive base (d <= 4), memoised up to cube symmetry -----------------
 
 _base_cache: dict = {}
 
 
 def _oracle_base(d, pairs, avoid=()):
-    """Exhaustive linkage search for small d; None when none exists.
+    """Exhaustive linkage search in Q_d, d <= 4; None when none exists.
 
-    Results are cached on the canonical orbit key (translations and axis
-    permutations) whenever at most one avoided vertex is involved, so whole
-    censuses cost only one search per symmetry class.
+    With at most one avoided vertex, results are cached on the canonical
+    orbit key (translations and axis permutations), so whole censuses cost
+    only one search per symmetry class and the cache never outgrows the
+    classes of Q_1..Q_4.  More avoided vertices are searched directly.
     """
-    avoid = tuple(sorted(avoid))
     G = cube_graph(d)
-    if len(avoid) > 1 or d > 4:
-        key = ("raw", d, tuple(pairs), avoid)
-        if key not in _base_cache:
-            _base_cache[key] = oracle_linkage(G, pairs, avoid)
-        sol = _base_cache[key]
-        return None if sol is None else [list(p) for p in sol]
+    if len(avoid) > 1:
+        return oracle_linkage(G, pairs, avoid)
     x = avoid[0] if avoid else None
     key, tmap = cube_instance_key(d, pairs, x)
     ckey = ("canon", d, key)
@@ -92,11 +148,7 @@ def _oracle_base(d, pairs, avoid=()):
         return None
     back = [[invert_cube_map(v, d, tmap) for v in p] for p in sol]
     by_ends = {frozenset((p[0], p[-1])): p for p in back}
-    out = []
-    for s, t in pairs:
-        p = by_ends[frozenset((s, t))]
-        out.append(list(p) if p[0] == s else p[::-1])
-    return out
+    return [_orient(by_ends[frozenset(p)], p[0]) for p in pairs]
 
 
 # -- obstruction detection in 3-polytopes -----------------------------------
@@ -245,25 +297,12 @@ def _solve(d, pairs, trace):
         trace.append("cube/single-pair")
         return [face_path(whole_cube(d), *pairs[0])]
     if d == 3:
-        from ..complexes import build_cube_polytope
-
-        witness = detect_config_3F(build_cube_polytope(3), pairs)
-        if witness is not None:
-            trace.append("cube/d3-obstructed")
-            raise Unlinkable(witness)
-        trace.append("cube/base-d3")
-        sol = _oracle_base(3, pairs)
-        if sol is None:
-            raise CaseNotCovered("unobstructed 3-cube instance with no linkage",
-                                 trace=list(trace))
-        return sol
+        return _base_3F(build_cube_polytope(3), pairs, trace,
+                        ("cube/d3-obstructed", "cube/base-d3"),
+                        lambda: _oracle_base(3, pairs))
     if d <= 4:
-        trace.append(f"cube/base-d{d}")
-        sol = _oracle_base(d, pairs)
-        if sol is None:
-            raise CaseNotCovered("no linkage found at the base dimension",
-                                 trace=list(trace))
-        return sol
+        return _search(trace, f"cube/base-d{d}",
+                       lambda: _oracle_base(d, pairs))
 
     X = sorted(terminals(pairs))
     K = smallest_face(d, X)
@@ -299,18 +338,12 @@ def _scenario1(d, F, pairs, trace):
     if first is None:
         raise CaseNotCovered("no terminal-avoiding path in the common facet",
                              trace=list(trace))
-    L_first = found[tuple(pairs[first])]
     Fo = opposite_facet(F)
     rest = [p for i, p in enumerate(pairs) if i != first]
-    ppairs = [(project(s, Fo), project(t, Fo)) for s, t in rest]
-    sub = _solve_in_face(Fo, ppairs, trace)
-    out = {}
-    for (s, t), p in zip(rest, sub):
-        out[(s, t)] = [s] + p + [t]
-    paths = []
-    for i, pair in enumerate(pairs):
-        paths.append(L_first if i == first else out[tuple(pair)])
-    return paths
+    sub = iter(_splice(rest, _hops(terminals(rest), lambda x: project(x, Fo)),
+                       lambda ep: _solve_in_face(Fo, ep, trace)))
+    return [found[tuple(p)] if i == first else next(sub)
+            for i, p in enumerate(pairs)]
 
 
 def _scenario2(d, F, idx, pairs, trace):
@@ -369,8 +402,7 @@ def _scenario2(d, F, idx, pairs, trace):
 
     paths = [None] * len(pairs)
     for slot, i in enumerate(order):
-        p = paths1[slot]
-        paths[i] = p if p[0] == pairs[i][0] else p[::-1]
+        paths[i] = _orient(paths1[slot], pairs[i][0])
     return paths
 
 
@@ -382,33 +414,21 @@ def _scenario3(d, pairs, trace):
     axis = find_unassociated_pair(d, X - {s1})
     Fo = facet(d, axis, (s1 >> axis) & 1)
     F = opposite_facet(Fo)
-    oriented = []  # (index, s in Fo, t in F)
-    for i, (a, b) in enumerate(pairs):
-        s, t = (a, b) if Fo.contains(a) else (b, a)
-        oriented.append((i, s, t))
-    j = next(pos for pos in range(1, len(oriented))
-             if project(oriented[pos][2], Fo) != s1)
-    front = [oriented[0], oriented[j]]
-    rest = [o for pos, o in enumerate(oriented) if pos not in (0, j)]
+    # each pair as (s, t) with s in Fo and t in F
+    oriented = [p if Fo.contains(p[0]) else p[::-1] for p in pairs]
+    j = next(i for i in range(1, len(pairs))
+             if project(oriented[i][1], Fo) != s1)
+    front = [0, j]
+    rest = [i for i in range(len(pairs)) if i not in front]
 
-    out = {}
-    if rest:
-        rpairs = [(project(s, F), t) for _, s, t in rest]
-        avoid = [front[0][2], front[1][2]]
-        sub = _solve_in_face(F, rpairs, trace, avoid=avoid)
-        for (i, s, t), p in zip(rest, sub):
-            out[i] = [s] + p
-    fpairs = [(s, project(t, Fo)) for _, s, t in front]
-    avoid = [s for _, s, _ in rest]
-    sub = _solve_in_face(Fo, fpairs, trace, avoid=avoid)
-    for (i, s, t), p in zip(front, sub):
-        out[i] = p + [t]
+    def link(slots, face, avoid):
+        sel = [oriented[i] for i in slots]
+        return _splice(sel, _hops(terminals(sel), lambda x: project(x, face)),
+                       lambda ep: _solve_in_face(face, ep, trace, avoid=avoid))
 
-    paths = []
-    for i, pair in enumerate(pairs):
-        p = out[i]
-        paths.append(p if p[0] == pair[0] else p[::-1])
-    return paths
+    out = dict(zip(rest, link(rest, F, [oriented[i][1] for i in front])))
+    out.update(zip(front, link(front, Fo, [oriented[i][0] for i in rest])))
+    return [_orient(out[i], pair[0]) for i, pair in enumerate(pairs)]
 
 
 def _strong(d, pairs, x, trace):
@@ -424,25 +444,13 @@ def _strong(d, pairs, x, trace):
         trace.append("cube/strong-base-d2")
         return [face_path(whole_cube(2), *pairs[0], {x})]
     if d == 4:
-        trace.append("cube/strong-base-d4")
-        sol = _oracle_base(4, pairs, (x,))
-        if sol is None:
-            raise CaseNotCovered("no avoiding linkage found in the 4-cube",
-                                 trace=list(trace))
-        return sol
+        return _search(trace, "cube/strong-base-d4",
+                       lambda: _oracle_base(4, pairs, (x,)))
     trace.append("cube/strong-project")
     axis = find_unassociated_pair(d, X)
     F = facet(d, axis, 1 - ((x >> axis) & 1))
-    ppairs = [(project(s, F), project(t, F)) for s, t in pairs]
-    sub = _solve_in_face(F, ppairs, trace)
-    paths = []
-    for (s, t), p in zip(pairs, sub):
-        if not F.contains(s):
-            p = [s] + p
-        if not F.contains(t):
-            p = p + [t]
-        paths.append(p)
-    return paths
+    return _splice(pairs, _hops(X, lambda v: project(v, F)),
+                   lambda ep: _solve_in_face(F, ep, trace))
 
 
 def _linkage(d, pairs, avoid, trace):
@@ -459,18 +467,13 @@ def _linkage(d, pairs, avoid, trace):
     if not pairs:
         return []
     if d <= 4:
-        sol = _oracle_base(d, pairs, avoid)
-        if sol is None:
-            if d == 3 and not avoid and len(pairs) == 2:
-                from ..complexes import build_cube_polytope
-
-                witness = detect_config_3F(build_cube_polytope(3), pairs)
-                if witness is not None:
-                    raise Unlinkable(witness)
-            raise CaseNotCovered("no linkage at the base dimension",
-                                 trace=list(trace) + [f"cube/base-d{d}"])
-        trace.append(f"cube/base-d{d}")
-        return sol
+        # a config-3F witness means no linkage exists, so it may come first
+        if d == 3 and not avoid and len(pairs) == 2:
+            witness = detect_config_3F(build_cube_polytope(3), pairs)
+            if witness is not None:
+                raise Unlinkable(witness)
+        return _search(trace, f"cube/base-d{d}",
+                       lambda: _oracle_base(d, pairs, avoid))
     k_max = (d + 1) // 2
     total = 2 * len(pairs) + len(avoid)
     if total <= 2 * k_max:

@@ -19,11 +19,11 @@ from collections import OrderedDict, deque
 from ..complexes import Polytope
 from ..errors import CaseNotCovered
 from ..oracle import oracle_linkage
-from ..paths import Cut, disjoint_paths, shortest_path
+from ..paths import shortest_path
 from .certs import LinkageCertificate, Unlinkable, certify, terminals
-from .cube import detect_config_3F
-from .star import (_chain, _face_graph, _face_link, _other_facet, _star_solve,
-                   detect_config_dF)
+from .cube import _base_3F, _hops, _search, _splice
+from .star import (_face_link, _induced, _other_facet, _route_into,
+                   _star_solve, detect_config_dF, link_via_subgraph)
 
 
 def _bfs_to_set(G, s, targets, forbidden=()):
@@ -49,47 +49,13 @@ def _bfs_to_set(G, s, targets, forbidden=()):
     return None
 
 
-def _route_into(G, X, B, forbidden=(), trace=None):
-    """One path per vertex of X into B, pairwise disjoint, keyed by start.
-
-    Terminals already in B stay put as single-vertex paths; every other path
-    meets B only at its last vertex.
-    """
-    X = list(X)
-    try:
-        sys = disjoint_paths(G, set(X), set(B), len(X), forbidden=forbidden)
-    except Cut as e:
-        raise CaseNotCovered(
-            f"routing cut by {len(e.separator)} vertices",
-            trace=list(trace or ()) + [sorted(e.separator)])
-    route = {p[0]: list(p) for p in sys}
-    if set(route) != set(X):
-        raise CaseNotCovered("routing missed a terminal",
-                             trace=list(trace or ()))
-    return route
-
-
-def link_via_subgraph(G, pairs, subV, sub_solver, forbidden=(), trace=None):
-    """Linkage through a linked subgraph: route every terminal into subV,
-    link the entry vertices there, and concatenate."""
-    X = [v for p in pairs for v in p]
-    route = _route_into(G, X, subV, forbidden=forbidden, trace=trace)
-    epairs = [(route[s][-1], route[t][-1]) for s, t in pairs]
-    sub = sub_solver(epairs)
-    out = []
-    for (s, t), (es, et), p in zip(pairs, epairs, sub):
-        if p[0] != es:
-            p = p[::-1]
-        out.append(_chain(route[s], p, route[t][::-1]))
-    return out
-
-
 def _facet_route(P, pairs, trace):
     """Route all terminals into one facet cube and link them there.
 
     Facets are tried in order of decreasing terminal count; only d = 4 can
     reject a facet (entries in a 3-cube may be obstructed), and if every
-    facet fails the bounded search takes over.
+    facet fails an exhaustive search takes over, with no deadline yet
+    (ROADMAP item 4).
     """
     X = terminals(pairs)
     cand = sorted(P.facets, key=lambda f: (-len(X & f), sorted(f)))
@@ -104,12 +70,8 @@ def _facet_route(P, pairs, trace):
         except Unlinkable:
             trace.append("cubical/facet-route-obstructed")
             continue
-    trace.append("cubical/facet-route-search")
-    sol = oracle_linkage(P.graph, pairs)
-    if sol is None:
-        raise CaseNotCovered("every facet entry obstructed and no linkage "
-                             "found", trace=list(trace))
-    return sol
+    return _search(trace, "cubical/facet-route-search",
+                   lambda: oracle_linkage(P.graph, pairs))
 
 
 def _cubical_solve(P, pairs, trace):
@@ -126,16 +88,9 @@ def _cubical_solve(P, pairs, trace):
         trace.append("cubical/single-pair")
         return [shortest_path(G, *pairs[0])]
     if d == 3:
-        witness = detect_config_3F(P, pairs)
-        if witness is not None:
-            trace.append("cubical/d3-obstructed")
-            raise Unlinkable(witness)
-        trace.append("cubical/d3-search")
-        sol = oracle_linkage(G, pairs)
-        if sol is None:
-            raise CaseNotCovered("unobstructed 3-polytope instance with no "
-                                 "linkage", trace=list(trace))
-        return sol
+        return _base_3F(P, pairs, trace,
+                        ("cubical/d3-obstructed", "cubical/d3-search"),
+                        lambda: oracle_linkage(G, pairs))
     if d % 2 == 0 or len(pairs) < k:
         return _facet_route(P, pairs, trace)
 
@@ -163,16 +118,9 @@ def _cubical_solve(P, pairs, trace):
                             trace)
     if out is None:
         bpairs = bar_pairs()
-        bpaths = _star_solve(P, s1, bpairs, trace)
-        out = {frozenset(bp): p for bp, p in zip(bpairs, bpaths)}
-
-    full = []
-    for s, t in pairs:
-        p = out[frozenset((bar[s], bar[t]))]
-        if p[0] != bar[s]:
-            p = p[::-1]
-        full.append(_chain(route[s], p, route[t][::-1]))
-    return full
+        out = dict(zip(map(frozenset, bpairs),
+                       _star_solve(P, s1, bpairs, trace)))
+    return _splice(pairs, route, lambda ep: [out[frozenset(e)] for e in ep])
 
 
 def _break_config(P, s1, S1verts, bar, route, bpairs, witness, trace):
@@ -223,7 +171,7 @@ def _redirect_path(P, s1, bar, route, barX, R, J, RJ, bt1, touching, S1verts,
         for y in route:
             if y != pick:
                 used |= set(route[y])
-        M = _bfs_to_set(_face_graph(P, RJ), p[i], good, forbidden=used)
+        M = _bfs_to_set(_induced(P.graph, RJ), p[i], good, forbidden=used)
         if M is None:
             raise CaseNotCovered("no escape into the free part of the ridge",
                                  trace=list(trace))
@@ -249,25 +197,19 @@ def _relink_through_neighbour(P, s1, bar, bpairs, F1, R, bt1, trace):
     ik = next(i for i, p in enumerate(bpairs) if sk in p)
     a, b = bpairs[ik]
     tk = b if a == sk else a
-    middle = [p for i, p in enumerate(bpairs) if i not in (0, ik)]
-
-    def pi(v):
-        return P.project_in_face(J, RJ, v)
-
+    rpairs = [(s1, bt1)] + [p for i, p in enumerate(bpairs)
+                            if i not in (0, ik)]
+    pi = lambda v: P.project_in_face(J, RJ, v)
+    route = _hops(terminals(rpairs) - {s1}, pi)
     s1p = P.project_in_face(F1, R, s1)
-    rpairs = [(pi(s1p), pi(bt1))] + [(pi(a), pi(b)) for a, b in middle]
+    route[s1] = [s1, s1p, pi(s1p)]
     try:
-        sub = _face_link(P, RJ, rpairs, trace=trace)
+        sub = _splice(rpairs, route,
+                      lambda ep: _face_link(P, RJ, ep, trace=trace))
     except Unlinkable:
         raise CaseNotCovered("escape ridge linkage obstructed",
                              trace=list(trace))
-    out = {}
-    p0 = sub[0] if sub[0][0] == rpairs[0][0] else sub[0][::-1]
-    out[frozenset((s1, bt1))] = [s1, s1p] + p0 + [bt1]
-    for (a, b), p in zip(middle, sub[1:]):
-        if p[0] != pi(a):
-            p = p[::-1]
-        out[frozenset((a, b))] = [a] + p + [b]
+    out = dict(zip(map(frozenset, rpairs), sub))
     out[frozenset((sk, tk))] = [sk, P.project_in_face(F1, RF, tk), tk]
     return out
 
@@ -335,12 +277,8 @@ def _cubical_strong_solve(P, pairs, x, trace):
             forbidden={x}, trace=trace)
     except Unlinkable:
         # only d = 4: the entries may be blocked in the 3-dimensional link
-        trace.append("cubical/strong-search")
-        sol = oracle_linkage(G, pairs, avoid={x})
-        if sol is None:
-            raise CaseNotCovered("obstructed link entries and no linkage "
-                                 "found", trace=list(trace))
-        return sol
+        return _search(trace, "cubical/strong-search",
+                       lambda: oracle_linkage(G, pairs, avoid={x}))
 
 
 def _instance(P, pairs, avoid=()):

@@ -8,6 +8,7 @@ reroutes around v and its antipode when a facet-level linkage touches them.
 
 from __future__ import annotations
 
+from ..complexes import link_polytope
 from ..errors import CaseNotCovered
 from ..hypercube import (
     CubeAdjacency,
@@ -20,8 +21,9 @@ from ..hypercube import (
     vertex_to_str,
     whole_cube,
 )
-from .certs import LinkageCertificate, Unlinkable, certify, terminals
-from .cube import _solve_in_face, detect_config_3F
+from ..oracle import oracle_linkage
+from .certs import LinkageCertificate, certify, terminals
+from .cube import _base_3F, _hops, _orient, _solve_in_face, _splice
 
 
 def _host_graph(D, v, vo):
@@ -36,32 +38,19 @@ def _reroute_through_opposite(D, F, vside, vother, paths, idx, pairs, trace):
     as a detour through the opposite facet avoiding vother."""
     Fo = opposite_facet(F)
     s, t = pairs[idx]
-    p = paths[idx]
-    if p[0] != s:
-        p = p[::-1]
-    if project(s, Fo) == vother:
-        w = p[1]
-        if w == vside:
+
+    def route(x, p):
+        """x's way across, along its first edge of p when x faces vother."""
+        if project(x, Fo) != vother:
+            return [x, project(x, Fo)]
+        if p[1] == vside:
             raise CaseNotCovered("terminal adjacent to the removed vertex",
                                  trace=list(trace))
-        head = [s, w]
-        start = project(w, Fo)
-    else:
-        head = [s]
-        start = project(s, Fo)
-    if project(t, Fo) == vother:
-        q = p[::-1]
-        w = q[1]
-        if w == vside:
-            raise CaseNotCovered("terminal adjacent to the removed vertex",
-                                 trace=list(trace))
-        tail = [w, t]
-        end = project(w, Fo)
-    else:
-        tail = [t]
-        end = project(t, Fo)
-    sub = _solve_in_face(Fo, [(start, end)], trace, avoid=[vother])
-    return head + sub[0] + tail
+        return [x, p[1], project(p[1], Fo)]
+
+    p = _orient(paths[idx], s)
+    return _splice([(s, t)], {s: route(s, p), t: route(t, p[::-1])},
+                   lambda ep: _solve_in_face(Fo, ep, trace, avoid=[vother]))[0]
 
 
 def _link_solve(D, v, pairs, trace):
@@ -78,21 +67,10 @@ def _link_solve(D, v, pairs, trace):
         trace.append("link/single-pair")
         return [face_path(whole_cube(D), *pairs[0], forbidden=(v, vo))]
     if D == 4:  # the link is a 3-polytope
-        from ..complexes import link_polytope
-
         P = link_polytope(D, v)
-        witness = detect_config_3F(P, pairs)
-        if witness is not None:
-            trace.append("link/d3-obstructed")
-            raise Unlinkable(witness)
-        trace.append("link/d3-search")
-        from ..oracle import oracle_linkage
-
-        sol = oracle_linkage(P.graph, pairs)
-        if sol is None:
-            raise CaseNotCovered("unobstructed link instance with no linkage",
-                                 trace=list(trace))
-        return sol
+        return _base_3F(P, pairs, trace,
+                        ("link/d3-obstructed", "link/d3-search"),
+                        lambda: oracle_linkage(P.graph, pairs))
 
     axis = find_unassociated_pair(D, X)
     F = facet(D, axis, (v >> axis) & 1)
@@ -126,67 +104,35 @@ def _link_solve(D, v, pairs, trace):
         if s1 == special:
             s1, t1 = t1, s1
         rest = [p for i, p in enumerate(pairs) if i != i1]
-        out = {}
+        route = _hops(terminals(rest), lambda x: project(x, side))
         if not side.contains(s1):
             # both endpoints across from the removed vertex: settle the pair
             # there and link everyone else through projections on this side
             L1 = face_path(other, s1, t1, forbidden=X | {vother})
-            ppairs = [(project(a, side), project(b, side)) for a, b in rest]
-            sub = _solve_in_face(side, ppairs, trace, avoid=[vside])
-            for (a, b), p in zip(rest, sub):
-                if not side.contains(a):
-                    p = [a] + p
-                if not side.contains(b):
-                    p = p + [b]
-                out[(a, b)] = p
-            out[(s1, t1)] = L1
+            sub = _splice(rest, route, lambda ep: _solve_in_face(
+                side, ep, trace, avoid=[vside]))
         else:
-            lpairs = [(s1, vside)] + [(project(a, side), project(b, side))
-                                      for a, b in rest]
-            sub = _solve_in_face(side, lpairs, trace)
-            M1 = sub[0]
-            for (a, b), p in zip(rest, sub[1:]):
-                if not side.contains(a):
-                    p = [a] + p
-                if not side.contains(b):
-                    p = p + [b]
-                out[(a, b)] = p
-            if project(s1, other) != vother:
-                head = [s1]
-                start = project(s1, other)
-            else:
-                w = M1[1]
-                head = [s1, w]
-                start = project(w, other)
-            tail = face_path(other, start, t1, forbidden=X | {vother})
-            out[(s1, t1)] = head + tail
-        paths = []
-        for i, (a, b) in enumerate(pairs):
-            p = out[(a, b)] if (a, b) in out else out[(b, a)][::-1]
-            paths.append(p if p[0] == a else p[::-1])
-        return paths
+            route.update({s1: [s1], vside: [vside]})
+            M1, *sub = _splice([(s1, vside)] + rest, route,
+                               lambda ep: _solve_in_face(side, ep, trace))
+            head = [s1] if project(s1, other) != vother else [s1, M1[1]]
+            L1 = head + face_path(other, project(head[-1], other), t1,
+                                  forbidden=X | {vother})
+        sub = iter(sub)
+        return [_orient(L1, a) if i == i1 else next(sub)
+                for i, (a, b) in enumerate(pairs)]
 
     # no terminal adjacent to v across the split, nor to its antipode: work
     # with the projections on the v side and reroute through the far side
     trace.append("link/projected")
-    ppairs = [(project(a, F), project(b, F)) for a, b in pairs]
-    sub = _solve_in_face(F, ppairs, trace)
-    idx = next((i for i, p in enumerate(sub) if v in p), None)
+    paths = _splice(pairs, _hops(X, lambda x: project(x, F)),
+                    lambda ep: _solve_in_face(F, ep, trace))
+    idx = next((i for i, p in enumerate(paths) if v in p), None)
     if idx is not None:
         trace.append("link/projected-reroute")
-        a, b = pairs[idx]
-        sub[idx] = face_path(Fo, project(a, Fo), project(b, Fo),
-                             forbidden=X | {vo})
-        ppairs[idx] = (project(a, Fo), project(b, Fo))
-    paths = []
-    for (a, b), (pa, pb), p in zip(pairs, ppairs, sub):
-        if p[0] != pa:
-            p = p[::-1]
-        if a != pa:
-            p = [a] + p
-        if b != pb:
-            p = p + [b]
-        paths.append(p)
+        paths[idx] = _splice(
+            pairs[idx:idx + 1], _hops(pairs[idx], lambda x: project(x, Fo)),
+            lambda ep: [face_path(Fo, *ep[0], forbidden=X | {vo})])[0]
     return paths
 
 

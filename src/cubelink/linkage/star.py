@@ -16,7 +16,7 @@ from ..hypercube import find_unassociated_pair
 from ..paths import Cut, disjoint_paths, shortest_path
 from .certs import (LinkageCertificate, ObstructionWitness, Unlinkable,
                     certify, terminals)
-from .cube import _linkage
+from .cube import _hops, _linkage, _orient, _splice
 from .link import _link_solve
 
 
@@ -24,17 +24,13 @@ from .link import _link_solve
 
 
 def _induced(G, verts):
+    """The subgraph of G on verts, keyed in sorted order."""
     vs = set(verts)
-    return {v: tuple(w for w in G[v] if w in vs) for v in G if v in vs}
-
-
-def _face_graph(P, f):
-    f = frozenset(f)
-    return {v: tuple(w for w in P.graph[v] if w in f) for v in sorted(f)}
+    return {v: tuple(w for w in G[v] if w in vs) for v in sorted(vs)}
 
 
 def _face_path(P, f, s, t, forbidden=()):
-    return shortest_path(_face_graph(P, f), s, t, forbidden)
+    return shortest_path(_induced(P.graph, f), s, t, forbidden)
 
 
 def _face_link(P, f, pairs, avoid=(), trace=None):
@@ -91,6 +87,35 @@ def _chain(*segs):
         else:
             out.extend(seg)
     return out
+
+
+def _route_into(G, X, B, forbidden=(), trace=None):
+    """One path per vertex of X into B, pairwise disjoint, keyed by start.
+
+    Terminals already in B stay put as single-vertex paths; every other path
+    meets B only at its last vertex.  This is the solvers' only Menger
+    routing; a cut raises CaseNotCovered with the separator last in its trace.
+    """
+    X = list(X)
+    try:
+        sys = disjoint_paths(G, set(X), set(B), len(X), forbidden=forbidden)
+    except Cut as e:
+        raise CaseNotCovered(
+            f"routing cut by {len(e.separator)} vertices",
+            trace=list(trace or ()) + [sorted(e.separator)])
+    route = {p[0]: list(p) for p in sys}
+    if set(route) != set(X):
+        raise CaseNotCovered("routing missed a terminal",
+                             trace=list(trace or ()))
+    return route
+
+
+def link_via_subgraph(G, pairs, subV, sub_solver, forbidden=(), trace=None):
+    """Linkage through a linked subgraph: route every terminal into subV,
+    link the entry vertices there, and concatenate."""
+    route = _route_into(G, terminals(pairs), subV, forbidden=forbidden,
+                        trace=trace)
+    return _splice(pairs, route, sub_solver)
 
 
 def _short_hop(P, src, target_face, allowed_end, banned, within):
@@ -204,8 +229,7 @@ class _StarSolver:
         self.s1o = P.opposite_in_face(self.F1, s1)
 
     def record(self, s, t, path):
-        if path[0] != s:
-            path = path[::-1]
+        path = _orient(path, s)
         if path[0] != s or path[-1] != t:
             raise CaseNotCovered(f"path {path} does not join {s} and {t}",
                                  trace=list(self.trace))
@@ -227,21 +251,10 @@ class _StarSolver:
         if RA & F1:
             raise CaseNotCovered("antistar ridge meets F1",
                                  trace=list(self.trace))
-        terms = [v for p in pairs2 for v in p]
-        try:
-            sys = disjoint_paths(self.A1g, set(terms), set(RA), 4)
-        except Cut as e:
-            raise CaseNotCovered("antistar routing blocked",
-                                 trace=list(self.trace) + [sorted(e.separator)])
-        route = {p[0]: list(p) for p in sys}
-        sub = _face_link(P, RA, [(route[a][-1], route[b][-1])
-                                 for a, b in pairs2], trace=self.trace)
-        outs = []
-        for (a, b), p in zip(pairs2, sub):
-            if p[0] != route[a][-1]:
-                p = p[::-1]
-            outs.append(_chain(route[a], p, route[b][::-1]))
-        return outs
+        return link_via_subgraph(
+            self.A1g, pairs2, RA,
+            lambda ep: _face_link(P, RA, ep, trace=self.trace),
+            trace=self.trace)
 
     def link_in_F1(self, lpairs):
         """Linkage in the link of s1 inside the cube F1 (avoids s1 and s1o)."""
@@ -309,10 +322,12 @@ class _StarSolver:
         s2p = self.inj[s2bar]
         self.record(s2, t2, _chain([s2, s2bar, s2p], self.a1_path(s2p, t2)))
         inside = [(s1, t1)] + rest
-        ent = lambda x: x if x in Ro else piRo(x)
+        route = _hops(terminals(inside), piRo)
+        ent = lambda x: route[x][-1]
         try:
-            sub = _face_link(P, Ro, [(ent(a), ent(b)) for a, b in inside],
-                             trace=self.trace)
+            self.record_sub(inside, _splice(
+                inside, route,
+                lambda ep: _face_link(P, Ro, ep, trace=self.trace)))
         except Unlinkable:
             # 3-cube corner at d = 5: route the other pair through R instead
             self.trace.append("star/case1-far-d5-flip")
@@ -326,12 +341,6 @@ class _StarSolver:
             p1 = _face_path(P, Ro, s1, ent(t1),
                             forbidden=(self.X | e3) - {s1, t1})
             self.record(s1, t1, _chain(p1, [t1] if t1 in R else []))
-            return
-        for (a, b), p in zip(inside, sub):
-            if p[0] != ent(a):
-                p = p[::-1]
-            self.record(a, b, _chain([a] if a in R else [], p,
-                                     [b] if b in R else []))
 
     # -- case 2: between 3 and d-1 terminals in F1 ----------------------
 
@@ -343,30 +352,16 @@ class _StarSolver:
         a1_terms = sorted(self.X & self.A1verts)
         if t1 in R:
             self.trace.append("star/case2-near-ridge")
-            ent = {}
-            route = {}
-            for x in (self.X & F1) - {s1, t1}:
-                ent[x] = x if x in Ro else piRo(x)
-                route[x] = [x] if x in Ro else [x, ent[x]]
-            XRo = set(ent.values())
+            route = _hops((self.X & F1) - {s1, t1}, piRo)
+            XRo = {r[-1] for r in route.values()}
             pool = sorted(set(Ro) - XRo - {self.s1o})
-            need = len(a1_terms)
-            zbars = self._pick_zbars(P, Ro, XRo, pool, need)
+            zbars = self._pick_zbars(P, Ro, XRo, pool, len(a1_terms))
             z2bar = {self.inj[zb]: zb for zb in zbars}
-            try:
-                sys = disjoint_paths(self.A1g, set(a1_terms), set(z2bar), need)
-            except Cut as e:
-                raise CaseNotCovered("antistar routing blocked",
-                                     trace=list(self.trace) + [sorted(e.separator)])
-            for p in sys:
-                zb = z2bar[p[-1]]
-                route[p[0]] = list(p) + [zb]
-                ent[p[0]] = zb
-            sub = self._must_link(Ro, [(ent[a], ent[b]) for a, b in self.rest])
-            for (a, b), p in zip(self.rest, sub):
-                if p[0] != ent[a]:
-                    p = p[::-1]
-                self.record(a, b, _chain(route[a], p, route[b][::-1]))
+            for x, p in _route_into(self.A1g, a1_terms, z2bar,
+                                    trace=self.trace).items():
+                route[x] = p + [z2bar[p[-1]]]
+            self.record_sub(self.rest, _splice(
+                self.rest, route, lambda ep: self._must_link(Ro, ep)))
             self.record(s1, t1, _face_path(P, R, s1, t1, forbidden=self.X))
             return
         self.trace.append("star/case2-far-ridge")
@@ -378,25 +373,11 @@ class _StarSolver:
         if RJ & F1:
             raise CaseNotCovered("escape ridge meets F1",
                                  trace=list(self.trace))
-        try:
-            sys = disjoint_paths(self.A1g, set(a1_terms), set(RJ),
-                                 len(a1_terms))
-        except Cut as e:
-            raise CaseNotCovered("antistar routing blocked",
-                                 trace=list(self.trace) + [sorted(e.separator)])
-        ent = {p[0]: p[-1] for p in sys}
-        route = {p[0]: list(p) for p in sys}
-        for x in (self.X & F1) - {s1, t1}:
-            if x in R:
-                ent[x], route[x] = x, [x]
-            else:
-                ent[x], route[x] = piR(x), [x, piR(x)]
-        sub = _face_link(P, J, [(ent[a], ent[b]) for a, b in self.rest],
-                         avoid=[s1], trace=self.trace)
-        for (a, b), p in zip(self.rest, sub):
-            if p[0] != ent[a]:
-                p = p[::-1]
-            self.record(a, b, _chain(route[a], p, route[b][::-1]))
+        route = _route_into(self.A1g, a1_terms, RJ, trace=self.trace)
+        route.update(_hops((self.X & F1) - {s1, t1}, piR))
+        self.record_sub(self.rest, _splice(
+            self.rest, route,
+            lambda ep: _face_link(P, J, ep, avoid=[s1], trace=self.trace)))
 
     def _pick_zbars(self, P, Ro, XRo, pool, need):
         """Landing spots in the far ridge for the antistar terminals.
@@ -436,22 +417,13 @@ class _StarSolver:
         G12_all = P.generated_graph(P.vertex_facets[s1] & P.vertex_facets[s2])
         gamma_verts = set(G12_all) - F1
         a1_terms = sorted(self.X - {s1, t1})
-        hat = {}
-        route1 = {x: [x] for x in a1_terms if x in gamma_verts}
+        route = {x: [x] for x in a1_terms if x in gamma_verts}
         outside = [x for x in a1_terms if x not in gamma_verts]
         if outside:
             resident = self.X & gamma_verts
-            try:
-                sys = disjoint_paths(self.A1g, set(outside),
-                                     gamma_verts - resident, len(outside),
-                                     forbidden=resident)
-            except Cut as e:
-                raise CaseNotCovered("antistar routing blocked",
-                                     trace=list(self.trace) + [sorted(e.separator)])
-            for p in sys:
-                route1[p[0]] = list(p)
-        for x in a1_terms:
-            hat[x] = route1[x][-1]
+            route.update(_route_into(self.A1g, outside, gamma_verts - resident,
+                                     forbidden=resident, trace=self.trace))
+        hat = {x: route[x][-1] for x in a1_terms}
         F12 = next(f for f in S12_facets if hat[t2] in f)
         if t1 in F12:
             raise CaseNotCovered("second facet meets the far terminal",
@@ -463,53 +435,34 @@ class _StarSolver:
         Ro = P.opposite_subface(F1, R)
         p1 = _face_path(P, Ro, P.project_in_face(F1, Ro, s1), t1)
         self.record(s1, t1, _chain([s1], p1))
-        if len(S12_facets) == 1:
-            epairs = [(hat[a], hat[b]) for a, b in self.rest]
-            sub = _face_link(P, F12, epairs, avoid=[s1], trace=self.trace)
-            for (a, b), p in zip(self.rest, sub):
-                if p[0] != hat[a]:
-                    p = p[::-1]
-                self.record(a, b, _chain(route1[a], p, route1[b][::-1]))
-            return
-        # several facets around s1-s2: funnel strays through a far ridge cube
-        A12verts = set(G12_all) - F1 - frozenset(F12)
-        GA12 = _induced(G12_all, A12verts)
-        U = next(u for u in P.ridges_of_facet(F12) if s1 in u and s2 in u)
-        J12 = _other_facet(P, U, F12)
-        UJ = P.opposite_subface(J12, U)
-        C_UJ = set(UJ) - F1
-        hatX = set(hat.values())
-        blocked = {P.project_in_face(J12, UJ, v)
-                   for v in (hatX | {s1}) & set(U)}
-        strays = sorted(x for x in a1_terms if hat[x] in A12verts)
-        W = [w for w in sorted(C_UJ - blocked)][:len(strays)]
-        if len(W) < len(strays):
-            raise CaseNotCovered("not enough landing spots off the far ridge",
-                                 trace=list(self.trace))
-        route2 = {x: [hat[x]] for x in a1_terms}
-        if strays:
-            try:
-                sys = disjoint_paths(GA12, {hat[x] for x in strays}, set(W),
-                                     len(strays))
-            except Cut as e:
-                raise CaseNotCovered("inner antistar routing blocked",
-                                     trace=list(self.trace) + [sorted(e.separator)])
-            back = {p[0]: p for p in sys}
-            for x in strays:
-                p = list(back[hat[x]])
-                w = p[-1]
-                route2[x] = p + [P.project_in_face(J12, U, w)]
-        tilde = {x: route2[x][-1] for x in a1_terms}
-        if {tilde[x] for x in strays} & (hatX | {s1}):
-            raise CaseNotCovered("stray landed on a terminal entry",
-                                 trace=list(self.trace))
-        epairs = [(tilde[a], tilde[b]) for a, b in self.rest]
-        sub = _face_link(P, F12, epairs, avoid=[s1], trace=self.trace)
-        for (a, b), p in zip(self.rest, sub):
-            if p[0] != tilde[a]:
-                p = p[::-1]
-            self.record(a, b, _chain(route1[a], route2[a], p,
-                                     route2[b][::-1], route1[b][::-1]))
+        if len(S12_facets) > 1:
+            # several facets around s1-s2: funnel strays through a far ridge
+            A12verts = set(G12_all) - F1 - frozenset(F12)
+            U = next(u for u in P.ridges_of_facet(F12) if s1 in u and s2 in u)
+            J12 = _other_facet(P, U, F12)
+            UJ = P.opposite_subface(J12, U)
+            hatX = set(hat.values())
+            blocked = {P.project_in_face(J12, UJ, v)
+                       for v in (hatX | {s1}) & set(U)}
+            strays = sorted(x for x in a1_terms if hat[x] in A12verts)
+            W = sorted(set(UJ) - F1 - blocked)[:len(strays)]
+            if len(W) < len(strays):
+                raise CaseNotCovered("not enough landing spots off the far "
+                                     "ridge", trace=list(self.trace))
+            if strays:
+                back = _route_into(_induced(G12_all, A12verts),
+                                   [hat[x] for x in strays], W,
+                                   trace=self.trace)
+                for x in strays:
+                    p = back[hat[x]]
+                    route[x] = _chain(route[x], p,
+                                      [P.project_in_face(J12, U, p[-1])])
+            if {route[x][-1] for x in strays} & (hatX | {s1}):
+                raise CaseNotCovered("stray landed on a terminal entry",
+                                     trace=list(self.trace))
+        self.record_sub(self.rest, _splice(
+            self.rest, route,
+            lambda ep: _face_link(P, F12, ep, avoid=[s1], trace=self.trace)))
 
     # -- case 4: every terminal in F1 -----------------------------------
 
@@ -590,7 +543,7 @@ class _StarSolver:
         if hit is None:
             p = self.a1_path(self.inj[s1], self.inj[t1])
             self.record(s1, t1, _chain([s1], p, [t1]))
-            self.record(s2, t2, _chain([s2], self._orient(sub[0], s2F)))
+            self.record(s2, t2, _chain([s2], _orient(sub[0], s2F)))
             self.record_sub(others, sub[1:])
             return
         a, b = lpairs[hit]
@@ -602,13 +555,9 @@ class _StarSolver:
             self.record_sub(others, sub[1:])
         else:
             self.record(a, b, _chain([a], two[1], [b]))
-            self.record(s2, t2, _chain([s2], self._orient(sub[0], s2F)))
+            self.record(s2, t2, _chain([s2], _orient(sub[0], s2F)))
             self.record_sub([q for i, q in enumerate(others) if i != hit - 1],
                             [q for i, q in enumerate(sub[1:]) if i != hit - 1])
-
-    @staticmethod
-    def _orient(path, start):
-        return path if path[0] == start else path[::-1]
 
     # -- case 4 at d = 5 -------------------------------------------------
 
@@ -652,18 +601,16 @@ class _StarSolver:
         piRF = lambda v: P.project_in_face(self.F1, RF, v)
         allp = self.pairs
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            epairs = [(piRJ(allp[m][0]), piRJ(allp[m][1])) for m in (i, j)]
+            two = [allp[i], allp[j]]
             try:
-                sub = _face_link(P, RJ, epairs, trace=self.trace)
+                self.record_sub(two, _splice(
+                    two, _hops(terminals(two), piRJ),
+                    lambda ep: _face_link(P, RJ, ep, trace=self.trace)))
             except Unlinkable:
                 continue
-            for m, p in zip((i, j), sub):
-                a, b = allp[m]
-                self.record(a, b, _chain([a], self._orient(p, piRJ(a)), [b]))
-            c = ({0, 1, 2} - {i, j}).pop()
-            a, b = allp[c]
+            a, b = allp[3 - i - j]
             p = _face_path(P, RF, piRF(a), piRF(b))
-            self.record(a, b, _chain([a], self._orient(p, piRF(a)), [b]))
+            self.record(a, b, _chain([a], _orient(p, piRF(a)), [b]))
             return
         raise CaseNotCovered("no non-cyclic pair selection in the 3-face",
                              trace=list(self.trace))
@@ -692,11 +639,11 @@ class _StarSolver:
         b_pair = cands[0] if pa == cands[1] else cands[1]
         a, b = b_pair
         p = _face_path(P, RJ, piRJ(a), piRJ(b))
-        self.record(a, b, _chain([a], self._orient(p, piRJ(a)), [b]))
+        self.record(a, b, _chain([a], _orient(p, piRJ(a)), [b]))
         e3 = lambda x: x if x in RF else piRF(x)
         p3 = _face_path(P, RF, e3(s3), e3(t3), forbidden=self.X)
         self.record(s3, t3, _chain([s3] if s3 in R else [],
-                                   self._orient(p3, e3(s3)),
+                                   _orient(p3, e3(s3)),
                                    [t3] if t3 in R else []))
 
     def _d5_pair_in_RF(self, i2, R, RF, J1, RJ):
@@ -722,7 +669,7 @@ class _StarSolver:
                     sub = _face_link(P, J1, [(s1, t1), (s3, t3r)],
                                      trace=self.trace)
                     self.record(s1, t1, sub[0])
-                    self.record(s3, t3, _chain(self._orient(sub[1], s3),
+                    self.record(s3, t3, _chain(_orient(sub[1], s3),
                                                T3[::-1][1:]))
                 p2 = _face_path(P, RF, s2, t2,
                                 forbidden=(self.X | set(T3)) - {s2, t2})
@@ -811,19 +758,18 @@ class _StarSolver:
             self.trace.append("star/case4-d5-anti-ridge")
             s2, t2 = self.rest[inR]
             s3, t3 = self.rest[1 - inR]
-            epairs = [(piRJ(s1), piRJ(t1p)), (piRJ(s2), piRJ(t2))]
-            sub = self._must_link(RJ, epairs)
-            self.record(s1, t1, _chain([s1], self._orient(sub[0], piRJ(s1)),
-                                       [t1p, t1]))
-            self.record(s2, t2, _chain([s2], self._orient(sub[1], piRJ(s2)),
-                                       [t2]))
+            two = [(s1, t1), (s2, t2)]
+            route = _hops((s1, s2, t2), piRJ)
+            route[t1] = [t1, t1p, piRJ(t1p)]
+            self.record_sub(two, _splice(two, route,
+                                         lambda ep: self._must_link(RJ, ep)))
             e3 = lambda x: x if x in RF else piRF(x)
             if e3(s3) in self.X - {s3, t3} or e3(t3) in self.X - {s3, t3}:
                 raise CaseNotCovered("blocked projection for the last pair",
                                      trace=list(self.trace))
             p3 = _face_path(P, RF, e3(s3), e3(t3), forbidden=self.X)
             self.record(s3, t3, _chain([s3] if s3 in R else [],
-                                       self._orient(p3, e3(s3)),
+                                       _orient(p3, e3(s3)),
                                        [t3] if t3 in R else []))
             return
         inRF = next((i for i, p in enumerate(self.rest)
@@ -883,7 +829,7 @@ def _star_solve(P, s1, pairs, trace):
         raise Unlinkable(witness)
     solver = _StarSolver(P, s1, pairs, trace)
     solver.solve()
-    return [solver._orient(solver.out[frozenset(p)], p[0]) for p in pairs]
+    return [_orient(solver.out[frozenset(p)], p[0]) for p in pairs]
 
 
 def solve_star(P, s1, pairs) -> LinkageCertificate:

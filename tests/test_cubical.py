@@ -258,3 +258,126 @@ def test_link_q8_sweep():
             continue
         ok, msg = validate_linkage(star_complex(P, s1).graph(), pairs, cert.paths)
         assert ok, msg
+
+
+# Instances that seeded sweeps reach rarely or never, each with the trace tag
+# it is built to reach: (solver, host, star centre or None, pairs, extra
+# avoided vertex or None, tag).
+CRAFTED = [
+    ("cubical", "linkQ6", None, [(1, 31), (23, 27), (29, 14)], None,
+     "cubical/config-redirect"),
+    ("cubical", "linkQ6", None, [(39, 53), (54, 23), (4, 55)], None,
+     "cubical/config-neighbour-facet"),
+    ("cubical", "Q7", None, [(20, 72), (4, 91), (68, 74), (8, 86)], None,
+     "star/case4-antipodal"),
+    ("cubical", "Q7", None, [(36, 28), (19, 59), (26, 63), (4, 13)], None,
+     "star/case4-blocked"),
+    ("cubical", "Q5", None, [(16, 28), (8, 6), (24, 19)], None,
+     "star/case1-far-crowded"),
+    ("star", "Q5", 22, [(22, 3), (18, 7), (1, 14)], None,
+     "star/case1-far-d5-flip"),
+    # the F1 linkage meets t1's neighbour, so two pairs cross the antistar
+    ("star", "Q7", 74, [(74, 49), (58, 123), (43, 33), (105, 17)], None,
+     "star/case4-antipodal"),
+    ("star", "Q7", 79, [(79, 73), (47, 93), (29, 89), (72, 56)], None,
+     "star/case4-blocked"),
+    ("cubical", "Q4", None, [(13, 8), (12, 9)], None,
+     "cubical/facet-route-search"),
+    ("strong", "Q4", None, [(13, 8), (12, 9)], 5, "cubical/strong-search"),
+]
+
+
+def _cube_link_and_crafted_certificates():
+    """Seeded cube, avoiding, strong and link certificates, then CRAFTED."""
+    import json
+
+    from cubelink.linkage.cube import cube_linkage, solve_cube, solve_cube_strong
+    from cubelink.linkage.link import solve_link
+    from cubelink.linkage.star import solve_star
+
+    rng = random.Random(1802_09230)
+    lines = []
+
+    def add(cert):
+        lines.append(json.dumps(cert.to_json(), sort_keys=True))
+        return cert
+
+    for d in range(3, 13):
+        k = (d + 1) // 2
+        n = 8 if d <= 8 else 3
+        for _ in range(n):
+            X = rng.sample(range(1 << d), 2 * rng.randint(1, k))
+            add(solve_cube(d, random_pairing(rng, X, len(X) // 2)))
+        for _ in range(n):  # up to d + 1 terminals and avoided vertices
+            kk = rng.randint(1, d // 2)
+            X = rng.sample(range(1 << d), rng.randint(2 * kk + 1, d + 1))
+            add(cube_linkage(d, random_pairing(rng, X[:2 * kk], kk), X[2 * kk:]))
+        if d % 2 == 0:
+            for _ in range(n):
+                X = rng.sample(range(1 << d), d + 1)
+                add(solve_cube_strong(d, random_pairing(rng, X[:d], d // 2),
+                                      X[d]))
+    for solve in (solve_cube, cube_linkage):  # config-3F in Q_3
+        add(solve(3, [(0, 3), (1, 2)]))
+    for D in range(4, 11):
+        full = (1 << D) - 1
+        for _ in range(8 if D <= 7 else 3):
+            v = rng.randrange(1 << D)
+            verts = [x for x in rng.sample(range(1 << D), D + 2)
+                     if x not in (v, v ^ full)]
+            add(solve_link(D, v, random_pairing(rng, verts, D // 2)))
+    # reroutes whose terminal faces the far removed vertex leave by an edge
+    for D, v, pairs in ((5, 27, [(2, 30), (26, 12)]),
+                        (6, 36, [(56, 24), (32, 26)])):
+        assert "link/one-side-reroute" in add(solve_link(D, v, pairs)).trace
+    hosts = {"Q4": build_cube_polytope(4), "Q5": build_cube_polytope(5),
+             "Q7": build_cube_polytope(7), "linkQ6": link_polytope(6, 0)}
+    for solver, host, s1, pairs, x, tag in CRAFTED:
+        P = hosts[host]
+        if solver == "cubical":
+            cert = add(solve_cubical(P, pairs))
+        elif solver == "star":
+            cert = add(solve_star(P, s1, pairs))
+        else:
+            cert = add(solve_cubical_strong(P, pairs, x))
+        assert tag in cert.trace, (host, pairs, cert.trace)
+    return lines
+
+
+# Recorded before the solvers shared one router, splicer and search; every
+# certificate must stay byte-identical.
+CUBE_LINK_CRAFTED_SHA256 = (
+    "feef5d995d6facc36f51300597c54a457579c3df5c5ddd9c5dde9e17faac4614")
+
+
+def test_cube_link_and_crafted_certificates_match_golden_digest():
+    import hashlib
+
+    lines = _cube_link_and_crafted_certificates()
+    assert len(lines) == 205
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CUBE_LINK_CRAFTED_SHA256
+
+
+def test_routing_cut_raises_with_the_separator_last():
+    from cubelink.errors import CaseNotCovered
+    from cubelink.linkage.star import _route_into
+
+    # both terminals must pass through vertex 2 to reach {3, 4}
+    G = {0: (2,), 1: (2,), 2: (0, 1, 3, 4), 3: (2,), 4: (2,)}
+    with pytest.raises(CaseNotCovered) as e:
+        _route_into(G, [0, 1], [3, 4], trace=["test/route"])
+    assert e.value.trace == ["test/route", [2]]
+
+
+def test_empty_search_raises_with_its_tag_last(monkeypatch):
+    import cubelink.linkage.cubical as cubical
+    from cubelink.errors import CaseNotCovered
+
+    P = build_cube_polytope(3)
+    pairs = [(0, 7), (1, 2)]
+    assert solve_cubical(P, pairs).paths is not None
+    monkeypatch.setattr(cubical, "oracle_linkage", lambda *a, **k: None)
+    with pytest.raises(CaseNotCovered) as e:
+        solve_cubical(P, pairs)
+    assert e.value.trace[-1] == "cubical/d3-search"

@@ -54,3 +54,36 @@ def test_no_assert_in_runtime_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# Each seam and the functions allowed to cross it: Menger routing only in
+# the router, exhaustive search only in the memoised cube base and in the
+# searches handed to the one search function, so a budget has one home.
+SEAMS = {"disjoint_paths": {"_route_into"}, "oracle_linkage": {"_oracle_base"}}
+SEARCHES = {"_search", "_base_3F"}
+
+
+def _callee(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_routing_and_search_each_have_one_seam():
+    stray = []
+    for path in sorted((ROOT / "src" / "cubelink" / "linkage").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {name: set() for name in SEAMS}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for name, homes in SEAMS.items():
+                    if node.name in homes:
+                        inside[name] |= {id(n) for n in ast.walk(node)}
+            elif isinstance(node, ast.Call) and _callee(node) in SEARCHES:
+                for arg in node.args + [k.value for k in node.keywords]:
+                    if isinstance(arg, ast.Lambda):
+                        inside["oracle_linkage"] |= {
+                            id(n) for n in ast.walk(arg)}
+        stray += [f"{path.name}:{node.lineno} {_callee(node)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _callee(node) in SEAMS
+                  and id(node) not in inside[_callee(node)]]
+    assert stray == []
