@@ -131,7 +131,10 @@ def _oracle_base(d, pairs, avoid=()):
     With at most one avoided vertex, results are cached on the canonical
     orbit key (translations and axis permutations), so whole censuses cost
     only one search per symmetry class and the cache never outgrows the
-    classes of Q_1..Q_4.  More avoided vertices are searched directly.
+    classes of Q_1..Q_4.  The search runs on the canonical instance and its
+    paths are mapped back through the key's map, so the map, not just the
+    key, fixes the paths.  The key is a few table lookups per candidate
+    map.  More avoided vertices are searched directly.
     """
     G = cube_graph(d)
     if len(avoid) > 1:

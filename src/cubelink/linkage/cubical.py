@@ -102,7 +102,8 @@ def _cubical_solve(P, pairs, trace):
     a, b = pairs[i1]
     t1 = b if a == s1 else a
     rest = [p for i, p in enumerate(pairs) if i != i1]
-    S1verts = set(P.generated_graph(P.vertex_facets[s1]))
+    S1g = P.generated_graph(P.vertex_facets[s1])
+    S1verts = set(S1g)
     route = _route_into(G, X - {s1}, S1verts - {s1}, forbidden={s1},
                         trace=trace)
     route[s1] = [s1]
@@ -119,7 +120,7 @@ def _cubical_solve(P, pairs, trace):
     if out is None:
         bpairs = bar_pairs()
         out = dict(zip(map(frozenset, bpairs),
-                       _star_solve(P, s1, bpairs, trace)))
+                       _star_solve(P, s1, bpairs, trace, S1g)))
     return _splice(pairs, route, lambda ep: [out[frozenset(e)] for e in ep])
 
 

@@ -200,8 +200,9 @@ def detect_config_dF(P, s1, pairs):
 
 
 class _StarSolver:
-    def __init__(self, P: Polytope, s1, pairs, trace):
+    def __init__(self, P: Polytope, s1, pairs, trace, S1g=None):
         self.P = P
+        self.S1g = S1g
         self.d = P.dim
         self.k = (self.d + 1) // 2
         self.trace = trace
@@ -217,7 +218,8 @@ class _StarSolver:
 
     def setup(self):
         P, s1, t1 = self.P, self.s1, self.t1
-        self.S1g = P.generated_graph(P.vertex_facets.get(s1, 0))
+        if self.S1g is None:
+            self.S1g = P.generated_graph(P.vertex_facets.get(s1, 0))
         self.S1verts = set(self.S1g)
         if not self.X <= self.S1verts:
             raise ValueError("terminals must lie in the star of s1")
@@ -821,22 +823,25 @@ class _StarSolver:
         self.record(s1, t1, _chain(p1, [t1]))
 
 
-def _star_solve(P, s1, pairs, trace):
-    """Paths aligned with `pairs`, or Unlinkable with a dF-witness."""
+def _star_solve(P, s1, pairs, trace, S1g=None):
+    """Paths aligned with `pairs`, or Unlinkable with a dF-witness.
+
+    S1g is the graph of the star of s1 when the caller has built it."""
     witness = detect_config_dF(P, s1, pairs)
     if witness is not None:
         trace.append("star/config-dF")
         raise Unlinkable(witness)
-    solver = _StarSolver(P, s1, pairs, trace)
+    solver = _StarSolver(P, s1, pairs, trace, S1g)
     solver.solve()
     return [_orient(solver.out[frozenset(p)], p[0]) for p in pairs]
 
 
 def solve_star(P, s1, pairs) -> LinkageCertificate:
-    """Linkage for (d+1)/2 pairs inside the star of s1 (d odd); s1 is a
-    terminal."""
-    if P.dim % 2 == 0:
-        raise ValueError("star linkage needs an odd-dimensional host")
+    """Linkage for (d+1)/2 pairs inside the star of s1 (d odd, d >= 5); s1
+    is a terminal."""
+    if P.dim % 2 == 0 or P.dim < 5:
+        raise ValueError("star linkage needs an odd-dimensional host of "
+                         "dimension at least 5")
     label = lambda v: P.labels[v]
     instance = {
         "host": f"star({label(s1)}) in {P.dim}-polytope",

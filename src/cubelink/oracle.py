@@ -11,8 +11,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .errors import NoPath, OracleTimeout
-from .paths import reachable, shortest_path
+from .errors import OracleTimeout
+from .paths import distance, reachable
 
 DEFAULT_TIMEOUT_MS = 10_000
 
@@ -36,14 +36,9 @@ def oracle_linkage(G, pairs, avoid=(), deadline=None):
     if avoid & terminals:
         raise ValueError("avoid overlaps terminals")
 
-    def dist(s, t):
-        try:
-            return len(shortest_path(G, s, t, avoid)) - 1
-        except NoPath:
-            return len(G)
-
     order = sorted(range(len(pairs)),
-                   key=lambda i: (-dist(*sorted(pairs[i])), sorted(pairs[i])))
+                   key=lambda i: (-distance(G, *sorted(pairs[i]), avoid),
+                                  sorted(pairs[i])))
     ordered = [tuple(sorted(pairs[i])) for i in order]
     found = {}
 
@@ -209,23 +204,62 @@ def _apply_perm(v, perm):
     return out
 
 
+def _perm_tables(d):
+    """Every axis permutation of Q_d, in itertools.permutations order, with
+    its image table over the 2^d vertices."""
+    return tuple((perm, tuple(_apply_perm(v, perm) for v in range(1 << d)))
+                 for perm in itertools.permutations(range(d)))
+
+
+_PERMS = {d: _perm_tables(d) for d in (1, 2, 3, 4)}
+# _TO_LOW[d][diff]: the permutations that map diff to its low mask
+# (1 << popcount) - 1, i.e. that put a pair differing in diff at (0, low)
+_TO_LOW = {d: tuple(tuple(e for e in perms
+                          if e[1][diff] == (1 << diff.bit_count()) - 1)
+                    for diff in range(1 << d))
+           for d, perms in _PERMS.items()}
+# perm -> (image table, inverse image table)
+_MAPS = {perm: (table, tuple(sorted(range(len(table)), key=table.__getitem__)))
+         for perms in _PERMS.values() for perm, table in perms}
+
+
+def _key_candidates(d, pairs, x):
+    """(anchor, permutations) in the order the minimum is taken over.
+
+    The key's minimum is over every terminal or x translated to the origin
+    composed with every axis permutation.  A terminal anchor puts (0, w) first
+    in the sorted pairs, w being the image of its partner; an x anchor puts no
+    0 in any pair, so it never wins while there are terminals.  w is least,
+    (1 << h) - 1, exactly for the anchors whose pair is at the least Hamming
+    distance h and the permutations that map the pair's difference there.
+    Every other candidate is strictly larger, so skipping them keeps both
+    the key and the first candidate that attains it.
+    """
+    h = min((a ^ b).bit_count() for a, b in pairs)
+    return [(t, _TO_LOW[d][a ^ b]) for a, b in pairs
+            if (a ^ b).bit_count() == h for t in (a, b)]
+
+
 def cube_instance_key(d, pairs, x=None):
     """Canonical key of a cube instance under translations and axis perms.
 
-    Two instances in the same orbit of Aut(Q_d) get the same key: minimise
+    Two instances in the same orbit of Aut(Q_d) get the same key: the least
     over translating any terminal (or x) to the origin composed with every
-    axis permutation.  Intended for d <= 4 where d! is small.
+    axis permutation, with the first such (anchor, perm) as the map.  Image
+    tables and the pruning in _key_candidates cover d <= 4 only; larger d
+    raises ValueError.
     """
-    terminals = [v for p in pairs for v in p]
-    anchors = terminals + ([x] if x is not None else [])
+    if d not in _PERMS:
+        raise ValueError(f"cube instance keys cover 1 <= d <= 4, not {d}")
     best = None
-    for t in anchors:
+    for t, perms in _key_candidates(d, pairs, x):
         shifted_pairs = [(a ^ t, b ^ t) for a, b in pairs]
         shifted_x = x ^ t if x is not None else None
-        for perm in itertools.permutations(range(d)):
-            pp = tuple(sorted(tuple(sorted((_apply_perm(a, perm), _apply_perm(b, perm))))
+        for perm, img in perms:
+            pp = tuple(sorted((img[a], img[b]) if img[a] < img[b]
+                              else (img[b], img[a])
                               for a, b in shifted_pairs))
-            key = (pp, _apply_perm(shifted_x, perm) if x is not None else None)
+            key = (pp, img[shifted_x] if x is not None else None)
             if best is None or key < best:
                 best = key
                 best_map = (t, perm)
@@ -235,13 +269,10 @@ def cube_instance_key(d, pairs, x=None):
 def apply_cube_map(v, d, tmap):
     """Apply the (translate, permute) map returned by cube_instance_key."""
     t, perm = tmap
-    return _apply_perm(v ^ t, perm)
+    return _MAPS[perm][0][v ^ t]
 
 
 def invert_cube_map(v, d, tmap):
     """Invert apply_cube_map."""
     t, perm = tmap
-    inv = [0] * d
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return _apply_perm(v, inv) ^ t
+    return _MAPS[perm][1][v] ^ t

@@ -1,5 +1,6 @@
 """Brute-force auditors, called only by the tests, for the structure the
-solvers rely on: connectivity, separators, complexes, and cube faces."""
+solvers rely on: connectivity, separators, complexes, cube faces, and the
+cube symmetry key."""
 
 import itertools
 
@@ -222,3 +223,30 @@ def all_faces(d: int, dim: int) -> list[CubeFace]:
                     values |= 1 << i
             out.append(CubeFace(d, mask, values))
     return sorted(out)
+
+
+def _apply_perm(v, perm):
+    out = 0
+    for i, p in enumerate(perm):
+        if (v >> i) & 1:
+            out |= 1 << p
+    return out
+
+
+def brute_cube_instance_key(d, pairs, x=None):
+    """Reference for oracle.cube_instance_key: the least key over every
+    anchor and every axis permutation, by bit loops, first minimum kept."""
+    terminals = [v for p in pairs for v in p]
+    anchors = terminals + ([x] if x is not None else [])
+    best = None
+    for t in anchors:
+        shifted_pairs = [(a ^ t, b ^ t) for a, b in pairs]
+        shifted_x = x ^ t if x is not None else None
+        for perm in itertools.permutations(range(d)):
+            pp = tuple(sorted(tuple(sorted((_apply_perm(a, perm), _apply_perm(b, perm))))
+                              for a, b in shifted_pairs))
+            key = (pp, _apply_perm(shifted_x, perm) if x is not None else None)
+            if best is None or key < best:
+                best = key
+                best_map = (t, perm)
+    return best, best_map

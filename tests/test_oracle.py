@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cubelink.complexes import build_cube_polytope
 from cubelink.errors import OracleTimeout
@@ -17,7 +18,8 @@ from cubelink.oracle import (
 )
 from cubelink.paths import validate_linkage
 
-from audit import common_neighbor_check, separator_census
+from audit import (brute_cube_instance_key, common_neighbor_check,
+                   separator_census)
 
 
 def test_oracle_simple_linkage():
@@ -145,6 +147,92 @@ def test_cube_map_roundtrip():
     key, tmap = cube_instance_key(d, pairs)
     for v in range(16):
         assert invert_cube_map(apply_cube_map(v, d, tmap), d, tmap) == v
+
+
+def _same_as_brute(d, pairs, x=None):
+    assert cube_instance_key(d, pairs, x) == \
+        brute_cube_instance_key(d, pairs, x), (d, pairs, x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cube_instance_key_matches_brute_force_ordered(d):
+    # every ordering and orientation of the terminals, with and without x:
+    # the map's tie-break depends on the order the anchors are met in
+    n = 1 << d
+    for k in range(1, min(2, n // 2) + 1):
+        for seq in itertools.permutations(range(n), 2 * k):
+            pairs = [(seq[2 * i], seq[2 * i + 1]) for i in range(k)]
+            _same_as_brute(d, pairs)
+            for x in sorted(set(range(n)) - set(seq)):
+                _same_as_brute(d, pairs, x)
+
+
+def test_cube_instance_key_matches_brute_force_q3_q4():
+    # every 2-pair instance of Q3 and Q4, and every Q3 instance with x
+    for d in (3, 4):
+        for X in itertools.combinations(range(1 << d), 4):
+            for pairs in all_pairings(X):
+                _same_as_brute(d, pairs)
+    for k in (1, 2, 3):
+        for X in itertools.combinations(range(8), 2 * k):
+            for pairs in all_pairings(X):
+                for x in sorted(set(range(8)) - set(X)):
+                    _same_as_brute(3, pairs, x)
+
+
+def test_cube_instance_key_matches_brute_force_q4_with_x():
+    rng = random.Random(4)
+    for _ in range(1500):
+        k = rng.randint(1, 3)
+        X = rng.sample(range(16), 2 * k + 1)
+        _same_as_brute(4, [(X[2 * i], X[2 * i + 1]) for i in range(k)], X[-1])
+
+
+def test_cube_instance_key_is_bounded_to_small_cubes():
+    with pytest.raises(ValueError):
+        cube_instance_key(5, [(0, 31), (1, 30)])
+    with pytest.raises(ValueError):
+        cube_instance_key(5, [(0, 31)], x=7)
+
+
+@st.composite
+def cube_instances(draw):
+    """(d, pairs, x) with d <= 4 and x either None or a free vertex."""
+    d = draw(st.integers(1, 4))
+    n = 1 << d
+    k = draw(st.integers(1, n // 2))
+    with_x = draw(st.booleans()) and 2 * k < n
+    X = draw(st.permutations(range(n)))[:2 * k + with_x]
+    pairs = [(X[2 * i], X[2 * i + 1]) for i in range(k)]
+    return d, pairs, X[-1] if with_x else None
+
+
+@given(cube_instances(), st.data())
+def test_cube_instance_key_is_invariant_under_cube_symmetries(inst, data):
+    d, pairs, x = inst
+    t = data.draw(st.integers(0, (1 << d) - 1))
+    perm = data.draw(st.permutations(range(d)))
+
+    def mv(v):
+        return sum(1 << p for i, p in enumerate(perm) if ((v ^ t) >> i) & 1)
+
+    key, _ = cube_instance_key(d, pairs, x)
+    moved = cube_instance_key(d, [(mv(a), mv(b)) for a, b in pairs],
+                              None if x is None else mv(x))
+    assert moved[0] == key
+
+
+@given(cube_instances())
+def test_cube_map_inverts_on_every_vertex(inst):
+    d, pairs, x = inst
+    key, tmap = cube_instance_key(d, pairs, x)
+    images = [apply_cube_map(v, d, tmap) for v in range(1 << d)]
+    assert sorted(images) == list(range(1 << d))
+    assert [invert_cube_map(w, d, tmap) for w in images] == list(range(1 << d))
+    # the map takes the instance onto its key
+    canon = tuple(sorted(tuple(sorted(map(images.__getitem__, p)))
+                         for p in pairs))
+    assert (canon, None if x is None else images[x]) == key
 
 
 def test_q3_unlinked_instances_are_exactly_the_facet_configs():

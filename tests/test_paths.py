@@ -6,8 +6,8 @@ import pytest
 from cubelink.errors import NoPath
 from cubelink.hypercube import cube_graph
 from cubelink.oracle import oracle_linkage
-from cubelink.paths import (Cut, disjoint_paths, reachable, shortest_path,
-                            validate_linkage)
+from cubelink.paths import (Cut, disjoint_paths, distance, reachable,
+                            shortest_path, validate_linkage)
 
 from audit import (is_path, linear_function_path, min_vertex_cut_value,
                    vertex_connectivity, x_valid_path)
@@ -46,6 +46,30 @@ def test_shortest_path_respects_forbidden():
     assert 1 not in p
     with pytest.raises(NoPath):
         shortest_path(G, 0, 7, forbidden=set(range(1, 7)))
+
+
+def test_distance_matches_shortest_path_length():
+    # sparse random graphs are mostly disconnected: unreachable pairs give
+    # len(G), as the oracle's pair order expects
+    rng = random.Random(11)
+    unreachable = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        G = {v: set() for v in range(n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if a != b:
+                G[a].add(b)
+                G[b].add(a)
+        s, t = rng.randrange(n), rng.randrange(n)
+        forbidden = set(rng.sample(range(n), rng.randint(0, n // 2)))
+        try:
+            want = len(shortest_path(G, s, t, forbidden)) - 1
+        except NoPath:
+            want = len(G)
+            unreachable += 1
+        assert distance(G, s, t, forbidden) == want, (G, s, t, forbidden)
+    assert unreachable > 30
 
 
 def test_x_valid_path_endpoints_never_forbidden():

@@ -131,3 +131,17 @@ def test_star_rejects_even_dimension():
     P = build_cube_polytope(6)
     with pytest.raises(ValueError):
         solve_star(P, 61, [(61, 10), (42, 26), (58, 57)])
+
+
+@pytest.mark.parametrize("host,s1,pairs", [
+    ("Q3", 2, [(2, 6), (4, 0)]),
+    ("linkQ4", 9, [(9, 8), (12, 13)]),
+])
+def test_star_rejects_dimension_below_five(host, s1, pairs):
+    # the construction needs d >= 5; on these 3-polytopes it used to raise a
+    # bare NoPath from case 4 although the oracle links both instances
+    P = {"Q3": lambda: build_cube_polytope(3),
+         "linkQ4": lambda: link_polytope(4, 0)}[host]()
+    assert oracle_linkage(star_complex(P, s1).graph(), pairs) is not None
+    with pytest.raises(ValueError):
+        solve_star(P, s1, pairs)
