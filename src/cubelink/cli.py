@@ -240,6 +240,7 @@ def _dot(host, pairs, paths):
 
 
 def cmd_solve(args):
+    strong = args.strong
     if args.instance:
         try:
             with open(args.instance) as fh:
@@ -250,6 +251,10 @@ def cmd_solve(args):
             avoid = [host.vertex_of(l) for l in data.get("avoid", [])]
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
             raise InputError(f"bad instance file: {e}")
+        flag = data.get("strong", False)
+        if not isinstance(flag, bool):
+            raise InputError("instance \"strong\" must be true or false")
+        strong = strong or flag
     else:
         host = _host_from_args(args)
         if not args.pairs:
@@ -261,12 +266,12 @@ def cmd_solve(args):
         "host": host.spec,
         "pairs": [[host.label_of(s), host.label_of(t)] for s, t in pairs],
         "avoid": [host.label_of(v) for v in avoid],
-        "strong": bool(args.strong),
+        "strong": bool(strong),
     }
     if args.method == "oracle":
         cert = _oracle_solve(host, pairs, avoid, instance)
     else:
-        cert = _constructive(host, pairs, avoid, args.strong)
+        cert = _constructive(host, pairs, avoid, strong)
         if args.method == "auto" and cert.paths is None:
             # cross-check the witness against ground truth before emitting
             if oracle_linkage(host.graph, pairs, avoid=avoid) is not None:

@@ -299,7 +299,12 @@ def build_cube_polytope(d: int) -> Polytope:
 
 
 def build_from_incidence(dim, vertex_count, facets, labels=None) -> Polytope:
-    """Polytope from raw incidence; validates cubicality."""
+    """Polytope from raw incidence; validates cubicality, and that labels,
+    when given, name each vertex by its own string."""
+    if labels is not None and (
+            not all(isinstance(x, str) for x in labels)
+            or len(set(labels)) != len(labels) or len(labels) != vertex_count):
+        raise ValueError(f"labels must be {vertex_count} distinct strings")
     return Polytope(dim, range(vertex_count), facets,
                     labels=dict(enumerate(labels)) if labels else None)
 

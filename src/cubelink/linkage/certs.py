@@ -23,6 +23,14 @@ def terminals(pairs):
     return {v for p in pairs for v in p}
 
 
+def take(pairs, x):
+    """Split the pair holding x off a pairing: its index, x's partner, and
+    the other pairs in order."""
+    i = next(i for i, p in enumerate(pairs) if x in p)
+    a, b = pairs[i]
+    return i, b if a == x else a, [p for j, p in enumerate(pairs) if j != i]
+
+
 @dataclass
 class ObstructionWitness:
     kind: str              # "config-3F" or "config-dF"

@@ -20,7 +20,7 @@ from ..complexes import Polytope
 from ..errors import CaseNotCovered
 from ..oracle import oracle_linkage
 from ..paths import shortest_path
-from .certs import LinkageCertificate, Unlinkable, certify, terminals
+from .certs import LinkageCertificate, Unlinkable, certify, take, terminals
 from .cube import _base_3F, _hops, _search, _splice
 from .star import (_face_link, _induced, _other_facet, _route_into,
                    _star_solve, detect_config_dF, link_via_subgraph)
@@ -98,10 +98,7 @@ def _cubical_solve(P, pairs, trace):
     trace.append("cubical/star-route")
     X = terminals(pairs)
     s1 = min(X)
-    i1 = next(i for i, p in enumerate(pairs) if s1 in p)
-    a, b = pairs[i1]
-    t1 = b if a == s1 else a
-    rest = [p for i, p in enumerate(pairs) if i != i1]
+    _, t1, rest = take(pairs, s1)
     S1g = P.generated_graph(P.vertex_facets[s1])
     S1verts = set(S1g)
     route = _route_into(G, X - {s1}, S1verts - {s1}, forbidden={s1},
@@ -195,11 +192,8 @@ def _relink_through_neighbour(P, s1, bar, bpairs, F1, R, bt1, trace):
     J = _other_facet(P, R, F1)
     RJ = P.opposite_subface(J, R)
     sk = P.project_in_face(F1, RF, bt1)
-    ik = next(i for i, p in enumerate(bpairs) if sk in p)
-    a, b = bpairs[ik]
-    tk = b if a == sk else a
-    rpairs = [(s1, bt1)] + [p for i, p in enumerate(bpairs)
-                            if i not in (0, ik)]
+    _, tk, others = take(bpairs, sk)
+    rpairs = [(s1, bt1)] + others[1:]
     pi = lambda v: P.project_in_face(J, RJ, v)
     route = _hops(terminals(rpairs) - {s1}, pi)
     s1p = P.project_in_face(F1, R, s1)

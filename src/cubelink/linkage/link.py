@@ -12,7 +12,6 @@ from ..complexes import link_polytope
 from ..errors import CaseNotCovered
 from ..hypercube import (
     CubeAdjacency,
-    cube_graph,
     face_path,
     facet,
     find_unassociated_pair,
@@ -22,15 +21,8 @@ from ..hypercube import (
     whole_cube,
 )
 from ..oracle import oracle_linkage
-from .certs import LinkageCertificate, certify, terminals
+from .certs import LinkageCertificate, certify, take, terminals
 from .cube import _base_3F, _hops, _orient, _solve_in_face, _splice
-
-
-def _host_graph(D, v, vo):
-    """The link graph as a dict: Q_D without v and vo (2^D entries)."""
-    G = cube_graph(D)
-    return {u: tuple(w for w in G[u] if w not in (v, vo))
-            for u in G if u not in (v, vo)}
 
 
 def _reroute_through_opposite(D, F, vside, vother, paths, idx, pairs, trace):
@@ -99,11 +91,8 @@ def _link_solve(D, v, pairs, trace):
         else:
             side, other, vside, vother, special = Fo, F, vo, v, adj_vo[0]
         # orient the special pair as (s1, t1) with t1 next to the removed vertex
-        i1 = next(i for i, p in enumerate(pairs) if special in p)
-        s1, t1 = pairs[i1]
-        if s1 == special:
-            s1, t1 = t1, s1
-        rest = [p for i, p in enumerate(pairs) if i != i1]
+        i1, s1, rest = take(pairs, special)
+        t1 = special
         route = _hops(terminals(rest), lambda x: project(x, side))
         if not side.contains(s1):
             # both endpoints across from the removed vertex: settle the pair

@@ -15,7 +15,7 @@ from ..errors import CaseNotCovered, NoPath
 from ..hypercube import find_unassociated_pair
 from ..paths import Cut, disjoint_paths, shortest_path
 from .certs import (LinkageCertificate, ObstructionWitness, Unlinkable,
-                    certify, terminals)
+                    certify, take, terminals)
 from .cube import _hops, _linkage, _orient, _splice
 from .link import _link_solve
 
@@ -183,7 +183,7 @@ def detect_config_dF(P, s1, pairs):
     """
     d = P.dim
     X = terminals(pairs)
-    t1 = next(b if a == s1 else a for a, b in pairs if s1 in (a, b))
+    _, t1, _ = take(pairs, s1)
     for F in P.facets_containing((s1, t1)):
         if len(X & F) < d + 1:
             continue
@@ -206,10 +206,8 @@ class _StarSolver:
         self.d = P.dim
         self.k = (self.d + 1) // 2
         self.trace = trace
-        i1 = next(i for i, p in enumerate(pairs) if s1 in p)
-        a, b = pairs[i1]
-        self.s1, self.t1 = (a, b) if a == s1 else (b, a)
-        self.rest = [p for i, p in enumerate(pairs) if i != i1]
+        _, self.t1, self.rest = take(pairs, s1)
+        self.s1 = s1
         self.pairs = [(self.s1, self.t1)] + self.rest
         self.X = terminals(pairs)
         self.out = {}
@@ -241,8 +239,11 @@ class _StarSolver:
         for (s, t), p in zip(pairs, paths):
             self.record(s, t, p)
 
-    def a1_path(self, a, b, forbidden=()):
-        return shortest_path(self.A1g, a, b, forbidden)
+    def cross(self, a, b):
+        """a's way to b across the antistar; an end in F1 reaches it by the
+        injection."""
+        e = lambda x: self.inj[x] if x in self.F1 else x
+        return _chain([a], shortest_path(self.A1g, e(a), e(b)), [b])
 
     def a1_2link(self, pairs2):
         """Two disjoint paths in the antistar via a ridge-cube inside it."""
@@ -267,6 +268,43 @@ class _StarSolver:
                           self.trace)
         return [[inv[c] for c in p] for p in sub]
 
+    def _detour(self, lpairs, sub, T):
+        """s1's way across the antistar to T in F1, around the F1 linkage
+        `sub` of `lpairs`: when a path of `sub` passes T, its pair crosses
+        the antistar with s1 and its path in `sub` is replaced in place."""
+        hit = next((i for i, p in enumerate(sub) if T in p), None)
+        if hit is None:
+            return self.cross(self.s1, T)
+        a, b = lpairs[hit]
+        two = self.a1_2link([(self.inj[self.s1], self.inj[T]),
+                             (self.inj[a], self.inj[b])])
+        sub[hit] = _chain([a], two[1], [b])
+        return _chain([self.s1], two[0], [T])
+
+    def _first_open(self, face, cands, why):
+        """Record the first pair of cands joined in face avoiding every
+        terminal, and return it; CaseNotCovered(why) if there is none."""
+        for a, b in cands:
+            try:
+                p = _face_path(self.P, face, a, b, forbidden=self.X)
+            except NoPath:
+                continue
+            self.record(a, b, p)
+            return (a, b)
+        raise CaseNotCovered(why, trace=list(self.trace))
+
+    def _across(self, s, t, face, proj, forbidden=()):
+        """An s-t path through face; an end outside it enters by proj."""
+        e = lambda x: x if x in face else proj(x)
+        p = _face_path(self.P, face, e(s), e(t), forbidden=forbidden)
+        return _chain([s] if s not in face else [], p,
+                      [t] if t not in face else [])
+
+    def _pair_inside(self, face):
+        """The index of the first rest pair inside face, or None."""
+        return next((i for i, p in enumerate(self.rest)
+                     if p[0] in face and p[1] in face), None)
+
     # -- dispatch --
 
     def solve(self):
@@ -287,20 +325,15 @@ class _StarSolver:
     def case1(self):
         P, F1, s1, t1 = self.P, self.F1, self.s1, self.t1
         t2 = next(iter(self.X - F1))
-        i2 = next(i for i, p in enumerate(self.rest) if t2 in p)
-        a, b = self.rest[i2]
-        s2 = a if b == t2 else b
-        rest = [p for i, p in enumerate(self.rest) if i != i2]
+        _, s2, rest = take(self.rest, t2)
         if _face_dist(P, F1, s2, s1) < self.d - 1:
             self.trace.append("star/case1-near")
             inside = [(s1, t1)] + rest
             self.record_sub(inside,
                             _face_link(P, F1, inside, avoid=[s2],
                                        trace=self.trace))
-            s2p = self.inj[s2]
-            p2 = [s2, t2] if s2p == t2 else _chain([s2],
-                                                   self.a1_path(s2p, t2))
-            self.record(s2, t2, p2)
+            adjacent = self.inj[s2] == t2
+            self.record(s2, t2, [s2, t2] if adjacent else self.cross(s2, t2))
             return
         # s2 is s1's antipode in F1
         R, Ro = _unassoc_ridge(P, F1, (self.X & F1) - {s2}, s2)
@@ -313,16 +346,13 @@ class _StarSolver:
             self.record_sub(rest, _face_link(P, R, rest, avoid=[s2, t1],
                                              trace=self.trace))
             ps2 = piRo(s2)
-            s2p = self.inj[ps2]
-            self.record(s2, t2, _chain([s2, ps2, s2p],
-                                       self.a1_path(s2p, t2)))
+            self.record(s2, t2, _chain([s2], self.cross(ps2, t2)))
             p1 = _face_path(P, Ro, piRo(t1), s1, forbidden={ps2})
             self.record(s1, t1, _chain([t1], p1))
             return
         self.trace.append("star/case1-far")
         s2bar = min(w for w in NR2 if w not in self.X)
-        s2p = self.inj[s2bar]
-        self.record(s2, t2, _chain([s2, s2bar, s2p], self.a1_path(s2p, t2)))
+        self.record(s2, t2, _chain([s2], self.cross(s2bar, t2)))
         inside = [(s1, t1)] + rest
         route = _hops(terminals(inside), piRo)
         ent = lambda x: route[x][-1]
@@ -334,15 +364,11 @@ class _StarSolver:
             # 3-cube corner at d = 5: route the other pair through R instead
             self.trace.append("star/case1-far-d5-flip")
             (s3, t3) = rest[0]
-            entR = lambda x: x if x in R else piR(x)
             forb = {s2, s2bar} | (self.X - {s3, t3})
-            p3 = _face_path(P, R, entR(s3), entR(t3), forbidden=forb)
-            self.record(s3, t3, _chain([s3] if s3 in Ro else [], p3,
-                                       [t3] if t3 in Ro else []))
+            self.record(s3, t3, self._across(s3, t3, R, piR, forb))
             e3 = {ent(s3), ent(t3)}
-            p1 = _face_path(P, Ro, s1, ent(t1),
-                            forbidden=(self.X | e3) - {s1, t1})
-            self.record(s1, t1, _chain(p1, [t1] if t1 in R else []))
+            self.record(s1, t1, self._across(
+                s1, t1, Ro, piRo, (self.X | e3) - {s1, t1}))
 
     # -- case 2: between 3 and d-1 terminals in F1 ----------------------
 
@@ -484,82 +510,43 @@ class _StarSolver:
 
     def case4_free(self):
         self.trace.append("star/case4-free")
-        s1, t1 = self.s1, self.t1
-        sub = _face_link(self.P, self.F1, self.rest, avoid=[s1],
+        sub = _face_link(self.P, self.F1, self.rest, avoid=[self.s1],
                          trace=self.trace)
-        hit = next((i for i, p in enumerate(sub) if t1 in p), None)
-        if hit is None:
-            p = self.a1_path(self.inj[s1], self.inj[t1])
-            self.record_sub(self.rest, sub)
-            self.record(s1, t1, _chain([s1], p, [t1]))
-            return
-        a, b = self.rest[hit]
-        two = self.a1_2link([(self.inj[s1], self.inj[t1]),
-                             (self.inj[a], self.inj[b])])
-        self.record_sub([q for i, q in enumerate(self.rest) if i != hit],
-                        [q for i, q in enumerate(sub) if i != hit])
-        self.record(a, b, _chain([a], two[1], [b]))
-        self.record(s1, t1, _chain([s1], two[0], [t1]))
+        p1 = self._detour(self.rest, sub, self.t1)
+        self.record_sub(self.rest, sub)
+        self.record(self.s1, self.t1, p1)
 
     def case4_antipodal(self):
         self.trace.append("star/case4-antipodal")
-        P, s1, t1 = self.P, self.s1, self.t1
+        P, t1 = self.P, self.t1
         nbrs = [w for w in P.graph[t1] if w in self.F1]
         free = [w for w in nbrs if w not in self.X]
         t1F = min(free)
         sub = self.link_in_F1(self.rest)
-        hit = next((i for i, p in enumerate(sub) if t1F in p), None)
-        if hit is None:
-            p = self.a1_path(self.inj[s1], self.inj[t1F])
-            self.record_sub(self.rest, sub)
-            self.record(s1, t1, _chain([s1], p, [t1F, t1]))
-            return
-        a, b = self.rest[hit]
-        two = self.a1_2link([(self.inj[s1], self.inj[t1F]),
-                             (self.inj[a], self.inj[b])])
-        self.record_sub([q for i, q in enumerate(self.rest) if i != hit],
-                        [q for i, q in enumerate(sub) if i != hit])
-        self.record(a, b, _chain([a], two[1], [b]))
-        self.record(s1, t1, _chain([s1], two[0], [t1F, t1]))
+        p1 = self._detour(self.rest, sub, t1F)
+        self.record_sub(self.rest, sub)
+        self.record(self.s1, t1, _chain(p1, [t1]))
 
     def case4_blocked(self):
         self.trace.append("star/case4-blocked")
         P, s1, t1 = self.P, self.s1, self.t1
-        i2 = next(i for i, p in enumerate(self.rest) if self.s1o in p)
-        a, b = self.rest[i2]
-        s2, t2 = (a, b) if a == self.s1o else (b, a)
-        others = [p for i, p in enumerate(self.rest) if i != i2]
+        _, t2, others = take(self.rest, self.s1o)
+        s2 = self.s1o
         nbrs = sorted(w for w in P.graph[s2] if w in self.F1)
         if t2 in nbrs:
             self.record(s2, t2, [s2, t2])
             sub = self.link_in_F1([(t1, t2)] + others)
             # the t1-t2 path only shields t1 and t2; it is discarded
             self.record_sub(others, sub[1:])
-            p = self.a1_path(self.inj[s1], self.inj[t1])
-            self.record(s1, t1, _chain([s1], p, [t1]))
+            self.record(s1, t1, self.cross(s1, t1))
             return
         s2F = min(w for w in nbrs if w not in self.X)
         lpairs = [(s2F, t2)] + others
         sub = self.link_in_F1(lpairs)
-        hit = next((i for i, p in enumerate(sub) if t1 in p), None)
-        if hit is None:
-            p = self.a1_path(self.inj[s1], self.inj[t1])
-            self.record(s1, t1, _chain([s1], p, [t1]))
-            self.record(s2, t2, _chain([s2], _orient(sub[0], s2F)))
-            self.record_sub(others, sub[1:])
-            return
-        a, b = lpairs[hit]
-        two = self.a1_2link([(self.inj[s1], self.inj[t1]),
-                             (self.inj[a], self.inj[b])])
-        self.record(s1, t1, _chain([s1], two[0], [t1]))
-        if hit == 0:
-            self.record(s2, t2, _chain([s2, s2F], two[1], [t2]))
-            self.record_sub(others, sub[1:])
-        else:
-            self.record(a, b, _chain([a], two[1], [b]))
-            self.record(s2, t2, _chain([s2], _orient(sub[0], s2F)))
-            self.record_sub([q for i, q in enumerate(others) if i != hit - 1],
-                            [q for i, q in enumerate(sub[1:]) if i != hit - 1])
+        p1 = self._detour(lpairs, sub, t1)
+        self.record(s1, t1, p1)
+        self.record(s2, t2, _chain([s2], _orient(sub[0], s2F)))
+        self.record_sub(others, sub[1:])
 
     # -- case 4 at d = 5 -------------------------------------------------
 
@@ -579,18 +566,15 @@ class _StarSolver:
 
     def case4_d5(self):
         self.trace.append("star/case4-d5")
-        P, s1, t1 = self.P, self.s1, self.t1
-        R, RF, J1, RJ = self._split_3face(s1, t1)
+        R, RF, J1, RJ = self._split_3face(self.s1, self.t1)
         if self.X <= R:
             self._d5_all_in(R, RF, J1, RJ)
             return
-        inR_pair = next((i for i, p in enumerate(self.rest)
-                         if p[0] in R and p[1] in R), None)
+        inR_pair = self._pair_inside(R)
         if inR_pair is not None:
             self._d5_pair_in_R(inR_pair, R, RF, J1, RJ)
             return
-        inRF_pair = next((i for i, p in enumerate(self.rest)
-                          if p[0] in RF and p[1] in RF), None)
+        inRF_pair = self._pair_inside(RF)
         if inRF_pair is not None:
             self._d5_pair_in_RF(inRF_pair, R, RF, J1, RJ)
             return
@@ -611,42 +595,23 @@ class _StarSolver:
             except Unlinkable:
                 continue
             a, b = allp[3 - i - j]
-            p = _face_path(P, RF, piRF(a), piRF(b))
-            self.record(a, b, _chain([a], _orient(p, piRF(a)), [b]))
+            self.record(a, b, self._across(a, b, RF, piRF))
             return
         raise CaseNotCovered("no non-cyclic pair selection in the 3-face",
                              trace=list(self.trace))
 
     def _d5_pair_in_R(self, i2, R, RF, J1, RJ):
         self.trace.append("star/case4-d5-pair-in-R")
-        P, s1, t1 = self.P, self.s1, self.t1
+        P = self.P
         piRJ = lambda v: P.project_in_face(J1, RJ, v)
         piRF = lambda v: P.project_in_face(self.F1, RF, v)
-        s2, t2 = self.rest[i2]
-        i3 = 1 - i2
-        s3, t3 = self.rest[i3]
-        cands = [(s1, t1), (s2, t2)]
-        pa = None
-        for a, b in cands:
-            try:
-                p = _face_path(P, R, a, b, forbidden=self.X)
-            except NoPath:
-                continue
-            pa = (a, b)
-            self.record(a, b, p)
-            break
-        if pa is None:
-            raise CaseNotCovered("both short pairs blocked in the 3-face",
-                                 trace=list(self.trace))
-        b_pair = cands[0] if pa == cands[1] else cands[1]
-        a, b = b_pair
-        p = _face_path(P, RJ, piRJ(a), piRJ(b))
-        self.record(a, b, _chain([a], _orient(p, piRJ(a)), [b]))
-        e3 = lambda x: x if x in RF else piRF(x)
-        p3 = _face_path(P, RF, e3(s3), e3(t3), forbidden=self.X)
-        self.record(s3, t3, _chain([s3] if s3 in R else [],
-                                   _orient(p3, e3(s3)),
-                                   [t3] if t3 in R else []))
+        s3, t3 = self.rest[1 - i2]
+        cands = [(self.s1, self.t1), self.rest[i2]]
+        pa = self._first_open(R, cands, "both short pairs blocked in the "
+                              "3-face")
+        a, b = cands[0] if pa == cands[1] else cands[1]
+        self.record(a, b, self._across(a, b, RJ, piRJ))
+        self.record(s3, t3, self._across(s3, t3, RF, piRF, self.X))
 
     def _d5_pair_in_RF(self, i2, R, RF, J1, RJ):
         P, s1, t1 = self.P, self.s1, self.t1
@@ -666,13 +631,12 @@ class _StarSolver:
                     sub = _face_link(P, J1, [(s1, t1)],
                                      avoid=[v for v in T3 if v in J1],
                                      trace=self.trace)
-                    self.record(s1, t1, sub[0])
                 else:
                     sub = _face_link(P, J1, [(s1, t1), (s3, t3r)],
                                      trace=self.trace)
-                    self.record(s1, t1, sub[0])
                     self.record(s3, t3, _chain(_orient(sub[1], s3),
                                                T3[::-1][1:]))
+                self.record(s1, t1, sub[0])
                 p2 = _face_path(P, RF, s2, t2,
                                 forbidden=(self.X | set(T3)) - {s2, t2})
                 self.record(s2, t2, p2)
@@ -686,8 +650,7 @@ class _StarSolver:
             if s3 not in self.inj or t3 not in self.inj:
                 raise CaseNotCovered("terminal with no antistar neighbour",
                                      trace=list(self.trace))
-            mid = self.a1_path(self.inj[s3], self.inj[t3])
-            self.record(s3, t3, _chain([s3], mid, [t3]))
+            self.record(s3, t3, self.cross(s3, t3))
             return
         # the last pair also lives in the far ridge
         self.trace.append("star/case4-d5-both-far")
@@ -698,16 +661,24 @@ class _StarSolver:
         s3, t3 = pairB
         self.record(s1, t1, _face_path(P, R, s1, t1, forbidden=self.X))
         self.record(s2, t2, _face_path(P, RF, s2, t2, forbidden=self.X))
-        mid = self.a1_path(self.inj[s3], self.inj[t3])
-        self.record(s3, t3, _chain([s3], mid, [t3]))
+        self.record(s3, t3, self.cross(s3, t3))
+
+    def _by_side(self, R):
+        """The two rest pairs, each with its end in R first."""
+        return [(a, b) if a in R else (b, a) for a, b in self.rest]
+
+    def _hop_far(self, R, RF, s, t, S, banned=frozenset()):
+        """Record the pair (s, t) hopping into RF along S and running there
+        clear of `banned`; return what s1's path in R must avoid of it."""
+        p = _face_path(self.P, RF, S[-1], t,
+                       forbidden=self.X | banned | set(S[1:-1]))
+        self.record(s, t, _chain(S, p))
+        return {s} | (set(S) & set(R))
 
     def _d5_split_pairs(self, R, RF, J1, RJ):
         self.trace.append("star/case4-d5-split")
         P, s1, t1 = self.P, self.s1, self.t1
-        duo = []
-        for a, b in self.rest:
-            duo.append((a, b) if a in R else (b, a))
-        (s2, t2), (s3, t3) = duo
+        (s2, t2), (s3, t3) = self._by_side(R)
         if t2 == self.s1o:
             (s2, t2), (s3, t3) = (s3, t3), (s2, t2)
         S3 = _short_hop(P, s3, RF, t3, self.X - {s3, t3}, self.F1)
@@ -717,32 +688,22 @@ class _StarSolver:
                 (s2, t2), (s3, t3) = (s3, t3), (s2, t2)
                 S3 = alt
         if S3 is not None:
-            sh3 = S3[-1]
-            mid = self.a1_path(self.inj[s2], self.inj[t2])
-            self.record(s2, t2, _chain([s2], mid, [t2]))
-            p3 = _face_path(P, RF, sh3, t3, forbidden=self.X | set(S3[1:-1]))
-            self.record(s3, t3, _chain(S3, p3[1:] if len(p3) > 1 else []))
-            forb = {s2, s3} | (set(S3) & set(R))
+            self.record(s2, t2, self.cross(s2, t2))
+            forb = self._hop_far(R, RF, s3, t3, S3) | {s2}
             self.record(s1, t1, _face_path(P, R, s1, t1, forbidden=forb))
             return
         self.trace.append("star/case4-d5-split-tight")
-        s3p = self.inj[s3]
         if t3 != self.s1o:
-            T3 = [t3, self.inj[t3]]
+            u = t3
         else:
             u = min(w for w in P.graph[t3] if w in RF and w != t2)
-            T3 = [t3, u, self.inj[u]]
-        mid = self.a1_path(s3p, T3[-1])
-        self.record(s3, t3, _chain([s3], mid, T3[::-1]))
-        S2 = _short_hop(P, s2, RF, t2, (self.X | set(T3)) - {s2, t2}, self.F1)
+        T3 = {t3, u, self.inj[u]}
+        self.record(s3, t3, _chain(self.cross(s3, u), [t3]))
+        S2 = _short_hop(P, s2, RF, t2, (self.X | T3) - {s2, t2}, self.F1)
         if S2 is None:
             raise CaseNotCovered("no short escape for the second pair",
                                  trace=list(self.trace))
-        sh2 = S2[-1]
-        p2 = _face_path(P, RF, sh2, t2,
-                        forbidden=(self.X | set(T3) | set(S2[1:-1])) - {t2})
-        self.record(s2, t2, _chain(S2, p2[1:] if len(p2) > 1 else []))
-        forb = {s2, s3} | (set(S2) & set(R))
+        forb = self._hop_far(R, RF, s2, t2, S2, T3) | {s3}
         self.record(s1, t1, _face_path(P, R, s1, t1, forbidden=forb))
 
     def case4_d5_antipodal(self):
@@ -754,8 +715,7 @@ class _StarSolver:
         R, RF, J1, RJ = self._split_3face(s1, t1p)
         piRJ = lambda v: P.project_in_face(J1, RJ, v)
         piRF = lambda v: P.project_in_face(self.F1, RF, v)
-        inR = next((i for i, p in enumerate(self.rest)
-                    if p[0] in R and p[1] in R), None)
+        inR = self._pair_inside(R)
         if inR is not None:
             self.trace.append("star/case4-d5-anti-ridge")
             s2, t2 = self.rest[inR]
@@ -769,42 +729,23 @@ class _StarSolver:
             if e3(s3) in self.X - {s3, t3} or e3(t3) in self.X - {s3, t3}:
                 raise CaseNotCovered("blocked projection for the last pair",
                                      trace=list(self.trace))
-            p3 = _face_path(P, RF, e3(s3), e3(t3), forbidden=self.X)
-            self.record(s3, t3, _chain([s3] if s3 in R else [],
-                                       _orient(p3, e3(s3)),
-                                       [t3] if t3 in R else []))
+            self.record(s3, t3, self._across(s3, t3, RF, piRF, self.X))
             return
-        inRF = next((i for i, p in enumerate(self.rest)
-                     if p[0] in RF and p[1] in RF), None)
+        inRF = self._pair_inside(RF)
         if inRF is not None:
             self.trace.append("star/case4-d5-anti-far")
             cands = [self.rest[inRF]]
             other = self.rest[1 - inRF]
             if other[0] in RF and other[1] in RF:
                 cands.append(other)
-            done = None
-            for a, b in cands:
-                try:
-                    p = _face_path(P, RF, a, b, forbidden=self.X)
-                except NoPath:
-                    continue
-                done = (a, b)
-                self.record(a, b, p)
-                break
-            if done is None:
-                raise CaseNotCovered("far-ridge pair blocked",
-                                     trace=list(self.trace))
+            done = self._first_open(RF, cands, "far-ridge pair blocked")
             s3, t3 = next(q for q in self.rest if set(q) != set(done))
-            mid = self.a1_path(self.inj[s3], self.inj[t3])
-            self.record(s3, t3, _chain([s3], mid, [t3]))
+            self.record(s3, t3, self.cross(s3, t3))
             p1 = _face_path(P, R, s1, t1p, forbidden=self.X)
             self.record(s1, t1, _chain(p1, [t1]))
             return
         self.trace.append("star/case4-d5-anti-split")
-        duo = []
-        for a, b in self.rest:
-            duo.append((a, b) if a in R else (b, a))
-        (s2, t2), (s3, t3) = duo
+        (s2, t2), (s3, t3) = self._by_side(R)
         S3 = _short_hop(P, s3, RF, t3, (self.X | {t1p}) - {s3, t3}, self.F1)
         if S3 is None:
             alt = _short_hop(P, s2, RF, t2, (self.X | {t1p}) - {s2, t2}, self.F1)
@@ -813,26 +754,25 @@ class _StarSolver:
                                      trace=list(self.trace))
             (s2, t2), (s3, t3) = (s3, t3), (s2, t2)
             S3 = alt
-        sh3 = S3[-1]
-        p3 = _face_path(P, RF, sh3, t3, forbidden=self.X | set(S3[1:-1]))
-        self.record(s3, t3, _chain(S3, p3[1:] if len(p3) > 1 else []))
-        mid = self.a1_path(self.inj[s2], self.inj[t2])
-        self.record(s2, t2, _chain([s2], mid, [t2]))
-        forb = {s2, s3} | (set(S3) & set(R))
+        forb = self._hop_far(R, RF, s3, t3, S3) | {s2}
+        self.record(s2, t2, self.cross(s2, t2))
         p1 = _face_path(P, R, s1, t1p, forbidden=forb)
         self.record(s1, t1, _chain(p1, [t1]))
 
 
-def _star_solve(P, s1, pairs, trace, S1g=None):
+def _star_solve(P, s1, pairs, trace, S1g=None, keep=None):
     """Paths aligned with `pairs`, or Unlinkable with a dF-witness.
 
-    S1g is the graph of the star of s1 when the caller has built it."""
+    S1g is the graph of the star of s1 when the caller has built it; a
+    `keep` list receives the graph the solver used."""
     witness = detect_config_dF(P, s1, pairs)
     if witness is not None:
         trace.append("star/config-dF")
         raise Unlinkable(witness)
     solver = _StarSolver(P, s1, pairs, trace, S1g)
     solver.solve()
+    if keep is not None:
+        keep.append(solver.S1g)
     return [_orient(solver.out[frozenset(p)], p[0]) for p in pairs]
 
 
@@ -848,6 +788,7 @@ def solve_star(P, s1, pairs) -> LinkageCertificate:
         "pairs": [[label(s), label(t)] for s, t in pairs],
         "avoid": [],
     }
+    keep = []
     return certify(instance, pairs,
-                   lambda ps, trace: _star_solve(P, s1, ps, trace),
-                   lambda: P.generated_graph(P.vertex_facets.get(s1, 0)))
+                   lambda ps, trace: _star_solve(P, s1, ps, trace, keep=keep),
+                   lambda: keep[0])

@@ -160,6 +160,13 @@ def common_neighbor_check(G) -> bool:
     return True
 
 
+def _host_graph(D, v, vo):
+    """The graph of the link of v in Q_D: Q_D without v and vo."""
+    G = cube_graph(D)
+    return {u: tuple(w for w in G[u] if w not in (v, vo))
+            for u in G if u not in (v, vo)}
+
+
 def antistar_complex(P: Polytope, X) -> Complex:
     return Complex.boundary(P).antistar(X)
 

@@ -20,13 +20,13 @@ from cubelink.errors import OracleTimeout
 from cubelink.hypercube import associated_pairs, cube_graph
 from cubelink.linkage.cube import detect_config_3F, solve_cube, solve_cube_strong
 from cubelink.linkage.cubical import solve_cubical
-from cubelink.linkage.link import _host_graph, solve_link
+from cubelink.linkage.link import solve_link
 from cubelink.linkage.star import projections_star_injection
 from cubelink.oracle import all_pairings, census, oracle_linkage
 from cubelink.paths import validate_linkage
 
-from audit import (antistar_complex, common_neighbor_check, link_complex,
-                   separator_census, technical_decomposition)
+from audit import (_host_graph, antistar_complex, common_neighbor_check,
+                   link_complex, separator_census, technical_decomposition)
 
 
 def random_pairing(rng, verts, k):

@@ -314,3 +314,42 @@ def test_gen_link_vertex_of_wrong_length_exit_1(capsys, label):
                          "--vertex", label)
     assert code == 1 and out == ""
     assert err == f"error: vertex {label!r} is not 3 bits\n"
+
+
+@pytest.mark.parametrize("labels", [
+    ["000", "001", "010", "011", "100"], ["a"] * 8, list(range(8)),
+], ids=["too-few", "repeated", "not-strings"])
+@pytest.mark.parametrize("command", ["solve", "census"])
+def test_lattice_labels_not_naming_each_vertex_exit_1(capsys, tmp_path,
+                                                      labels, command):
+    # such labels used to end in a KeyError traceback or name no vertex
+    code, out, _ = run(capsys, "gen", "cube", "--dim", "3")
+    lattice = dict(json.loads(out), labels=labels)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(lattice))
+    argv = {"solve": ["--pairs", "000-100,010-001"],
+            "census": ["--k", "2", "--exhaustive"]}[command]
+    code, out, err = run(capsys, command, "--lattice", str(path), *argv)
+    assert code == 1 and out == ""
+    assert err == "error: labels must be 8 distinct strings\n"
+
+
+@pytest.mark.parametrize("host,tag", [
+    (["--link", "5", "--avoid", "00011",
+      "--pairs", "00001-11110,00010-11101"], "cubical/strong-link-route"),
+    (["--cube", "4", "--avoid", "0101",
+      "--pairs", "0000-1111,0011-1100"], "cube/strong-base-d4"),
+])
+def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
+    code, out, err = run(capsys, "solve", "--strong", "--trace", *host)
+    assert code == 0 and tag in err.split()
+    instance = json.loads(out)["instance"]
+    assert instance["strong"] is True
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert run(capsys, "solve", "--trace", "--instance", str(path)) == (
+        code, out, err)
+    path.write_text(json.dumps(dict(instance, strong="yes")))
+    code, out, err = run(capsys, "solve", "--instance", str(path))
+    assert code == 1 and out == ""
+    assert err == 'error: instance "strong" must be true or false\n'

@@ -87,3 +87,24 @@ def test_routing_and_search_each_have_one_seam():
                   if isinstance(node, ast.Call) and _callee(node) in SEAMS
                   and id(node) not in inside[_callee(node)]]
     assert stray == []
+
+
+def test_every_star_tag_is_pinned():
+    """Every `star/...` tag in star.py shows in a trace of the pinned star
+    set, so the star-branch digest covers every branch.  A constant that
+    opens an f-string tag only needs to start some trace entry."""
+    from test_star import star_branch_certificates
+
+    tree = ast.parse((ROOT / "src" / "cubelink" / "linkage" /
+                      "star.py").read_text())
+    heads = {id(v) for node in ast.walk(tree)
+             if isinstance(node, ast.JoinedStr) for v in node.values}
+    traces = {t for cert in star_branch_certificates() for t in cert.trace}
+    unpinned = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.startswith("star/")
+                and node.value not in traces
+                and not (id(node) in heads
+                         and any(t.startswith(node.value) for t in traces))]
+    assert unpinned == []

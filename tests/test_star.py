@@ -145,3 +145,104 @@ def test_star_rejects_dimension_below_five(host, s1, pairs):
     assert oracle_linkage(star_complex(P, s1).graph(), pairs) is not None
     with pytest.raises(ValueError):
         solve_star(P, s1, pairs)
+
+
+# One star instance per branch of the case analysis, found by seeded sweeps:
+# (host, s1, pairs, the trace tag it reaches, which form of that branch).
+STAR_BRANCHES = [
+    ("Q5", 16, [(16, 25), (11, 27), (24, 28)], "star/case1-near",
+     "s2's antistar neighbour is t2"),
+    ("Q5", 13, [(13, 5), (24, 6), (30, 12)], "star/case1-near",
+     "s2 crosses the antistar"),
+    ("Q5", 11, [(11, 7), (26, 23), (5, 22)], "star/case1-far", ""),
+    ("Q5", 26, [(26, 15), (3, 23), (7, 16)], "star/case1-far-crowded", ""),
+    ("link(Q6,17)", 39, [(39, 41), (45, 43), (9, 54)],
+     "star/case1-far-d5-flip", ""),
+    ("Q5", 17, [(17, 5), (31, 29), (26, 12)], "star/case2-near-ridge", ""),
+    ("Q5", 7, [(7, 12), (16, 29), (8, 13)], "star/case2-far-ridge", ""),
+    ("Q5", 1, [(1, 26), (23, 20), (7, 4)], "star/case3", ""),
+    ("Q7", 111, [(111, 49), (116, 44), (115, 123), (114, 117)],
+     "star/case4-free", "an F1 path passes t1"),
+    ("Q7", 114, [(114, 65), (80, 123), (2, 88), (83, 91)],
+     "star/case4-free", "no F1 path passes t1"),
+    ("Q7", 15, [(15, 48), (4, 18), (42, 17), (37, 62)],
+     "star/case4-antipodal", "an F1 path passes t1's neighbour"),
+    ("Q7", 120, [(120, 15), (104, 88), (123, 125), (95, 94)],
+     "star/case4-antipodal", "no F1 path passes t1's neighbour"),
+    ("Q7", 99, [(99, 46), (44, 60), (121, 105), (109, 43)],
+     "star/case4-blocked", "s1's antipode is next to its partner"),
+    ("Q7", 75, [(75, 90), (15, 23), (95, 14), (20, 69)],
+     "star/case4-blocked", "no F1 path passes t1"),
+    ("Q7", 70, [(70, 94), (85, 112), (67, 87), (127, 121)],
+     "star/case4-blocked", "the antipode's path passes t1"),
+    ("Q7", 4, [(4, 49), (71, 48), (1, 53), (115, 3)],
+     "star/case4-blocked", "another path passes t1"),
+    ("Q5", 1, [(1, 9), (7, 5), (3, 15)], "star/case4-d5-all-in", ""),
+    ("Q5", 6, [(6, 12), (4, 28), (31, 15)], "star/case4-d5-pair-in-R",
+     "the first pair stays in R"),
+    ("Q5", 10, [(10, 24), (26, 14), (8, 11)], "star/case4-d5-pair-in-R",
+     "the second pair stays in R"),
+    ("Q5", 15, [(15, 2), (18, 26), (7, 31)], "star/case4-d5-hop",
+     "the hop closes the pair"),
+    ("Q5", 10, [(10, 2), (9, 14), (7, 15)], "star/case4-d5-hop",
+     "the hop lands in R"),
+    ("Q5", 25, [(25, 29), (5, 28), (12, 20)], "star/case4-d5-adjacent", ""),
+    ("Q5", 22, [(22, 26), (11, 23), (31, 3)], "star/case4-d5-both-far", ""),
+    ("Q5", 1, [(1, 25), (8, 21), (0, 5)], "star/case4-d5-split",
+     "s3 hops"),
+    ("Q5", 6, [(6, 18), (20, 30), (16, 22)], "star/case4-d5-split",
+     "s2 hops"),
+    ("Q5", 5, [(5, 23), (6, 3), (18, 7)], "star/case4-d5-split-tight", ""),
+    ("Q5", 12, [(12, 3), (4, 7), (9, 0)], "star/case4-d5-anti-ridge", ""),
+    ("Q5", 27, [(27, 20), (28, 26), (29, 21)], "star/case4-d5-anti-far",
+     "the first far pair is open"),
+    ("Q5", 25, [(25, 7), (15, 21), (31, 13)], "star/case4-d5-anti-far",
+     "the second far pair is open"),
+    ("Q5", 12, [(12, 27), (29, 13), (28, 10)], "star/case4-d5-anti-split", ""),
+    ("Q5", 19, [(19, 14), (10, 15), (30, 6)], "star/config-dF", ""),
+]
+
+
+def star_branch_certificates():
+    """The STAR_BRANCHES certificates, each checked to reach its tag."""
+    hosts = {"Q5": build_cube_polytope(5), "Q7": build_cube_polytope(7),
+             "link(Q6,17)": link_polytope(6, 17)}
+    certs = []
+    for host, s1, pairs, tag, _ in STAR_BRANCHES:
+        cert = solve_star(hosts[host], s1, pairs)
+        assert tag in cert.trace, (host, s1, pairs, cert.trace)
+        certs.append(cert)
+    return certs
+
+
+# Recorded before the star cases shared their detour and pair split; every
+# certificate must stay byte-identical.
+STAR_BRANCHES_SHA256 = (
+    "5634285684c44b952abb98924b8d052db3b3c6a4f74002fbd817af4f423bdbc3")
+
+
+def test_star_branch_certificates_match_golden_digest():
+    import hashlib
+    import json
+
+    lines = [json.dumps(c.to_json(), sort_keys=True)
+             for c in star_branch_certificates()]
+    assert len(lines) == len(STAR_BRANCHES)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == STAR_BRANCHES_SHA256
+
+
+def test_solve_star_builds_the_star_graph_once(monkeypatch):
+    from cubelink.complexes import Polytope
+
+    built = []
+    build = Polytope.generated_graph
+    monkeypatch.setattr(Polytope, "generated_graph",
+                        lambda self, bits: built.append(bits) or build(self, bits))
+    P = build_cube_polytope(5)
+    assert solve_star(P, 0, [(0, 30), (3, 12), (17, 24)]).paths is not None
+    assert len(built) == 1
+    built.clear()
+    # a config-dF answer checks no paths, so it needs no graph
+    assert solve_star(P, 0, [(0, 15), (14, 13), (11, 7)]).obstruction is not None
+    assert built == []
