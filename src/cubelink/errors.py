@@ -38,8 +38,4 @@ class CertificateInvalid(CaseNotCovered):
 
 
 class OracleTimeout(CubelinkError):
-    """The exhaustive oracle exceeded its budget; carries partial state."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """The exhaustive oracle exceeded its budget."""

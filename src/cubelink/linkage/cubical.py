@@ -14,7 +14,7 @@ the link of the avoided vertex, itself a cubical (d-1)-polytope.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 
 from ..complexes import Polytope
 from ..errors import CaseNotCovered
@@ -24,29 +24,6 @@ from .certs import LinkageCertificate, Unlinkable, certify, take, terminals
 from .cube import _base_3F, _hops, _search, _splice
 from .star import (_face_link, _induced, _other_facet, _route_into,
                    _star_solve, detect_config_dF, link_via_subgraph)
-
-
-def _bfs_to_set(G, s, targets, forbidden=()):
-    """Shortest path from s to the nearest vertex of `targets`, or None."""
-    targets = set(targets)
-    forbidden = set(forbidden) - {s}
-    if s in targets:
-        return [s]
-    prev = {s: None}
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for w in G[u]:
-            if w in prev or w in forbidden:
-                continue
-            prev[w] = u
-            if w in targets:
-                path = [w]
-                while path[-1] != s:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            q.append(w)
-    return None
 
 
 def _facet_route(P, pairs, trace):
@@ -169,10 +146,8 @@ def _redirect_path(P, s1, bar, route, barX, R, J, RJ, bt1, touching, S1verts,
         for y in route:
             if y != pick:
                 used |= set(route[y])
-        M = _bfs_to_set(_induced(P.graph, RJ), p[i], good, forbidden=used)
-        if M is None:
-            raise CaseNotCovered("no escape into the free part of the ridge",
-                                 trace=list(trace))
+        M = _route_into(_induced(P.graph, RJ), [p[i]], good - used,
+                        forbidden=used, trace=trace)[p[i]]
         newpath = p[:i] + M
         if M[-1] not in S1verts:
             newpath = newpath + [P.project_in_face(J, R, M[-1])]

@@ -693,10 +693,9 @@ class _StarSolver:
             self.record(s1, t1, _face_path(P, R, s1, t1, forbidden=forb))
             return
         self.trace.append("star/case4-d5-split-tight")
-        if t3 != self.s1o:
-            u = t3
-        else:
-            u = min(w for w in P.graph[t3] if w in RF and w != t2)
+        # here t3 is s1o: s2's hop exists, since both hops fail only when
+        # s1, s2 and s3 form a triangle in the cube R, and it was not taken
+        u = min(w for w in P.graph[t3] if w in RF and w != t2)
         T3 = {t3, u, self.inj[u]}
         self.record(s3, t3, _chain(self.cross(s3, u), [t3]))
         S2 = _short_hop(P, s2, RF, t2, (self.X | T3) - {s2, t2}, self.F1)
@@ -747,13 +746,11 @@ class _StarSolver:
         self.trace.append("star/case4-d5-anti-split")
         (s2, t2), (s3, t3) = self._by_side(R)
         S3 = _short_hop(P, s3, RF, t3, (self.X | {t1p}) - {s3, t3}, self.F1)
+        # s3's hop fails only if s3 neighbours both s1 and t1p, which are
+        # antipodal in R: the guard never fires
         if S3 is None:
-            alt = _short_hop(P, s2, RF, t2, (self.X | {t1p}) - {s2, t2}, self.F1)
-            if alt is None:
-                raise CaseNotCovered("no short escape into the far ridge",
-                                     trace=list(self.trace))
-            (s2, t2), (s3, t3) = (s3, t3), (s2, t2)
-            S3 = alt
+            raise CaseNotCovered("no short escape into the far ridge",
+                                 trace=list(self.trace))
         forb = self._hop_far(R, RF, s3, t3, S3) | {s2}
         self.record(s2, t2, self.cross(s2, t2))
         p1 = _face_path(P, R, s1, t1p, forbidden=forb)

@@ -57,7 +57,7 @@ def oracle_linkage(G, pairs, avoid=(), deadline=None):
         while stack:
             u, path, seen = stack.pop()
             if deadline is not None and time.monotonic() > deadline:
-                raise OracleTimeout("oracle budget exceeded", partial=dict(found))
+                raise OracleTimeout("oracle budget exceeded")
             for w in sorted(G[u], reverse=True):
                 if w == t:
                     yield path + [t]

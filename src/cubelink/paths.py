@@ -95,67 +95,61 @@ def _menger_flow(G, A, B, need, forbidden, acap=1, bcap=1):
     Nodes are (v, 0) = in-copy and (v, 1) = out-copy plus source/sink
     sentinels.  Vertex arcs (v,0)->(v,1) and terminal arcs have capacity 1;
     edge arcs (v,1)->(w,0) are uncuttable (capacity 2 suffices at unit vertex
-    capacity).  Deterministic: arcs scanned in sorted vertex order.
+    capacity).  The network is never stored: a node's arcs are read off G
+    when the search reaches it, arcs with room first, then arcs whose flow
+    can be undone, each in sorted vertex order.
 
-    Returns (flow_value, flowed_arc_set, residual_reachable_or_None).
+    Returns (flow_value, flow on the arcs that carry it,
+    residual_reachable_or_None).
     """
     A, B = set(A), set(B)
     forbidden = set(forbidden)
-    fwd = {_SRC: [(a, 0) for a in sorted(A) if a not in forbidden], _SNK: []}
-    cap = {}
-    for a in fwd[_SRC]:
-        cap[(_SRC, a)] = acap
-    for v in G:
-        if v in forbidden:
-            continue
-        vin, vout = (v, 0), (v, 1)
-        fwd[vin] = [vout]
-        cap[(vin, vout)] = acap if v in A else (bcap if v in B else 1)
+
+    def arcs(u):
+        """u's arcs out, as (head, capacity), and the tails of its arcs in."""
+        if u == _SRC:
+            return [((a, 0), acap) for a in sorted(A - forbidden)], ()
+        v, side = u
+        if side == 0:
+            if v in A:
+                return [((v, 1), acap)], ()
+            return [((v, 1), bcap if v in B else 1)], [
+                (w, 1) for w in sorted(G[v])]
         if v in B:
             # a path stops at its first B-vertex
-            fwd[vout] = [_SNK]
-            cap[(vout, _SNK)] = bcap
-            continue
+            return [(_SNK, bcap)], [(v, 0)]
         # A-vertices are sources only: no arcs back into them
-        outs = [(w, 0) for w in sorted(G[v]) if w not in forbidden and w not in A]
-        for w in outs:
-            cap[(vout, w)] = 2
-        fwd[vout] = outs
-    rev = {n: [] for n in fwd}
-    for u in fwd:
-        for w in fwd[u]:
-            rev[w].append(u)
-    flow = {arc: 0 for arc in cap}
+        return [((w, 0), 2) for w in sorted(G[v])
+                if w not in forbidden and w not in A], [(v, 0)]
 
-    value = 0
+    flow, value = {}, 0
     while value < need:
         prev = {_SRC: None}
         q = deque([_SRC])
         while q and _SNK not in prev:
             u = q.popleft()
-            for w in fwd[u]:
-                if w not in prev and flow[(u, w)] < cap[(u, w)]:
-                    prev[w] = u
+            out, into = arcs(u)
+            for w, cap in out:
+                if w not in prev and flow.get((u, w), 0) < cap:
+                    prev[w] = (u, 1)
                     if w == _SNK:
                         break
                     q.append(w)
             else:
-                for w in rev[u]:
-                    if w not in prev and flow[(w, u)] > 0:
-                        prev[w] = (u, "back")
+                for w in into:
+                    if w not in prev and flow.get((w, u)):
+                        prev[w] = (u, -1)
                         q.append(w)
         if _SNK not in prev:
             return value, flow, set(prev)
         node = _SNK
-        while node is not None:
-            p = prev[node]
-            if isinstance(p, tuple) and len(p) == 2 and p[1] == "back":
-                flow[(node, p[0])] -= 1
-                node = p[0]
-            else:
-                if p is not None:
-                    flow[(p, node)] += 1
-                node = p
+        while node != _SRC:
+            u, step = prev[node]
+            arc = (u, node) if step > 0 else (node, u)
+            flow[arc] = flow.get(arc, 0) + step
+            if not flow[arc]:
+                del flow[arc]
+            node = u
         value += 1
     return value, flow, None
 
@@ -180,39 +174,30 @@ def disjoint_paths(G, A, B, k, forbidden=()):
         return paths
     A2 = A - set(shared)
     B2 = B - set(shared)
-    blocked = forbidden | set(shared)
     acap = k if len(A2) < need else 1
     bcap = k if len(B2) < need else 1
-    value, flow, reached = _menger_flow(G, A2, B2, need, blocked, acap, bcap)
+    value, flow, reached = _menger_flow(G, A2, B2, need,
+                                        forbidden | set(shared), acap, bcap)
     if value < need:
         # min cut across the residual boundary, one vertex per saturated arc
-        cut = {v for v in G if v not in blocked
-               and (v, 0) in reached and (v, 1) not in reached}
+        cut = {v for v, side in reached - {_SRC}
+               if side == 0 and (v, 1) not in reached}
         cut |= {a for a in A2 if (a, 0) not in reached}
         cut |= {b for b in B2 if (b, 1) in reached}
-        cut |= set(shared)
-        raise Cut(cut)
-    # decompose flow into paths, consuming one unit per step
-    left = {arc: f for arc, f in flow.items() if f > 0}
-
-    def step(node):
-        for w in sorted(left_keys.get(node, ()), key=str):
-            if left.get((node, w), 0) > 0:
-                left[(node, w)] -= 1
-                return w
-        raise AssertionError("flow decomposition stuck")
-
-    left_keys = {}
-    for (u, w) in left:
-        left_keys.setdefault(u, []).append(w)
+        raise Cut(cut | set(shared))
+    # decompose the flow into paths, each step taking the least head by str
+    heads = {}
+    for (u, w), f in flow.items():
+        heads.setdefault(u, []).extend([w] * f)
+    for hs in heads.values():
+        hs.sort(key=str, reverse=True)
     paths2 = []
     for _ in range(value):
-        node = step(_SRC)
-        p = []
+        node, p = heads[_SRC].pop(), []
         while node != _SNK:
             if node[1] == 0:
                 p.append(node[0])
-            node = step(node)
+            node = heads[node].pop()
         paths2.append(p)
     return paths + sorted(paths2)
 

@@ -108,3 +108,16 @@ def test_every_star_tag_is_pinned():
                 and not (id(node) in heads
                          and any(t.startswith(node.value) for t in traces))]
     assert unpinned == []
+
+
+def test_no_hand_written_bfs_in_linkage():
+    """The solvers search through the router and `paths`: no module under
+    linkage/ reaches for `deque` to run a BFS of its own."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "cubelink" /
+                                 "linkage").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.ImportFrom)
+                 and any(a.name == "deque" for a in node.names))
+             or (isinstance(node, ast.Attribute) and node.attr == "deque")]
+    assert found == []

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections.abc import Mapping
 
 import pytest
 
 from cubelink.errors import NoPath
-from cubelink.hypercube import cube_graph
+from cubelink.hypercube import CubeAdjacency, cube_graph
 from cubelink.oracle import oracle_linkage
 from cubelink.paths import (Cut, disjoint_paths, distance, reachable,
                             shortest_path, validate_linkage)
@@ -101,6 +102,98 @@ def test_disjoint_paths_shared_terminals_become_trivial():
     assert [2] in paths
     ok, msg = _check_ab_system(G, {0, 1, 2}, {2, 5, 6}, list(sys))
     assert ok, msg
+
+
+def _route_lines():
+    """Seeded Menger routings, one JSON line per call: the sorted paths, or
+    the sorted separator of the Cut.  Terminals go into a facet, into a
+    vertex star or into a few vertices, past 0-2 forbidden vertices, on
+    the graphs of Q7, link(Q8, 0) and link(Q6, 17); fans {s} -> {t} at
+    k = d and d + 1 run on Q3..Q5."""
+    import json
+
+    from cubelink.complexes import build_cube_polytope, link_polytope
+
+    hosts = (build_cube_polytope(7), link_polytope(8, 0),
+             link_polytope(6, 17))
+    rng = random.Random(20180309)
+    lines = []
+
+    def call(G, A, B, k, forbidden=()):
+        try:
+            out = sorted(disjoint_paths(G, A, B, k, forbidden))
+        except Cut as e:
+            out = {"cut": e.separator}
+        lines.append(json.dumps(out))
+
+    for P in hosts:
+        k = (P.dim + 1) // 2
+        for mode in ("facet", "star", "few"):
+            for _ in range(15):
+                if mode == "facet":
+                    B = set(rng.choice(P.facets))
+                elif mode == "star":
+                    B = set(P.generated_graph(
+                        P.vertex_facets[rng.choice(P.vertices)]))
+                else:
+                    B = set(rng.sample(P.vertices, rng.randint(1, 4)))
+                X = rng.sample(P.vertices, rng.randint(1, 2 * k))
+                rest = sorted(set(P.vertices) - B - set(X))
+                call(P.graph, X, B, len(X),
+                     rng.sample(rest, min(len(rest), rng.randint(0, 2))))
+    for d in (3, 4, 5):
+        G = cube_graph(d)
+        for _ in range(4):
+            s, t = rng.sample(sorted(G), 2)
+            for k in (d, d + 1):
+                call(G, {s}, {t}, k)
+    return lines
+
+
+# Recorded with the flow network built over the whole host graph; every
+# route and separator must stay byte-identical.
+ROUTES_SHA256 = (
+    "1026912d7b5c9e11d32b97fcadf7beafb0179e4f85b0d8a03b268e2d523dcd50")
+
+
+def test_routes_match_golden_digest():
+    import hashlib
+
+    lines = _route_lines()
+    assert len(lines) == 159
+    assert sum(line.startswith('{"cut"') for line in lines) == 10
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ROUTES_SHA256
+
+
+class _Unwalkable(Mapping):
+    """A graph that answers G[v] but fails if anything walks it whole."""
+
+    def __init__(self, G):
+        self.G = G
+
+    def __getitem__(self, v):
+        return self.G[v]
+
+    def __iter__(self):
+        raise AssertionError("iterated the whole graph")
+
+    def __len__(self):
+        raise AssertionError("took the size of the whole graph")
+
+
+def test_routing_reads_only_what_it_reaches():
+    G = _Unwalkable(CubeAdjacency(24))
+    X = [0, 1 << 20, (1 << 23) | (1 << 7)]
+    B = {x ^ 0b11 for x in X} | {1 << 12}
+    paths = disjoint_paths(G, set(X), B, len(X), forbidden={1 << 1})
+    assert sorted(p[0] for p in paths) == sorted(X)
+    assert all(len(p) <= 3 for p in paths)
+    ok, msg = _check_ab_system(G, set(X), B, paths)
+    assert ok, msg
+    with pytest.raises(Cut) as exc:
+        disjoint_paths(_Unwalkable(cube_graph(3)), {0}, {7}, 4)
+    assert exc.value.separator == [1, 2, 4]
 
 
 def _check_ab_system(G, A, B, paths):
