@@ -21,7 +21,7 @@ from typing import Callable
 from .complexes import Polytope, build_cube_polytope, build_from_incidence, link_polytope
 from .errors import CaseNotCovered, CubelinkError
 from .hypercube import CubeAdjacency, cube_graph, vertex_from_str, vertex_to_str
-from .linkage.certs import Unlinkable, certify
+from .linkage.certs import Unlinkable, certify, check_pairing
 from .linkage.cube import (cube_linkage, detect_config_3F, solve_cube,
                            solve_cube_strong)
 from .linkage.cubical import solve_cubical, solve_cubical_strong
@@ -198,14 +198,15 @@ def _constructive(host, pairs, avoid, strong):
     return host.strong(pairs, avoid[0])
 
 
-def _oracle_solve(host, pairs, avoid, instance):
+def _oracle_solve(host, pairs, avoid):
     def search(ps, trace):
         trace.append("oracle/search")
         sol = oracle_linkage(host.graph, ps, avoid=avoid)
         if sol is None:
             raise Unlinkable(host.witness(ps))
         return sol
-    return certify(instance, pairs, search, lambda: host.adjacency, avoid)
+    return certify(host.spec, host.label_of, pairs, search,
+                   lambda: host.adjacency, avoid)
 
 
 def _emit(payload, out=None):
@@ -269,7 +270,7 @@ def cmd_solve(args):
         "strong": bool(strong),
     }
     if args.method == "oracle":
-        cert = _oracle_solve(host, pairs, avoid, instance)
+        cert = _oracle_solve(host, pairs, avoid)
     else:
         cert = _constructive(host, pairs, avoid, strong)
         if args.method == "auto" and cert.paths is None:
@@ -329,8 +330,8 @@ def cmd_verify(args):
             data = json.load(fh)
         inst = data["instance"]
         host = _host_from_args(args, spec=inst["host"])
-        pairs = [(host.vertex_of(a), host.vertex_of(b))
-                 for a, b in inst["pairs"]]
+        pairs = check_pairing([(host.vertex_of(a), host.vertex_of(b))
+                               for a, b in inst["pairs"]])
         avoid = [host.vertex_of(l) for l in inst.get("avoid", [])]
         result = data["result"]
         if "linkage" in result:

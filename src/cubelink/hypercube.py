@@ -118,24 +118,15 @@ def opposite_face(K: CubeFace) -> CubeFace:
     return CubeFace(K.d, K.fixed_mask, K.fixed_values ^ K.fixed_mask)
 
 
-def project(x, F_target: CubeFace):
-    """Projection onto F_target of an opposite facet pair.
+def project(x: int, F_target: CubeFace) -> int:
+    """Projection of a vertex onto F_target of an opposite facet pair.
 
     A vertex of the facet opposite F_target maps to its unique neighbour in
-    F_target; a vertex already in F_target maps to itself.  Faces and vertex
-    collections map element-wise.
+    F_target; a vertex already in F_target maps to itself.
     """
     if F_target.fixed_mask.bit_count() != 1:
         raise ValueError("projection target must be a facet")
-    axis_bit = F_target.fixed_mask
-    value = F_target.fixed_values
-    if isinstance(x, int):
-        return (x & ~axis_bit) | value
-    if isinstance(x, CubeFace):
-        if not (x.fixed_mask & axis_bit):
-            raise ValueError("face straddles the opposite facet pair")
-        return CubeFace(x.d, x.fixed_mask, (x.fixed_values & ~axis_bit) | value)
-    return type(x)(project(v, F_target) for v in x)
+    return (x & ~F_target.fixed_mask) | F_target.fixed_values
 
 
 def smallest_face(d: int, S) -> CubeFace:

@@ -83,9 +83,12 @@ class LinkageCertificate:
         }
 
 
-def certify(instance, pairs, solve, graph, avoid=()) -> LinkageCertificate:
+def certify(host, label, pairs, solve, graph,
+            avoid=()) -> LinkageCertificate:
     """Run `solve` and check its answer: the one way to a certificate.
 
+    The certificate's instance names `host` and lists `pairs` and `avoid`,
+    in their order, as `label` writes their vertices.
     `solve(pairs, trace)` returns one path per pair, in pair order, or raises
     Unlinkable.  `graph()` builds the host graph; it is called only when
     there are paths to check.  Paths that are not a linkage of `pairs` in
@@ -94,6 +97,11 @@ def certify(instance, pairs, solve, graph, avoid=()) -> LinkageCertificate:
     found nothing, with no configuration to explain it) gives a certificate
     with `valid` False, since there is nothing to check.
     """
+    instance = {
+        "host": host,
+        "pairs": [[label(s), label(t)] for s, t in pairs],
+        "avoid": [label(v) for v in avoid],
+    }
     pairs = check_pairing(pairs)
     trace: list = []
     try:

@@ -502,19 +502,16 @@ def _linkage(d, pairs, avoid, trace):
 # -- public API --------------------------------------------------------------
 
 
-def _instance(d, pairs, avoid=()):
-    return {
-        "host": f"Q_{d}",
-        "pairs": [[vertex_to_str(s, d), vertex_to_str(t, d)] for s, t in pairs],
-        "avoid": [vertex_to_str(v, d) for v in sorted(avoid)],
-    }
+def _certify(d, pairs, solve, avoid=()):
+    return certify(f"Q_{d}", lambda v: vertex_to_str(v, d), pairs, solve,
+                   lambda: CubeAdjacency(d), avoid)
 
 
 def cube_linkage(d, pairs, avoid=()) -> LinkageCertificate:
     """Linkage in Q_d avoiding a vertex set, within proven capacity."""
-    return certify(_instance(d, pairs, avoid), pairs,
-                   lambda ps, trace: _linkage(d, ps, sorted(avoid), trace),
-                   lambda: CubeAdjacency(d), avoid)
+    avoid = sorted(avoid)
+    return _certify(d, pairs,
+                    lambda ps, trace: _linkage(d, ps, avoid, trace), avoid)
 
 
 def solve_cube(d, pairs) -> LinkageCertificate:
@@ -522,13 +519,10 @@ def solve_cube(d, pairs) -> LinkageCertificate:
 
     d = 3 at two pairs may return an obstruction certificate instead.
     """
-    return certify(_instance(d, pairs), pairs,
-                   lambda ps, trace: _solve(d, ps, trace),
-                   lambda: CubeAdjacency(d))
+    return _certify(d, pairs, lambda ps, trace: _solve(d, ps, trace))
 
 
 def solve_cube_strong(d, pairs, x) -> LinkageCertificate:
     """Linkage of d/2 pairs in Q_d (d even) whose paths avoid x."""
-    return certify(_instance(d, pairs, (x,)), pairs,
-                   lambda ps, trace: _strong(d, ps, x, trace),
-                   lambda: CubeAdjacency(d), (x,))
+    return _certify(d, pairs, lambda ps, trace: _strong(d, ps, x, trace),
+                    (x,))

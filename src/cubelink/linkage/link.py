@@ -128,11 +128,7 @@ def _link_solve(D, v, pairs, trace):
 def solve_link(D, v, pairs) -> LinkageCertificate:
     """Linkage among up to floor(D/2) pairs in the link of v in Q_D."""
     vo = v ^ ((1 << D) - 1)
-    instance = {
-        "host": f"link(Q_{D}, {vertex_to_str(v, D)})",
-        "pairs": [[vertex_to_str(s, D), vertex_to_str(t, D)] for s, t in pairs],
-        "avoid": [vertex_to_str(v, D), vertex_to_str(vo, D)],
-    }
-    return certify(instance, pairs,
+    return certify(f"link(Q_{D}, {vertex_to_str(v, D)})",
+                   lambda u: vertex_to_str(u, D), pairs,
                    lambda ps, trace: _link_solve(D, v, ps, trace),
                    lambda: CubeAdjacency(D), avoid=(v, vo))

@@ -96,18 +96,13 @@ def _route_into(G, X, B, forbidden=(), trace=None):
     meets B only at its last vertex.  This is the solvers' only Menger
     routing; a cut raises CaseNotCovered with the separator last in its trace.
     """
-    X = list(X)
     try:
-        sys = disjoint_paths(G, set(X), set(B), len(X), forbidden=forbidden)
+        sys = disjoint_paths(G, X, B, forbidden=forbidden)
     except Cut as e:
         raise CaseNotCovered(
             f"routing cut by {len(e.separator)} vertices",
             trace=list(trace or ()) + [sorted(e.separator)])
-    route = {p[0]: list(p) for p in sys}
-    if set(route) != set(X):
-        raise CaseNotCovered("routing missed a terminal",
-                             trace=list(trace or ()))
-    return route
+    return {p[0]: p for p in sys}
 
 
 def link_via_subgraph(G, pairs, subV, sub_solver, forbidden=(), trace=None):
@@ -779,13 +774,8 @@ def solve_star(P, s1, pairs) -> LinkageCertificate:
     if P.dim % 2 == 0 or P.dim < 5:
         raise ValueError("star linkage needs an odd-dimensional host of "
                          "dimension at least 5")
-    label = lambda v: P.labels[v]
-    instance = {
-        "host": f"star({label(s1)}) in {P.dim}-polytope",
-        "pairs": [[label(s), label(t)] for s, t in pairs],
-        "avoid": [],
-    }
     keep = []
-    return certify(instance, pairs,
+    return certify(f"star({P.labels[s1]}) in {P.dim}-polytope",
+                   P.labels.__getitem__, pairs,
                    lambda ps, trace: _star_solve(P, s1, ps, trace, keep=keep),
                    lambda: keep[0])

@@ -218,8 +218,8 @@ _TO_LOW = {d: tuple(tuple(e for e in perms
                           if e[1][diff] == (1 << diff.bit_count()) - 1)
                     for diff in range(1 << d))
            for d, perms in _PERMS.items()}
-# perm -> (image table, inverse image table)
-_MAPS = {perm: (table, tuple(sorted(range(len(table)), key=table.__getitem__)))
+# perm -> inverse image table
+_MAPS = {perm: tuple(sorted(range(len(table)), key=table.__getitem__))
          for perms in _PERMS.values() for perm, table in perms}
 
 
@@ -266,13 +266,8 @@ def cube_instance_key(d, pairs, x=None):
     return best, best_map
 
 
-def apply_cube_map(v, d, tmap):
-    """Apply the (translate, permute) map returned by cube_instance_key."""
-    t, perm = tmap
-    return _MAPS[perm][0][v ^ t]
-
-
 def invert_cube_map(v, d, tmap):
-    """Invert apply_cube_map."""
+    """Undo the (translate, permute) map returned by cube_instance_key:
+    the vertex that the map sends to v."""
     t, perm = tmap
-    return _MAPS[perm][1][v] ^ t
+    return _MAPS[perm][v] ^ t

@@ -2,6 +2,8 @@
 
 A graph here is a dict mapping each vertex to an iterable of neighbours
 (undirected: both directions present).  A path is a list of vertices.
+Menger routing (disjoint_paths) routes every vertex of A into B by
+vertex-disjoint paths or raises Cut with a separator smaller than |A|.
 Everything is deterministic: neighbours are scanned in sorted order so
 repeated runs produce identical certificates.
 """
@@ -14,9 +16,9 @@ from .errors import NoPath
 
 
 class Cut(Exception):
-    """Raised by disjoint_paths when fewer than k paths exist.
+    """Raised by disjoint_paths when A cannot be routed into B.
 
-    Carries a vertex separator of size < k witnessing the failure.
+    Carries a vertex separator of size < |A| cutting A from B.
     """
 
     def __init__(self, separator):
@@ -89,7 +91,7 @@ def reachable(G, sources, forbidden=()):
 _SRC, _SNK = ("#src",), ("#snk",)
 
 
-def _menger_flow(G, A, B, need, forbidden, acap=1, bcap=1):
+def _menger_flow(G, A, B, need, forbidden):
     """Unit-capacity vertex-splitting max-flow for vertex-disjoint A-B paths.
 
     Nodes are (v, 0) = in-copy and (v, 1) = out-copy plus source/sink
@@ -108,16 +110,14 @@ def _menger_flow(G, A, B, need, forbidden, acap=1, bcap=1):
     def arcs(u):
         """u's arcs out, as (head, capacity), and the tails of its arcs in."""
         if u == _SRC:
-            return [((a, 0), acap) for a in sorted(A - forbidden)], ()
+            return [((a, 0), 1) for a in sorted(A - forbidden)], ()
         v, side = u
         if side == 0:
-            if v in A:
-                return [((v, 1), acap)], ()
-            return [((v, 1), bcap if v in B else 1)], [
-                (w, 1) for w in sorted(G[v])]
+            return [((v, 1), 1)], (() if v in A else
+                                   [(w, 1) for w in sorted(G[v])])
         if v in B:
             # a path stops at its first B-vertex
-            return [(_SNK, bcap)], [(v, 0)]
+            return [(_SNK, 1)], [(v, 0)]
         # A-vertices are sources only: no arcs back into them
         return [((w, 0), 2) for w in sorted(G[v])
                 if w not in forbidden and w not in A], [(v, 0)]
@@ -154,37 +154,33 @@ def _menger_flow(G, A, B, need, forbidden, acap=1, bcap=1):
     return value, flow, None
 
 
-def disjoint_paths(G, A, B, k, forbidden=()):
-    """k vertex-disjoint A-B paths avoiding `forbidden` (Menger routing).
+def disjoint_paths(G, A, B, forbidden=()):
+    """One path from every vertex of A into B, pairwise vertex-disjoint and
+    avoiding `forbidden` (Menger routing).
 
     Each path meets A only at its first vertex and B only at its last.
-    Vertices in both A and B become length-0 paths first.  When |A| < k or
-    |B| < k the scarce side is treated as a fan hub: paths may share that
-    endpoint but are otherwise disjoint.  Raises Cut with a separator witness
-    when no k such paths exist.  Returns a list of paths; k = 0 returns [].
+    Vertices in both A and B become length-0 paths first.  Raises Cut with a
+    separator of size < |A| when no such paths exist, as when |B| < |A|.
+    Returns a list of paths; an empty A returns [].
     """
     A, B = set(A), set(B)
     forbidden = set(forbidden)
     if forbidden & (A | B):
         raise ValueError("forbidden overlaps terminals")
-    shared = sorted(A & B)
-    paths = [[v] for v in shared[:k]]
-    need = k - len(paths)
-    if need <= 0:
+    shared = A & B
+    paths = [[v] for v in sorted(shared)]
+    A2, B2 = A - shared, B - shared
+    if not A2:
         return paths
-    A2 = A - set(shared)
-    B2 = B - set(shared)
-    acap = k if len(A2) < need else 1
-    bcap = k if len(B2) < need else 1
-    value, flow, reached = _menger_flow(G, A2, B2, need,
-                                        forbidden | set(shared), acap, bcap)
-    if value < need:
+    value, flow, reached = _menger_flow(G, A2, B2, len(A2),
+                                        forbidden | shared)
+    if reached is not None:
         # min cut across the residual boundary, one vertex per saturated arc
         cut = {v for v, side in reached - {_SRC}
                if side == 0 and (v, 1) not in reached}
         cut |= {a for a in A2 if (a, 0) not in reached}
         cut |= {b for b in B2 if (b, 1) in reached}
-        raise Cut(cut | set(shared))
+        raise Cut(cut | shared)
     # decompose the flow into paths, each step taking the least head by str
     heads = {}
     for (u, w), f in flow.items():

@@ -1,6 +1,6 @@
 """Brute-force auditors, called only by the tests, for the structure the
-solvers rely on: connectivity, separators, complexes, cube faces, and the
-cube symmetry key."""
+solvers rely on: connectivity, internally disjoint paths, separators,
+complexes, cube faces, and the cube symmetry key."""
 
 import itertools
 
@@ -21,12 +21,20 @@ def x_valid_path(G, s, t, X):
     return shortest_path(G, s, t, set(X) - {s, t})
 
 
+def internally_disjoint_count(G, s, t):
+    """Number of internally disjoint s-t paths, s != t: N(s) - t routed into
+    N(t) - s past s and t, plus the s-t edge counted once."""
+    value, _, _ = _menger_flow(G, set(G[s]) - {t}, set(G[t]) - {s}, len(G),
+                               {s, t})
+    return value + (t in G[s])
+
+
 def min_vertex_cut_value(G, s, t):
-    """Size of a minimum vertex cut between non-adjacent s and t."""
+    """Size of a minimum vertex cut between non-adjacent s and t, which is
+    the number of internally disjoint s-t paths (Menger)."""
     if t in G[s]:
         raise ValueError("adjacent vertices have no separating cut")
-    value, _, _ = _menger_flow(G, G[s], G[t], len(G), {s, t})
-    return value
+    return internally_disjoint_count(G, s, t)
 
 
 def vertex_connectivity(G) -> int:
@@ -238,6 +246,13 @@ def _apply_perm(v, perm):
         if (v >> i) & 1:
             out |= 1 << p
     return out
+
+
+def apply_cube_map(v, d, tmap):
+    """Apply the (translate, permute) map returned by cube_instance_key;
+    oracle.invert_cube_map undoes it."""
+    t, perm = tmap
+    return _apply_perm(v ^ t, perm)
 
 
 def brute_cube_instance_key(d, pairs, x=None):

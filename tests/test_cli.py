@@ -157,6 +157,22 @@ def test_verify_rejects_forged_obstruction(capsys, tmp_path, forged):
     assert code == 1 and out.startswith("FAIL")
 
 
+@pytest.mark.parametrize("pairs,linkage,why", [
+    ([["000", "000"]], [["000"]], "terminals must be distinct"),
+    ([], [], "need at least one pair"),
+], ids=["repeated-terminal", "no-pairs"])
+def test_verify_rejects_malformed_pairing(capsys, tmp_path, pairs, linkage,
+                                          why):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "instance": {"host": {"kind": "cube", "dim": 3}, "pairs": pairs,
+                     "avoid": [], "strong": False},
+        "result": {"linkage": linkage}, "trace": [], "valid": True}))
+    code, out, err = run(capsys, "verify", str(cert))
+    assert code == 1 and out == ""
+    assert err == f"error: {why}\n"
+
+
 PATCHED_SOLVE = """
 import sys
 import cubelink.linkage.cube as cube

@@ -91,6 +91,37 @@ def test_config_case1_redirect():
     assert seen
 
 
+@pytest.mark.parametrize("host", ["Q5", "Q7", "linkQ6", "linkQ8",
+                                  "link-of-linkQ7"])
+def test_config_redirect_finds_no_route_in_good(host):
+    # _redirect_path's premise: in the dF configuration (s1 and bt1
+    # antipodal in F1, R a ridge of F1 through bt1, RJ the ridge opposite R
+    # in the other facet J at R), no vertex of RJ outside the star of s1
+    # whose projection onto R is free is next to bt1's neighbour in F1 - R
+    from cubelink.linkage.cubical import vertex_link
+    from cubelink.linkage.star import _other_facet
+
+    P = {"Q5": lambda: build_cube_polytope(5),
+         "Q7": lambda: build_cube_polytope(7),
+         "linkQ6": lambda: link_polytope(6, 0),
+         "linkQ8": lambda: link_polytope(8, 0),
+         "link-of-linkQ7": lambda: vertex_link(link_polytope(7, 0), 7)}[host]()
+    for s1 in P.vertices:
+        star = set(P.generated_graph(P.vertex_facets[s1]))
+        for F1 in P.facets_containing((s1,)):
+            bt1 = P.opposite_in_face(F1, s1)
+            near = {bt1} | {w for w in P.graph[bt1] if w in F1}
+            for R in P.ridges_of_facet(F1):
+                if bt1 not in R:
+                    continue
+                J = _other_facet(P, R, F1)
+                RJ = P.opposite_subface(J, R)
+                good = set(RJ) - {P.project_in_face(J, RJ, v)
+                                  for v in near & R}
+                (nb,) = near - R
+                assert not set(P.graph[nb]) & good - star
+
+
 def test_config_case2_q7():
     P = build_cube_polytope(7)
     pairs = [(0, 63), (62, 61), (59, 55), (47, 31)]

@@ -10,7 +10,6 @@ from cubelink.hypercube import cube_graph
 from cubelink.linkage.cube import detect_config_3F
 from cubelink.oracle import (
     all_pairings,
-    apply_cube_map,
     census,
     cube_instance_key,
     invert_cube_map,
@@ -18,8 +17,8 @@ from cubelink.oracle import (
 )
 from cubelink.paths import validate_linkage
 
-from audit import (brute_cube_instance_key, common_neighbor_check,
-                   separator_census)
+from audit import (apply_cube_map, brute_cube_instance_key,
+                   common_neighbor_check, separator_census)
 
 
 def test_oracle_simple_linkage():

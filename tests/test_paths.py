@@ -10,8 +10,8 @@ from cubelink.oracle import oracle_linkage
 from cubelink.paths import (Cut, disjoint_paths, distance, reachable,
                             shortest_path, validate_linkage)
 
-from audit import (is_path, linear_function_path, min_vertex_cut_value,
-                   vertex_connectivity, x_valid_path)
+from audit import (internally_disjoint_count, is_path, linear_function_path,
+                   min_vertex_cut_value, vertex_connectivity, x_valid_path)
 
 
 def bfs_dist(G, s, t):
@@ -80,24 +80,44 @@ def test_x_valid_path_endpoints_never_forbidden():
 
 
 def test_disjoint_paths_fan_in_cube():
+    # the fan from 0 to 7: N(0) routed into N(7) past both ends
     G = cube_graph(3)
-    sys = disjoint_paths(G, {0}, {7}, 3)
-    inner = [set(p[1:-1]) for p in sys]
-    assert len(sys) == 3
-    for a, b in itertools.combinations(inner, 2):
-        assert not a & b
+    fans = [[0] + p + [7]
+            for p in disjoint_paths(G, G[0], G[7], forbidden={0, 7})]
+    assert len(fans) == 3 == internally_disjoint_count(G, 0, 7)
+    assert all(is_path(G, p) for p in fans)
+    for a, b in itertools.combinations(fans, 2):
+        assert not set(a[1:-1]) & set(b[1:-1])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_internally_disjoint_count_is_d_in_the_cube(d):
+    # adjacent or not: an s-t edge counts once, however its ends are routed
+    G = cube_graph(d)
+    for s, t in itertools.combinations(sorted(G), 2):
+        assert internally_disjoint_count(G, s, t) == d, (s, t)
 
 
 def test_disjoint_paths_cut_witness_is_neighbourhood():
-    G = cube_graph(3)
+    # 0 is walled in by the rest of A, so |A| = |B| = d + 1 paths fail at
+    # N(0), the least cut on the A side
+    for d in (3, 4, 5):
+        G = cube_graph(d)
+        top = (1 << d) - 1
+        with pytest.raises(Cut) as exc:
+            disjoint_paths(G, {0, *G[0]}, {top, *G[top]})
+        assert exc.value.separator == sorted(G[0])
+
+
+def test_disjoint_paths_two_sources_into_one_vertex_are_cut_there():
     with pytest.raises(Cut) as exc:
-        disjoint_paths(G, {0}, {7}, 4)
-    assert sorted(exc.value.separator) == [1, 2, 4]
+        disjoint_paths(cube_graph(3), {0, 1}, {7})
+    assert exc.value.separator == [7]
 
 
 def test_disjoint_paths_shared_terminals_become_trivial():
     G = cube_graph(3)
-    sys = disjoint_paths(G, {0, 1, 2}, {2, 5, 6}, 3)
+    sys = disjoint_paths(G, {0, 1, 2}, {2, 5, 6})
     paths = sorted(p for p in sys)
     assert [2] in paths
     ok, msg = _check_ab_system(G, {0, 1, 2}, {2, 5, 6}, list(sys))
@@ -108,8 +128,7 @@ def _route_lines():
     """Seeded Menger routings, one JSON line per call: the sorted paths, or
     the sorted separator of the Cut.  Terminals go into a facet, into a
     vertex star or into a few vertices, past 0-2 forbidden vertices, on
-    the graphs of Q7, link(Q8, 0) and link(Q6, 17); fans {s} -> {t} at
-    k = d and d + 1 run on Q3..Q5."""
+    the graphs of Q7, link(Q8, 0) and link(Q6, 17)."""
     import json
 
     from cubelink.complexes import build_cube_polytope, link_polytope
@@ -119,10 +138,13 @@ def _route_lines():
     rng = random.Random(20180309)
     lines = []
 
-    def call(G, A, B, k, forbidden=()):
+    def call(G, A, B, forbidden):
         try:
-            out = sorted(disjoint_paths(G, A, B, k, forbidden))
+            out = sorted(disjoint_paths(G, A, B, forbidden))
         except Cut as e:
+            S, A = set(e.separator), set(A)
+            assert len(S) < len(A)
+            assert not reachable(G, A - S, S | set(forbidden)) & (B - S)
             out = {"cut": e.separator}
         lines.append(json.dumps(out))
 
@@ -139,29 +161,23 @@ def _route_lines():
                     B = set(rng.sample(P.vertices, rng.randint(1, 4)))
                 X = rng.sample(P.vertices, rng.randint(1, 2 * k))
                 rest = sorted(set(P.vertices) - B - set(X))
-                call(P.graph, X, B, len(X),
+                call(P.graph, X, B,
                      rng.sample(rest, min(len(rest), rng.randint(0, 2))))
-    for d in (3, 4, 5):
-        G = cube_graph(d)
-        for _ in range(4):
-            s, t = rng.sample(sorted(G), 2)
-            for k in (d, d + 1):
-                call(G, {s}, {t}, k)
     return lines
 
 
-# Recorded with the flow network built over the whole host graph; every
-# route and separator must stay byte-identical.
+# Every route and separator must stay byte-identical.  The cut lines are
+# the calls whose B is smaller than A.
 ROUTES_SHA256 = (
-    "1026912d7b5c9e11d32b97fcadf7beafb0179e4f85b0d8a03b268e2d523dcd50")
+    "fef56f551a5be3af78cff5c2979dd632368830b4a14dc483d7c127a31a93afd9")
 
 
 def test_routes_match_golden_digest():
     import hashlib
 
     lines = _route_lines()
-    assert len(lines) == 159
-    assert sum(line.startswith('{"cut"') for line in lines) == 10
+    assert len(lines) == 135
+    assert sum(line.startswith('{"cut"') for line in lines) == 29
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ROUTES_SHA256
 
@@ -186,13 +202,13 @@ def test_routing_reads_only_what_it_reaches():
     G = _Unwalkable(CubeAdjacency(24))
     X = [0, 1 << 20, (1 << 23) | (1 << 7)]
     B = {x ^ 0b11 for x in X} | {1 << 12}
-    paths = disjoint_paths(G, set(X), B, len(X), forbidden={1 << 1})
+    paths = disjoint_paths(G, set(X), B, forbidden={1 << 1})
     assert sorted(p[0] for p in paths) == sorted(X)
     assert all(len(p) <= 3 for p in paths)
     ok, msg = _check_ab_system(G, set(X), B, paths)
     assert ok, msg
     with pytest.raises(Cut) as exc:
-        disjoint_paths(_Unwalkable(cube_graph(3)), {0}, {7}, 4)
+        disjoint_paths(_Unwalkable(cube_graph(3)), {0, 1, 2, 4}, {3, 5, 6, 7})
     assert exc.value.separator == [1, 2, 4]
 
 
@@ -225,13 +241,14 @@ def brute_separator_exists(G, A, B, below):
 
 @pytest.mark.parametrize("d,k", [(3, 2), (3, 3), (4, 3)])
 def test_disjoint_paths_matches_menger_exactly(d, k):
+    # |B| = k first, then a B too small to take every path, then one to spare
     G = cube_graph(d)
     rng = random.Random(10 * d + k)
-    for _ in range(40):
+    for nb in [k] * 40 + [k - 1] * 20 + [k + 1] * 20:
         A = set(rng.sample(sorted(G), k))
-        B = set(rng.sample(sorted(set(G) - A), k))
+        B = set(rng.sample(sorted(set(G) - A), nb))
         try:
-            sys = disjoint_paths(G, A, B, k)
+            sys = disjoint_paths(G, A, B)
             ok, msg = _check_ab_system(G, A, B, list(sys))
             assert ok, msg
             assert not brute_separator_exists(G, A, B, k)
