@@ -6,7 +6,7 @@ from .linkage.cube import cube_linkage, solve_cube, solve_cube_strong
 from .linkage.cubical import solve_cubical, solve_cubical_strong
 from .linkage.link import solve_link
 from .linkage.star import solve_star
-from .oracle import census, oracle_linkage
+from .oracle import census, linkable, oracle_linkage
 from .paths import validate_linkage
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "census",
     "cube_linkage",
     "link_polytope",
+    "linkable",
     "oracle_linkage",
     "solve_cube",
     "solve_cube_strong",

@@ -26,7 +26,7 @@ from .linkage.cube import (cube_linkage, detect_config_3F, solve_cube,
                            solve_cube_strong)
 from .linkage.cubical import solve_cubical, solve_cubical_strong
 from .linkage.link import solve_link
-from .oracle import census, oracle_linkage
+from .oracle import census, linkable, oracle_linkage
 from .paths import validate_linkage
 
 
@@ -275,7 +275,7 @@ def cmd_solve(args):
         cert = _constructive(host, pairs, avoid, strong)
         if args.method == "auto" and cert.paths is None:
             # cross-check the witness against ground truth before emitting
-            if oracle_linkage(host.graph, pairs, avoid=avoid) is not None:
+            if linkable(host.graph, pairs, avoid=avoid):
                 raise CaseNotCovered("witness contradicted by search")
     payload = cert.to_json(label=host.label_of)
     payload["instance"] = instance

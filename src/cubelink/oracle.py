@@ -1,7 +1,12 @@
 """Ground-truth engines: exhaustive linkage search, censuses, symmetry keys.
 
 Every count the acceptance suite trusts is produced here, independently of the
-constructive solvers.
+constructive solvers.  Both searches run on one bitset layer (`_Bits`): the
+vertices are indexed in sorted order, each vertex's neighbours are one int
+mask, and every reachability check is a flood fill on those ints.
+`oracle_linkage` builds a linkage for the constructive base and for
+`--method oracle`; `linkable` only decides whether one exists, which is all
+a census reads.
 """
 
 from __future__ import annotations
@@ -12,79 +17,214 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import OracleTimeout
-from .paths import distance, reachable
 
 DEFAULT_TIMEOUT_MS = 10_000
+TIMEOUT_VAR = "CUBELINK_ORACLE_TIMEOUT_MS"
 
 
 def oracle_timeout_ms() -> int:
-    return int(os.environ.get("CUBELINK_ORACLE_TIMEOUT_MS", DEFAULT_TIMEOUT_MS))
+    """The per-search budget of `census --sample`: a positive integer of
+    milliseconds from CUBELINK_ORACLE_TIMEOUT_MS, else the default."""
+    raw = os.environ.get(TIMEOUT_VAR)
+    if raw is None:
+        return DEFAULT_TIMEOUT_MS
+    try:
+        ms = int(raw)
+    except ValueError:
+        ms = 0
+    if ms <= 0:
+        raise ValueError(f"{TIMEOUT_VAR} must be a positive integer of "
+                         f"milliseconds, not {raw!r}")
+    return ms
+
+
+class _Bits:
+    """Bit tables of one graph: vertex i of the sorted vertex list is the
+    bit 1 << i, and nbr[i] is the mask of its neighbours."""
+
+    def __init__(self, G):
+        self.verts = sorted(G)
+        self.index = index = {v: i for i, v in enumerate(self.verts)}
+        self.nbr = []
+        for v in self.verts:
+            m = 0
+            for w in G[v]:
+                m |= 1 << index[w]
+            self.nbr.append(m)
+        self.full = (1 << len(self.verts)) - 1
+
+    def mask(self, vs):
+        index, m = self.index, 0
+        for v in vs:
+            if v in index:
+                m |= 1 << index[v]
+        return m
+
+    def reach(self, a, b, free):
+        """Steps from vertex a to vertex b through the vertices of the mask
+        `free`, flooded level by level; 0 when b is cut off from a."""
+        nbr, goal = self.nbr, 1 << b
+        front = 1 << a
+        free &= ~front
+        steps = 0
+        while front:
+            steps += 1
+            new = 0
+            while front:
+                low = front & -front
+                new |= nbr[low.bit_length() - 1]
+                front ^= low
+            if new & goal:
+                return steps
+            front = new & free
+            free ^= front
+        return 0
+
+    def pair_masks(self, pairs, avoid):
+        """Per pair (a, b) by index, the vertices its path may use: neither
+        avoided nor a terminal of another pair."""
+        index = self.index
+        ps = [(index[s], index[t]) for s, t in pairs]
+        free = self.full & ~self.mask(avoid)
+        for a, b in ps:
+            free &= ~(1 << a | 1 << b)
+        return ps, [free | 1 << a | 1 << b for a, b in ps]
+
+    def cut_off(self, ps, frees, taken):
+        """Whether a pair of ps is cut off once the vertices `taken` are."""
+        for (a, b), free in zip(ps, frees):
+            if not self.reach(a, b, free & ~taken):
+                return True
+        return False
+
+
+def _check_instance(G, pairs, avoid):
+    terminals = {v for p in pairs for v in p}
+    if len(terminals) != 2 * len(pairs):
+        raise ValueError("terminals not distinct")
+    if set(avoid) & terminals:
+        raise ValueError("avoid overlaps terminals")
+    if not all(v in G for v in terminals):
+        raise ValueError("terminal not in the graph")
+
+
+def _check_deadline(deadline):
+    if deadline is not None and time.monotonic() > deadline:
+        raise OracleTimeout("oracle budget exceeded")
 
 
 def oracle_linkage(G, pairs, avoid=(), deadline=None):
     """Exhaustive backtracking search for a vertex-disjoint Y-linkage.
 
     Returns a list of paths (one per pair, original order) or None if no
-    linkage exists.  `deadline` is an absolute time.monotonic() value; when
-    exceeded an OracleTimeout is raised.  Pairs are routed hardest first
-    (max distance), with per-pair residual-reachability pruning.
+    linkage exists.  `deadline` is an absolute time.monotonic() value,
+    checked at every DFS pop; when exceeded an OracleTimeout is raised.
+    Pairs are routed hardest first (max distance); each pair's simple
+    s-t paths are listed by DFS with neighbours in sorted order.  A popped
+    node is dropped when t is cut off from it by the partial path, or when
+    a later pair is cut off by the paths so far: both only grow along a
+    branch, so only subtrees with no linkage are cut and the first linkage
+    found is the one the unpruned search finds.
     """
-    avoid = set(avoid)
-    terminals = {v for p in pairs for v in p}
-    if len(terminals) != 2 * len(pairs):
-        raise ValueError("terminals not distinct")
-    if avoid & terminals:
-        raise ValueError("avoid overlaps terminals")
-
+    _check_instance(G, pairs, avoid)
+    B = _Bits(G)
+    index, verts, nbr, full = B.index, B.verts, B.nbr, B.full
+    n = len(verts)
+    free = full & ~B.mask(avoid)
     order = sorted(range(len(pairs)),
-                   key=lambda i: (-distance(G, *sorted(pairs[i]), avoid),
+                   key=lambda i: (-(B.reach(index[pairs[i][0]],
+                                            index[pairs[i][1]], free) or n),
                                   sorted(pairs[i])))
-    ordered = [tuple(sorted(pairs[i])) for i in order]
-    found = {}
-
-    def feasible(idx, used):
-        for j in range(idx, len(ordered)):
-            s, t = ordered[j]
-            other = terminals - {s, t}
-            block = (used | avoid | other) - {s, t}
-            if t not in reachable(G, [s], block):
-                return False
-        return True
-
-    def paths_from(s, t, blocked):
-        # DFS over simple s-t paths avoiding `blocked`, sorted neighbours
-        stack = [(s, [s], blocked | {s})]
-        while stack:
-            u, path, seen = stack.pop()
-            if deadline is not None and time.monotonic() > deadline:
-                raise OracleTimeout("oracle budget exceeded")
-            for w in sorted(G[u], reverse=True):
-                if w == t:
-                    yield path + [t]
-                elif w not in seen:
-                    stack.append((w, path + [w], seen | {w}))
+    ps, frees = B.pair_masks([tuple(sorted(pairs[i])) for i in order], avoid)
+    found = [None] * len(ps)
 
     def solve(idx, used):
-        if idx == len(ordered):
+        if idx == len(ps):
             return True
-        if not feasible(idx, used):
-            return False
-        s, t = ordered[idx]
-        other = terminals - {s, t}
-        for p in paths_from(s, t, (used | avoid | other) - {s, t}):
-            found[(s, t)] = p
-            if solve(idx + 1, used | set(p)):
-                return True
-            del found[(s, t)]
+        s, t = ps[idx]
+        blocked = full & ~frees[idx] | used
+        later = ps[idx + 1:], frees[idx + 1:]
+        stack = [(s, [s], blocked | 1 << s)]
+        while stack:
+            u, path, seen = stack.pop()
+            _check_deadline(deadline)
+            taken = used | seen & ~blocked
+            if not B.reach(u, t, full & ~seen) or B.cut_off(*later, taken):
+                continue
+            # neighbours highest first, so that the least is popped first
+            rest = nbr[u] & ~seen
+            while rest:
+                w = rest.bit_length() - 1
+                rest ^= 1 << w
+                if w == t:
+                    found[idx] = path + [t]
+                    if solve(idx + 1, taken | 1 << t):
+                        return True
+                else:
+                    stack.append((w, path + [w], seen | 1 << w))
         return False
 
-    if solve(0, set()):
-        out = []
-        for s, t in pairs:
-            p = found[tuple(sorted((s, t)))]
-            out.append(p if p[0] == s else p[::-1])
-        return out
-    return None
+    if not solve(0, 0):
+        return None
+    out = [None] * len(pairs)
+    for i, p in zip(order, found):
+        p = [verts[j] for j in p]
+        out[i] = p if p[0] == pairs[i][0] else p[::-1]
+    return out
+
+
+def linkable(G, pairs, avoid=(), deadline=None):
+    """Whether a vertex-disjoint linkage of `pairs` avoiding `avoid` exists.
+
+    Validates like oracle_linkage and agrees with `oracle_linkage(...) is
+    not None`, but builds no paths.  Pairs are taken one at a time in the
+    given order, each by a DFS over induced s-t paths that stops at the
+    first vertex adjacent to t; the last pair is one flood fill.  That is
+    complete: if a linkage exists, the shortest path inside each path's own
+    vertex set is induced and gives one too.  A node is dropped when t is
+    cut off from it, or a later pair by the vertices used so far.
+    `deadline` is an absolute time.monotonic() value checked at every pop.
+    """
+    _check_instance(G, pairs, avoid)
+    return _linkable(_Bits(G), pairs, avoid, deadline)
+
+
+def _linkable(B, pairs, avoid, deadline):
+    ps, frees = B.pair_masks(pairs, avoid)
+    nbr, full = B.nbr, B.full
+
+    def search(idx, used):
+        s, t = ps[idx]
+        if idx == len(ps) - 1:
+            return bool(B.reach(s, t, frees[idx] & ~used))
+        goal = 1 << t
+        blocked = full & ~frees[idx] | used
+        later = ps[idx + 1:], frees[idx + 1:]
+        # seen: blocked, the path, and the neighbours of all but its end
+        stack = [(s, 1 << s, blocked | 1 << s)]
+        while stack:
+            u, path, seen = stack.pop()
+            _check_deadline(deadline)
+            if nbr[u] & goal:
+                # the later pairs are decided here when only one is left
+                if not B.cut_off(*later, used | path) and (
+                        idx + 2 == len(ps)
+                        or search(idx + 1, used | path | goal)):
+                    return True
+                continue
+            # s alone takes nothing a later pair may use
+            if not B.reach(u, t, full & ~seen) or (
+                    u != s and B.cut_off(*later, used | path)):
+                continue
+            closed = seen | nbr[u]
+            rest = nbr[u] & ~seen
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                stack.append((low.bit_length() - 1, path | low, closed))
+        return False
+
+    return not ps or search(0, 0)
 
 
 @dataclass
@@ -134,12 +274,14 @@ def all_pairings(X):
 
 def census(G, k, host="", mode="exhaustive", sample=None, seed=0,
            detector=None):
-    """Classify pairings of 2k terminals via the oracle.
+    """Classify pairings of 2k terminals as linked or unlinked.
 
+    Each verdict comes from `linkable` on bit tables built once for the run.
     mode "exhaustive": every X of size 2k and every pairing (|V| <= 16
-    enforced).  mode "sample": `sample` random instances from `seed`.
-    `detector` maps (pairs) -> obstruction kind or None and is cross-tabbed
-    against the oracle verdict; disagreements are recorded.
+    enforced).  mode "sample": `sample` random instances from `seed`, each
+    search bounded by oracle_timeout_ms() and counted as a timeout when it
+    runs out.  `detector` maps (pairs) -> obstruction kind or None and is
+    cross-tabbed against the verdict; disagreements are recorded.
     """
     t0 = time.monotonic()
     rep = CensusReport(host=host, k=k, mode=mode)
@@ -169,16 +311,17 @@ def census(G, k, host="", mode="exhaustive", sample=None, seed=0,
     else:
         raise ValueError(f"unknown census mode {mode}")
 
+    bits = _Bits(G)
     for pairs in instances:
         rep.total += 1
         kind = detector(pairs) if detector else None
-        deadline = time.monotonic() + budget if budget else None
+        deadline = time.monotonic() + budget if budget is not None else None
         try:
-            linkage = oracle_linkage(G, pairs, deadline=deadline)
+            linked = _linkable(bits, pairs, (), deadline)
         except OracleTimeout:
             rep.timeouts += 1
             continue
-        if linkage is not None:
+        if linked:
             rep.linked += 1
             if kind is not None:
                 rep.detector_mismatches.append(

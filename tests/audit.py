@@ -1,13 +1,15 @@
 """Brute-force auditors, called only by the tests, for the structure the
 solvers rely on: connectivity, internally disjoint paths, separators,
-complexes, cube faces, and the cube symmetry key."""
+complexes, cube faces, the cube symmetry key and the unpruned oracle; and
+capped polytopes, cubical hosts that are not cubes."""
 
 import itertools
+import time
 
 from cubelink.complexes import Complex, Polytope, star_complex
-from cubelink.errors import NoPath
+from cubelink.errors import NoPath, OracleTimeout
 from cubelink.hypercube import CubeFace, _check_dim, cube_graph
-from cubelink.paths import _menger_flow, reachable, shortest_path
+from cubelink.paths import _menger_flow, distance, reachable, shortest_path
 
 
 def is_path(G, p) -> bool:
@@ -272,3 +274,83 @@ def brute_cube_instance_key(d, pairs, x=None):
                 best = key
                 best_map = (t, perm)
     return best, best_map
+
+
+def cap(P: Polytope, F) -> Polytope:
+    """P with a cube pasted onto its facet F: F's vertices are copied, the
+    copy replaces F, and each ridge R of F gives the facet R u R' (Bui,
+    Pineda-Villavicencio and Ugon, Connectivity of cubical polytopes)."""
+    F = frozenset(F)
+    start = max(P.vertices) + 1
+    twin = {v: start + i for i, v in enumerate(sorted(F))}
+    facets = [f for f in P.facets if f != F] + [frozenset(twin.values())]
+    facets += [R | {twin[v] for v in R} for R in P.ridges_of_facet(F)]
+    return Polytope(P.dim, P.vertices + sorted(twin.values()), facets)
+
+def oracle_linkage_reference(G, pairs, avoid=(), deadline=None):
+    """Reference for oracle.oracle_linkage: the set-based search without
+    dead-branch pruning, whose first linkage the pruned search must return.
+
+    Exhaustive backtracking search for a vertex-disjoint Y-linkage.
+
+    Returns a list of paths (one per pair, original order) or None if no
+    linkage exists.  `deadline` is an absolute time.monotonic() value; when
+    exceeded an OracleTimeout is raised.  Pairs are routed hardest first
+    (max distance), with per-pair residual-reachability pruning.
+    """
+    avoid = set(avoid)
+    terminals = {v for p in pairs for v in p}
+    if len(terminals) != 2 * len(pairs):
+        raise ValueError("terminals not distinct")
+    if avoid & terminals:
+        raise ValueError("avoid overlaps terminals")
+
+    order = sorted(range(len(pairs)),
+                   key=lambda i: (-distance(G, *sorted(pairs[i]), avoid),
+                                  sorted(pairs[i])))
+    ordered = [tuple(sorted(pairs[i])) for i in order]
+    found = {}
+
+    def feasible(idx, used):
+        for j in range(idx, len(ordered)):
+            s, t = ordered[j]
+            other = terminals - {s, t}
+            block = (used | avoid | other) - {s, t}
+            if t not in reachable(G, [s], block):
+                return False
+        return True
+
+    def paths_from(s, t, blocked):
+        # DFS over simple s-t paths avoiding `blocked`, sorted neighbours
+        stack = [(s, [s], blocked | {s})]
+        while stack:
+            u, path, seen = stack.pop()
+            if deadline is not None and time.monotonic() > deadline:
+                raise OracleTimeout("oracle budget exceeded")
+            for w in sorted(G[u], reverse=True):
+                if w == t:
+                    yield path + [t]
+                elif w not in seen:
+                    stack.append((w, path + [w], seen | {w}))
+
+    def solve(idx, used):
+        if idx == len(ordered):
+            return True
+        if not feasible(idx, used):
+            return False
+        s, t = ordered[idx]
+        other = terminals - {s, t}
+        for p in paths_from(s, t, (used | avoid | other) - {s, t}):
+            found[(s, t)] = p
+            if solve(idx + 1, used | set(p)):
+                return True
+            del found[(s, t)]
+        return False
+
+    if solve(0, set()):
+        out = []
+        for s, t in pairs:
+            p = found[tuple(sorted((s, t)))]
+            out.append(p if p[0] == s else p[::-1])
+        return out
+    return None

@@ -267,6 +267,19 @@ def test_census_sample_on_q9(capsys):
     assert code == 0 and json.loads(out)["total"] == 3
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_census_rejects_an_oracle_timeout_that_bounds_nothing(
+        capsys, monkeypatch, value):
+    # 0 used to mean no limit, -5 a timeout on every search, and abc an
+    # error that did not name the variable
+    monkeypatch.setenv("CUBELINK_ORACLE_TIMEOUT_MS", value)
+    code, out, err = run(capsys, "census", "--cube", "4", "--k", "2",
+                         "--sample", "3")
+    assert code == 1 and out == ""
+    assert err == ("error: CUBELINK_ORACLE_TIMEOUT_MS must be a positive "
+                   f"integer of milliseconds, not {value!r}\n")
+
+
 def test_oracle_refutes_on_q9(capsys):
     # every neighbour of 000000000 is a terminal of another pair
     code, out, _ = run(capsys, "solve", "--cube", "9", "--method", "oracle",

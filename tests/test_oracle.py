@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cubelink.complexes import build_cube_polytope
+from cubelink.complexes import build_cube_polytope, link_polytope, star_complex
 from cubelink.errors import OracleTimeout
 from cubelink.hypercube import cube_graph
 from cubelink.linkage.cube import detect_config_3F
@@ -13,12 +13,15 @@ from cubelink.oracle import (
     census,
     cube_instance_key,
     invert_cube_map,
+    linkable,
     oracle_linkage,
 )
 from cubelink.paths import validate_linkage
 
-from audit import (apply_cube_map, brute_cube_instance_key,
-                   common_neighbor_check, separator_census)
+from audit import (apply_cube_map, brute_cube_instance_key, cap,
+                   common_neighbor_check, oracle_linkage_reference,
+                   separator_census)
+from test_star import star_instance
 
 
 def test_oracle_simple_linkage():
@@ -244,3 +247,117 @@ def test_q3_unlinked_instances_are_exactly_the_facet_configs():
                 bad.append(pairs)
                 assert detect_config_3F(P, pairs) is not None
     assert len(bad) == 6
+
+
+def _two_pairings(G):
+    for X in itertools.combinations(sorted(G), 4):
+        yield from all_pairings(X)
+
+
+def _random_instances(hosts, n, seed):
+    """n seeded instances: 2-3 pairs and 0-1 avoided vertices on a host
+    drawn from `hosts`."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        G = rng.choice(hosts)
+        k, a = rng.randint(2, 3), rng.randint(0, 1)
+        X = rng.sample(sorted(G), 2 * k + a)
+        yield G, [(X[2 * i], X[2 * i + 1]) for i in range(k)], X[2 * k:]
+
+
+def _star_instances(P, n):
+    """The first n instances of test_star's seed-17 stream, with their
+    star graphs."""
+    rng = random.Random(17)
+    for _ in range(n):
+        s1, pairs = star_instance(P, rng)
+        yield star_complex(P, s1).graph(), pairs
+
+
+@pytest.mark.parametrize("host", ["Q3", "linkQ4"])
+def test_oracle_matches_unpruned_reference_on_2_censuses(host):
+    G = {"Q3": lambda: cube_graph(3),
+         "linkQ4": lambda: link_polytope(4, 0).graph}[host]()
+    for pairs in _two_pairings(G):
+        assert oracle_linkage(G, pairs) == \
+            oracle_linkage_reference(G, pairs), pairs
+
+
+def test_oracle_matches_unpruned_reference_on_random_instances():
+    hosts = [cube_graph(4), cube_graph(5), link_polytope(5, 0).graph]
+    for G, pairs, avoid in _random_instances(hosts, 300, 12):
+        assert oracle_linkage(G, pairs, avoid) == \
+            oracle_linkage_reference(G, pairs, avoid), (len(G), pairs, avoid)
+
+
+@pytest.mark.parametrize("host", ["Q5", "linkQ6"])
+def test_oracle_matches_unpruned_reference_on_star_graphs(host):
+    # the 28th instance of the stream takes the reference about a minute
+    P = {"Q5": lambda: build_cube_polytope(5),
+         "linkQ6": lambda: link_polytope(6, 0)}[host]()
+    for G, pairs in _star_instances(P, 25):
+        assert oracle_linkage(G, pairs) == \
+            oracle_linkage_reference(G, pairs), pairs
+
+
+@pytest.mark.parametrize("host", ["Q3", "Q4", "linkQ4"])
+def test_linkable_agrees_with_oracle_on_2_censuses(host):
+    G = {"Q3": lambda: cube_graph(3), "Q4": lambda: cube_graph(4),
+         "linkQ4": lambda: link_polytope(4, 0).graph}[host]()
+    for pairs in _two_pairings(G):
+        assert linkable(G, pairs) == (oracle_linkage(G, pairs) is not None), \
+            pairs
+
+
+def test_linkable_agrees_with_oracle_on_three_pairs():
+    instances = [(G, pairs, ()) for host in (build_cube_polytope(5),
+                                            link_polytope(6, 0))
+                 for G, pairs in _star_instances(host, 60)]
+    instances += [(G, pairs, avoid) for G, pairs, avoid
+                  in _random_instances([cube_graph(5)], 200, 13)]
+    # a config-dF in the star of 0 in Q5, and three pairs beyond Q3's reach
+    instances += [(star_complex(build_cube_polytope(5), 0).graph(),
+                   [(0, 15), (14, 13), (11, 7)], ()),
+                  (cube_graph(3), [(0, 7), (1, 6), (2, 5)], ())]
+    verdicts = set()
+    for G, pairs, avoid in instances:
+        found = oracle_linkage(G, pairs, avoid) is not None
+        assert linkable(G, pairs, avoid) == found, (len(G), pairs, avoid)
+        verdicts.add(found)
+    assert verdicts == {True, False}
+
+
+def test_linkable_timeout_raises():
+    with pytest.raises(OracleTimeout):
+        linkable(cube_graph(6), [(0, 63), (1, 62), (2, 61)], deadline=0.0)
+
+
+def test_linkable_rejects_bad_instances():
+    G = cube_graph(3)
+    assert linkable(G, [(0, 7)], avoid={1, 2})
+    assert not linkable(G, [(0, 3), (1, 2)])
+    with pytest.raises(ValueError):
+        linkable(G, [(0, 7), (1, 7)])
+    with pytest.raises(ValueError):
+        linkable(G, [(0, 7)], avoid={7})
+
+
+@pytest.mark.parametrize("facets,n,total,f2", [((0,), 12, 1485, 10),
+                                               ((0, 1), 16, 5460, 14)])
+def test_capped_cube_census_finds_one_blocked_pairing_per_2_face(facets, n,
+                                                                 total, f2):
+    # a cubical 3-polytope is planar and 3-connected: two pairs are blocked
+    # exactly when their terminals alternate around one 2-face
+    P = build_cube_polytope(3)
+    for i in facets:
+        P = cap(P, P.facets[i])
+
+    def detector(pairs):
+        w = detect_config_3F(P, pairs)
+        return w.kind if w else None
+
+    assert (len(P.vertices), len(P.faces_of_dim(2))) == (n, f2)
+    rep = census(P.graph, 2, detector=detector)
+    assert (rep.total, rep.unlinked) == (total, f2)
+    assert rep.obstructions == {"config-3F": f2}
+    assert rep.detector_mismatches == [] and rep.timeouts == 0
