@@ -2,9 +2,11 @@
 
 A Polytope stores its full face lattice (faces as frozensets of vertex ids,
 obtained by closing the facet list under pairwise intersection) plus the
-graph.  Cubicality is certified by embedding every face as a combinatorial
-cube (canonical BFS coordinate assignment); the embeddings double as the
-bridge to the bit-level solvers in `hypercube`.
+graph.  Cubicality is certified from the facets: each facet is embedded as
+a combinatorial cube (canonical BFS coordinate assignment), and every lower
+face must be a subcube of its first facet's embedding, since every face of
+a cube is a subcube.  The other faces' embeddings, the bridge to the
+bit-level solvers in `hypercube`, are computed when first asked for.
 
 The lattice is indexed by facet incidence: facet i of the sorted facet list
 is the bit 1 << i, and every vertex and every proper face carries the mask
@@ -33,10 +35,11 @@ from .paths import shortest_path
 class Polytope:
     """A cubical polytope given abstractly by its vertex-facet incidence."""
 
-    def __init__(self, dim, vertices, facets, labels=None, embedded=None):
-        """`embedded` maps faces to cube embeddings already certified under
-        the same edges, as a vertex link's faces are in its host (see
-        linkage.cubical.vertex_link); those faces are not embedded again."""
+    def __init__(self, dim, vertices, facets, labels=None, host=None):
+        """`host` is a certified Polytope whose faces, with the same edges,
+        include this one's, as a vertex link's do (see
+        linkage.cubical.vertex_link): faces of the host count as certified,
+        and the facets take their embeddings from it."""
         self.dim = dim
         self.vertices = sorted(vertices)
         self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
@@ -44,7 +47,7 @@ class Polytope:
         self._embed_cache = {}
         self._build_lattice()
         self.cubical = False
-        self._validate_cubical(embedded or {})
+        self._validate_cubical(host)
 
     # -- lattice -----------------------------------------------------------
 
@@ -99,7 +102,7 @@ class Polytope:
         # a set-like view of the faces, iterating in the closure's set order
         self.proper_faces = self.face_facets.keys()
 
-    def _validate_cubical(self, embedded):
+    def _validate_cubical(self, host):
         self.face_dim = {}
         by_dim = {}
         for f in self.proper_faces:
@@ -107,12 +110,29 @@ class Polytope:
             j = n.bit_length() - 1
             if n != 1 << j:
                 raise NotCubical(f"face with {n} vertices", face=sorted(f))
-            if f in embedded:
-                self._embed_cache[f] = embedded[f]
-            elif j > 0:
-                self.embed_face(f)  # raises NotCubical on failure
             self.face_dim[f] = j
             by_dim.setdefault(j, []).append(f)
+        certified = host.face_facets if host is not None else {}
+        for f in self.facets:
+            if len(f) > 1:
+                if f in certified:
+                    self._embed_cache[f] = host.embed_face(f)
+                else:
+                    self.embed_face(f)  # raises NotCubical on failure
+        # a lower face with 2^j vertices is a j-cube exactly when its codes
+        # in its first facet's embedding span a j-dimensional subcube
+        facets, cache = self.facets, self._embed_cache
+        for f, m in self.face_facets.items():
+            j = self.face_dim[f]
+            if j == 0 or f in certified:
+                continue
+            F = facets[(m & -m).bit_length() - 1]
+            if F == f:
+                continue
+            coords = cache[F][0]
+            codes = [coords[v] for v in f]
+            if (reduce(or_, codes) ^ reduce(and_, codes)).bit_count() != j:
+                self.embed_face(f)  # raises NotCubical with its reason
         if max(by_dim) != self.dim - 1:
             raise InconsistentIncidence(
                 f"facets have dimension {max(by_dim)}, expected {self.dim - 1}")
@@ -185,7 +205,8 @@ class Polytope:
         is Q_j: canonical BFS relabeling from the least vertex, axes assigned
         to its neighbours in sorted order, every deeper vertex labelled by
         OR-ing its predecessors; then adjacency must match Hamming distance 1.
-        Raises NotCubical otherwise.
+        Raises NotCubical otherwise.  Facets are embedded when the lattice
+        is built; any other face on its first call, then cached.
         """
         f = frozenset(f)
         if f in self._embed_cache:

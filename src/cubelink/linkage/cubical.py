@@ -211,11 +211,11 @@ def vertex_link(P: Polytope, x) -> Polytope:
     # The link's faces are the faces of the star that miss x: the ridges are
     # its facets, and every smaller such face is where two larger ones meet.
     # They are closed under taking subfaces in P, so each has the same edges
-    # in both lattices and P's embedding of it holds in the link.
+    # in both lattices: P certifies them, and P's embedding of a facet holds
+    # in the link.
     star = P.vertex_facets[x]
     faces = {f for f, m in P.face_facets.items() if m & star and x not in f}
-    link = Polytope(P.dim - 1, verts, facets, labels=labels,
-                    embedded={f: P.embed_face(f) for f in faces if len(f) > 1})
+    link = Polytope(P.dim - 1, verts, facets, labels=labels, host=P)
     if link.proper_faces != faces:
         raise CaseNotCovered(f"the link of {x} is not the star's faces "
                              f"that miss it")

@@ -51,29 +51,6 @@ def shortest_path(G, s, t, forbidden=()):
     raise NoPath(f"no {s}-{t} path avoiding {len(forbidden)} vertices")
 
 
-def distance(G, s, t, forbidden=()):
-    """Steps on a shortest s-t path avoiding `forbidden`, or len(G) when
-    there is none; s and t are never forbidden.  It equals
-    len(shortest_path(...)) - 1 but only counts, level by level."""
-    if s == t:
-        return 0
-    forbidden = set(forbidden) - {s, t}
-    seen = {s} | forbidden
-    level, steps = [s], 0
-    while level:
-        steps += 1
-        nxt = []
-        for u in level:
-            for w in G[u]:
-                if w == t:
-                    return steps
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        level = nxt
-    return len(G)
-
-
 def reachable(G, sources, forbidden=()):
     """Set of vertices reachable from `sources` without entering `forbidden`."""
     forbidden = set(forbidden)

@@ -1,15 +1,17 @@
 """Brute-force auditors, called only by the tests, for the structure the
-solvers rely on: connectivity, internally disjoint paths, separators,
-complexes, cube faces, the cube symmetry key and the unpruned oracle; and
-capped polytopes, cubical hosts that are not cubes."""
+solvers rely on: distances, connectivity, internally disjoint paths,
+separators, complexes, cube faces, the per-face cube certificate, the cube
+symmetry key and the unpruned oracle; and capped polytopes, cubical hosts
+that are not cubes."""
 
 import itertools
 import time
 
 from cubelink.complexes import Complex, Polytope, star_complex
-from cubelink.errors import NoPath, OracleTimeout
+from cubelink.errors import (InconsistentIncidence, NoPath, NotCubical,
+                             OracleTimeout)
 from cubelink.hypercube import CubeFace, _check_dim, cube_graph
-from cubelink.paths import _menger_flow, distance, reachable, shortest_path
+from cubelink.paths import _menger_flow, reachable, shortest_path
 
 
 def is_path(G, p) -> bool:
@@ -21,6 +23,29 @@ def is_path(G, p) -> bool:
 def x_valid_path(G, s, t, X):
     """Shortest s-t path with no inner vertex in the terminal set X."""
     return shortest_path(G, s, t, set(X) - {s, t})
+
+
+def distance(G, s, t, forbidden=()):
+    """Steps on a shortest s-t path avoiding `forbidden`, or len(G) when
+    there is none; s and t are never forbidden.  It equals
+    len(shortest_path(...)) - 1 but only counts, level by level."""
+    if s == t:
+        return 0
+    forbidden = set(forbidden) - {s, t}
+    seen = {s} | forbidden
+    level, steps = [s], 0
+    while level:
+        steps += 1
+        nxt = []
+        for u in level:
+            for w in G[u]:
+                if w == t:
+                    return steps
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        level = nxt
+    return len(G)
 
 
 def internally_disjoint_count(G, s, t):
@@ -286,6 +311,32 @@ def cap(P: Polytope, F) -> Polytope:
     facets = [f for f in P.facets if f != F] + [frozenset(twin.values())]
     facets += [R | {twin[v] for v in R} for R in P.ridges_of_facet(F)]
     return Polytope(P.dim, P.vertices + sorted(twin.values()), facets)
+
+class ReferencePolytope(Polytope):
+    """Reference for Polytope's facet-based certificate: every proper face
+    of dimension at least 1 is embedded by its own BFS when the lattice is
+    built.  It is always built alone, so it takes nothing from a host."""
+
+    def _validate_cubical(self, host):
+        self.face_dim = {}
+        by_dim = {}
+        for f in self.proper_faces:
+            n = len(f)
+            j = n.bit_length() - 1
+            if n != 1 << j:
+                raise NotCubical(f"face with {n} vertices", face=sorted(f))
+            if j > 0:
+                self.embed_face(f)  # raises NotCubical on failure
+            self.face_dim[f] = j
+            by_dim.setdefault(j, []).append(f)
+        if max(by_dim) != self.dim - 1:
+            raise InconsistentIncidence(
+                f"facets have dimension {max(by_dim)}, expected {self.dim - 1}")
+        for fs in by_dim.values():
+            fs.sort(key=sorted)
+        self.faces_by_dim = {j: tuple(fs) for j, fs in by_dim.items()}
+        self.cubical = True
+
 
 def oracle_linkage_reference(G, pairs, avoid=(), deadline=None):
     """Reference for oracle.oracle_linkage: the set-based search without

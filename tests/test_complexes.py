@@ -7,8 +7,10 @@ from cubelink.complexes import (Complex, Polytope, build_cube_polytope,
                                 star_complex)
 from cubelink.errors import InconsistentIncidence, NoPath, NotCubical
 from cubelink.hypercube import cube_graph, opposite_vertex, whole_cube
+from cubelink.linkage.cubical import vertex_link
 
-from audit import antistar_complex, link_complex, technical_decomposition
+from audit import (ReferencePolytope, antistar_complex, cap, link_complex,
+                   technical_decomposition)
 
 
 def comb(n, k):
@@ -341,3 +343,136 @@ def test_closure_matches_intersecting_faces(host):
     # the same faces in the same iteration order, which the face queries and
     # complexes inherit
     assert list(P.proper_faces) == list(_closure_by_intersection(P))
+
+
+# -- the facet-based certificate against the per-face reference -------------
+
+
+def _fresh(P):
+    return Polytope(P.dim, P.vertices, P.facets, labels=P.labels)
+
+
+def _capped(times):
+    P = build_cube_polytope(3)
+    for _ in range(times):
+        P = cap(P, P.facets[-1])
+    return P
+
+
+def _vertex_links(P, step):
+    P = _fresh(P)
+    return [vertex_link(P, x) for x in P.vertices[::step]]
+
+
+CERT_HOSTS = {
+    **{f"Q{d}": (lambda d=d: [build_cube_polytope(d)]) for d in range(2, 7)},
+    **{f"linkQ{d}": (lambda d=d: [link_polytope(d, 0)]) for d in (4, 5, 6)},
+    "link(Q6,17)": lambda: [link_polytope(6, 17)],
+    "cap(Q3)": lambda: [_capped(1)],
+    "cap(cap(Q3))": lambda: [_capped(2)],
+    "vertex links of Q5": lambda: _vertex_links(build_cube_polytope(5), 5),
+    "vertex links of linkQ6": lambda: _vertex_links(link_polytope(6, 0), 7),
+}
+
+
+@pytest.mark.parametrize("host", sorted(CERT_HOSTS))
+def test_embeddings_match_per_face_reference(host):
+    for P in CERT_HOSTS[host]():
+        R = ReferencePolytope(P.dim, P.vertices, P.facets, labels=P.labels)
+        assert list(P.proper_faces) == list(R.proper_faces)
+        assert P.face_dim == R.face_dim and P.faces_by_dim == R.faces_by_dim
+        for f in P.proper_faces:
+            assert P.embed_face(f) == R.embed_face(f), sorted(f)
+
+
+def _mutated(facets, rng):
+    """The facets after one seeded mutation: a vertex moved from one facet
+    to another (or swapped with one coming back), a vertex dropped from a
+    facet, or two facets merged."""
+    facets = [set(f) for f in facets]
+    a, b = rng.sample(range(len(facets)), 2)
+    A, B = facets[a], facets[b]
+    kind = rng.choice(["move", "swap", "drop", "merge"])
+    if kind == "merge":
+        A |= B
+        del facets[b]
+    elif kind == "drop":
+        A.discard(rng.choice(sorted(A)))
+    elif A - B:
+        v = rng.choice(sorted(A - B))
+        A.discard(v)
+        B.add(v)
+        if kind == "swap" and B - A - {v}:
+            w = rng.choice(sorted(B - A - {v}))
+            B.discard(w)
+            A.add(w)
+    return facets
+
+
+def _certify(cls, P, facets):
+    try:
+        return cls(P.dim, P.vertices, facets)
+    except Exception as e:
+        return type(e)
+
+
+MUTATION_HOSTS = {
+    "Q3": lambda: build_cube_polytope(3),
+    "Q4": lambda: build_cube_polytope(4),
+    "linkQ4": lambda: link_polytope(4, 0),
+    "cap(Q3)": lambda: _capped(1),
+}
+
+
+@pytest.mark.parametrize("host", sorted(MUTATION_HOSTS))
+def test_mutated_incidences_match_per_face_reference(host):
+    P = MUTATION_HOSTS[host]()
+    rng = random.Random(f"mutate-{host}")
+    rejected = 0
+    for _ in range(150):
+        facets = _mutated(P.facets, rng)
+        if rng.random() < 0.3:
+            facets = _mutated(facets, rng)
+        got = _certify(Polytope, P, facets)
+        want = _certify(ReferencePolytope, P, facets)
+        if isinstance(want, type):
+            rejected += 1
+            assert got is want, facets
+            continue
+        assert isinstance(got, Polytope), (got, facets)
+        assert got.faces_by_dim == want.faces_by_dim
+        for f in got.proper_faces:
+            assert got.embed_face(f) == want.embed_face(f)
+    assert rejected
+
+
+@pytest.mark.parametrize("cls", [Polytope, ReferencePolytope])
+def test_lower_face_off_the_subcubes_of_its_facet_is_rejected(cls):
+    # the even vertices of a facet of Q4, injected as a face of that facet:
+    # the right size, but no subcube, so the facet certificate falls back to
+    # the face's own embedding and its message
+    P = build_cube_polytope(4)
+    F = P.facets[0]
+    coords, _ = P.embed_face(F)
+    f = frozenset(v for v, c in coords.items() if c.bit_count() % 2 == 0)
+    Q = cls(P.dim, P.vertices, P.facets)
+    Q.face_facets[f] = Q.face_facets[F]
+    with pytest.raises(NotCubical, match="face size 4 but degree 0"):
+        Q._validate_cubical(None)
+
+
+@pytest.mark.parametrize("host", ["Q5", "linkQ6"])
+def test_lower_faces_are_embedded_on_first_use(host):
+    P = _fresh({"Q5": lambda: build_cube_polytope(5),
+                "linkQ6": lambda: link_polytope(6, 0)}[host]())
+    facets = [f for f in P.facets if len(f) > 1]
+    assert list(P._embed_cache) == facets
+    f = P.faces_of_dim(1)[0]
+    embedding = P.embed_face(f)
+    assert list(P._embed_cache) == facets + [f]
+    assert P._embed_cache[f] == embedding == P.embed_face(f)
+    for x in P.vertices[::9]:
+        L = vertex_link(P, x)
+        assert list(L._embed_cache) == [f for f in L.facets if len(f) > 1]
+        for f, embedding in L._embed_cache.items():
+            assert embedding == P.embed_face(f)

@@ -7,11 +7,12 @@ import pytest
 from cubelink.errors import NoPath
 from cubelink.hypercube import CubeAdjacency, cube_graph
 from cubelink.oracle import oracle_linkage
-from cubelink.paths import (Cut, disjoint_paths, distance, reachable,
-                            shortest_path, validate_linkage)
+from cubelink.paths import (Cut, disjoint_paths, reachable, shortest_path,
+                            validate_linkage)
 
-from audit import (internally_disjoint_count, is_path, linear_function_path,
-                   min_vertex_cut_value, vertex_connectivity, x_valid_path)
+from audit import (distance, internally_disjoint_count, is_path,
+                   linear_function_path, min_vertex_cut_value,
+                   vertex_connectivity, x_valid_path)
 
 
 def bfs_dist(G, s, t):
