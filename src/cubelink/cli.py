@@ -205,7 +205,7 @@ def _oracle_solve(host, pairs, avoid):
         if sol is None:
             raise Unlinkable(host.witness(ps))
         return sol
-    return certify(host.spec, host.label_of, pairs, search,
+    return certify(host.spec, host.adjacency, host.label_of, pairs, search,
                    lambda: host.adjacency, avoid)
 
 

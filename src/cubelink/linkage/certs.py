@@ -83,12 +83,14 @@ class LinkageCertificate:
         }
 
 
-def certify(host, label, pairs, solve, graph,
+def certify(host, vertices, label, pairs, solve, graph,
             avoid=()) -> LinkageCertificate:
     """Run `solve` and check its answer: the one way to a certificate.
 
-    The certificate's instance names `host` and lists `pairs` and `avoid`,
-    in their order, as `label` writes their vertices.
+    A terminal or avoided vertex outside the container `vertices` raises
+    ValueError before anything is solved.  The certificate's instance names
+    `host` and lists `pairs` and `avoid`, in their order, as `label` writes
+    their vertices.
     `solve(pairs, trace)` returns one path per pair, in pair order, or raises
     Unlinkable.  `graph()` builds the host graph; it is called only when
     there are paths to check.  Paths that are not a linkage of `pairs` in
@@ -97,6 +99,10 @@ def certify(host, label, pairs, solve, graph,
     found nothing, with no configuration to explain it) gives a certificate
     with `valid` False, since there is nothing to check.
     """
+    stray = [v for p in pairs for v in p if v not in vertices]
+    stray += [v for v in avoid if v not in vertices]
+    if stray:
+        raise ValueError(f"vertex {stray[0]} is not in {host}")
     instance = {
         "host": host,
         "pairs": [[label(s), label(t)] for s, t in pairs],

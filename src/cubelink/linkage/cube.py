@@ -84,6 +84,11 @@ def _hops(X, proj):
     return routes
 
 
+def _partners(pairs):
+    """Each terminal of the pairing mapped to its partner."""
+    return {x: y for a, b in pairs for x, y in ((a, b), (b, a))}
+
+
 def _splice(pairs, route, solve):
     """Link the pairs through their routes.
 
@@ -219,10 +224,7 @@ def scenario2_partition(d, F: CubeFace, pairs):
     """
     s1, t1 = pairs[0]
     Fo = opposite_facet(F)
-    partner = {}
-    for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
+    partner = _partners(pairs)
     X = set(partner)
     classes = {0: [], 1: [], 2: [], 3: [], 4: []}
     for x in sorted(X - {s1, t1}):
@@ -255,10 +257,7 @@ def build_Mx_paths(d, F: CubeFace, pairs, classes):
     counting argument rules out.
     """
     Fo = opposite_facet(F)
-    partner = {}
-    for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
+    partner = _partners(pairs)
     X = set(partner)
     free_axes = [i for i in range(d) if (F.free_mask >> i) & 1]
     M = {}
@@ -356,11 +355,7 @@ def _scenario2(d, F, idx, pairs, trace):
     pairs1 = [pairs[i] for i in order]
     s1, t1 = pairs1[0]
     Fo = opposite_facet(F)
-    partner = {}
-    for a, b in pairs1:
-        partner[a] = b
-        partner[b] = a
-    X = set(partner)
+    X = terminals(pairs1)
 
     classes = scenario2_partition(d, F, pairs1)
     M = build_Mx_paths(d, F, pairs1, classes)
@@ -503,8 +498,9 @@ def _linkage(d, pairs, avoid, trace):
 
 
 def _certify(d, pairs, solve, avoid=()):
-    return certify(f"Q_{d}", lambda v: vertex_to_str(v, d), pairs, solve,
-                   lambda: CubeAdjacency(d), avoid)
+    G = CubeAdjacency(d)
+    return certify(f"Q_{d}", G, lambda v: vertex_to_str(v, d), pairs, solve,
+                   lambda: G, avoid)
 
 
 def cube_linkage(d, pairs, avoid=()) -> LinkageCertificate:

@@ -22,7 +22,7 @@ from ..oracle import oracle_linkage
 from ..paths import shortest_path
 from .certs import LinkageCertificate, Unlinkable, certify, take, terminals
 from .cube import _base_3F, _hops, _search, _splice
-from .star import (_face_link, _induced, _other_facet, _route_into,
+from .star import (_face_link, _far_ridge, _induced, _route_into,
                    _star_solve, detect_config_dF, link_via_subgraph)
 
 
@@ -111,8 +111,7 @@ def _break_config(P, s1, S1verts, bar, route, bpairs, witness, trace):
     barX = set(bar.values()) | {s1}
     ridges = [R for R in P.ridges_of_facet(F1) if bt1 in R]
     for R in ridges:
-        J = _other_facet(P, R, F1)
-        RJ = P.opposite_subface(J, R)
+        J, RJ = _far_ridge(P, R, F1)
         if RJ & F1:
             raise CaseNotCovered("escape ridge meets the blocked facet",
                                  trace=list(trace))
@@ -165,8 +164,7 @@ def _relink_through_neighbour(P, s1, bar, bpairs, F1, R, bt1, trace):
     is projected into that far ridge and linked there.
     """
     RF = P.opposite_subface(F1, R)
-    J = _other_facet(P, R, F1)
-    RJ = P.opposite_subface(J, R)
+    J, RJ = _far_ridge(P, R, F1)
     sk = P.project_in_face(F1, RF, bt1)
     _, tk, others = take(bpairs, sk)
     rpairs = [(s1, bt1)] + others[1:]
@@ -258,7 +256,7 @@ def solve_cubical(P: Polytope, pairs) -> LinkageCertificate:
     Dimension 3 at two pairs may return an obstruction certificate.
     """
     return certify(f"cubical {P.dim}-polytope ({len(P.vertices)}v)",
-                   P.labels.get, pairs,
+                   P.graph, P.labels.get, pairs,
                    lambda ps, trace: _cubical_solve(P, ps, trace),
                    lambda: P.graph)
 
@@ -266,6 +264,6 @@ def solve_cubical(P: Polytope, pairs) -> LinkageCertificate:
 def solve_cubical_strong(P: Polytope, pairs, x) -> LinkageCertificate:
     """Linkage of dim/2 pairs whose paths avoid the extra vertex x."""
     return certify(f"cubical {P.dim}-polytope ({len(P.vertices)}v)",
-                   P.labels.get, pairs,
+                   P.graph, P.labels.get, pairs,
                    lambda ps, trace: _cubical_strong_solve(P, ps, x, trace),
                    lambda: P.graph, (x,))

@@ -128,7 +128,8 @@ def _link_solve(D, v, pairs, trace):
 def solve_link(D, v, pairs) -> LinkageCertificate:
     """Linkage among up to floor(D/2) pairs in the link of v in Q_D."""
     vo = v ^ ((1 << D) - 1)
-    return certify(f"link(Q_{D}, {vertex_to_str(v, D)})",
+    G = CubeAdjacency(D)
+    return certify(f"link(Q_{D}, {vertex_to_str(v, D)})", G,
                    lambda u: vertex_to_str(u, D), pairs,
                    lambda ps, trace: _link_solve(D, v, ps, trace),
-                   lambda: CubeAdjacency(D), avoid=(v, vo))
+                   lambda: G, avoid=(v, vo))

@@ -33,13 +33,12 @@ def _face_path(P, f, s, t, forbidden=()):
     return shortest_path(_induced(P.graph, f), s, t, forbidden)
 
 
-def _face_link(P, f, pairs, avoid=(), trace=None):
+def _face_link(P, f, pairs, avoid=(), *, trace):
     """Cube linkage inside a face of P, through its canonical coordinates."""
     coords, j = P.embed_face(f)
     inv = {c: v for v, c in coords.items()}
     sub = _linkage(j, [(coords[s], coords[t]) for s, t in pairs],
-                   [coords[a] for a in avoid],
-                   trace if trace is not None else [])
+                   [coords[a] for a in avoid], trace)
     return [[inv[c] for c in p] for p in sub]
 
 
@@ -71,6 +70,12 @@ def _other_facet(P, R, F):
     return cands[0]
 
 
+def _far_ridge(P, R, F):
+    """The facet J across the ridge R from F, and R's opposite in J."""
+    J = _other_facet(P, R, F)
+    return J, P.opposite_subface(J, R)
+
+
 def _chain(*segs):
     """Concatenate path segments, merging equal junction vertices.
 
@@ -89,7 +94,7 @@ def _chain(*segs):
     return out
 
 
-def _route_into(G, X, B, forbidden=(), trace=None):
+def _route_into(G, X, B, forbidden=(), *, trace):
     """One path per vertex of X into B, pairwise disjoint, keyed by start.
 
     Terminals already in B stay put as single-vertex paths; every other path
@@ -101,11 +106,11 @@ def _route_into(G, X, B, forbidden=(), trace=None):
     except Cut as e:
         raise CaseNotCovered(
             f"routing cut by {len(e.separator)} vertices",
-            trace=list(trace or ()) + [sorted(e.separator)])
+            trace=[*trace, sorted(e.separator)])
     return {p[0]: p for p in sys}
 
 
-def link_via_subgraph(G, pairs, subV, sub_solver, forbidden=(), trace=None):
+def link_via_subgraph(G, pairs, subV, sub_solver, forbidden=(), *, trace):
     """Linkage through a linked subgraph: route every terminal into subV,
     link the entry vertices there, and concatenate."""
     route = _route_into(G, terminals(pairs), subV, forbidden=forbidden,
@@ -158,8 +163,7 @@ def projections_star_injection(P, s, F, trace=()):
     ridges = [R for R in P.ridges_of_facet(F) if s in R]
     f = {}
     for R in ridges:
-        J = _other_facet(P, R, F)
-        Ro = P.opposite_subface(J, R)
+        J, Ro = _far_ridge(P, R, F)
         for v in sorted(R):
             if v not in f:
                 f[v] = P.project_in_face(J, Ro, v)
@@ -223,16 +227,25 @@ class _StarSolver:
         self.inj = projections_star_injection(P, s1, self.F1, self.trace)
         self.s1o = P.opposite_in_face(self.F1, s1)
 
+    def fail(self, why):
+        return CaseNotCovered(why, trace=list(self.trace))
+
     def record(self, s, t, path):
         path = _orient(path, s)
         if path[0] != s or path[-1] != t:
-            raise CaseNotCovered(f"path {path} does not join {s} and {t}",
-                                 trace=list(self.trace))
+            raise self.fail(f"path {path} does not join {s} and {t}")
         self.out[frozenset((s, t))] = path
 
     def record_sub(self, pairs, paths):
         for (s, t), p in zip(pairs, paths):
             self.record(s, t, p)
+
+    def splice(self, pairs, route, solve):
+        """Record the pairs linked through their routes by `solve`."""
+        self.record_sub(pairs, _splice(pairs, route, solve))
+
+    def face_link(self, face, pairs, avoid=()):
+        return _face_link(self.P, face, pairs, avoid, trace=self.trace)
 
     def cross(self, a, b):
         """a's way to b across the antistar; an end in F1 reaches it by the
@@ -244,15 +257,12 @@ class _StarSolver:
         """Two disjoint paths in the antistar via a ridge-cube inside it."""
         P, F1 = self.P, self.F1
         R1 = next(R for R in P.ridges_of_facet(F1) if self.s1 in R)
-        J1 = _other_facet(P, R1, F1)
-        RA = P.opposite_subface(J1, R1)
+        _, RA = _far_ridge(P, R1, F1)
         if RA & F1:
-            raise CaseNotCovered("antistar ridge meets F1",
-                                 trace=list(self.trace))
-        return link_via_subgraph(
-            self.A1g, pairs2, RA,
-            lambda ep: _face_link(P, RA, ep, trace=self.trace),
-            trace=self.trace)
+            raise self.fail("antistar ridge meets F1")
+        return link_via_subgraph(self.A1g, pairs2, RA,
+                                 lambda ep: self.face_link(RA, ep),
+                                 trace=self.trace)
 
     def link_in_F1(self, lpairs):
         """Linkage in the link of s1 inside the cube F1 (avoids s1 and s1o)."""
@@ -286,7 +296,7 @@ class _StarSolver:
                 continue
             self.record(a, b, p)
             return (a, b)
-        raise CaseNotCovered(why, trace=list(self.trace))
+        raise self.fail(why)
 
     def _across(self, s, t, face, proj, forbidden=()):
         """An s-t path through face; an end outside it enters by proj."""
@@ -324,9 +334,7 @@ class _StarSolver:
         if _face_dist(P, F1, s2, s1) < self.d - 1:
             self.trace.append("star/case1-near")
             inside = [(s1, t1)] + rest
-            self.record_sub(inside,
-                            _face_link(P, F1, inside, avoid=[s2],
-                                       trace=self.trace))
+            self.record_sub(inside, self.face_link(F1, inside, avoid=[s2]))
             adjacent = self.inj[s2] == t2
             self.record(s2, t2, [s2, t2] if adjacent else self.cross(s2, t2))
             return
@@ -338,8 +346,7 @@ class _StarSolver:
         if all(w in self.X for w in NR2):
             self.trace.append("star/case1-far-crowded")
             # every rest pair and t1 are the R-neighbours of s2
-            self.record_sub(rest, _face_link(P, R, rest, avoid=[s2, t1],
-                                             trace=self.trace))
+            self.record_sub(rest, self.face_link(R, rest, avoid=[s2, t1]))
             ps2 = piRo(s2)
             self.record(s2, t2, _chain([s2], self.cross(ps2, t2)))
             p1 = _face_path(P, Ro, piRo(t1), s1, forbidden={ps2})
@@ -352,9 +359,7 @@ class _StarSolver:
         route = _hops(terminals(inside), piRo)
         ent = lambda x: route[x][-1]
         try:
-            self.record_sub(inside, _splice(
-                inside, route,
-                lambda ep: _face_link(P, Ro, ep, trace=self.trace)))
+            self.splice(inside, route, lambda ep: self.face_link(Ro, ep))
         except Unlinkable:
             # 3-cube corner at d = 5: route the other pair through R instead
             self.trace.append("star/case1-far-d5-flip")
@@ -383,24 +388,20 @@ class _StarSolver:
             for x, p in _route_into(self.A1g, a1_terms, z2bar,
                                     trace=self.trace).items():
                 route[x] = p + [z2bar[p[-1]]]
-            self.record_sub(self.rest, _splice(
-                self.rest, route, lambda ep: self._must_link(Ro, ep)))
+            self.splice(self.rest, route, lambda ep: self._must_link(Ro, ep))
             self.record(s1, t1, _face_path(P, R, s1, t1, forbidden=self.X))
             return
         self.trace.append("star/case2-far-ridge")
         ps1 = piRo(s1)
         p1 = _face_path(P, Ro, ps1, t1, forbidden=self.X)
         self.record(s1, t1, _chain([s1], p1))
-        J = _other_facet(P, R, F1)
-        RJ = P.opposite_subface(J, R)
+        J, RJ = _far_ridge(P, R, F1)
         if RJ & F1:
-            raise CaseNotCovered("escape ridge meets F1",
-                                 trace=list(self.trace))
+            raise self.fail("escape ridge meets F1")
         route = _route_into(self.A1g, a1_terms, RJ, trace=self.trace)
         route.update(_hops((self.X & F1) - {s1, t1}, piR))
-        self.record_sub(self.rest, _splice(
-            self.rest, route,
-            lambda ep: _face_link(P, J, ep, avoid=[s1], trace=self.trace)))
+        self.splice(self.rest, route,
+                    lambda ep: self.face_link(J, ep, avoid=[s1]))
 
     def _pick_zbars(self, P, Ro, XRo, pool, need):
         """Landing spots in the far ridge for the antistar terminals.
@@ -410,8 +411,7 @@ class _StarSolver:
         of them, which rules out the cyclic 2-face obstruction.
         """
         if need > len(pool):
-            raise CaseNotCovered("not enough landing spots in the far ridge",
-                                 trace=list(self.trace))
+            raise self.fail("not enough landing spots in the far ridge")
         if self.d == 5 and XRo:
             spread = any(_face_dist(P, Ro, x, y) == 3
                          for x in XRo for y in XRo if x < y)
@@ -425,10 +425,9 @@ class _StarSolver:
 
     def _must_link(self, face, epairs):
         try:
-            return _face_link(self.P, face, epairs, trace=self.trace)
+            return self.face_link(face, epairs)
         except Unlinkable:
-            raise CaseNotCovered("unexpected obstruction in a 3-cube ridge",
-                                 trace=list(self.trace))
+            raise self.fail("unexpected obstruction in a 3-cube ridge")
 
     # -- case 3: only the first pair meets F1 ---------------------------
 
@@ -449,8 +448,7 @@ class _StarSolver:
         hat = {x: route[x][-1] for x in a1_terms}
         F12 = next(f for f in S12_facets if hat[t2] in f)
         if t1 in F12:
-            raise CaseNotCovered("second facet meets the far terminal",
-                                 trace=list(self.trace))
+            raise self.fail("second facet meets the far terminal")
         # first pair: leave through the ridge of F1 away from F12
         inter = frozenset(F12) & frozenset(F1)
         R = next(r for r in P.ridges_of_facet(F1)
@@ -462,16 +460,14 @@ class _StarSolver:
             # several facets around s1-s2: funnel strays through a far ridge
             A12verts = set(G12_all) - F1 - frozenset(F12)
             U = next(u for u in P.ridges_of_facet(F12) if s1 in u and s2 in u)
-            J12 = _other_facet(P, U, F12)
-            UJ = P.opposite_subface(J12, U)
+            J12, UJ = _far_ridge(P, U, F12)
             hatX = set(hat.values())
             blocked = {P.project_in_face(J12, UJ, v)
                        for v in (hatX | {s1}) & set(U)}
             strays = sorted(x for x in a1_terms if hat[x] in A12verts)
             W = sorted(set(UJ) - F1 - blocked)[:len(strays)]
             if len(W) < len(strays):
-                raise CaseNotCovered("not enough landing spots off the far "
-                                     "ridge", trace=list(self.trace))
+                raise self.fail("not enough landing spots off the far ridge")
             if strays:
                 back = _route_into(_induced(G12_all, A12verts),
                                    [hat[x] for x in strays], W,
@@ -481,11 +477,9 @@ class _StarSolver:
                     route[x] = _chain(route[x], p,
                                       [P.project_in_face(J12, U, p[-1])])
             if {route[x][-1] for x in strays} & (hatX | {s1}):
-                raise CaseNotCovered("stray landed on a terminal entry",
-                                     trace=list(self.trace))
-        self.record_sub(self.rest, _splice(
-            self.rest, route,
-            lambda ep: _face_link(P, F12, ep, avoid=[s1], trace=self.trace)))
+                raise self.fail("stray landed on a terminal entry")
+        self.splice(self.rest, route,
+                    lambda ep: self.face_link(F12, ep, avoid=[s1]))
 
     # -- case 4: every terminal in F1 -----------------------------------
 
@@ -505,8 +499,7 @@ class _StarSolver:
 
     def case4_free(self):
         self.trace.append("star/case4-free")
-        sub = _face_link(self.P, self.F1, self.rest, avoid=[self.s1],
-                         trace=self.trace)
+        sub = self.face_link(self.F1, self.rest, avoid=[self.s1])
         p1 = self._detour(self.rest, sub, self.t1)
         self.record_sub(self.rest, sub)
         self.record(self.s1, self.t1, p1)
@@ -554,10 +547,7 @@ class _StarSolver:
         axis = agree[0]
         lo, hi = _coord_split(P, F1, axis)
         R = lo if anchor_a in lo else hi
-        RF = frozenset(F1) - R
-        J1 = _other_facet(P, R, F1)
-        RJ = P.opposite_subface(J1, R)
-        return R, RF, J1, RJ
+        return (R, frozenset(F1) - R) + _far_ridge(P, R, F1)
 
     def case4_d5(self):
         self.trace.append("star/case4-d5")
@@ -584,16 +574,14 @@ class _StarSolver:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             two = [allp[i], allp[j]]
             try:
-                self.record_sub(two, _splice(
-                    two, _hops(terminals(two), piRJ),
-                    lambda ep: _face_link(P, RJ, ep, trace=self.trace)))
+                self.splice(two, _hops(terminals(two), piRJ),
+                            lambda ep: self.face_link(RJ, ep))
             except Unlinkable:
                 continue
             a, b = allp[3 - i - j]
             self.record(a, b, self._across(a, b, RF, piRF))
             return
-        raise CaseNotCovered("no non-cyclic pair selection in the 3-face",
-                             trace=list(self.trace))
+        raise self.fail("no non-cyclic pair selection in the 3-face")
 
     def _d5_pair_in_R(self, i2, R, RF, J1, RJ):
         self.trace.append("star/case4-d5-pair-in-R")
@@ -623,12 +611,10 @@ class _StarSolver:
                 if t3r == s3:
                     # the hop already closes the pair
                     self.record(s3, t3, T3[::-1])
-                    sub = _face_link(P, J1, [(s1, t1)],
-                                     avoid=[v for v in T3 if v in J1],
-                                     trace=self.trace)
+                    sub = self.face_link(J1, [(s1, t1)],
+                                         avoid=[v for v in T3 if v in J1])
                 else:
-                    sub = _face_link(P, J1, [(s1, t1), (s3, t3r)],
-                                     trace=self.trace)
+                    sub = self.face_link(J1, [(s1, t1), (s3, t3r)])
                     self.record(s3, t3, _chain(_orient(sub[1], s3),
                                                T3[::-1][1:]))
                 self.record(s1, t1, sub[0])
@@ -638,13 +624,11 @@ class _StarSolver:
                 return
             self.trace.append("star/case4-d5-adjacent")
             if t1 not in P.graph[s1]:
-                raise CaseNotCovered("expected adjacent first pair",
-                                     trace=list(self.trace))
+                raise self.fail("expected adjacent first pair")
             self.record(s1, t1, [s1, t1])
             self.record(s2, t2, _face_path(P, RF, s2, t2, forbidden=self.X))
             if s3 not in self.inj or t3 not in self.inj:
-                raise CaseNotCovered("terminal with no antistar neighbour",
-                                     trace=list(self.trace))
+                raise self.fail("terminal with no antistar neighbour")
             self.record(s3, t3, self.cross(s3, t3))
             return
         # the last pair also lives in the far ridge
@@ -695,8 +679,7 @@ class _StarSolver:
         self.record(s3, t3, _chain(self.cross(s3, u), [t3]))
         S2 = _short_hop(P, s2, RF, t2, (self.X | T3) - {s2, t2}, self.F1)
         if S2 is None:
-            raise CaseNotCovered("no short escape for the second pair",
-                                 trace=list(self.trace))
+            raise self.fail("no short escape for the second pair")
         forb = self._hop_far(R, RF, s2, t2, S2, T3) | {s3}
         self.record(s1, t1, _face_path(P, R, s1, t1, forbidden=forb))
 
@@ -717,12 +700,10 @@ class _StarSolver:
             two = [(s1, t1), (s2, t2)]
             route = _hops((s1, s2, t2), piRJ)
             route[t1] = [t1, t1p, piRJ(t1p)]
-            self.record_sub(two, _splice(two, route,
-                                         lambda ep: self._must_link(RJ, ep)))
+            self.splice(two, route, lambda ep: self._must_link(RJ, ep))
             e3 = lambda x: x if x in RF else piRF(x)
             if e3(s3) in self.X - {s3, t3} or e3(t3) in self.X - {s3, t3}:
-                raise CaseNotCovered("blocked projection for the last pair",
-                                     trace=list(self.trace))
+                raise self.fail("blocked projection for the last pair")
             self.record(s3, t3, self._across(s3, t3, RF, piRF, self.X))
             return
         inRF = self._pair_inside(RF)
@@ -744,8 +725,7 @@ class _StarSolver:
         # s3's hop fails only if s3 neighbours both s1 and t1p, which are
         # antipodal in R: the guard never fires
         if S3 is None:
-            raise CaseNotCovered("no short escape into the far ridge",
-                                 trace=list(self.trace))
+            raise self.fail("no short escape into the far ridge")
         forb = self._hop_far(R, RF, s3, t3, S3) | {s2}
         self.record(s2, t2, self.cross(s2, t2))
         p1 = _face_path(P, R, s1, t1p, forbidden=forb)
@@ -775,7 +755,7 @@ def solve_star(P, s1, pairs) -> LinkageCertificate:
         raise ValueError("star linkage needs an odd-dimensional host of "
                          "dimension at least 5")
     keep = []
-    return certify(f"star({P.labels[s1]}) in {P.dim}-polytope",
+    return certify(f"star({P.labels[s1]}) in {P.dim}-polytope", P.graph,
                    P.labels.__getitem__, pairs,
                    lambda ps, trace: _star_solve(P, s1, ps, trace, keep=keep),
                    lambda: keep[0])

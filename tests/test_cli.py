@@ -382,3 +382,53 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
     code, out, err = run(capsys, "solve", "--instance", str(path))
     assert code == 1 and out == ""
     assert err == 'error: instance "strong" must be true or false\n'
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["solve", "--link", "5", "--avoid", "00011",
+      "--pairs", "00001-11110,00010-11101"],
+     "--avoid outside cube hosts requires --strong"),
+    (["solve", "--cube", "4", "--strong", "--pairs", "0000-1111,0011-1100"],
+     "--strong needs exactly one --avoid vertex"),
+    (["solve", "--cube", "4", "--strong", "--avoid", "0101,0110",
+      "--pairs", "0000-1111,0011-1100"],
+     "--strong needs exactly one --avoid vertex"),
+    (["census", "--cube", "3", "--k", "2"],
+     "census needs --exhaustive or --sample N"),
+    (["gen", "cube"], "gen cube needs --dim"),
+    (["gen", "link"], "gen link needs --cube D"),
+    (["gen", "random-instance", "--cube", "4"],
+     "gen random-instance needs --cube D and --k"),
+    (["solve", "--instance", "torus.json"], "unknown host kind 'torus'"),
+    (["solve", "--instance", "no-path.json"],
+     "lattice host needs --lattice FILE"),
+    (["solve", "--lattice", "q3.json", "--pairs", "000-zzz"],
+     "unknown vertex label 'zzz'"),
+    (["solve", "--lattice", "not-json.json", "--pairs", "000-111"],
+     "bad lattice file not-json.json: Expecting property name enclosed in "
+     "double quotes: line 1 column 2 (char 1)"),
+    (["solve", "--instance", "missing.json"],
+     "bad instance file: [Errno 2] No such file or directory: "
+     "'missing.json'"),
+    (["verify", "no-pairs.json"], "bad certificate: 'pairs'"),
+], ids=["avoid-without-strong", "strong-no-avoid", "strong-two-avoid",
+        "census-no-mode", "gen-cube-no-dim", "gen-link-no-cube",
+        "gen-instance-no-k", "torus-host", "lattice-no-path",
+        "unknown-label", "lattice-not-json", "missing-instance",
+        "certificate-no-pairs"])
+def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
+    monkeypatch.chdir(tmp_path)
+    _, lattice, _ = run(capsys, "gen", "cube", "--dim", "3")
+    files = {
+        "q3.json": lattice,
+        "not-json.json": "{nope",
+        "torus.json": json.dumps({"host": {"kind": "torus"},
+                                  "pairs": [["0", "1"]]}),
+        "no-path.json": json.dumps({"host": {"kind": "lattice"},
+                                    "pairs": [["0", "1"]]}),
+        "no-pairs.json": json.dumps({"instance": {"host": {
+            "kind": "cube", "dim": 3}}, "result": {"linkage": []}}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(capsys, *argv) == (1, "", f"error: {err}\n")

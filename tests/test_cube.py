@@ -15,7 +15,9 @@ from cubelink.linkage.cube import (
     solve_cube,
     solve_cube_strong,
 )
-from cubelink.linkage.cubical import solve_cubical
+from cubelink.linkage.cubical import solve_cubical, solve_cubical_strong
+from cubelink.linkage.link import solve_link
+from cubelink.linkage.star import solve_star
 from cubelink.oracle import all_pairings, oracle_linkage
 from cubelink.paths import validate_linkage
 
@@ -109,6 +111,27 @@ def test_strong_rejects_bad_inputs():
         solve_cube_strong(4, [(0, 1)], 2)  # wrong pair count
     with pytest.raises(ValueError):
         solve_cube_strong(4, [(0, 1), (2, 3)], 3)  # x is a terminal
+
+
+_Q4, _Q5 = build_cube_polytope(4), build_cube_polytope(5)
+
+
+@pytest.mark.parametrize("solve,outsider", [
+    (lambda: solve_cube(5, [(0, 31), (1, 40), (2, 29)]), 40),
+    (lambda: cube_linkage(5, [(0, 31)], [99]), 99),
+    (lambda: solve_cube_strong(4, [(0, 15), (3, 12)], 99), 99),
+    (lambda: solve_cubical_strong(_Q4, [(0, 15), (3, 12)], 99), 99),
+    (lambda: solve_star(_Q5, 0, [(0, 99), (1, 2), (4, 8)]), 99),
+    (lambda: solve_cube(3, [(0, 9)]), 9),
+    (lambda: solve_link(5, 0, [(1, 99), (2, 29)]), 99),
+    (lambda: solve_cubical(_Q4, [(0, 99)]), 99),
+], ids=["cube", "cube-avoid", "cube-strong", "cubical-strong", "star",
+        "cube-d3", "link", "cubical"])
+def test_vertex_outside_the_host_is_rejected(solve, outsider):
+    """Ids outside the host never reach the case analysis, where they used
+    to surface as CaseNotCovered, IndexError, KeyError or NoPath."""
+    with pytest.raises(ValueError, match=f"^vertex {outsider} is not in "):
+        solve()
 
 
 def test_short_distance_paths_contract():

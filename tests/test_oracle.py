@@ -107,6 +107,29 @@ def test_census_rejects_bad_modes():
         census(cube_graph(5), 2, mode="exhaustive")
 
 
+@pytest.mark.parametrize("kind,oracle,mismatches,obstructions", [
+    ("config-3F", "linked", 204, {"config-3F": 6}),
+    (None, "unlinked", 6, {}),
+])
+def test_census_cross_tabulates_a_wrong_detector(kind, oracle, mismatches,
+                                                 obstructions):
+    rep = census(cube_graph(3), 2, detector=lambda pairs: kind)
+    assert (rep.total, rep.linked, rep.unlinked) == (210, 204, 6)
+    assert len(rep.detector_mismatches) == mismatches
+    assert all(m["detector"] == kind and m["oracle"] == oracle
+               for m in rep.detector_mismatches)
+    assert rep.obstructions == obstructions
+
+
+def test_census_counts_searches_past_their_budget_as_timeouts(monkeypatch):
+    import cubelink.oracle as oracle
+
+    monkeypatch.setattr(oracle, "oracle_timeout_ms", lambda: -1000)
+    rep = census(cube_graph(4), 2, mode="sample", sample=5, seed=0)
+    assert rep.timeouts == rep.total == 5
+    assert rep.linked == rep.unlinked == 0
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_separator_census_clean(d):
     rep = separator_census(d)
