@@ -1,9 +1,13 @@
 """Abstract polytopal complexes from vertex-facet incidence.
 
 A Polytope stores its full face lattice (faces as frozensets of vertex ids,
-obtained by closing the facet list under pairwise intersection) plus the
-graph.  Cubicality is certified from the facets: each facet is embedded as
-a combinatorial cube (canonical BFS coordinate assignment), and every lower
+obtained by closing the facet list under intersection) plus the graph.  The
+faces are kept in one order: by size, then by sorted vertex list.  The
+closure cuts each face only by the facets that meet it without containing
+it.  A polytope built from a host whose faces include its own, as a vertex
+link is, reads its faces off the host's lattice instead of closing them.
+Cubicality is certified from the facets: each facet is embedded as a
+combinatorial cube (canonical BFS coordinate assignment), and every lower
 face must be a subcube of its first facet's embedding, since every face of
 a cube is a subcube.  The other faces' embeddings, the bridge to the
 bit-level solvers in `hypercube`, are computed when first asked for.
@@ -38,20 +42,24 @@ class Polytope:
     def __init__(self, dim, vertices, facets, labels=None, host=None):
         """`host` is a certified Polytope whose faces, with the same edges,
         include this one's, as a vertex link's do (see
-        linkage.cubical.vertex_link): faces of the host count as certified,
-        and the facets take their embeddings from it."""
+        linkage.cubical.vertex_link).  Every facet must be a face of the
+        host, or ValueError is raised.  The faces are then read off the
+        host's lattice instead of closed: the host's faces inside the vertex
+        set that lie in a facet, each checked to be the intersection of the
+        facets containing it.  They count as certified, and the facets take
+        their embeddings from the host."""
         self.dim = dim
         self.vertices = sorted(vertices)
         self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
         self.labels = labels or {v: str(v) for v in self.vertices}
         self._embed_cache = {}
-        self._build_lattice()
+        self._build_lattice(host)
         self.cubical = False
         self._validate_cubical(host)
 
     # -- lattice -----------------------------------------------------------
 
-    def _build_lattice(self):
+    def _build_lattice(self, host):
         verts = set(self.vertices)
         if not self.facets or any(not f for f in self.facets):
             raise InconsistentIncidence("empty facet")
@@ -62,82 +70,137 @@ class Polytope:
             for g in self.facets[i + 1:]:
                 if f <= g or g <= f:
                     raise InconsistentIncidence("facet contained in another facet")
-        # close the facets under intersection, testing vertex bitsets; the
-        # sets are filled in the same order as by intersecting the faces
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        bits = {f: reduce(or_, map(bit.__getitem__, f)) for f in self.facets}
-        facet_bits = list(bits.values())
-        seen = set(facet_bits)
-        seen.add(0)
-        faces = set(self.facets)
-        frontier = set(self.facets)
-        while frontier:
-            new = set()
-            for f in frontier:
-                # each distinct intersection once, at its first facet
-                meets = dict(zip(map(bits[f].__and__, facet_bits), self.facets))
-                for hb, g in meets.items():
-                    if hb not in seen:
-                        seen.add(hb)
-                        h = f & g
-                        bits[h] = hb
-                        new.add(h)
-            faces |= new
-            frontier = new
-        self.graph = {v: set() for v in self.vertices}
-        for f in faces:
-            if len(f) == 2:
-                a, b = sorted(f)
-                self.graph[a].add(b)
-                self.graph[b].add(a)
-        self.graph = {v: tuple(sorted(n)) for v, n in self.graph.items()}
         # the incidence index: bit i stands for self.facets[i]
         vmask = dict.fromkeys(self.vertices, 0)
         for i, f in enumerate(self.facets):
             for v in f:
                 vmask[v] |= 1 << i
         self.vertex_facets = vmask
-        self.face_facets = {f: reduce(and_, map(vmask.__getitem__, f))
-                            for f in faces}
-        # a set-like view of the faces, iterating in the closure's set order
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        facet_bits = [reduce(or_, map(bit.__getitem__, f)) for f in self.facets]
+        if host is None:
+            masks = self._close_facets(facet_bits)
+            faces = sorted(masks, key=lambda f: (len(f), sorted(f)))
+            self.face_facets = {f: masks[f] for f in faces}
+        else:
+            self.face_facets = self._read_faces(host, verts, facet_bits)
+        # a set-like view of the faces, iterating by size, then by sorted
+        # vertex list: faces_by_dim concatenated
         self.proper_faces = self.face_facets.keys()
+        # the edges come after the vertices, each as (a, b) with a < b in
+        # that order, so every vertex meets its neighbours in sorted order
+        graph = {v: [] for v in self.vertices}
+        for f in self.proper_faces:
+            if len(f) > 2:
+                break
+            if len(f) == 2:
+                a, b = sorted(f)
+                graph[a].append(b)
+                graph[b].append(a)
+        self.graph = {v: tuple(n) for v, n in graph.items()}
+
+    def _close_facets(self, facet_bits):
+        """The facets' closure under intersection, each face with the mask of
+        the facets containing it, tested on vertex bitsets.
+
+        A face is cut only by the facets that meet it without containing
+        it, the OR of its vertices' masks less their AND: any other facet
+        gives nothing or the face itself."""
+        vmask, facets = self.vertex_facets, self.facets
+        masks = {}
+        frontier = []
+        for i, f in enumerate(facets):
+            # no facet contains another, so only facet i contains f
+            masks[f] = 1 << i
+            frontier.append((f, facet_bits[i], 1 << i,
+                             reduce(or_, map(vmask.__getitem__, f))))
+        seen = set(facet_bits)
+        while frontier:
+            new = []
+            for f, fb, m, cut in frontier:
+                cut &= ~m
+                while cut:
+                    low = cut & -cut
+                    cut ^= low
+                    i = low.bit_length() - 1
+                    hb = fb & facet_bits[i]
+                    if hb not in seen:
+                        seen.add(hb)
+                        h = f & facets[i]
+                        hms = [vmask[v] for v in h]
+                        hm = reduce(and_, hms)
+                        masks[h] = hm
+                        new.append((h, hb, hm, reduce(or_, hms)))
+            frontier = new
+        return masks
+
+    def _read_faces(self, host, verts, facet_bits):
+        """The faces read off the host, in its order, each with its mask:
+        the host's faces inside `verts` that lie in a facet.
+
+        The host's faces are closed under intersection, so every
+        intersection of facets is among them; checking that each face read
+        is the intersection of the facets containing it gives the converse,
+        so the faces are exactly the facets' closure."""
+        known = host.face_facets
+        for f in self.facets:
+            if f not in known:
+                raise ValueError(f"facet {sorted(f)} is not a face of the host")
+        vmask = self.vertex_facets
+        faces = {}
+        for f in host.proper_faces:
+            if f <= verts:
+                m = reduce(and_, map(vmask.__getitem__, f))
+                if m:
+                    meet, rest = -1, m
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        meet &= facet_bits[low.bit_length() - 1]
+                    if meet.bit_count() != len(f):
+                        raise InconsistentIncidence(
+                            f"face {sorted(f)} is not the intersection of "
+                            f"the facets containing it")
+                    faces[f] = m
+        return faces
 
     def _validate_cubical(self, host):
         self.face_dim = {}
         by_dim = {}
-        for f in self.proper_faces:
+        for f in self.proper_faces:  # by size, so grouped by dimension
             n = len(f)
             j = n.bit_length() - 1
             if n != 1 << j:
                 raise NotCubical(f"face with {n} vertices", face=sorted(f))
             self.face_dim[f] = j
             by_dim.setdefault(j, []).append(f)
-        certified = host.face_facets if host is not None else {}
-        for f in self.facets:
-            if len(f) > 1:
-                if f in certified:
+        if host is not None:
+            # every face is the host's, so certified with its embedding
+            for f in self.facets:
+                if len(f) > 1:
                     self._embed_cache[f] = host.embed_face(f)
-                else:
+        else:
+            for f in self.facets:
+                if len(f) > 1:
                     self.embed_face(f)  # raises NotCubical on failure
-        # a lower face with 2^j vertices is a j-cube exactly when its codes
-        # in its first facet's embedding span a j-dimensional subcube
-        facets, cache = self.facets, self._embed_cache
-        for f, m in self.face_facets.items():
-            j = self.face_dim[f]
-            if j == 0 or f in certified:
-                continue
-            F = facets[(m & -m).bit_length() - 1]
-            if F == f:
-                continue
-            coords = cache[F][0]
-            codes = [coords[v] for v in f]
-            if (reduce(or_, codes) ^ reduce(and_, codes)).bit_count() != j:
-                self.embed_face(f)  # raises NotCubical with its reason
+            # a lower face with 2^j vertices is a j-cube exactly when its
+            # codes in its first facet's embedding span a j-dimensional
+            # subcube
+            facets, cache = self.facets, self._embed_cache
+            for f, m in self.face_facets.items():
+                j = self.face_dim[f]
+                if j == 0:
+                    continue
+                F = facets[(m & -m).bit_length() - 1]
+                if F == f:
+                    continue
+                coords = cache[F][0]
+                codes = [coords[v] for v in f]
+                if (reduce(or_, codes) ^ reduce(and_, codes)).bit_count() != j:
+                    self.embed_face(f)  # raises NotCubical with its reason
         if max(by_dim) != self.dim - 1:
             raise InconsistentIncidence(
                 f"facets have dimension {max(by_dim)}, expected {self.dim - 1}")
-        for fs in by_dim.values():
-            fs.sort(key=sorted)
         self.faces_by_dim = {j: tuple(fs) for j, fs in by_dim.items()}
         self.cubical = True
 
@@ -341,6 +404,8 @@ def link_polytope(cube_dim: int, v: int) -> Polytope:
     d = cube_dim
     if d < 2:
         raise ValueError("need cube_dim >= 2")
+    if not 0 <= v < 1 << d:
+        raise ValueError(f"vertex {v} is not in Q{d}")
     full = (1 << d) - 1
     vo = v ^ full
     verts = [x for x in range(1 << d) if x not in (v, vo)]

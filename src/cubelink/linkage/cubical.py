@@ -198,6 +198,9 @@ def vertex_link(P: Polytope, x) -> Polytope:
     if x in cache:
         cache.move_to_end(x)
         return cache[x]
+    if x not in P.vertex_facets:
+        raise ValueError(f"vertex {x} is not in cubical {P.dim}-polytope "
+                         f"({len(P.vertices)}v)")
     star_facets = P.facets_containing((x,))
     facets = set()
     for F in star_facets:
@@ -209,8 +212,10 @@ def vertex_link(P: Polytope, x) -> Polytope:
     # The link's faces are the faces of the star that miss x: the ridges are
     # its facets, and every smaller such face is where two larger ones meet.
     # They are closed under taking subfaces in P, so each has the same edges
-    # in both lattices: P certifies them, and P's embedding of a facet holds
-    # in the link.
+    # in both lattices: the link reads them off P's lattice instead of
+    # closing its facets, P certifies them, and P's embedding of a facet
+    # holds in the link.  The comparison below holds the link to that
+    # definition.
     star = P.vertex_facets[x]
     faces = {f for f, m in P.face_facets.items() if m & star and x not in f}
     link = Polytope(P.dim - 1, verts, facets, labels=labels, host=P)

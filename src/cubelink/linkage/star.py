@@ -754,8 +754,10 @@ def solve_star(P, s1, pairs) -> LinkageCertificate:
     if P.dim % 2 == 0 or P.dim < 5:
         raise ValueError("star linkage needs an odd-dimensional host of "
                          "dimension at least 5")
+    if all(s1 not in p for p in pairs):
+        raise ValueError(f"the star centre {s1} is not a terminal")
     keep = []
-    return certify(f"star({P.labels[s1]}) in {P.dim}-polytope", P.graph,
-                   P.labels.__getitem__, pairs,
+    return certify(f"star({P.labels.get(s1, s1)}) in {P.dim}-polytope",
+                   P.graph, P.labels.__getitem__, pairs,
                    lambda ps, trace: _star_solve(P, s1, ps, trace, keep=keep),
                    lambda: keep[0])

@@ -322,7 +322,7 @@ def test_index_face_queries_match_brute_force(host):
 
 def _closure_by_intersection(P):
     """The face set as the facets' closure under pairwise intersection of
-    the faces themselves, filled in the order the lattice promises."""
+    the faces themselves, as a set: no order is promised."""
     faces = set(P.facets)
     frontier = set(P.facets)
     while frontier:
@@ -340,9 +340,62 @@ def _closure_by_intersection(P):
 @pytest.mark.parametrize("host", sorted(INDEX_HOSTS))
 def test_closure_matches_intersecting_faces(host):
     P = INDEX_HOSTS[host]()
-    # the same faces in the same iteration order, which the face queries and
-    # complexes inherit
-    assert list(P.proper_faces) == list(_closure_by_intersection(P))
+    # the same faces, iterating by size, then by sorted vertex list: the one
+    # order the face queries and complexes inherit
+    assert list(P.proper_faces) == sorted(_closure_by_intersection(P),
+                                          key=lambda f: (len(f), sorted(f)))
+
+
+def _lone_facet_of_q4():
+    Q4 = build_cube_polytope(4)
+    return Polytope(3, Q4.facets[0], Q4.facets[:1], host=Q4)
+
+
+@pytest.mark.parametrize("build,cls,err", [
+    # a "square" on the even vertices of Q3, whose sides are no edges
+    (lambda: Polytope(2, [0, 3, 5, 6], [{0, 3}, {3, 5}, {5, 6}, {6, 0}],
+                      host=build_cube_polytope(3)),
+     ValueError, "facet [0, 3] is not a face of the host"),
+    # a facet of Q4 as the only facet: its subfaces are host faces inside
+    # it, but no intersection of the facets given
+    (_lone_facet_of_q4, InconsistentIncidence,
+     "face [0] is not the intersection of the facets containing it"),
+], ids=["facet-not-a-host-face", "face-not-an-intersection"])
+def test_host_mode_rejects_faces_the_closure_would_not_give(build, cls, err):
+    with pytest.raises(cls) as e:
+        build()
+    assert str(e.value) == err
+
+
+@pytest.mark.parametrize("host", ["Q6", "linkQ7"])
+def test_vertex_links_read_their_faces_instead_of_closing(host, monkeypatch):
+    P = _fresh({"Q6": lambda: build_cube_polytope(6),
+                "linkQ7": lambda: link_polytope(7, 0)}[host]())
+    closures = []
+    close = Polytope._close_facets
+
+    def counted(self, facet_bits):
+        closures.append(len(self.facets))
+        return close(self, facet_bits)
+
+    monkeypatch.setattr(Polytope, "_close_facets", counted)
+    links = [vertex_link(P, x) for x in P.vertices[::11]]
+    assert closures == []
+    L = links[-1]
+    Polytope(L.dim, L.vertices, L.facets, labels=L.labels)
+    assert closures == [len(L.facets)]
+
+
+@pytest.mark.parametrize("build,err", [
+    (lambda: vertex_link(build_cube_polytope(4), 99),
+     r"vertex 99 is not in cubical 4-polytope \(16v\)"),
+    (lambda: link_polytope(4, 99), "vertex 99 is not in Q4"),
+    (lambda: link_polytope(4, -1), "vertex -1 is not in Q4"),
+], ids=["vertex_link-99", "link_polytope-99", "link_polytope-minus-1"])
+def test_link_builders_reject_a_vertex_outside_the_host(build, err):
+    # these used to raise a bare KeyError and InconsistentIncidence
+    with pytest.raises(ValueError, match=err):
+        build()
 
 
 # -- the facet-based certificate against the per-face reference -------------
@@ -383,6 +436,20 @@ def test_embeddings_match_per_face_reference(host):
         assert P.face_dim == R.face_dim and P.faces_by_dim == R.faces_by_dim
         for f in P.proper_faces:
             assert P.embed_face(f) == R.embed_face(f), sorted(f)
+
+
+ORDER_HOSTS = {**{f"index {h}": INDEX_HOSTS[h] for h in INDEX_HOSTS},
+               **{f"cert {h}": CERT_HOSTS[h] for h in CERT_HOSTS}}
+
+
+@pytest.mark.parametrize("host", sorted(ORDER_HOSTS))
+def test_faces_iterate_in_one_canonical_order(host):
+    made = ORDER_HOSTS[host]()
+    for P in made if isinstance(made, list) else [made]:
+        faces = list(P.proper_faces)
+        assert faces == [f for j in sorted(P.faces_by_dim)
+                         for f in P.faces_by_dim[j]]
+        assert faces == sorted(faces, key=lambda f: (len(f), sorted(f)))
 
 
 def _mutated(facets, rng):
@@ -440,6 +507,13 @@ def test_mutated_incidences_match_per_face_reference(host):
             assert got is want, facets
             continue
         assert isinstance(got, Polytope), (got, facets)
+        # ReferencePolytope inherits the closure: check it against one
+        # that intersects the faces themselves
+        closure = _closure_by_intersection(got)
+        assert set(got.proper_faces) == closure
+        assert got.face_facets == {
+            f: sum(1 << i for i, g in enumerate(got.facets) if f <= g)
+            for f in closure}
         assert got.faces_by_dim == want.faces_by_dim
         for f in got.proper_faces:
             assert got.embed_face(f) == want.embed_face(f)

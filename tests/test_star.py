@@ -147,6 +147,18 @@ def test_star_rejects_dimension_below_five(host, s1, pairs):
         solve_star(P, s1, pairs)
 
 
+@pytest.mark.parametrize("s1,pairs,err", [
+    (3, [(0, 31), (1, 2), (4, 8)], "the star centre 3 is not a terminal"),
+    (99, [(99, 31), (1, 2), (4, 8)],
+     r"vertex 99 is not in star\(99\) in 5-polytope"),
+], ids=["not-a-terminal", "outside-the-host"])
+def test_star_rejects_a_centre_that_is_no_terminal_or_outside_the_host(
+        s1, pairs, err):
+    # these used to raise a bare StopIteration and a KeyError
+    with pytest.raises(ValueError, match=err):
+        solve_star(build_cube_polytope(5), s1, pairs)
+
+
 # One star instance per branch of the case analysis, found by seeded sweeps:
 # (host, s1, pairs, the trace tag it reaches, which form of that branch).
 STAR_BRANCHES = [
