@@ -1,16 +1,19 @@
 """Abstract polytopal complexes from vertex-facet incidence.
 
-A Polytope stores its full face lattice (faces as frozensets of vertex ids,
-obtained by closing the facet list under intersection) plus the graph.  The
-faces are kept in one order: by size, then by sorted vertex list.  The
-closure cuts each face only by the facets that meet it without containing
-it.  A polytope built from a host whose faces include its own, as a vertex
-link is, reads its faces off the host's lattice instead of closing them.
+A Polytope stores its facets, the facet mask of each vertex and the graph.
+Its face lattice (faces as frozensets of vertex ids, the facets' closure
+under intersection) is kept in one order: by size, then by sorted vertex
+list.  A polytope built alone closes its facets when it is built, since that
+closure is its input check; the closure cuts each face only by the facets
+that meet it without containing it.  A polytope built from a host whose
+faces include its own, as a vertex link is, reads its graph off the host and
+its lower faces off the host's lattice when they are first asked for.
 Cubicality is certified from the facets: each facet is embedded as a
 combinatorial cube (canonical BFS coordinate assignment), and every lower
 face must be a subcube of its first facet's embedding, since every face of
 a cube is a subcube.  The other faces' embeddings, the bridge to the
-bit-level solvers in `hypercube`, are computed when first asked for.
+bit-level solvers in `hypercube`, are read off their first facet's when
+first asked for.
 
 The lattice is indexed by facet incidence: facet i of the sorted facet list
 is the bit 1 << i, and every vertex and every proper face carries the mask
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
 from .errors import InconsistentIncidence, NoPath, NotCubical
@@ -43,54 +46,54 @@ class Polytope:
         """`host` is a certified Polytope whose faces, with the same edges,
         include this one's, as a vertex link's do (see
         linkage.cubical.vertex_link).  Every facet must be a face of the
-        host, or ValueError is raised.  The faces are then read off the
-        host's lattice instead of closed: the host's faces inside the vertex
-        set that lie in a facet, each checked to be the intersection of the
-        facets containing it.  They count as certified, and the facets take
-        their embeddings from the host."""
+        host, or ValueError is raised, and every vertex the intersection of
+        the facets containing it.  The polytope then keeps only its facets,
+        masks and graph: the graph is the host's edges that lie in a facet,
+        the facets take their embeddings from the host, and the lower faces
+        are read off the host's lattice when first asked for.  They count as
+        certified."""
         self.dim = dim
         self.vertices = sorted(vertices)
         self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
         self.labels = labels or {v: str(v) for v in self.vertices}
+        self._host = host
         self._embed_cache = {}
-        self._build_lattice(host)
+        self._index_facets()
+        if host is None:
+            self._graph_from_faces()  # closes the facets
+        else:
+            self._read_host(host)
         self.cubical = False
         self._validate_cubical(host)
 
     # -- lattice -----------------------------------------------------------
 
-    def _build_lattice(self, host):
-        verts = set(self.vertices)
+    def _index_facets(self):
         if not self.facets or any(not f for f in self.facets):
             raise InconsistentIncidence("empty facet")
-        cover = set().union(*self.facets)
-        if cover != verts:
+        if set().union(*self.facets) != set(self.vertices):
             raise InconsistentIncidence("facets do not cover the vertex set")
-        for i, f in enumerate(self.facets):
-            for g in self.facets[i + 1:]:
-                if f <= g or g <= f:
+        # each facet's vertex bitset: bit i stands for self.vertices[i]
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        facet_bits = [sum(map(bit.__getitem__, f)) for f in self.facets]
+        for i, a in enumerate(facet_bits):
+            for b in facet_bits[i + 1:]:
+                if (a & b) in (a, b):
                     raise InconsistentIncidence("facet contained in another facet")
+        self._facet_bits = dict(zip(self.facets, facet_bits))
         # the incidence index: bit i stands for self.facets[i]
         vmask = dict.fromkeys(self.vertices, 0)
         for i, f in enumerate(self.facets):
+            b = 1 << i
             for v in f:
-                vmask[v] |= 1 << i
+                vmask[v] |= b
         self.vertex_facets = vmask
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        facet_bits = [reduce(or_, map(bit.__getitem__, f)) for f in self.facets]
-        if host is None:
-            masks = self._close_facets(facet_bits)
-            faces = sorted(masks, key=lambda f: (len(f), sorted(f)))
-            self.face_facets = {f: masks[f] for f in faces}
-        else:
-            self.face_facets = self._read_faces(host, verts, facet_bits)
-        # a set-like view of the faces, iterating by size, then by sorted
-        # vertex list: faces_by_dim concatenated
-        self.proper_faces = self.face_facets.keys()
+
+    def _graph_from_faces(self):
         # the edges come after the vertices, each as (a, b) with a < b in
         # that order, so every vertex meets its neighbours in sorted order
         graph = {v: [] for v in self.vertices}
-        for f in self.proper_faces:
+        for f in self.face_facets:
             if len(f) > 2:
                 break
             if len(f) == 2:
@@ -98,6 +101,62 @@ class Polytope:
                 graph[a].append(b)
                 graph[b].append(a)
         self.graph = {v: tuple(n) for v, n in graph.items()}
+
+    def _read_host(self, host):
+        """Check the facets against the host, and take as edges the host's
+        that lie in a facet, so every row stays in sorted order.
+
+        The facets containing a vertex meet in a face of the host, a cube,
+        which holds a neighbour of the vertex when it is more than the
+        vertex; so a vertex is that intersection exactly when no neighbour
+        lies in all of its facets."""
+        known = host.face_facets
+        for f in self.facets:
+            if f not in known:
+                raise ValueError(f"facet {sorted(f)} is not a face of the host")
+        vf = self.vertex_facets
+        graph = {}
+        for v, m in vf.items():
+            row = []
+            for w in host.graph[v]:
+                shared = vf.get(w, 0) & m
+                if shared == m:
+                    raise InconsistentIncidence(
+                        f"face [{v}] is not the intersection of the facets "
+                        f"containing it")
+                if shared:
+                    row.append(w)
+            graph[v] = tuple(row)
+        self.graph = graph
+
+    @cached_property
+    def face_facets(self):
+        """Each proper face with the mask of the facets containing it, by
+        size, then by sorted vertex list.  A polytope built alone closes its
+        facets when it is built; one built from a host reads them off the
+        host on first use."""
+        if self._host is not None:
+            return self._read_faces(self._host)
+        masks = self._close_facets(list(self._facet_bits.values()))
+        faces = sorted(masks, key=lambda f: (len(f), sorted(f)))
+        return {f: masks[f] for f in faces}
+
+    @cached_property
+    def proper_faces(self):
+        """A set-like view of the faces, in face order: faces_by_dim
+        concatenated."""
+        return self.face_facets.keys()
+
+    @cached_property
+    def face_dim(self):
+        return {f: len(f).bit_length() - 1 for f in self.face_facets}
+
+    @cached_property
+    def faces_by_dim(self):
+        by_dim = {}
+        for f, j in self.face_dim.items():
+            by_dim.setdefault(j, []).append(f)
+        return {j: tuple(fs) for j, fs in by_dim.items()}
 
     def _close_facets(self, facet_bits):
         """The facets' closure under intersection, each face with the mask of
@@ -134,52 +193,43 @@ class Polytope:
             frontier = new
         return masks
 
-    def _read_faces(self, host, verts, facet_bits):
+    def _read_faces(self, host):
         """The faces read off the host, in its order, each with its mask:
-        the host's faces inside `verts` that lie in a facet.
+        the host's faces whose vertices share a facet.  Only the faces of
+        the host facets through a facet can, so the scan tests the others
+        by one AND of host masks.
 
         The host's faces are closed under intersection, so every
-        intersection of facets is among them; checking that each face read
-        is the intersection of the facets containing it gives the converse,
-        so the faces are exactly the facets' closure."""
-        known = host.face_facets
-        for f in self.facets:
-            if f not in known:
-                raise ValueError(f"facet {sorted(f)} is not a face of the host")
-        vmask = self.vertex_facets
-        faces = {}
-        for f in host.proper_faces:
-            if f <= verts:
-                m = reduce(and_, map(vmask.__getitem__, f))
+        intersection of facets is among them.  Each face read lies in the
+        intersection of the facets containing it, which has its mask; so
+        the faces read are exactly the facets' closure when no two of them
+        share a mask."""
+        known, vf = host.face_facets, self.vertex_facets
+        star = reduce(or_, map(known.__getitem__, self.facets))
+        faces, first = {}, {}
+        for f, hm in known.items():
+            if hm & star:
+                m = reduce(and_, [vf.get(v, 0) for v in f])
                 if m:
-                    meet, rest = -1, m
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        meet &= facet_bits[low.bit_length() - 1]
-                    if meet.bit_count() != len(f):
+                    if m in first:
                         raise InconsistentIncidence(
-                            f"face {sorted(f)} is not the intersection of "
-                            f"the facets containing it")
-                    faces[f] = m
+                            f"face {sorted(first[m])} is not the intersection "
+                            f"of the facets containing it")
+                    first[m], faces[f] = f, m
         return faces
 
     def _validate_cubical(self, host):
-        self.face_dim = {}
-        by_dim = {}
-        for f in self.proper_faces:  # by size, so grouped by dimension
-            n = len(f)
-            j = n.bit_length() - 1
-            if n != 1 << j:
-                raise NotCubical(f"face with {n} vertices", face=sorted(f))
-            self.face_dim[f] = j
-            by_dim.setdefault(j, []).append(f)
         if host is not None:
-            # every face is the host's, so certified with its embedding
+            # the facets are the host's faces, so certified with their
+            # embeddings, and so are their faces
             for f in self.facets:
                 if len(f) > 1:
                     self._embed_cache[f] = host.embed_face(f)
         else:
+            for f in self.face_facets:
+                n = len(f)
+                if n & (n - 1):
+                    raise NotCubical(f"face with {n} vertices", face=sorted(f))
             for f in self.facets:
                 if len(f) > 1:
                     self.embed_face(f)  # raises NotCubical on failure
@@ -188,7 +238,7 @@ class Polytope:
             # subcube
             facets, cache = self.facets, self._embed_cache
             for f, m in self.face_facets.items():
-                j = self.face_dim[f]
+                j = len(f).bit_length() - 1
                 if j == 0:
                     continue
                 F = facets[(m & -m).bit_length() - 1]
@@ -198,10 +248,11 @@ class Polytope:
                 codes = [coords[v] for v in f]
                 if (reduce(or_, codes) ^ reduce(and_, codes)).bit_count() != j:
                     self.embed_face(f)  # raises NotCubical with its reason
-        if max(by_dim) != self.dim - 1:
+            self.faces_by_dim  # and face_dim: a lattice built alone is whole
+        j = len(max(self.facets, key=len)).bit_length() - 1
+        if j != self.dim - 1:
             raise InconsistentIncidence(
-                f"facets have dimension {max(by_dim)}, expected {self.dim - 1}")
-        self.faces_by_dim = {j: tuple(fs) for j, fs in by_dim.items()}
+                f"facets have dimension {j}, expected {self.dim - 1}")
         self.cubical = True
 
     def face_of(self, f) -> bool:
@@ -212,6 +263,8 @@ class Polytope:
 
     def faces_of_dim(self, j):
         """The j-faces, sorted by their sorted vertex lists."""
+        if j == self.dim - 1:
+            return tuple(self.facets)
         return self.faces_by_dim.get(j, ())
 
     def facets_containing(self, S):
@@ -244,12 +297,17 @@ class Polytope:
         # g <= f exactly when every facet containing f contains g
         return [g for g, gm in self.face_facets.items() if gm & m == m]
 
-    def ridges_of_facet(self, f):
-        """(dim-2)-faces of the polytope contained in the facet f."""
-        f = frozenset(f)
-        m = self.face_facets[f]
-        return [g for g in self.faces_by_dim.get(self.face_dim[f] - 1, ())
-                if self.face_facets[g] & m == m]
+    def ridges_of_facet(self, F):
+        """The ridges in the facet F, sorted by their sorted vertex lists:
+        its intersections with the facets that share half its vertices."""
+        F = frozenset(F)
+        bits = self._facet_bits
+        fb = bits[F]
+        half = len(F) // 2
+        if not half:
+            return []
+        return sorted({F & G for G, gb in bits.items()
+                       if (fb & gb).bit_count() == half}, key=sorted)
 
     def generated_graph(self, bits):
         """The graph of the complex generated by the facets in the mask
@@ -264,16 +322,54 @@ class Polytope:
     def embed_face(self, f):
         """Map a face's vertices to cube coordinates {0,1}^j.
 
-        Returns (coords: vertex -> int bitmask, j).  Certifies the face graph
-        is Q_j: canonical BFS relabeling from the least vertex, axes assigned
-        to its neighbours in sorted order, every deeper vertex labelled by
-        OR-ing its predecessors; then adjacency must match Hamming distance 1.
-        Raises NotCubical otherwise.  Facets are embedded when the lattice
-        is built; any other face on its first call, then cached.
+        Returns (coords: vertex -> int bitmask, j): the canonical labelling
+        from the least vertex, with axes assigned to its neighbours in
+        sorted order.  Facets are embedded when the lattice is built, by
+        _embed_by_bfs (or taken from the host); any other face is read off
+        its first facet's embedding on its first call, then cached.  A
+        polytope built from a host leaves its lower faces to the host.
         """
         f = frozenset(f)
         if f in self._embed_cache:
             return self._embed_cache[f]
+        if self._host is not None:
+            return self._host.embed_face(f)
+        return self._embed_in_facet(f) or self._embed_by_bfs(f)
+
+    def _embed_in_facet(self, f):
+        """f's embedding read off its first facet's, or None when f is a
+        facet, lies in none or is no subcube of it.  Each vertex's code is
+        its XOR with the least vertex, remapped to the axes of that vertex's
+        neighbours in f in sorted order, as _embed_by_bfs would assign
+        them."""
+        m = reduce(and_, map(self.vertex_facets.__getitem__, f))
+        F = self.facets[(m & -m).bit_length() - 1] if m else f
+        if F == f:
+            return None
+        coords = self.embed_face(F)[0]
+        root = min(f)
+        r = coords[root]
+        span = 0
+        for v in f:
+            span |= coords[v] ^ r
+        j = span.bit_count()
+        if len(f) != 1 << j:
+            return None
+        # F's codes are distinct, so f is the whole subcube on `span`, and
+        # the root's neighbours in f flip one bit of it each
+        remap = {0: 0}
+        for i, w in enumerate(w for w in self.graph[root] if w in f):
+            b, c = coords[w] ^ r, 1 << i
+            remap.update({x | b: y | c for x, y in remap.items()})
+        self._embed_cache[f] = ({v: remap[coords[v] ^ r] for v in f}, j)
+        return self._embed_cache[f]
+
+    def _embed_by_bfs(self, f):
+        """Certify the face graph is Q_j and embed it: canonical BFS
+        relabeling from the least vertex, axes assigned to its neighbours in
+        sorted order, every deeper vertex labelled by OR-ing its
+        predecessors; then adjacency must match Hamming distance 1.  Raises
+        NotCubical otherwise."""
         verts = sorted(f)
         adj = {v: [w for w in self.graph[v] if w in f] for v in verts}
         root = verts[0]
@@ -368,8 +464,8 @@ class Polytope:
 @lru_cache(maxsize=None)
 def build_cube_polytope(d: int) -> Polytope:
     """The d-cube as a Polytope with 2d facets; vertices are bitmask ints."""
-    if not 1 <= d <= 8:
-        raise ValueError("lattice materialization supports 1 <= d <= 8")
+    if not 1 <= d <= 10:
+        raise ValueError("lattice materialization supports 1 <= d <= 10")
     verts = range(1 << d)
     if d == 1:
         facets = [{0}, {1}]
@@ -393,6 +489,10 @@ def build_from_incidence(dim, vertex_count, facets, labels=None) -> Polytope:
                     labels=dict(enumerate(labels)) if labels else None)
 
 
+# below Q3 a vertex link is two vertices with no edge, or nothing
+LINK_DIM_ERROR = "vertex links need a cube of dimension 3 or more, not {d}"
+
+
 @lru_cache(maxsize=None)
 def link_polytope(cube_dim: int, v: int) -> Polytope:
     """The vertex link in Q_{cube_dim} as a cubical (cube_dim-1)-polytope.
@@ -402,8 +502,8 @@ def link_polytope(cube_dim: int, v: int) -> Polytope:
     agrees with v.  Vertex ids are the cube's own bitmasks (v, v^o removed).
     """
     d = cube_dim
-    if d < 2:
-        raise ValueError("need cube_dim >= 2")
+    if d < 3:
+        raise ValueError(LINK_DIM_ERROR.format(d=d))
     if not 0 <= v < 1 << d:
         raise ValueError(f"vertex {v} is not in Q{d}")
     full = (1 << d) - 1

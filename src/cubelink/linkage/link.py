@@ -8,7 +8,7 @@ reroutes around v and its antipode when a facet-level linkage touches them.
 
 from __future__ import annotations
 
-from ..complexes import link_polytope
+from ..complexes import LINK_DIM_ERROR, link_polytope
 from ..errors import CaseNotCovered
 from ..hypercube import (
     CubeAdjacency,
@@ -127,6 +127,8 @@ def _link_solve(D, v, pairs, trace):
 
 def solve_link(D, v, pairs) -> LinkageCertificate:
     """Linkage among up to floor(D/2) pairs in the link of v in Q_D."""
+    if D < 3:
+        raise ValueError(LINK_DIM_ERROR.format(d=D))
     vo = v ^ ((1 << D) - 1)
     G = CubeAdjacency(D)
     return certify(f"link(Q_{D}, {vertex_to_str(v, D)})", G,

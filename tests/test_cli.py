@@ -337,6 +337,15 @@ def test_link_over_capacity_exit_1(capsys):
     assert err.startswith("error: at most 1 pairs")
 
 
+def test_link_of_a_square_vertex_exit_1(capsys):
+    # the link of a vertex of Q2 is two vertices with no edge between them
+    code, out, err = run(capsys, "solve", "--link", "2", "--vertex", "00",
+                         "--pairs", "01-10")
+    assert code == 1 and out == ""
+    assert err == ("error: vertex links need a cube of dimension 3 or more, "
+                   "not 2\n")
+
+
 @pytest.mark.parametrize("label", ["1111", "1"])
 def test_gen_link_vertex_of_wrong_length_exit_1(capsys, label):
     code, out, err = run(capsys, "gen", "link", "--cube", "3",

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubelink.complexes import (Complex, Polytope, build_cube_polytope,
                                 build_from_incidence, link_polytope,
@@ -384,6 +385,31 @@ def test_vertex_links_read_their_faces_instead_of_closing(host, monkeypatch):
     L = links[-1]
     Polytope(L.dim, L.vertices, L.facets, labels=L.labels)
     assert closures == [len(L.facets)]
+
+
+LINK_HOSTS = {
+    **{f"Q{d}": (lambda d=d: build_cube_polytope(d)) for d in (4, 5, 6)},
+    **{f"linkQ{d}": (lambda d=d: link_polytope(d, 0)) for d in (5, 6)},
+    "link(Q6,17)": lambda: link_polytope(6, 17),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LINK_HOSTS)), st.data())
+def test_link_read_off_the_host_matches_lattice_built_alone(host, data):
+    P = LINK_HOSTS[host]()
+    L = vertex_link(P, data.draw(st.sampled_from(P.vertices)))
+    alone = Polytope(L.dim, L.vertices, L.facets, labels=L.labels)
+    assert L.facets == alone.facets
+    assert L.vertex_facets == alone.vertex_facets
+    assert L.graph == alone.graph and list(L.graph) == list(alone.graph)
+    ridges = alone.faces_of_dim(alone.dim - 2)
+    for F in L.facets:
+        assert L.ridges_of_facet(F) == [R for R in ridges if R <= F]
+    assert list(L._embed_cache.items()) == list(alone._embed_cache.items())
+    # a lower face, through the host, against its own BFS embedding
+    f = data.draw(st.sampled_from(list(alone.proper_faces)))
+    assert L.embed_face(f) == alone._embed_by_bfs(f)
 
 
 @pytest.mark.parametrize("build,err", [

@@ -269,6 +269,58 @@ def test_vertex_link_matches_lattice_built_alone(host):
         assert list(L._embed_cache.items()) == list(alone._embed_cache.items())
 
 
+@pytest.mark.parametrize("host", ["Q6", "linkQ7"])
+def test_strong_solves_never_build_the_link_lattice(host, monkeypatch):
+    from cubelink.complexes import Polytope
+
+    P = {"Q6": lambda: build_cube_polytope(6),
+         "linkQ7": lambda: link_polytope(7, 0)}[host]()
+    P.__dict__.pop("_vertex_link_cache", None)
+    reads = []
+    read = Polytope._read_faces
+
+    def counted(self, host):
+        reads.append(self)
+        return read(self, host)
+
+    monkeypatch.setattr(Polytope, "_read_faces", counted)
+    rng = random.Random(f"strong-{host}")
+    d = P.dim
+    for _ in range(40):
+        verts = rng.sample(P.vertices, d + 1)
+        pairs = [(verts[2 * i], verts[2 * i + 1]) for i in range(d // 2)]
+        assert_linked(P, pairs, solve_cubical_strong(P, pairs, verts[-1]),
+                      avoid=verts[-1:])
+    assert len(P._vertex_link_cache) > 20 and reads == []
+    # the lattice is still there on demand
+    L = next(iter(P._vertex_link_cache.values()))
+    assert L.face_facets and reads == [L]
+
+
+def test_plain_solves_on_q9_validate():
+    P = build_cube_polytope(9)
+    rng = random.Random(99)
+    for _ in range(20):
+        pairs = random_pairing(rng, P.vertices, 5)
+        assert_linked(P, pairs, solve_cubical(P, pairs))
+
+
+def test_strong_solves_on_link_q9_validate():
+    P = link_polytope(9, 0)
+    assert P.dim == 8
+    rng = random.Random(98)
+    for _ in range(20):
+        verts = rng.sample(P.vertices, 9)
+        pairs = [(verts[2 * i], verts[2 * i + 1]) for i in range(4)]
+        assert_linked(P, pairs, solve_cubical_strong(P, pairs, verts[-1]),
+                      avoid=verts[-1:])
+
+
+def test_cube_lattices_stop_at_dimension_10():
+    with pytest.raises(ValueError, match=r"supports 1 <= d <= 10"):
+        build_cube_polytope(11)
+
+
 def test_link_q8_sweep():
     from cubelink.complexes import star_complex
     from cubelink.linkage.star import solve_star

@@ -130,3 +130,16 @@ def test_link_large_dimension_builds_no_graph(monkeypatch):
 def test_link_rejects_more_than_capacity():
     with pytest.raises(ValueError):  # at most floor(4/2) = 2 pairs
         solve_link(4, 0, [(1, 14), (2, 13), (4, 11)])
+
+
+@pytest.mark.parametrize("D", [1, 2])
+def test_links_below_q3_are_refused(D):
+    from cubelink.complexes import link_polytope
+
+    # the link of a vertex of Q2 is two vertices with no edge between them,
+    # where solve_link(2, ...) would fail later with NoPath
+    err = f"vertex links need a cube of dimension 3 or more, not {D}"
+    with pytest.raises(ValueError, match=err):
+        link_polytope(D, 0)
+    with pytest.raises(ValueError, match=err):
+        solve_link(D, 0, [(1, 2)])
