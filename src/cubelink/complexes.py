@@ -46,12 +46,13 @@ class Polytope:
         """`host` is a certified Polytope whose faces, with the same edges,
         include this one's, as a vertex link's do (see
         linkage.cubical.vertex_link).  Every facet must be a face of the
-        host, or ValueError is raised, and every vertex the intersection of
-        the facets containing it.  The polytope then keeps only its facets,
-        masks and graph: the graph is the host's edges that lie in a facet,
-        the facets take their embeddings from the host, and the lower faces
-        are read off the host's lattice when first asked for.  They count as
-        certified."""
+        host, or ValueError is raised, and every face of a facet (checked
+        on its vertices and ridges) the intersection of the facets
+        containing it, or InconsistentIncidence is raised.  The polytope
+        then keeps only its facets, masks and graph: the graph is the host's
+        edges that lie in a facet, the facets take their embeddings from the
+        host, and the lower faces are read off the host's lattice when first
+        asked for.  They count as certified."""
         self.dim = dim
         self.vertices = sorted(vertices)
         self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
@@ -128,6 +129,27 @@ class Polytope:
                     row.append(w)
             graph[v] = tuple(row)
         self.graph = graph
+        self._check_ridges(host)
+
+    def _check_ridges(self, host):
+        """Check that each ridge of each facet F, a cube, is F's
+        intersection with another facet, so every face of F is an
+        intersection of facets: the host faces in a facet are then exactly
+        the facets' closure.  The host's faces are closed under
+        intersection, so every other facet sharing half of F's vertices
+        meets F in a ridge, and it suffices to count the distinct ones."""
+        bits = self._facet_bits.values()
+        for F, a in self._facet_bits.items():
+            half = len(F) // 2
+            shared = {a & b for b in bits if (a & b).bit_count() == half}
+            if half and len(shared) < 2 * half.bit_length():
+                coords, j = host.embed_face(F)
+                ridges = [frozenset(v for v in F if coords[v] >> i & 1 == b)
+                          for i in range(j) for b in (0, 1)]
+                missing = set(ridges) - set(self.ridges_of_facet(F))
+                raise InconsistentIncidence(
+                    f"face {min(map(sorted, missing))} is not the "
+                    f"intersection of the facets containing it")
 
     @cached_property
     def face_facets(self):
@@ -200,22 +222,17 @@ class Polytope:
         by one AND of host masks.
 
         The host's faces are closed under intersection, so every
-        intersection of facets is among them.  Each face read lies in the
-        intersection of the facets containing it, which has its mask; so
-        the faces read are exactly the facets' closure when no two of them
-        share a mask."""
+        intersection of facets is among them; and each face read is a face
+        of a facet, so an intersection of facets (_check_ridges).  The
+        faces read are therefore exactly the facets' closure."""
         known, vf = host.face_facets, self.vertex_facets
         star = reduce(or_, map(known.__getitem__, self.facets))
-        faces, first = {}, {}
+        faces = {}
         for f, hm in known.items():
             if hm & star:
                 m = reduce(and_, [vf.get(v, 0) for v in f])
                 if m:
-                    if m in first:
-                        raise InconsistentIncidence(
-                            f"face {sorted(first[m])} is not the intersection "
-                            f"of the facets containing it")
-                    first[m], faces[f] = f, m
+                    faces[f] = m
         return faces
 
     def _validate_cubical(self, host):
@@ -263,8 +280,6 @@ class Polytope:
 
     def faces_of_dim(self, j):
         """The j-faces, sorted by their sorted vertex lists."""
-        if j == self.dim - 1:
-            return tuple(self.facets)
         return self.faces_by_dim.get(j, ())
 
     def facets_containing(self, S):
@@ -326,14 +341,11 @@ class Polytope:
         from the least vertex, with axes assigned to its neighbours in
         sorted order.  Facets are embedded when the lattice is built, by
         _embed_by_bfs (or taken from the host); any other face is read off
-        its first facet's embedding on its first call, then cached.  A
-        polytope built from a host leaves its lower faces to the host.
+        its first facet's embedding on its first call, then cached.
         """
         f = frozenset(f)
         if f in self._embed_cache:
             return self._embed_cache[f]
-        if self._host is not None:
-            return self._host.embed_face(f)
         return self._embed_in_facet(f) or self._embed_by_bfs(f)
 
     def _embed_in_facet(self, f):

@@ -352,6 +352,16 @@ def _lone_facet_of_q4():
     return Polytope(3, Q4.facets[0], Q4.facets[:1], host=Q4)
 
 
+def _checkerboard_of_q4():
+    # Q4 is the 4x4 torus grid C4 x C4: its 8 black squares are 2-faces of
+    # Q4, and the two at each vertex meet only there
+    gray = [0, 1, 3, 2]
+    squares = [{gray[(i + a) % 4] | gray[(j + b) % 4] << 2
+                for a in (0, 1) for b in (0, 1)}
+               for i in range(4) for j in range(4) if (i + j) % 2 == 0]
+    return Polytope(3, range(16), squares, host=build_cube_polytope(4))
+
+
 @pytest.mark.parametrize("build,cls,err", [
     # a "square" on the even vertices of Q3, whose sides are no edges
     (lambda: Polytope(2, [0, 3, 5, 6], [{0, 3}, {3, 5}, {5, 6}, {6, 0}],
@@ -361,7 +371,11 @@ def _lone_facet_of_q4():
     # it, but no intersection of the facets given
     (_lone_facet_of_q4, InconsistentIncidence,
      "face [0] is not the intersection of the facets containing it"),
-], ids=["facet-not-a-host-face", "face-not-an-intersection"])
+    # each vertex is the intersection of its facets, but no edge is
+    (_checkerboard_of_q4, InconsistentIncidence,
+     "face [0, 1] is not the intersection of the facets containing it"),
+], ids=["facet-not-a-host-face", "face-not-an-intersection",
+        "facets-share-no-ridge"])
 def test_host_mode_rejects_faces_the_closure_would_not_give(build, cls, err):
     with pytest.raises(cls) as e:
         build()
@@ -407,9 +421,14 @@ def test_link_read_off_the_host_matches_lattice_built_alone(host, data):
     for F in L.facets:
         assert L.ridges_of_facet(F) == [R for R in ridges if R <= F]
     assert list(L._embed_cache.items()) == list(alone._embed_cache.items())
-    # a lower face, through the host, against its own BFS embedding
+    # a lower face, read off its first facet's embedding, against its own
+    # BFS embedding, on an uncached copy of the link: it is kept there, not
+    # on the host
     f = data.draw(st.sampled_from(list(alone.proper_faces)))
-    assert L.embed_face(f) == alone._embed_by_bfs(f)
+    M = Polytope(L.dim, L.vertices, L.facets, labels=L.labels, host=P)
+    host_cache = dict(P._embed_cache)
+    assert M.embed_face(f) == alone._embed_by_bfs(f)
+    assert f in M._embed_cache and P._embed_cache == host_cache
 
 
 @pytest.mark.parametrize("build,err", [
