@@ -8,6 +8,9 @@ closure is its input check; the closure cuts each face only by the facets
 that meet it without containing it.  A polytope built from a host whose
 faces include its own, as a vertex link is, reads its graph off the host and
 its lower faces off the host's lattice when they are first asked for.
+`vertex_link` is the one way a link is built, on demand and with no cache:
+a strong solve builds the link of its avoided vertex, and a link host
+(`link_polytope`) is the vertex link of its cube.
 Cubicality is certified from the facets: each facet is embedded as a
 combinatorial cube (canonical BFS coordinate assignment), and every lower
 face must be a subcube of its first facet's embedding, since every face of
@@ -44,11 +47,11 @@ class Polytope:
 
     def __init__(self, dim, vertices, facets, labels=None, host=None):
         """`host` is a certified Polytope whose faces, with the same edges,
-        include this one's, as a vertex link's do (see
-        linkage.cubical.vertex_link).  Every facet must be a face of the
-        host, or ValueError is raised, and every face of a facet (checked
-        on its vertices and ridges) the intersection of the facets
-        containing it, or InconsistentIncidence is raised.  The polytope
+        include this one's, as a vertex link's do (see vertex_link).  Every
+        facet must be a face of the host, or ValueError is raised, and
+        every face of a facet (checked on its vertices and ridges) the
+        intersection of the facets containing it, or InconsistentIncidence
+        is raised.  The polytope
         then keeps only its facets, masks and graph: the graph is the host's
         edges that lie in a facet, the facets take their embeddings from the
         host, and the lower faces are read off the host's lattice when first
@@ -492,11 +495,15 @@ def build_cube_polytope(d: int) -> Polytope:
 
 def build_from_incidence(dim, vertex_count, facets, labels=None) -> Polytope:
     """Polytope from raw incidence; validates cubicality, and that labels,
-    when given, name each vertex by its own string."""
+    when given, name each vertex by its own string.  The facets' distinct
+    indices are counted against vertex_count before any vertex is listed,
+    so a huge vertex_count fails at once."""
     if labels is not None and (
             not all(isinstance(x, str) for x in labels)
             or len(set(labels)) != len(labels) or len(labels) != vertex_count):
         raise ValueError(f"labels must be {vertex_count} distinct strings")
+    if len(set().union(*facets)) != vertex_count:
+        raise InconsistentIncidence("facets do not cover the vertex set")
     return Polytope(dim, range(vertex_count), facets,
                     labels=dict(enumerate(labels)) if labels else None)
 
@@ -505,31 +512,42 @@ def build_from_incidence(dim, vertex_count, facets, labels=None) -> Polytope:
 LINK_DIM_ERROR = "vertex links need a cube of dimension 3 or more, not {d}"
 
 
+def vertex_link(P: Polytope, x) -> Polytope:
+    """The link of a vertex as a cubical (dim-1)-polytope, built on demand
+    each time it is asked for; nothing keeps it.
+
+    Its facets are the ridges of the star facets that miss x; vertex ids and
+    labels are inherited from P, so its paths are paths of P avoiding x.
+    """
+    if x not in P.vertex_facets:
+        raise ValueError(f"vertex {x} is not in cubical {P.dim}-polytope "
+                         f"({len(P.vertices)}v)")
+    star_facets = P.facets_containing((x,))
+    facets = {R for F in star_facets for R in P.ridges_of_facet(F)
+              if x not in R}
+    verts = set().union(*star_facets) - {x}
+    labels = {v: P.labels[v] for v in verts}
+    # The link's faces are the faces of the star that miss x: the ridges are
+    # its facets, and every smaller such face is where two larger ones meet.
+    # They are closed under taking subfaces in P, so each has the same edges
+    # in both lattices: the link keeps its facets, masks and graph, read off
+    # P, P certifies its faces, and P's embedding of a face holds in the
+    # link.
+    return Polytope(P.dim - 1, verts, facets, labels=labels, host=P)
+
+
 @lru_cache(maxsize=None)
 def link_polytope(cube_dim: int, v: int) -> Polytope:
-    """The vertex link in Q_{cube_dim} as a cubical (cube_dim-1)-polytope.
-
-    Facets are the ridges of the cube lying in one star facet and one
-    antistar facet of v: ridges fixing two coordinates of which exactly one
-    agrees with v.  Vertex ids are the cube's own bitmasks (v, v^o removed).
-    """
-    d = cube_dim
-    if d < 3:
-        raise ValueError(LINK_DIM_ERROR.format(d=d))
-    if not 0 <= v < 1 << d:
-        raise ValueError(f"vertex {v} is not in Q{d}")
-    full = (1 << d) - 1
-    vo = v ^ full
-    verts = [x for x in range(1 << d) if x not in (v, vo)]
-    facets = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for (ai, aj) in (((v >> i) & 1, 1 - ((v >> j) & 1)),
-                             (1 - ((v >> i) & 1), (v >> j) & 1)):
-                facets.append({x for x in verts
-                               if (x >> i) & 1 == ai and (x >> j) & 1 == aj})
-    labels = {x: vertex_to_str(x, d) for x in verts}
-    return Polytope(d - 1, verts, facets, labels=labels)
+    """The vertex link of v in Q_{cube_dim} as a cubical
+    (cube_dim-1)-polytope: vertex_link of the cube's lattice, so cube_dim
+    is at most 10.  Its facets are the cube's ridges that fix two
+    coordinates, exactly one of which agrees with v; vertex ids are the
+    cube's own bitmasks (v, v^o removed)."""
+    if cube_dim < 3:
+        raise ValueError(LINK_DIM_ERROR.format(d=cube_dim))
+    if not 0 <= v < 1 << cube_dim:
+        raise ValueError(f"vertex {v} is not in Q{cube_dim}")
+    return vertex_link(build_cube_polytope(cube_dim), v)
 
 
 @dataclass

@@ -4,7 +4,7 @@ solve_cube builds a Y-linkage for up to floor((d+1)/2) pairs by facet
 recursion; solve_cube_strong additionally avoids one extra terminal x.
 Both return LinkageCertificates whose paths are validated before return.
 Small dimensions (d <= 4) are settled by exhaustive search, memoised up to
-cube symmetry; the search has no deadline yet (ROADMAP item 4).  Above them
+cube symmetry; the search has no deadline yet (ROADMAP item 1).  Above them
 no graph is built: paths inside a face come from hypercube.face_path and
 certificates are checked against the implicit CubeAdjacency.
 
@@ -105,7 +105,7 @@ def _search(trace, tag, search):
     """Tag the trace and return the linkage an exhaustive search finds.
 
     Every base-case search on the solve path runs through here, with no
-    deadline yet (ROADMAP item 4).  A search that finds nothing raises
+    deadline yet (ROADMAP item 1).  A search that finds nothing raises
     CaseNotCovered with its tag last in the trace.
     """
     trace.append(tag)

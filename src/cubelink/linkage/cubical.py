@@ -14,9 +14,7 @@ the link of the avoided vertex, itself a cubical (d-1)-polytope.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-from ..complexes import Polytope
+from ..complexes import Polytope, vertex_link
 from ..errors import CaseNotCovered
 from ..oracle import oracle_linkage
 from ..paths import shortest_path
@@ -32,7 +30,7 @@ def _facet_route(P, pairs, trace):
     Facets are tried in order of decreasing terminal count; only d = 4 can
     reject a facet (entries in a 3-cube may be obstructed), and if every
     facet fails an exhaustive search takes over, with no deadline yet
-    (ROADMAP item 4).
+    (ROADMAP item 1).
     """
     X = terminals(pairs)
     cand = sorted(P.facets, key=lambda f: (-len(X & f), sorted(f)))
@@ -181,41 +179,6 @@ def _relink_through_neighbour(P, s1, bar, bpairs, F1, R, bt1, trace):
     out = dict(zip(map(frozenset, rpairs), sub))
     out[frozenset((sk, tk))] = [sk, P.project_in_face(F1, RF, tk), tk]
     return out
-
-
-VERTEX_LINK_CACHE_SIZE = 32
-
-
-def vertex_link(P: Polytope, x) -> Polytope:
-    """The link of a vertex as a cubical (dim-1)-polytope.
-
-    Its facets are the ridges of the star facets that miss x; vertex ids are
-    inherited from P, so its paths are paths of P avoiding x.  The last
-    VERTEX_LINK_CACHE_SIZE links built are kept on P, least recently used
-    dropped first.
-    """
-    cache = P.__dict__.setdefault("_vertex_link_cache", OrderedDict())
-    if x in cache:
-        cache.move_to_end(x)
-        return cache[x]
-    if x not in P.vertex_facets:
-        raise ValueError(f"vertex {x} is not in cubical {P.dim}-polytope "
-                         f"({len(P.vertices)}v)")
-    star_facets = P.facets_containing((x,))
-    facets = {R for F in star_facets for R in P.ridges_of_facet(F)
-              if x not in R}
-    verts = set().union(*star_facets) - {x}
-    labels = {v: P.labels[v] for v in verts}
-    # The link's faces are the faces of the star that miss x: the ridges are
-    # its facets, and every smaller such face is where two larger ones meet.
-    # They are closed under taking subfaces in P, so each has the same edges
-    # in both lattices: the link keeps its facets, masks and graph, read off
-    # P, P certifies its faces, and P's embedding of a face holds in the
-    # link.
-    cache[x] = Polytope(P.dim - 1, verts, facets, labels=labels, host=P)
-    if len(cache) > VERTEX_LINK_CACHE_SIZE:
-        cache.popitem(last=False)
-    return cache[x]
 
 
 def _cubical_strong_solve(P, pairs, x, trace):

@@ -1,8 +1,8 @@
 """Brute-force auditors, called only by the tests, for the structure the
 solvers rely on: distances, connectivity, internally disjoint paths,
 separators, complexes, cube faces, the per-face cube certificate, the cube
-symmetry key and the unpruned oracle; and capped polytopes, cubical hosts
-that are not cubes."""
+symmetry key and the unpruned oracle; the paper's vertex-link facets; and
+capped polytopes, cubical hosts that are not cubes."""
 
 import itertools
 import time
@@ -10,7 +10,7 @@ import time
 from cubelink.complexes import Complex, Polytope, star_complex
 from cubelink.errors import (InconsistentIncidence, NoPath, NotCubical,
                              OracleTimeout)
-from cubelink.hypercube import CubeFace, _check_dim, cube_graph
+from cubelink.hypercube import CubeFace, _check_dim, cube_graph, vertex_to_str
 from cubelink.paths import _menger_flow, reachable, shortest_path
 
 
@@ -299,6 +299,24 @@ def brute_cube_instance_key(d, pairs, x=None):
                 best = key
                 best_map = (t, perm)
     return best, best_map
+
+
+def link_reference(D: int, v: int) -> Polytope:
+    """Reference for complexes.link_polytope: the vertex link of v in Q_D
+    from the paper's facets, built alone.  They are the cube's ridges that
+    fix two coordinates, exactly one of which agrees with v (each lies in
+    one star facet of v and one antistar facet)."""
+    vo = v ^ ((1 << D) - 1)
+    verts = [x for x in range(1 << D) if x not in (v, vo)]
+    facets = []
+    for i in range(D):
+        for j in range(i + 1, D):
+            for ai, aj in (((v >> i) & 1, 1 - ((v >> j) & 1)),
+                           (1 - ((v >> i) & 1), (v >> j) & 1)):
+                facets.append({x for x in verts
+                               if (x >> i) & 1 == ai and (x >> j) & 1 == aj})
+    labels = {x: vertex_to_str(x, D) for x in verts}
+    return Polytope(D - 1, verts, facets, labels=labels)
 
 
 def cap(P: Polytope, F) -> Polytope:

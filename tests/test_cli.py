@@ -346,6 +346,34 @@ def test_link_of_a_square_vertex_exit_1(capsys):
                    "not 2\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "link", "--cube", "11"],
+    ["solve", "--link", "11", "--pairs", "00000000001-11111111110"],
+    ["verify", "link40.json"],
+], ids=["gen", "solve", "verify"])
+def test_link_host_past_the_lattice_range_exit_1(capsys, tmp_path,
+                                                 monkeypatch, argv):
+    # a link host is the vertex link of its cube's lattice, so it is refused
+    # before any of the cube's 2^D vertices is listed
+    monkeypatch.chdir(tmp_path)
+    ends = ["0" * 39 + "1", "1" * 39 + "0"]
+    (tmp_path / "link40.json").write_text(json.dumps({
+        "instance": {"host": {"kind": "link", "cube_dim": 40},
+                     "pairs": [ends]},
+        "result": {"linkage": [ends]}}))
+    assert run(capsys, *argv) == (
+        1, "", "error: lattice materialization supports 1 <= d <= 10\n")
+
+
+def test_lattice_with_uncovered_vertices_exit_1(capsys, tmp_path):
+    # the facets' vertex count is checked before any vertex is listed
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 3, "vertices": 10 ** 12,
+                                "facets": [[0]]}))
+    assert run(capsys, "solve", "--lattice", str(path), "--pairs", "0-0") == (
+        1, "", "error: facets do not cover the vertex set\n")
+
+
 @pytest.mark.parametrize("label", ["1111", "1"])
 def test_gen_link_vertex_of_wrong_length_exit_1(capsys, label):
     code, out, err = run(capsys, "gen", "link", "--cube", "3",

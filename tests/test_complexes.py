@@ -11,7 +11,7 @@ from cubelink.hypercube import cube_graph, opposite_vertex, whole_cube
 from cubelink.linkage.cubical import vertex_link
 
 from audit import (ReferencePolytope, antistar_complex, cap, link_complex,
-                   technical_decomposition)
+                   link_reference, technical_decomposition)
 
 
 def comb(n, k):
@@ -101,6 +101,23 @@ def test_link_polytope_vertex_ids_are_cube_bitmasks():
     L = link_polytope(4, 0b0101)
     assert 0b0101 not in L.vertices and 0b1010 not in L.vertices
     assert len(L.vertices) == 14
+
+
+LINK_REFERENCE_CASES = (
+    [(D, v) for D in (3, 4) for v in range(1 << D)]
+    + [(D, v) for D in range(5, 9)
+       for v in random.Random(f"link-{D}").sample(range(1 << D), 3)])
+
+
+@pytest.mark.parametrize("D,v", LINK_REFERENCE_CASES)
+def test_link_polytope_has_the_papers_facets(D, v):
+    # link_polytope reads the link off the cube's lattice; the paper's
+    # two-coordinate facets, built alone, must give the same polytope
+    L, ref = link_polytope(D, v), link_reference(D, v)
+    assert L.facets == ref.facets and L.vertices == ref.vertices
+    assert L.labels == ref.labels
+    assert L.graph == ref.graph and list(L.graph) == list(ref.graph)
+    assert L.vertex_facets == ref.vertex_facets
 
 
 def test_star_antistar_link_vertex_sets():

@@ -237,21 +237,6 @@ def test_certificates_match_golden_digest():
     assert digest == GOLDEN_SHA256
 
 
-def test_vertex_link_cache_is_bounded():
-    from cubelink.linkage.cubical import VERTEX_LINK_CACHE_SIZE, vertex_link
-
-    P = build_cube_polytope(6)
-    P.__dict__.pop("_vertex_link_cache", None)
-    first = vertex_link(P, 0)
-    for x in range(1, 2 * VERTEX_LINK_CACHE_SIZE):
-        vertex_link(P, x)
-        vertex_link(P, 0)  # the most recently used entry stays
-        assert len(P._vertex_link_cache) <= VERTEX_LINK_CACHE_SIZE
-    assert vertex_link(P, 0) is first
-    assert 1 not in P._vertex_link_cache
-    assert set(vertex_link(P, 1).vertices) == set(P.vertices) - {1, 62}
-
-
 @pytest.mark.parametrize("host", ["Q5", "linkQ6", "link(Q6,17)"])
 def test_vertex_link_matches_lattice_built_alone(host):
     from cubelink.complexes import Polytope
@@ -272,10 +257,11 @@ def test_vertex_link_matches_lattice_built_alone(host):
 @pytest.mark.parametrize("host", ["Q6", "linkQ7"])
 def test_strong_solves_never_build_the_link_lattice(host, monkeypatch):
     from cubelink.complexes import Polytope
+    from cubelink.linkage.cubical import vertex_link
 
     P = {"Q6": lambda: build_cube_polytope(6),
          "linkQ7": lambda: link_polytope(7, 0)}[host]()
-    P.__dict__.pop("_vertex_link_cache", None)
+    P.face_facets  # linkQ7 reads its own lattice off Q7 on first use
     reads = []
     read = Polytope._read_faces
 
@@ -291,9 +277,9 @@ def test_strong_solves_never_build_the_link_lattice(host, monkeypatch):
         pairs = [(verts[2 * i], verts[2 * i + 1]) for i in range(d // 2)]
         assert_linked(P, pairs, solve_cubical_strong(P, pairs, verts[-1]),
                       avoid=verts[-1:])
-    assert len(P._vertex_link_cache) > 20 and reads == []
+    assert reads == []
     # the lattice is still there on demand
-    L = next(iter(P._vertex_link_cache.values()))
+    L = vertex_link(P, verts[-1])
     assert L.face_facets and reads == [L]
 
 

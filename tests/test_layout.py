@@ -1,10 +1,12 @@
-"""Layout guards: the names the benchmark reaches into, and no `assert`
-in the runtime package (its checks must hold under `python -O`)."""
+"""Layout guards: the names the benchmark reaches into, no `assert` in the
+runtime package (its checks must hold under `python -O`), and no runtime
+dependency outside the standard library."""
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -121,3 +123,21 @@ def test_no_hand_written_bfs_in_linkage():
                  and any(a.name == "deque" for a in node.names))
              or (isinstance(node, ast.Attribute) and node.attr == "deque")]
     assert found == []
+
+
+def test_runtime_package_has_no_dependencies():
+    """pyproject.toml declares none, and every absolute import under
+    src/cubelink names a standard-library module."""
+    text = (ROOT / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert "\ndependencies = []\n" in project
+    outside = [f"{path.name}:{node.lineno} {name}"
+               for path in sorted((ROOT / "src" / "cubelink").rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               for name in (
+                   [a.name for a in node.names]
+                   if isinstance(node, ast.Import)
+                   else [node.module] if isinstance(node, ast.ImportFrom)
+                   and node.level == 0 else [])
+               if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
