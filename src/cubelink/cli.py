@@ -20,8 +20,8 @@ from typing import Callable
 
 from .complexes import Polytope, build_cube_polytope, build_from_incidence, link_polytope
 from .errors import CaseNotCovered, CubelinkError
-from .hypercube import CubeAdjacency, cube_graph, vertex_from_str, vertex_to_str
-from .linkage.certs import Unlinkable, certify, check_pairing
+from .hypercube import CubeAdjacency, vertex_from_str, vertex_to_str
+from .linkage.certs import Unlinkable, blocking, certify, check_pairing
 from .linkage.cube import (cube_linkage, detect_config_3F, solve_cube,
                            solve_cube_strong)
 from .linkage.cubical import solve_cubical, solve_cubical_strong
@@ -42,27 +42,22 @@ class Host:
     """A solve/verify/census host, built from its spec by one of HOST_KINDS.
 
     `solve(pairs, avoid)` and `strong(pairs, x)` return certificates.
-    `adjacency` answers neighbour queries, enough to check a linkage; on a
-    cube host it computes them on access.  The whole graph, `graph`, is
-    built by `build_graph()` the first time it is read, which only a search
-    over the host (`--method oracle`, census) or `--dot` does.  The face
-    lattice, `polytope`, is built by `lattice()` the first time it is read,
-    which is only to find or check a config-3F witness.
+    `graph` is the host's one graph, which certify, verify, `--method
+    oracle`, census and `--dot` all read: `CubeAdjacency(d)` on a cube host,
+    which computes neighbours on access, and the lattice's graph on a
+    polytope host.  The face lattice, `polytope`, is built by `lattice()`
+    the first time it is read, which is only to find or check a config-3F
+    witness.
     """
 
     spec: dict
     dim: int
-    adjacency: Mapping
+    graph: Mapping
     label_of: Callable
     vertex_of: Callable
     solve: Callable
     strong: Callable
-    build_graph: Callable
     lattice: Callable
-
-    @cached_property
-    def graph(self) -> dict:
-        return self.build_graph()
 
     @cached_property
     def polytope(self) -> Polytope:
@@ -93,7 +88,7 @@ def _cube_host(spec):
     return Host({"kind": "cube", "dim": d}, d, CubeAdjacency(d),
                 lambda v: vertex_to_str(v, d), lambda label: _bits(label, d),
                 solve, lambda pairs, x: solve_cube_strong(d, pairs, x),
-                lambda: cube_graph(d), lambda: build_cube_polytope(d))
+                lambda: build_cube_polytope(d))
 
 
 def _link_host(spec):
@@ -136,7 +131,7 @@ def _polytope_host(spec, P, solve):
     return Host(spec, P.dim, P.graph, P.labels.__getitem__, vertex_of,
                 solve_avoiding,
                 lambda pairs, x: solve_cubical_strong(P, pairs, x),
-                lambda: P.graph, lambda: P)
+                lambda: P)
 
 
 HOST_KINDS = {"cube": _cube_host, "link": _link_host, "lattice": _lattice_host}
@@ -205,8 +200,8 @@ def _oracle_solve(host, pairs, avoid):
         if sol is None:
             raise Unlinkable(host.witness(ps))
         return sol
-    return certify(host.spec, host.adjacency, host.label_of, pairs, search,
-                   lambda: host.adjacency, avoid)
+    return certify(host.spec, host.graph, host.label_of, pairs, search,
+                   lambda: host.graph, avoid)
 
 
 def _emit(payload, out=None):
@@ -304,22 +299,17 @@ def _verify_obstruction(host, pairs, obs):
         return False, f"obstruction kind {kind!r} does not block a host"
     if host.dim != 3 or len(pairs) != 2:
         return False, "config-3F blocks only 2 pairs in a 3-polytope"
-    X = {v for p in pairs for v in p}
-    face = [host.vertex_of(l) for l in obs["facet"]]
+    face = frozenset(host.vertex_of(l) for l in obs["facet"])
     s1, t1 = (host.vertex_of(obs["pair"][0]), host.vertex_of(obs["pair"][1]))
     if (s1, t1) not in pairs and (t1, s1) not in pairs:
         return False, "witness pair is not one of the instance pairs"
-    if len(X & set(face)) < 4:
-        return False, "too few terminals in the witness face"
     P = host.polytope
-    if not P.face_of(face) or P.dim_of(face) != 2:
-        return False, "witness face is not a 2-face of the host"
-    if P.opposite_in_face(face, t1) != s1:
-        return False, "witness pair is not opposite in the face"
-    nbrs = sorted(w for w in host.adjacency[t1] if w in set(face))
-    if not all(w in X for w in nbrs):
-        return False, "not every face neighbour of t1 is a terminal"
-    if sorted(host.vertex_of(l) for l in obs["blocking"]) != nbrs:
+    if face not in P.facets:
+        return False, "witness face is not a facet of the host"
+    witness = blocking(P, kind, face, s1, t1, {v for p in pairs for v in p})
+    if witness is None:
+        return False, "witness face does not block the pair"
+    if sorted(host.vertex_of(l) for l in obs["blocking"]) != witness.blocking:
         return False, "blocking list is not t1's face neighbours"
     return True, "ok"
 
@@ -336,7 +326,7 @@ def cmd_verify(args):
         result = data["result"]
         if "linkage" in result:
             paths = [[host.vertex_of(l) for l in p] for p in result["linkage"]]
-            ok, msg = validate_linkage(host.adjacency, pairs, paths, avoid)
+            ok, msg = validate_linkage(host.graph, pairs, paths, avoid)
         elif "obstruction" in result:
             ok, msg = _verify_obstruction(host, pairs, result["obstruction"])
         else:

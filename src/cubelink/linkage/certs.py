@@ -47,6 +47,23 @@ class ObstructionWitness:
         }
 
 
+def blocking(P, kind, F, a, b, X) -> ObstructionWitness | None:
+    """The `kind` witness that the face F of P blocks the pair (a, b), or
+    None; the one place a witness is built.  F blocks when it is a cube face
+    of dimension at least 2, a and b are antipodal in it, and every neighbour
+    of b in F is in the terminal set X.  The caller vouches that F is a face."""
+    coords, j = P.embed_face(F)
+    if j < 2 or a not in coords or b not in coords:
+        return None
+    if coords[a] ^ coords[b] != (1 << j) - 1:
+        return None
+    nbrs = [w for w in P.graph[b] if w in coords]
+    if not all(w in X for w in nbrs):
+        return None
+    return ObstructionWitness(kind=kind, facet=sorted(F), pair=(a, b),
+                              blocking=nbrs)
+
+
 class Unlinkable(CubelinkError):
     """Raised internally when an instance is obstructed; carries the witness.
 

@@ -35,8 +35,8 @@ from ..hypercube import (
 from ..oracle import cube_instance_key, invert_cube_map, oracle_linkage
 from .certs import (
     LinkageCertificate,
-    ObstructionWitness,
     Unlinkable,
+    blocking,
     certify,
     terminals,
 )
@@ -165,27 +165,22 @@ def _oracle_base(d, pairs, avoid=()):
 def detect_config_3F(P, pairs):
     """First blocking configuration in a cubical 3-polytope, or None.
 
-    Conditions, checked per 2-face F and per oriented pair (s, t): four
-    terminals lie in F, dist_F(s, t) = 2, and both F-neighbours of t are
-    terminals.  Faces, pairs and orientations are scanned in order so the
-    witness is deterministic.
+    A cubical 3-polytope's 2-faces are its facets.  Per facet F, in order,
+    and per pair and orientation (a, b), `certs.blocking` decides whether F
+    blocks the pair: a and b antipodal in F and both F-neighbours of b
+    terminals.  The scan order makes the witness deterministic.
     """
     X = terminals(pairs)
     if len(X) < 4:
         raise ValueError("need at least 4 terminals")
-    for F in P.faces_of_dim(2):
+    for F in P.facets:
         if len(X & F) < 4:
-            continue
-        adj = {v: [w for w in P.graph[v] if w in F] for v in F}
+            continue  # F blocks only with a, b and b's two neighbours in it
         for s, t in pairs:
-            if s not in F or t not in F:
-                continue
             for a, b in ((s, t), (t, s)):
-                nbrs = adj[b]
-                if a not in nbrs and all(w in X for w in nbrs):
-                    return ObstructionWitness(
-                        kind="config-3F", facet=sorted(F), pair=(a, b),
-                        blocking=sorted(nbrs))
+                witness = blocking(P, "config-3F", F, a, b, X)
+                if witness is not None:
+                    return witness
     return None
 
 

@@ -14,8 +14,8 @@ from ..complexes import Polytope
 from ..errors import CaseNotCovered, NoPath
 from ..hypercube import find_unassociated_pair
 from ..paths import Cut, disjoint_paths, shortest_path
-from .certs import (LinkageCertificate, ObstructionWitness, Unlinkable,
-                    certify, take, terminals)
+from .certs import (LinkageCertificate, Unlinkable, blocking, certify, take,
+                    terminals)
 from .cube import _hops, _linkage, _orient, _splice
 from .link import _link_solve
 
@@ -177,21 +177,16 @@ def projections_star_injection(P, s, F, trace=()):
 def detect_config_dF(P, s1, pairs):
     """Witness for the dF-configuration blocking a star linkage, or None.
 
-    Some facet holds at least d+1 terminals, s1's partner sits at facet
-    diameter from s1, and every facet-neighbour of the partner is a terminal.
+    Per facet F through s1 and its partner t1, in facet order,
+    `certs.blocking` decides whether F blocks the pair: t1 at facet
+    diameter from s1 and every F-neighbour of t1 a terminal.
     """
-    d = P.dim
     X = terminals(pairs)
     _, t1, _ = take(pairs, s1)
     for F in P.facets_containing((s1, t1)):
-        if len(X & F) < d + 1:
-            continue
-        if _face_dist(P, F, s1, t1) != d - 1:
-            continue
-        nbrs = [w for w in P.graph[t1] if w in F]
-        if all(w in X for w in nbrs):
-            return ObstructionWitness(kind="config-dF", facet=sorted(F),
-                                      pair=(s1, t1), blocking=nbrs)
+        witness = blocking(P, "config-dF", F, s1, t1, X)
+        if witness is not None:
+            return witness
     return None
 
 

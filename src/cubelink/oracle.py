@@ -20,6 +20,9 @@ from .errors import OracleTimeout
 
 DEFAULT_TIMEOUT_MS = 10_000
 TIMEOUT_VAR = "CUBELINK_ORACLE_TIMEOUT_MS"
+# the bit tables hold one |V|-bit mask per vertex, about |V|^2 / 8 bytes:
+# 32 MB at 2^14 vertices, 0.5 GB at 2^16
+MAX_SEARCH_VERTICES = 1 << 14
 
 
 def oracle_timeout_ms() -> int:
@@ -40,9 +43,14 @@ def oracle_timeout_ms() -> int:
 
 class _Bits:
     """Bit tables of one graph: vertex i of the sorted vertex list is the
-    bit 1 << i, and nbr[i] is the mask of its neighbours."""
+    bit 1 << i, and nbr[i] is the mask of its neighbours.  A graph of more
+    than MAX_SEARCH_VERTICES vertices raises ValueError before anything is
+    built."""
 
     def __init__(self, G):
+        if len(G) > MAX_SEARCH_VERTICES:
+            raise ValueError(f"oracle searches hold at most "
+                             f"{MAX_SEARCH_VERTICES} vertices, not {len(G)}")
         self.verts = sorted(G)
         self.index = index = {v: i for i, v in enumerate(self.verts)}
         self.nbr = []
@@ -281,21 +289,33 @@ def census(G, k, host="", mode="exhaustive", sample=None, seed=0,
     enforced).  mode "sample": `sample` random instances from `seed`, each
     search bounded by oracle_timeout_ms() and counted as a timeout when it
     runs out.  `detector` maps (pairs) -> obstruction kind or None and is
-    cross-tabbed against the verdict; disagreements are recorded.
+    cross-tabbed against the verdict; disagreements are recorded.  A k
+    below 1 or above |V| / 2, or a sample below 1, raises ValueError.
     """
     t0 = time.monotonic()
     rep = CensusReport(host=host, k=k, mode=mode)
-    verts = sorted(G)
+    n = len(G)
+    if not 1 <= k <= n // 2:
+        raise ValueError(f"k must be between 1 and {n // 2}, not {k}")
     if mode == "exhaustive":
-        if len(verts) > 16:
+        if n > 16:
             raise ValueError("exhaustive census limited to 16 vertices")
+    elif mode == "sample":
+        if sample < 1:
+            raise ValueError(f"sample must be at least 1, not {sample}")
+    else:
+        raise ValueError(f"unknown census mode {mode}")
+
+    bits = _Bits(G)
+    verts = bits.verts
+    if mode == "exhaustive":
         instances = (
             pairing
             for X in itertools.combinations(verts, 2 * k)
             for pairing in all_pairings(X)
         )
         budget = None
-    elif mode == "sample":
+    else:
         import random
 
         rng = random.Random(seed)
@@ -308,10 +328,7 @@ def census(G, k, host="", mode="exhaustive", sample=None, seed=0,
 
         instances = sampled()
         budget = oracle_timeout_ms() / 1000.0
-    else:
-        raise ValueError(f"unknown census mode {mode}")
 
-    bits = _Bits(G)
     for pairs in instances:
         rep.total += 1
         kind = detector(pairs) if detector else None

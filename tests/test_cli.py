@@ -1,13 +1,21 @@
+import itertools
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import cubelink
+from audit import cap
 from cubelink.cli import main
+from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.hypercube import cube_graph, vertex_from_str
+from cubelink.linkage.cube import detect_config_3F
+from cubelink.oracle import all_pairings
 from cubelink.paths import validate_linkage
 
 
@@ -149,8 +157,26 @@ def _forged_obstruction(d, pairs, kind, facet, pair, blocking):
     _forged_obstruction(3, [["000", "110"], ["010", "100"]], "config-3F",
                         ["000", "010", "100", "110"], ["000", "110"],
                         ["000", "010"]),
-], ids=["3F-in-Q4", "dF-in-Q5", "3F-wrong-blocking"])
-def test_verify_rejects_forged_obstruction(capsys, tmp_path, forged):
+    # four vertices of Q_3, no two adjacent: not a facet
+    _forged_obstruction(3, [["000", "011"], ["101", "110"]], "config-3F",
+                        ["000", "011", "101", "110"], ["000", "011"],
+                        ["101", "110"]),
+    # the edge facet of Q_3's squares plus the edge {7, 8}: its ends are
+    # antipodal in it and 8 is 7's one neighbour there, but an edge is no
+    # 2-face
+    dict(_forged_obstruction(3, [["8", "7"], ["0", "1"]], "config-3F",
+                             ["7", "8"], ["8", "7"], ["8"]),
+         instance={"host": {"kind": "lattice", "path": "q3-edge.json"},
+                   "pairs": [["8", "7"], ["0", "1"]], "avoid": [],
+                   "strong": False}),
+], ids=["3F-in-Q4", "dF-in-Q5", "3F-wrong-blocking", "3F-not-a-facet",
+        "3F-on-an-edge-facet"])
+def test_verify_rejects_forged_obstruction(capsys, tmp_path, monkeypatch,
+                                           forged):
+    monkeypatch.chdir(tmp_path)
+    squares = json.loads(run(capsys, "gen", "cube", "--dim", "3")[1])["facets"]
+    (tmp_path / "q3-edge.json").write_text(json.dumps(
+        {"dim": 3, "vertices": 9, "facets": squares + [[7, 8]]}))
     cert = tmp_path / "forged.json"
     cert.write_text(json.dumps(forged))
     code, out, _ = run(capsys, "verify", str(cert))
@@ -246,6 +272,56 @@ def test_gen_random_instance_then_solve(capsys, tmp_path):
     assert code in (0, 2)
 
 
+def _blocked_hosts():
+    """(host spec, polytope) for Q_3, Q_3 capped on one and on two facets,
+    and the link of a vertex of Q_4; a lattice host reads cap.json."""
+    Q3 = build_cube_polytope(3)
+    cap1 = cap(Q3, Q3.facets[0])
+    lattice = {"kind": "lattice", "path": "cap.json"}
+    return {"Q3": ({"kind": "cube", "dim": 3}, Q3),
+            "capQ3": (lattice, cap1),
+            "cap2Q3": (lattice, cap(cap1, cap1.facets[1])),
+            "linkQ4": ({"kind": "link", "cube_dim": 4, "vertex": "0000"},
+                       link_polytope(4, 0))}
+
+
+@pytest.mark.parametrize("name", ["Q3", "capQ3", "cap2Q3", "linkQ4"])
+def test_detected_config_3F_verifies_on_its_facet_only(capsys, tmp_path,
+                                                       monkeypatch, name):
+    # every 2-pairing: each detected witness PASSes with its pair either way
+    # round, and FAILs on every other facet
+    monkeypatch.chdir(tmp_path)
+    spec, P = _blocked_hosts()[name]
+    (tmp_path / "cap.json").write_text(json.dumps(P.to_json()))
+    label = P.labels.__getitem__
+    cert = tmp_path / "cert.json"
+
+    def verdict(pairs, obstruction):
+        cert.write_text(json.dumps({
+            "instance": {"host": spec, "pairs": pairs, "avoid": []},
+            "result": {"obstruction": obstruction}}))
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert code == (0 if out.startswith("PASS") else 1), out
+        return out.startswith("PASS")
+
+    witnesses = 0
+    for X in itertools.combinations(P.vertices, 4):
+        for pairs in all_pairings(X):
+            w = detect_config_3F(P, pairs)
+            if w is None:
+                continue
+            witnesses += 1
+            labelled = [[label(s), label(t)] for s, t in pairs]
+            obs = w.to_json(label)
+            assert verdict(labelled, obs)
+            assert verdict(labelled, dict(obs, pair=obs["pair"][::-1]))
+            for F in P.facets:
+                if F != frozenset(w.facet):
+                    other = sorted(map(label, F))
+                    assert not verdict(labelled, dict(obs, facet=other))
+    assert witnesses == len(P.facets)
+
+
 def test_search_exhausted_is_not_valid(capsys, tmp_path):
     # three pairs exceed Q_3's capacity: the oracle finds no linkage and no
     # known configuration explains it, so there is no witness to check
@@ -300,9 +376,12 @@ def test_census_outside_dimension_3_builds_no_lattice(capsys, monkeypatch):
 
 
 def test_solve_builds_no_cube_graph(capsys, monkeypatch):
+    # the exhaustive base (d <= 4) builds Q_3 and Q_4, and nothing else may
     def no_graph(d):
-        raise RuntimeError(f"graph of Q_{d} built")
-    monkeypatch.setattr("cubelink.cli.cube_graph", no_graph)
+        if d > 4:
+            raise RuntimeError(f"graph of Q_{d} built")
+        return cube_graph(d)
+    monkeypatch.setattr("cubelink.linkage.cube.cube_graph", no_graph)
     code, _, _ = run(capsys, "solve", "--cube", "6", "--pairs",
                      "000000-111111,100000-011111,010000-101111")
     assert code == 0
@@ -448,11 +527,25 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
      "bad instance file: [Errno 2] No such file or directory: "
      "'missing.json'"),
     (["verify", "no-pairs.json"], "bad certificate: 'pairs'"),
+    (["census", "--cube", "3", "--k", "0", "--exhaustive"],
+     "k must be between 1 and 4, not 0"),
+    (["census", "--cube", "3", "--k", "5", "--exhaustive"],
+     "k must be between 1 and 4, not 5"),
+    (["census", "--cube", "3", "--k", "2", "--sample", "-1"],
+     "sample must be at least 1, not -1"),
+    # the oracle's bit tables take about |V|^2 / 8 bytes: 128 GB here
+    (["census", "--cube", "20", "--k", "2", "--sample", "1"],
+     "oracle searches hold at most 16384 vertices, not 1048576"),
+    (["solve", "--cube", "20", "--method", "oracle",
+      "--pairs", "0" * 20 + "-" + "1" * 20],
+     "oracle searches hold at most 16384 vertices, not 1048576"),
 ], ids=["avoid-without-strong", "strong-no-avoid", "strong-two-avoid",
         "census-no-mode", "gen-cube-no-dim", "gen-link-no-cube",
         "gen-instance-no-k", "torus-host", "lattice-no-path",
         "unknown-label", "lattice-not-json", "missing-instance",
-        "certificate-no-pairs"])
+        "certificate-no-pairs", "census-no-pairs", "census-too-many-pairs",
+        "census-negative-sample", "census-past-the-oracle",
+        "oracle-past-the-oracle"])
 def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)
     _, lattice, _ = run(capsys, "gen", "cube", "--dim", "3")
@@ -469,3 +562,29 @@ def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
+def test_readme_cli_examples_run_as_written(capsys, tmp_path, monkeypatch):
+    # each `cubelink` line of the README's shell examples, in order, with
+    # its `> FILE`; the exit code is the one the comment above it states
+    monkeypatch.chdir(tmp_path)
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text()
+    ran, expect = 0, 0
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            if line.startswith("#"):
+                stated = re.search(r"exit code (\d)", line)
+                expect = int(stated.group(1)) if stated else 0
+            if not line.startswith("cubelink "):
+                continue
+            argv = shlex.split(line)[1:]
+            target = None
+            if ">" in argv:
+                argv, target = argv[:argv.index(">")], argv[-1]
+            code, out, err = run(capsys, *argv)
+            assert code == expect, (line, err)
+            if target:
+                (tmp_path / target).write_text(out)
+            ran += 1
+    assert ran == 9

@@ -254,12 +254,13 @@ def test_vertex_link_matches_lattice_built_alone(host):
         assert list(L._embed_cache.items()) == list(alone._embed_cache.items())
 
 
-@pytest.mark.parametrize("host", ["Q6", "linkQ7"])
+@pytest.mark.parametrize("host", ["Q4", "Q6", "linkQ7"])
 def test_strong_solves_never_build_the_link_lattice(host, monkeypatch):
     from cubelink.complexes import Polytope
     from cubelink.linkage.cubical import vertex_link
 
-    P = {"Q6": lambda: build_cube_polytope(6),
+    P = {"Q4": lambda: build_cube_polytope(4),
+         "Q6": lambda: build_cube_polytope(6),
          "linkQ7": lambda: link_polytope(7, 0)}[host]()
     P.face_facets  # linkQ7 reads its own lattice off Q7 on first use
     reads = []
