@@ -20,7 +20,7 @@ from typing import Callable
 
 from .complexes import Polytope, build_cube_polytope, build_from_incidence, link_polytope
 from .errors import CaseNotCovered, CubelinkError
-from .hypercube import CubeAdjacency, vertex_from_str, vertex_to_str
+from .hypercube import MAX_DIM, CubeAdjacency, vertex_from_str, vertex_to_str
 from .linkage.certs import Unlinkable, blocking, certify, check_pairing
 from .linkage.cube import (cube_linkage, detect_config_3F, solve_cube,
                            solve_cube_strong)
@@ -384,15 +384,26 @@ def cmd_gen(args):
             raise InputError("gen random-instance needs --cube D and --k")
         import random
 
+        d, k = args.cube, args.k
+        # the instances solve --instance accepts: Q_d is floor((d+1)/2)-linked,
+        # and strongly d/2-linked for even d
+        if not 1 <= d <= MAX_DIM:
+            raise InputError(f"--cube must be between 1 and {MAX_DIM}, not {d}")
+        if not 1 <= k <= (d + 1) // 2:
+            raise InputError(
+                f"--k must be between 1 and {(d + 1) // 2} in Q_{d}, not {k}")
+        if args.strong and (d % 2 or 2 * k != d):
+            raise InputError(f"--strong needs an even --cube D and --k D/2, "
+                             f"not D = {d} and k = {k}")
         rng = random.Random(args.seed)
-        d = args.cube
-        n = 2 * args.k + (1 if args.strong else 0)
+        n = 2 * k + (1 if args.strong else 0)
         X = rng.sample(range(1 << d), n)
         inst = {
             "host": {"kind": "cube", "dim": d},
             "pairs": [[vertex_to_str(X[2 * i], d), vertex_to_str(X[2 * i + 1], d)]
-                      for i in range(args.k)],
+                      for i in range(k)],
             "avoid": [vertex_to_str(X[-1], d)] if args.strong else [],
+            "strong": args.strong,
         }
         _emit(inst)
         return 0

@@ -3,11 +3,13 @@
 A Polytope stores its facets, the facet mask of each vertex and the graph.
 Its face lattice (faces as frozensets of vertex ids, the facets' closure
 under intersection) is kept in one order: by size, then by sorted vertex
-list.  A polytope built alone closes its facets when it is built, since that
-closure is its input check; the closure cuts each face only by the facets
-that meet it without containing it.  A polytope built from a host whose
-faces include its own, as a vertex link is, reads its graph off the host and
-its lower faces off the host's lattice when they are first asked for.
+list.  Every polytope has one face path, that closure, which cuts each face
+only by the facets that meet it without containing it.  A polytope built
+alone closes its facets when it is built, since that closure is its input
+check.  A polytope built from a host, as a vertex link is, checks its facets
+against the host's facet embeddings, takes its graph and facet embeddings
+from the host, and closes its facets only when its faces are first asked
+for, which no solver does.
 `vertex_link` is the one way a link is built, on demand and with no cache:
 a strong solve builds the link of its avoided vertex, and a link host
 (`link_polytope`) is the vertex link of its cube.
@@ -48,27 +50,30 @@ class Polytope:
     def __init__(self, dim, vertices, facets, labels=None, host=None):
         """`host` is a certified Polytope whose faces, with the same edges,
         include this one's, as a vertex link's do (see vertex_link).  Every
-        facet must be a face of the host, or ValueError is raised, and
+        facet must be a host facet or a subcube of the first host facet
+        containing it, so a face of the host, or ValueError is raised; and
         every face of a facet (checked on its vertices and ridges) the
         intersection of the facets containing it, or InconsistentIncidence
-        is raised.  The polytope
-        then keeps only its facets, masks and graph: the graph is the host's
-        edges that lie in a facet, the facets take their embeddings from the
-        host, and the lower faces are read off the host's lattice when first
-        asked for.  They count as certified."""
+        is raised.  The polytope then keeps only its facets, masks and
+        graph: the graph is the host's edges that lie in a facet, and the
+        facets take their embeddings from the host.  They count as
+        certified, and so do the lower faces, the facets' closure, computed
+        when first asked for."""
         self.dim = dim
         self.vertices = sorted(vertices)
         self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
         self.labels = labels or {v: str(v) for v in self.vertices}
-        self._host = host
         self._embed_cache = {}
         self._index_facets()
         if host is None:
             self._graph_from_faces()  # closes the facets
+            self._validate_cubical()
         else:
             self._read_host(host)
-        self.cubical = False
-        self._validate_cubical(host)
+        j = len(max(self.facets, key=len)).bit_length() - 1
+        if j != self.dim - 1:
+            raise InconsistentIncidence(
+                f"facets have dimension {j}, expected {self.dim - 1}")
 
     # -- lattice -----------------------------------------------------------
 
@@ -107,17 +112,26 @@ class Polytope:
         self.graph = {v: tuple(n) for v, n in graph.items()}
 
     def _read_host(self, host):
-        """Check the facets against the host, and take as edges the host's
-        that lie in a facet, so every row stays in sorted order.
+        """Check the facets against the host and take their embeddings from
+        it, and take as edges the host's that lie in a facet, so every row
+        stays in sorted order.
 
-        The facets containing a vertex meet in a face of the host, a cube,
-        which holds a neighbour of the vertex when it is more than the
-        vertex; so a vertex is that intersection exactly when no neighbour
-        lies in all of its facets."""
-        known = host.face_facets
+        A facet is a host face exactly when it is a host facet or a subcube
+        of the first host facet containing it, the test _embed_in_facet
+        makes; the host caches only such embeddings (see embed_face), so a
+        cached one needs no second test.  The facets containing a vertex
+        meet in a face of the host, a cube, which holds a neighbour of the
+        vertex when it is more than the vertex; so a vertex is that
+        intersection exactly when no neighbour lies in all of its facets."""
         for f in self.facets:
-            if f not in known:
+            if f in host._facet_bits or f in host._embed_cache:
+                embedding = host.embed_face(f)
+            else:
+                embedding = host._embed_in_facet(f)
+            if embedding is None:
                 raise ValueError(f"facet {sorted(f)} is not a face of the host")
+            if len(f) > 1:
+                self._embed_cache[f] = embedding
         vf = self.vertex_facets
         graph = {}
         for v, m in vf.items():
@@ -132,9 +146,9 @@ class Polytope:
                     row.append(w)
             graph[v] = tuple(row)
         self.graph = graph
-        self._check_ridges(host)
+        self._check_ridges()
 
-    def _check_ridges(self, host):
+    def _check_ridges(self):
         """Check that each ridge of each facet F, a cube, is F's
         intersection with another facet, so every face of F is an
         intersection of facets: the host faces in a facet are then exactly
@@ -146,7 +160,7 @@ class Polytope:
             half = len(F) // 2
             shared = {a & b for b in bits if (a & b).bit_count() == half}
             if half and len(shared) < 2 * half.bit_length():
-                coords, j = host.embed_face(F)
+                coords, j = self._embed_cache[F]
                 ridges = [frozenset(v for v in F if coords[v] >> i & 1 == b)
                           for i in range(j) for b in (0, 1)]
                 missing = set(ridges) - set(self.ridges_of_facet(F))
@@ -157,11 +171,9 @@ class Polytope:
     @cached_property
     def face_facets(self):
         """Each proper face with the mask of the facets containing it, by
-        size, then by sorted vertex list.  A polytope built alone closes its
-        facets when it is built; one built from a host reads them off the
-        host on first use."""
-        if self._host is not None:
-            return self._read_faces(self._host)
+        size, then by sorted vertex list: the facets' closure.  A polytope
+        built alone closes its facets when it is built; one built from a
+        host closes them on first use."""
         masks = self._close_facets(list(self._facet_bits.values()))
         faces = sorted(masks, key=lambda f: (len(f), sorted(f)))
         return {f: masks[f] for f in faces}
@@ -218,72 +230,28 @@ class Polytope:
             frontier = new
         return masks
 
-    def _read_faces(self, host):
-        """The faces read off the host, in its order, each with its mask:
-        the host's faces whose vertices share a facet.  Only the faces of
-        the host facets through a facet can, so the scan tests the others
-        by one AND of host masks.
-
-        The host's faces are closed under intersection, so every
-        intersection of facets is among them; and each face read is a face
-        of a facet, so an intersection of facets (_check_ridges).  The
-        faces read are therefore exactly the facets' closure."""
-        known, vf = host.face_facets, self.vertex_facets
-        star = reduce(or_, map(known.__getitem__, self.facets))
-        faces = {}
-        for f, hm in known.items():
-            if hm & star:
-                m = reduce(and_, [vf.get(v, 0) for v in f])
-                if m:
-                    faces[f] = m
-        return faces
-
-    def _validate_cubical(self, host):
-        if host is not None:
-            # the facets are the host's faces, so certified with their
-            # embeddings, and so are their faces
-            for f in self.facets:
-                if len(f) > 1:
-                    self._embed_cache[f] = host.embed_face(f)
-        else:
-            for f in self.face_facets:
-                n = len(f)
-                if n & (n - 1):
-                    raise NotCubical(f"face with {n} vertices", face=sorted(f))
-            for f in self.facets:
-                if len(f) > 1:
-                    self.embed_face(f)  # raises NotCubical on failure
-            # a lower face with 2^j vertices is a j-cube exactly when its
-            # codes in its first facet's embedding span a j-dimensional
-            # subcube
-            facets, cache = self.facets, self._embed_cache
-            for f, m in self.face_facets.items():
-                j = len(f).bit_length() - 1
-                if j == 0:
-                    continue
-                F = facets[(m & -m).bit_length() - 1]
-                if F == f:
-                    continue
-                coords = cache[F][0]
-                codes = [coords[v] for v in f]
-                if (reduce(or_, codes) ^ reduce(and_, codes)).bit_count() != j:
-                    self.embed_face(f)  # raises NotCubical with its reason
-            self.faces_by_dim  # and face_dim: a lattice built alone is whole
-        j = len(max(self.facets, key=len)).bit_length() - 1
-        if j != self.dim - 1:
-            raise InconsistentIncidence(
-                f"facets have dimension {j}, expected {self.dim - 1}")
-        self.cubical = True
-
-    def face_of(self, f) -> bool:
-        return frozenset(f) in self.proper_faces
-
-    def dim_of(self, f) -> int:
-        return self.face_dim[frozenset(f)]
-
-    def faces_of_dim(self, j):
-        """The j-faces, sorted by their sorted vertex lists."""
-        return self.faces_by_dim.get(j, ())
+    def _validate_cubical(self):
+        for f in self.face_facets:
+            n = len(f)
+            if n & (n - 1):
+                raise NotCubical(f"face with {n} vertices", face=sorted(f))
+        for f in self.facets:
+            if len(f) > 1:
+                self.embed_face(f)  # raises NotCubical on failure
+        # a lower face with 2^j vertices is a j-cube exactly when its codes
+        # in its first facet's embedding span a j-dimensional subcube
+        facets, cache = self.facets, self._embed_cache
+        for f, m in self.face_facets.items():
+            j = len(f).bit_length() - 1
+            if j == 0:
+                continue
+            F = facets[(m & -m).bit_length() - 1]
+            if F == f:
+                continue
+            coords = cache[F][0]
+            codes = [coords[v] for v in f]
+            if (reduce(or_, codes) ^ reduce(and_, codes)).bit_count() != j:
+                self.embed_face(f)  # raises NotCubical with its reason
 
     def facets_containing(self, S):
         """The facets containing every vertex of S, in facet order."""
@@ -296,24 +264,6 @@ class Polytope:
             out.append(self.facets[low.bit_length() - 1])
             bits ^= low
         return out
-
-    def smallest_face(self, S):
-        """Inclusion-minimal proper face containing S, or None (only the
-        improper whole polytope contains S).  It is the intersection of the
-        facets containing S."""
-        S = frozenset(S)
-        if not S:
-            return min(self.proper_faces, key=len)
-        facets = self.facets_containing(S)
-        return frozenset.intersection(*facets) if facets else None
-
-    def subfaces(self, f):
-        f = frozenset(f)
-        m = self.face_facets.get(f)
-        if m is None:
-            return [g for g in self.proper_faces if g <= f]
-        # g <= f exactly when every facet containing f contains g
-        return [g for g, gm in self.face_facets.items() if gm & m == m]
 
     def ridges_of_facet(self, F):
         """The ridges in the facet F, sorted by their sorted vertex lists:
@@ -344,7 +294,9 @@ class Polytope:
         from the least vertex, with axes assigned to its neighbours in
         sorted order.  Facets are embedded when the lattice is built, by
         _embed_by_bfs (or taken from the host); any other face is read off
-        its first facet's embedding on its first call, then cached.
+        its first facet's embedding on its first call, then cached.  Only
+        these are cached: a vertex set that is no face, embedded by BFS, is
+        not kept, so a cached embedding certifies a face.
         """
         f = frozenset(f)
         if f in self._embed_cache:
@@ -353,11 +305,12 @@ class Polytope:
 
     def _embed_in_facet(self, f):
         """f's embedding read off its first facet's, or None when f is a
-        facet, lies in none or is no subcube of it.  Each vertex's code is
-        its XOR with the least vertex, remapped to the axes of that vertex's
-        neighbours in f in sorted order, as _embed_by_bfs would assign
-        them."""
-        m = reduce(and_, map(self.vertex_facets.__getitem__, f))
+        facet, lies in none (as f does when it leaves the polytope) or is
+        no subcube of it.  Each vertex's code is its XOR with the least
+        vertex, remapped to the axes of that vertex's neighbours in f in
+        sorted order, as _embed_by_bfs would assign them."""
+        vf = self.vertex_facets
+        m = reduce(and_, [vf.get(v, 0) for v in f])
         F = self.facets[(m & -m).bit_length() - 1] if m else f
         if F == f:
             return None
@@ -426,7 +379,8 @@ class Polytope:
                 x = coords[w] ^ c
                 if x & (x - 1):
                     raise NotCubical("adjacency not Hamming-1", face=verts)
-        self._embed_cache[f] = (coords, j)
+        if f in self._facet_bits:
+            self._embed_cache[f] = (coords, j)
         return coords, j
 
     def opposite_in_face(self, f, v):

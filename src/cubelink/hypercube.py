@@ -99,23 +99,11 @@ def facet(d: int, axis: int, value: int) -> CubeFace:
     return CubeFace(d, 1 << axis, value << axis)
 
 
-def opposite_vertex(v: int, K: CubeFace) -> int:
-    """The vertex of K at distance dim(K) from v (complement on free coords)."""
-    if not K.contains(v):
-        raise ValueError("vertex not in face")
-    return v ^ K.free_mask
-
-
 def opposite_facet(F: CubeFace) -> CubeFace:
     """F^o: same axis, flipped value.  Requires F to be a facet."""
     if F.fixed_mask.bit_count() != 1:
         raise ValueError("opposite_facet requires a facet (one fixed coordinate)")
     return CubeFace(F.d, F.fixed_mask, F.fixed_values ^ F.fixed_mask)
-
-
-def opposite_face(K: CubeFace) -> CubeFace:
-    """Flip every fixed coordinate; for facets this is opposite_facet."""
-    return CubeFace(K.d, K.fixed_mask, K.fixed_values ^ K.fixed_mask)
 
 
 def project(x: int, F_target: CubeFace) -> int:

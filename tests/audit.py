@@ -244,8 +244,8 @@ def technical_decomposition(P: Polytope, s1, s2, F1, F12):
             if R & F1:
                 continue
             # boundary of R minus the vertices of F12
-            C_faces.update(g for g in P.subfaces(R)
-                           if g != R and not (g & F12))
+            C_faces.update(g for g in P.proper_faces
+                           if g < R and not (g & F12))
     C = Complex(P, frozenset(C_faces))
     return {"S12": S12, "A1": A1, "A12": A12, "C": C}
 
@@ -335,7 +335,7 @@ class ReferencePolytope(Polytope):
     of dimension at least 1 is embedded by its own BFS when the lattice is
     built.  It is always built alone, so it takes nothing from a host."""
 
-    def _validate_cubical(self, host):
+    def _validate_cubical(self):
         self.face_dim = {}
         by_dim = {}
         for f in self.proper_faces:
@@ -353,7 +353,6 @@ class ReferencePolytope(Polytope):
         for fs in by_dim.values():
             fs.sort(key=sorted)
         self.faces_by_dim = {j: tuple(fs) for j, fs in by_dim.items()}
-        self.cubical = True
 
 
 def oracle_linkage_reference(G, pairs, avoid=(), deadline=None):

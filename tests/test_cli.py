@@ -270,6 +270,20 @@ def test_gen_random_instance_then_solve(capsys, tmp_path):
     inst.write_text(out)
     code, out, _ = run(capsys, "solve", "--instance", str(inst))
     assert code in (0, 2)
+    assert json.loads(out)["instance"]["strong"] is False
+    # a strong instance stays strong through the file
+    code, out, _ = run(capsys, "gen", "random-instance", "--cube", "6",
+                       "--k", "3", "--seed", "4", "--strong")
+    assert code == 0
+    gen = json.loads(out)
+    assert gen["strong"] is True and len(gen["avoid"]) == 1
+    inst.write_text(out)
+    code, out, _ = run(capsys, "solve", "--instance", str(inst))
+    # Q_6 is strongly 3-linked: the avoided vertex is the unpaired terminal
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["instance"] == gen
+    assert any(t.startswith("cube/strong") for t in cert["trace"])
 
 
 def _blocked_hosts():
@@ -484,6 +498,8 @@ def test_lattice_labels_not_naming_each_vertex_exit_1(capsys, tmp_path,
       "--pairs", "00001-11110,00010-11101"], "cubical/strong-link-route"),
     (["--cube", "4", "--avoid", "0101",
       "--pairs", "0000-1111,0011-1100"], "cube/strong-base-d4"),
+    (["--cube", "2", "--avoid", "10", "--pairs", "00-11"],
+     "cube/strong-base-d2"),
 ])
 def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
     code, out, err = run(capsys, "solve", "--strong", "--trace", *host)
@@ -515,6 +531,18 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
     (["gen", "link"], "gen link needs --cube D"),
     (["gen", "random-instance", "--cube", "4"],
      "gen random-instance needs --cube D and --k"),
+    (["gen", "random-instance", "--cube", "3", "--k", "3"],
+     "--k must be between 1 and 2 in Q_3, not 3"),
+    (["gen", "random-instance", "--cube", "3", "--k", "0"],
+     "--k must be between 1 and 2 in Q_3, not 0"),
+    (["gen", "random-instance", "--cube", "31", "--k", "1"],
+     "--cube must be between 1 and 30, not 31"),
+    (["gen", "random-instance", "--cube", "0", "--k", "1"],
+     "--cube must be between 1 and 30, not 0"),
+    (["gen", "random-instance", "--cube", "5", "--k", "2", "--strong"],
+     "--strong needs an even --cube D and --k D/2, not D = 5 and k = 2"),
+    (["gen", "random-instance", "--cube", "6", "--k", "2", "--strong"],
+     "--strong needs an even --cube D and --k D/2, not D = 6 and k = 2"),
     (["solve", "--instance", "torus.json"], "unknown host kind 'torus'"),
     (["solve", "--instance", "no-path.json"],
      "lattice host needs --lattice FILE"),
@@ -541,7 +569,10 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
      "oracle searches hold at most 16384 vertices, not 1048576"),
 ], ids=["avoid-without-strong", "strong-no-avoid", "strong-two-avoid",
         "census-no-mode", "gen-cube-no-dim", "gen-link-no-cube",
-        "gen-instance-no-k", "torus-host", "lattice-no-path",
+        "gen-instance-no-k", "gen-instance-too-many-pairs",
+        "gen-instance-no-pairs", "gen-instance-past-max-dim",
+        "gen-instance-no-dim", "gen-instance-strong-odd-d",
+        "gen-instance-strong-too-few-pairs", "torus-host", "lattice-no-path",
         "unknown-label", "lattice-not-json", "missing-instance",
         "certificate-no-pairs", "census-no-pairs", "census-too-many-pairs",
         "census-negative-sample", "census-past-the-oracle",

@@ -7,7 +7,7 @@ from cubelink.complexes import (Complex, Polytope, build_cube_polytope,
                                 build_from_incidence, link_polytope,
                                 star_complex)
 from cubelink.errors import InconsistentIncidence, NoPath, NotCubical
-from cubelink.hypercube import cube_graph, opposite_vertex, whole_cube
+from cubelink.hypercube import cube_graph, whole_cube
 from cubelink.linkage.cubical import vertex_link
 
 from audit import (ReferencePolytope, antistar_complex, cap, link_complex,
@@ -23,20 +23,16 @@ def comb(n, k):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_cube_polytope_face_counts(d):
     P = build_cube_polytope(d)
-    assert P.cubical
     assert len(P.vertices) == 1 << d
     assert len(P.facets) == 2 * d
     for j in range(d):
-        assert len(P.faces_of_dim(j)) == comb(d, j) * (1 << (d - j))
+        assert len(P.faces_by_dim[j]) == comb(d, j) * (1 << (d - j))
     assert P.graph == cube_graph(d)
 
 
 def test_cube_polytope_face_queries():
     P = build_cube_polytope(3)
     F = frozenset({0, 1, 2, 3})
-    assert P.face_of(F) and P.dim_of(F) == 2
-    assert P.smallest_face({0, 3}) == F
-    assert P.smallest_face({0, 7}) is None
     assert len(P.ridges_of_facet(F)) == 4
     assert P.opposite_in_face(F, 0) == 3
     assert P.opposite_subface(F, {0, 1}) == frozenset({2, 3})
@@ -70,7 +66,7 @@ def test_inconsistent_incidence_rejected():
 def test_build_from_incidence_square():
     P = build_from_incidence(2, 4, [{0, 1}, {1, 3}, {2, 3}, {0, 2}],
                              labels=["00", "01", "10", "11"])
-    assert P.cubical and P.dim == 2
+    assert P.dim == 2
     assert P.labels[3] == "11"
 
 
@@ -80,7 +76,6 @@ def test_link_polytope_shape(d):
     assert L.dim == d - 1
     assert len(L.vertices) == (1 << d) - 2
     assert len(L.facets) == 2 * comb(d, 2)
-    assert L.cubical
 
 
 def test_link_polytope_of_cube3_is_hexagon():
@@ -277,7 +272,7 @@ def test_index_masks(host):
     for j in range(P.dim):
         want = sorted((f for f in P.proper_faces if P.face_dim[f] == j),
                       key=sorted)
-        assert list(P.faces_of_dim(j)) == want
+        assert list(P.faces_by_dim[j]) == want
 
 
 @pytest.mark.parametrize("host", sorted(INDEX_HOSTS))
@@ -298,7 +293,7 @@ def test_index_complexes_match_brute_force(host):
         want = _brute_graph(_brute_generated(P, gens))
         assert G == want and list(G) == list(want)
         # generators that are not all facets keep the subset test
-        mixed = gens[:1] + rng.sample(sorted(P.faces_of_dim(1), key=sorted), 3)
+        mixed = gens[:1] + rng.sample(sorted(P.faces_by_dim[1], key=sorted), 3)
         _assert_complex(Complex.generated_by(P, mixed),
                         _brute_generated(P, mixed))
     assert Complex.generated_by(P, []).faces == frozenset()
@@ -315,27 +310,18 @@ def test_index_complexes_match_brute_force(host):
 def test_index_face_queries_match_brute_force(host):
     P = INDEX_HOSTS[host]()
     rng = random.Random(9)
-    faces = list(P.proper_faces)
     for f in P.facets:
         want = sorted((g for g in P.proper_faces
                        if g <= f and P.face_dim[g] == P.face_dim[f] - 1),
                       key=sorted)
         assert P.ridges_of_facet(f) == want
-    for f in faces:
+    for f in P.proper_faces:
         assert P.facets_containing(f) == [g for g in P.facets if f <= g]
-        assert P.smallest_face(f) == f
-        assert P.subfaces(f) == [g for g in P.proper_faces if g <= f]
     for _ in range(200):
         S = set(rng.sample(P.vertices, rng.randint(1, 3)))
         assert P.facets_containing(S) == [g for g in P.facets if S <= g]
-        inside = [g for g in faces if S <= g]
-        want = min(inside, key=len) if inside else None
-        assert P.smallest_face(S) == want
     assert P.facets_containing(set()) == P.facets
     assert P.facets_containing({-1}) == []
-    assert P.smallest_face({-1}) is None
-    odd = frozenset(P.vertices[:3])
-    assert P.subfaces(odd) == [g for g in P.proper_faces if g <= odd]
 
 
 def _closure_by_intersection(P):
@@ -379,11 +365,27 @@ def _checkerboard_of_q4():
     return Polytope(3, range(16), squares, host=build_cube_polytope(4))
 
 
+def _embedded_non_face():
+    # capping Q3 on a facet keeps that facet's 4-cycle in the graph but not
+    # as a face; its BFS embedding must not let it pass as a host face
+    Q3 = build_cube_polytope(3)
+    F = Q3.facets[0]
+    P = cap(Q3, F)
+    P.embed_face(F)
+    return Polytope(3, F, [F], host=P)
+
+
 @pytest.mark.parametrize("build,cls,err", [
     # a "square" on the even vertices of Q3, whose sides are no edges
     (lambda: Polytope(2, [0, 3, 5, 6], [{0, 3}, {3, 5}, {5, 6}, {6, 0}],
                       host=build_cube_polytope(3)),
      ValueError, "facet [0, 3] is not a face of the host"),
+    # a square through the vertex 9, which the host does not have
+    (lambda: Polytope(2, [0, 1, 3, 9], [{0, 1}, {1, 3}, {3, 9}, {9, 0}],
+                      host=build_cube_polytope(3)),
+     ValueError, "facet [0, 9] is not a face of the host"),
+    (_embedded_non_face, ValueError,
+     "facet [0, 1, 2, 3] is not a face of the host"),
     # a facet of Q4 as the only facet: its subfaces are host faces inside
     # it, but no intersection of the facets given
     (_lone_facet_of_q4, InconsistentIncidence,
@@ -391,7 +393,8 @@ def _checkerboard_of_q4():
     # each vertex is the intersection of its facets, but no edge is
     (_checkerboard_of_q4, InconsistentIncidence,
      "face [0, 1] is not the intersection of the facets containing it"),
-], ids=["facet-not-a-host-face", "face-not-an-intersection",
+], ids=["facet-not-a-host-face", "facet-outside-the-host",
+        "facet-embedded-but-no-face", "face-not-an-intersection",
         "facets-share-no-ridge"])
 def test_host_mode_rejects_faces_the_closure_would_not_give(build, cls, err):
     with pytest.raises(cls) as e:
@@ -418,6 +421,15 @@ def test_vertex_links_read_their_faces_instead_of_closing(host, monkeypatch):
     assert closures == [len(L.facets)]
 
 
+def test_vertex_links_leave_the_host_lattice_unbuilt():
+    # a fresh linkQ7, built from Q7, has no lattice of its own until asked;
+    # its vertex links check their facets on its facet embeddings instead
+    P = vertex_link(build_cube_polytope(7), 0)
+    links = [vertex_link(P, x) for x in P.vertices[::9]]
+    assert all(L.dim == 5 for L in links)
+    assert "face_facets" not in P.__dict__
+
+
 LINK_HOSTS = {
     **{f"Q{d}": (lambda d=d: build_cube_polytope(d)) for d in (4, 5, 6)},
     **{f"linkQ{d}": (lambda d=d: link_polytope(d, 0)) for d in (5, 6)},
@@ -434,7 +446,7 @@ def test_link_read_off_the_host_matches_lattice_built_alone(host, data):
     assert L.facets == alone.facets
     assert L.vertex_facets == alone.vertex_facets
     assert L.graph == alone.graph and list(L.graph) == list(alone.graph)
-    ridges = alone.faces_of_dim(alone.dim - 2)
+    ridges = alone.faces_by_dim[alone.dim - 2]
     for F in L.facets:
         assert L.ridges_of_facet(F) == [R for R in ridges if R <= F]
     assert list(L._embed_cache.items()) == list(alone._embed_cache.items())
@@ -594,7 +606,7 @@ def test_lower_face_off_the_subcubes_of_its_facet_is_rejected(cls):
     Q = cls(P.dim, P.vertices, P.facets)
     Q.face_facets[f] = Q.face_facets[F]
     with pytest.raises(NotCubical, match="face size 4 but degree 0"):
-        Q._validate_cubical(None)
+        Q._validate_cubical()
 
 
 @pytest.mark.parametrize("host", ["Q5", "linkQ6"])
@@ -603,7 +615,7 @@ def test_lower_faces_are_embedded_on_first_use(host):
                 "linkQ6": lambda: link_polytope(6, 0)}[host]())
     facets = [f for f in P.facets if len(f) > 1]
     assert list(P._embed_cache) == facets
-    f = P.faces_of_dim(1)[0]
+    f = P.faces_by_dim[1][0]
     embedding = P.embed_face(f)
     assert list(P._embed_cache) == facets + [f]
     assert P._embed_cache[f] == embedding == P.embed_face(f)

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from cubelink.complexes import build_cube_polytope, link_polytope
+from cubelink.linkage.cube import solve_cube_strong
 from cubelink.linkage.cubical import solve_cubical, solve_cubical_strong
-from cubelink.oracle import oracle_linkage
+from cubelink.oracle import linkable, oracle_linkage
 from cubelink.paths import validate_linkage
 
 
@@ -128,6 +129,32 @@ def test_config_case2_q7():
     cert = solve_cubical(P, pairs)
     assert "cubical/config-neighbour-facet" in cert.trace
     assert_linked(P, pairs, cert)
+
+
+def _strong_d2_solvers():
+    Q2 = build_cube_polytope(2)
+    yield "cube/strong-base-d2", Q2, lambda ps, x: solve_cube_strong(2, ps, x)
+    for P in [Q2] + [link_polytope(3, v) for v in range(8)]:
+        yield ("cubical/strong-base", P,
+               lambda ps, x, P=P: solve_cubical_strong(P, ps, x))
+
+
+def test_strong_bases_in_dimension_2():
+    # every pair and avoided vertex on Q_2 and on each hexagon link of Q_3:
+    # a cycle less one vertex is a path, so each instance is linked
+    solved = 0
+    for tag, P, solve in _strong_d2_solvers():
+        assert P.dim == 2
+        for x in P.vertices:
+            rest = [v for v in P.vertices if v != x]
+            for i, s in enumerate(rest):
+                for t in rest[i + 1:]:
+                    cert = solve([(s, t)], x)
+                    assert linkable(P.graph, [(s, t)], avoid=[x])
+                    assert_linked(P, [(s, t)], cert, avoid=[x])
+                    assert cert.trace == [tag]
+                    solved += 1
+    assert solved == 4 * 3 + 4 * 3 + 8 * 6 * 10
 
 
 def test_dim3_obstruction_certificate():
@@ -262,15 +289,15 @@ def test_strong_solves_never_build_the_link_lattice(host, monkeypatch):
     P = {"Q4": lambda: build_cube_polytope(4),
          "Q6": lambda: build_cube_polytope(6),
          "linkQ7": lambda: link_polytope(7, 0)}[host]()
-    P.face_facets  # linkQ7 reads its own lattice off Q7 on first use
+    P.face_facets  # linkQ7 closes its own facets on first use
     reads = []
-    read = Polytope._read_faces
+    close = Polytope._close_facets
 
-    def counted(self, host):
+    def counted(self, facet_bits):
         reads.append(self)
-        return read(self, host)
+        return close(self, facet_bits)
 
-    monkeypatch.setattr(Polytope, "_read_faces", counted)
+    monkeypatch.setattr(Polytope, "_close_facets", counted)
     rng = random.Random(f"strong-{host}")
     d = P.dim
     for _ in range(40):

@@ -15,14 +15,11 @@ from cubelink.hypercube import (
     face_path,
     facet,
     find_unassociated_pair,
-    opposite_face,
     opposite_facet,
-    opposite_vertex,
     project,
     smallest_face,
     vertex_from_str,
     vertex_to_str,
-    whole_cube,
 )
 from cubelink.paths import shortest_path
 
@@ -50,21 +47,6 @@ def test_vertex_from_str_rejects_garbage():
         vertex_from_str("")
 
 
-def test_opposite_vertex_examples():
-    assert opposite_vertex(0b000, whole_cube(3)) == 0b111
-    K = facet(3, 2, 0)
-    assert opposite_vertex(0b010, K) == 0b001
-    with pytest.raises(ValueError):
-        opposite_vertex(0b100, K)
-
-
-def test_opposite_vertex_involution():
-    for d in (2, 3, 4):
-        for K in all_faces(d, d - 1) + all_faces(d, d - 2):
-            for v in K.vertices():
-                assert opposite_vertex(opposite_vertex(v, K), K) == v
-
-
 def test_opposite_facet():
     F = facet(4, 0, 0)
     Fo = opposite_facet(F)
@@ -74,13 +56,6 @@ def test_opposite_facet():
     assert len(F.vertices()) == 8
     with pytest.raises(ValueError):
         opposite_facet(CubeFace(4, 0b11, 0b00))
-
-
-def test_opposite_face_flips_fixed_bits():
-    K = CubeFace(4, 0b0101, 0b0001)
-    Ko = opposite_face(K)
-    assert Ko.fixed_mask == K.fixed_mask
-    assert Ko.fixed_values == 0b0100
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -114,7 +89,7 @@ def test_smallest_face_of_vertex_and_opposite():
     for d in (3, 4):
         for K in all_faces(d, d - 1):
             for v in K.vertices():
-                assert smallest_face(d, [v, opposite_vertex(v, K)]) == K
+                assert smallest_face(d, [v, v ^ K.free_mask]) == K
 
 
 def test_associated_pairs_examples():

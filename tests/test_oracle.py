@@ -379,7 +379,7 @@ def test_capped_cube_census_finds_one_blocked_pairing_per_2_face(facets, n,
         w = detect_config_3F(P, pairs)
         return w.kind if w else None
 
-    assert (len(P.vertices), len(P.faces_of_dim(2))) == (n, f2)
+    assert (len(P.vertices), len(P.faces_by_dim[2])) == (n, f2)
     rep = census(P.graph, 2, detector=detector)
     assert (rep.total, rep.unlinked) == (total, f2)
     assert rep.obstructions == {"config-3F": f2}
