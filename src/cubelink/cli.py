@@ -1,11 +1,13 @@
 """Command line front door: solve, verify, census and gen.
 
-Exit codes encode verdicts so harnesses never parse prose: 0 a linkage was
-found (or the requested action succeeded), 2 an obstruction witness was
-returned, 3 the constructive case analysis fell through or a certificate
-failed its own check (a bug signal; nothing is emitted), and 1 malformed
-input.  Output is deterministic: fixed key order, no timestamps
-in the certified body.
+Every host is built from a spec, a JSON object that one of HOST_KINDS reads:
+the host flags are turned into one, and an instance file or certificate
+carries one.  Exit codes encode verdicts so harnesses never parse prose: 0 a
+linkage was found (or the requested action succeeded), 2 an obstruction
+witness was returned, 3 the constructive case analysis fell through or a
+certificate failed its own check (a bug signal; nothing is emitted), and 1
+malformed input, which is raised as a ValueError.  Output is deterministic:
+fixed key order, no timestamps in the certified body.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import json
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
-from .complexes import Polytope, build_cube_polytope, build_from_incidence, link_polytope
+from .complexes import build_cube_polytope, build_from_incidence, link_polytope
 from .errors import CaseNotCovered, CubelinkError
 from .hypercube import MAX_DIM, CubeAdjacency, vertex_from_str, vertex_to_str
 from .linkage.certs import Unlinkable, blocking, certify, check_pairing
@@ -29,9 +30,9 @@ from .linkage.link import solve_link
 from .oracle import census, linkable, oracle_linkage
 from .paths import validate_linkage
 
-
-class InputError(Exception):
-    pass
+# what a JSON file that does not hold the expected document raises when read
+_UNREADABLE = (OSError, json.JSONDecodeError, LookupError, TypeError,
+              OverflowError)
 
 
 # -- host plumbing -----------------------------------------------------------
@@ -45,9 +46,8 @@ class Host:
     `graph` is the host's one graph, which certify, verify, `--method
     oracle`, census and `--dot` all read: `CubeAdjacency(d)` on a cube host,
     which computes neighbours on access, and the lattice's graph on a
-    polytope host.  The face lattice, `polytope`, is built by `lattice()`
-    the first time it is read, which is only to find or check a config-3F
-    witness.
+    polytope host.  `lattice()` returns the face lattice, which a cube host
+    builds (once per dimension) only to find or check a config-3F witness.
     """
 
     spec: dict
@@ -59,15 +59,11 @@ class Host:
     strong: Callable
     lattice: Callable
 
-    @cached_property
-    def polytope(self) -> Polytope:
-        return self.lattice()
-
     def witness(self, pairs):
         """The config-3F witness blocking `pairs`, or None.  It is the only
         configuration that blocks a whole host: 2 pairs in dimension 3."""
         if self.dim == 3 and len(pairs) == 2:
-            return detect_config_3F(self.polytope, pairs)
+            return detect_config_3F(self.lattice(), pairs)
         return None
 
 
@@ -75,7 +71,7 @@ def _bits(label, d):
     """The vertex of Q_d that a d-bit label names."""
     v = vertex_from_str(label)
     if len(label) != d:
-        raise InputError(f"vertex {label!r} is not {d} bits")
+        raise ValueError(f"vertex {label!r} is not {d} bits")
     return v
 
 
@@ -94,23 +90,24 @@ def _cube_host(spec):
 def _link_host(spec):
     d = int(spec["cube_dim"])
     v = _bits(spec["vertex"], d) if spec.get("vertex") else 0
+    P = link_polytope(d, v)  # refuses d before the d-bit label is written
     spec = {"kind": "link", "cube_dim": d, "vertex": vertex_to_str(v, d)}
-    return _polytope_host(spec, link_polytope(d, v),
-                          lambda pairs: solve_link(d, v, pairs))
+    return _polytope_host(spec, P, lambda pairs: solve_link(d, v, pairs))
 
 
 def _lattice_host(spec):
     path = spec.get("path")
     if not path:
-        raise InputError("lattice host needs --lattice FILE")
+        raise ValueError("lattice host needs --lattice FILE")
+    path = str(path)  # a number would open that file descriptor
     try:
         with open(path) as fh:
             data = json.load(fh)
         P = build_from_incidence(data["dim"], data["vertices"], data["facets"],
                                  labels=data.get("labels"))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
-        raise InputError(f"bad lattice file {path}: {e}")
-    spec = {"kind": "lattice", "path": str(path), "dim": P.dim}
+    except _UNREADABLE as e:
+        raise ValueError(f"bad lattice file {path}: {e}")
+    spec = {"kind": "lattice", "path": path, "dim": P.dim}
     return _polytope_host(spec, P, lambda pairs: solve_cubical(P, pairs))
 
 
@@ -120,12 +117,12 @@ def _polytope_host(spec, P, solve):
 
     def vertex_of(label):
         if label not in back:
-            raise InputError(f"unknown vertex label {label!r}")
+            raise ValueError(f"unknown vertex label {label!r}")
         return back[label]
 
     def solve_avoiding(pairs, avoid):
         if avoid:
-            raise InputError("--avoid outside cube hosts requires --strong")
+            raise ValueError("--avoid outside cube hosts requires --strong")
         return solve(pairs)
 
     return Host(spec, P.dim, P.graph, P.labels.__getitem__, vertex_of,
@@ -137,12 +134,25 @@ def _polytope_host(spec, P, solve):
 HOST_KINDS = {"cube": _cube_host, "link": _link_host, "lattice": _lattice_host}
 
 
+def _host_from_spec(spec, lattice=None):
+    """The host `spec` names.  A `lattice` path (the --lattice flag)
+    overrides the file of a lattice spec."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"host must be a JSON object, not {spec!r}")
+    if spec.get("kind") == "lattice" and lattice:
+        spec = dict(spec, path=lattice)
+    build = HOST_KINDS.get(spec.get("kind"))
+    if build is None:
+        raise ValueError(f"unknown host kind {spec.get('kind')!r}")
+    return build(spec)
+
+
 def _flags_spec(args):
     """The host spec that the --cube, --link or --lattice flag names."""
     given = [name for name in ("cube", "link", "lattice")
              if getattr(args, name) is not None]
     if len(given) != 1:
-        raise InputError("choose exactly one of --cube D, --link D, "
+        raise ValueError("choose exactly one of --cube D, --link D, "
                          "--lattice FILE")
     if args.cube is not None:
         return {"kind": "cube", "dim": args.cube}
@@ -151,19 +161,23 @@ def _flags_spec(args):
     return {"kind": "lattice", "path": args.lattice}
 
 
-def _host_from_args(args, spec=None):
-    """The host `spec` names, else the one the host flags name.  A --lattice
-    flag overrides the file of a lattice spec."""
-    if spec is None:
-        spec = _flags_spec(args)
-    if not isinstance(spec, dict):
-        raise InputError(f"host must be a JSON object, not {spec!r}")
-    if spec.get("kind") == "lattice" and args.lattice:
-        spec = dict(spec, path=args.lattice)
-    build = HOST_KINDS.get(spec.get("kind"))
-    if build is None:
-        raise InputError(f"unknown host kind {spec.get('kind')!r}")
-    return build(spec)
+def _labelled(host, pairs):
+    return [[host.label_of(s), host.label_of(t)] for s, t in pairs]
+
+
+def _instance(host, pairs, avoid, strong):
+    """The instance object that solve certifies and gen random-instance
+    prints; `_read_instance` reads it back."""
+    return {"host": host.spec, "pairs": _labelled(host, pairs),
+            "avoid": [host.label_of(v) for v in avoid], "strong": strong}
+
+
+def _read_instance(inst, lattice):
+    """The host, pairs and avoided vertices of an instance object, as solve
+    --instance and verify read it; `lattice` is the --lattice flag."""
+    host = _host_from_spec(inst["host"], lattice)
+    pairs = [(host.vertex_of(a), host.vertex_of(b)) for a, b in inst["pairs"]]
+    return host, pairs, [host.vertex_of(l) for l in inst.get("avoid", [])]
 
 
 def _parse_pairs(host, text):
@@ -171,7 +185,7 @@ def _parse_pairs(host, text):
     for chunk in text.split(","):
         ends = chunk.strip().split("-")
         if len(ends) != 2:
-            raise InputError(f"bad pair {chunk!r}, want LABEL-LABEL")
+            raise ValueError(f"bad pair {chunk!r}, want LABEL-LABEL")
         pairs.append((host.vertex_of(ends[0]), host.vertex_of(ends[1])))
     return pairs
 
@@ -189,7 +203,7 @@ def _constructive(host, pairs, avoid, strong):
     if not strong:
         return host.solve(pairs, avoid)
     if len(avoid) != 1:
-        raise InputError("--strong needs exactly one --avoid vertex")
+        raise ValueError("--strong needs exactly one --avoid vertex")
     return host.strong(pairs, avoid[0])
 
 
@@ -204,8 +218,8 @@ def _oracle_solve(host, pairs, avoid):
                    lambda: host.graph, avoid)
 
 
-def _emit(payload, out=None):
-    (out or sys.stdout).write(json.dumps(payload, indent=2) + "\n")
+def _emit(payload):
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _dot(host, pairs, paths):
@@ -241,29 +255,21 @@ def cmd_solve(args):
         try:
             with open(args.instance) as fh:
                 data = json.load(fh)
-            host = _host_from_args(args, spec=data["host"])
-            pairs = [(host.vertex_of(a), host.vertex_of(b))
-                     for a, b in data["pairs"]]
-            avoid = [host.vertex_of(l) for l in data.get("avoid", [])]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
-            raise InputError(f"bad instance file: {e}")
+            host, pairs, avoid = _read_instance(data, args.lattice)
+        except _UNREADABLE as e:
+            raise ValueError(f"bad instance file: {e}")
         flag = data.get("strong", False)
         if not isinstance(flag, bool):
-            raise InputError("instance \"strong\" must be true or false")
+            raise ValueError("instance \"strong\" must be true or false")
         strong = strong or flag
     else:
-        host = _host_from_args(args)
+        host = _host_from_spec(_flags_spec(args))
         if not args.pairs:
-            raise InputError("need --pairs or --instance")
+            raise ValueError("need --pairs or --instance")
         pairs = _parse_pairs(host, args.pairs)
         avoid = _parse_avoid(host, args.avoid)
 
-    instance = {
-        "host": host.spec,
-        "pairs": [[host.label_of(s), host.label_of(t)] for s, t in pairs],
-        "avoid": [host.label_of(v) for v in avoid],
-        "strong": bool(strong),
-    }
+    instance = _instance(host, pairs, avoid, strong)
     if args.method == "oracle":
         cert = _oracle_solve(host, pairs, avoid)
     else:
@@ -294,6 +300,8 @@ def _verify_obstruction(host, pairs, obs):
     one 2-face.  config-dF blocks a linkage inside a vertex star, never a
     whole host, so a host certificate carrying it is rejected.
     """
+    if not isinstance(obs, dict):
+        raise TypeError(f"obstruction must be a JSON object, not {obs!r}")
     kind = obs.get("kind")
     if kind != "config-3F":
         return False, f"obstruction kind {kind!r} does not block a host"
@@ -303,7 +311,7 @@ def _verify_obstruction(host, pairs, obs):
     s1, t1 = (host.vertex_of(obs["pair"][0]), host.vertex_of(obs["pair"][1]))
     if (s1, t1) not in pairs and (t1, s1) not in pairs:
         return False, "witness pair is not one of the instance pairs"
-    P = host.polytope
+    P = host.lattice()
     if face not in P.facets:
         return False, "witness face is not a facet of the host"
     witness = blocking(P, kind, face, s1, t1, {v for p in pairs for v in p})
@@ -318,11 +326,8 @@ def cmd_verify(args):
     try:
         with open(args.certificate) as fh:
             data = json.load(fh)
-        inst = data["instance"]
-        host = _host_from_args(args, spec=inst["host"])
-        pairs = check_pairing([(host.vertex_of(a), host.vertex_of(b))
-                               for a, b in inst["pairs"]])
-        avoid = [host.vertex_of(l) for l in inst.get("avoid", [])]
+        host, pairs, avoid = _read_instance(data["instance"], args.lattice)
+        pairs = check_pairing(pairs)
         result = data["result"]
         if "linkage" in result:
             paths = [[host.vertex_of(l) for l in p] for p in result["linkage"]]
@@ -331,8 +336,8 @@ def cmd_verify(args):
             ok, msg = _verify_obstruction(host, pairs, result["obstruction"])
         else:
             ok, msg = False, "certificate has neither linkage nor obstruction"
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
-        raise InputError(f"bad certificate: {e}")
+    except _UNREADABLE as e:
+        raise ValueError(f"bad certificate: {e}")
     print(f"{'PASS' if ok else 'FAIL'}: {msg}")
     return 0 if ok else 1
 
@@ -341,25 +346,19 @@ def cmd_verify(args):
 
 
 def cmd_census(args):
-    host = _host_from_args(args)
+    host = _host_from_spec(_flags_spec(args))
 
     def detector(pairs):
         return "config-3F" if host.witness(pairs) else None
 
-    mode = "exhaustive" if args.exhaustive else "sample"
     if not args.exhaustive and not args.sample:
-        raise InputError("census needs --exhaustive or --sample N")
-    host_name = json.dumps(host.spec, sort_keys=True)
-    rep = census(host.graph, args.k, host=host_name, mode=mode,
-                 sample=args.sample, seed=args.seed, detector=detector)
+        raise ValueError("census needs --exhaustive or --sample N")
+    rep = census(host.graph, args.k, host=json.dumps(host.spec, sort_keys=True),
+                 sample=None if args.exhaustive else args.sample,
+                 seed=args.seed, detector=detector)
     out = rep.to_json()
-    out["witness_samples"] = [
-        {"pairs": [[host.label_of(a), host.label_of(b)] for a, b in w["pairs"]],
-         "kind": w["kind"]} for w in out["witness_samples"]]
-    out["detector_mismatches"] = [
-        {"pairs": [[host.label_of(a), host.label_of(b)] for a, b in m["pairs"]],
-         "detector": m["detector"], "oracle": m["oracle"]}
-        for m in out["detector_mismatches"]]
+    for key in ("witness_samples", "detector_mismatches"):
+        out[key] = [dict(w, pairs=_labelled(host, w["pairs"])) for w in out[key]]
     _emit(out)
     return 0
 
@@ -370,44 +369,37 @@ def cmd_census(args):
 def cmd_gen(args):
     if args.what == "cube":
         if args.dim is None:
-            raise InputError("gen cube needs --dim")
+            raise ValueError("gen cube needs --dim")
         _emit(build_cube_polytope(args.dim).to_json())
         return 0
     if args.what == "link":
         if args.cube is None:
-            raise InputError("gen link needs --cube D")
-        v = _bits(args.vertex, args.cube) if args.vertex else 0
-        _emit(link_polytope(args.cube, v).to_json())
+            raise ValueError("gen link needs --cube D")
+        host = _link_host({"cube_dim": args.cube, "vertex": args.vertex})
+        _emit(host.lattice().to_json())
         return 0
     if args.what == "random-instance":
         if args.cube is None or args.k is None:
-            raise InputError("gen random-instance needs --cube D and --k")
+            raise ValueError("gen random-instance needs --cube D and --k")
         import random
 
         d, k = args.cube, args.k
         # the instances solve --instance accepts: Q_d is floor((d+1)/2)-linked,
         # and strongly d/2-linked for even d
         if not 1 <= d <= MAX_DIM:
-            raise InputError(f"--cube must be between 1 and {MAX_DIM}, not {d}")
+            raise ValueError(f"--cube must be between 1 and {MAX_DIM}, not {d}")
         if not 1 <= k <= (d + 1) // 2:
-            raise InputError(
+            raise ValueError(
                 f"--k must be between 1 and {(d + 1) // 2} in Q_{d}, not {k}")
         if args.strong and (d % 2 or 2 * k != d):
-            raise InputError(f"--strong needs an even --cube D and --k D/2, "
+            raise ValueError(f"--strong needs an even --cube D and --k D/2, "
                              f"not D = {d} and k = {k}")
         rng = random.Random(args.seed)
-        n = 2 * k + (1 if args.strong else 0)
-        X = rng.sample(range(1 << d), n)
-        inst = {
-            "host": {"kind": "cube", "dim": d},
-            "pairs": [[vertex_to_str(X[2 * i], d), vertex_to_str(X[2 * i + 1], d)]
-                      for i in range(k)],
-            "avoid": [vertex_to_str(X[-1], d)] if args.strong else [],
-            "strong": args.strong,
-        }
-        _emit(inst)
+        X = rng.sample(range(1 << d), 2 * k + (1 if args.strong else 0))
+        pairs = list(zip(X[:2 * k:2], X[1:2 * k:2]))
+        _emit(_instance(_cube_host({"dim": d}), pairs, X[2 * k:], args.strong))
         return 0
-    raise InputError(f"unknown gen target {args.what!r}")
+    raise ValueError(f"unknown gen target {args.what!r}")
 
 
 # -- entry point -------------------------------------------------------------
@@ -474,9 +466,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except CaseNotCovered as e:
         print(f"case not covered: {e} trace={e.trace}", file=sys.stderr)
         return 3

@@ -499,9 +499,10 @@ def link_polytope(cube_dim: int, v: int) -> Polytope:
     cube's own bitmasks (v, v^o removed)."""
     if cube_dim < 3:
         raise ValueError(LINK_DIM_ERROR.format(d=cube_dim))
+    cube = build_cube_polytope(cube_dim)  # refuses cube_dim > 10 first
     if not 0 <= v < 1 << cube_dim:
         raise ValueError(f"vertex {v} is not in Q{cube_dim}")
-    return vertex_link(build_cube_polytope(cube_dim), v)
+    return vertex_link(cube, v)
 
 
 @dataclass

@@ -280,35 +280,33 @@ def all_pairings(X):
             yield [(s, t)] + sub
 
 
-def census(G, k, host="", mode="exhaustive", sample=None, seed=0,
-           detector=None):
+def census(G, k, host="", sample=None, seed=0, detector=None):
     """Classify pairings of 2k terminals as linked or unlinked.
 
     Each verdict comes from `linkable` on bit tables built once for the run.
-    mode "exhaustive": every X of size 2k and every pairing (|V| <= 16
-    enforced).  mode "sample": `sample` random instances from `seed`, each
-    search bounded by oracle_timeout_ms() and counted as a timeout when it
-    runs out.  `detector` maps (pairs) -> obstruction kind or None and is
-    cross-tabbed against the verdict; disagreements are recorded.  A k
-    below 1 or above |V| / 2, or a sample below 1, raises ValueError.
+    With no `sample` the census is exhaustive: every X of size 2k and every
+    pairing (|V| <= 16 enforced).  Otherwise it takes `sample` random
+    instances from `seed`, each search bounded by oracle_timeout_ms() and
+    counted as a timeout when it runs out.  `detector` maps (pairs) ->
+    obstruction kind or None and is cross-tabbed against the verdict;
+    disagreements are recorded.  A k below 1 or above |V| / 2, or a sample
+    below 1, raises ValueError.
     """
     t0 = time.monotonic()
+    mode = "exhaustive" if sample is None else "sample"
     rep = CensusReport(host=host, k=k, mode=mode)
     n = len(G)
     if not 1 <= k <= n // 2:
         raise ValueError(f"k must be between 1 and {n // 2}, not {k}")
-    if mode == "exhaustive":
+    if sample is None:
         if n > 16:
             raise ValueError("exhaustive census limited to 16 vertices")
-    elif mode == "sample":
-        if sample < 1:
-            raise ValueError(f"sample must be at least 1, not {sample}")
-    else:
-        raise ValueError(f"unknown census mode {mode}")
+    elif sample < 1:
+        raise ValueError(f"sample must be at least 1, not {sample}")
 
     bits = _Bits(G)
     verts = bits.verts
-    if mode == "exhaustive":
+    if sample is None:
         instances = (
             pairing
             for X in itertools.combinations(verts, 2 * k)

@@ -343,8 +343,8 @@ class ReferencePolytope(Polytope):
             j = n.bit_length() - 1
             if n != 1 << j:
                 raise NotCubical(f"face with {n} vertices", face=sorted(f))
-            if j > 0:
-                self.embed_face(f)  # raises NotCubical on failure
+            if j > 0:  # raises NotCubical on failure
+                self._embed_cache[f] = self._embed_by_bfs(f)
             self.face_dim[f] = j
             by_dim.setdefault(j, []).append(f)
         if max(by_dim) != self.dim - 1:

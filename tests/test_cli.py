@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import itertools
 import json
 import os
@@ -8,12 +11,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cubelink
 from audit import cap
+from cubelink import cli
 from cubelink.cli import main
 from cubelink.complexes import build_cube_polytope, link_polytope
-from cubelink.hypercube import cube_graph, vertex_from_str
+from cubelink.hypercube import cube_graph, vertex_from_str, vertex_to_str
 from cubelink.linkage.cube import detect_config_3F
 from cubelink.oracle import all_pairings
 from cubelink.paths import validate_linkage
@@ -567,6 +572,17 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
     (["solve", "--cube", "20", "--method", "oracle",
       "--pairs", "0" * 20 + "-" + "1" * 20],
      "oracle searches hold at most 16384 vertices, not 1048576"),
+    (["solve", "--instance", "null-host.json"],
+     "host must be a JSON object, not None"),
+    (["verify", "null-host-cert.json"], "host must be a JSON object, not None"),
+    (["verify", "obstruction-list.json"],
+     "bad certificate: obstruction must be a JSON object, not []"),
+    (["verify", "one-label-pair.json"],
+     "bad certificate: list index out of range"),
+    # a number as the path used to be opened as a file descriptor
+    (["solve", "--instance", "fd-path.json"],
+     "bad lattice file 987654: [Errno 2] No such file or directory: "
+     "'987654'"),
 ], ids=["avoid-without-strong", "strong-no-avoid", "strong-two-avoid",
         "census-no-mode", "gen-cube-no-dim", "gen-link-no-cube",
         "gen-instance-no-k", "gen-instance-too-many-pairs",
@@ -576,10 +592,15 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
         "unknown-label", "lattice-not-json", "missing-instance",
         "certificate-no-pairs", "census-no-pairs", "census-too-many-pairs",
         "census-negative-sample", "census-past-the-oracle",
-        "oracle-past-the-oracle"])
+        "oracle-past-the-oracle", "null-host", "certificate-null-host",
+        "obstruction-not-an-object", "obstruction-pair-of-one",
+        "lattice-path-a-number"])
 def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)
     _, lattice, _ = run(capsys, "gen", "cube", "--dim", "3")
+    blocked = json.loads(run(capsys, "solve", "--cube", "3",
+                             "--pairs", "000-110,010-100")[1])
+    witness = blocked["result"]["obstruction"]
     files = {
         "q3.json": lattice,
         "not-json.json": "{nope",
@@ -589,6 +610,17 @@ def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
                                     "pairs": [["0", "1"]]}),
         "no-pairs.json": json.dumps({"instance": {"host": {
             "kind": "cube", "dim": 3}}, "result": {"linkage": []}}),
+        "null-host.json": json.dumps({"host": None, "pairs": [["0", "1"]]}),
+        "null-host-cert.json": json.dumps({
+            "instance": {"host": None, "pairs": [["0", "1"]]},
+            "result": {"linkage": []}}),
+        "obstruction-list.json": json.dumps(dict(blocked, result={
+            "obstruction": []})),
+        "one-label-pair.json": json.dumps(dict(blocked, result={
+            "obstruction": dict(witness, pair=["000"])})),
+        "fd-path.json": json.dumps({"host": {"kind": "lattice",
+                                             "path": 987654},
+                                    "pairs": [["0", "1"]]}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -619,3 +651,92 @@ def test_readme_cli_examples_run_as_written(capsys, tmp_path, monkeypatch):
                 (tmp_path / target).write_text(out)
             ran += 1
     assert ran == 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--link", "1000000000", "--pairs", "0-1"],
+    ["census", "--link", "1000000000", "--k", "2", "--exhaustive"],
+    ["verify", "link.json"],
+], ids=["solve", "census", "verify"])
+def test_link_host_refuses_its_dimension_before_writing_a_label(
+        capsys, tmp_path, monkeypatch, argv):
+    # a d-bit label of a billion-dimensional cube took seconds and gigabytes
+    # before link_polytope refused d
+    def short_label(v, d):
+        assert d <= 10, f"a {d}-bit label"
+        return vertex_to_str(v, d)
+    monkeypatch.setattr(cli, "vertex_to_str", short_label)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.json").write_text(json.dumps({
+        "instance": {"host": {"kind": "link", "cube_dim": 1000000000},
+                     "pairs": [["0", "1"]]},
+        "result": {"linkage": [["0", "1"]]}}))
+    assert run(capsys, *argv) == (
+        1, "", "error: lattice materialization supports 1 <= d <= 10\n")
+
+
+FUZZED_SOLVES = {
+    "cube3-obstruction": ["--cube", "3", "--pairs", "000-110,010-100"],
+    "cube4": ["--cube", "4", "--pairs", "0000-1111,0011-1100"],
+    "link5": ["--link", "5", "--pairs", "00001-11110,00010-11101"],
+    "cube4-strong": ["--cube", "4", "--strong", "--avoid", "0101",
+                     "--pairs", "0000-1111,0011-1100"],
+}
+
+
+@functools.cache
+def _certificate(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", *FUZZED_SOLVES[name]]) in (0, 2)
+    return out.getvalue()
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5)
+CERTIFICATE_NODES = st.sampled_from(sorted(FUZZED_SOLVES)).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        st.sampled_from(list(_nodes(json.loads(_certificate(name)))))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(node=CERTIFICATE_NODES, value=JSON_VALUES)
+@example(node=("cube3-obstruction", ("instance", "host")), value=None)
+@example(node=("cube3-obstruction", ("result", "obstruction")), value=[])
+@example(node=("cube3-obstruction", ("result", "obstruction", "pair")),
+         value=["000"])
+def test_a_certificate_with_one_node_replaced_never_raises(
+        capsys, tmp_path, node, value):
+    # verify reads the certificate, solve --instance its instance; each
+    # answers with an exit code, never a traceback
+    name, path = node
+    doc = _replaced(json.loads(_certificate(name)), path, value)
+    cert, inst = tmp_path / "cert.json", tmp_path / "inst.json"
+    cert.write_text(json.dumps(doc))
+    inst.write_text(json.dumps(doc.get("instance") if isinstance(doc, dict)
+                               else doc))
+    for argv in (["verify", str(cert)], ["solve", "--instance", str(inst)]):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+

@@ -93,8 +93,8 @@ def test_census_q3_exhaustive_frozen_counts():
 
 def test_census_sample_mode_is_seeded():
     G = cube_graph(4)
-    a = census(G, 2, mode="sample", sample=50, seed=3)
-    b = census(G, 2, mode="sample", sample=50, seed=3)
+    a = census(G, 2, sample=50, seed=3)
+    b = census(G, 2, sample=50, seed=3)
     assert a.total == b.total == 50
     assert (a.linked, a.unlinked) == (b.linked, b.unlinked)
     assert a.linked + a.unlinked + a.timeouts == 50
@@ -102,9 +102,9 @@ def test_census_sample_mode_is_seeded():
 
 def test_census_rejects_bad_modes():
     with pytest.raises(ValueError):
-        census(cube_graph(3), 2, mode="nope")
-    with pytest.raises(ValueError):
-        census(cube_graph(5), 2, mode="exhaustive")
+        census(cube_graph(5), 2)
+    with pytest.raises(ValueError, match="sample must be at least 1, not 0"):
+        census(cube_graph(3), 2, sample=0)
 
 
 @pytest.mark.parametrize("kind,oracle,mismatches,obstructions", [
@@ -125,7 +125,7 @@ def test_census_counts_searches_past_their_budget_as_timeouts(monkeypatch):
     import cubelink.oracle as oracle
 
     monkeypatch.setattr(oracle, "oracle_timeout_ms", lambda: -1000)
-    rep = census(cube_graph(4), 2, mode="sample", sample=5, seed=0)
+    rep = census(cube_graph(4), 2, sample=5, seed=0)
     assert rep.timeouts == rep.total == 5
     assert rep.linked == rep.unlinked == 0
 
