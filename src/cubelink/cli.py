@@ -69,6 +69,8 @@ class Host:
 
 def _bits(label, d):
     """The vertex of Q_d that a d-bit label names."""
+    if not isinstance(label, str):
+        raise ValueError(f"bad label {label!r}, want a {d}-bit string")
     v = vertex_from_str(label)
     if len(label) != d:
         raise ValueError(f"vertex {label!r} is not {d} bits")
@@ -176,7 +178,11 @@ def _read_instance(inst, lattice):
     """The host, pairs and avoided vertices of an instance object, as solve
     --instance and verify read it; `lattice` is the --lattice flag."""
     host = _host_from_spec(inst["host"], lattice)
-    pairs = [(host.vertex_of(a), host.vertex_of(b)) for a, b in inst["pairs"]]
+    pairs = []
+    for pair in inst["pairs"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"bad pair {pair!r}, want [LABEL, LABEL]")
+        pairs.append((host.vertex_of(pair[0]), host.vertex_of(pair[1])))
     return host, pairs, [host.vertex_of(l) for l in inst.get("avoid", [])]
 
 

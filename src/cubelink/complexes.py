@@ -5,11 +5,14 @@ Its face lattice (faces as frozensets of vertex ids, the facets' closure
 under intersection) is kept in one order: by size, then by sorted vertex
 list.  Every polytope has one face path, that closure, which cuts each face
 only by the facets that meet it without containing it.  A polytope built
-alone closes its facets when it is built, since that closure is its input
-check.  A polytope built from a host, as a vertex link is, checks its facets
-against the host's facet embeddings, takes its graph and facet embeddings
-from the host, and closes its facets only when its faces are first asked
-for, which no solver does.
+from an incidence alone closes its facets when it is built, since that
+closure is its input check.  A polytope built from a host, as a vertex link
+is, checks its facets against the host's facet embeddings, takes its graph
+and facet embeddings from the host, and closes its facets only when its
+faces are first asked for, which no solver does.  Q_d
+(`build_cube_polytope`) is written down, not closed: its facets, graph and
+facet embeddings are known in closed form, and its faces, too, are closed
+only when first asked for.
 `vertex_link` is the one way a link is built, on demand and with no cache:
 a strong solve builds the link of its avoided vertex, and a link host
 (`link_polytope`) is the vertex link of its cube.
@@ -59,12 +62,7 @@ class Polytope:
         facets take their embeddings from the host.  They count as
         certified, and so do the lower faces, the facets' closure, computed
         when first asked for."""
-        self.dim = dim
-        self.vertices = sorted(vertices)
-        self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
-        self.labels = labels or {v: str(v) for v in self.vertices}
-        self._embed_cache = {}
-        self._index_facets()
+        self._set_incidence(dim, vertices, facets, labels)
         if host is None:
             self._graph_from_faces()  # closes the facets
             self._validate_cubical()
@@ -76,6 +74,14 @@ class Polytope:
                 f"facets have dimension {j}, expected {self.dim - 1}")
 
     # -- lattice -----------------------------------------------------------
+
+    def _set_incidence(self, dim, vertices, facets, labels):
+        self.dim = dim
+        self.vertices = sorted(vertices)
+        self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
+        self.labels = labels or {v: str(v) for v in self.vertices}
+        self._embed_cache = {}
+        self._index_facets()
 
     def _index_facets(self):
         if not self.facets or any(not f for f in self.facets):
@@ -172,8 +178,8 @@ class Polytope:
     def face_facets(self):
         """Each proper face with the mask of the facets containing it, by
         size, then by sorted vertex list: the facets' closure.  A polytope
-        built alone closes its facets when it is built; one built from a
-        host closes them on first use."""
+        built from an incidence alone closes its facets when it is built;
+        Q_d and one built from a host close them on first use."""
         masks = self._close_facets(list(self._facet_bits.values()))
         faces = sorted(masks, key=lambda f: (len(f), sorted(f)))
         return {f: masks[f] for f in faces}
@@ -293,10 +299,11 @@ class Polytope:
         Returns (coords: vertex -> int bitmask, j): the canonical labelling
         from the least vertex, with axes assigned to its neighbours in
         sorted order.  Facets are embedded when the lattice is built, by
-        _embed_by_bfs (or taken from the host); any other face is read off
-        its first facet's embedding on its first call, then cached.  Only
-        these are cached: a vertex set that is no face, embedded by BFS, is
-        not kept, so a cached embedding certifies a face.
+        _embed_by_bfs (taken from the host, or written down on Q_d); any
+        other face is read off its first facet's embedding on its first
+        call, then cached.  Only these are cached: a vertex set that is no
+        face, embedded by BFS, is not kept, so a cached embedding certifies
+        a face.
         """
         f = frozenset(f)
         if f in self._embed_cache:
@@ -432,19 +439,33 @@ class Polytope:
 
 @lru_cache(maxsize=None)
 def build_cube_polytope(d: int) -> Polytope:
-    """The d-cube as a Polytope with 2d facets; vertices are bitmask ints."""
+    """The d-cube as a Polytope with 2d facets; vertices are bitmask ints.
+
+    It is written down, not closed: every face of Q_d fixes some of its
+    coordinates, so the facets, masks, graph and facet embeddings that
+    closing and certifying the facets would give are known, and the faces
+    are closed only when first asked for, as a vertex link's are."""
     if not 1 <= d <= 10:
         raise ValueError("lattice materialization supports 1 <= d <= 10")
     verts = range(1 << d)
-    if d == 1:
-        facets = [{0}, {1}]
+    embeddings = {}
+    for i in range(d):
+        low = (1 << i) - 1
+        for val in (0, 1):
+            F = frozenset(v for v in verts if (v >> i) & 1 == val)
+            # the BFS labelling from min(F) = val << i: v less its bit i
+            embeddings[F] = ({v: ((v >> 1) & ~low) | (v & low) for v in F},
+                             d - 1)
+    P = Polytope.__new__(Polytope)
+    P._set_incidence(d, verts, embeddings,
+                     {v: vertex_to_str(v, d) for v in verts})
+    if d == 1:  # Q1's facets are its two vertices, and no edge is a face
+        P.graph = {0: (), 1: ()}
     else:
-        facets = []
-        for axis in range(d):
-            for val in (0, 1):
-                facets.append({v for v in verts if (v >> axis) & 1 == val})
-    labels = {v: vertex_to_str(v, d) for v in verts}
-    return Polytope(d, verts, facets, labels=labels)
+        P.graph = {v: tuple(sorted(v ^ (1 << i) for i in range(d)))
+                   for v in verts}
+        P._embed_cache = {F: embeddings[F] for F in P.facets}
+    return P
 
 
 def build_from_incidence(dim, vertex_count, facets, labels=None) -> Polytope:

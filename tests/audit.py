@@ -137,7 +137,8 @@ def linear_function_path(d, coeffs, const, u, v):
     allowed = {x for x in G if f(x) > 0} | {u, v}
     sub = {x: [w for w in G[x] if w in allowed] for x in allowed}
     path = shortest_path(sub, u, v)
-    assert _inner_positive(path, f)
+    if not _inner_positive(path, f):  # kept under python -O
+        raise AssertionError(f"path {path} leaves the positive region")
     return path
 
 

@@ -583,6 +583,11 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
     (["solve", "--instance", "fd-path.json"],
      "bad lattice file 987654: [Errno 2] No such file or directory: "
      "'987654'"),
+    # a list of bits used to be read as the vertex it spells
+    (["solve", "--instance", "list-label.json"],
+     "bad label ['0', '0', '0'], want a 3-bit string"),
+    (["verify", "three-label-pair.json"],
+     "bad pair ['000', '111', '001'], want [LABEL, LABEL]"),
 ], ids=["avoid-without-strong", "strong-no-avoid", "strong-two-avoid",
         "census-no-mode", "gen-cube-no-dim", "gen-link-no-cube",
         "gen-instance-no-k", "gen-instance-too-many-pairs",
@@ -594,7 +599,7 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
         "census-negative-sample", "census-past-the-oracle",
         "oracle-past-the-oracle", "null-host", "certificate-null-host",
         "obstruction-not-an-object", "obstruction-pair-of-one",
-        "lattice-path-a-number"])
+        "lattice-path-a-number", "label-not-a-string", "pair-of-three"])
 def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)
     _, lattice, _ = run(capsys, "gen", "cube", "--dim", "3")
@@ -621,6 +626,10 @@ def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
         "fd-path.json": json.dumps({"host": {"kind": "lattice",
                                              "path": 987654},
                                     "pairs": [["0", "1"]]}),
+        "list-label.json": json.dumps({"host": {"kind": "cube", "dim": 3},
+                                       "pairs": [[["0", "0", "0"], "111"]]}),
+        "three-label-pair.json": json.dumps(dict(blocked, instance=dict(
+            blocked["instance"], pairs=[["000", "111", "001"]]))),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

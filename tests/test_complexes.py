@@ -7,7 +7,7 @@ from cubelink.complexes import (Complex, Polytope, build_cube_polytope,
                                 build_from_incidence, link_polytope,
                                 star_complex)
 from cubelink.errors import InconsistentIncidence, NoPath, NotCubical
-from cubelink.hypercube import cube_graph, whole_cube
+from cubelink.hypercube import cube_graph, vertex_to_str, whole_cube
 from cubelink.linkage.cubical import vertex_link
 
 from audit import (ReferencePolytope, antistar_complex, cap, link_complex,
@@ -428,6 +428,41 @@ def test_vertex_links_leave_the_host_lattice_unbuilt():
     links = [vertex_link(P, x) for x in P.vertices[::9]]
     assert all(L.dim == 5 for L in links)
     assert "face_facets" not in P.__dict__
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_cube_built_by_construction_matches_its_closed_lattice(d):
+    # the cube's facet, graph-row and embedding orders feed every polytope
+    # certificate, so the written-down Q_d must be the closed one, in order
+    P = build_cube_polytope.__wrapped__(d)  # uncached
+    verts = range(1 << d)
+    closed = Polytope(d, verts, [{v for v in verts if (v >> i) & 1 == b}
+                                 for i in range(d) for b in (0, 1)],
+                      labels={v: vertex_to_str(v, d) for v in verts})
+    assert P.facets == closed.facets
+    assert list(P.vertex_facets.items()) == list(closed.vertex_facets.items())
+    assert P.labels == closed.labels
+    assert list(P.graph.items()) == list(closed.graph.items())
+    assert list(P._embed_cache.items()) == list(closed._embed_cache.items())
+    assert "face_facets" not in P.__dict__
+    assert list(P.face_facets.items()) == list(closed.face_facets.items())
+    assert P.faces_by_dim == closed.faces_by_dim
+
+
+def test_cube_and_link_hosts_close_nothing_until_asked(monkeypatch):
+    closures = []
+    close = Polytope._close_facets
+
+    def counted(self, facet_bits):
+        closures.append(len(self.facets))
+        return close(self, facet_bits)
+
+    monkeypatch.setattr(Polytope, "_close_facets", counted)
+    P = build_cube_polytope.__wrapped__(8)  # uncached
+    L = link_polytope.__wrapped__(8, 0)
+    assert L.dim == 7 and closures == []
+    assert len(P.face_facets) == 3 ** 8 - 1
+    assert closures == [16]
 
 
 LINK_HOSTS = {
