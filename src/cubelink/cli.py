@@ -118,6 +118,8 @@ def _polytope_host(spec, P, solve):
     back = {lbl: v for v, lbl in P.labels.items()}
 
     def vertex_of(label):
+        if not isinstance(label, str):
+            raise ValueError(f"bad label {label!r}, want a string")
         if label not in back:
             raise ValueError(f"unknown vertex label {label!r}")
         return back[label]

@@ -287,9 +287,12 @@ class Polytope:
         """The graph of the complex generated by the facets in the mask
         `bits`, keyed in vertex order: its keys are the complex's vertices,
         and an edge is in it when the edge's facet mask meets `bits`."""
-        vf = self.vertex_facets
-        return {v: tuple(w for w in self.graph[v] if vf[v] & vf[w] & bits)
-                for v in self.vertices if vf[v] & bits}
+        vf, graph, out = self.vertex_facets, self.graph, {}
+        for v in self.vertices:
+            m = vf[v] & bits
+            if m:
+                out[v] = tuple([w for w in graph[v] if vf[w] & m])
+        return out
 
     # -- cube structure of faces ------------------------------------------
 

@@ -26,7 +26,7 @@ from .link import _link_solve
 def _induced(G, verts):
     """The subgraph of G on verts, keyed in sorted order."""
     vs = set(verts)
-    return {v: tuple(w for w in G[v] if w in vs) for v in sorted(vs)}
+    return {v: tuple([w for w in G[v] if w in vs]) for v in sorted(vs)}
 
 
 def _face_path(P, f, s, t, forbidden=()):

@@ -4,8 +4,11 @@ A graph here is a dict mapping each vertex to an iterable of neighbours
 (undirected: both directions present).  A path is a list of vertices.
 Menger routing (disjoint_paths) routes every vertex of A into B by
 vertex-disjoint paths or raises Cut with a separator smaller than |A|.
-Everything is deterministic: neighbours are scanned in sorted order so
-repeated runs produce identical certificates.
+Its max-flow keeps the flow per vertex (the vertices that carry it and one
+successor per vertex), never builds the vertex-split network, and reads
+each row of G at most once per call, so it runs on graphs computed on
+access.  Everything is deterministic: neighbours are scanned in sorted
+order so repeated runs produce identical certificates.
 """
 
 from __future__ import annotations
@@ -65,70 +68,97 @@ def reachable(G, sources, forbidden=()):
     return seen
 
 
-_SRC, _SNK = ("#src",), ("#snk",)
-
-
 def _menger_flow(G, A, B, need, forbidden):
-    """Unit-capacity vertex-splitting max-flow for vertex-disjoint A-B paths.
+    """Unit-capacity vertex-splitting max-flow for vertex-disjoint A-B paths
+    (Menger; Even and Tarjan 1975).
 
-    Nodes are (v, 0) = in-copy and (v, 1) = out-copy plus source/sink
-    sentinels.  Vertex arcs (v,0)->(v,1) and terminal arcs have capacity 1;
-    edge arcs (v,1)->(w,0) are uncuttable (capacity 2 suffices at unit vertex
-    capacity).  The network is never stored: a node's arcs are read off G
-    when the search reaches it, arcs with room first, then arcs whose flow
-    can be undone, each in sorted vertex order.
+    Each vertex v is split into an in-copy and an out-copy joined by an arc
+    of capacity 1; edges run from out-copies to in-copies, a source feeds
+    the in-copies of A and the out-copies of B feed a sink.  A path enters
+    no vertex of A and stops at its first vertex of B.  At unit vertex
+    capacity at most one unit leaves an out-copy and at most one enters an
+    in-copy, so the flow is kept per vertex: `used`, the vertices that
+    carry it, and the edge arcs as nxt[v] = w with prv[w] = v.  A source or
+    sink arc carries flow exactly when its vertex is used.
 
-    Returns (flow_value, flow on the arcs that carry it,
-    residual_reachable_or_None).
+    Augmenting paths are found by BFS from the source: unused sources in
+    sorted order, then from each node its forward arcs before its backward
+    ones, neighbours in sorted order.  Reached copies are kept in two maps:
+    prev0[w] = v when w's in-copy was reached from v's out-copy (v == w
+    undoes w's vertex arc, None is the source), and prev1[v] = w when v's
+    out-copy was reached from w's in-copy (w == v is v's vertex arc).
+    Each row of G is read and sorted at most once per call, when the
+    search first leaves that vertex's out-copy.
+
+    Returns (flow_value, nxt, None) when `need` units flow, else
+    (flow_value, nxt, (prev0, prev1)) for the last, failed search.
     """
     A, B = set(A), set(B)
     forbidden = set(forbidden)
-
-    def arcs(u):
-        """u's arcs out, as (head, capacity), and the tails of its arcs in."""
-        if u == _SRC:
-            return [((a, 0), 1) for a in sorted(A - forbidden)], ()
-        v, side = u
-        if side == 0:
-            return [((v, 1), 1)], (() if v in A else
-                                   [(w, 1) for w in sorted(G[v])])
-        if v in B:
-            # a path stops at its first B-vertex
-            return [(_SNK, 1)], [(v, 0)]
-        # A-vertices are sources only: no arcs back into them
-        return [((w, 0), 2) for w in sorted(G[v])
-                if w not in forbidden and w not in A], [(v, 0)]
-
-    flow, value = {}, 0
+    starts = sorted(A - forbidden)
+    blocked = A | forbidden  # no edge enters these
+    rows = {}
+    used, nxt, prv = set(), {}, {}
+    value = 0
     while value < need:
-        prev = {_SRC: None}
-        q = deque([_SRC])
-        while q and _SNK not in prev:
-            u = q.popleft()
-            out, into = arcs(u)
-            for w, cap in out:
-                if w not in prev and flow.get((u, w), 0) < cap:
-                    prev[w] = (u, 1)
-                    if w == _SNK:
-                        break
-                    q.append(w)
+        prev0 = {a: None for a in starts if a not in used}
+        prev1 = {}
+        q = deque((a, 0) for a in prev0)
+        end = None
+        while q:
+            v, side = q.popleft()
+            if side == 0:
+                if v not in used:
+                    prev1[v] = v
+                    q.append((v, 1))
+                else:
+                    # undo the edge into v; a used source has none
+                    u = prv.get(v)
+                    if u is not None and u not in prev1:
+                        prev1[u] = v
+                        q.append((u, 1))
+            elif v in B:
+                # reached only from its unused in-copy: the sink arc is free
+                end = v
+                break
             else:
-                for w in into:
-                    if w not in prev and flow.get((w, u)):
-                        prev[w] = (u, -1)
-                        q.append(w)
-        if _SNK not in prev:
-            return value, flow, set(prev)
-        node = _SNK
-        while node != _SRC:
-            u, step = prev[node]
-            arc = (u, node) if step > 0 else (node, u)
-            flow[arc] = flow.get(arc, 0) + step
-            if not flow[arc]:
-                del flow[arc]
-            node = u
+                row = rows.get(v)
+                if row is None:
+                    row = rows[v] = [w for w in sorted(G[v])
+                                     if w not in blocked]
+                for w in row:
+                    if w not in prev0:
+                        prev0[w] = v
+                        q.append((w, 0))
+                if v in used and v not in prev0:
+                    prev0[v] = v
+                    q.append((v, 0))
+        if end is None:
+            return value, nxt, (prev0, prev1)
+        # augment, walking back from the sink: a step out of a node is met
+        # before the step into it, so an edge arc being undone may already
+        # have been replaced by a new one from the same vertex
+        v = end
+        while True:
+            w = prev1[v]
+            if w == v:
+                used.add(v)
+            else:
+                if nxt.get(v) == w:
+                    del nxt[v]
+                if prv.get(w) == v:
+                    del prv[w]
+            u = prev0[w]
+            if u is None:
+                break
+            if u == w:
+                used.discard(w)
+            else:
+                nxt[u] = w
+                prv[w] = u
+            v = u
         value += 1
-    return value, flow, None
+    return value, nxt, None
 
 
 def disjoint_paths(G, A, B, forbidden=()):
@@ -149,30 +179,20 @@ def disjoint_paths(G, A, B, forbidden=()):
     A2, B2 = A - shared, B - shared
     if not A2:
         return paths
-    value, flow, reached = _menger_flow(G, A2, B2, len(A2),
-                                        forbidden | shared)
+    _, nxt, reached = _menger_flow(G, A2, B2, len(A2), forbidden | shared)
     if reached is not None:
         # min cut across the residual boundary, one vertex per saturated arc
-        cut = {v for v, side in reached - {_SRC}
-               if side == 0 and (v, 1) not in reached}
-        cut |= {a for a in A2 if (a, 0) not in reached}
-        cut |= {b for b in B2 if (b, 1) in reached}
+        prev0, prev1 = reached
+        cut = {v for v in prev0 if v not in prev1}
+        cut |= {a for a in A2 if a not in prev0}
+        cut |= {b for b in B2 if b in prev1}
         raise Cut(cut | shared)
-    # decompose the flow into paths, each step taking the least head by str
-    heads = {}
-    for (u, w), f in flow.items():
-        heads.setdefault(u, []).extend([w] * f)
-    for hs in heads.values():
-        hs.sort(key=str, reverse=True)
-    paths2 = []
-    for _ in range(value):
-        node, p = heads[_SRC].pop(), []
-        while node != _SNK:
-            if node[1] == 0:
-                p.append(node[0])
-            node = heads[node].pop()
-        paths2.append(p)
-    return paths + sorted(paths2)
+    for a in sorted(A2):
+        p = [a]
+        while p[-1] not in B2:
+            p.append(nxt[p[-1]])
+        paths.append(p)
+    return paths
 
 
 def validate_linkage(G, pairs, paths, avoid=()):

@@ -1,17 +1,18 @@
 """Brute-force auditors, called only by the tests, for the structure the
 solvers rely on: distances, connectivity, internally disjoint paths,
-separators, complexes, cube faces, the per-face cube certificate, the cube
+the tuple-node Menger router, separators, complexes, cube faces, the per-face cube certificate, the cube
 symmetry key and the unpruned oracle; the paper's vertex-link facets; and
 capped polytopes, cubical hosts that are not cubes."""
 
 import itertools
 import time
+from collections import deque
 
 from cubelink.complexes import Complex, Polytope, star_complex
 from cubelink.errors import (InconsistentIncidence, NoPath, NotCubical,
                              OracleTimeout)
 from cubelink.hypercube import CubeFace, _check_dim, cube_graph, vertex_to_str
-from cubelink.paths import _menger_flow, reachable, shortest_path
+from cubelink.paths import Cut, _menger_flow, reachable, shortest_path
 
 
 def is_path(G, p) -> bool:
@@ -86,6 +87,122 @@ def vertex_connectivity(G) -> int:
             if t != s and t != v0 and t not in G[s] and s < t:
                 best = min(best, min_vertex_cut_value(G, s, t))
     return best
+
+
+_SRC, _SNK = ("#src",), ("#snk",)
+
+
+def menger_flow_reference(G, A, B, need, forbidden):
+    """Reference for paths._menger_flow: the same search over tuple nodes
+    and a flow dict keyed by arc, whose flows the router must find.
+
+    Unit-capacity vertex-splitting max-flow for vertex-disjoint A-B paths.
+
+    Nodes are (v, 0) = in-copy and (v, 1) = out-copy plus source/sink
+    sentinels.  Vertex arcs (v,0)->(v,1) and terminal arcs have capacity 1;
+    edge arcs (v,1)->(w,0) are uncuttable (capacity 2 suffices at unit vertex
+    capacity).  The network is never stored: a node's arcs are read off G
+    when the search reaches it, arcs with room first, then arcs whose flow
+    can be undone, each in sorted vertex order.
+
+    Returns (flow_value, flow on the arcs that carry it,
+    residual_reachable_or_None).
+    """
+    A, B = set(A), set(B)
+    forbidden = set(forbidden)
+
+    def arcs(u):
+        """u's arcs out, as (head, capacity), and the tails of its arcs in."""
+        if u == _SRC:
+            return [((a, 0), 1) for a in sorted(A - forbidden)], ()
+        v, side = u
+        if side == 0:
+            return [((v, 1), 1)], (() if v in A else
+                                   [(w, 1) for w in sorted(G[v])])
+        if v in B:
+            # a path stops at its first B-vertex
+            return [(_SNK, 1)], [(v, 0)]
+        # A-vertices are sources only: no arcs back into them
+        return [((w, 0), 2) for w in sorted(G[v])
+                if w not in forbidden and w not in A], [(v, 0)]
+
+    flow, value = {}, 0
+    while value < need:
+        prev = {_SRC: None}
+        q = deque([_SRC])
+        while q and _SNK not in prev:
+            u = q.popleft()
+            out, into = arcs(u)
+            for w, cap in out:
+                if w not in prev and flow.get((u, w), 0) < cap:
+                    prev[w] = (u, 1)
+                    if w == _SNK:
+                        break
+                    q.append(w)
+            else:
+                for w in into:
+                    if w not in prev and flow.get((w, u)):
+                        prev[w] = (u, -1)
+                        q.append(w)
+        if _SNK not in prev:
+            return value, flow, set(prev)
+        node = _SNK
+        while node != _SRC:
+            u, step = prev[node]
+            arc = (u, node) if step > 0 else (node, u)
+            flow[arc] = flow.get(arc, 0) + step
+            if not flow[arc]:
+                del flow[arc]
+            node = u
+        value += 1
+    return value, flow, None
+
+
+def disjoint_paths_reference(G, A, B, forbidden=()):
+    """Reference for paths.disjoint_paths, over menger_flow_reference and
+    its flow decomposition: the paths and separator the router must give.
+
+    One path from every vertex of A into B, pairwise vertex-disjoint and
+    avoiding `forbidden` (Menger routing).
+
+    Each path meets A only at its first vertex and B only at its last.
+    Vertices in both A and B become length-0 paths first.  Raises Cut with a
+    separator of size < |A| when no such paths exist, as when |B| < |A|.
+    Returns a list of paths; an empty A returns [].
+    """
+    A, B = set(A), set(B)
+    forbidden = set(forbidden)
+    if forbidden & (A | B):
+        raise ValueError("forbidden overlaps terminals")
+    shared = A & B
+    paths = [[v] for v in sorted(shared)]
+    A2, B2 = A - shared, B - shared
+    if not A2:
+        return paths
+    value, flow, reached = menger_flow_reference(G, A2, B2, len(A2),
+                                                 forbidden | shared)
+    if reached is not None:
+        # min cut across the residual boundary, one vertex per saturated arc
+        cut = {v for v, side in reached - {_SRC}
+               if side == 0 and (v, 1) not in reached}
+        cut |= {a for a in A2 if (a, 0) not in reached}
+        cut |= {b for b in B2 if (b, 1) in reached}
+        raise Cut(cut | shared)
+    # decompose the flow into paths, each step taking the least head by str
+    heads = {}
+    for (u, w), f in flow.items():
+        heads.setdefault(u, []).extend([w] * f)
+    for hs in heads.values():
+        hs.sort(key=str, reverse=True)
+    paths2 = []
+    for _ in range(value):
+        node, p = heads[_SRC].pop(), []
+        while node != _SNK:
+            if node[1] == 0:
+                p.append(node[0])
+            node = heads[node].pop()
+        paths2.append(p)
+    return paths + sorted(paths2)
 
 
 def evaluate_affine(coeffs, const, v):

@@ -588,6 +588,9 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
      "bad label ['0', '0', '0'], want a 3-bit string"),
     (["verify", "three-label-pair.json"],
      "bad pair ['000', '111', '001'], want [LABEL, LABEL]"),
+    # on a link host a list label used to fail as unhashable
+    (["solve", "--instance", "link-list-label.json"],
+     "bad label ['0', '0', '0', '1'], want a string"),
 ], ids=["avoid-without-strong", "strong-no-avoid", "strong-two-avoid",
         "census-no-mode", "gen-cube-no-dim", "gen-link-no-cube",
         "gen-instance-no-k", "gen-instance-too-many-pairs",
@@ -599,7 +602,8 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
         "census-negative-sample", "census-past-the-oracle",
         "oracle-past-the-oracle", "null-host", "certificate-null-host",
         "obstruction-not-an-object", "obstruction-pair-of-one",
-        "lattice-path-a-number", "label-not-a-string", "pair-of-three"])
+        "lattice-path-a-number", "label-not-a-string", "pair-of-three",
+        "link-label-not-a-string"])
 def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)
     _, lattice, _ = run(capsys, "gen", "cube", "--dim", "3")
@@ -630,6 +634,9 @@ def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
                                        "pairs": [[["0", "0", "0"], "111"]]}),
         "three-label-pair.json": json.dumps(dict(blocked, instance=dict(
             blocked["instance"], pairs=[["000", "111", "001"]]))),
+        "link-list-label.json": json.dumps({
+            "host": {"kind": "link", "cube_dim": 4},
+            "pairs": [[["0", "0", "0", "1"], "1110"]]}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

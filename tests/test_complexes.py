@@ -261,6 +261,25 @@ def _assert_complex(C, faces):
     assert G == want and list(G) == list(want)
 
 
+@pytest.mark.parametrize("build", [lambda: build_cube_polytope(6),
+                                   lambda: link_polytope(7, 0), _reloaded],
+                         ids=["Q6", "link(Q7,0)", "reloaded"])
+def test_generated_graph_matches_its_definition(build):
+    # keys: the vertices of a facet in the mask, in P.vertices order; rows:
+    # the graph row kept to neighbours sharing a mask facet, in row order
+    P = build()
+    rng = random.Random(21)
+    masks = [P.vertex_facets[v] for v in rng.sample(P.vertices, 5)]
+    masks += [rng.getrandbits(len(P.facets)) for _ in range(10)]
+    masks += [1 << rng.randrange(len(P.facets)), 0]
+    for bits in masks:
+        chosen = [f for i, f in enumerate(P.facets) if bits >> i & 1]
+        want = [(v, tuple(w for w in P.graph[v]
+                          if any(v in f and w in f for f in chosen)))
+                for v in P.vertices if any(v in f for f in chosen)]
+        assert list(P.generated_graph(bits).items()) == want
+
+
 @pytest.mark.parametrize("host", sorted(INDEX_HOSTS))
 def test_index_masks(host):
     P = INDEX_HOSTS[host]()

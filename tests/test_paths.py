@@ -1,18 +1,20 @@
 import itertools
 import random
+from collections import Counter
 from collections.abc import Mapping
 
 import pytest
 
+from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.errors import NoPath
 from cubelink.hypercube import CubeAdjacency, cube_graph
 from cubelink.oracle import oracle_linkage
 from cubelink.paths import (Cut, disjoint_paths, reachable, shortest_path,
                             validate_linkage)
 
-from audit import (distance, internally_disjoint_count, is_path,
-                   linear_function_path, min_vertex_cut_value,
-                   vertex_connectivity, x_valid_path)
+from audit import (disjoint_paths_reference, distance,
+                   internally_disjoint_count, is_path, linear_function_path,
+                   min_vertex_cut_value, vertex_connectivity, x_valid_path)
 
 
 def bfs_dist(G, s, t):
@@ -132,9 +134,7 @@ def _route_lines():
     the graphs of Q7, link(Q8, 0) and link(Q6, 17)."""
     import json
 
-    from cubelink.complexes import build_cube_polytope, link_polytope
-
-    hosts = (build_cube_polytope(7), link_polytope(8, 0),
+    hosts =(build_cube_polytope(7), link_polytope(8, 0),
              link_polytope(6, 17))
     rng = random.Random(20180309)
     lines = []
@@ -211,6 +211,81 @@ def test_routing_reads_only_what_it_reaches():
     with pytest.raises(Cut) as exc:
         disjoint_paths(_Unwalkable(cube_graph(3)), {0, 1, 2, 4}, {3, 5, 6, 7})
     assert exc.value.separator == [1, 2, 4]
+
+
+class _Counting(Mapping):
+    """A graph that counts how often each row G[v] is read."""
+
+    def __init__(self, G):
+        self.G = G
+        self.reads = Counter()
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return self.G[v]
+
+    def __iter__(self):
+        return iter(self.G)
+
+    def __len__(self):
+        return len(self.G)
+
+
+def test_routing_reads_each_row_at_most_once():
+    # on Q7 both calls augment seven times; the first then ends in a cut
+    Q = cube_graph(7)
+    for A, B, forbidden in (({0, *Q[0]}, {127, *Q[127]}, ()),
+                            (Q[0], Q[127], {0, 127})):
+        G = _Counting(Q)
+        try:
+            assert len(disjoint_paths(G, A, B, forbidden)) == 7
+        except Cut as e:
+            assert e.separator == sorted(Q[0])
+        assert G.reads and max(G.reads.values()) == 1
+    # into a vertex star, far fewer rows than the host has
+    P = link_polytope(8, 0)
+    rng = random.Random(3)
+    B = set(P.generated_graph(P.vertex_facets[rng.choice(P.vertices)]))
+    X = rng.sample(sorted(set(P.vertices) - B), 4)
+    G = _Counting(P.graph)
+    assert len(disjoint_paths(G, X, B)) == 4
+    assert max(G.reads.values()) == 1
+    assert sum(G.reads.values()) < len(P.graph)
+
+
+def test_router_matches_reference_routes_and_cuts():
+    # seeded calls into a facet, a vertex star or a few vertices, past 0-3
+    # forbidden vertices; B is sometimes smaller than A, so cuts occur
+    hosts = [(cube_graph(5), build_cube_polytope(5))]
+    hosts += [(P.graph, P) for P in (build_cube_polytope(7),
+                                     link_polytope(8, 0),
+                                     link_polytope(6, 17))]
+    rng = random.Random(22)
+    cuts = routes = 0
+    for G, P in hosts:
+        for mode in ("facet", "star", "few"):
+            for _ in range(12):
+                if mode == "facet":
+                    B = set(rng.choice(P.facets))
+                elif mode == "star":
+                    B = set(P.generated_graph(
+                        P.vertex_facets[rng.choice(P.vertices)]))
+                else:
+                    B = set(rng.sample(P.vertices, rng.randint(1, 4)))
+                A = set(rng.sample(P.vertices, rng.randint(1, P.dim + 1)))
+                rest = sorted(set(P.vertices) - A - B)
+                forbidden = rng.sample(rest, min(len(rest), rng.randint(0, 3)))
+                try:
+                    want = disjoint_paths_reference(G, A, B, forbidden)
+                except Cut as e:
+                    with pytest.raises(Cut) as got:
+                        disjoint_paths(G, A, B, forbidden)
+                    assert got.value.separator == e.separator
+                    cuts += 1
+                else:
+                    assert disjoint_paths(G, A, B, forbidden) == want
+                    routes += 1
+    assert (cuts, routes) == (34, 110)
 
 
 def _check_ab_system(G, A, B, paths):
