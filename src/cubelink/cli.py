@@ -27,7 +27,7 @@ from .linkage.cube import (cube_linkage, detect_config_3F, solve_cube,
                            solve_cube_strong)
 from .linkage.cubical import solve_cubical, solve_cubical_strong
 from .linkage.link import solve_link
-from .oracle import census, linkable, oracle_linkage
+from .oracle import MAX_SEARCH_VERTICES, census, linkable, oracle_linkage
 from .paths import validate_linkage
 
 # what a JSON file that does not hold the expected document raises when read
@@ -276,6 +276,10 @@ def cmd_solve(args):
             raise ValueError("need --pairs or --instance")
         pairs = _parse_pairs(host, args.pairs)
         avoid = _parse_avoid(host, args.avoid)
+    if args.dot and len(host.graph) > MAX_SEARCH_VERTICES:
+        # every vertex and edge becomes a line: refuse before solving
+        raise ValueError(f"--dot draws hosts of at most {MAX_SEARCH_VERTICES}"
+                         f" vertices, not {len(host.graph)}")
 
     instance = _instance(host, pairs, avoid, strong)
     if args.method == "oracle":

@@ -29,7 +29,7 @@ def _check_dim(d: int) -> None:
 
 def vertex_to_str(v: int, d: int) -> str:
     """Fixed-width binary string, coordinate 0 leftmost."""
-    return "".join(str((v >> i) & 1) for i in range(d))
+    return format(v, f"0{d}b")[::-1][:d]
 
 
 def vertex_from_str(s: str) -> int:
@@ -188,7 +188,18 @@ class CubeAdjacency(Mapping):
     def __getitem__(self, v):
         if v not in self:
             raise KeyError(v)
-        return tuple(sorted(v ^ (1 << i) for i in range(self.d)))
+        # clearing a higher one or setting a lower zero gives the smaller
+        # neighbour, so the row comes out in increasing order
+        row, ones, zeros = [], v, v ^ ((1 << self.d) - 1)
+        while ones:
+            high = 1 << (ones.bit_length() - 1)
+            row.append(v ^ high)
+            ones ^= high
+        while zeros:
+            low = zeros & -zeros
+            row.append(v | low)
+            zeros ^= low
+        return tuple(row)
 
     def __contains__(self, v):
         return isinstance(v, int) and 0 <= v < 1 << self.d
@@ -256,6 +267,32 @@ def _search(s, t, bits, forbidden, bound):
             return path[::-1]
 
 
+def _clear(u, t, forbidden):
+    """Whether no forbidden vertex lies in the subcube where u and t agree,
+    the subcube that holds every shortest u-t path."""
+    agree = ~(u ^ t)
+    return all((f ^ t) & agree for f in forbidden)
+
+
+def _walk(s, t):
+    """The least-neighbour-first shortest s-t path: clear s's extra ones
+    from the highest axis down, then set t's extra ones from the lowest up.
+    Each step goes to the least neighbour that is one step nearer t."""
+    path, v = [s], s
+    ones, zeros = s & ~t, t & ~s
+    while ones:
+        high = 1 << (ones.bit_length() - 1)
+        v ^= high
+        ones ^= high
+        path.append(v)
+    while zeros:
+        low = zeros & -zeros
+        v ^= low
+        zeros ^= low
+        path.append(v)
+    return path
+
+
 def face_path(K: CubeFace, s: int, t: int, forbidden=()) -> list[int]:
     """Shortest s-t path inside the face K avoiding `forbidden`; NoPath if
     there is none.  s and t are never treated as forbidden.
@@ -264,14 +301,21 @@ def face_path(K: CubeFace, s: int, t: int, forbidden=()) -> list[int]:
     K's free axes.  The path is the lexicographically least shortest one,
     the path a breadth-first search with sorted neighbours returns: from s
     it steps to the least neighbour that still has a shortest way on to t.
-    Whether one has is known from a path found earlier, or settled by a
-    search bounded by the steps left.
+
+    Every shortest s-t path lies in the subcube where s and t agree.  When
+    no forbidden vertex lies there, the path is written down (`_walk`) and
+    nothing is searched.  Otherwise the steps are chosen one by one.  A
+    candidate's steps to t are known from a path found earlier, or are its
+    Hamming distance to t when its own subcube with t is clear, or else are
+    settled by a search (`_search`) bounded by the steps left.
     """
     if not (K.contains(s) and K.contains(t)):
         raise ValueError("path ends must lie in the face")
     if s == t:
         return [s]
     forbidden = set(forbidden) - {s, t}
+    if _clear(s, t, forbidden):
+        return _walk(s, t)
     bits = [1 << i for i in range(K.d) if (K.free_mask >> i) & 1]
     to_t = {}  # v -> steps of a shortest v-t path avoiding forbidden
 
@@ -286,10 +330,13 @@ def face_path(K: CubeFace, s: int, t: int, forbidden=()) -> list[int]:
             if w in forbidden or (w ^ t).bit_count() > left:
                 continue
             if w not in to_t:
-                try:
-                    learn(_search(w, t, bits, forbidden, left))
-                except NoPath:
-                    continue
+                if _clear(w, t, forbidden):
+                    to_t[w] = (w ^ t).bit_count()
+                else:
+                    try:
+                        learn(_search(w, t, bits, forbidden, left))
+                    except NoPath:
+                        continue
             if to_t[w] == left:
                 out.append(w)
                 break

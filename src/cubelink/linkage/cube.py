@@ -5,8 +5,13 @@ recursion; solve_cube_strong additionally avoids one extra terminal x.
 Both return LinkageCertificates whose paths are validated before return.
 Small dimensions (d <= 4) are settled by exhaustive search, memoised up to
 cube symmetry; the search has no deadline yet (ROADMAP item 1).  Above them
-no graph is built: paths inside a face come from hypercube.face_path and
-certificates are checked against the implicit CubeAdjacency.
+no graph is built.  Paths inside a face come from hypercube.face_path: a
+path is written down in closed form when no forbidden vertex lies in the
+subcube between its ends, which is the usual case, and searched by A* from
+both ends only when one does.  A subproblem on a facet is moved to the
+(d-1)-cube and back by bit splices around the facet's fixed axis
+(facet_maps), and certificates are checked against the implicit
+CubeAdjacency.
 
 Steps that every linkage solver repeats are written once here: splicing
 routes onto a linkage found at their ends (_splice) and running a base-case
@@ -42,26 +47,21 @@ from .certs import (
 )
 
 
-def face_maps(K: CubeFace):
-    """(compress, expand) bijections between V(K) and the dim(K)-cube."""
-    free = [i for i in range(K.d) if (K.free_mask >> i) & 1]
+def facet_maps(F: CubeFace):
+    """(compress, expand) bijections between V(F) and the (d-1)-cube, for a
+    facet F: compress drops F's fixed axis and closes the gap, expand opens
+    it and puts F's fixed value back.  A face that is not a facet raises
+    ValueError."""
+    if F.fixed_mask.bit_count() != 1:
+        raise ValueError("facet_maps requires a facet (one fixed coordinate)")
+    axis = F.fixed_mask.bit_length() - 1
+    low = F.fixed_mask - 1  # the axes below the fixed one
 
     def compress(v):
-        out = 0
-        for j, i in enumerate(free):
-            if (v >> i) & 1:
-                out |= 1 << j
-        return out
-
-    lift = [1 << i for i in free]
+        return (v & low) | (v >> (axis + 1) << axis)
 
     def expand(w):
-        v = K.fixed_values
-        while w:
-            low = w & -w
-            v |= lift[low.bit_length() - 1]
-            w ^= low
-        return v
+        return (w & low) | (w >> axis << (axis + 1)) | F.fixed_values
 
     return compress, expand
 
@@ -316,12 +316,12 @@ def _solve(d, pairs, trace):
     return _scenario3(d, pairs, trace)
 
 
-def _solve_in_face(K: CubeFace, pairs, trace, avoid=()):
-    """Linkage within a proper face, via the padded solver on its cube."""
-    compress, expand = face_maps(K)
+def _solve_in_face(F: CubeFace, pairs, trace, avoid=()):
+    """Linkage within the facet F, via the padded solver on its cube."""
+    compress, expand = facet_maps(F)
     cpairs = [(compress(s), compress(t)) for s, t in pairs]
     cavoid = [compress(v) for v in avoid]
-    sub = _linkage(K.dim, cpairs, cavoid, trace)
+    sub = _linkage(F.dim, cpairs, cavoid, trace)
     return [[expand(v) for v in p] for p in sub]
 
 

@@ -1,6 +1,7 @@
 """Brute-force auditors, called only by the tests, for the structure the
 solvers rely on: distances, connectivity, internally disjoint paths,
-the tuple-node Menger router, separators, complexes, cube faces, the per-face cube certificate, the cube
+the tuple-node Menger router, separators, complexes, cube faces and their
+per-bit maps onto smaller cubes, the per-face cube certificate, the cube
 symmetry key and the unpruned oracle; the paper's vertex-link facets; and
 capped polytopes, cubical hosts that are not cubes."""
 
@@ -383,6 +384,28 @@ def all_faces(d: int, dim: int) -> list[CubeFace]:
                     values |= 1 << i
             out.append(CubeFace(d, mask, values))
     return sorted(out)
+
+
+def face_maps_reference(K: CubeFace):
+    """(compress, expand) between V(K) and the dim(K)-cube for any face K,
+    one free axis at a time: free axis number j becomes bit j."""
+    free = [i for i in range(K.d) if (K.free_mask >> i) & 1]
+
+    def compress(v):
+        out = 0
+        for j, i in enumerate(free):
+            if (v >> i) & 1:
+                out |= 1 << j
+        return out
+
+    def expand(w):
+        v = K.fixed_values
+        for j, i in enumerate(free):
+            if (w >> j) & 1:
+                v |= 1 << i
+        return v
+
+    return compress, expand
 
 
 def _apply_perm(v, perm):

@@ -572,6 +572,10 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
     (["solve", "--cube", "20", "--method", "oracle",
       "--pairs", "0" * 20 + "-" + "1" * 20],
      "oracle searches hold at most 16384 vertices, not 1048576"),
+    # a drawing of Q_24 would be 16 M node lines and 201 M edge lines
+    (["solve", "--cube", "24", "--dot",
+      "--pairs", "0" * 24 + "-" + "1" * 24],
+     "--dot draws hosts of at most 16384 vertices, not 16777216"),
     (["solve", "--instance", "null-host.json"],
      "host must be a JSON object, not None"),
     (["verify", "null-host-cert.json"], "host must be a JSON object, not None"),
@@ -600,7 +604,8 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
         "unknown-label", "lattice-not-json", "missing-instance",
         "certificate-no-pairs", "census-no-pairs", "census-too-many-pairs",
         "census-negative-sample", "census-past-the-oracle",
-        "oracle-past-the-oracle", "null-host", "certificate-null-host",
+        "oracle-past-the-oracle", "dot-past-the-limit", "null-host",
+        "certificate-null-host",
         "obstruction-not-an-object", "obstruction-pair-of-one",
         "lattice-path-a-number", "label-not-a-string", "pair-of-three",
         "link-label-not-a-string"])

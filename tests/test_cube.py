@@ -5,11 +5,12 @@ import pytest
 
 from cubelink.complexes import build_cube_polytope
 from cubelink.errors import CaseNotCovered, CertificateInvalid
-from cubelink.hypercube import (CubeAdjacency, cube_graph, facet,
+from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph, facet,
                                 opposite_facet, project)
 from cubelink.linkage.cube import (
     build_Mx_paths,
     cube_linkage,
+    facet_maps,
     scenario2_partition,
     short_distance_paths,
     solve_cube,
@@ -20,6 +21,8 @@ from cubelink.linkage.link import solve_link
 from cubelink.linkage.star import solve_star
 from cubelink.oracle import all_pairings, oracle_linkage
 from cubelink.paths import validate_linkage
+
+from audit import all_faces, face_maps_reference
 
 
 def random_pairing(rng, d, k):
@@ -132,6 +135,26 @@ def test_vertex_outside_the_host_is_rejected(solve, outsider):
     to surface as CaseNotCovered, IndexError, KeyError or NoPath."""
     with pytest.raises(ValueError, match=f"^vertex {outsider} is not in "):
         solve()
+
+
+def test_facet_maps_match_the_per_bit_reference():
+    # compress drops the facet's fixed axis and closes the gap; expand
+    # inverts it, as the per-bit map over the free axes does
+    for d in range(1, 9):
+        for F in all_faces(d, d - 1):
+            compress, expand = facet_maps(F)
+            ref_compress, ref_expand = face_maps_reference(F)
+            V = F.vertices()
+            assert sorted(compress(v) for v in V) == list(range(1 << (d - 1)))
+            for v in V:
+                assert compress(v) == ref_compress(v)
+                assert expand(compress(v)) == v
+            for w in range(1 << (d - 1)):
+                assert expand(w) == ref_expand(w)
+    with pytest.raises(ValueError):
+        facet_maps(CubeFace(4, 0b0101, 0b0001))
+    with pytest.raises(ValueError):
+        facet_maps(CubeFace(4, 0, 0))
 
 
 def test_short_distance_paths_contract():

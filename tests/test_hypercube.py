@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cubelink import hypercube
 from cubelink.errors import NoPath
 from cubelink.hypercube import (
     CubeAdjacency,
@@ -20,6 +21,7 @@ from cubelink.hypercube import (
     smallest_face,
     vertex_from_str,
     vertex_to_str,
+    whole_cube,
 )
 from cubelink.paths import shortest_path
 
@@ -38,6 +40,22 @@ def test_vertex_str_roundtrip(d, data):
     s = vertex_to_str(v, d)
     assert len(s) == d
     assert vertex_from_str(s) == v
+
+
+def test_vertex_to_str_matches_the_bit_join():
+    # one character per coordinate, coordinate 0 first; bits at d and
+    # above are dropped
+    def join(v, d):
+        return "".join(str((v >> i) & 1) for i in range(d))
+
+    rng = random.Random(5)
+    cases = [(d, v) for d in range(1, 11) for v in range(1 << d)]
+    cases += [(30, rng.randrange(1 << 30)) for _ in range(1000)]
+    cases += [(d, rng.randrange(1 << (d + 8))) for d in range(1, 31)]
+    for d, v in cases:
+        s = vertex_to_str(v, d)
+        assert s == join(v, d)
+        assert vertex_from_str(s) == v & ((1 << d) - 1)
 
 
 def test_vertex_from_str_rejects_garbage():
@@ -179,6 +197,63 @@ def test_face_path_matches_bfs_on_face_graph():
     assert refuted > 10
 
 
+def test_face_path_in_a_clear_interval_matches_bfs(monkeypatch):
+    # every shortest s-t path lies in the subcube where s and t agree; the
+    # path is written down when no forbidden vertex lies there and searched
+    # when one does, and either way it is the one BFS returns
+    ran = {"walk": 0, "search": 0}
+
+    def counted(name):
+        inner = getattr(hypercube, name)
+
+        def call(*args):
+            ran[name.strip("_")] += 1
+            return inner(*args)
+        return call
+
+    monkeypatch.setattr(hypercube, "_walk", counted("_walk"))
+    monkeypatch.setattr(hypercube, "_search", counted("_search"))
+    rng = random.Random(23)
+    for n in range(800):
+        d = rng.randint(1, 10)
+        K = CubeFace(d, rng.randrange(1 << d), rng.randrange(1 << d))
+        V = K.vertices()
+        s, t = rng.choice(V), rng.choice(V)
+        agree = ~(s ^ t)
+        inside = [v for v in V if not (v ^ t) & agree and v not in (s, t)]
+        off = [v for v in V if (v ^ t) & agree]
+        outside = [v for v in range(1 << d) if not K.contains(v)]
+        kind = n % 4
+        forbidden = set()
+        if kind == 1:
+            forbidden = set(rng.sample(outside, min(len(outside), 6)))
+        elif kind >= 2:
+            forbidden = set(rng.sample(off, rng.randint(0, len(off) // 2)))
+        if kind == 3 and inside:
+            forbidden.add(rng.choice(inside))
+        want = shortest_path(face_graph(K), s, t, forbidden)
+        assert face_path(K, s, t, forbidden) == want
+    assert ran["walk"] > 50 and ran["search"] > 50
+
+
+def test_clear_face_paths_run_no_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a clear interval was searched")
+
+    monkeypatch.setattr(hypercube, "_search", no_search)
+    d = 30
+    ones = (1 << d) - 1
+    # clear s's ones from the highest axis down
+    assert face_path(whole_cube(d), ones, 0) == [
+        (1 << i) - 1 for i in range(d, -1, -1)]
+    # set t's ones from the lowest axis up; the forbidden vertices are in
+    # the facet or out of it, never between the ends
+    F = facet(d, d - 1, 0)
+    forbidden = {1 << 20, (1 << 29) | 1, (1 << 15) | 3, ones}
+    assert face_path(F, 0, (1 << 10) - 1, forbidden) == [
+        (1 << i) - 1 for i in range(11)]
+
+
 def test_face_path_walled_in_end_fails_fast():
     # every face neighbour of t is forbidden: the search from t stops at once
     d = 24
@@ -193,12 +268,15 @@ def test_face_path_walled_in_end_fails_fast():
 
 
 def test_cube_adjacency_matches_cube_graph():
-    for d in (1, 3, 6):
+    for d in range(1, 11):
         A, G = CubeAdjacency(d), cube_graph(d)
         assert len(A) == len(G) and list(A) == sorted(G)
         assert all(A[v] == G[v] for v in G)
     A = CubeAdjacency(30)
     assert A[0] == tuple(1 << i for i in range(30))
+    rng = random.Random(30)
+    for v in (rng.randrange(1 << 30) for _ in range(1000)):
+        assert A[v] == tuple(sorted(v ^ (1 << i) for i in range(30)))
     assert (1 << 30) - 1 in A and 1 << 30 not in A
     for bad in (-1, 1 << 30, "0"):
         with pytest.raises(KeyError):
