@@ -31,13 +31,15 @@ meets theirs, so stars, ridges and facet queries need no subset tests.
 
 A Complex is a downward-closed set of faces of a host polytope, held as
 its faces, supporting star / antistar / link, strong connectivity via the
-dual graph, and facet-ridge paths.  The solvers build none: they read a
-star's graph off the masks with `Polytope.generated_graph`.
+dual graph, and facet-ridge paths.  The solvers build none: the graph of a
+star is `Polytope.generated_graph`, a view that reads each row off the
+masks only when a row is asked for.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
@@ -285,14 +287,10 @@ class Polytope:
 
     def generated_graph(self, bits):
         """The graph of the complex generated by the facets in the mask
-        `bits`, keyed in vertex order: its keys are the complex's vertices,
-        and an edge is in it when the edge's facet mask meets `bits`."""
-        vf, graph, out = self.vertex_facets, self.graph, {}
-        for v in self.vertices:
-            m = vf[v] & bits
-            if m:
-                out[v] = tuple([w for w in graph[v] if vf[w] & m])
-        return out
+        `bits`, a read-only view that computes each row when it is read:
+        its keys are the complex's vertices, in vertex order, and an edge is
+        in it when the edge's facet mask meets `bits`."""
+        return GeneratedGraph(self, bits)
 
     # -- cube structure of faces ------------------------------------------
 
@@ -438,6 +436,37 @@ class Polytope:
             "facets": [sorted(index[v] for v in f) for f in self.facets],
             "labels": [self.labels[v] for v in self.vertices],
         }
+
+
+class GeneratedGraph(Mapping):
+    """The graph of the complex generated by the facets in a mask, computed
+    on access from the polytope's masks and graph; it holds nothing else.
+
+    A vertex is a key when its mask meets the facets', and ``G[v]`` is the
+    row of v kept to the neighbours w that share one of those facets with
+    it, in ``P.graph[v]`` order.  Keys iterate in vertex order; any other
+    key raises KeyError.
+    """
+
+    def __init__(self, P: Polytope, bits: int):
+        self._vf, self._graph, self._bits = P.vertex_facets, P.graph, bits
+
+    def __getitem__(self, v):
+        vf = self._vf
+        m = vf.get(v, 0) & self._bits
+        if not m:
+            raise KeyError(v)
+        return tuple([w for w in self._graph[v] if vf[w] & m])
+
+    def __contains__(self, v):
+        return bool(self._vf.get(v, 0) & self._bits)
+
+    def __iter__(self):
+        bits = self._bits
+        return iter([v for v, m in self._vf.items() if m & bits])
+
+    def __len__(self):
+        return sum(1 for _ in self)
 
 
 @lru_cache(maxsize=None)

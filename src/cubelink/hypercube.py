@@ -204,6 +204,13 @@ class CubeAdjacency(Mapping):
     def __contains__(self, v):
         return isinstance(v, int) and 0 <= v < 1 << self.d
 
+    def has_edge(self, a, b):
+        """Whether b is in ``self[a]``, read off ``a ^ b`` without building
+        the row; KeyError when a is not a vertex, as ``self[a]`` raises."""
+        if a not in self:
+            raise KeyError(a)
+        return b in self and (a ^ b).bit_count() == 1
+
     def __iter__(self):
         return iter(range(1 << self.d))
 

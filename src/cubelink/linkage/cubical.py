@@ -20,7 +20,7 @@ from ..oracle import oracle_linkage
 from ..paths import shortest_path
 from .certs import LinkageCertificate, Unlinkable, certify, take, terminals
 from .cube import _base_3F, _hops, _search, _splice
-from .star import (_face_link, _far_ridge, _induced, _route_into,
+from .star import (_Induced, _face_link, _far_ridge, _route_into,
                    _star_solve, detect_config_dF, link_via_subgraph)
 
 
@@ -144,7 +144,7 @@ def _redirect_path(P, s1, bar, route, barX, R, J, RJ, bt1, touching, S1verts,
     for y in route:
         if y != pick:
             used |= set(route[y])
-    M = _route_into(_induced(P.graph, RJ), [p[i]], good - used,
+    M = _route_into(_Induced(P.graph, RJ), [p[i]], good - used,
                     forbidden=used, trace=trace)[p[i]]
     newpath = p[:i] + M
     if M[-1] not in S1verts:

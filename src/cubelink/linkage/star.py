@@ -10,6 +10,10 @@ witness.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import reduce
+from operator import and_
+
 from ..complexes import Polytope
 from ..errors import CaseNotCovered, NoPath
 from ..hypercube import find_unassociated_pair
@@ -23,14 +27,32 @@ from .link import _link_solve
 # -- face-level helpers ------------------------------------------------------
 
 
-def _induced(G, verts):
-    """The subgraph of G on verts, keyed in sorted order."""
-    vs = set(verts)
-    return {v: tuple([w for w in G[v] if w in vs]) for v in sorted(vs)}
+class _Induced(Mapping):
+    """The subgraph of G on verts, a read-only view: ``G[v]`` kept to verts
+    is computed when it is read.  Keys iterate in sorted order; a key
+    outside verts raises KeyError."""
+
+    def __init__(self, G, verts):
+        self._G, self._vs = G, frozenset(verts)
+
+    def __getitem__(self, v):
+        vs = self._vs
+        if v not in vs:
+            raise KeyError(v)
+        return tuple([w for w in self._G[v] if w in vs])
+
+    def __contains__(self, v):
+        return v in self._vs
+
+    def __iter__(self):
+        return iter(sorted(self._vs))
+
+    def __len__(self):
+        return len(self._vs)
 
 
 def _face_path(P, f, s, t, forbidden=()):
-    return shortest_path(_induced(P.graph, f), s, t, forbidden)
+    return shortest_path(_Induced(P.graph, f), s, t, forbidden)
 
 
 def _face_link(P, f, pairs, avoid=(), *, trace):
@@ -153,20 +175,38 @@ def _short_hop(P, src, target_face, allowed_end, banned, within):
 def projections_star_injection(P, s, F, trace=()):
     """The standard injection V(F) minus the antipode of s into the antistar.
 
-    Built ridge by ridge: each ridge of F through s is pushed through the
-    neighbouring facet onto its opposite ridge, first-come first-served in
-    lexicographic ridge order.  Every image is a neighbour of its preimage
-    outside F.  A map that is not such an injection raises CaseNotCovered.
+    Read off F's cube coordinates, ridge by ridge: the ridges of F through s
+    are its coordinate axes, the ridge R_a holding the vertices that agree
+    with s on axis a.  The facet J across R_a is the one facet besides F
+    holding both s and its antipode in R_a, and each vertex of R_a goes to
+    its one neighbour in J outside F, which lies on R_a's opposite ridge in
+    J.  Ridges are taken in lexicographic order of their sorted vertex
+    lists, and a vertex keeps the image of the first ridge it lies on.  A
+    map that is not such an injection raises CaseNotCovered.
     """
     F = frozenset(F)
-    so = P.opposite_in_face(F, s)
-    ridges = [R for R in P.ridges_of_facet(F) if s in R]
+    coords, j = P.embed_face(F)
+    vf, graph = P.vertex_facets, P.graph
+    inv = {c: v for v, c in coords.items()}
+    cs, full = coords[s], (1 << j) - 1
+    so = inv[cs ^ full]
+    fbit = reduce(and_, [vf[v] for v in F])
+    items = sorted(coords.items())
+    ridges = sorted([([v for v, c in items if not (c ^ cs) >> a & 1], a)
+                     for a in range(j)])
     f = {}
-    for R in ridges:
-        J, Ro = _far_ridge(P, R, F)
-        for v in sorted(R):
+    for R, a in ridges:
+        J = vf[s] & vf[inv[cs ^ full ^ 1 << a]] & ~fbit
+        if not J or J & (J - 1):
+            raise ValueError("ridge not on exactly two facets")
+        JF = J | fbit
+        for v in R:
             if v not in f:
-                f[v] = P.project_in_face(J, Ro, v)
+                out = [w for w in graph[v] if vf[w] & JF == J]
+                if len(out) != 1:
+                    raise ValueError(
+                        f"projection of {v} onto subface not unique: {out}")
+                f[v] = out[0]
     images = set(f.values())
     if set(f) != F - {so} or len(images) != len(f) or images & F:
         raise CaseNotCovered("projections do not inject the facet into the "
@@ -218,7 +258,7 @@ class _StarSolver:
         cands = P.facets_containing((s1, t1))
         self.F1 = min(cands, key=lambda f: (-len(self.X & f), sorted(f)))
         self.A1verts = self.S1verts - self.F1
-        self.A1g = _induced(self.S1g, self.A1verts)
+        self.A1g = _Induced(self.S1g, self.A1verts)
         self.inj = projections_star_injection(P, s1, self.F1, self.trace)
         self.s1o = P.opposite_in_face(self.F1, s1)
 
@@ -464,7 +504,7 @@ class _StarSolver:
             if len(W) < len(strays):
                 raise self.fail("not enough landing spots off the far ridge")
             if strays:
-                back = _route_into(_induced(G12_all, A12verts),
+                back = _route_into(_Induced(G12_all, A12verts),
                                    [hat[x] for x in strays], W,
                                    trace=self.trace)
                 for x in strays:

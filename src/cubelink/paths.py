@@ -198,10 +198,13 @@ def disjoint_paths(G, A, B, forbidden=()):
 def validate_linkage(G, pairs, paths, avoid=()):
     """Check that `paths` is a Y-linkage for `pairs` avoiding `avoid`.
 
-    Returns (True, "ok") or (False, first violation).  Report-only.
+    Returns (True, "ok") or (False, first violation).  Report-only.  A
+    graph with a `has_edge(a, b)` method, as `hypercube.CubeAdjacency` has,
+    answers the edge test without building the row of a.
     """
     if len(paths) != len(pairs):
         return False, f"expected {len(pairs)} paths, got {len(paths)}"
+    has_edge = getattr(G, "has_edge", None)
     avoid = set(avoid)
     seen = set()
     for i, (pair, p) in enumerate(zip(pairs, paths)):
@@ -212,7 +215,7 @@ def validate_linkage(G, pairs, paths, avoid=()):
         if len(set(p)) != len(p):
             return False, f"path {i} repeats a vertex"
         for a, b in zip(p, p[1:]):
-            if b not in G[a]:
+            if not (has_edge(a, b) if has_edge else b in G[a]):
                 return False, f"path {i} uses non-edge {a}-{b}"
         overlap = seen & set(p)
         if overlap:

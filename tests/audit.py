@@ -1,19 +1,40 @@
 """Brute-force auditors, called only by the tests, for the structure the
-solvers rely on: distances, connectivity, internally disjoint paths,
-the tuple-node Menger router, separators, complexes, cube faces and their
-per-bit maps onto smaller cubes, the per-face cube certificate, the cube
-symmetry key and the unpruned oracle; the paper's vertex-link facets; and
-capped polytopes, cubical hosts that are not cubes."""
+solvers rely on: a graph that counts its row reads; distances,
+connectivity, internally disjoint paths, the tuple-node Menger router,
+separators, complexes, cube faces and their per-bit maps onto smaller
+cubes, the per-face cube certificate, the cube symmetry key and the
+unpruned oracle; the paper's vertex-link facets; the ridge-by-ridge star
+injection; and capped polytopes, cubical hosts that are not cubes."""
 
 import itertools
 import time
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Mapping
 
 from cubelink.complexes import Complex, Polytope, star_complex
-from cubelink.errors import (InconsistentIncidence, NoPath, NotCubical,
-                             OracleTimeout)
+from cubelink.errors import (CaseNotCovered, InconsistentIncidence, NoPath,
+                             NotCubical, OracleTimeout)
 from cubelink.hypercube import CubeFace, _check_dim, cube_graph, vertex_to_str
+from cubelink.linkage.star import _far_ridge
 from cubelink.paths import Cut, _menger_flow, reachable, shortest_path
+
+
+class CountingGraph(Mapping):
+    """A graph that counts how often each row G[v] is read."""
+
+    def __init__(self, G):
+        self.G = G
+        self.reads = Counter()
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return self.G[v]
+
+    def __iter__(self):
+        return iter(self.G)
+
+    def __len__(self):
+        return len(self.G)
 
 
 def is_path(G, p) -> bool:
@@ -367,6 +388,30 @@ def technical_decomposition(P: Polytope, s1, s2, F1, F12):
                            if g < R and not (g & F12))
     C = Complex(P, frozenset(C_faces))
     return {"S12": S12, "A1": A1, "A12": A12, "C": C}
+
+
+def projections_star_injection_reference(P, s, F, trace=()):
+    """The standard injection V(F) minus the antipode of s into the antistar.
+
+    Built ridge by ridge: each ridge of F through s is pushed through the
+    neighbouring facet onto its opposite ridge, first-come first-served in
+    lexicographic ridge order.  Every image is a neighbour of its preimage
+    outside F.  A map that is not such an injection raises CaseNotCovered.
+    """
+    F = frozenset(F)
+    so = P.opposite_in_face(F, s)
+    ridges = [R for R in P.ridges_of_facet(F) if s in R]
+    f = {}
+    for R in ridges:
+        J, Ro = _far_ridge(P, R, F)
+        for v in sorted(R):
+            if v not in f:
+                f[v] = P.project_in_face(J, Ro, v)
+    images = set(f.values())
+    if set(f) != F - {so} or len(images) != len(f) or images & F:
+        raise CaseNotCovered("projections do not inject the facet into the "
+                             "antistar", trace=list(trace))
+    return f
 
 
 def all_faces(d: int, dim: int) -> list[CubeFace]:

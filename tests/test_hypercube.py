@@ -267,6 +267,32 @@ def test_face_path_walled_in_end_fails_fast():
         face_path(F, 0, 1 << (d - 1))
 
 
+def test_cube_adjacency_edge_test_matches_its_rows():
+    # has_edge(a, b) answers `b in A[a]`, KeyError for a outside Q_d included
+    def agree(A, a, b):
+        if a in A:
+            assert A.has_edge(a, b) == (b in A[a]), (A.d, a, b)
+        else:
+            for test in (lambda: b in A[a], lambda: A.has_edge(a, b)):
+                with pytest.raises(KeyError):
+                    test()
+
+    for d in range(1, 7):
+        A = CubeAdjacency(d)
+        for a in range(-1, (1 << d) + 1):
+            for b in range(-1, (1 << d) + 1):
+                agree(A, a, b)
+    A = CubeAdjacency(30)
+    rng = random.Random(31)
+    for _ in range(1000):
+        a = rng.randrange(-1, (1 << 30) + 1)
+        # a random vertex is almost never adjacent: flip one bit half the
+        # time, bit 30 leaving Q_30
+        b = rng.choice((rng.randrange(-1, (1 << 30) + 1),
+                        a ^ 1 << rng.randrange(31)))
+        agree(A, a, b)
+
+
 def test_cube_adjacency_matches_cube_graph():
     for d in range(1, 11):
         A, G = CubeAdjacency(d), cube_graph(d)

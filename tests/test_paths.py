@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 from collections.abc import Mapping
 
 import pytest
@@ -12,7 +11,7 @@ from cubelink.oracle import oracle_linkage
 from cubelink.paths import (Cut, disjoint_paths, reachable, shortest_path,
                             validate_linkage)
 
-from audit import (disjoint_paths_reference, distance,
+from audit import (CountingGraph, disjoint_paths_reference, distance,
                    internally_disjoint_count, is_path, linear_function_path,
                    min_vertex_cut_value, vertex_connectivity, x_valid_path)
 
@@ -213,30 +212,12 @@ def test_routing_reads_only_what_it_reaches():
     assert exc.value.separator == [1, 2, 4]
 
 
-class _Counting(Mapping):
-    """A graph that counts how often each row G[v] is read."""
-
-    def __init__(self, G):
-        self.G = G
-        self.reads = Counter()
-
-    def __getitem__(self, v):
-        self.reads[v] += 1
-        return self.G[v]
-
-    def __iter__(self):
-        return iter(self.G)
-
-    def __len__(self):
-        return len(self.G)
-
-
 def test_routing_reads_each_row_at_most_once():
     # on Q7 both calls augment seven times; the first then ends in a cut
     Q = cube_graph(7)
     for A, B, forbidden in (({0, *Q[0]}, {127, *Q[127]}, ()),
                             (Q[0], Q[127], {0, 127})):
-        G = _Counting(Q)
+        G = CountingGraph(Q)
         try:
             assert len(disjoint_paths(G, A, B, forbidden)) == 7
         except Cut as e:
@@ -247,7 +228,7 @@ def test_routing_reads_each_row_at_most_once():
     rng = random.Random(3)
     B = set(P.generated_graph(P.vertex_facets[rng.choice(P.vertices)]))
     X = rng.sample(sorted(set(P.vertices) - B), 4)
-    G = _Counting(P.graph)
+    G = CountingGraph(P.graph)
     assert len(disjoint_paths(G, X, B)) == 4
     assert max(G.reads.values()) == 1
     assert sum(G.reads.values()) < len(P.graph)

@@ -4,12 +4,15 @@ import pytest
 
 from cubelink.complexes import build_cube_polytope, link_polytope, star_complex
 from cubelink.linkage.star import (
+    _Induced,
     detect_config_dF,
     projections_star_injection,
     solve_star,
 )
 from cubelink.oracle import oracle_linkage
 from cubelink.paths import validate_linkage
+
+from audit import CountingGraph, cap, projections_star_injection_reference
 
 
 def star_instance(P, rng):
@@ -96,6 +99,74 @@ def test_projections_star_injection(host):
             assert w not in F
 
 
+INJECTION_HOSTS = {
+    "Q5": lambda: build_cube_polytope(5),
+    "Q7": lambda: build_cube_polytope(7),
+    "link(Q6,0)": lambda: link_polytope(6, 0),
+    "link(Q8,0)": lambda: link_polytope(8, 0),
+    "link(Q7,13)": lambda: link_polytope(7, 13),
+    "cap(Q5)": lambda: cap(build_cube_polytope(5),
+                           build_cube_polytope(5).facets[0]),
+}
+
+
+@pytest.mark.parametrize("host", sorted(INJECTION_HOSTS))
+def test_star_injection_matches_reference(host):
+    # read off F's coordinates, the injection is the ridge-by-ridge one: the
+    # same images, inserted in the same order
+    P = INJECTION_HOSTS[host]()
+    for s in P.vertices:
+        for F in P.facets_containing((s,)):
+            f = projections_star_injection(P, s, F)
+            want = projections_star_injection_reference(P, s, F)
+            assert list(f.items()) == list(want.items()), (s, sorted(F))
+
+
+def test_induced_view_matches_its_definition():
+    # the dict the view replaces: keys in sorted order, each row kept to
+    # verts in G's row order; `in` and KeyError answer as the dict does
+    P = link_polytope(6, 17)
+    rng = random.Random(9)
+    for G in (P.graph, P.generated_graph(P.vertex_facets[P.vertices[5]])):
+        keys = list(G)
+        for n in (0, 1, 7, len(keys) // 2, len(keys)):
+            verts = rng.sample(keys, n)
+            vs = set(verts)
+            want = {v: tuple([w for w in G[v] if w in vs]) for v in sorted(vs)}
+            H = _Induced(G, verts)
+            assert list(H) == list(want) and len(H) == len(want)
+            assert list(H.items()) == list(want.items()) and H == want
+            for v in [*P.vertices, -1, "0"]:
+                assert (v in H) == (v in want)
+                if v not in want:
+                    with pytest.raises(KeyError):
+                        H[v]
+
+
+@pytest.mark.parametrize("host", ["Q7", "link(Q8,0)"])
+def test_star_solves_read_fewer_host_rows_than_the_star_has(host,
+                                                            monkeypatch):
+    # the star's graph and its subgraphs compute a row when it is read, so
+    # a solve and its check read only the host rows their searches reach;
+    # building the star graph whole read every one of them
+    P = INJECTION_HOSTS[host]()
+    k = (P.dim + 1) // 2
+    rng = random.Random(24)
+    linked = 0
+    for _ in range(8):
+        s1 = rng.choice(P.vertices)
+        star = list(P.generated_graph(P.vertex_facets[s1]))
+        X = rng.sample([v for v in star if v != s1], 2 * k - 1)
+        pairs = [(s1, X[0])] + [(X[i], X[i + 1]) for i in range(1, 2 * k - 1, 2)]
+        G = CountingGraph(P.graph)
+        with monkeypatch.context() as m:
+            m.setattr(P, "graph", G)
+            cert = solve_star(P, s1, pairs)
+        linked += cert.paths is not None
+        assert 0 < len(G.reads) < len(star), (s1, pairs)
+    assert linked
+
+
 def test_star_rejects_terminals_outside_star():
     P = build_cube_polytope(5)
     with pytest.raises(ValueError):
@@ -121,7 +192,10 @@ def test_broken_invariants_raise_case_not_covered(monkeypatch):
         solver.record(5, 9, [5, 7])
     assert e.value.trace == ["star/tag"]
     F = P.facets[0]
-    monkeypatch.setattr(type(P), "project_in_face", lambda self, f, sub, v: v)
+    # a broken host: vertex 1's neighbour across the ridge x3 = 0 is now
+    # 16, vertex 0's image there, so two vertices of F share an image
+    row = tuple(16 if w == 17 else w for w in P.graph[1])
+    monkeypatch.setitem(P.graph, 1, row)
     with pytest.raises(CaseNotCovered):
         projections_star_injection(P, min(F), F)
 
