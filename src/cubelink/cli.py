@@ -222,8 +222,7 @@ def _oracle_solve(host, pairs, avoid):
         if sol is None:
             raise Unlinkable(host.witness(ps))
         return sol
-    return certify(host.spec, host.graph, host.label_of, pairs, search,
-                   lambda: host.graph, avoid)
+    return certify(host.spec, host.graph, host.label_of, pairs, search, avoid)
 
 
 def _emit(payload):

@@ -517,6 +517,7 @@ def build_from_incidence(dim, vertex_count, facets, labels=None) -> Polytope:
 
 # below Q3 a vertex link is two vertices with no edge, or nothing
 LINK_DIM_ERROR = "vertex links need a cube of dimension 3 or more, not {d}"
+LINK_VERTEX_ERROR = "vertex {v} is not in Q{d}"
 
 
 def vertex_link(P: Polytope, x) -> Polytope:
@@ -554,7 +555,7 @@ def link_polytope(cube_dim: int, v: int) -> Polytope:
         raise ValueError(LINK_DIM_ERROR.format(d=cube_dim))
     cube = build_cube_polytope(cube_dim)  # refuses cube_dim > 10 first
     if not 0 <= v < 1 << cube_dim:
-        raise ValueError(f"vertex {v} is not in Q{cube_dim}")
+        raise ValueError(LINK_VERTEX_ERROR.format(v=v, d=cube_dim))
     return vertex_link(cube, v)
 
 

@@ -100,24 +100,22 @@ class LinkageCertificate:
         }
 
 
-def certify(host, vertices, label, pairs, solve, graph,
-            avoid=()) -> LinkageCertificate:
+def certify(host, graph, label, pairs, solve, avoid=()) -> LinkageCertificate:
     """Run `solve` and check its answer: the one way to a certificate.
 
-    A terminal or avoided vertex outside the container `vertices` raises
-    ValueError before anything is solved.  The certificate's instance names
-    `host` and lists `pairs` and `avoid`, in their order, as `label` writes
-    their vertices.
+    `graph` is the one graph the certificate is checked against.  A terminal
+    or avoided vertex that is not a vertex of it raises ValueError before
+    anything is solved.  The certificate's instance names `host` and lists
+    `pairs` and `avoid`, in their order, as `label` writes their vertices.
     `solve(pairs, trace)` returns one path per pair, in pair order, or raises
-    Unlinkable.  `graph()` builds the host graph; it is called only when
-    there are paths to check.  Paths that are not a linkage of `pairs` in
-    that graph avoiding `avoid` raise CertificateInvalid, so no unchecked
-    linkage is ever returned.  An Unlinkable without a witness (a search that
-    found nothing, with no configuration to explain it) gives a certificate
-    with `valid` False, since there is nothing to check.
+    Unlinkable.  Paths that are not a linkage of `pairs` in `graph` avoiding
+    `avoid` raise CertificateInvalid, so no unchecked linkage is ever
+    returned.  An Unlinkable without a witness (a search that found nothing,
+    with no configuration to explain it) gives a certificate with `valid`
+    False, since there is nothing to check.
     """
-    stray = [v for p in pairs for v in p if v not in vertices]
-    stray += [v for v in avoid if v not in vertices]
+    stray = [v for p in pairs for v in p if v not in graph]
+    stray += [v for v in avoid if v not in graph]
     if stray:
         raise ValueError(f"vertex {stray[0]} is not in {host}")
     instance = {
@@ -132,7 +130,7 @@ def certify(host, vertices, label, pairs, solve, graph,
     except Unlinkable as e:
         return LinkageCertificate(instance=instance, obstruction=e.witness,
                                   trace=trace, valid=e.witness is not None)
-    ok, msg = validate_linkage(graph(), pairs, paths, avoid)
+    ok, msg = validate_linkage(graph, pairs, paths, avoid)
     if not ok:
         raise CertificateInvalid(f"solver output is not a linkage: {msg}",
                                  trace=trace)

@@ -306,7 +306,7 @@ def _solve(d, pairs, trace):
     if K.fixed_mask:
         axis = (K.fixed_mask & -K.fixed_mask).bit_length() - 1
         F = facet(d, axis, (K.fixed_values >> axis) & 1)
-        return _scenario1(d, F, pairs, trace)
+        return _scenario1(F, pairs, trace)
     for i, (s, t) in enumerate(pairs):
         if dist(s, t) < d:
             agree = ~(s ^ t)
@@ -325,7 +325,7 @@ def _solve_in_face(F: CubeFace, pairs, trace, avoid=()):
     return [[expand(v) for v in p] for p in sub]
 
 
-def _scenario1(d, F, pairs, trace):
+def _scenario1(F, pairs, trace):
     """All terminals inside the facet F: settle one pair there, project the
     rest onto the opposite facet and recurse."""
     trace.append("cube/scenario-1")
@@ -493,9 +493,8 @@ def _linkage(d, pairs, avoid, trace):
 
 
 def _certify(d, pairs, solve, avoid=()):
-    G = CubeAdjacency(d)
-    return certify(f"Q_{d}", G, lambda v: vertex_to_str(v, d), pairs, solve,
-                   lambda: G, avoid)
+    return certify(f"Q_{d}", CubeAdjacency(d), lambda v: vertex_to_str(v, d),
+                   pairs, solve, avoid)
 
 
 def cube_linkage(d, pairs, avoid=()) -> LinkageCertificate:

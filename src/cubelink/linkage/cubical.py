@@ -21,7 +21,7 @@ from ..paths import shortest_path
 from .certs import LinkageCertificate, Unlinkable, certify, take, terminals
 from .cube import _base_3F, _hops, _search, _splice
 from .star import (_Induced, _face_link, _far_ridge, _route_into,
-                   _star_solve, detect_config_dF, link_via_subgraph)
+                   _StarSolver, detect_config_dF, link_via_subgraph)
 
 
 def _facet_route(P, pairs, trace):
@@ -90,9 +90,7 @@ def _cubical_solve(P, pairs, trace):
         out = _break_config(P, s1, S1verts, bar, route, bar_pairs(), witness,
                             trace)
     if out is None:
-        bpairs = bar_pairs()
-        out = dict(zip(map(frozenset, bpairs),
-                       _star_solve(P, s1, bpairs, trace, S1g)))
+        out = _StarSolver(P, s1, bar_pairs(), trace, S1g, S1verts).solve()
     return _splice(pairs, route, lambda ep: [out[frozenset(e)] for e in ep])
 
 
@@ -116,15 +114,14 @@ def _break_config(P, s1, S1verts, bar, route, bpairs, witness, trace):
         touching = [x for x in sorted(route) if set(route[x]) & RJ]
         if touching:
             trace.append("cubical/config-redirect")
-            _redirect_path(P, s1, bar, route, barX, R, J, RJ, bt1, touching,
+            _redirect_path(P, bar, route, barX, R, J, RJ, bt1, touching,
                            S1verts, trace)
             return None
     trace.append("cubical/config-neighbour-facet")
-    return _relink_through_neighbour(P, s1, bar, bpairs, F1, ridges[0], bt1,
-                                     trace)
+    return _relink_through_neighbour(P, s1, bpairs, F1, ridges[0], bt1, trace)
 
 
-def _redirect_path(P, s1, bar, route, barX, R, J, RJ, bt1, touching, S1verts,
+def _redirect_path(P, bar, route, barX, R, J, RJ, bt1, touching, S1verts,
                    trace):
     """Reroute one routing path so its star entry leaves the blocked facet.
 
@@ -154,7 +151,7 @@ def _redirect_path(P, s1, bar, route, barX, R, J, RJ, bt1, touching, S1verts,
     bar[pick] = newpath[stop]
 
 
-def _relink_through_neighbour(P, s1, bar, bpairs, F1, R, bt1, trace):
+def _relink_through_neighbour(P, s1, bpairs, F1, R, bt1, trace):
     """Star linkage when the blocked facet is clear of all routing paths.
 
     One pair crosses into the ridge of the neighbouring facet opposite R;
@@ -215,8 +212,7 @@ def solve_cubical(P: Polytope, pairs) -> LinkageCertificate:
     """
     return certify(f"cubical {P.dim}-polytope ({len(P.vertices)}v)",
                    P.graph, P.labels.get, pairs,
-                   lambda ps, trace: _cubical_solve(P, ps, trace),
-                   lambda: P.graph)
+                   lambda ps, trace: _cubical_solve(P, ps, trace))
 
 
 def solve_cubical_strong(P: Polytope, pairs, x) -> LinkageCertificate:
@@ -224,4 +220,4 @@ def solve_cubical_strong(P: Polytope, pairs, x) -> LinkageCertificate:
     return certify(f"cubical {P.dim}-polytope ({len(P.vertices)}v)",
                    P.graph, P.labels.get, pairs,
                    lambda ps, trace: _cubical_strong_solve(P, ps, x, trace),
-                   lambda: P.graph, (x,))
+                   (x,))

@@ -8,7 +8,7 @@ reroutes around v and its antipode when a facet-level linkage touches them.
 
 from __future__ import annotations
 
-from ..complexes import LINK_DIM_ERROR, link_polytope
+from ..complexes import LINK_DIM_ERROR, LINK_VERTEX_ERROR, link_polytope
 from ..errors import CaseNotCovered
 from ..hypercube import (
     CubeAdjacency,
@@ -25,7 +25,7 @@ from .certs import LinkageCertificate, certify, take, terminals
 from .cube import _base_3F, _hops, _orient, _solve_in_face, _splice
 
 
-def _reroute_through_opposite(D, F, vside, vother, paths, idx, pairs, trace):
+def _reroute_through_opposite(F, vside, vother, paths, idx, pairs, trace):
     """Rebuild paths[idx], which passes through vside inside the facet F,
     as a detour through the opposite facet avoiding vother."""
     Fo = opposite_facet(F)
@@ -79,7 +79,7 @@ def _link_solve(D, v, pairs, trace):
         if idx is not None:
             trace.append("link/one-side-reroute")
             paths[idx] = _reroute_through_opposite(
-                D, side, vside, vother, paths, idx, pairs, trace)
+                side, vside, vother, paths, idx, pairs, trace)
         return paths
 
     adj_v = [x for x in X if not F.contains(x) and project(x, F) == v]
@@ -129,9 +129,10 @@ def solve_link(D, v, pairs) -> LinkageCertificate:
     """Linkage among up to floor(D/2) pairs in the link of v in Q_D."""
     if D < 3:
         raise ValueError(LINK_DIM_ERROR.format(d=D))
+    if not 0 <= v < 1 << D:
+        raise ValueError(LINK_VERTEX_ERROR.format(v=v, d=D))
     vo = v ^ ((1 << D) - 1)
-    G = CubeAdjacency(D)
-    return certify(f"link(Q_{D}, {vertex_to_str(v, D)})", G,
+    return certify(f"link(Q_{D}, {vertex_to_str(v, D)})", CubeAdjacency(D),
                    lambda u: vertex_to_str(u, D), pairs,
                    lambda ps, trace: _link_solve(D, v, ps, trace),
-                   lambda: G, avoid=(v, vo))
+                   avoid=(v, vo))

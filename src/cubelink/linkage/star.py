@@ -140,35 +140,6 @@ def link_via_subgraph(G, pairs, subV, sub_solver, forbidden=(), *, trace):
     return _splice(pairs, route, sub_solver)
 
 
-def _short_hop(P, src, target_face, allowed_end, banned, within):
-    """A path of length at most 2 from src into target_face, inside `within`.
-
-    Vertices after src must avoid `banned`, except that the endpoint may be
-    `allowed_end`.  Candidates are scanned deterministically; None if all are
-    blocked.
-    """
-    tgt = frozenset(target_face)
-    box = frozenset(within)
-    direct = [w for w in P.graph[src] if w in tgt]
-    cands = []
-    if direct:
-        cands.append([src, direct[0]])
-    for w in sorted(P.graph[src]):
-        if w in tgt or w not in box:
-            continue
-        nxt = [u for u in P.graph[w] if u in tgt]
-        if nxt:
-            cands.append([src, w, nxt[0]])
-    for c in cands:
-        inner, end = c[1:-1], c[-1]
-        if any(v in banned for v in inner):
-            continue
-        if end in banned and end != allowed_end:
-            continue
-        return c
-    return None
-
-
 # -- dF-configuration --------------------------------------------------------
 
 
@@ -234,11 +205,15 @@ def detect_config_dF(P, s1, pairs):
 
 
 class _StarSolver:
-    def __init__(self, P: Polytope, s1, pairs, trace, S1g=None):
+    """The star linkage of `pairs`, one of them at s1, in the star of s1.
+
+    S1g is the graph of the star and S1verts its vertex set, which holds
+    every terminal; the pairs are clear of the dF-configuration."""
+
+    def __init__(self, P: Polytope, s1, pairs, trace, S1g, S1verts):
         self.P = P
-        self.S1g = S1g
+        self.S1g, self.S1verts = S1g, S1verts
         self.d = P.dim
-        self.k = (self.d + 1) // 2
         self.trace = trace
         _, self.t1, self.rest = take(pairs, s1)
         self.s1 = s1
@@ -250,11 +225,6 @@ class _StarSolver:
 
     def setup(self):
         P, s1, t1 = self.P, self.s1, self.t1
-        if self.S1g is None:
-            self.S1g = P.generated_graph(P.vertex_facets.get(s1, 0))
-        self.S1verts = set(self.S1g)
-        if not self.X <= self.S1verts:
-            raise ValueError("terminals must lie in the star of s1")
         cands = P.facets_containing((s1, t1))
         self.F1 = min(cands, key=lambda f: (-len(self.X & f), sorted(f)))
         self.A1verts = self.S1verts - self.F1
@@ -348,6 +318,7 @@ class _StarSolver:
     # -- dispatch --
 
     def solve(self):
+        """The paths, keyed by the frozenset of their pair."""
         self.setup()
         n1 = len(self.X & self.F1)
         self.trace.append(f"star/F1-terminals={n1}")
@@ -359,6 +330,7 @@ class _StarSolver:
             self.case2()
         else:
             self.case3()
+        return self.out
 
     # -- case 1: one terminal outside F1 --------------------------------
 
@@ -493,7 +465,7 @@ class _StarSolver:
         self.record(s1, t1, _chain([s1], p1))
         if len(S12_facets) > 1:
             # several facets around s1-s2: funnel strays through a far ridge
-            A12verts = set(G12_all) - F1 - frozenset(F12)
+            A12verts = gamma_verts - frozenset(F12)
             U = next(u for u in P.ridges_of_facet(F12) if s1 in u and s2 in u)
             J12, UJ = _far_ridge(P, U, F12)
             hatX = set(hat.values())
@@ -588,7 +560,7 @@ class _StarSolver:
         self.trace.append("star/case4-d5")
         R, RF, J1, RJ = self._split_3face(self.s1, self.t1)
         if self.X <= R:
-            self._d5_all_in(R, RF, J1, RJ)
+            self._d5_all_in(RF, J1, RJ)
             return
         inR_pair = self._pair_inside(R)
         if inR_pair is not None:
@@ -596,11 +568,11 @@ class _StarSolver:
             return
         inRF_pair = self._pair_inside(RF)
         if inRF_pair is not None:
-            self._d5_pair_in_RF(inRF_pair, R, RF, J1, RJ)
+            self._d5_pair_in_RF(inRF_pair, R, RF, J1)
             return
-        self._d5_split_pairs(R, RF, J1, RJ)
+        self._d5_split_pairs(R, RF)
 
-    def _d5_all_in(self, R, RF, J1, RJ):
+    def _d5_all_in(self, RF, J1, RJ):
         self.trace.append("star/case4-d5-all-in")
         P = self.P
         piRJ = lambda v: P.project_in_face(J1, RJ, v)
@@ -631,7 +603,7 @@ class _StarSolver:
         self.record(a, b, self._across(a, b, RJ, piRJ))
         self.record(s3, t3, self._across(s3, t3, RF, piRF, self.X))
 
-    def _d5_pair_in_RF(self, i2, R, RF, J1, RJ):
+    def _d5_pair_in_RF(self, i2, R, RF, J1):
         P, s1, t1 = self.P, self.s1, self.t1
         s2, t2 = self.rest[i2]
         i3 = 1 - i2
@@ -639,7 +611,7 @@ class _StarSolver:
         if p3[0] in R or p3[1] in R:
             s3, t3 = p3 if p3[0] in R else p3[::-1]
             banned = self.X - {s3, t3}
-            T3 = _short_hop(P, t3, R, None, banned, self.F1)
+            T3 = self._short_hop(t3, R, None, banned)
             if T3 is not None:
                 self.trace.append("star/case4-d5-hop")
                 t3r = T3[-1]
@@ -677,6 +649,33 @@ class _StarSolver:
         self.record(s2, t2, _face_path(P, RF, s2, t2, forbidden=self.X))
         self.record(s3, t3, self.cross(s3, t3))
 
+    def _short_hop(self, src, target_face, allowed_end, banned):
+        """A path of length at most 2 from src into target_face, inside F1.
+
+        Vertices after src must avoid `banned`, except that the endpoint may
+        be `allowed_end`.  Candidates are scanned deterministically; None if
+        all are blocked.
+        """
+        graph, tgt = self.P.graph, frozenset(target_face)
+        direct = [w for w in graph[src] if w in tgt]
+        cands = []
+        if direct:
+            cands.append([src, direct[0]])
+        for w in sorted(graph[src]):
+            if w in tgt or w not in self.F1:
+                continue
+            nxt = [u for u in graph[w] if u in tgt]
+            if nxt:
+                cands.append([src, w, nxt[0]])
+        for c in cands:
+            inner, end = c[1:-1], c[-1]
+            if any(v in banned for v in inner):
+                continue
+            if end in banned and end != allowed_end:
+                continue
+            return c
+        return None
+
     def _by_side(self, R):
         """The two rest pairs, each with its end in R first."""
         return [(a, b) if a in R else (b, a) for a, b in self.rest]
@@ -689,15 +688,15 @@ class _StarSolver:
         self.record(s, t, _chain(S, p))
         return {s} | (set(S) & set(R))
 
-    def _d5_split_pairs(self, R, RF, J1, RJ):
+    def _d5_split_pairs(self, R, RF):
         self.trace.append("star/case4-d5-split")
         P, s1, t1 = self.P, self.s1, self.t1
         (s2, t2), (s3, t3) = self._by_side(R)
         if t2 == self.s1o:
             (s2, t2), (s3, t3) = (s3, t3), (s2, t2)
-        S3 = _short_hop(P, s3, RF, t3, self.X - {s3, t3}, self.F1)
+        S3 = self._short_hop(s3, RF, t3, self.X - {s3, t3})
         if S3 is None:
-            alt = _short_hop(P, s2, RF, t2, self.X - {s2, t2}, self.F1)
+            alt = self._short_hop(s2, RF, t2, self.X - {s2, t2})
             if alt is not None and t3 != self.s1o:
                 (s2, t2), (s3, t3) = (s3, t3), (s2, t2)
                 S3 = alt
@@ -712,7 +711,7 @@ class _StarSolver:
         u = min(w for w in P.graph[t3] if w in RF and w != t2)
         T3 = {t3, u, self.inj[u]}
         self.record(s3, t3, _chain(self.cross(s3, u), [t3]))
-        S2 = _short_hop(P, s2, RF, t2, (self.X | T3) - {s2, t2}, self.F1)
+        S2 = self._short_hop(s2, RF, t2, (self.X | T3) - {s2, t2})
         if S2 is None:
             raise self.fail("no short escape for the second pair")
         forb = self._hop_far(R, RF, s2, t2, S2, T3) | {s3}
@@ -756,7 +755,7 @@ class _StarSolver:
             return
         self.trace.append("star/case4-d5-anti-split")
         (s2, t2), (s3, t3) = self._by_side(R)
-        S3 = _short_hop(P, s3, RF, t3, (self.X | {t1p}) - {s3, t3}, self.F1)
+        S3 = self._short_hop(s3, RF, t3, (self.X | {t1p}) - {s3, t3})
         # s3's hop fails only if s3 neighbours both s1 and t1p, which are
         # antipodal in R: the guard never fires
         if S3 is None:
@@ -767,32 +766,28 @@ class _StarSolver:
         self.record(s1, t1, _chain(p1, [t1]))
 
 
-def _star_solve(P, s1, pairs, trace, S1g=None, keep=None):
-    """Paths aligned with `pairs`, or Unlinkable with a dF-witness.
-
-    S1g is the graph of the star of s1 when the caller has built it; a
-    `keep` list receives the graph the solver used."""
-    witness = detect_config_dF(P, s1, pairs)
-    if witness is not None:
-        trace.append("star/config-dF")
-        raise Unlinkable(witness)
-    solver = _StarSolver(P, s1, pairs, trace, S1g)
-    solver.solve()
-    if keep is not None:
-        keep.append(solver.S1g)
-    return [_orient(solver.out[frozenset(p)], p[0]) for p in pairs]
-
-
 def solve_star(P, s1, pairs) -> LinkageCertificate:
-    """Linkage for (d+1)/2 pairs inside the star of s1 (d odd, d >= 5); s1
-    is a terminal."""
-    if P.dim % 2 == 0 or P.dim < 5:
+    """Linkage for 2 to (d+1)/2 pairs inside the star of s1 (d odd, d >= 5),
+    checked against the star's graph; s1 is a terminal.  Pairs in the
+    dF-configuration give its witness."""
+    d = P.dim
+    if d % 2 == 0 or d < 5:
         raise ValueError("star linkage needs an odd-dimensional host of "
                          "dimension at least 5")
     if all(s1 not in p for p in pairs):
         raise ValueError(f"the star centre {s1} is not a terminal")
-    keep = []
-    return certify(f"star({P.labels.get(s1, s1)}) in {P.dim}-polytope",
-                   P.graph, P.labels.__getitem__, pairs,
-                   lambda ps, trace: _star_solve(P, s1, ps, trace, keep=keep),
-                   lambda: keep[0])
+    if not 2 <= len(pairs) <= (d + 1) // 2:
+        raise ValueError(f"star linkage needs 2 to {(d + 1) // 2} pairs, "
+                         f"not {len(pairs)}")
+    S1g = P.generated_graph(P.vertex_facets.get(s1, 0))
+
+    def solve(ps, trace):
+        witness = detect_config_dF(P, s1, ps)
+        if witness is not None:
+            trace.append("star/config-dF")
+            raise Unlinkable(witness)
+        out = _StarSolver(P, s1, ps, trace, S1g, set(S1g)).solve()
+        return [_orient(out[frozenset(p)], p[0]) for p in ps]
+
+    return certify(f"star({P.labels.get(s1, s1)}) in {d}-polytope", S1g,
+                   P.labels.__getitem__, pairs, solve)

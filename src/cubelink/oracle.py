@@ -381,7 +381,7 @@ _MAPS = {perm: tuple(sorted(range(len(table)), key=table.__getitem__))
          for perms in _PERMS.values() for perm, table in perms}
 
 
-def _key_candidates(d, pairs, x):
+def _key_candidates(d, pairs):
     """(anchor, permutations) in the order the minimum is taken over.
 
     The key's minimum is over every terminal or x translated to the origin
@@ -410,7 +410,7 @@ def cube_instance_key(d, pairs, x=None):
     if d not in _PERMS:
         raise ValueError(f"cube instance keys cover 1 <= d <= 4, not {d}")
     best = None
-    for t, perms in _key_candidates(d, pairs, x):
+    for t, perms in _key_candidates(d, pairs):
         shifted_pairs = [(a ^ t, b ^ t) for a, b in pairs]
         shifted_x = x ^ t if x is not None else None
         for perm, img in perms:

@@ -1,6 +1,7 @@
 """Layout guards: the names the benchmark reaches into, no `assert` in the
-runtime package (its checks must hold under `python -O`), and no runtime
-dependency outside the standard library."""
+runtime package (its checks must hold under `python -O`), no unread
+parameter in a private function, and no runtime dependency outside the
+standard library."""
 
 import ast
 import importlib
@@ -56,6 +57,27 @@ def test_no_assert_in_runtime_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_parameter_of_a_private_function_is_read():
+    """A private function or method reads each of its parameters (`self`
+    and `cls` aside): a parameter nothing reads is a knob to drop."""
+    unread = []
+    for path in sorted((ROOT / "src" / "cubelink").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [v for v in (a.vararg, a.kwarg) if v]]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({p})"
+                       for p in params
+                       if p not in ("self", "cls") and p not in read]
+    assert unread == []
 
 
 # Each seam and the functions allowed to cross it: Menger routing only in

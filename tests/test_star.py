@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cubelink.complexes import build_cube_polytope, link_polytope, star_complex
+from cubelink.linkage.link import solve_link
 from cubelink.linkage.star import (
     _Induced,
     detect_config_dF,
@@ -187,7 +188,9 @@ def test_broken_invariants_raise_case_not_covered(monkeypatch):
     from cubelink.linkage.star import _StarSolver
 
     P = build_cube_polytope(5)
-    solver = _StarSolver(P, 0, [(0, 30), (5, 9), (18, 24)], ["star/tag"])
+    S1g = P.generated_graph(P.vertex_facets[0])
+    solver = _StarSolver(P, 0, [(0, 30), (5, 9), (18, 24)], ["star/tag"],
+                         S1g, set(S1g))
     with pytest.raises(CaseNotCovered) as e:
         solver.record(5, 9, [5, 7])
     assert e.value.trace == ["star/tag"]
@@ -231,6 +234,35 @@ def test_star_rejects_a_centre_that_is_no_terminal_or_outside_the_host(
     # these used to raise a bare StopIteration and a KeyError
     with pytest.raises(ValueError, match=err):
         solve_star(build_cube_polytope(5), s1, pairs)
+
+
+Q5_STAR = lambda pairs: lambda: solve_star(build_cube_polytope(5), 0, pairs)
+LINK_Q4 = lambda v: lambda: solve_link(4, v, [(1, 2), (4, 8)])
+
+
+@pytest.mark.parametrize("call,err", [
+    (Q5_STAR([(0, 30)]), "star linkage needs 2 to 3 pairs, not 1"),
+    (Q5_STAR([(0, 30), (3, 12), (17, 24), (1, 2)]),
+     "star linkage needs 2 to 3 pairs, not 4"),
+    (Q5_STAR([(0, 15), (14, 13), (11, 7), (16, 17)]),
+     "star linkage needs 2 to 3 pairs, not 4"),
+    (Q5_STAR([(0, 30), (3, 12), (17, 31)]),
+     r"vertex 31 is not in star\(00000\) in 5-polytope"),
+    (LINK_Q4(-1), "vertex -1 is not in Q4"),
+    (LINK_Q4(99), "vertex 99 is not in Q4"),
+], ids=["one-pair", "four-pairs", "four-pairs-in-config-dF",
+        "terminal-off-the-star", "link-vertex-below-0", "link-vertex-past-Q4"])
+def test_bad_star_and_link_input_is_refused_before_solving(call, err,
+                                                           monkeypatch):
+    # each is a ValueError before the dF test runs: an instance of 4 pairs
+    # in the dF-configuration must get no certificate from a star that
+    # links 3, and a link host is never named around a vertex outside Q4
+    import cubelink.linkage.star as star
+
+    monkeypatch.setattr(star, "detect_config_dF",
+                        lambda *args: pytest.fail("the dF test ran"))
+    with pytest.raises(ValueError, match=err):
+        call()
 
 
 # One star instance per branch of the case analysis, found by seeded sweeps:
@@ -329,6 +361,8 @@ def test_solve_star_builds_the_star_graph_once(monkeypatch):
     assert solve_star(P, 0, [(0, 30), (3, 12), (17, 24)]).paths is not None
     assert len(built) == 1
     built.clear()
-    # a config-dF answer checks no paths, so it needs no graph
+    # a config-dF answer checks no paths, but its terminals are checked
+    # against the star first: the view is made before solving, and it holds
+    # no rows
     assert solve_star(P, 0, [(0, 15), (14, 13), (11, 7)]).obstruction is not None
-    assert built == []
+    assert len(built) == 1
