@@ -1,27 +1,23 @@
 """Abstract polytopal complexes from vertex-facet incidence.
 
-A Polytope stores its facets, the facet mask of each vertex and the graph.
-Its face lattice (faces as frozensets of vertex ids, the facets' closure
-under intersection) is kept in one order: by size, then by sorted vertex
-list.  Every polytope has one face path, that closure, which cuts each face
-only by the facets that meet it without containing it.  A polytope built
-from an incidence alone closes its facets when it is built, since that
-closure is its input check.  A polytope built from a host, as a vertex link
-is, checks its facets against the host's facet embeddings, takes its graph
-and facet embeddings from the host, and closes its facets only when its
-faces are first asked for, which no solver does.  Q_d
-(`build_cube_polytope`) is written down, not closed: its facets, graph and
-facet embeddings are known in closed form, and its faces, too, are closed
-only when first asked for.
+A Polytope stores its facets, the facet mask of each vertex, the graph and
+each facet's cube embedding.  One certificate reads all four off the facets
+and their pairwise intersections: each facet's cube coordinates come from
+its ridges, and every other intersection of two facets must be a subcube,
+so the faces are exactly the subcubes of the facets.  A polytope built
+from a host, as a vertex link is, checks its facets against the host's
+facet embeddings and takes its graph and facet embeddings from the host.
+Q_d (`build_cube_polytope`) is written down: its facets, graph and facet
+embeddings are known in closed form.
 `vertex_link` is the one way a link is built, on demand and with no cache:
 a strong solve builds the link of its avoided vertex, and a link host
 (`link_polytope`) is the vertex link of its cube.
-Cubicality is certified from the facets: each facet is embedded as a
-combinatorial cube (canonical BFS coordinate assignment), and every lower
-face must be a subcube of its first facet's embedding, since every face of
-a cube is a subcube.  The other faces' embeddings, the bridge to the
-bit-level solvers in `hypercube`, are read off their first facet's when
-first asked for.
+A lower face's embedding, the bridge to the bit-level solvers in
+`hypercube`, is read off its first facet's when first asked for.  The face
+lattice (faces as frozensets of vertex ids, the facets' closure under
+intersection, by size, then by sorted vertex list) is closed only on
+demand, which no solver makes; the closure cuts each face only by the
+facets that meet it without containing it.
 
 The lattice is indexed by facet incidence: facet i of the sorted facet list
 is the bit 1 << i, and every vertex and every proper face carries the mask
@@ -38,7 +34,6 @@ masks only when a row is asked for.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -53,21 +48,26 @@ class Polytope:
     """A cubical polytope given abstractly by its vertex-facet incidence."""
 
     def __init__(self, dim, vertices, facets, labels=None, host=None):
-        """`host` is a certified Polytope whose faces, with the same edges,
+        """With no `host`, the facets certify themselves (_certify_facets):
+        each must be a cube of one dimension on its ridges, and each
+        nonempty intersection of two a subcube of both, or NotCubical is
+        raised; the graph and facet embeddings are read off the facets.
+
+        `host` is a certified Polytope whose faces, with the same edges,
         include this one's, as a vertex link's do (see vertex_link).  Every
         facet must be a host facet or a subcube of the first host facet
         containing it, so a face of the host, or ValueError is raised; and
         every face of a facet (checked on its vertices and ridges) the
         intersection of the facets containing it, or InconsistentIncidence
-        is raised.  The polytope then keeps only its facets, masks and
-        graph: the graph is the host's edges that lie in a facet, and the
-        facets take their embeddings from the host.  They count as
-        certified, and so do the lower faces, the facets' closure, computed
-        when first asked for."""
+        is raised.  The graph is then the host's edges that lie in a facet,
+        and the facets take their embeddings from the host.
+
+        Either way the polytope keeps only its facets, masks, graph and
+        facet embeddings; its lower faces, the facets' closure, are
+        computed when first asked for, which no solver does."""
         self._set_incidence(dim, vertices, facets, labels)
         if host is None:
-            self._graph_from_faces()  # closes the facets
-            self._validate_cubical()
+            self._certify_facets()
         else:
             self._read_host(host)
         j = len(max(self.facets, key=len)).bit_length() - 1
@@ -106,18 +106,54 @@ class Polytope:
                 vmask[v] |= b
         self.vertex_facets = vmask
 
-    def _graph_from_faces(self):
-        # the edges come after the vertices, each as (a, b) with a < b in
-        # that order, so every vertex meets its neighbours in sorted order
-        graph = {v: [] for v in self.vertices}
-        for f in self.face_facets:
-            if len(f) > 2:
-                break
-            if len(f) == 2:
-                a, b = sorted(f)
-                graph[a].append(b)
-                graph[b].append(a)
-        self.graph = {v: tuple(n) for v, n in graph.items()}
+    def _certify_facets(self):
+        """Certify the facets from their pairwise intersections alone, and
+        read the graph and facet embeddings off them.
+
+        Every facet must have as many vertices as the largest, a power of 2,
+        2^j.  A facet F's ridges are its intersections with the facets that
+        share half of its vertices, and there must be 2j of them.  The axes
+        are the ridges smaller, as bitsets, than their complements in F; a
+        vertex's code records which axes hold it, and the codes must be
+        distinct, so they make F a cube.  Every nonempty F & G other than F
+        must be a subcube in those codes: a ridge then fixes one axis, so
+        the ridges are j complementary pairs.  Every subcube of F is then an
+        intersection of ridges, so of facets, and two subcubes of F meet in
+        one: the facets' closure is exactly the subcubes of the facets, each
+        face is a cube, and the edges are the Hamming-1 pairs inside
+        facets.  Each row is sorted, and each facet's embedding is its codes
+        in the canonical labelling (see _canonical)."""
+        sizes = sorted({len(F) for F in self.facets})
+        n = sizes[-1]
+        if len(sizes) > 1 or n & (n - 1):
+            raise NotCubical(f"facets have {' and '.join(map(str, sizes))} "
+                             f"vertices: they are not cubes of one dimension")
+        j = n.bit_length() - 1
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        nbrs = {v: set() for v in self.vertices}
+        bits = self._facet_bits
+        for F, a in bits.items():
+            cuts = {a & b for b in bits.values()} - {0, a}
+            ridges = {r for r in cuts if r.bit_count() == n >> 1}
+            axes = [r for r in ridges if r < a ^ r]
+            coords = {v: sum(1 << i for i, r in enumerate(axes) if r & bit[v])
+                      for v in F}
+            at = {c: v for v, c in coords.items()}
+            if len(ridges) != 2 * j or len(at) != n:
+                raise NotCubical(f"facet {sorted(F)} is not a {j}-cube on "
+                                 f"its ridges", face=sorted(F))
+            for s in cuts:
+                free = sum(1 for r in axes if s & r and s & (a ^ r))
+                if s.bit_count() != 1 << free:
+                    face = sorted(v for v in F if bit[v] & s)
+                    raise NotCubical(f"face {face} is no subcube of facet "
+                                     f"{sorted(F)}", face=face)
+            for v, c in coords.items():
+                nbrs[v].update(at[c ^ 1 << i] for i in range(j))
+            root = min(F)
+            self._embed_cache[F] = (_canonical(F, coords, sorted(
+                at[coords[root] ^ 1 << i] for i in range(j))), j)
+        self.graph = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
 
     def _read_host(self, host):
         """Check the facets against the host and take their embeddings from
@@ -132,14 +168,10 @@ class Polytope:
         vertex when it is more than the vertex; so a vertex is that
         intersection exactly when no neighbour lies in all of its facets."""
         for f in self.facets:
-            if f in host._facet_bits or f in host._embed_cache:
-                embedding = host.embed_face(f)
-            else:
-                embedding = host._embed_in_facet(f)
+            embedding = host._embed_cache.get(f) or host._embed_in_facet(f)
             if embedding is None:
                 raise ValueError(f"facet {sorted(f)} is not a face of the host")
-            if len(f) > 1:
-                self._embed_cache[f] = embedding
+            self._embed_cache[f] = embedding
         vf = self.vertex_facets
         graph = {}
         for v, m in vf.items():
@@ -179,9 +211,8 @@ class Polytope:
     @cached_property
     def face_facets(self):
         """Each proper face with the mask of the facets containing it, by
-        size, then by sorted vertex list: the facets' closure.  A polytope
-        built from an incidence alone closes its facets when it is built;
-        Q_d and one built from a host close them on first use."""
+        size, then by sorted vertex list: the facets' closure, computed on
+        first use, which no solver makes."""
         masks = self._close_facets(list(self._facet_bits.values()))
         faces = sorted(masks, key=lambda f: (len(f), sorted(f)))
         return {f: masks[f] for f in faces}
@@ -238,29 +269,6 @@ class Polytope:
             frontier = new
         return masks
 
-    def _validate_cubical(self):
-        for f in self.face_facets:
-            n = len(f)
-            if n & (n - 1):
-                raise NotCubical(f"face with {n} vertices", face=sorted(f))
-        for f in self.facets:
-            if len(f) > 1:
-                self.embed_face(f)  # raises NotCubical on failure
-        # a lower face with 2^j vertices is a j-cube exactly when its codes
-        # in its first facet's embedding span a j-dimensional subcube
-        facets, cache = self.facets, self._embed_cache
-        for f, m in self.face_facets.items():
-            j = len(f).bit_length() - 1
-            if j == 0:
-                continue
-            F = facets[(m & -m).bit_length() - 1]
-            if F == f:
-                continue
-            coords = cache[F][0]
-            codes = [coords[v] for v in f]
-            if (reduce(or_, codes) ^ reduce(and_, codes)).bit_count() != j:
-                self.embed_face(f)  # raises NotCubical with its reason
-
     def facets_containing(self, S):
         """The facets containing every vertex of S, in facet order."""
         bits = (1 << len(self.facets)) - 1
@@ -299,24 +307,23 @@ class Polytope:
 
         Returns (coords: vertex -> int bitmask, j): the canonical labelling
         from the least vertex, with axes assigned to its neighbours in
-        sorted order.  Facets are embedded when the lattice is built, by
-        _embed_by_bfs (taken from the host, or written down on Q_d); any
+        sorted order.  Facets are embedded when the polytope is built (read
+        off their codes, taken from the host, or written down on Q_d); any
         other face is read off its first facet's embedding on its first
-        call, then cached.  Only these are cached: a vertex set that is no
-        face, embedded by BFS, is not kept, so a cached embedding certifies
-        a face.
+        call, then cached.  A vertex set that is no face raises ValueError.
         """
         f = frozenset(f)
         if f in self._embed_cache:
             return self._embed_cache[f]
-        return self._embed_in_facet(f) or self._embed_by_bfs(f)
+        embedding = self._embed_in_facet(f)
+        if embedding is None:
+            raise ValueError(f"{sorted(f)} is not a face")
+        return embedding
 
     def _embed_in_facet(self, f):
         """f's embedding read off its first facet's, or None when f is a
         facet, lies in none (as f does when it leaves the polytope) or is
-        no subcube of it.  Each vertex's code is its XOR with the least
-        vertex, remapped to the axes of that vertex's neighbours in f in
-        sorted order, as _embed_by_bfs would assign them."""
+        no subcube of it, so no face.  A lower face's embedding is cached."""
         vf = self.vertex_facets
         m = reduce(and_, [vf.get(v, 0) for v in f])
         F = self.facets[(m & -m).bit_length() - 1] if m else f
@@ -333,63 +340,9 @@ class Polytope:
             return None
         # F's codes are distinct, so f is the whole subcube on `span`, and
         # the root's neighbours in f flip one bit of it each
-        remap = {0: 0}
-        for i, w in enumerate(w for w in self.graph[root] if w in f):
-            b, c = coords[w] ^ r, 1 << i
-            remap.update({x | b: y | c for x, y in remap.items()})
-        self._embed_cache[f] = ({v: remap[coords[v] ^ r] for v in f}, j)
+        self._embed_cache[f] = (_canonical(
+            f, coords, [w for w in self.graph[root] if w in f]), j)
         return self._embed_cache[f]
-
-    def _embed_by_bfs(self, f):
-        """Certify the face graph is Q_j and embed it: canonical BFS
-        relabeling from the least vertex, axes assigned to its neighbours in
-        sorted order, every deeper vertex labelled by OR-ing its
-        predecessors; then adjacency must match Hamming distance 1.  Raises
-        NotCubical otherwise."""
-        verts = sorted(f)
-        adj = {v: [w for w in self.graph[v] if w in f] for v in verts}
-        root = verts[0]
-        j = len(adj[root])
-        if len(f) != 1 << j:
-            raise NotCubical(f"face size {len(f)} but degree {j}", face=verts)
-        coords = {root: 0}
-        for i, w in enumerate(adj[root]):  # graph rows are sorted
-            coords[w] = 1 << i
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if len(dist) != len(f):
-            raise NotCubical("face graph disconnected", face=verts)
-        for v in sorted(verts, key=dist.__getitem__):  # by (dist, v)
-            if v in coords:
-                continue
-            preds = [coords[w] for w in adj[v] if w in coords]
-            if len(preds) < 2:
-                raise NotCubical("vertex with single predecessor", face=verts)
-            code = 0
-            for p in preds:
-                code |= p
-            coords[v] = code
-        if len(set(coords.values())) != len(f):
-            raise NotCubical("coordinate collision", face=verts)
-        # codes are distinct, so the neighbour codes are exactly the j
-        # Hamming-1 flips when there are j of them and each differs in one bit
-        for v, nbrs in adj.items():
-            c = coords[v]
-            if len(nbrs) != j:
-                raise NotCubical("adjacency not Hamming-1", face=verts)
-            for w in nbrs:
-                x = coords[w] ^ c
-                if x & (x - 1):
-                    raise NotCubical("adjacency not Hamming-1", face=verts)
-        if f in self._facet_bits:
-            self._embed_cache[f] = (coords, j)
-        return coords, j
 
     def opposite_in_face(self, f, v):
         """The vertex of face f at maximal cube distance from v."""
@@ -469,14 +422,26 @@ class GeneratedGraph(Mapping):
         return sum(1 for _ in self)
 
 
+def _canonical(f, coords, nbrs):
+    """f's canonical embedding, given codes `coords` that fill a subcube on
+    f and `nbrs`, the least vertex's neighbours in f in sorted order: each
+    code XOR the least vertex's, with the axis of the i-th neighbour
+    renumbered to bit i, the labelling a BFS from the least vertex gives."""
+    r = coords[min(f)]
+    remap = {0: 0}
+    for i, w in enumerate(nbrs):
+        b, c = coords[w] ^ r, 1 << i
+        remap.update({x | b: y | c for x, y in remap.items()})
+    return {v: remap[coords[v] ^ r] for v in f}
+
+
 @lru_cache(maxsize=None)
 def build_cube_polytope(d: int) -> Polytope:
     """The d-cube as a Polytope with 2d facets; vertices are bitmask ints.
 
-    It is written down, not closed: every face of Q_d fixes some of its
-    coordinates, so the facets, masks, graph and facet embeddings that
-    closing and certifying the facets would give are known, and the faces
-    are closed only when first asked for, as a vertex link's are."""
+    It is written down: every face of Q_d fixes some of its coordinates, so
+    the facets, masks, graph and facet embeddings that certifying the
+    facets would give are known."""
     if not 1 <= d <= 10:
         raise ValueError("lattice materialization supports 1 <= d <= 10")
     verts = range(1 << d)
@@ -491,12 +456,10 @@ def build_cube_polytope(d: int) -> Polytope:
     P = Polytope.__new__(Polytope)
     P._set_incidence(d, verts, embeddings,
                      {v: vertex_to_str(v, d) for v in verts})
-    if d == 1:  # Q1's facets are its two vertices, and no edge is a face
-        P.graph = {0: (), 1: ()}
-    else:
-        P.graph = {v: tuple(sorted(v ^ (1 << i) for i in range(d)))
-                   for v in verts}
-        P._embed_cache = {F: embeddings[F] for F in P.facets}
+    # Q1's facets are its two vertices, and no edge is a face
+    P.graph = {v: tuple(sorted(v ^ (1 << i) for i in range(d)))
+               if d > 1 else () for v in verts}
+    P._embed_cache = {F: embeddings[F] for F in P.facets}
     return P
 
 

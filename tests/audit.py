@@ -516,29 +516,90 @@ def cap(P: Polytope, F) -> Polytope:
     facets += [R | {twin[v] for v in R} for R in P.ridges_of_facet(F)]
     return Polytope(P.dim, P.vertices + sorted(twin.values()), facets)
 
-class ReferencePolytope(Polytope):
-    """Reference for Polytope's facet-based certificate: every proper face
-    of dimension at least 1 is embedded by its own BFS when the lattice is
-    built.  It is always built alone, so it takes nothing from a host."""
+def embed_by_bfs(graph, f):
+    """Certify the face graph is Q_j and embed it: canonical BFS
+    relabeling from the least vertex, axes assigned to its neighbours in
+    sorted order, every deeper vertex labelled by OR-ing its
+    predecessors; then adjacency must match Hamming distance 1.  Raises
+    NotCubical otherwise."""
+    verts = sorted(f)
+    adj = {v: [w for w in graph[v] if w in f] for v in verts}
+    root = verts[0]
+    j = len(adj[root])
+    if len(f) != 1 << j:
+        raise NotCubical(f"face size {len(f)} but degree {j}", face=verts)
+    coords = {root: 0}
+    for i, w in enumerate(adj[root]):  # graph rows are sorted
+        coords[w] = 1 << i
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    if len(dist) != len(f):
+        raise NotCubical("face graph disconnected", face=verts)
+    for v in sorted(verts, key=dist.__getitem__):  # by (dist, v)
+        if v in coords:
+            continue
+        preds = [coords[w] for w in adj[v] if w in coords]
+        if len(preds) < 2:
+            raise NotCubical("vertex with single predecessor", face=verts)
+        code = 0
+        for p in preds:
+            code |= p
+        coords[v] = code
+    if len(set(coords.values())) != len(f):
+        raise NotCubical("coordinate collision", face=verts)
+    # codes are distinct, so the neighbour codes are exactly the j
+    # Hamming-1 flips when there are j of them and each differs in one bit
+    for v, nbrs in adj.items():
+        c = coords[v]
+        if len(nbrs) != j:
+            raise NotCubical("adjacency not Hamming-1", face=verts)
+        for w in nbrs:
+            x = coords[w] ^ c
+            if x & (x - 1):
+                raise NotCubical("adjacency not Hamming-1", face=verts)
+    return coords, j
 
-    def _validate_cubical(self):
-        self.face_dim = {}
-        by_dim = {}
+
+class ReferencePolytope(Polytope):
+    """Reference for Polytope's facet certificate: the facets' closed face
+    lattice, whose 2-vertex faces are the edges, with every face embedded
+    by its own BFS, every vertex a face and every facet as large as the
+    largest.  It keeps
+    Polytope's incidence index, closure and face queries, not its
+    certificate, and it is always built from an incidence alone."""
+
+    def __init__(self, dim, vertices, facets, labels=None):
+        self._set_incidence(dim, vertices, facets, labels)
+        # the edges come in face order, each as (a, b) with a < b, so every
+        # vertex meets its neighbours in sorted order
+        graph = {v: [] for v in self.vertices}
         for f in self.proper_faces:
-            n = len(f)
-            j = n.bit_length() - 1
-            if n != 1 << j:
-                raise NotCubical(f"face with {n} vertices", face=sorted(f))
-            if j > 0:  # raises NotCubical on failure
-                self._embed_cache[f] = self._embed_by_bfs(f)
-            self.face_dim[f] = j
-            by_dim.setdefault(j, []).append(f)
-        if max(by_dim) != self.dim - 1:
+            if len(f) == 2:
+                a, b = sorted(f)
+                graph[a].append(b)
+                graph[b].append(a)
+        self.graph = {v: tuple(n) for v, n in graph.items()}
+        for f in self.proper_faces:  # raises NotCubical on failure
+            self._embed_cache[f] = embed_by_bfs(self.graph, f)
+        n = len(max(self.facets, key=len))
+        if any(len(F) != n for F in self.facets):
+            raise NotCubical("facets are not cubes of one dimension")
+        # a polygon's edges are cubes whatever their ends, so ask that each
+        # vertex be a face, as the edges of a cube of dimension 2 or more
+        # make it
+        if any(frozenset((v,)) not in self._embed_cache
+               for v in self.vertices):
+            raise NotCubical("a vertex is no intersection of facets")
+        if n.bit_length() - 1 != dim - 1:
             raise InconsistentIncidence(
-                f"facets have dimension {max(by_dim)}, expected {self.dim - 1}")
-        for fs in by_dim.values():
-            fs.sort(key=sorted)
-        self.faces_by_dim = {j: tuple(fs) for j, fs in by_dim.items()}
+                f"facets have dimension {n.bit_length() - 1}, "
+                f"expected {dim - 1}")
 
 
 def oracle_linkage_reference(G, pairs, avoid=(), deadline=None):

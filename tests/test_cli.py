@@ -19,6 +19,7 @@ from cubelink import cli
 from cubelink.cli import main
 from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.hypercube import cube_graph, vertex_from_str, vertex_to_str
+from cubelink.linkage import certs
 from cubelink.linkage.cube import detect_config_3F
 from cubelink.oracle import all_pairings
 from cubelink.paths import validate_linkage
@@ -147,6 +148,13 @@ def _forged_obstruction(d, pairs, kind, facet, pair, blocking):
             "trace": [], "valid": True}
 
 
+# Q_3's squares plus the edge {7, 8}: no cubical 3-polytope, since one of
+# its facets is no square.  Its pairing 8-0, 7-1 used to end in a
+# "case not covered", and its census in 45 detector mismatches.
+NON_PURE_ERROR = ("facets have 2 and 4 vertices: they are not cubes of one "
+                  "dimension")
+
+
 @pytest.mark.parametrize("forged", [
     # config-3F outside dimension 3: Q_4 links these pairs
     _forged_obstruction(4, [["0000", "1100"], ["1000", "0100"]], "config-3F",
@@ -166,9 +174,9 @@ def _forged_obstruction(d, pairs, kind, facet, pair, blocking):
     _forged_obstruction(3, [["000", "011"], ["101", "110"]], "config-3F",
                         ["000", "011", "101", "110"], ["000", "011"],
                         ["101", "110"]),
-    # the edge facet of Q_3's squares plus the edge {7, 8}: its ends are
-    # antipodal in it and 8 is 7's one neighbour there, but an edge is no
-    # 2-face
+    # a witness on the edge facet of Q_3's squares plus the edge {7, 8}:
+    # that lattice is refused before the witness is read (that an edge is
+    # no 2-face is test_an_edge_blocks_no_pair)
     dict(_forged_obstruction(3, [["8", "7"], ["0", "1"]], "config-3F",
                              ["7", "8"], ["8", "7"], ["8"]),
          instance={"host": {"kind": "lattice", "path": "q3-edge.json"},
@@ -184,8 +192,34 @@ def test_verify_rejects_forged_obstruction(capsys, tmp_path, monkeypatch,
         {"dim": 3, "vertices": 9, "facets": squares + [[7, 8]]}))
     cert = tmp_path / "forged.json"
     cert.write_text(json.dumps(forged))
-    code, out, _ = run(capsys, "verify", str(cert))
-    assert code == 1 and out.startswith("FAIL")
+    code, out, err = run(capsys, "verify", str(cert))
+    if forged["instance"]["host"]["kind"] == "lattice":
+        assert (code, out, err) == (1, "", f"error: {NON_PURE_ERROR}\n")
+    else:
+        assert code == 1 and out.startswith("FAIL")
+
+
+@pytest.mark.parametrize("argv", [["solve", "--pairs", "8-0,7-1"],
+                                  ["census", "--k", "2", "--exhaustive"]],
+                         ids=["solve", "census"])
+def test_lattice_with_a_facet_of_lower_dimension_exit_1(capsys, tmp_path,
+                                                        argv):
+    squares = json.loads(run(capsys, "gen", "cube", "--dim", "3")[1])["facets"]
+    path = tmp_path / "q3-edge.json"
+    path.write_text(json.dumps(
+        {"dim": 3, "vertices": 9, "facets": squares + [[7, 8]]}))
+    assert run(capsys, argv[0], "--lattice", str(path), *argv[1:]) == (
+        1, "", f"error: {NON_PURE_ERROR}\n")
+
+
+def test_an_edge_blocks_no_pair():
+    # its ends are antipodal in it and one is the other's one neighbour
+    # there, all terminals, but config-3F needs a 2-face
+    P = build_cube_polytope(3)
+    edge = frozenset({0, 1})
+    assert certs.blocking(P, "config-3F", edge, 0, 1, {0, 1}) is None
+    square = frozenset({0, 1, 2, 3})
+    assert certs.blocking(P, "config-3F", square, 0, 3, set(square))
 
 
 @pytest.mark.parametrize("pairs,linkage,why", [

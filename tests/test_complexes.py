@@ -10,8 +10,8 @@ from cubelink.errors import InconsistentIncidence, NoPath, NotCubical
 from cubelink.hypercube import cube_graph, vertex_to_str, whole_cube
 from cubelink.linkage.cubical import vertex_link
 
-from audit import (ReferencePolytope, antistar_complex, cap, link_complex,
-                   link_reference, technical_decomposition)
+from audit import (ReferencePolytope, antistar_complex, cap, embed_by_bfs,
+                   link_complex, link_reference, technical_decomposition)
 
 
 def comb(n, k):
@@ -61,6 +61,16 @@ def test_inconsistent_incidence_rejected():
         Polytope(2, range(4), [{0, 1}, {1, 2}])  # does not cover
     with pytest.raises(InconsistentIncidence):
         Polytope(2, range(4), [{0, 1, 2, 3}, {0, 1}])  # nested facets
+
+
+def test_facet_of_lower_dimension_is_rejected():
+    # Q3's squares plus an edge facet: every face of the closure is a cube,
+    # but a cubical 3-polytope has only squares for facets
+    facets = build_cube_polytope(3).to_json()["facets"] + [[7, 8]]
+    with pytest.raises(NotCubical, match="facets have 2 and 4 vertices"):
+        build_from_incidence(3, 9, facets)
+    with pytest.raises(NotCubical, match="not cubes of one dimension"):
+        ReferencePolytope(3, range(9), facets)
 
 
 def test_build_from_incidence_square():
@@ -386,11 +396,12 @@ def _checkerboard_of_q4():
 
 def _embedded_non_face():
     # capping Q3 on a facet keeps that facet's 4-cycle in the graph but not
-    # as a face; its BFS embedding must not let it pass as a host face
+    # as a face: embed_face refuses it, and so must the host check
     Q3 = build_cube_polytope(3)
     F = Q3.facets[0]
     P = cap(Q3, F)
-    P.embed_face(F)
+    with pytest.raises(ValueError, match=r"^\[0, 1, 2, 3\] is not a face$"):
+        P.embed_face(F)
     return Polytope(3, F, [F], host=P)
 
 
@@ -435,9 +446,11 @@ def test_vertex_links_read_their_faces_instead_of_closing(host, monkeypatch):
     monkeypatch.setattr(Polytope, "_close_facets", counted)
     links = [vertex_link(P, x) for x in P.vertices[::11]]
     assert closures == []
+    # nor does a build from the incidence alone: the facets certify
+    # themselves
     L = links[-1]
     Polytope(L.dim, L.vertices, L.facets, labels=L.labels)
-    assert closures == [len(L.facets)]
+    assert closures == []
 
 
 def test_vertex_links_leave_the_host_lattice_unbuilt():
@@ -510,7 +523,7 @@ def test_link_read_off_the_host_matches_lattice_built_alone(host, data):
     f = data.draw(st.sampled_from(list(alone.proper_faces)))
     M = Polytope(L.dim, L.vertices, L.facets, labels=L.labels, host=P)
     host_cache = dict(P._embed_cache)
-    assert M.embed_face(f) == alone._embed_by_bfs(f)
+    assert M.embed_face(f) == embed_by_bfs(alone.graph, f)
     assert f in M._embed_cache and P._embed_cache == host_cache
 
 
@@ -533,8 +546,8 @@ def _fresh(P):
     return Polytope(P.dim, P.vertices, P.facets, labels=P.labels)
 
 
-def _capped(times):
-    P = build_cube_polytope(3)
+def _capped(times, d=3):
+    P = build_cube_polytope(d)
     for _ in range(times):
         P = cap(P, P.facets[-1])
     return P
@@ -546,11 +559,13 @@ def _vertex_links(P, step):
 
 
 CERT_HOSTS = {
-    **{f"Q{d}": (lambda d=d: [build_cube_polytope(d)]) for d in range(2, 7)},
-    **{f"linkQ{d}": (lambda d=d: [link_polytope(d, 0)]) for d in (4, 5, 6)},
+    **{f"Q{d}": (lambda d=d: [build_cube_polytope(d)]) for d in range(2, 8)},
+    **{f"linkQ{d}": (lambda d=d: [link_polytope(d, 0)]) for d in (4, 5, 6, 7)},
     "link(Q6,17)": lambda: [link_polytope(6, 17)],
     "cap(Q3)": lambda: [_capped(1)],
     "cap(cap(Q3))": lambda: [_capped(2)],
+    "cap(cap(cap(Q3)))": lambda: [_capped(3)],
+    "cap(Q5)": lambda: [_capped(1, 5)],
     "vertex links of Q5": lambda: _vertex_links(build_cube_polytope(5), 5),
     "vertex links of linkQ6": lambda: _vertex_links(link_polytope(6, 0), 7),
 }
@@ -558,12 +573,18 @@ CERT_HOSTS = {
 
 @pytest.mark.parametrize("host", sorted(CERT_HOSTS))
 def test_embeddings_match_per_face_reference(host):
+    # each host as built (written down, read off a host or certified from
+    # its facets) and rebuilt from its incidence, against the closed
+    # lattice with a BFS embedding per face
     for P in CERT_HOSTS[host]():
         R = ReferencePolytope(P.dim, P.vertices, P.facets, labels=P.labels)
-        assert list(P.proper_faces) == list(R.proper_faces)
-        assert P.face_dim == R.face_dim and P.faces_by_dim == R.faces_by_dim
-        for f in P.proper_faces:
-            assert P.embed_face(f) == R.embed_face(f), sorted(f)
+        for Q in (P, _fresh(P)):
+            assert list(Q.graph.items()) == list(R.graph.items())
+            assert list(Q.proper_faces) == list(R.proper_faces)
+            assert Q.face_dim == R.face_dim
+            assert Q.faces_by_dim == R.faces_by_dim
+            for f in Q.proper_faces:
+                assert Q.embed_face(f) == R.embed_face(f), sorted(f)
 
 
 ORDER_HOSTS = {**{f"index {h}": INDEX_HOSTS[h] for h in INDEX_HOSTS},
@@ -612,9 +633,12 @@ def _certify(cls, P, facets):
 
 
 MUTATION_HOSTS = {
+    "Q2": lambda: build_cube_polytope(2),
     "Q3": lambda: build_cube_polytope(3),
     "Q4": lambda: build_cube_polytope(4),
+    "Q5": lambda: build_cube_polytope(5),
     "linkQ4": lambda: link_polytope(4, 0),
+    "linkQ5": lambda: link_polytope(5, 0),
     "cap(Q3)": lambda: _capped(1),
 }
 
@@ -635,8 +659,9 @@ def test_mutated_incidences_match_per_face_reference(host):
             assert got is want, facets
             continue
         assert isinstance(got, Polytope), (got, facets)
-        # ReferencePolytope inherits the closure: check it against one
-        # that intersects the faces themselves
+        assert list(got.graph.items()) == list(want.graph.items())
+        # both read Polytope's closure: check it against one that
+        # intersects the faces themselves
         closure = _closure_by_intersection(got)
         assert set(got.proper_faces) == closure
         assert got.face_facets == {
@@ -648,19 +673,20 @@ def test_mutated_incidences_match_per_face_reference(host):
     assert rejected
 
 
-@pytest.mark.parametrize("cls", [Polytope, ReferencePolytope])
-def test_lower_face_off_the_subcubes_of_its_facet_is_rejected(cls):
-    # the even vertices of a facet of Q4, injected as a face of that facet:
-    # the right size, but no subcube, so the facet certificate falls back to
-    # the face's own embedding and its message
+@pytest.mark.parametrize("cls,err", [
+    (Polytope,
+     r"face \[0, 3\] is no subcube of facet \[0, 1, 2, 3, 4, 5, 6, 7\]"),
+    (ReferencePolytope, "face size 4 but degree 3"),
+], ids=["Polytope", "ReferencePolytope"])
+def test_lower_face_off_the_subcubes_of_its_facet_is_rejected(cls, err):
+    # Q4 with a facet G on six new vertices and two of the facet F = [0..7]
+    # at distance 2 in it: F & G is the right size for a face but no
+    # subcube of F.  The facet certificate refuses it as such; the closure
+    # takes it as an edge, so F's squares fail their own embeddings.
     P = build_cube_polytope(4)
-    F = P.facets[0]
-    coords, _ = P.embed_face(F)
-    f = frozenset(v for v, c in coords.items() if c.bit_count() % 2 == 0)
-    Q = cls(P.dim, P.vertices, P.facets)
-    Q.face_facets[f] = Q.face_facets[F]
-    with pytest.raises(NotCubical, match="face size 4 but degree 0"):
-        Q._validate_cubical()
+    G = {0, 3, *range(16, 22)}
+    with pytest.raises(NotCubical, match=err):
+        cls(P.dim, range(22), P.facets + [G])
 
 
 @pytest.mark.parametrize("host", ["Q5", "linkQ6"])

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -262,6 +263,42 @@ def test_certificates_match_golden_digest():
     assert len(lines) == 101
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+def test_incidence_built_hosts_keep_the_golden_digests(monkeypatch):
+    # both certificate sets again, each host rebuilt from its incidence
+    # alone: the facet certificate must give the graph rows and facet
+    # embeddings that the written-down cube and the link read off its cube
+    # give, so every certificate stays byte-identical
+    import hashlib
+    import json
+
+    import test_star
+    from cubelink import complexes
+
+    hosts = []
+
+    def rebuilt(build):
+        def build_again(*args):
+            P = build(*args)
+            hosts.append(complexes.Polytope(P.dim, P.vertices, P.facets,
+                                            labels=P.labels))
+            return hosts[-1]
+        return build_again
+
+    for module in (sys.modules[__name__], test_star):
+        monkeypatch.setattr(module, "build_cube_polytope",
+                            rebuilt(complexes.build_cube_polytope))
+        monkeypatch.setattr(module, "link_polytope",
+                            rebuilt(complexes.link_polytope))
+    lines = _golden_certificates()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        GOLDEN_SHA256)
+    lines = [json.dumps(c.to_json(), sort_keys=True)
+             for c in test_star.star_branch_certificates()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        test_star.STAR_BRANCHES_SHA256)
+    assert len(hosts) == 6
 
 
 @pytest.mark.parametrize("host", ["Q5", "linkQ6", "link(Q6,17)"])
