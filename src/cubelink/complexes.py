@@ -323,9 +323,10 @@ class Polytope:
     def _embed_in_facet(self, f):
         """f's embedding read off its first facet's, or None when f is a
         facet, lies in none (as f does when it leaves the polytope) or is
-        no subcube of it, so no face.  A lower face's embedding is cached."""
+        no subcube of it, so no face; an empty f lies in no facet either.
+        A lower face's embedding is cached."""
         vf = self.vertex_facets
-        m = reduce(and_, [vf.get(v, 0) for v in f])
+        m = reduce(and_, [vf.get(v, 0) for v in f]) if f else 0
         F = self.facets[(m & -m).bit_length() - 1] if m else f
         if F == f:
             return None

@@ -15,6 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
+from math import factorial
 from types import MappingProxyType
 
 from .errors import NoPath
@@ -258,10 +259,12 @@ def _astar(s, t, bits, forbidden, bound):
 def _search(s, t, bits, forbidden, bound):
     """A shortest s-t path of at most `bound` steps, else NoPath.
 
-    A* from s towards t and A* from t towards s take turns expanding one
-    vertex each.  The first to reach its goal gives the path; the first
-    whose frontier empties proves there is none, which takes only a few
-    steps when either end is walled in.
+    face_path calls it only when every shortest s-t path is blocked, to
+    find a detour or to prove there is none.  A* from s towards t and A*
+    from t towards s take turns expanding one vertex each.  The first to
+    reach its goal gives the path; the first whose frontier empties proves
+    there is none, which takes only a few steps when either end is walled
+    in.
     """
     ahead = _astar(s, t, bits, forbidden, bound)
     back = _astar(t, s, bits, forbidden, bound)
@@ -274,11 +277,33 @@ def _search(s, t, bits, forbidden, bound):
             return path[::-1]
 
 
-def _clear(u, t, forbidden):
-    """Whether no forbidden vertex lies in the subcube where u and t agree,
-    the subcube that holds every shortest u-t path."""
-    agree = ~(u ^ t)
-    return all((f ^ t) & agree for f in forbidden)
+def _geodesics(w, t, forbidden):
+    """The number of shortest w-t paths that avoid `forbidden`.
+
+    A shortest path flips the bits of w ^ t once each, in some order, so
+    there are |w ^ t|! of them, and it stays in the interval of vertices
+    that agree with w and t where they agree.  The paths through the
+    interval's forbidden vertices are subtracted by inclusion-exclusion
+    over them, nearest w first: `first` holds, for each, the shortest paths
+    from w whose first forbidden vertex it is.  That takes O(m^2) integer
+    operations for m forbidden vertices in the interval, whatever the size
+    of the face.
+    """
+    span = w ^ t
+    # the interval's forbidden vertices as their flips from w, nearest first,
+    # so each comes after every one that lies between it and w
+    xs = sorted((f ^ w for f in forbidden if not (f ^ w) & ~span),
+                key=int.bit_count)
+    total = factorial(span.bit_count())
+    first = []
+    for x in xs:
+        n = factorial(x.bit_count())
+        for y, m in zip(xs, first):
+            if not y & ~x:
+                n -= m * factorial((x ^ y).bit_count())
+        first.append(n)
+        total -= n * factorial((span ^ x).bit_count())
+    return total
 
 
 def _walk(s, t):
@@ -300,6 +325,23 @@ def _walk(s, t):
     return path
 
 
+def _counted_walk(s, t, inside):
+    """The least-neighbour-first shortest s-t path avoiding `inside`, the
+    forbidden vertices between s and t, given that one exists.  Each step
+    goes to the least neighbour one step nearer t from which a shortest
+    path still avoids them all (`_geodesics`, which counts none from a
+    forbidden vertex); once none lies ahead, `_walk` writes the rest down."""
+    flips = [1 << i for i in range((s ^ t).bit_length()) if (s ^ t) >> i & 1]
+    path = [s]
+    while inside:
+        v = path[-1]
+        w = next(w for w in sorted(v ^ b for b in flips if (v ^ t) & b)
+                 if _geodesics(w, t, inside))
+        path.append(w)
+        inside = [f for f in inside if not (f ^ w) & ~(w ^ t)]
+    return path + _walk(path[-1], t)[1:]
+
+
 def face_path(K: CubeFace, s: int, t: int, forbidden=()) -> list[int]:
     """Shortest s-t path inside the face K avoiding `forbidden`; NoPath if
     there is none.  s and t are never treated as forbidden.
@@ -310,19 +352,27 @@ def face_path(K: CubeFace, s: int, t: int, forbidden=()) -> list[int]:
     it steps to the least neighbour that still has a shortest way on to t.
 
     Every shortest s-t path lies in the subcube where s and t agree.  When
-    no forbidden vertex lies there, the path is written down (`_walk`) and
-    nothing is searched.  Otherwise the steps are chosen one by one.  A
-    candidate's steps to t are known from a path found earlier, or are its
-    Hamming distance to t when its own subcube with t is clear, or else are
-    settled by a search (`_search`) bounded by the steps left.
+    no forbidden vertex lies there, the path is written down (`_walk`).
+    When some do, the shortest paths that avoid them are counted
+    (`_geodesics`), and if there are any, the path steps to the least
+    neighbour from which some remain (`_counted_walk`); nothing is
+    searched.  Only when every shortest path is blocked are the steps
+    chosen one by one: a candidate's steps to t are known from a path found
+    earlier, or are its Hamming distance to t when a shortest way from it
+    avoids `forbidden`, or else, when that distance is below the steps
+    left, are settled by a search (`_search`) bounded by the steps left.
     """
     if not (K.contains(s) and K.contains(t)):
         raise ValueError("path ends must lie in the face")
     if s == t:
         return [s]
     forbidden = set(forbidden) - {s, t}
-    if _clear(s, t, forbidden):
+    agree = ~(s ^ t)
+    inside = [f for f in forbidden if not (f ^ t) & agree]
+    if not inside:
         return _walk(s, t)
+    if _geodesics(s, t, inside):
+        return _counted_walk(s, t, inside)
     bits = [1 << i for i in range(K.d) if (K.free_mask >> i) & 1]
     to_t = {}  # v -> steps of a shortest v-t path avoiding forbidden
 
@@ -334,11 +384,14 @@ def face_path(K: CubeFace, s: int, t: int, forbidden=()) -> list[int]:
     while out[-1] != t:
         left = to_t[out[-1]] - 1
         for w in sorted(out[-1] ^ b for b in bits):
-            if w in forbidden or (w ^ t).bit_count() > left:
+            h = (w ^ t).bit_count()
+            if w in forbidden or h > left:
                 continue
             if w not in to_t:
-                if _clear(w, t, forbidden):
-                    to_t[w] = (w ^ t).bit_count()
+                if _geodesics(w, t, forbidden):
+                    to_t[w] = h
+                elif h == left:
+                    continue  # every path within `left` steps is blocked
                 else:
                     try:
                         learn(_search(w, t, bits, forbidden, left))

@@ -7,11 +7,12 @@ Small dimensions (d <= 4) are settled by exhaustive search, memoised up to
 cube symmetry; the search has no deadline yet (ROADMAP item 1).  Above them
 no graph is built.  Paths inside a face come from hypercube.face_path: a
 path is written down in closed form when no forbidden vertex lies in the
-subcube between its ends, which is the usual case, and searched by A* from
-both ends only when one does.  A subproblem on a facet is moved to the
-(d-1)-cube and back by bit splices around the facet's fixed axis
-(facet_maps), and certificates are checked against the implicit
-CubeAdjacency.
+subcube between its ends, which is the usual case; when some do, the
+shortest paths that avoid them are counted and the path is walked along
+them; and it is searched by A* from both ends only when every shortest path
+is blocked.  A subproblem on a facet is moved to the (d-1)-cube and back
+by bit splices around the facet's fixed axis (facet_maps), and certificates
+are checked against the implicit CubeAdjacency.
 
 Steps that every linkage solver repeats are written once here: splicing
 routes onto a linkage found at their ends (_splice) and running a base-case

@@ -689,6 +689,13 @@ def test_lower_face_off_the_subcubes_of_its_facet_is_rejected(cls, err):
         cls(P.dim, range(22), P.facets + [G])
 
 
+@pytest.mark.parametrize("f", [set(), {0, 3}, {0, 9}])
+def test_embed_face_refuses_a_non_face(f):
+    # the empty set, a diagonal and a set leaving the polytope are no faces
+    with pytest.raises(ValueError, match=r" is not a face$"):
+        build_cube_polytope(2).embed_face(f)
+
+
 @pytest.mark.parametrize("host", ["Q5", "linkQ6"])
 def test_lower_faces_are_embedded_on_first_use(host):
     P = _fresh({"Q5": lambda: build_cube_polytope(5),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -199,9 +200,10 @@ def test_face_path_matches_bfs_on_face_graph():
 
 def test_face_path_in_a_clear_interval_matches_bfs(monkeypatch):
     # every shortest s-t path lies in the subcube where s and t agree; the
-    # path is written down when no forbidden vertex lies there and searched
-    # when one does, and either way it is the one BFS returns
-    ran = {"walk": 0, "search": 0}
+    # path is written down when no forbidden vertex lies there and its
+    # shortest paths are counted when one does, and either way it is the one
+    # BFS returns
+    ran = {"walk": 0, "geodesics": 0}
 
     def counted(name):
         inner = getattr(hypercube, name)
@@ -212,7 +214,7 @@ def test_face_path_in_a_clear_interval_matches_bfs(monkeypatch):
         return call
 
     monkeypatch.setattr(hypercube, "_walk", counted("_walk"))
-    monkeypatch.setattr(hypercube, "_search", counted("_search"))
+    monkeypatch.setattr(hypercube, "_geodesics", counted("_geodesics"))
     rng = random.Random(23)
     for n in range(800):
         d = rng.randint(1, 10)
@@ -233,7 +235,83 @@ def test_face_path_in_a_clear_interval_matches_bfs(monkeypatch):
             forbidden.add(rng.choice(inside))
         want = shortest_path(face_graph(K), s, t, forbidden)
         assert face_path(K, s, t, forbidden) == want
-    assert ran["walk"] > 50 and ran["search"] > 50
+    assert ran["walk"] > 50 and ran["geodesics"] > 50
+
+
+def test_face_path_in_a_blocked_interval_matches_bfs(monkeypatch):
+    # forbidden vertices crowd the interval between s and t: the path is
+    # still the one BFS returns, whether a shortest path gets through, only
+    # a longer one does or none does; a search runs only in the latter two
+    search, searched = hypercube._search, []
+
+    def counted(*args):
+        searched.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(hypercube, "_search", counted)
+    rng = random.Random(29)
+    seen = {"geodesic": 0, "detour": 0, "none": 0}
+    for _ in range(600):
+        d = rng.randint(2, 9)
+        free = rng.sample(range(d), rng.randint(2, d))
+        K = CubeFace(d, ((1 << d) - 1) & ~sum(1 << i for i in free),
+                     rng.randrange(1 << d))
+        V = K.vertices()
+        s, t = rng.sample(V, 2)
+        agree = ~(s ^ t)
+        between = [v for v in V if not (v ^ t) & agree and v not in (s, t)]
+        off = [v for v in V if (v ^ t) & agree]
+        p = rng.random()
+        q = rng.random() * p
+        forbidden = {v for v in between if rng.random() < p}
+        if not forbidden:
+            continue
+        forbidden |= {v for v in off if rng.random() < q}
+        del searched[:]
+        try:
+            want = shortest_path(face_graph(K), s, t, forbidden)
+        except NoPath:
+            with pytest.raises(NoPath):
+                face_path(K, s, t, forbidden)
+            seen["none"] += 1
+            assert searched
+            continue
+        assert face_path(K, s, t, forbidden) == want
+        if len(want) - 1 == (s ^ t).bit_count():
+            seen["geodesic"] += 1
+            assert not searched
+        else:
+            seen["detour"] += 1
+            assert searched
+    assert min(seen.values()) >= 20, seen
+
+
+def test_geodesic_count_matches_flip_orders():
+    # the shortest w-t paths are the orders in which w ^ t's bits flip;
+    # count those that meet no forbidden vertex, ends included, and compare
+    rng = random.Random(31)
+    partial = 0
+    for _ in range(300):
+        d = rng.randint(1, 8)
+        w = rng.randrange(1 << d)
+        flips = rng.sample(range(d), rng.randint(0, min(d, 6)))
+        t = w ^ sum(1 << i for i in flips)
+        between = [v for v in range(1 << d) if not (v ^ w) & ~(w ^ t)]
+        forbidden = set(rng.sample(between, rng.randint(0, len(between) // 3)))
+        forbidden |= set(rng.sample(range(1 << d), min(1 << d, 3)))
+        if rng.random() < 0.8:
+            forbidden -= {w, t}
+        clear = 0
+        for order in itertools.permutations(flips):
+            v = w
+            walk = [v]
+            for i in order:
+                v ^= 1 << i
+                walk.append(v)
+            clear += not forbidden & set(walk)
+        assert hypercube._geodesics(w, t, forbidden) == clear
+        partial += 0 < clear < factorial(len(flips))
+    assert partial > 50
 
 
 def test_clear_face_paths_run_no_search(monkeypatch):
