@@ -11,7 +11,7 @@ witness.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 
 from ..complexes import Polytope
@@ -153,7 +153,10 @@ def projections_star_injection(P, s, F, trace=()):
     its one neighbour in J outside F, which lies on R_a's opposite ridge in
     J.  Ridges are taken in lexicographic order of their sorted vertex
     lists, and a vertex keeps the image of the first ridge it lies on.  A
-    map that is not such an injection raises CaseNotCovered.
+    map that is not such an injection raises CaseNotCovered.  ValueError
+    is raised when a ridge of F through s is not on exactly two facets,
+    and when a vertex of a ridge has no one neighbour in the facet across
+    it outside F.
     """
     F = frozenset(F)
     coords, j = P.embed_face(F)
@@ -229,8 +232,15 @@ class _StarSolver:
         self.F1 = min(cands, key=lambda f: (-len(self.X & f), sorted(f)))
         self.A1verts = self.S1verts - self.F1
         self.A1g = _Induced(self.S1g, self.A1verts)
-        self.inj = projections_star_injection(P, s1, self.F1, self.trace)
         self.s1o = P.opposite_in_face(self.F1, s1)
+
+    @cached_property
+    def inj(self):
+        """F1's projection injection into the antistar, built and checked
+        whole on first read; many solves never read it.  A failed check
+        raises CaseNotCovered with the trace as it stands then."""
+        return projections_star_injection(self.P, self.s1, self.F1,
+                                          self.trace)
 
     def fail(self, why):
         return CaseNotCovered(why, trace=list(self.trace))

@@ -7,8 +7,10 @@ vertex-disjoint paths or raises Cut with a separator smaller than |A|.
 Its max-flow keeps the flow per vertex (the vertices that carry it and one
 successor per vertex), never builds the vertex-split network, and reads
 each row of G at most once per call, so it runs on graphs computed on
-access.  Everything is deterministic: neighbours are scanned in sorted
-order so repeated runs produce identical certificates.
+access.  Each augmenting search stops as soon as it reaches a free vertex
+of B, which gives the path a search run to the sink would give and reads
+no row past it.  Everything is deterministic: neighbours are scanned in
+sorted order so repeated runs produce identical certificates.
 """
 
 from __future__ import annotations
@@ -90,6 +92,17 @@ def _menger_flow(G, A, B, need, forbidden):
     Each row of G is read and sorted at most once per call, when the
     search first leaves that vertex's out-copy.
 
+    A search stops at the first in-copy it queues (sources first) of a
+    vertex w in B that is not used: w's vertex and sink arcs are free, so
+    it augments along prev0[w], w's vertex arc and w's sink arc.  Run on, the search would
+    find that same path.  An out-copy of a vertex of B is queued only from
+    its own unused in-copy, since a used in-copy undoes the arc into it
+    from prv[w] and a flow path never leaves a vertex of B.  The queue is
+    first in, first out, so w's out-copy would be the first of them popped,
+    and the reached maps never change an entry once set.  A failed search
+    queues no such in-copy, so it explores the same copies and gives the
+    same cut.
+
     Returns (flow_value, nxt, None) when `need` units flow, else
     (flow_value, nxt, (prev0, prev1)) for the last, failed search.
     """
@@ -103,8 +116,8 @@ def _menger_flow(G, A, B, need, forbidden):
     while value < need:
         prev0 = {a: None for a in starts if a not in used}
         prev1 = {}
-        q = deque((a, 0) for a in prev0)
-        end = None
+        end = next((a for a in prev0 if a in B), None)
+        q = deque() if end is not None else deque((a, 0) for a in prev0)
         while q:
             v, side = q.popleft()
             if side == 0:
@@ -117,24 +130,25 @@ def _menger_flow(G, A, B, need, forbidden):
                     if u is not None and u not in prev1:
                         prev1[u] = v
                         q.append((u, 1))
-            elif v in B:
-                # reached only from its unused in-copy: the sink arc is free
-                end = v
+                continue
+            row = rows.get(v)
+            if row is None:
+                row = rows[v] = [w for w in sorted(G[v]) if w not in blocked]
+            for w in row:
+                if w not in prev0:
+                    prev0[w] = v
+                    if w in B and w not in used:
+                        end = w
+                        break
+                    q.append((w, 0))
+            if end is not None:
                 break
-            else:
-                row = rows.get(v)
-                if row is None:
-                    row = rows[v] = [w for w in sorted(G[v])
-                                     if w not in blocked]
-                for w in row:
-                    if w not in prev0:
-                        prev0[w] = v
-                        q.append((w, 0))
-                if v in used and v not in prev0:
-                    prev0[v] = v
-                    q.append((v, 0))
+            if v in used and v not in prev0:
+                prev0[v] = v
+                q.append((v, 0))
         if end is None:
             return value, nxt, (prev0, prev1)
+        prev1[end] = end
         # augment, walking back from the sink: a step out of a node is met
         # before the step into it, so an edge arc being undone may already
         # have been replaced by a new one from the same vertex

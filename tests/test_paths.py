@@ -3,6 +3,7 @@ import random
 from collections.abc import Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.errors import NoPath
@@ -232,6 +233,54 @@ def test_routing_reads_each_row_at_most_once():
     assert len(disjoint_paths(G, X, B)) == 4
     assert max(G.reads.values()) == 1
     assert sum(G.reads.values()) < len(P.graph)
+
+
+def test_routing_stops_at_the_first_free_entry():
+    # each search stops when it queues an unused vertex of B, so it reads
+    # no row past the last step of its path; run on to the sink, the same
+    # searches read 8 and 32 rows
+    G = CountingGraph(cube_graph(7))
+    assert disjoint_paths(G, {0}, {3}) == [[0, 1, 3]]
+    assert sum(G.reads.values()) == 2
+    G = CountingGraph(cube_graph(7))
+    assert disjoint_paths(G, {0, 64}, {3, 99}) == [[0, 1, 3],
+                                                   [64, 65, 67, 99]]
+    assert sum(G.reads.values()) == 10
+
+
+ROUTING_HOSTS = {"Q5": cube_graph(5), "link(Q6,0)": link_polytope(6, 0).graph}
+
+
+@st.composite
+def routing_instances(draw):
+    """An induced subgraph of Q5 or link(Q6, 0), with A, B and a forbidden
+    set in it; A and B may meet, and B is sometimes smaller than A."""
+    G = ROUTING_HOSTS[draw(st.sampled_from(sorted(ROUTING_HOSTS)))]
+    verts = sorted(G)
+    drop = draw(st.sets(st.sampled_from(verts), max_size=len(verts) // 3))
+    H = {v: tuple(w for w in G[v] if w not in drop)
+         for v in verts if v not in drop}
+    keep = sorted(H)
+    A = draw(st.sets(st.sampled_from(keep), min_size=1, max_size=6))
+    B = draw(st.sets(st.sampled_from(keep), min_size=1, max_size=6))
+    rest = [v for v in keep if v not in A | B]
+    forbidden = draw(st.sets(st.sampled_from(rest), max_size=4)) if rest \
+        else set()
+    return H, A, B, forbidden
+
+
+@settings(max_examples=300, deadline=None)
+@given(routing_instances())
+def test_router_matches_reference_on_drawn_subgraphs(instance):
+    H, A, B, forbidden = instance
+    try:
+        want = disjoint_paths_reference(H, A, B, forbidden)
+    except Cut as e:
+        with pytest.raises(Cut) as got:
+            disjoint_paths(H, A, B, forbidden)
+        assert got.value.separator == e.separator
+    else:
+        assert disjoint_paths(H, A, B, forbidden) == want
 
 
 def test_router_matches_reference_routes_and_cuts():

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from cubelink.complexes import build_cube_polytope, link_polytope, star_complex
+from cubelink.errors import CaseNotCovered
+from cubelink.linkage.cubical import solve_cubical
 from cubelink.linkage.link import solve_link
 from cubelink.linkage.star import (
     _Induced,
@@ -121,6 +123,92 @@ def test_star_injection_matches_reference(host):
             f = projections_star_injection(P, s, F)
             want = projections_star_injection_reference(P, s, F)
             assert list(f.items()) == list(want.items()), (s, sorted(F))
+
+
+def _seeded_star_solves():
+    """Seeded solve_star calls and full-capacity solve_cubical calls (the
+    star route) on Q7 and link(Q8, 0), as argument-free callables."""
+    calls = []
+    for host in ("Q7", "link(Q8,0)"):
+        P = INJECTION_HOSTS[host]()
+        k = (P.dim + 1) // 2
+        rng = random.Random(28)
+        for _ in range(12):
+            s1 = rng.choice(P.vertices)
+            star = list(P.generated_graph(P.vertex_facets[s1]))
+            X = [s1] + rng.sample([v for v in star if v != s1], 2 * k - 1)
+            pairs = [(X[i], X[i + 1]) for i in range(0, 2 * k, 2)]
+            calls.append(lambda P=P, s1=s1, pairs=pairs:
+                         solve_star(P, s1, pairs))
+            X = rng.sample(P.vertices, 2 * k)
+            pairs = [(X[i], X[i + 1]) for i in range(0, 2 * k, 2)]
+            calls.append(lambda P=P, pairs=pairs: solve_cubical(P, pairs))
+    return calls
+
+
+def _counting_injection(monkeypatch, built):
+    import cubelink.linkage.star as star
+
+    build = star.projections_star_injection
+    monkeypatch.setattr(star, "projections_star_injection",
+                        lambda *args: built.append(1) or build(*args))
+
+
+def test_star_solves_build_the_injection_only_when_they_read_it(monkeypatch):
+    # the injection is built on first read, at most once a solve, and many
+    # solves never read it; building it before every solve, as setup once
+    # did, gives the same certificates
+    import hashlib
+    import json
+
+    from cubelink.linkage.star import _StarSolver
+
+    def digest_and_builds():
+        lines, builds = [], []
+        for call in _seeded_star_solves():
+            built = []
+            with monkeypatch.context() as m:
+                _counting_injection(m, built)
+                lines.append(json.dumps(call().to_json(), sort_keys=True))
+            builds.append(len(built))
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest(), builds
+
+    lazy, builds = digest_and_builds()
+    assert max(builds) == 1 and 0 in builds
+    setup = _StarSolver.setup
+    monkeypatch.setattr(_StarSolver, "setup",
+                        lambda self: setup(self) or self.inj)
+    eager, eager_builds = digest_and_builds()
+    assert eager == lazy
+    assert sum(eager_builds) > sum(builds)
+
+
+def test_a_failed_injection_reaches_the_caller_with_its_case_tag(
+        monkeypatch):
+    # a solve that reads the injection meets its check inside a case, so
+    # the CaseNotCovered carries the trace up to that case's tag
+    import cubelink.linkage.star as star
+
+    def broken(P, s, F, trace=()):
+        raise CaseNotCovered("patched injection", trace=trace)
+
+    reads = 0
+    for call in _seeded_star_solves():
+        built = []
+        with monkeypatch.context() as m:
+            _counting_injection(m, built)
+            clean = call()
+        if not built:
+            continue
+        reads += 1
+        with monkeypatch.context() as m:
+            m.setattr(star, "projections_star_injection", broken)
+            with pytest.raises(CaseNotCovered) as e:
+                call()
+        got = e.value.trace
+        assert got == clean.trace[:len(got)]
+        assert any(tag.startswith("star/case") for tag in got), got
+    assert reads
 
 
 def test_induced_view_matches_its_definition():
