@@ -4,11 +4,11 @@ A Polytope stores its facets, the facet mask of each vertex, the graph and
 each facet's cube embedding.  One certificate reads all four off the facets
 and their pairwise intersections: each facet's cube coordinates come from
 its ridges, and every other intersection of two facets must be a subcube,
-so the faces are exactly the subcubes of the facets.  A polytope built
-from a host, as a vertex link is, checks its facets against the host's
-facet embeddings and takes its graph and facet embeddings from the host.
-Q_d (`build_cube_polytope`) is written down: its facets, graph and facet
-embeddings are known in closed form.
+so the faces are exactly the subcubes of the facets.  Q_d
+(`build_cube_polytope`) and vertex links are written down: Q_d's facets,
+graph and facet embeddings are known in closed form, and a link's are its
+host's ridges, rows and embeddings, which the host's certificate already
+proves to be a cubical polytope's (see vertex_link).
 `vertex_link` is the one way a link is built, on demand and with no cache:
 a strong solve builds the link of its avoided vertex, and a link host
 (`link_polytope`) is the vertex link of its cube.
@@ -47,29 +47,17 @@ from .paths import shortest_path
 class Polytope:
     """A cubical polytope given abstractly by its vertex-facet incidence."""
 
-    def __init__(self, dim, vertices, facets, labels=None, host=None):
-        """With no `host`, the facets certify themselves (_certify_facets):
-        each must be a cube of one dimension on its ridges, and each
-        nonempty intersection of two a subcube of both, or NotCubical is
-        raised; the graph and facet embeddings are read off the facets.
+    def __init__(self, dim, vertices, facets, labels=None):
+        """The facets certify themselves (_certify_facets): each must be a
+        cube of one dimension on its ridges, and each nonempty intersection
+        of two a subcube of both, or NotCubical is raised; the graph and
+        facet embeddings are read off the facets.
 
-        `host` is a certified Polytope whose faces, with the same edges,
-        include this one's, as a vertex link's do (see vertex_link).  Every
-        facet must be a host facet or a subcube of the first host facet
-        containing it, so a face of the host, or ValueError is raised; and
-        every face of a facet (checked on its vertices and ridges) the
-        intersection of the facets containing it, or InconsistentIncidence
-        is raised.  The graph is then the host's edges that lie in a facet,
-        and the facets take their embeddings from the host.
-
-        Either way the polytope keeps only its facets, masks, graph and
-        facet embeddings; its lower faces, the facets' closure, are
-        computed when first asked for, which no solver does."""
+        The polytope keeps only its facets, masks, graph and facet
+        embeddings; its lower faces, the facets' closure, are computed when
+        first asked for, which no solver does."""
         self._set_incidence(dim, vertices, facets, labels)
-        if host is None:
-            self._certify_facets()
-        else:
-            self._read_host(host)
+        self._certify_facets()
         j = len(max(self.facets, key=len)).bit_length() - 1
         if j != self.dim - 1:
             raise InconsistentIncidence(
@@ -154,59 +142,6 @@ class Polytope:
             self._embed_cache[F] = (_canonical(F, coords, sorted(
                 at[coords[root] ^ 1 << i] for i in range(j))), j)
         self.graph = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
-
-    def _read_host(self, host):
-        """Check the facets against the host and take their embeddings from
-        it, and take as edges the host's that lie in a facet, so every row
-        stays in sorted order.
-
-        A facet is a host face exactly when it is a host facet or a subcube
-        of the first host facet containing it, the test _embed_in_facet
-        makes; the host caches only such embeddings (see embed_face), so a
-        cached one needs no second test.  The facets containing a vertex
-        meet in a face of the host, a cube, which holds a neighbour of the
-        vertex when it is more than the vertex; so a vertex is that
-        intersection exactly when no neighbour lies in all of its facets."""
-        for f in self.facets:
-            embedding = host._embed_cache.get(f) or host._embed_in_facet(f)
-            if embedding is None:
-                raise ValueError(f"facet {sorted(f)} is not a face of the host")
-            self._embed_cache[f] = embedding
-        vf = self.vertex_facets
-        graph = {}
-        for v, m in vf.items():
-            row = []
-            for w in host.graph[v]:
-                shared = vf.get(w, 0) & m
-                if shared == m:
-                    raise InconsistentIncidence(
-                        f"face [{v}] is not the intersection of the facets "
-                        f"containing it")
-                if shared:
-                    row.append(w)
-            graph[v] = tuple(row)
-        self.graph = graph
-        self._check_ridges()
-
-    def _check_ridges(self):
-        """Check that each ridge of each facet F, a cube, is F's
-        intersection with another facet, so every face of F is an
-        intersection of facets: the host faces in a facet are then exactly
-        the facets' closure.  The host's faces are closed under
-        intersection, so every other facet sharing half of F's vertices
-        meets F in a ridge, and it suffices to count the distinct ones."""
-        bits = self._facet_bits.values()
-        for F, a in self._facet_bits.items():
-            half = len(F) // 2
-            shared = {a & b for b in bits if (a & b).bit_count() == half}
-            if half and len(shared) < 2 * half.bit_length():
-                coords, j = self._embed_cache[F]
-                ridges = [frozenset(v for v in F if coords[v] >> i & 1 == b)
-                          for i in range(j) for b in (0, 1)]
-                missing = set(ridges) - set(self.ridges_of_facet(F))
-                raise InconsistentIncidence(
-                    f"face {min(map(sorted, missing))} is not the "
-                    f"intersection of the facets containing it")
 
     @cached_property
     def face_facets(self):
@@ -308,42 +243,35 @@ class Polytope:
         Returns (coords: vertex -> int bitmask, j): the canonical labelling
         from the least vertex, with axes assigned to its neighbours in
         sorted order.  Facets are embedded when the polytope is built (read
-        off their codes, taken from the host, or written down on Q_d); any
+        off their codes, or written down on Q_d and on a vertex link); any
         other face is read off its first facet's embedding on its first
-        call, then cached.  A vertex set that is no face raises ValueError.
+        call, then cached.  A vertex set that is no face, as one that lies
+        in no facet or is no subcube of its first, raises ValueError.
         """
         f = frozenset(f)
         if f in self._embed_cache:
             return self._embed_cache[f]
-        embedding = self._embed_in_facet(f)
-        if embedding is None:
-            raise ValueError(f"{sorted(f)} is not a face")
-        return embedding
-
-    def _embed_in_facet(self, f):
-        """f's embedding read off its first facet's, or None when f is a
-        facet, lies in none (as f does when it leaves the polytope) or is
-        no subcube of it, so no face; an empty f lies in no facet either.
-        A lower face's embedding is cached."""
+        # the first facet containing f, if any: an empty f lies in none,
+        # and every facet is embedded already
         vf = self.vertex_facets
         m = reduce(and_, [vf.get(v, 0) for v in f]) if f else 0
-        F = self.facets[(m & -m).bit_length() - 1] if m else f
-        if F == f:
-            return None
-        coords = self.embed_face(F)[0]
-        root = min(f)
-        r = coords[root]
-        span = 0
-        for v in f:
-            span |= coords[v] ^ r
-        j = span.bit_count()
-        if len(f) != 1 << j:
-            return None
-        # F's codes are distinct, so f is the whole subcube on `span`, and
-        # the root's neighbours in f flip one bit of it each
-        self._embed_cache[f] = (_canonical(
-            f, coords, [w for w in self.graph[root] if w in f]), j)
-        return self._embed_cache[f]
+        if m:
+            F = self.facets[(m & -m).bit_length() - 1]
+            coords = self._embed_cache[F][0]
+            root = min(f)
+            r = coords[root]
+            span = 0
+            for v in f:
+                span |= coords[v] ^ r
+            j = span.bit_count()
+            if len(f) == 1 << j:
+                # F's codes are distinct, so f is the whole subcube on
+                # `span`, and the root's neighbours in f flip one bit of it
+                # each
+                self._embed_cache[f] = embedding = (_canonical(
+                    f, coords, [w for w in self.graph[root] if w in f]), j)
+                return embedding
+        raise ValueError(f"{sorted(f)} is not a face")
 
     def opposite_in_face(self, f, v):
         """The vertex of face f at maximal cube distance from v."""
@@ -488,8 +416,20 @@ def vertex_link(P: Polytope, x) -> Polytope:
     """The link of a vertex as a cubical (dim-1)-polytope, built on demand
     each time it is asked for; nothing keeps it.
 
-    Its facets are the ridges of the star facets that miss x; vertex ids and
-    labels are inherited from P, so its paths are paths of P avoiding x.
+    It is written down from P, as Q_d is: its facets are the ridges of the
+    star facets that miss x, its rows are P's kept to the neighbours that
+    share a link facet, and its facets' embeddings are P's.  Vertex ids and
+    labels are P's, so its paths are paths of P avoiding x.
+
+    Nothing needs checking: P's certificate makes every subcube of a facet
+    of P an intersection of facets.  So each link facet is a face of P;
+    each ridge of a link facet R in F is R's intersection with another
+    link facet, a ridge of F, or of G where F & G is the ridge through x
+    that holds it; and the link facets through a vertex v meet in {v}, as
+    in each star facet through v they meet in the face through v
+    complementary to the least face holding x and v.  The link's faces,
+    the faces of the star that miss x, are then its facets' closure, with
+    P's edges and embeddings.
     """
     if x not in P.vertex_facets:
         raise ValueError(f"vertex {x} is not in cubical {P.dim}-polytope "
@@ -498,14 +438,14 @@ def vertex_link(P: Polytope, x) -> Polytope:
     facets = {R for F in star_facets for R in P.ridges_of_facet(F)
               if x not in R}
     verts = set().union(*star_facets) - {x}
-    labels = {v: P.labels[v] for v in verts}
-    # The link's faces are the faces of the star that miss x: the ridges are
-    # its facets, and every smaller such face is where two larger ones meet.
-    # They are closed under taking subfaces in P, so each has the same edges
-    # in both lattices: the link keeps its facets, masks and graph, read off
-    # P, P certifies its faces, and P's embedding of a face holds in the
-    # link.
-    return Polytope(P.dim - 1, verts, facets, labels=labels, host=P)
+    L = Polytope.__new__(Polytope)
+    L._set_incidence(P.dim - 1, verts, facets,
+                     {v: P.labels[v] for v in verts})
+    vf = L.vertex_facets
+    L.graph = {v: tuple([w for w in P.graph[v] if vf.get(w, 0) & m])
+               for v, m in vf.items()}
+    L._embed_cache = {R: P.embed_face(R) for R in L.facets}
+    return L
 
 
 @lru_cache(maxsize=None)

@@ -379,59 +379,6 @@ def test_closure_matches_intersecting_faces(host):
                                           key=lambda f: (len(f), sorted(f)))
 
 
-def _lone_facet_of_q4():
-    Q4 = build_cube_polytope(4)
-    return Polytope(3, Q4.facets[0], Q4.facets[:1], host=Q4)
-
-
-def _checkerboard_of_q4():
-    # Q4 is the 4x4 torus grid C4 x C4: its 8 black squares are 2-faces of
-    # Q4, and the two at each vertex meet only there
-    gray = [0, 1, 3, 2]
-    squares = [{gray[(i + a) % 4] | gray[(j + b) % 4] << 2
-                for a in (0, 1) for b in (0, 1)}
-               for i in range(4) for j in range(4) if (i + j) % 2 == 0]
-    return Polytope(3, range(16), squares, host=build_cube_polytope(4))
-
-
-def _embedded_non_face():
-    # capping Q3 on a facet keeps that facet's 4-cycle in the graph but not
-    # as a face: embed_face refuses it, and so must the host check
-    Q3 = build_cube_polytope(3)
-    F = Q3.facets[0]
-    P = cap(Q3, F)
-    with pytest.raises(ValueError, match=r"^\[0, 1, 2, 3\] is not a face$"):
-        P.embed_face(F)
-    return Polytope(3, F, [F], host=P)
-
-
-@pytest.mark.parametrize("build,cls,err", [
-    # a "square" on the even vertices of Q3, whose sides are no edges
-    (lambda: Polytope(2, [0, 3, 5, 6], [{0, 3}, {3, 5}, {5, 6}, {6, 0}],
-                      host=build_cube_polytope(3)),
-     ValueError, "facet [0, 3] is not a face of the host"),
-    # a square through the vertex 9, which the host does not have
-    (lambda: Polytope(2, [0, 1, 3, 9], [{0, 1}, {1, 3}, {3, 9}, {9, 0}],
-                      host=build_cube_polytope(3)),
-     ValueError, "facet [0, 9] is not a face of the host"),
-    (_embedded_non_face, ValueError,
-     "facet [0, 1, 2, 3] is not a face of the host"),
-    # a facet of Q4 as the only facet: its subfaces are host faces inside
-    # it, but no intersection of the facets given
-    (_lone_facet_of_q4, InconsistentIncidence,
-     "face [0] is not the intersection of the facets containing it"),
-    # each vertex is the intersection of its facets, but no edge is
-    (_checkerboard_of_q4, InconsistentIncidence,
-     "face [0, 1] is not the intersection of the facets containing it"),
-], ids=["facet-not-a-host-face", "facet-outside-the-host",
-        "facet-embedded-but-no-face", "face-not-an-intersection",
-        "facets-share-no-ridge"])
-def test_host_mode_rejects_faces_the_closure_would_not_give(build, cls, err):
-    with pytest.raises(cls) as e:
-        build()
-    assert str(e.value) == err
-
-
 @pytest.mark.parametrize("host", ["Q6", "linkQ7"])
 def test_vertex_links_read_their_faces_instead_of_closing(host, monkeypatch):
     P = _fresh({"Q6": lambda: build_cube_polytope(6),
@@ -455,7 +402,7 @@ def test_vertex_links_read_their_faces_instead_of_closing(host, monkeypatch):
 
 def test_vertex_links_leave_the_host_lattice_unbuilt():
     # a fresh linkQ7, built from Q7, has no lattice of its own until asked;
-    # its vertex links check their facets on its facet embeddings instead
+    # its vertex links take their facets' embeddings from its own instead
     P = vertex_link(build_cube_polytope(7), 0)
     links = [vertex_link(P, x) for x in P.vertices[::9]]
     assert all(L.dim == 5 for L in links)
@@ -501,14 +448,24 @@ LINK_HOSTS = {
     **{f"Q{d}": (lambda d=d: build_cube_polytope(d)) for d in (4, 5, 6)},
     **{f"linkQ{d}": (lambda d=d: link_polytope(d, 0)) for d in (5, 6)},
     "link(Q6,17)": lambda: link_polytope(6, 17),
+    # capped hosts: cubical polytopes that are neither cubes nor cube links
+    "cap(Q4)": lambda: _capped(1, 4),
+    "cap(Q5)": lambda: _capped(1, 5),
+    "cap(linkQ5)": lambda: _capped(1, P=link_polytope(5, 0)),
 }
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(LINK_HOSTS)), st.data())
-def test_link_read_off_the_host_matches_lattice_built_alone(host, data):
+@given(st.sampled_from(sorted(LINK_HOSTS)), st.booleans(), st.data())
+def test_link_read_off_the_host_matches_lattice_built_alone(host, twice,
+                                                            data):
+    # the link is written down from its host unchecked: it must be the
+    # polytope its facets certify alone, also when the host is a link
     P = LINK_HOSTS[host]()
-    L = vertex_link(P, data.draw(st.sampled_from(P.vertices)))
+    if twice:
+        P = vertex_link(P, data.draw(st.sampled_from(P.vertices)))
+    x = data.draw(st.sampled_from(P.vertices))
+    L = vertex_link(P, x)
     alone = Polytope(L.dim, L.vertices, L.facets, labels=L.labels)
     assert L.facets == alone.facets
     assert L.vertex_facets == alone.vertex_facets
@@ -518,10 +475,10 @@ def test_link_read_off_the_host_matches_lattice_built_alone(host, data):
         assert L.ridges_of_facet(F) == [R for R in ridges if R <= F]
     assert list(L._embed_cache.items()) == list(alone._embed_cache.items())
     # a lower face, read off its first facet's embedding, against its own
-    # BFS embedding, on an uncached copy of the link: it is kept there, not
-    # on the host
+    # BFS embedding, on a second link of x, so none is cached yet: it is
+    # kept there, not on the host
     f = data.draw(st.sampled_from(list(alone.proper_faces)))
-    M = Polytope(L.dim, L.vertices, L.facets, labels=L.labels, host=P)
+    M = vertex_link(P, x)
     host_cache = dict(P._embed_cache)
     assert M.embed_face(f) == embed_by_bfs(alone.graph, f)
     assert f in M._embed_cache and P._embed_cache == host_cache
@@ -546,8 +503,8 @@ def _fresh(P):
     return Polytope(P.dim, P.vertices, P.facets, labels=P.labels)
 
 
-def _capped(times, d=3):
-    P = build_cube_polytope(d)
+def _capped(times, d=3, P=None):
+    P = P or build_cube_polytope(d)
     for _ in range(times):
         P = cap(P, P.facets[-1])
     return P
@@ -573,9 +530,9 @@ CERT_HOSTS = {
 
 @pytest.mark.parametrize("host", sorted(CERT_HOSTS))
 def test_embeddings_match_per_face_reference(host):
-    # each host as built (written down, read off a host or certified from
-    # its facets) and rebuilt from its incidence, against the closed
-    # lattice with a BFS embedding per face
+    # each host as built (written down, as Q_d and vertex links are, or
+    # certified from its facets) and rebuilt from its incidence, against
+    # the closed lattice with a BFS embedding per face
     for P in CERT_HOSTS[host]():
         R = ReferencePolytope(P.dim, P.vertices, P.facets, labels=P.labels)
         for Q in (P, _fresh(P)):
@@ -694,6 +651,15 @@ def test_embed_face_refuses_a_non_face(f):
     # the empty set, a diagonal and a set leaving the polytope are no faces
     with pytest.raises(ValueError, match=r" is not a face$"):
         build_cube_polytope(2).embed_face(f)
+
+
+def test_embed_face_refuses_a_capped_facet():
+    # capping Q3 on a facet keeps that facet's 4-cycle in the graph but not
+    # as a face
+    Q3 = build_cube_polytope(3)
+    F = Q3.facets[0]
+    with pytest.raises(ValueError, match=r"^\[0, 1, 2, 3\] is not a face$"):
+        cap(Q3, F).embed_face(F)
 
 
 @pytest.mark.parametrize("host", ["Q5", "linkQ6"])

@@ -248,6 +248,22 @@ def test_routing_stops_at_the_first_free_entry():
     assert sum(G.reads.values()) == 10
 
 
+def test_routing_cancels_flow_through_a_vertex():
+    # the first search routes 0 along 0-2-3-4; the second, from 1, can
+    # only reach 3, so it walks that path back to 0, undoing its edges
+    # 2-3 and 0-2 and freeing 2, and leaves 0 along 0-6-8-9-7
+    edges = [(0, 2), (2, 3), (3, 4), (1, 5), (5, 3), (0, 6), (6, 8), (8, 9),
+             (9, 7)]
+    G = {v: [] for v in range(10)}
+    for a, b in edges:
+        G[a].append(b)
+        G[b].append(a)
+    G = {v: tuple(sorted(ws)) for v, ws in G.items()}
+    want = [[0, 6, 8, 9, 7], [1, 5, 3, 4]]
+    assert disjoint_paths(G, {0, 1}, {4, 7}) == want
+    assert disjoint_paths_reference(G, {0, 1}, {4, 7}) == want
+
+
 ROUTING_HOSTS = {"Q5": cube_graph(5), "link(Q6,0)": link_polytope(6, 0).graph}
 
 
