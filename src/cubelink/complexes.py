@@ -14,10 +14,9 @@ a strong solve builds the link of its avoided vertex, and a link host
 (`link_polytope`) is the vertex link of its cube.
 A lower face's embedding, the bridge to the bit-level solvers in
 `hypercube`, is read off its first facet's when first asked for.  The face
-lattice (faces as frozensets of vertex ids, the facets' closure under
-intersection, by size, then by sorted vertex list) is closed only on
-demand, which no solver makes; the closure cuts each face only by the
-facets that meet it without containing it.
+lattice (faces as frozensets of vertex ids, by size, then by sorted vertex
+list), the subcubes of the facets, is read off the facet embeddings only
+on demand, which no solver makes.
 
 The lattice is indexed by facet incidence: facet i of the sorted facet list
 is the bit 1 << i, and every vertex and every proper face carries the mask
@@ -37,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from operator import and_, or_
+from operator import and_
 
 from .errors import InconsistentIncidence, NoPath, NotCubical
 from .hypercube import vertex_to_str
@@ -54,8 +53,8 @@ class Polytope:
         facet embeddings are read off the facets.
 
         The polytope keeps only its facets, masks, graph and facet
-        embeddings; its lower faces, the facets' closure, are computed when
-        first asked for, which no solver does."""
+        embeddings; its lower faces are read off the embeddings when first
+        asked for, which no solver does."""
         self._set_incidence(dim, vertices, facets, labels)
         self._certify_facets()
         j = len(max(self.facets, key=len)).bit_length() - 1
@@ -146,11 +145,18 @@ class Polytope:
     @cached_property
     def face_facets(self):
         """Each proper face with the mask of the facets containing it, by
-        size, then by sorted vertex list: the facets' closure, computed on
+        size, then by sorted vertex list: read off the facet embeddings on
         first use, which no solver makes."""
-        masks = self._close_facets(list(self._facet_bits.values()))
-        faces = sorted(masks, key=lambda f: (len(f), sorted(f)))
-        return {f: masks[f] for f in faces}
+        return self._read_faces()
+
+    def _read_faces(self):
+        # the certificate (or, on Q_d and a vertex link, the construction)
+        # makes the faces exactly the subcubes of the facets
+        vf = self.vertex_facets
+        faces = {f for F in self.facets
+                 for f in _subcubes(*self._embed_cache[F])}
+        return {f: reduce(and_, map(vf.__getitem__, f))
+                for f in sorted(faces, key=lambda f: (len(f), sorted(f)))}
 
     @cached_property
     def proper_faces(self):
@@ -168,41 +174,6 @@ class Polytope:
         for f, j in self.face_dim.items():
             by_dim.setdefault(j, []).append(f)
         return {j: tuple(fs) for j, fs in by_dim.items()}
-
-    def _close_facets(self, facet_bits):
-        """The facets' closure under intersection, each face with the mask of
-        the facets containing it, tested on vertex bitsets.
-
-        A face is cut only by the facets that meet it without containing
-        it, the OR of its vertices' masks less their AND: any other facet
-        gives nothing or the face itself."""
-        vmask, facets = self.vertex_facets, self.facets
-        masks = {}
-        frontier = []
-        for i, f in enumerate(facets):
-            # no facet contains another, so only facet i contains f
-            masks[f] = 1 << i
-            frontier.append((f, facet_bits[i], 1 << i,
-                             reduce(or_, map(vmask.__getitem__, f))))
-        seen = set(facet_bits)
-        while frontier:
-            new = []
-            for f, fb, m, cut in frontier:
-                cut &= ~m
-                while cut:
-                    low = cut & -cut
-                    cut ^= low
-                    i = low.bit_length() - 1
-                    hb = fb & facet_bits[i]
-                    if hb not in seen:
-                        seen.add(hb)
-                        h = f & facets[i]
-                        hms = [vmask[v] for v in h]
-                        hm = reduce(and_, hms)
-                        masks[h] = hm
-                        new.append((h, hb, hm, reduce(or_, hms)))
-            frontier = new
-        return masks
 
     def facets_containing(self, S):
         """The facets containing every vertex of S, in facet order."""
@@ -349,6 +320,16 @@ class GeneratedGraph(Mapping):
 
     def __len__(self):
         return sum(1 for _ in self)
+
+
+def _subcubes(coords, j):
+    """The subcubes of a j-cube whose vertices have the codes `coords`: one
+    for each set of fixed axes and each choice of their values."""
+    for fixed in range(1 << j):
+        parts = {}
+        for v, c in coords.items():
+            parts.setdefault(c & fixed, []).append(v)
+        yield from map(frozenset, parts.values())
 
 
 def _canonical(f, coords, nbrs):

@@ -289,8 +289,6 @@ def _solve(d, pairs, trace):
     k_max = (d + 1) // 2
     if len(pairs) > k_max:
         raise ValueError(f"at most {k_max} pairs in Q_{d}")
-    if not pairs:
-        return []
     if len(pairs) == 1:
         trace.append("cube/single-pair")
         return [face_path(whole_cube(d), *pairs[0])]
@@ -452,7 +450,8 @@ def _linkage(d, pairs, avoid, trace):
 
     Spare capacity absorbs avoided vertices as dummy pairs; when the totals
     hit d + 1 on even d the strong solver takes over with the last avoided
-    vertex as the unpaired terminal.
+    vertex as the unpaired terminal.  Past that capacity it raises
+    ValueError, at d <= 4 too, before the base-case search.
     """
     avoid = sorted(set(avoid))
     X = terminals(pairs)
@@ -460,14 +459,6 @@ def _linkage(d, pairs, avoid, trace):
         raise ValueError("avoid overlaps terminals")
     if not pairs:
         return []
-    if d <= 4:
-        # a config-3F witness means no linkage exists, so it may come first
-        if d == 3 and not avoid and len(pairs) == 2:
-            witness = detect_config_3F(build_cube_polytope(3), pairs)
-            if witness is not None:
-                raise Unlinkable(witness)
-        return _search(trace, f"cube/base-d{d}",
-                       lambda: _oracle_base(d, pairs, avoid))
     k_max = (d + 1) // 2
     total = 2 * len(pairs) + len(avoid)
     if total <= 2 * k_max:
@@ -477,6 +468,14 @@ def _linkage(d, pairs, avoid, trace):
     else:
         raise ValueError(f"{len(pairs)} pairs + {len(avoid)} avoided "
                          f"exceed the capacity of Q_{d}")
+    if d <= 4:
+        # a config-3F witness means no linkage exists, so it may come first
+        if d == 3 and not avoid and len(pairs) == 2:
+            witness = detect_config_3F(build_cube_polytope(3), pairs)
+            if witness is not None:
+                raise Unlinkable(witness)
+        return _search(trace, f"cube/base-d{d}",
+                       lambda: _oracle_base(d, pairs, avoid))
     if len(extra) % 2:
         filler = next(v for v in range(1 << d)
                       if v not in X and v not in avoid)

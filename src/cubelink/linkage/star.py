@@ -537,7 +537,7 @@ class _StarSolver:
         P, s1, t1 = self.P, self.s1, self.t1
         _, t2, others = take(self.rest, self.s1o)
         s2 = self.s1o
-        nbrs = sorted(w for w in P.graph[s2] if w in self.F1)
+        nbrs = [w for w in P.graph[s2] if w in self.F1]
         if t2 in nbrs:
             self.record(s2, t2, [s2, t2])
             sub = self.link_in_F1([(t1, t2)] + others)
@@ -671,7 +671,7 @@ class _StarSolver:
         cands = []
         if direct:
             cands.append([src, direct[0]])
-        for w in sorted(graph[src]):
+        for w in graph[src]:
             if w in tgt or w not in self.F1:
                 continue
             nxt = [u for u in graph[w] if u in tgt]
@@ -730,8 +730,7 @@ class _StarSolver:
     def case4_d5_antipodal(self):
         self.trace.append("star/case4-d5-antipodal")
         P, s1, t1 = self.P, self.s1, self.t1
-        free = [w for w in sorted(P.graph[t1]) if w in self.F1
-                and w not in self.X]
+        free = [w for w in P.graph[t1] if w in self.F1 and w not in self.X]
         t1p = min(free)
         R, RF, J1, RJ = self._split_3face(s1, t1p)
         piRJ = lambda v: P.project_in_face(J1, RJ, v)

@@ -1,15 +1,17 @@
 """Brute-force auditors, called only by the tests, for the structure the
 solvers rely on: a graph that counts its row reads; distances,
 connectivity, internally disjoint paths, the tuple-node Menger router,
-separators, complexes, cube faces and their per-bit maps onto smaller
-cubes, the per-face cube certificate, the cube symmetry key and the
-unpruned oracle; the paper's vertex-link facets; the ridge-by-ridge star
-injection; and capped polytopes, cubical hosts that are not cubes."""
+separators, complexes, the facets' closure under intersection, cube faces
+and their per-bit maps onto smaller cubes, the per-face cube certificate,
+the cube symmetry key and the unpruned oracle; the paper's vertex-link
+facets; the ridge-by-ridge star injection; and capped polytopes, cubical
+hosts that are not cubes."""
 
 import itertools
 import time
 from collections import Counter, deque
 from collections.abc import Mapping
+from functools import cached_property
 
 from cubelink.complexes import Complex, Polytope, star_complex
 from cubelink.errors import (CaseNotCovered, InconsistentIncidence, NoPath,
@@ -566,13 +568,38 @@ def embed_by_bfs(graph, f):
     return coords, j
 
 
+def closure_by_intersection(P):
+    """The face set as the facets' closure under pairwise intersection of
+    the faces themselves, as a set: no order is promised."""
+    faces = set(P.facets)
+    frontier = set(P.facets)
+    while frontier:
+        new = set()
+        for f in frontier:
+            for g in P.facets:
+                h = f & g
+                if h and h not in faces:
+                    new.add(h)
+        faces |= new
+        frontier = new
+    return faces
+
+
 class ReferencePolytope(Polytope):
     """Reference for Polytope's facet certificate: the facets' closed face
     lattice, whose 2-vertex faces are the edges, with every face embedded
     by its own BFS, every vertex a face and every facet as large as the
-    largest.  It keeps
-    Polytope's incidence index, closure and face queries, not its
-    certificate, and it is always built from an incidence alone."""
+    largest.  It keeps Polytope's incidence index and face queries, not its
+    certificate or its faces, read off the facet embeddings: it closes the
+    facets under intersection itself.  It is always built from an
+    incidence alone."""
+
+    @cached_property
+    def face_facets(self):
+        faces = sorted(closure_by_intersection(self),
+                       key=lambda f: (len(f), sorted(f)))
+        return {f: sum(1 << i for i, g in enumerate(self.facets) if f <= g)
+                for f in faces}
 
     def __init__(self, dim, vertices, facets, labels=None):
         self._set_incidence(dim, vertices, facets, labels)

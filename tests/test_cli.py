@@ -199,6 +199,62 @@ def test_verify_rejects_forged_obstruction(capsys, tmp_path, monkeypatch,
         assert code == 1 and out.startswith("FAIL")
 
 
+@pytest.mark.parametrize("avoid,linkage,why", [
+    ([], [[0, 1, 3, 7]], "expected 2 paths, got 1"),
+    ([], [[], [1, 5, 4, 6]], "path 0 empty"),
+    ([], [[0, 4, 6], [1, 5, 4, 6]], "path 0 joins 0-6, wanted [0, 7]"),
+    ([], [[0, 1, 0, 4, 5, 7], [1, 5, 4, 6]], "path 0 repeats a vertex"),
+    ([], [[0, 7], [1, 5, 4, 6]], "path 0 uses non-edge 0-7"),
+    ([], [[0, 1, 3, 7], [1, 5, 4, 6]], "paths share vertex 1"),
+    ([2], [[0, 2, 3, 7], [1, 5, 4, 6]], "path 0 meets avoided vertex 2"),
+], ids=["path-count", "empty-path", "wrong-ends", "repeated-vertex",
+        "non-edge", "shared-vertex", "avoided-vertex"])
+def test_verify_rejects_forged_linkage(capsys, tmp_path, avoid, linkage,
+                                       why):
+    # the pairs 0-7 and 1-6 of Q_3, as a certificate's labels
+    label = lambda v: vertex_to_str(v, 3)
+    cert = tmp_path / "forged.json"
+    cert.write_text(json.dumps({
+        "instance": {"host": {"kind": "cube", "dim": 3},
+                     "pairs": [[label(0), label(7)], [label(1), label(6)]],
+                     "avoid": [label(v) for v in avoid], "strong": False},
+        "result": {"linkage": [[label(v) for v in p] for p in linkage]},
+        "trace": [], "valid": True}))
+    assert run(capsys, "verify", str(cert)) == (1, f"FAIL: {why}\n", "")
+
+
+def test_verify_rejects_a_certificate_with_no_result(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "instance": {"host": {"kind": "cube", "dim": 3},
+                     "pairs": [["000", "111"]], "avoid": [], "strong": False},
+        "result": {"paths": [["000", "100", "110", "111"]]},
+        "trace": [], "valid": True}))
+    assert run(capsys, "verify", str(cert)) == (
+        1, "FAIL: certificate has neither linkage nor obstruction\n", "")
+
+
+def test_verify_reads_the_lattice_flag_over_the_certificate_path(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lattice = run(capsys, "gen", "cube", "--dim", "3")[1]
+    (tmp_path / "q3.json").write_text(lattice)
+    code, out, _ = run(capsys, "solve", "--lattice", "q3.json",
+                       "--pairs", "000-111,001-110")
+    assert code == 0 and json.loads(out)["instance"]["host"]["path"] == (
+        "q3.json")
+    (tmp_path / "cert.json").write_text(out)
+    (tmp_path / "copy.json").write_text(lattice)
+    (tmp_path / "q3.json").unlink()
+    assert run(capsys, "verify", "cert.json", "--lattice", "copy.json") == (
+        0, "PASS: ok\n", "")
+    # another host's lattice names no vertex of the certificate
+    (tmp_path / "link.json").write_text(
+        run(capsys, "gen", "link", "--cube", "4")[1])
+    assert run(capsys, "verify", "cert.json", "--lattice", "link.json") == (
+        1, "", "error: unknown vertex label '000'\n")
+
+
 @pytest.mark.parametrize("argv", [["solve", "--pairs", "8-0,7-1"],
                                   ["census", "--k", "2", "--exhaustive"]],
                          ids=["solve", "census"])
@@ -587,6 +643,10 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
      "lattice host needs --lattice FILE"),
     (["solve", "--lattice", "q3.json", "--pairs", "000-zzz"],
      "unknown vertex label 'zzz'"),
+    (["solve", "--lattice", "q3-dim4.json", "--pairs", "000-111"],
+     "facets have dimension 2, expected 3"),
+    (["solve", "--cube", "3", "--pairs", "111-001,011-101", "--avoid", "110"],
+     "2 pairs + 1 avoided exceed the capacity of Q_3"),
     (["solve", "--lattice", "not-json.json", "--pairs", "000-111"],
      "bad lattice file not-json.json: Expecting property name enclosed in "
      "double quotes: line 1 column 2 (char 1)"),
@@ -635,7 +695,8 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
         "gen-instance-no-pairs", "gen-instance-past-max-dim",
         "gen-instance-no-dim", "gen-instance-strong-odd-d",
         "gen-instance-strong-too-few-pairs", "torus-host", "lattice-no-path",
-        "unknown-label", "lattice-not-json", "missing-instance",
+        "unknown-label", "lattice-dim-disagrees", "solve-over-capacity-q3",
+        "lattice-not-json", "missing-instance",
         "certificate-no-pairs", "census-no-pairs", "census-too-many-pairs",
         "census-negative-sample", "census-past-the-oracle",
         "oracle-past-the-oracle", "dot-past-the-limit", "null-host",
@@ -651,6 +712,7 @@ def test_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, err):
     witness = blocked["result"]["obstruction"]
     files = {
         "q3.json": lattice,
+        "q3-dim4.json": json.dumps(dict(json.loads(lattice), dim=4)),
         "not-json.json": "{nope",
         "torus.json": json.dumps({"host": {"kind": "torus"},
                                   "pairs": [["0", "1"]]}),

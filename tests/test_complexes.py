@@ -10,8 +10,9 @@ from cubelink.errors import InconsistentIncidence, NoPath, NotCubical
 from cubelink.hypercube import cube_graph, vertex_to_str, whole_cube
 from cubelink.linkage.cubical import vertex_link
 
-from audit import (ReferencePolytope, antistar_complex, cap, embed_by_bfs,
-                   link_complex, link_reference, technical_decomposition)
+from audit import (ReferencePolytope, antistar_complex, cap,
+                   closure_by_intersection, embed_by_bfs, link_complex,
+                   link_reference, technical_decomposition)
 
 
 def comb(n, k):
@@ -353,29 +354,12 @@ def test_index_face_queries_match_brute_force(host):
     assert P.facets_containing({-1}) == []
 
 
-def _closure_by_intersection(P):
-    """The face set as the facets' closure under pairwise intersection of
-    the faces themselves, as a set: no order is promised."""
-    faces = set(P.facets)
-    frontier = set(P.facets)
-    while frontier:
-        new = set()
-        for f in frontier:
-            for g in P.facets:
-                h = f & g
-                if h and h not in faces:
-                    new.add(h)
-        faces |= new
-        frontier = new
-    return faces
-
-
 @pytest.mark.parametrize("host", sorted(INDEX_HOSTS))
 def test_closure_matches_intersecting_faces(host):
     P = INDEX_HOSTS[host]()
     # the same faces, iterating by size, then by sorted vertex list: the one
     # order the face queries and complexes inherit
-    assert list(P.proper_faces) == sorted(_closure_by_intersection(P),
+    assert list(P.proper_faces) == sorted(closure_by_intersection(P),
                                           key=lambda f: (len(f), sorted(f)))
 
 
@@ -384,13 +368,13 @@ def test_vertex_links_read_their_faces_instead_of_closing(host, monkeypatch):
     P = _fresh({"Q6": lambda: build_cube_polytope(6),
                 "linkQ7": lambda: link_polytope(7, 0)}[host]())
     closures = []
-    close = Polytope._close_facets
+    read = Polytope._read_faces
 
-    def counted(self, facet_bits):
+    def counted(self):
         closures.append(len(self.facets))
-        return close(self, facet_bits)
+        return read(self)
 
-    monkeypatch.setattr(Polytope, "_close_facets", counted)
+    monkeypatch.setattr(Polytope, "_read_faces", counted)
     links = [vertex_link(P, x) for x in P.vertices[::11]]
     assert closures == []
     # nor does a build from the incidence alone: the facets certify
@@ -430,13 +414,13 @@ def test_cube_built_by_construction_matches_its_closed_lattice(d):
 
 def test_cube_and_link_hosts_close_nothing_until_asked(monkeypatch):
     closures = []
-    close = Polytope._close_facets
+    read = Polytope._read_faces
 
-    def counted(self, facet_bits):
+    def counted(self):
         closures.append(len(self.facets))
-        return close(self, facet_bits)
+        return read(self)
 
-    monkeypatch.setattr(Polytope, "_close_facets", counted)
+    monkeypatch.setattr(Polytope, "_read_faces", counted)
     P = build_cube_polytope.__wrapped__(8)  # uncached
     L = link_polytope.__wrapped__(8, 0)
     assert L.dim == 7 and closures == []
@@ -617,9 +601,9 @@ def test_mutated_incidences_match_per_face_reference(host):
             continue
         assert isinstance(got, Polytope), (got, facets)
         assert list(got.graph.items()) == list(want.graph.items())
-        # both read Polytope's closure: check it against one that
-        # intersects the faces themselves
-        closure = _closure_by_intersection(got)
+        # got reads its faces off its facet embeddings, want closes its
+        # facets under intersection: check got against that closure
+        closure = closure_by_intersection(got)
         assert set(got.proper_faces) == closure
         assert got.face_facets == {
             f: sum(1 << i for i, g in enumerate(got.facets) if f <= g)

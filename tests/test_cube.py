@@ -95,6 +95,19 @@ def test_cube_linkage_capacity_errors():
         cube_linkage(5, [(0, 31)], avoid=[0])
 
 
+@pytest.mark.parametrize("d,pairs,avoid", [
+    (2, [(0, 3)], [1, 2]),
+    # linkable: it used to come back as a certificate past the capacity
+    (3, [(0, 1), (2, 3)], [4]),
+    # unlinkable: it used to end the base-case search in CaseNotCovered
+    (3, [(7, 1), (3, 5)], [6]),
+    (4, [(7, 14), (15, 3)], [5, 6]),
+], ids=["Q2", "Q3-linkable", "Q3-unlinkable", "Q4"])
+def test_small_cubes_check_their_capacity(d, pairs, avoid):
+    with pytest.raises(ValueError, match="exceed the capacity of Q_"):
+        cube_linkage(d, pairs, avoid)
+
+
 @pytest.mark.parametrize("d", [4, 6, 8])
 def test_strong_random(d):
     rng = random.Random(d)

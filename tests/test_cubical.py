@@ -326,15 +326,15 @@ def test_strong_solves_never_build_the_link_lattice(host, monkeypatch):
     P = {"Q4": lambda: build_cube_polytope(4),
          "Q6": lambda: build_cube_polytope(6),
          "linkQ7": lambda: link_polytope(7, 0)}[host]()
-    P.face_facets  # linkQ7 closes its own facets on first use
+    P.face_facets  # linkQ7 reads its own faces on first use
     reads = []
-    close = Polytope._close_facets
+    read = Polytope._read_faces
 
-    def counted(self, facet_bits):
+    def counted(self):
         reads.append(self)
-        return close(self, facet_bits)
+        return read(self)
 
-    monkeypatch.setattr(Polytope, "_close_facets", counted)
+    monkeypatch.setattr(Polytope, "_read_faces", counted)
     rng = random.Random(f"strong-{host}")
     d = P.dim
     for _ in range(40):
