@@ -140,14 +140,18 @@ HOST_KINDS = {"cube": _cube_host, "link": _link_host, "lattice": _lattice_host}
 
 def _host_from_spec(spec, lattice=None):
     """The host `spec` names.  A `lattice` path (the --lattice flag)
-    overrides the file of a lattice spec."""
+    overrides the file of a lattice spec and is refused with any other."""
     if not isinstance(spec, dict):
         raise ValueError(f"host must be a JSON object, not {spec!r}")
-    if spec.get("kind") == "lattice" and lattice:
-        spec = dict(spec, path=lattice)
-    build = HOST_KINDS.get(spec.get("kind"))
+    kind = spec.get("kind")
+    build = HOST_KINDS.get(kind)
     if build is None:
-        raise ValueError(f"unknown host kind {spec.get('kind')!r}")
+        raise ValueError(f"unknown host kind {kind!r}")
+    if lattice:
+        if kind != "lattice":
+            raise ValueError("--lattice applies only to a lattice host, "
+                             f"not a {kind} host")
+        spec = dict(spec, path=lattice)
     return build(spec)
 
 

@@ -104,8 +104,9 @@ def certify(host, graph, label, pairs, solve, avoid=()) -> LinkageCertificate:
     """Run `solve` and check its answer: the one way to a certificate.
 
     `graph` is the one graph the certificate is checked against.  A terminal
-    or avoided vertex that is not a vertex of it raises ValueError before
-    anything is solved.  The certificate's instance names `host` and lists
+    or avoided vertex that is not a vertex of it, a malformed pairing, or an
+    avoided vertex that is also a terminal raises ValueError before anything
+    is solved.  The certificate's instance names `host` and lists
     `pairs` and `avoid`, in their order, as `label` writes their vertices.
     `solve(pairs, trace)` returns one path per pair, in pair order, or raises
     Unlinkable.  Paths that are not a linkage of `pairs` in `graph` avoiding
@@ -124,6 +125,10 @@ def certify(host, graph, label, pairs, solve, avoid=()) -> LinkageCertificate:
         "avoid": [label(v) for v in avoid],
     }
     pairs = check_pairing(pairs)
+    X = terminals(pairs)
+    clash = next((v for v in avoid if v in X), None)
+    if clash is not None:
+        raise ValueError(f"avoided vertex {label(clash)} is a terminal")
     trace: list = []
     try:
         paths = solve(pairs, trace)

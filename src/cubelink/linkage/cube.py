@@ -15,7 +15,8 @@ by bit splices around the facet's fixed axis (facet_maps), and certificates
 are checked against the implicit CubeAdjacency.
 
 Steps that every linkage solver repeats are written once here: splicing
-routes onto a linkage found at their ends (_splice) and running a base-case
+routes onto a linkage found at their ends (_splice), linking the terminals'
+projections onto a facet there (_link_projected), and running a base-case
 search (_search), alone or after a config-3F check (_base_3F).  The Menger
 router (_route_into) sits beside _chain in star.py.
 """
@@ -102,6 +103,13 @@ def _splice(pairs, route, solve):
             for (a, b), p in zip(pairs, sub)]
 
 
+def _link_projected(pairs, F, trace, avoid=()):
+    """Link the pairs inside the facet F, avoiding `avoid`, each terminal
+    reaching F along one edge (or none, when it lies in F)."""
+    return _splice(pairs, _hops(terminals(pairs), lambda x: project(x, F)),
+                   lambda ep: _solve_in_face(F, ep, trace, avoid=avoid))
+
+
 def _search(trace, tag, search):
     """Tag the trace and return the linkage an exhaustive search finds.
 
@@ -185,28 +193,6 @@ def detect_config_3F(P, pairs):
     return None
 
 
-# -- short distances inside one facet ---------------------------------------
-
-
-def short_distance_paths(F: CubeFace, X, pairs):
-    """X-valid paths inside the face F for every resolvable pair.
-
-    With at most dim(F) + 2 terminals all inside F, all pairs but possibly
-    one admit an X-valid path in F; the map returned contains each pair that
-    does, keyed by the (s, t) tuple.
-    """
-    X = set(X)
-    if not all(F.contains(x) for x in X):
-        raise ValueError("terminals must lie in the face")
-    out = {}
-    for s, t in pairs:
-        try:
-            out[(s, t)] = face_path(F, s, t, X)
-        except NoPath:
-            pass
-    return out
-
-
 # -- scenario 2 machinery ----------------------------------------------------
 
 
@@ -247,10 +233,12 @@ def build_Mx_paths(d, F: CubeFace, pairs, classes):
     """Disjoint terminal-avoiding escape paths of length <= 2 into F-opposite.
 
     One path per vertex of classes 2, 3, 4; each meets the terminal set only
-    in its own endpoints.  Class 4 picks the least free neighbour w with both
-    w and its projection unused, preferring projections that are not the
-    partner.  Raises CaseNotCovered when no neighbour is free, which the
-    counting argument rules out.
+    in its own endpoints.  Class 4 picks the least F-neighbour w with w and
+    its projection off the terminals and the earlier paths; no neighbour
+    raises CaseNotCovered, which the counting argument rules out.  A free
+    w projecting onto x's partner would be the partner's projection, and
+    x would be class 3, so class-2 and class-4 paths end off the terminals
+    and apart.
     """
     Fo = opposite_facet(F)
     partner = _partners(pairs)
@@ -263,20 +251,13 @@ def build_Mx_paths(d, F: CubeFace, pairs, classes):
         y = partner[x]
         M[x] = [x, project(y, F), y]
     for x in classes[4]:
-        y = partner[x]
-        used = {v for p in M.values() for v in p}
-        cands = []
-        for a in free_axes:
-            w = x ^ (1 << a)
-            pw = project(w, Fo)
-            if (w not in X and w not in used and pw not in used
-                    and (pw not in X or pw == y)):
-                cands.append(w)
+        taken = X.union(*M.values())
+        cands = [w for w in (x ^ (1 << a) for a in free_axes)
+                 if w not in taken and project(w, Fo) not in taken]
         if not cands:
             raise CaseNotCovered(f"no free escape neighbour at {x}",
                                  trace=["cube/scenario-2/Mx"])
-        cands.sort()
-        w = next((c for c in cands if project(c, Fo) != y), cands[0])
+        w = min(cands)
         M[x] = [x, w, project(w, Fo)]
     return M
 
@@ -325,25 +306,26 @@ def _solve_in_face(F: CubeFace, pairs, trace, avoid=()):
 
 
 def _scenario1(F, pairs, trace):
-    """All terminals inside the facet F: settle one pair there, project the
-    rest onto the opposite facet and recurse."""
+    """All terminals inside the facet F: settle the first pair with a path
+    in F, link the rest across in the opposite facet."""
     trace.append("cube/scenario-1")
     X = terminals(pairs)
-    found = short_distance_paths(F, X, pairs)
-    first = next((i for i, p in enumerate(pairs) if tuple(p) in found), None)
-    if first is None:
-        raise CaseNotCovered("no terminal-avoiding path in the common facet",
-                             trace=list(trace))
-    Fo = opposite_facet(F)
-    rest = [p for i, p in enumerate(pairs) if i != first]
-    sub = iter(_splice(rest, _hops(terminals(rest), lambda x: project(x, Fo)),
-                       lambda ep: _solve_in_face(Fo, ep, trace)))
-    return [found[tuple(p)] if i == first else next(sub)
-            for i, p in enumerate(pairs)]
+    for i, (s, t) in enumerate(pairs):
+        try:
+            path = face_path(F, s, t, X)
+        except NoPath:
+            continue
+        sub = _link_projected(pairs[:i] + pairs[i + 1:], opposite_facet(F),
+                              trace)
+        return sub[:i] + [path] + sub[i:]
+    raise CaseNotCovered("no terminal-avoiding path in the common facet",
+                         trace=list(trace))
 
 
 def _scenario2(d, F, idx, pairs, trace):
-    """Pair `idx` lies in the facet F but some terminal is outside it."""
+    """Pair `idx` lies in the facet F but some terminal is outside it.  The
+    other pairs with no end in classes 0, 1, 3 are linked in the opposite
+    facet between their escapes' ends, which differ (build_Mx_paths)."""
     trace.append("cube/scenario-2")
     order = [idx] + [i for i in range(len(pairs)) if i != idx]
     pairs1 = [pairs[i] for i in order]
@@ -361,7 +343,7 @@ def _scenario2(d, F, idx, pairs, trace):
             M.setdefault(x, [x])
 
     paths1 = [None] * len(pairs1)
-    link_pairs, link_slots = [], []
+    link_slots = []
     for i in range(1, len(pairs1)):
         a, b = pairs1[i]
         if a in c0 | c1 or b in c0 | c1:
@@ -371,18 +353,14 @@ def _scenario2(d, F, idx, pairs, trace):
         elif b in c3:
             paths1[i] = M[b][::-1]
         else:
-            ea, eb = M[a][-1], M[b][-1]
-            if ea == eb:
-                paths1[i] = M[a] + M[b][-2::-1]
-            else:
-                link_pairs.append((ea, eb))
-                link_slots.append(i)
-    if link_pairs:
+            link_slots.append(i)
+    if link_slots:
         trace.append("cube/scenario-2/opposite-linkage")
-        sub = _solve_in_face(Fo, link_pairs, trace, avoid=sorted(Y3 | piX1))
+        sub = _splice([pairs1[i] for i in link_slots], M,
+                      lambda ep: _solve_in_face(Fo, ep, trace,
+                                                avoid=sorted(Y3 | piX1)))
         for i, p in zip(link_slots, sub):
-            a, b = pairs1[i]
-            paths1[i] = M[a] + p[1:] + M[b][-2::-1]
+            paths1[i] = p
 
     used = {v for p in paths1[1:] for v in p}
     try:
@@ -412,14 +390,12 @@ def _scenario3(d, pairs, trace):
              if project(oriented[i][1], Fo) != s1)
     front = [0, j]
     rest = [i for i in range(len(pairs)) if i not in front]
-
-    def link(slots, face, avoid):
-        sel = [oriented[i] for i in slots]
-        return _splice(sel, _hops(terminals(sel), lambda x: project(x, face)),
-                       lambda ep: _solve_in_face(face, ep, trace, avoid=avoid))
-
-    out = dict(zip(rest, link(rest, F, [oriented[i][1] for i in front])))
-    out.update(zip(front, link(front, Fo, [oriented[i][0] for i in rest])))
+    out = dict(zip(rest, _link_projected(
+        [oriented[i] for i in rest], F, trace,
+        avoid=[oriented[i][1] for i in front])))
+    out.update(zip(front, _link_projected(
+        [oriented[i] for i in front], Fo, trace,
+        avoid=[oriented[i][0] for i in rest])))
     return [_orient(out[i], pair[0]) for i, pair in enumerate(pairs)]
 
 
@@ -429,9 +405,6 @@ def _strong(d, pairs, x, trace):
         raise ValueError("strong linkage needs even d")
     if 2 * len(pairs) != d:
         raise ValueError(f"need exactly {d // 2} pairs")
-    X = terminals(pairs)
-    if x in X:
-        raise ValueError("x must be unpaired")
     if d == 2:
         trace.append("cube/strong-base-d2")
         return [face_path(whole_cube(2), *pairs[0], {x})]
@@ -439,10 +412,9 @@ def _strong(d, pairs, x, trace):
         return _search(trace, "cube/strong-base-d4",
                        lambda: _oracle_base(4, pairs, (x,)))
     trace.append("cube/strong-project")
-    axis = find_unassociated_pair(d, X)
+    axis = find_unassociated_pair(d, terminals(pairs))
     F = facet(d, axis, 1 - ((x >> axis) & 1))
-    return _splice(pairs, _hops(X, lambda v: project(v, F)),
-                   lambda ep: _solve_in_face(F, ep, trace))
+    return _link_projected(pairs, F, trace)
 
 
 def _linkage(d, pairs, avoid, trace):
@@ -455,8 +427,6 @@ def _linkage(d, pairs, avoid, trace):
     """
     avoid = sorted(set(avoid))
     X = terminals(pairs)
-    if X & set(avoid):
-        raise ValueError("avoid overlaps terminals")
     if not pairs:
         return []
     k_max = (d + 1) // 2

@@ -186,8 +186,6 @@ def _cubical_strong_solve(P, pairs, x, trace):
                          "dimension")
     if 2 * len(pairs) != d:
         raise ValueError(f"need exactly {d // 2} pairs")
-    if x in terminals(pairs):
-        raise ValueError("the avoided vertex must not be a terminal")
     G = P.graph
     if d == 2:
         trace.append("cubical/strong-base")

@@ -22,7 +22,8 @@ from ..hypercube import (
 )
 from ..oracle import oracle_linkage
 from .certs import LinkageCertificate, certify, take, terminals
-from .cube import _base_3F, _hops, _orient, _solve_in_face, _splice
+from .cube import (_base_3F, _hops, _link_projected, _orient, _solve_in_face,
+                   _splice)
 
 
 def _reroute_through_opposite(F, vside, vother, paths, idx, pairs, trace):
@@ -53,8 +54,6 @@ def _link_solve(D, v, pairs, trace):
     full = (1 << D) - 1
     vo = v ^ full
     X = terminals(pairs)
-    if X & {v, vo}:
-        raise ValueError("terminals must avoid the removed vertex pair")
     if len(pairs) == 1:
         trace.append("link/single-pair")
         return [face_path(whole_cube(D), *pairs[0], forbidden=(v, vo))]
@@ -93,17 +92,13 @@ def _link_solve(D, v, pairs, trace):
         # orient the special pair as (s1, t1) with t1 next to the removed vertex
         i1, s1, rest = take(pairs, special)
         t1 = special
-        route = _hops(terminals(rest), lambda x: project(x, side))
         if not side.contains(s1):
             # both endpoints across from the removed vertex: settle the pair
             # there and link everyone else through projections on this side
             L1 = face_path(other, s1, t1, forbidden=X | {vother})
-            sub = _splice(rest, route, lambda ep: _solve_in_face(
-                side, ep, trace, avoid=[vside]))
+            sub = _link_projected(rest, side, trace, avoid=[vside])
         else:
-            route.update({s1: [s1], vside: [vside]})
-            M1, *sub = _splice([(s1, vside)] + rest, route,
-                               lambda ep: _solve_in_face(side, ep, trace))
+            M1, *sub = _link_projected([(s1, vside)] + rest, side, trace)
             head = [s1] if project(s1, other) != vother else [s1, M1[1]]
             L1 = head + face_path(other, project(head[-1], other), t1,
                                   forbidden=X | {vother})
@@ -114,8 +109,7 @@ def _link_solve(D, v, pairs, trace):
     # no terminal adjacent to v across the split, nor to its antipode: work
     # with the projections on the v side and reroute through the far side
     trace.append("link/projected")
-    paths = _splice(pairs, _hops(X, lambda x: project(x, F)),
-                    lambda ep: _solve_in_face(F, ep, trace))
+    paths = _link_projected(pairs, F, trace)
     idx = next((i for i, p in enumerate(paths) if v in p), None)
     if idx is not None:
         trace.append("link/projected-reroute")

@@ -255,6 +255,27 @@ def test_verify_reads_the_lattice_flag_over_the_certificate_path(
         1, "", "error: unknown vertex label '000'\n")
 
 
+@pytest.mark.parametrize("kind,argv", [
+    ("cube", ["--cube", "3", "--pairs", "000-111"]),
+    ("link", ["--link", "4", "--pairs", "0001-1110"]),
+])
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_lattice_flag_on_a_host_that_is_no_lattice_exit_1(
+        capsys, tmp_path, monkeypatch, kind, argv, command):
+    # the flag names no file of such a host, so it is refused, not ignored
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "solve", *argv)
+    assert code == 0
+    cert = json.loads(out)
+    (tmp_path / "cert.json").write_text(out)
+    (tmp_path / "inst.json").write_text(json.dumps(cert["instance"]))
+    target = (["verify", "cert.json"] if command == "verify"
+              else ["solve", "--instance", "inst.json"])
+    assert run(capsys, *target, "--lattice", "nonexistent.json") == (
+        1, "", f"error: --lattice applies only to a lattice host, "
+               f"not a {kind} host\n")
+
+
 @pytest.mark.parametrize("argv", [["solve", "--pairs", "8-0,7-1"],
                                   ["census", "--k", "2", "--exhaustive"]],
                          ids=["solve", "census"])
@@ -620,6 +641,9 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
     (["solve", "--cube", "4", "--strong", "--avoid", "0101,0110",
       "--pairs", "0000-1111,0011-1100"],
      "--strong needs exactly one --avoid vertex"),
+    (["solve", "--cube", "4", "--strong", "--avoid", "0000",
+      "--pairs", "0000-1111,0011-1100"],
+     "avoided vertex 0000 is a terminal"),
     (["census", "--cube", "3", "--k", "2"],
      "census needs --exhaustive or --sample N"),
     (["gen", "cube"], "gen cube needs --dim"),
@@ -690,7 +714,7 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
     (["solve", "--instance", "link-list-label.json"],
      "bad label ['0', '0', '0', '1'], want a string"),
 ], ids=["avoid-without-strong", "strong-no-avoid", "strong-two-avoid",
-        "census-no-mode", "gen-cube-no-dim", "gen-link-no-cube",
+        "strong-avoids-a-terminal", "census-no-mode", "gen-cube-no-dim", "gen-link-no-cube",
         "gen-instance-no-k", "gen-instance-too-many-pairs",
         "gen-instance-no-pairs", "gen-instance-past-max-dim",
         "gen-instance-no-dim", "gen-instance-strong-odd-d",

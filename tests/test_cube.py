@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubelink.complexes import build_cube_polytope
 from cubelink.errors import CaseNotCovered, CertificateInvalid
@@ -12,7 +13,6 @@ from cubelink.linkage.cube import (
     cube_linkage,
     facet_maps,
     scenario2_partition,
-    short_distance_paths,
     solve_cube,
     solve_cube_strong,
 )
@@ -150,6 +150,20 @@ def test_vertex_outside_the_host_is_rejected(solve, outsider):
         solve()
 
 
+@pytest.mark.parametrize("solve,label", [
+    (lambda: cube_linkage(5, [(0, 31), (1, 30)], [31]), "11111"),
+    (lambda: solve_cube_strong(4, [(0, 15), (3, 12)], 15), "1111"),
+    (lambda: solve_link(5, 0, [(1, 31), (2, 29)]), "11111"),
+    (lambda: solve_cubical_strong(_Q4, [(0, 15), (3, 12)], 0), "0000"),
+], ids=["cube-avoid", "cube-strong", "link", "cubical-strong"])
+def test_an_avoided_terminal_is_rejected(solve, label):
+    """certify refuses an avoided vertex that is also a terminal, for every
+    solver, before it solves."""
+    with pytest.raises(ValueError,
+                       match=f"^avoided vertex {label} is a terminal$"):
+        solve()
+
+
 def test_facet_maps_match_the_per_bit_reference():
     # compress drops the facet's fixed axis and closes the gap; expand
     # inverts it, as the per-bit map over the free axes does
@@ -170,19 +184,6 @@ def test_facet_maps_match_the_per_bit_reference():
         facet_maps(CubeFace(4, 0, 0))
 
 
-def test_short_distance_paths_contract():
-    F = facet(4, 3, 0)
-    X = {0b0000, 0b0011, 0b0101, 0b0110}
-    pairs = [(0b0000, 0b0011), (0b0101, 0b0110)]
-    found = short_distance_paths(F, X, pairs)
-    assert len(found) >= len(pairs) - 1
-    for (s, t), p in found.items():
-        assert p[0] == s and p[-1] == t
-        assert not (set(p[1:-1]) & X)
-    with pytest.raises(ValueError):
-        short_distance_paths(F, {0b1000}, [])
-
-
 def test_scenario2_partition_classes():
     d = 5
     F = facet(d, 4, 0)
@@ -196,6 +197,65 @@ def test_scenario2_partition_classes():
     for x, p in M.items():
         assert p[0] == x and len(p) <= 3
         assert opposite_facet(F).contains(p[-1])
+
+
+@st.composite
+def _full_instances(draw):
+    """A pairing at full capacity in Q_d, d = 5..9, with 0-2 avoided
+    vertices.  About half the vertices are drawn next to an earlier one, so
+    that terminals often face each other across a facet."""
+    d = draw(st.integers(5, 9))
+    n_avoid = draw(st.integers(0, 2))
+    k = (d + 1 - n_avoid) // 2
+    rng = draw(st.randoms(use_true_random=False))
+    V = rng.sample(range(1 << d), 2 * k + n_avoid)
+    for i in range(1, len(V)):
+        w = V[rng.randrange(i)] ^ (1 << rng.randrange(d))
+        if rng.random() < 0.5 and w not in V:
+            V[i] = w
+    return d, [(V[2 * i], V[2 * i + 1]) for i in range(k)], V[2 * k:]
+
+
+def test_scenario2_escapes_end_apart_and_off_the_terminals():
+    """What lets scenario 2 send every pair without an end in classes 0, 1
+    or 3 to the opposite linkage: class-2 and class-4 escapes end off the
+    terminals and pairwise apart, and no class-4 terminal has a free
+    F-neighbour projecting onto its partner (that would make it class 3).
+    Each build_Mx_paths call is checked as it returns, so a break shows as
+    the drawn instance that met it."""
+    import cubelink.linkage.cube as cube
+
+    class4 = []
+    build = cube.build_Mx_paths
+
+    def checked(d, F, pairs, classes):
+        M = build(d, F, pairs, classes)
+        Fo = opposite_facet(F)
+        X = {v for p in pairs for v in p}
+        partner = {x: y for a, b in pairs for x, y in ((a, b), (b, a))}
+        ends = [M[x][-1] for x in classes[2] + classes[4]]
+        assert not set(ends) & X
+        assert len(set(ends)) == len(ends)
+        for x in classes[4]:
+            for a in range(d):
+                w = x ^ (1 << a)
+                if F.contains(w) and w not in X:
+                    assert project(w, Fo) != partner[x]
+        class4.extend(classes[4])
+        return M
+
+    @settings(derandomize=True, deadline=None, max_examples=400,
+              database=None)
+    @given(_full_instances())
+    def solve(instance):
+        d, pairs, avoid = instance
+        cert = cube_linkage(d, pairs, avoid) if avoid else solve_cube(d, pairs)
+        assert_linked(cert, d, pairs, avoid)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cube, "build_Mx_paths", checked)
+        solve()
+    assert len(class4) >= 20
 
 
 def test_solve_3polytope_against_oracle():

@@ -4,6 +4,7 @@ import pytest
 
 from cubelink.complexes import build_cube_polytope, link_polytope, star_complex
 from cubelink.errors import CaseNotCovered
+from cubelink.linkage.certs import Unlinkable
 from cubelink.linkage.cubical import solve_cubical
 from cubelink.linkage.link import solve_link
 from cubelink.linkage.star import (
@@ -436,6 +437,33 @@ def test_star_branch_certificates_match_golden_digest():
     assert len(lines) == len(STAR_BRANCHES)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == STAR_BRANCHES_SHA256
+
+
+def test_d5_all_in_retries_past_a_blocked_selection(monkeypatch):
+    # pairs 0 and 1 are the diagonals of the square {0, 1, 2, 3}, so their
+    # projections into the 3-face are blocked (config-3F) and the case
+    # links pairs 0 and 2 there instead
+    import cubelink.linkage.star as star
+
+    results = []
+    face_link = star._StarSolver.face_link
+
+    def recording(self, face, pairs, avoid=()):
+        try:
+            out = face_link(self, face, pairs, avoid)
+        except Unlinkable:
+            results.append("unlinkable")
+            raise
+        results.append("linked")
+        return out
+
+    monkeypatch.setattr(star._StarSolver, "face_link", recording)
+    P, s1, pairs = build_cube_polytope(5), 0, [(0, 3), (1, 2), (8, 9)]
+    cert = solve_star(P, s1, pairs)
+    assert_star_linked(P, s1, pairs, cert)
+    assert cert.trace == ["star/F1-terminals=6", "star/case4-d5",
+                          "star/case4-d5-all-in", "cube/base-d3"]
+    assert results == ["unlinkable", "linked"]
 
 
 def test_solve_star_builds_the_star_graph_once(monkeypatch):
