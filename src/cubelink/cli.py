@@ -15,9 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Callable
 
 from .complexes import build_cube_polytope, build_from_incidence, link_polytope
 from .errors import CaseNotCovered, CubelinkError
@@ -38,7 +35,6 @@ _UNREADABLE = (OSError, json.JSONDecodeError, LookupError, TypeError,
 # -- host plumbing -----------------------------------------------------------
 
 
-@dataclass(eq=False)
 class Host:
     """A solve/verify/census host, built from its spec by one of HOST_KINDS.
 
@@ -50,14 +46,16 @@ class Host:
     builds (once per dimension) only to find or check a config-3F witness.
     """
 
-    spec: dict
-    dim: int
-    graph: Mapping
-    label_of: Callable
-    vertex_of: Callable
-    solve: Callable
-    strong: Callable
-    lattice: Callable
+    def __init__(self, spec, dim, graph, label_of, vertex_of, solve, strong,
+                 lattice):
+        self.spec = spec
+        self.dim = dim
+        self.graph = graph
+        self.label_of = label_of
+        self.vertex_of = vertex_of
+        self.solve = solve
+        self.strong = strong
+        self.lattice = lattice
 
     def witness(self, pairs):
         """The config-3F witness blocking `pairs`, or None.  It is the only

@@ -34,7 +34,6 @@ masks only when a row is asked for.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import and_
 
@@ -444,12 +443,18 @@ def link_polytope(cube_dim: int, v: int) -> Polytope:
     return vertex_link(cube, v)
 
 
-@dataclass
 class Complex:
-    """A downward-closed set of faces of a host polytope."""
+    """A downward-closed set of faces of a host polytope.  Complexes with
+    the same host and faces are equal."""
 
-    host: Polytope
-    faces: frozenset = field(default_factory=frozenset)
+    def __init__(self, host, faces=frozenset()):
+        self.host = host
+        self.faces = faces
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @classmethod
     def generated_by(cls, host, generators):

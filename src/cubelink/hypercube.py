@@ -11,8 +11,8 @@ Serialization: a vertex renders as a fixed-width binary string with coordinate
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import factorial
@@ -44,25 +44,21 @@ def dist(u: int, v: int) -> int:
     return (u ^ v).bit_count()
 
 
-@dataclass(frozen=True, order=True)
-class CubeFace:
+class CubeFace(namedtuple("CubeFace", "d fixed_mask fixed_values")):
     """A face of Q_d: coordinates in fixed_mask are frozen to fixed_values.
 
-    Ordering is lexicographic on (mask, values), giving canonical keys.
+    An immutable value: fixed_values is masked to fixed_mask, so equal faces
+    compare equal, and a face hashes and orders as its field tuple
+    (d, fixed_mask, fixed_values), which gives canonical keys.
     """
 
-    d: int
-    fixed_mask: int
-    fixed_values: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_dim(self.d)
-        full = (1 << self.d) - 1
-        if self.fixed_mask & ~full:
+    def __new__(cls, d, fixed_mask, fixed_values):
+        _check_dim(d)
+        if fixed_mask & ~((1 << d) - 1):
             raise ValueError("fixed_mask outside dimension")
-        if self.fixed_values & ~self.fixed_mask:
-            # keep values meaningful only on the mask so equality is canonical
-            object.__setattr__(self, "fixed_values", self.fixed_values & self.fixed_mask)
+        return super().__new__(cls, d, fixed_mask, fixed_values & fixed_mask)
 
     @property
     def dim(self) -> int:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import CertificateInvalid, CubelinkError
 from ..paths import validate_linkage
 
@@ -31,12 +29,22 @@ def take(pairs, x):
     return i, b if a == x else a, [p for j, p in enumerate(pairs) if j != i]
 
 
-@dataclass
 class ObstructionWitness:
-    kind: str              # "config-3F" or "config-dF"
-    facet: list            # vertex ids of the blocking facet
-    pair: tuple            # the (s1, t1) pair at facet-diameter distance
-    blocking: list         # the facet-neighbours of t1, all terminals
+    """A blocking configuration: `kind` is "config-3F" or "config-dF",
+    `facet` the vertex ids of the blocking facet, `pair` the (s1, t1) pair
+    at facet-diameter distance and `blocking` the facet-neighbours of t1,
+    all terminals.  Witnesses with equal fields are equal."""
+
+    def __init__(self, kind, facet, pair, blocking):
+        self.kind = kind
+        self.facet = facet
+        self.pair = pair
+        self.blocking = blocking
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json(self, label=str):
         return {
@@ -77,13 +85,24 @@ class Unlinkable(CubelinkError):
         self.witness = witness
 
 
-@dataclass
 class LinkageCertificate:
-    instance: dict
-    paths: list | None = None          # list of vertex-id lists, pair order
-    obstruction: ObstructionWitness | None = None
-    trace: list = field(default_factory=list)
-    valid: bool = False
+    """A solved instance: `paths` (vertex-id lists in pair order) or an
+    `obstruction` (None for an exhausted search), the trace tags, and
+    whether the answer was checked.  Certificates with equal fields are
+    equal."""
+
+    def __init__(self, instance, paths=None, obstruction=None, trace=None,
+                 valid=False):
+        self.instance = instance
+        self.paths = paths
+        self.obstruction = obstruction
+        self.trace = [] if trace is None else trace
+        self.valid = valid
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json(self, label=str):
         if self.paths is not None:

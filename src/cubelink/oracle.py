@@ -6,7 +6,8 @@ vertices are indexed in sorted order, each vertex's neighbours are one int
 mask, and every reachability check is a flood fill on those ints.
 `oracle_linkage` builds a linkage for the constructive base and for
 `--method oracle`; `linkable` only decides whether one exists, which is all
-a census reads.
+a census reads.  It first routes the pairs one after another along
+BFS-shortest paths, and searches only when that leaves a pair cut off.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
 
 from .errors import OracleTimeout
 
@@ -84,6 +84,34 @@ class _Bits:
                 front ^= low
             if new & goal:
                 return steps
+            front = new & free
+            free ^= front
+        return 0
+
+    def route(self, a, b, free):
+        """The vertex mask of a shortest path from vertex a to vertex b
+        through the mask `free`, a and b included; 0 when b is cut off.  It
+        floods as `reach` does and walks back from b, taking the least
+        vertex of each level that is adjacent to the one after it."""
+        nbr, goal = self.nbr, 1 << b
+        front = 1 << a
+        free &= ~front
+        levels = []
+        while front:
+            levels.append(front)
+            new = 0
+            while front:
+                low = front & -front
+                new |= nbr[low.bit_length() - 1]
+                front ^= low
+            if new & goal:
+                path, v = goal, b
+                for level in reversed(levels):
+                    back = nbr[v] & level
+                    low = back & -back
+                    path |= low
+                    v = low.bit_length() - 1
+                return path
             front = new & free
             free ^= front
         return 0
@@ -185,26 +213,44 @@ def linkable(G, pairs, avoid=(), deadline=None):
     """Whether a vertex-disjoint linkage of `pairs` avoiding `avoid` exists.
 
     Validates like oracle_linkage and agrees with `oracle_linkage(...) is
-    not None`, but builds no paths.  Pairs are taken one at a time in the
-    given order, each by a DFS over induced s-t paths that stops at the
-    first vertex adjacent to t; the last pair is one flood fill.  That is
-    complete: if a linkage exists, the shortest path inside each path's own
-    vertex set is induced and gives one too.  A node is dropped when t is
-    cut off from it, or a later pair by the vertices used so far.
-    `deadline` is an absolute time.monotonic() value checked at every pop.
+    not None`, but builds no paths.  It first tries a witness: each pair in
+    the given order takes a BFS-shortest path through its free vertices
+    minus the earlier paths, and if every pair gets one, that is a linkage.
+    Otherwise pairs are taken one at a time in the given order, each by a
+    DFS over induced s-t paths that stops at the first vertex adjacent to
+    t; the last pair is one flood fill.  That is complete: if a linkage
+    exists, the shortest path inside each path's own vertex set is induced
+    and gives one too.  A node is dropped when t is cut off from it, or a
+    later pair by the vertices used so far.  `deadline` is an absolute
+    time.monotonic() value checked before the witness and at every pop.
     """
     _check_instance(G, pairs, avoid)
-    return _linkable(_Bits(G), pairs, avoid, deadline)
+    B = _Bits(G)
+    return _linkable_masks(B, *B.pair_masks(pairs, avoid), deadline)
 
 
-def _linkable(B, pairs, avoid, deadline):
-    ps, frees = B.pair_masks(pairs, avoid)
+def _shortest_linkage(B, ps, frees):
+    """Whether routing each pair in turn along a BFS-shortest path (`route`)
+    through its free mask minus the earlier paths links every pair."""
+    used = 0
+    for (a, b), free in zip(ps, frees):
+        path = B.route(a, b, free & ~used)
+        if not path:
+            return False
+        used |= path
+    return True
+
+
+def _linkable_masks(B, ps, frees, deadline):
+    """`linkable` on bit tables: ps are the pairs by index and frees their
+    free masks, as `_Bits.pair_masks` gives them."""
+    _check_deadline(deadline)
+    if _shortest_linkage(B, ps, frees):
+        return True
     nbr, full = B.nbr, B.full
 
     def search(idx, used):
         s, t = ps[idx]
-        if idx == len(ps) - 1:
-            return bool(B.reach(s, t, frees[idx] & ~used))
         goal = 1 << t
         blocked = full & ~frees[idx] | used
         later = ps[idx + 1:], frees[idx + 1:]
@@ -232,24 +278,28 @@ def _linkable(B, pairs, avoid, deadline):
                 stack.append((low.bit_length() - 1, path | low, closed))
         return False
 
-    return not ps or search(0, 0)
+    # a lone pair the witness could not route is cut off
+    return len(ps) > 1 and search(0, 0)
 
 
-@dataclass
 class CensusReport:
-    """Counts from a pairing census; total = linked + unlinked + timeouts."""
+    """Counts from a pairing census; total = linked + unlinked + timeouts.
+    Reports with equal fields are equal."""
 
-    host: str
-    k: int
-    mode: str
-    total: int = 0
-    linked: int = 0
-    unlinked: int = 0
-    timeouts: int = 0
-    obstructions: dict = field(default_factory=dict)
-    detector_mismatches: list = field(default_factory=list)
-    witness_samples: list = field(default_factory=list)
-    wall_time_s: float = 0.0
+    def __init__(self, host, k, mode):
+        self.host = host
+        self.k = k
+        self.mode = mode
+        self.total = self.linked = self.unlinked = self.timeouts = 0
+        self.obstructions = {}
+        self.detector_mismatches = []
+        self.witness_samples = []
+        self.wall_time_s = 0.0
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json(self) -> dict:
         return {
@@ -332,7 +382,8 @@ def census(G, k, host="", sample=None, seed=0, detector=None):
         kind = detector(pairs) if detector else None
         deadline = time.monotonic() + budget if budget is not None else None
         try:
-            linked = _linkable(bits, pairs, (), deadline)
+            linked = _linkable_masks(bits, *bits.pair_masks(pairs, ()),
+                                     deadline)
         except OracleTimeout:
             rep.timeouts += 1
             continue

@@ -171,6 +171,14 @@ def test_complex_restrict_and_purity():
     assert not mixed.is_pure()
 
 
+def test_complexes_with_the_same_faces_are_equal():
+    P = build_cube_polytope(3)
+    B = Complex.boundary(P)
+    assert B == Complex.generated_by(P, P.facets)
+    assert B != B.restrict_to_vertices({0, 1, 2, 3})
+    assert B != B.faces
+
+
 def _decomposition_inputs(P, rng):
     s1 = rng.choice(P.vertices)
     s2 = rng.choice(P.graph[s1])

@@ -164,6 +164,14 @@ def test_an_avoided_terminal_is_rejected(solve, label):
         solve()
 
 
+def test_certificates_and_witnesses_compare_by_value():
+    # Q3's config-3F, certified twice
+    a, b = (solve_cube(3, [(0, 3), (1, 2)]) for _ in range(2))
+    assert a == b and a.obstruction == b.obstruction
+    assert a != solve_cube(3, [(0, 7), (1, 6)])
+    assert a != a.to_json() and a.obstruction != a.obstruction.to_json()
+
+
 def test_facet_maps_match_the_per_bit_reference():
     # compress drops the facet's fixed axis and closes the gap; expand
     # inverts it, as the per-bit map over the free axes does

@@ -77,6 +77,27 @@ def test_opposite_facet():
         opposite_facet(CubeFace(4, 0b11, 0b00))
 
 
+def test_cube_face_is_a_value():
+    K = CubeFace(4, 0b0101, 0b1111)
+    assert K.fixed_values == 0b0101  # masked to fixed_mask
+    assert K == CubeFace(4, 0b0101, 0b0101)
+    assert hash(K) == hash((4, 0b0101, 0b0101))
+    faces = [CubeFace(4, 0b0011, 0b0001), CubeFace(3, 0b100, 0),
+             CubeFace(4, 0b0001, 0b0001), CubeFace(4, 0b0001, 0)]
+    assert [tuple(F) for F in sorted(faces)] == sorted(
+        (F.d, F.fixed_mask, F.fixed_values) for F in faces)
+    with pytest.raises(AttributeError):
+        K.fixed_mask = 0
+    with pytest.raises(AttributeError):
+        K.label = "K"
+
+
+@pytest.mark.parametrize("d,mask", [(0, 0), (3, 0b1000)])
+def test_cube_face_refuses_a_mask_outside_its_cube(d, mask):
+    with pytest.raises(ValueError):
+        CubeFace(d, mask, 0)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_project_is_adjacency_preserving_bijection(d):
     for axis in range(d):

@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -163,3 +164,17 @@ def test_runtime_package_has_no_dependencies():
                    and node.level == 0 else [])
                if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """`import cubelink.cli` in a fresh interpreter adds none of the
+    modules that dataclasses and typing pull in: the import is part of
+    every command's run time."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "before = set(sys.modules); import cubelink.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    added = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        capture_output=True, text=True, check=True).stdout.split()
+    assert "cubelink.cli" in added
+    assert {"dataclasses", "inspect", "typing"}.isdisjoint(added)

@@ -9,12 +9,16 @@ from cubelink.errors import OracleTimeout
 from cubelink.hypercube import cube_graph
 from cubelink.linkage.cube import detect_config_3F
 from cubelink.oracle import (
+    TIMEOUT_VAR,
+    _Bits,
+    _shortest_linkage,
     all_pairings,
     census,
     cube_instance_key,
     invert_cube_map,
     linkable,
     oracle_linkage,
+    oracle_timeout_ms,
 )
 from cubelink.paths import validate_linkage
 
@@ -119,6 +123,14 @@ def test_census_cross_tabulates_a_wrong_detector(kind, oracle, mismatches,
     assert all(m["detector"] == kind and m["oracle"] == oracle
                for m in rep.detector_mismatches)
     assert rep.obstructions == obstructions
+
+
+def test_census_reports_compare_by_value():
+    reports = [census(cube_graph(3), 2) for _ in range(2)]
+    for rep in reports:
+        rep.wall_time_s = 0.0  # the one field that differs between runs
+    assert reports[0] == reports[1]
+    assert reports[0] != reports[0].to_json()
 
 
 def test_census_counts_searches_past_their_budget_as_timeouts(monkeypatch):
@@ -350,6 +362,51 @@ def test_linkable_agrees_with_oracle_on_three_pairs():
     assert verdicts == {True, False}
 
 
+def _shortest_paths_link(G, pairs):
+    B = _Bits(G)
+    return _shortest_linkage(B, *B.pair_masks(pairs, ()))
+
+
+def test_linkable_searches_where_shortest_paths_collide():
+    # (0, 3)'s shortest path through the free vertices, 0-8-9-11-3, takes
+    # every neighbour of 1 that (1, 2) could leave by, yet a linkage exists
+    G, pairs = cube_graph(4), [(0, 3), (1, 2), (4, 5)]
+    assert not _shortest_paths_link(G, pairs)
+    assert linkable(G, pairs)
+    assert oracle_linkage(G, pairs) is not None
+
+
+def test_linkable_agrees_with_oracle_on_a_slice_of_q4_3_pairings():
+    # 2,925 of the 120,120 3-pairings of Q4 are linked although the
+    # shortest-path witness fails, so the slice reaches the search on both
+    # verdicts
+    G = cube_graph(4)
+    pairings = [p for X in itertools.combinations(range(16), 6)
+                for p in all_pairings(X)]
+    seen = set()
+    for pairs in random.Random(33).sample(pairings, 2000):
+        found = oracle_linkage(G, pairs) is not None
+        assert linkable(G, pairs) == found, pairs
+        seen.add((_shortest_paths_link(G, pairs), found))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_linkable_searches_every_config_3F_pairing_of_q3():
+    # the witness links every 2-pairing of Q3 but the six config-3F ones,
+    # which the search then refutes
+    G = cube_graph(3)
+    failed = [pairs for pairs in _two_pairings(G)
+              if not _shortest_paths_link(G, pairs)]
+    assert len(failed) == 6
+    assert all(detect_config_3F(build_cube_polytope(3), pairs)
+               and not linkable(G, pairs) for pairs in failed)
+
+
+def test_oracle_timeout_reads_its_variable(monkeypatch):
+    monkeypatch.setenv(TIMEOUT_VAR, "250")
+    assert oracle_timeout_ms() == 250
+
+
 def test_linkable_timeout_raises():
     with pytest.raises(OracleTimeout):
         linkable(cube_graph(6), [(0, 63), (1, 62), (2, 61)], deadline=0.0)
@@ -358,6 +415,7 @@ def test_linkable_timeout_raises():
 def test_linkable_rejects_bad_instances():
     G = cube_graph(3)
     assert linkable(G, [(0, 7)], avoid={1, 2})
+    assert not linkable(G, [(0, 7)], avoid={1, 2, 4})  # 0 is cut off
     assert not linkable(G, [(0, 3), (1, 2)])
     with pytest.raises(ValueError):
         linkable(G, [(0, 7), (1, 7)])
