@@ -6,8 +6,11 @@ carries one.  Exit codes encode verdicts so harnesses never parse prose: 0 a
 linkage was found (or the requested action succeeded), 2 an obstruction
 witness was returned, 3 the constructive case analysis fell through or a
 certificate failed its own check (a bug signal; nothing is emitted), and 1
-malformed input, which is raised as a ValueError.  Output is deterministic:
-fixed key order, no timestamps in the certified body.
+malformed input, which is raised as a ValueError.  A solver fault, a NoPath
+inside a solver included, exits 3 too.  A command line that argparse
+refuses, or that sets a flag its command would not read, is malformed input.
+Output is deterministic: fixed key order, no timestamps in the certified
+body.
 """
 
 from __future__ import annotations
@@ -100,13 +103,10 @@ def _lattice_host(spec):
     if not path:
         raise ValueError("lattice host needs --lattice FILE")
     path = str(path)  # a number would open that file descriptor
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        P = build_from_incidence(data["dim"], data["vertices"], data["facets"],
-                                 labels=data.get("labels"))
-    except _UNREADABLE as e:
-        raise ValueError(f"bad lattice file {path}: {e}")
+    P = _read_file(path, f"lattice file {path}", lambda data:
+                   build_from_incidence(data["dim"], data["vertices"],
+                                        data["facets"],
+                                        labels=data.get("labels")))
     spec = {"kind": "lattice", "path": path, "dim": P.dim}
     return _polytope_host(spec, P, lambda pairs: solve_cubical(P, pairs))
 
@@ -153,6 +153,27 @@ def _host_from_spec(spec, lattice=None):
     return build(spec)
 
 
+def _read_file(path, what, read):
+    """`read` of the JSON document in the file at `path`, the one way a file
+    is read.  A file that cannot be opened or parsed, or a document that
+    `read` finds a field missing or of the wrong type in, raises
+    ValueError("bad `what`: ...")."""
+    try:
+        with open(path) as fh:
+            return read(json.load(fh))
+    except _UNREADABLE as e:
+        raise ValueError(f"bad {what}: {e}")
+
+
+def _refuse(args, flags, why):
+    """Refuse the first of `flags` set on the command line: a flag that the
+    command would not read is an error, never ignored."""
+    for name in flags:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise ValueError(f"--{name} {why}")
+
+
 def _flags_spec(args):
     """The host spec that the --cube, --link or --lattice flag names."""
     given = [name for name in ("cube", "link", "lattice")
@@ -160,6 +181,8 @@ def _flags_spec(args):
     if len(given) != 1:
         raise ValueError("choose exactly one of --cube D, --link D, "
                          "--lattice FILE")
+    if args.link is None:
+        _refuse(args, ("vertex",), "applies only to a --link host")
     if args.cube is not None:
         return {"kind": "cube", "dim": args.cube}
     if args.link is not None:
@@ -178,43 +201,36 @@ def _instance(host, pairs, avoid, strong):
             "avoid": [host.label_of(v) for v in avoid], "strong": strong}
 
 
-def _read_instance(inst, lattice):
-    """The host, pairs and avoided vertices of an instance object, as solve
-    --instance and verify read it; `lattice` is the --lattice flag."""
+def _read_instance(inst, lattice=None):
+    """The host, pairs, avoided vertices and strong flag of an instance
+    object, the one reader of every instance solve and verify take;
+    `lattice` is the --lattice flag."""
     host = _host_from_spec(inst["host"], lattice)
     pairs = []
     for pair in inst["pairs"]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"bad pair {pair!r}, want [LABEL, LABEL]")
         pairs.append((host.vertex_of(pair[0]), host.vertex_of(pair[1])))
-    return host, pairs, [host.vertex_of(l) for l in inst.get("avoid", [])]
+    avoid = [host.vertex_of(l) for l in inst.get("avoid", [])]
+    strong = inst.get("strong", False)
+    if not isinstance(strong, bool):
+        raise ValueError("instance \"strong\" must be true or false")
+    return host, pairs, avoid, strong
 
 
-def _parse_pairs(host, text):
-    pairs = []
-    for chunk in text.split(","):
-        ends = chunk.strip().split("-")
-        if len(ends) != 2:
-            raise ValueError(f"bad pair {chunk!r}, want LABEL-LABEL")
-        pairs.append((host.vertex_of(ends[0]), host.vertex_of(ends[1])))
-    return pairs
-
-
-def _parse_avoid(host, text):
-    if not text:
-        return []
-    return [host.vertex_of(c.strip()) for c in text.split(",")]
+def _flags_instance(args):
+    """The instance object that solve's flags spell, as gen random-instance
+    prints one: --pairs "A-B,C-D" and --avoid "E,F" list labels."""
+    spec = _flags_spec(args)
+    if not args.pairs:
+        raise ValueError("need --pairs or --instance")
+    chunks = lambda text: [c.strip() for c in text.split(",")]
+    return {"host": spec, "pairs": [c.split("-") for c in chunks(args.pairs)],
+            "avoid": chunks(args.avoid) if args.avoid else [],
+            "strong": args.strong}
 
 
 # -- solve -------------------------------------------------------------------
-
-
-def _constructive(host, pairs, avoid, strong):
-    if not strong:
-        return host.solve(pairs, avoid)
-    if len(avoid) != 1:
-        raise ValueError("--strong needs exactly one --avoid vertex")
-    return host.strong(pairs, avoid[0])
 
 
 def _oracle_solve(host, pairs, avoid):
@@ -259,24 +275,24 @@ def _dot(host, pairs, paths):
 
 
 def cmd_solve(args):
-    strong = args.strong
     if args.instance:
-        try:
-            with open(args.instance) as fh:
-                data = json.load(fh)
-            host, pairs, avoid = _read_instance(data, args.lattice)
-        except _UNREADABLE as e:
-            raise ValueError(f"bad instance file: {e}")
-        flag = data.get("strong", False)
-        if not isinstance(flag, bool):
-            raise ValueError("instance \"strong\" must be true or false")
-        strong = strong or flag
+        # the file names the whole instance; --lattice may move its file
+        _refuse(args, ("cube", "link", "vertex", "pairs", "avoid", "strong"),
+                "does not go with --instance, whose file names the instance")
+        host, pairs, avoid, strong = _read_file(
+            args.instance, "instance file",
+            lambda inst: _read_instance(inst, args.lattice))
     else:
-        host = _host_from_spec(_flags_spec(args))
-        if not args.pairs:
-            raise ValueError("need --pairs or --instance")
-        pairs = _parse_pairs(host, args.pairs)
-        avoid = _parse_avoid(host, args.avoid)
+        host, pairs, avoid, strong = _read_instance(_flags_instance(args))
+    if strong:
+        # the shape of a strong instance, whichever method solves it: one
+        # avoided vertex, the unpaired terminal, and d/2 pairs in even d
+        if len(avoid) != 1:
+            raise ValueError("--strong needs exactly one --avoid vertex")
+        if host.dim % 2:
+            raise ValueError("strong linkage needs even d")
+        if 2 * len(pairs) != host.dim:
+            raise ValueError(f"need exactly {host.dim // 2} pairs")
     if args.dot and len(host.graph) > MAX_SEARCH_VERTICES:
         # every vertex and edge becomes a line: refuse before solving
         raise ValueError(f"--dot draws hosts of at most {MAX_SEARCH_VERTICES}"
@@ -286,7 +302,8 @@ def cmd_solve(args):
     if args.method == "oracle":
         cert = _oracle_solve(host, pairs, avoid)
     else:
-        cert = _constructive(host, pairs, avoid, strong)
+        cert = (host.strong(pairs, avoid[0]) if strong
+                else host.solve(pairs, avoid))
         if args.method == "auto" and cert.paths is None:
             # cross-check the witness against ground truth before emitting
             if linkable(host.graph, pairs, avoid=avoid):
@@ -335,22 +352,23 @@ def _verify_obstruction(host, pairs, obs):
     return True, "ok"
 
 
+def _check_certificate(cert, lattice):
+    """(ok, message): whether the certificate's result answers its
+    instance."""
+    host, pairs, avoid, _ = _read_instance(cert["instance"], lattice)
+    pairs = check_pairing(pairs)
+    result = cert["result"]
+    if "linkage" in result:
+        paths = [[host.vertex_of(l) for l in p] for p in result["linkage"]]
+        return validate_linkage(host.graph, pairs, paths, avoid)
+    if "obstruction" in result:
+        return _verify_obstruction(host, pairs, result["obstruction"])
+    return False, "certificate has neither linkage nor obstruction"
+
+
 def cmd_verify(args):
-    try:
-        with open(args.certificate) as fh:
-            data = json.load(fh)
-        host, pairs, avoid = _read_instance(data["instance"], args.lattice)
-        pairs = check_pairing(pairs)
-        result = data["result"]
-        if "linkage" in result:
-            paths = [[host.vertex_of(l) for l in p] for p in result["linkage"]]
-            ok, msg = validate_linkage(host.graph, pairs, paths, avoid)
-        elif "obstruction" in result:
-            ok, msg = _verify_obstruction(host, pairs, result["obstruction"])
-        else:
-            ok, msg = False, "certificate has neither linkage nor obstruction"
-    except _UNREADABLE as e:
-        raise ValueError(f"bad certificate: {e}")
+    ok, msg = _read_file(args.certificate, "certificate",
+                         lambda cert: _check_certificate(cert, args.lattice))
     print(f"{'PASS' if ok else 'FAIL'}: {msg}")
     return 0 if ok else 1
 
@@ -359,16 +377,18 @@ def cmd_verify(args):
 
 
 def cmd_census(args):
+    if args.exhaustive:
+        _refuse(args, ("sample", "seed"), "does not go with --exhaustive")
+    elif not args.sample:
+        raise ValueError("census needs --exhaustive or --sample N")
     host = _host_from_spec(_flags_spec(args))
 
     def detector(pairs):
         return "config-3F" if host.witness(pairs) else None
 
-    if not args.exhaustive and not args.sample:
-        raise ValueError("census needs --exhaustive or --sample N")
     rep = census(host.graph, args.k, host=json.dumps(host.spec, sort_keys=True),
                  sample=None if args.exhaustive else args.sample,
-                 seed=args.seed, detector=detector)
+                 seed=args.seed or 0, detector=detector)
     out = rep.to_json()
     for key in ("witness_samples", "detector_mismatches"):
         out[key] = [dict(w, pairs=_labelled(host, w["pairs"])) for w in out[key]]
@@ -379,7 +399,15 @@ def cmd_census(args):
 # -- gen ---------------------------------------------------------------------
 
 
+# the gen flags that each target does not read
+_GEN_UNREAD = {"cube": ("cube", "vertex", "k", "seed", "strong"),
+               "link": ("dim", "k", "seed", "strong"),
+               "random-instance": ("dim", "vertex")}
+
+
 def cmd_gen(args):
+    _refuse(args, _GEN_UNREAD.get(args.what, ()),
+            f"does not apply to gen {args.what}")
     if args.what == "cube":
         if args.dim is None:
             raise ValueError("gen cube needs --dim")
@@ -407,7 +435,7 @@ def cmd_gen(args):
         if args.strong and (d % 2 or 2 * k != d):
             raise ValueError(f"--strong needs an even --cube D and --k D/2, "
                              f"not D = {d} and k = {k}")
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         X = rng.sample(range(1 << d), 2 * k + (1 if args.strong else 0))
         pairs = list(zip(X[:2 * k:2], X[1:2 * k:2]))
         _emit(_instance(_cube_host({"dim": d}), pairs, X[2 * k:], args.strong))
@@ -459,7 +487,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--sample", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="sample seed (default 0)")
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("gen", help="generate lattices and instances")
@@ -468,15 +496,18 @@ def build_parser():
     p.add_argument("--cube", type=int)
     p.add_argument("--vertex")
     p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="instance seed (default 0)")
     p.add_argument("--strong", action="store_true")
     p.set_defaults(fn=cmd_gen)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse printed the help (code 0) or its usage and error
+        return 1 if e.code else 0
     try:
         return args.fn(args)
     except CaseNotCovered as e:

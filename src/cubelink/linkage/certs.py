@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from ..errors import CertificateInvalid, CubelinkError
+from ..errors import (CaseNotCovered, CertificateInvalid, CubelinkError,
+                      NoPath)
 from ..paths import validate_linkage
 
 
@@ -128,11 +129,13 @@ def certify(host, graph, label, pairs, solve, avoid=()) -> LinkageCertificate:
     is solved.  The certificate's instance names `host` and lists
     `pairs` and `avoid`, in their order, as `label` writes their vertices.
     `solve(pairs, trace)` returns one path per pair, in pair order, or raises
-    Unlinkable.  Paths that are not a linkage of `pairs` in `graph` avoiding
-    `avoid` raise CertificateInvalid, so no unchecked linkage is ever
-    returned.  An Unlinkable without a witness (a search that found nothing,
-    with no configuration to explain it) gives a certificate with `valid`
-    False, since there is nothing to check.
+    Unlinkable.  A NoPath out of `solve` is a fault of the solver, not of
+    the input: it raises CaseNotCovered with the trace so far.  Paths that
+    are not a linkage of `pairs` in `graph` avoiding `avoid` raise
+    CertificateInvalid, so no unchecked linkage is ever returned.  An
+    Unlinkable without a witness (a search that found nothing, with no
+    configuration to explain it) gives a certificate with `valid` False,
+    since there is nothing to check.
     """
     stray = [v for p in pairs for v in p if v not in graph]
     stray += [v for v in avoid if v not in graph]
@@ -154,6 +157,8 @@ def certify(host, graph, label, pairs, solve, avoid=()) -> LinkageCertificate:
     except Unlinkable as e:
         return LinkageCertificate(instance=instance, obstruction=e.witness,
                                   trace=trace, valid=e.witness is not None)
+    except NoPath as e:
+        raise CaseNotCovered(f"solver found no path: {e}", trace=trace)
     ok, msg = validate_linkage(graph, pairs, paths, avoid)
     if not ok:
         raise CertificateInvalid(f"solver output is not a linkage: {msg}",

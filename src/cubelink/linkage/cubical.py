@@ -90,7 +90,7 @@ def _cubical_solve(P, pairs, trace):
         out = _break_config(P, s1, S1verts, bar, route, bar_pairs(), witness,
                             trace)
     if out is None:
-        out = _StarSolver(P, s1, bar_pairs(), trace, S1g, S1verts).solve()
+        out = _StarSolver(P, s1, bar_pairs(), trace, S1g).solve()
     return _splice(pairs, route, lambda ep: [out[frozenset(e)] for e in ep])
 
 

@@ -210,12 +210,13 @@ def detect_config_dF(P, s1, pairs):
 class _StarSolver:
     """The star linkage of `pairs`, one of them at s1, in the star of s1.
 
-    S1g is the graph of the star and S1verts its vertex set, which holds
-    every terminal; the pairs are clear of the dF-configuration."""
+    S1g is the graph of the star, which holds every terminal; the pairs are
+    clear of the dF-configuration.  Routes through the antistar of F1 run
+    in S1g with F1 forbidden."""
 
-    def __init__(self, P: Polytope, s1, pairs, trace, S1g, S1verts):
+    def __init__(self, P: Polytope, s1, pairs, trace, S1g):
         self.P = P
-        self.S1g, self.S1verts = S1g, S1verts
+        self.S1g = S1g
         self.d = P.dim
         self.trace = trace
         _, self.t1, self.rest = take(pairs, s1)
@@ -230,8 +231,6 @@ class _StarSolver:
         P, s1, t1 = self.P, self.s1, self.t1
         cands = P.facets_containing((s1, t1))
         self.F1 = min(cands, key=lambda f: (-len(self.X & f), sorted(f)))
-        self.A1verts = self.S1verts - self.F1
-        self.A1g = _Induced(self.S1g, self.A1verts)
         self.s1o = P.opposite_in_face(self.F1, s1)
 
     @cached_property
@@ -266,7 +265,7 @@ class _StarSolver:
         """a's way to b across the antistar; an end in F1 reaches it by the
         injection."""
         e = lambda x: self.inj[x] if x in self.F1 else x
-        return _chain([a], shortest_path(self.A1g, e(a), e(b)), [b])
+        return _chain([a], shortest_path(self.S1g, e(a), e(b), self.F1), [b])
 
     def a1_2link(self, pairs2):
         """Two disjoint paths in the antistar via a ridge-cube inside it."""
@@ -275,9 +274,9 @@ class _StarSolver:
         _, RA = _far_ridge(P, R1, F1)
         if RA & F1:
             raise self.fail("antistar ridge meets F1")
-        return link_via_subgraph(self.A1g, pairs2, RA,
+        return link_via_subgraph(self.S1g, pairs2, RA,
                                  lambda ep: self.face_link(RA, ep),
-                                 trace=self.trace)
+                                 forbidden=F1, trace=self.trace)
 
     def link_in_F1(self, lpairs):
         """Linkage in the link of s1 inside the cube F1 (avoids s1 and s1o)."""
@@ -394,7 +393,7 @@ class _StarSolver:
         R, Ro = _unassoc_ridge(P, F1, self.X & F1, s1)
         piRo = lambda v: P.project_in_face(F1, Ro, v)
         piR = lambda v: P.project_in_face(F1, R, v)
-        a1_terms = sorted(self.X & self.A1verts)
+        a1_terms = sorted(self.X - F1)
         if t1 in R:
             self.trace.append("star/case2-near-ridge")
             route = _hops((self.X & F1) - {s1, t1}, piRo)
@@ -402,7 +401,7 @@ class _StarSolver:
             pool = sorted(set(Ro) - XRo - {self.s1o})
             zbars = self._pick_zbars(P, Ro, XRo, pool, len(a1_terms))
             z2bar = {self.inj[zb]: zb for zb in zbars}
-            for x, p in _route_into(self.A1g, a1_terms, z2bar,
+            for x, p in _route_into(self.S1g, a1_terms, z2bar, forbidden=F1,
                                     trace=self.trace).items():
                 route[x] = p + [z2bar[p[-1]]]
             self.splice(self.rest, route, lambda ep: self._must_link(Ro, ep))
@@ -415,7 +414,8 @@ class _StarSolver:
         J, RJ = _far_ridge(P, R, F1)
         if RJ & F1:
             raise self.fail("escape ridge meets F1")
-        route = _route_into(self.A1g, a1_terms, RJ, trace=self.trace)
+        route = _route_into(self.S1g, a1_terms, RJ, forbidden=F1,
+                            trace=self.trace)
         route.update(_hops((self.X & F1) - {s1, t1}, piR))
         self.splice(self.rest, route,
                     lambda ep: self.face_link(J, ep, avoid=[s1]))
@@ -460,8 +460,9 @@ class _StarSolver:
         outside = [x for x in a1_terms if x not in gamma_verts]
         if outside:
             resident = self.X & gamma_verts
-            route.update(_route_into(self.A1g, outside, gamma_verts - resident,
-                                     forbidden=resident, trace=self.trace))
+            route.update(_route_into(self.S1g, outside, gamma_verts - resident,
+                                     forbidden=resident | F1,
+                                     trace=self.trace))
         hat = {x: route[x][-1] for x in a1_terms}
         F12 = next(f for f in S12_facets if hat[t2] in f)
         if t1 in F12:
@@ -475,20 +476,18 @@ class _StarSolver:
         self.record(s1, t1, _chain([s1], p1))
         if len(S12_facets) > 1:
             # several facets around s1-s2: funnel strays through a far ridge
-            A12verts = gamma_verts - frozenset(F12)
             U = next(u for u in P.ridges_of_facet(F12) if s1 in u and s2 in u)
             J12, UJ = _far_ridge(P, U, F12)
             hatX = set(hat.values())
             blocked = {P.project_in_face(J12, UJ, v)
                        for v in (hatX | {s1}) & set(U)}
-            strays = sorted(x for x in a1_terms if hat[x] in A12verts)
+            strays = sorted(x for x in a1_terms if hat[x] not in F12)
             W = sorted(set(UJ) - F1 - blocked)[:len(strays)]
             if len(W) < len(strays):
                 raise self.fail("not enough landing spots off the far ridge")
             if strays:
-                back = _route_into(_Induced(G12_all, A12verts),
-                                   [hat[x] for x in strays], W,
-                                   trace=self.trace)
+                back = _route_into(G12_all, [hat[x] for x in strays], W,
+                                   forbidden=F1 | F12, trace=self.trace)
                 for x in strays:
                     p = back[hat[x]]
                     route[x] = _chain(route[x], p,
@@ -795,7 +794,7 @@ def solve_star(P, s1, pairs) -> LinkageCertificate:
         if witness is not None:
             trace.append("star/config-dF")
             raise Unlinkable(witness)
-        out = _StarSolver(P, s1, ps, trace, S1g, set(S1g)).solve()
+        out = _StarSolver(P, s1, ps, trace, S1g).solve()
         return [_orient(out[frozenset(p)], p[0]) for p in ps]
 
     return certify(f"star({P.labels.get(s1, s1)}) in {d}-polytope", S1g,

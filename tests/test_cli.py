@@ -60,6 +60,141 @@ def test_solve_malformed_exit_1(capsys):
     assert run(capsys, "solve", "--cube", "3")[0] == 1
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["solve", "--cube", "x", "--pairs", "000-111"],
+     "argument --cube: invalid int value: 'x'"),
+    (["solve", "--cube", "3", "--pairs", "000-111", "--colour"],
+     "unrecognized arguments: --colour"),
+    (["census", "--cube", "3"], "the following arguments are required: --k"),
+    (["gen", "torus"], "argument what: invalid choice: 'torus'"),
+], ids=["solve-bad-int", "unknown-flag", "census-no-k", "gen-bad-target"])
+def test_a_command_line_argparse_refuses_exits_1(capsys, argv, err):
+    # 2 is the code of an obstruction; argparse's usage and message stay
+    code, out, stderr = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert stderr.startswith("usage: cubelink") and err in stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"],
+                                  ["census", "-h"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: cubelink") and err == ""
+
+
+def _write_instance(capsys, path, *flags):
+    """Write the instance that `solve FLAGS` certifies to path."""
+    code, out, _ = run(capsys, "solve", *flags)
+    assert code == 0
+    path.write_text(json.dumps(json.loads(out)["instance"]))
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["solve", "--instance", "q4.json", "--cube", "5",
+      "--pairs", "00000-11111", "--avoid", "00001"], "--cube does not go"),
+    (["solve", "--instance", "q4.json", "--pairs", "0000-0001"],
+     "--pairs does not go"),
+    (["solve", "--instance", "q4.json", "--avoid", "0101"],
+     "--avoid does not go"),
+    (["solve", "--instance", "q4.json", "--link", "5"], "--link does not go"),
+    (["solve", "--instance", "q4.json", "--vertex", "00000"],
+     "--vertex does not go"),
+    (["solve", "--instance", "q4.json", "--strong"], "--strong does not go"),
+    (["solve", "--cube", "3", "--vertex", "010", "--pairs", "000-111"],
+     "--vertex applies only to a --link host"),
+    (["solve", "--lattice", "q4.json", "--vertex", "010",
+      "--pairs", "000-111"], "--vertex applies only to a --link host"),
+    (["census", "--cube", "3", "--vertex", "010", "--k", "2",
+      "--exhaustive"], "--vertex applies only to a --link host"),
+    (["census", "--cube", "3", "--k", "2", "--exhaustive", "--sample", "5"],
+     "--sample does not go with --exhaustive"),
+    (["census", "--cube", "3", "--k", "2", "--exhaustive", "--seed", "4"],
+     "--seed does not go with --exhaustive"),
+    (["gen", "random-instance", "--cube", "4", "--k", "2",
+      "--vertex", "0101", "--dim", "7"],
+     "--dim does not apply to gen random-instance"),
+    (["gen", "random-instance", "--cube", "4", "--k", "2",
+      "--vertex", "0101"], "--vertex does not apply to gen random-instance"),
+    (["gen", "cube", "--dim", "3", "--cube", "4"],
+     "--cube does not apply to gen cube"),
+    (["gen", "cube", "--dim", "3", "--seed", "1"],
+     "--seed does not apply to gen cube"),
+    (["gen", "link", "--cube", "4", "--k", "2"],
+     "--k does not apply to gen link"),
+    (["gen", "link", "--cube", "4", "--strong"],
+     "--strong does not apply to gen link"),
+], ids=["instance-cube", "instance-pairs", "instance-avoid", "instance-link",
+        "instance-vertex", "instance-strong", "solve-vertex-on-cube",
+        "solve-vertex-on-lattice", "census-vertex-on-cube",
+        "census-exhaustive-sample", "census-exhaustive-seed",
+        "gen-instance-dim", "gen-instance-vertex", "gen-cube-cube",
+        "gen-cube-seed", "gen-link-k", "gen-link-strong"])
+def test_a_flag_the_command_does_not_read_exits_1(capsys, tmp_path,
+                                                  monkeypatch, argv, err):
+    # each of these used to be ignored: the instance file's Q_4 was solved,
+    # the cube taken for a link, the census run exhaustively
+    monkeypatch.chdir(tmp_path)
+    _write_instance(capsys, tmp_path / "q4.json", "--cube", "4",
+                    "--pairs", "0000-1111,0011-1100")
+    code, out, stderr = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert stderr.startswith(f"error: {err}"), stderr
+
+
+def test_instance_takes_lattice_method_trace_and_dot(capsys, tmp_path,
+                                                     monkeypatch):
+    # what the file does not say: where a lattice lives, and how to solve
+    # and print the instance
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q3.json").write_text(
+        run(capsys, "gen", "cube", "--dim", "3")[1])
+    _write_instance(capsys, tmp_path / "inst.json", "--lattice", "q3.json",
+                    "--pairs", "000-111")
+    (tmp_path / "copy.json").write_text((tmp_path / "q3.json").read_text())
+    code, out, err = run(capsys, "solve", "--instance", "inst.json",
+                         "--lattice", "copy.json", "--method", "oracle",
+                         "--trace", "--dot")
+    assert code == 0 and out.startswith("graph cubelink {")
+    assert err == "oracle/search\n"
+
+
+@pytest.mark.parametrize("method", ["auto", "constructive", "oracle"])
+@pytest.mark.parametrize("flags,err", [
+    (["--cube", "3", "--pairs", "000-111", "--avoid", "010"],
+     "strong linkage needs even d"),
+    (["--cube", "4", "--pairs", "0000-1111", "--avoid", "0101"],
+     "need exactly 2 pairs"),
+    (["--cube", "4", "--pairs", "0000-1111,0011-1100"],
+     "--strong needs exactly one --avoid vertex"),
+], ids=["odd-d", "too-few-pairs", "no-avoid"])
+def test_strong_shape_is_checked_for_every_method(capsys, tmp_path, method,
+                                                  flags, err):
+    # --method oracle used to skip these checks and print "strong": true
+    # on instances that the constructive method and solve --instance refuse
+    argv = ["solve", "--strong", "--method", method, *flags]
+    assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+    path = tmp_path / "inst.json"
+    _write_instance(capsys, path, *flags)
+    inst = dict(json.loads(path.read_text()), strong=True)
+    path.write_text(json.dumps(inst))
+    assert run(capsys, "solve", "--instance", str(path),
+               "--method", method) == (1, "", f"error: {err}\n")
+
+
+def test_strong_oracle_solve_replays(capsys, tmp_path):
+    code, out, _ = run(capsys, "solve", "--cube", "4", "--strong",
+                       "--avoid", "0101", "--pairs", "0000-1111,0011-1100",
+                       "--method", "oracle")
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["instance"]["strong"] is True and cert["valid"] is True
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    assert run(capsys, "verify", str(path)) == (0, "PASS: ok\n", "")
+    path.write_text(json.dumps(cert["instance"]))
+    assert run(capsys, "solve", "--instance", str(path))[0] == 0
+
+
 def test_solve_deterministic_bytes(capsys):
     argv = ("solve", "--cube", "6", "--pairs",
             "000000-111111,000001-111110,000010-111101")
@@ -332,6 +467,29 @@ def test_unchecked_linkage_never_emitted_under_python_O():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 3, r.stderr
     assert r.stdout == ""
+
+
+def test_a_solver_that_finds_no_path_exits_3(capsys, tmp_path, monkeypatch):
+    # a NoPath inside a solver is a fault of the solver, not of the input:
+    # it used to print "error: ..." and exit 1
+    import cubelink.linkage.star as star
+    from cubelink.errors import NoPath
+
+    (tmp_path / "q5.json").write_text(
+        run(capsys, "gen", "cube", "--dim", "5")[1])
+
+    def no_path(*args, **kwargs):
+        raise NoPath("patched face path")
+
+    monkeypatch.setattr(star, "_face_path", no_path)
+    # the star of 11100 holds every terminal, and its case reads a face path
+    code, out, err = run(capsys, "solve", "--lattice",
+                         str(tmp_path / "q5.json"),
+                         "--pairs", "11100-00110,00001-10111,00010-10110")
+    assert code == 3 and out == ""
+    assert err == ("case not covered: solver found no path: patched face path "
+                   "trace=['cubical/star-route', 'star/F1-terminals=4', "
+                   "'star/case2-far-ridge']\n")
 
 
 def test_census_q3_golden(capsys):

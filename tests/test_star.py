@@ -212,6 +212,22 @@ def test_a_failed_injection_reaches_the_caller_with_its_case_tag(
     assert reads
 
 
+def test_a_face_path_that_finds_none_raises_case_not_covered(monkeypatch):
+    # most of the cases' face paths are uncaught: a NoPath from one is a
+    # fault of the solver, which certify reports with the trace so far
+    import cubelink.linkage.star as star
+    from cubelink.errors import NoPath
+
+    def no_path(*args, **kwargs):
+        raise NoPath("patched face path")
+
+    monkeypatch.setattr(star, "_face_path", no_path)
+    with pytest.raises(CaseNotCovered) as e:
+        solve_star(build_cube_polytope(5), 7, [(7, 12), (16, 29), (8, 13)])
+    assert "patched face path" in str(e.value)
+    assert e.value.trace[-1] == "star/case2-far-ridge"
+
+
 def test_induced_view_matches_its_definition():
     # the dict the view replaces: keys in sorted order, each row kept to
     # verts in G's row order; `in` and KeyError answer as the dict does
@@ -279,7 +295,7 @@ def test_broken_invariants_raise_case_not_covered(monkeypatch):
     P = build_cube_polytope(5)
     S1g = P.generated_graph(P.vertex_facets[0])
     solver = _StarSolver(P, 0, [(0, 30), (5, 9), (18, 24)], ["star/tag"],
-                         S1g, set(S1g))
+                         S1g)
     with pytest.raises(CaseNotCovered) as e:
         solver.record(5, 9, [5, 7])
     assert e.value.trace == ["star/tag"]
