@@ -203,8 +203,9 @@ def _instance(host, pairs, avoid, strong):
 
 def _read_instance(inst, lattice=None):
     """The host, pairs, avoided vertices and strong flag of an instance
-    object, the one reader of every instance solve and verify take;
-    `lattice` is the --lattice flag."""
+    object, the one reader of every instance solve and verify take, which
+    refuses a strong instance of the wrong shape; `lattice` is the
+    --lattice flag."""
     host = _host_from_spec(inst["host"], lattice)
     pairs = []
     for pair in inst["pairs"]:
@@ -215,6 +216,16 @@ def _read_instance(inst, lattice=None):
     strong = inst.get("strong", False)
     if not isinstance(strong, bool):
         raise ValueError("instance \"strong\" must be true or false")
+    if strong:
+        # the shape of a strong instance, whichever method solves or
+        # verifies it: one avoided vertex, the unpaired terminal, and d/2
+        # pairs in even d
+        if len(avoid) != 1:
+            raise ValueError("--strong needs exactly one --avoid vertex")
+        if host.dim % 2:
+            raise ValueError("strong linkage needs even d")
+        if 2 * len(pairs) != host.dim:
+            raise ValueError(f"need exactly {host.dim // 2} pairs")
     return host, pairs, avoid, strong
 
 
@@ -284,15 +295,6 @@ def cmd_solve(args):
             lambda inst: _read_instance(inst, args.lattice))
     else:
         host, pairs, avoid, strong = _read_instance(_flags_instance(args))
-    if strong:
-        # the shape of a strong instance, whichever method solves it: one
-        # avoided vertex, the unpaired terminal, and d/2 pairs in even d
-        if len(avoid) != 1:
-            raise ValueError("--strong needs exactly one --avoid vertex")
-        if host.dim % 2:
-            raise ValueError("strong linkage needs even d")
-        if 2 * len(pairs) != host.dim:
-            raise ValueError(f"need exactly {host.dim // 2} pairs")
     if args.dot and len(host.graph) > MAX_SEARCH_VERTICES:
         # every vertex and edge becomes a line: refuse before solving
         raise ValueError(f"--dot draws hosts of at most {MAX_SEARCH_VERTICES}"

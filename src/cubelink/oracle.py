@@ -1,13 +1,14 @@
 """Ground-truth engines: exhaustive linkage search, censuses, symmetry keys.
 
 Every count the acceptance suite trusts is produced here, independently of the
-constructive solvers.  Both searches run on one bitset layer (`_Bits`): the
+constructive solvers.  The one search runs on a bitset layer (`_Bits`): the
 vertices are indexed in sorted order, each vertex's neighbours are one int
 mask, and every reachability check is a flood fill on those ints.
-`oracle_linkage` builds a linkage for the constructive base and for
-`--method oracle`; `linkable` only decides whether one exists, which is all
-a census reads.  It first routes the pairs one after another along
-BFS-shortest paths, and searches only when that leaves a pair cut off.
+`linkable` decides whether a linkage exists, which is all a census reads.
+It first routes the pairs one after another along BFS-shortest paths, and
+searches only when that leaves a pair cut off.  `oracle_linkage` builds a
+linkage for the constructive base and for `--method oracle` by walking it
+one vertex at a time, asking that decision before every step.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import os
 import time
 
-from .errors import OracleTimeout
+from .errors import CaseNotCovered, OracleTimeout
 
 DEFAULT_TIMEOUT_MS = 10_000
 TIMEOUT_VAR = "CUBELINK_ORACLE_TIMEOUT_MS"
@@ -150,61 +151,54 @@ def _check_deadline(deadline):
 
 
 def oracle_linkage(G, pairs, avoid=(), deadline=None):
-    """Exhaustive backtracking search for a vertex-disjoint Y-linkage.
+    """A vertex-disjoint Y-linkage, one path per pair in the given order
+    and orientation, or None if no linkage exists.
 
-    Returns a list of paths (one per pair, original order) or None if no
-    linkage exists.  `deadline` is an absolute time.monotonic() value,
-    checked at every DFS pop; when exceeded an OracleTimeout is raised.
-    Pairs are routed hardest first (max distance); each pair's simple
-    s-t paths are listed by DFS with neighbours in sorted order.  A popped
-    node is dropped when t is cut off from it by the partial path, or when
-    a later pair is cut off by the paths so far: both only grow along a
-    branch, so only subtrees with no linkage are cut and the first linkage
-    found is the one the unpruned search finds.
+    Pairs are routed hardest first (max distance), each from its smaller
+    end, and the linkage is the first one that a DFS over simple paths
+    meets when it tries the step to t first and then the neighbours in
+    increasing order.  It is walked, never searched: from u the walk steps
+    to t if they are adjacent, since the residual instance at u links, and
+    else to the least neighbour whose residual instance (this pair from
+    there, then the later pairs, on the vertices left) `_linkable_masks`
+    decides linkable.  `deadline` is an absolute time.monotonic() value
+    that every such call checks; when exceeded an OracleTimeout is raised.
     """
     _check_instance(G, pairs, avoid)
     B = _Bits(G)
-    index, verts, nbr, full = B.index, B.verts, B.nbr, B.full
+    index, verts, nbr = B.index, B.verts, B.nbr
     n = len(verts)
-    free = full & ~B.mask(avoid)
+    free = B.full & ~B.mask(avoid)
     order = sorted(range(len(pairs)),
                    key=lambda i: (-(B.reach(index[pairs[i][0]],
                                             index[pairs[i][1]], free) or n),
                                   sorted(pairs[i])))
     ps, frees = B.pair_masks([tuple(sorted(pairs[i])) for i in order], avoid)
-    found = [None] * len(ps)
-
-    def solve(idx, used):
-        if idx == len(ps):
-            return True
-        s, t = ps[idx]
-        blocked = full & ~frees[idx] | used
-        later = ps[idx + 1:], frees[idx + 1:]
-        stack = [(s, [s], blocked | 1 << s)]
-        while stack:
-            u, path, seen = stack.pop()
-            _check_deadline(deadline)
-            taken = used | seen & ~blocked
-            if not B.reach(u, t, full & ~seen) or B.cut_off(*later, taken):
-                continue
-            # neighbours highest first, so that the least is popped first
-            rest = nbr[u] & ~seen
-            while rest:
-                w = rest.bit_length() - 1
-                rest ^= 1 << w
-                if w == t:
-                    found[idx] = path + [t]
-                    if solve(idx + 1, taken | 1 << t):
-                        return True
-                else:
-                    stack.append((w, path + [w], seen | 1 << w))
-        return False
-
-    if not solve(0, 0):
+    if not _linkable_masks(B, ps, frees, deadline):
         return None
     out = [None] * len(pairs)
-    for i, p in zip(order, found):
-        p = [verts[j] for j in p]
+    on = 0  # the vertices of the paths so far
+    for idx, (i, (s, t), f) in enumerate(zip(order, ps, frees)):
+        later, gs = ps[idx + 1:], frees[idx + 1:]
+        path, u = [s], s
+        on |= 1 << s
+        while not nbr[u] >> t & 1:
+            steps = nbr[u] & f & ~on
+            while steps:
+                w = steps & -steps
+                steps ^= w
+                if _linkable_masks(B, [(w.bit_length() - 1, t)] + later,
+                                   [f & ~on] + [g & ~on & ~w for g in gs],
+                                   deadline):
+                    break
+            else:
+                raise CaseNotCovered(f"no step from {verts[u]!r} links the "
+                                     f"pair {pairs[i]!r}")
+            on |= w
+            u = w.bit_length() - 1
+            path.append(u)
+        on |= 1 << t
+        p = [verts[j] for j in path + [t]]
         out[i] = p if p[0] == pairs[i][0] else p[::-1]
     return out
 
@@ -212,17 +206,19 @@ def oracle_linkage(G, pairs, avoid=(), deadline=None):
 def linkable(G, pairs, avoid=(), deadline=None):
     """Whether a vertex-disjoint linkage of `pairs` avoiding `avoid` exists.
 
-    Validates like oracle_linkage and agrees with `oracle_linkage(...) is
-    not None`, but builds no paths.  It first tries a witness: each pair in
-    the given order takes a BFS-shortest path through its free vertices
-    minus the earlier paths, and if every pair gets one, that is a linkage.
-    Otherwise pairs are taken one at a time in the given order, each by a
-    DFS over induced s-t paths that stops at the first vertex adjacent to
-    t; the last pair is one flood fill.  That is complete: if a linkage
-    exists, the shortest path inside each path's own vertex set is induced
-    and gives one too.  A node is dropped when t is cut off from it, or a
-    later pair by the vertices used so far.  `deadline` is an absolute
-    time.monotonic() value checked before the witness and at every pop.
+    Validates like oracle_linkage and builds no paths.  It agrees with
+    `oracle_linkage(...) is not None` by construction: oracle_linkage
+    returns None exactly when this says no.  It first tries a witness: each
+    pair in the given order takes a BFS-shortest path through its free
+    vertices minus the earlier paths, and if every pair gets one, that is a
+    linkage.  Otherwise pairs are taken one at a time in the given order,
+    each by a DFS over induced s-t paths that stops at the first vertex
+    adjacent to t; the last pair is one flood fill.  That is complete: if a
+    linkage exists, the shortest path inside each path's own vertex set is
+    induced and gives one too.  A node is dropped when t is cut off from
+    it, or a later pair by the vertices used so far.  `deadline` is an
+    absolute time.monotonic() value checked before the witness and at every
+    pop.
     """
     _check_instance(G, pairs, avoid)
     B = _Bits(G)

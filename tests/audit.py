@@ -4,16 +4,18 @@ connectivity, internally disjoint paths, the tuple-node Menger router,
 separators, complexes, the facets' closure under intersection, cube faces
 and their per-bit maps onto smaller cubes, the per-face cube certificate,
 the cube symmetry key and the unpruned oracle; the paper's vertex-link
-facets; the ridge-by-ridge star injection; and capped polytopes, cubical
-hosts that are not cubes."""
+facets; the ridge-by-ridge star injection; and capped polytopes and
+zonotopes, cubical hosts that are not cubes."""
 
 import itertools
 import time
 from collections import Counter, deque
 from collections.abc import Mapping
+from fractions import Fraction
 from functools import cached_property
 
-from cubelink.complexes import Complex, Polytope, star_complex
+from cubelink.complexes import (Complex, Polytope, build_from_incidence,
+                                star_complex)
 from cubelink.errors import (CaseNotCovered, InconsistentIncidence, NoPath,
                              NotCubical, OracleTimeout)
 from cubelink.hypercube import CubeFace, _check_dim, cube_graph, vertex_to_str
@@ -518,6 +520,53 @@ def cap(P: Polytope, F) -> Polytope:
     facets += [R | {twin[v] for v in R} for R in P.ridges_of_facet(F)]
     return Polytope(P.dim, P.vertices + sorted(twin.values()), facets)
 
+
+def _det(rows):
+    """The exact determinant of a square matrix, by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def zonotope(d, n) -> Polytope:
+    """The cubical zonotope Z(d, n), the sum of n segments whose generators
+    lie on the moment curve, (1, t, ..., t^(d-1)) for t = 1..n (Ziegler,
+    Lectures on Polytopes, Lecture 7).  Each (d-1)-subset S of generators
+    spans a hyperplane with cofactor normal c, which gives two facets: the
+    signs off S are fixed to +-sign(c . g), the signs on S are free.  Vertex
+    ids index the sign vectors in sorted order."""
+    gens = [[t ** k for k in range(d)] for t in range(1, n + 1)]
+    facets = []
+    for S in itertools.combinations(range(n), d - 1):
+        rows = [gens[j] for j in S]
+        c = [(-1) ** k * _det([r[:k] + r[k + 1:] for r in rows])
+             for k in range(d)]
+        side = {j: 1 if sum(a * b for a, b in zip(c, gens[j])) > 0 else -1
+                for j in range(n) if j not in S}
+        for sign in (1, -1):
+            face = []
+            for free in itertools.product((-1, 1), repeat=d - 1):
+                v = dict(zip(S, free))
+                v.update((j, sign * e) for j, e in side.items())
+                face.append(tuple(v[j] for j in range(n)))
+            facets.append(face)
+    verts = sorted({v for f in facets for v in f})
+    index = {v: i for i, v in enumerate(verts)}
+    return build_from_incidence(d, len(verts),
+                                [[index[v] for v in f] for f in facets])
+
+
 def embed_by_bfs(graph, f):
     """Certify the face graph is Q_j and embed it: canonical BFS
     relabeling from the least vertex, axes assigned to its neighbours in
@@ -631,7 +680,7 @@ class ReferencePolytope(Polytope):
 
 def oracle_linkage_reference(G, pairs, avoid=(), deadline=None):
     """Reference for oracle.oracle_linkage: the set-based search without
-    dead-branch pruning, whose first linkage the pruned search must return.
+    dead-branch pruning, whose first linkage the oracle's walk must return.
 
     Exhaustive backtracking search for a vertex-disjoint Y-linkage.
 

@@ -195,6 +195,34 @@ def test_strong_oracle_solve_replays(capsys, tmp_path):
     assert run(capsys, "solve", "--instance", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("host,pairs,avoid,linkage,err", [
+    (3, [["000", "111"]], ["010"], [["000", "100", "110", "111"]],
+     "strong linkage needs even d"),
+    (4, [["0000", "1111"]], ["0101"],
+     [["0000", "1000", "1100", "1110", "1111"]], "need exactly 2 pairs"),
+    (4, [["0000", "1111"], ["0011", "1100"]], [],
+     [["0000", "1000", "1010", "1110", "1111"],
+      ["0011", "0111", "0110", "0100", "1100"]],
+     "--strong needs exactly one --avoid vertex"),
+], ids=["odd-d", "too-few-pairs", "no-avoid"])
+def test_verify_refuses_strong_certificates_of_the_wrong_shape(
+        capsys, tmp_path, host, pairs, avoid, linkage, err):
+    # the paths are a linkage, so only the strong flag makes them wrong:
+    # verify refuses such a certificate as solve refuses its instance
+    path = tmp_path / "cert.json"
+    cert = {"instance": {"host": {"kind": "cube", "dim": host},
+                         "pairs": pairs, "avoid": avoid, "strong": False},
+            "result": {"linkage": linkage}, "trace": [], "valid": True}
+    path.write_text(json.dumps(cert))
+    assert run(capsys, "verify", str(path)) == (0, "PASS: ok\n", "")
+    cert["instance"]["strong"] = True
+    path.write_text(json.dumps(cert))
+    assert run(capsys, "verify", str(path)) == (1, "", f"error: {err}\n")
+    path.write_text(json.dumps(cert["instance"]))
+    assert run(capsys, "solve", "--instance", str(path)) == (
+        1, "", f"error: {err}\n")
+
+
 def test_solve_deterministic_bytes(capsys):
     argv = ("solve", "--cube", "6", "--pairs",
             "000000-111111,000001-111110,000010-111101")
@@ -781,6 +809,8 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
     instance = json.loads(out)["instance"]
     assert instance["strong"] is True
     path = tmp_path / "instance.json"
+    path.write_text(out)
+    assert run(capsys, "verify", str(path)) == (0, "PASS: ok\n", "")
     path.write_text(json.dumps(instance))
     assert run(capsys, "solve", "--trace", "--instance", str(path)) == (
         code, out, err)

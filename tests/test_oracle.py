@@ -1,13 +1,15 @@
 import itertools
 import random
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cubelink.complexes import build_cube_polytope, link_polytope, star_complex
 from cubelink.errors import OracleTimeout
 from cubelink.hypercube import cube_graph
 from cubelink.linkage.cube import detect_config_3F
+from cubelink.linkage.cubical import solve_cubical
 from cubelink.oracle import (
     TIMEOUT_VAR,
     _Bits,
@@ -24,7 +26,7 @@ from cubelink.paths import validate_linkage
 
 from audit import (apply_cube_map, brute_cube_instance_key, cap,
                    common_neighbor_check, oracle_linkage_reference,
-                   separator_census)
+                   separator_census, zonotope)
 from test_star import star_instance
 
 
@@ -333,6 +335,51 @@ def test_oracle_matches_unpruned_reference_on_star_graphs(host):
     for G, pairs in _star_instances(P, 25):
         assert oracle_linkage(G, pairs) == \
             oracle_linkage_reference(G, pairs), pairs
+
+
+@st.composite
+def small_instances(draw):
+    """(G, pairs, avoid): a graph of 4-10 vertices with any edge set,
+    disconnected ones too, 1-3 pairs and 0-2 avoided vertices."""
+    n = draw(st.integers(4, 10))
+    G = {v: [] for v in range(n)}
+    for a, b in draw(st.sets(st.sampled_from(
+            list(itertools.combinations(range(n), 2))))):
+        G[a].append(b)
+        G[b].append(a)
+    k = draw(st.integers(1, min(3, n // 2)))
+    a = draw(st.integers(0, min(2, n - 2 * k)))
+    X = draw(st.permutations(range(n)))[:2 * k + a]
+    return G, [(X[2 * i], X[2 * i + 1]) for i in range(k)], X[2 * k:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(small_instances())
+def test_oracle_matches_unpruned_reference_on_small_graphs(inst):
+    # the walk returns the first linkage of the reference's DFS on any
+    # graph, not only on polytopes
+    G, pairs, avoid = inst
+    assert oracle_linkage(G, pairs, avoid) == \
+        oracle_linkage_reference(G, pairs, avoid)
+
+
+@pytest.mark.parametrize("d,n,verts,facets", [(3, 4, 14, 12), (3, 7, 44, 42),
+                                              (4, 6, 52, 40), (3, 8, 58, 56)])
+def test_zonotope_counts(d, n, verts, facets):
+    P = zonotope(d, n)
+    assert (P.dim, len(P.vertices), len(P.facets)) == (d, verts, facets)
+
+
+@pytest.mark.parametrize("pairs", [[(36, 35), (12, 32)],
+                                   [(36, 34), (7, 29)]])
+def test_oracle_links_hard_zonotope_pairings_in_time(pairs):
+    # two 2-pairings of Z(3, 8) on which a backtracking search over simple
+    # paths ran for over 15 s; the walk takes well under a second
+    P = zonotope(3, 8)
+    sol = oracle_linkage(P.graph, pairs, deadline=time.monotonic() + 5.0)
+    assert validate_linkage(P.graph, pairs, sol) == (True, "ok")
+    cert = solve_cubical(P, pairs)
+    assert cert.paths is not None and "cubical/d3-search" in cert.trace
 
 
 @pytest.mark.parametrize("host", ["Q3", "Q4", "linkQ4"])
