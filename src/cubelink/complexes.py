@@ -4,14 +4,16 @@ A Polytope stores its facets, the facet mask of each vertex, the graph and
 each facet's cube embedding.  One certificate reads all four off the facets
 and their pairwise intersections: each facet's cube coordinates come from
 its ridges, and every other intersection of two facets must be a subcube,
-so the faces are exactly the subcubes of the facets.  Q_d
-(`build_cube_polytope`) and vertex links are written down: Q_d's facets,
-graph and facet embeddings are known in closed form, and a link's are its
-host's ridges, rows and embeddings, which the host's certificate already
-proves to be a cubical polytope's (see vertex_link).
+so the faces are exactly the subcubes of the facets; in dimension 3 the
+squares must also make a 2-sphere.  Q_d (`build_cube_polytope`) and vertex
+links are written down: Q_d's facets, graph and facet embeddings are known
+in closed form, and a link's are its host's ridges, rows and embeddings,
+which the host's certificate already proves to be a cubical polytope's
+(see vertex_link).
 `vertex_link` is the one way a link is built, on demand and with no cache:
 a strong solve builds the link of its avoided vertex, and a link host
-(`link_polytope`) is the vertex link of its cube.
+(`link_polytope`, which keeps the last few in a bounded cache) is the
+vertex link of its cube.
 A lower face's embedding, the bridge to the bit-level solvers in
 `hypercube`, is read off its first facet's when first asked for.  The face
 lattice (faces as frozensets of vertex ids, by size, then by sorted vertex
@@ -25,10 +27,10 @@ face lies in the complex generated by a set of facets exactly when its mask
 meets theirs, so stars, ridges and facet queries need no subset tests.
 
 A Complex is a downward-closed set of faces of a host polytope, held as
-its faces, supporting star / antistar / link, strong connectivity via the
-dual graph, and facet-ridge paths.  The solvers build none: the graph of a
-star is `Polytope.generated_graph`, a view that reads each row off the
-masks only when a row is asked for.
+its faces, supporting star / antistar / link and strong connectivity via
+the dual graph.  The solvers build none: the graph of a star is
+`Polytope.generated_graph`, a view that reads each row off the masks only
+when a row is asked for.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from collections.abc import Mapping
 from functools import cached_property, lru_cache, reduce
 from operator import and_
 
-from .errors import InconsistentIncidence, NoPath, NotCubical
-from .hypercube import vertex_to_str
-from .paths import shortest_path
+from .errors import InconsistentIncidence, NotCubical, NotSphere
+from .hypercube import facet, facet_maps, smallest_face, vertex_to_str
+from .paths import reachable
 
 
 class Polytope:
@@ -49,7 +51,9 @@ class Polytope:
         """The facets certify themselves (_certify_facets): each must be a
         cube of one dimension on its ridges, and each nonempty intersection
         of two a subcube of both, or NotCubical is raised; the graph and
-        facet embeddings are read off the facets.
+        facet embeddings are read off the facets.  In dimension 3 the
+        squares must also make a 2-sphere (_check_sphere), or NotSphere is
+        raised.
 
         The polytope keeps only its facets, masks, graph and facet
         embeddings; its lower faces are read off the embeddings when first
@@ -60,6 +64,8 @@ class Polytope:
         if j != self.dim - 1:
             raise InconsistentIncidence(
                 f"facets have dimension {j}, expected {self.dim - 1}")
+        if dim == 3:
+            self._check_sphere()
 
     # -- lattice -----------------------------------------------------------
 
@@ -140,6 +146,45 @@ class Polytope:
             self._embed_cache[F] = (_canonical(F, coords, sorted(
                 at[coords[root] ^ 1 << i] for i in range(j))), j)
         self.graph = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+
+    def _check_sphere(self):
+        """Refuse certified squares that do not make a 2-sphere: the graph
+        must be connected, every edge lie on exactly two squares, the
+        squares around each vertex form one cycle, and V - E + F be 2.
+        Such a surface is a 2-sphere, so its graph is planar with every
+        square bounding a face, and two pairs that alternate around a
+        square cannot be linked (Jordan curve theorem): config-3F is then
+        a true obstruction.  A quadrangulated torus passes all but the
+        last check."""
+        vf, graph, name = self.vertex_facets, self.graph, self.labels
+        if len(reachable(graph, self.vertices[:1])) != len(graph):
+            raise NotSphere("the squares make no 2-sphere: the graph is not "
+                            "connected")
+        for v, ws in graph.items():
+            m = vf[v]
+            for w in ws:
+                if (vf[w] & m).bit_count() != 2:
+                    raise NotSphere(f"the squares make no 2-sphere: edge "
+                                    f"{name[v]}-{name[w]} lies on "
+                                    f"{(vf[w] & m).bit_count()} squares, "
+                                    f"not 2")
+            # grow one cycle of squares at v across its edges
+            ring, grown = m & -m, True
+            while grown:
+                grown = False
+                for w in ws:
+                    e = vf[w] & m
+                    if e & ring and e & ~ring:
+                        ring |= e
+                        grown = True
+            if ring != m:
+                raise NotSphere(f"the squares make no 2-sphere: those at "
+                                f"vertex {name[v]} form more than one cycle")
+        edges = sum(map(len, graph.values())) // 2
+        euler = len(graph) - edges + len(self.facets)
+        if euler != 2:
+            raise NotSphere(f"the squares make no 2-sphere: V - E + F is "
+                            f"{euler}, not 2")
 
     @cached_property
     def face_facets(self):
@@ -252,17 +297,10 @@ class Polytope:
     def opposite_subface(self, f, g):
         """The subface of f antipodal to g (flip g's fixed coordinates)."""
         coords, j = self.embed_face(f)
-        g = frozenset(g)
-        gcodes = {coords[v] for v in g}
-        ones = zeros = None
-        for c in gcodes:
-            ones = c if ones is None else ones & c
-            zeros = ~c if zeros is None else zeros & ~c
-        full = (1 << j) - 1
-        mask = (ones | zeros) & full
-        vals = (ones & mask) ^ mask
-        inv = {c: v for v, c in coords.items()}
-        return frozenset(inv[c] for c in coords.values() if (c & mask) == vals)
+        K = smallest_face(j, [coords[v] for v in g])
+        vals = K.fixed_values ^ K.fixed_mask
+        return frozenset(v for v, c in coords.items()
+                         if c & K.fixed_mask == vals)
 
     def project_in_face(self, f, sub_target, v):
         """Projection within the cube face f onto the subface opposite v's.
@@ -356,12 +394,12 @@ def build_cube_polytope(d: int) -> Polytope:
     verts = range(1 << d)
     embeddings = {}
     for i in range(d):
-        low = (1 << i) - 1
         for val in (0, 1):
             F = frozenset(v for v in verts if (v >> i) & 1 == val)
-            # the BFS labelling from min(F) = val << i: v less its bit i
-            embeddings[F] = ({v: ((v >> 1) & ~low) | (v & low) for v in F},
-                             d - 1)
+            # compress, v less its bit i, is the BFS labelling from
+            # min(F) = val << i
+            compress, _ = facet_maps(facet(d, i, val))
+            embeddings[F] = ({v: compress(v) for v in F}, d - 1)
     P = Polytope.__new__(Polytope)
     P._set_incidence(d, verts, embeddings,
                      {v: vertex_to_str(v, d) for v in verts})
@@ -428,13 +466,19 @@ def vertex_link(P: Polytope, x) -> Polytope:
     return L
 
 
-@lru_cache(maxsize=None)
+# holds the 16 links of Q4 that link solves at D = 4 read, with room to
+# spare; a link of Q10 takes about 2 MB
+LINK_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=LINK_CACHE_SIZE)
 def link_polytope(cube_dim: int, v: int) -> Polytope:
     """The vertex link of v in Q_{cube_dim} as a cubical
     (cube_dim-1)-polytope: vertex_link of the cube's lattice, so cube_dim
     is at most 10.  Its facets are the cube's ridges that fix two
     coordinates, exactly one of which agrees with v; vertex ids are the
-    cube's own bitmasks (v, v^o removed)."""
+    cube's own bitmasks (v, v^o removed).  The last LINK_CACHE_SIZE links
+    asked for are kept."""
     if cube_dim < 3:
         raise ValueError(LINK_DIM_ERROR.format(d=cube_dim))
     cube = build_cube_polytope(cube_dim)  # refuses cube_dim > 10 first
@@ -543,24 +587,6 @@ class Complex:
                     seen.add(g)
                     stack.append(g)
         return len(seen) == len(facets)
-
-    def facet_ridge_path(self, f_start, f_end, forbidden=()):
-        """Shortest dual-graph path between two facets avoiding `forbidden`.
-
-        Raises NoPath when the forbidden set separates them.
-        """
-        f_start, f_end = frozenset(f_start), frozenset(f_end)
-        forbidden = {frozenset(f) for f in forbidden}
-        adj = self.dual_graph()
-        adj = {f: sorted((g for g in n if g not in forbidden), key=sorted)
-               for f, n in adj.items() if f not in forbidden}
-        if f_start not in adj or f_end not in adj:
-            raise NoPath("endpoint facet forbidden or absent")
-        key = {f: i for i, f in enumerate(sorted(adj, key=sorted))}
-        G = {key[f]: [key[g] for g in adj[f]] for f in adj}
-        idx = shortest_path(G, key[f_start], key[f_end])
-        back = {i: f for f, i in key.items()}
-        return [back[i] for i in idx]
 
 
 def star_complex(P: Polytope, v) -> Complex:

@@ -17,6 +17,11 @@ class InconsistentIncidence(CubelinkError):
     """Vertex-facet incidence does not describe a polytope lattice."""
 
 
+class NotSphere(InconsistentIncidence):
+    """A 3-dimensional incidence whose squares do not make a 2-sphere, so it
+    is no 3-polytope's boundary."""
+
+
 class NoPath(CubelinkError):
     """No path satisfying the stated constraints exists."""
 

@@ -103,6 +103,25 @@ def opposite_facet(F: CubeFace) -> CubeFace:
     return CubeFace(F.d, F.fixed_mask, F.fixed_values ^ F.fixed_mask)
 
 
+def facet_maps(F: CubeFace):
+    """(compress, expand) bijections between V(F) and the (d-1)-cube, for a
+    facet F: compress drops F's fixed axis and closes the gap, expand opens
+    it and puts F's fixed value back.  A face that is not a facet raises
+    ValueError."""
+    if F.fixed_mask.bit_count() != 1:
+        raise ValueError("facet_maps requires a facet (one fixed coordinate)")
+    axis = F.fixed_mask.bit_length() - 1
+    low = F.fixed_mask - 1  # the axes below the fixed one
+
+    def compress(v):
+        return (v & low) | (v >> (axis + 1) << axis)
+
+    def expand(w):
+        return (w & low) | (w >> axis << (axis + 1)) | F.fixed_values
+
+    return compress, expand
+
+
 def project(x: int, F_target: CubeFace) -> int:
     """Projection of a vertex onto F_target of an opposite facet pair.
 

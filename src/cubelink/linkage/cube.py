@@ -11,8 +11,9 @@ subcube between its ends, which is the usual case; when some do, the
 shortest paths that avoid them are counted and the path is walked along
 them; and it is searched by A* from both ends only when every shortest path
 is blocked.  A subproblem on a facet is moved to the (d-1)-cube and back
-by bit splices around the facet's fixed axis (facet_maps), and certificates
-are checked against the implicit CubeAdjacency.
+by bit splices around the facet's fixed axis (hypercube.facet_maps, whose
+compress map is also each facet's embedding in build_cube_polytope), and
+certificates are checked against the implicit CubeAdjacency.
 
 Steps that every linkage solver repeats are written once here: splicing
 routes onto a linkage found at their ends (_splice), linking the terminals'
@@ -32,6 +33,7 @@ from ..hypercube import (
     dist,
     face_path,
     facet,
+    facet_maps,
     find_unassociated_pair,
     opposite_facet,
     project,
@@ -47,25 +49,6 @@ from .certs import (
     certify,
     terminals,
 )
-
-
-def facet_maps(F: CubeFace):
-    """(compress, expand) bijections between V(F) and the (d-1)-cube, for a
-    facet F: compress drops F's fixed axis and closes the gap, expand opens
-    it and puts F's fixed value back.  A face that is not a facet raises
-    ValueError."""
-    if F.fixed_mask.bit_count() != 1:
-        raise ValueError("facet_maps requires a facet (one fixed coordinate)")
-    axis = F.fixed_mask.bit_length() - 1
-    low = F.fixed_mask - 1  # the axes below the fixed one
-
-    def compress(v):
-        return (v & low) | (v >> (axis + 1) << axis)
-
-    def expand(w):
-        return (w & low) | (w >> axis << (axis + 1)) | F.fixed_values
-
-    return compress, expand
 
 
 # -- solver steps shared by every linkage solver ----------------------------

@@ -27,13 +27,14 @@ from .star import (_Induced, _face_link, _far_ridge, _route_into,
 def _facet_route(P, pairs, trace):
     """Route all terminals into one facet cube and link them there.
 
-    Facets are tried in order of decreasing terminal count; only d = 4 can
-    reject a facet (entries in a 3-cube may be obstructed), and if every
-    facet fails an exhaustive search takes over, with no deadline yet
-    (ROADMAP item 1).
+    Facets are tried in order of decreasing terminal count, ties in facet
+    order (by sorted vertex list, as P keeps them); only d = 4 can reject
+    a facet (entries in a 3-cube may be obstructed), and if every facet
+    fails an exhaustive search takes over, with no deadline yet (ROADMAP
+    item 1).
     """
     X = terminals(pairs)
-    cand = sorted(P.facets, key=lambda f: (-len(X & f), sorted(f)))
+    cand = sorted(P.facets, key=lambda f: -len(X & f))
     if P.dim > 4:
         cand = cand[:1]
     for F in cand:

@@ -2,10 +2,10 @@
 
 All terminals live in the closed star of s1 (s1 itself being one of them).
 The construction splits on how many terminals the facet F1 (the facet of the
-star through s1's partner holding the most terminals) contains, and routes
-the remaining pairs through ridges of F1, the antistar of F1, or the link of
-s1 in F1.  The single obstruction is the dF-configuration, reported as a
-witness.
+star through s1's partner holding the most terminals, the first in facet
+order on a tie) contains, and routes the remaining pairs through ridges of
+F1, the antistar of F1, or the link of s1 in F1.  The single obstruction is
+the dF-configuration, reported as a witness.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from operator import and_
 
 from ..complexes import Polytope
 from ..errors import CaseNotCovered, NoPath
-from ..hypercube import find_unassociated_pair
+from ..hypercube import dist, find_unassociated_pair
 from ..paths import Cut, disjoint_paths, shortest_path
 from .certs import (LinkageCertificate, Unlinkable, blocking, certify, take,
                     terminals)
@@ -66,7 +66,7 @@ def _face_link(P, f, pairs, avoid=(), *, trace):
 
 def _face_dist(P, f, u, v):
     coords, _ = P.embed_face(f)
-    return bin(coords[u] ^ coords[v]).count("1")
+    return dist(coords[u], coords[v])
 
 
 def _coord_split(P, f, axis):
@@ -230,7 +230,7 @@ class _StarSolver:
     def setup(self):
         P, s1, t1 = self.P, self.s1, self.t1
         cands = P.facets_containing((s1, t1))
-        self.F1 = min(cands, key=lambda f: (-len(self.X & f), sorted(f)))
+        self.F1 = min(cands, key=lambda f: -len(self.X & f))
         self.s1o = P.opposite_in_face(self.F1, s1)
 
     @cached_property

@@ -3,7 +3,9 @@
 Every count the acceptance suite trusts is produced here, independently of the
 constructive solvers.  The one search runs on a bitset layer (`_Bits`): the
 vertices are indexed in sorted order, each vertex's neighbours are one int
-mask, and every reachability check is a flood fill on those ints.
+mask, and one flood fill on those ints, `_Bits.route`, answers every
+reachability question: the mask of a shortest path it returns is 0 exactly
+when the ends are cut off.
 `linkable` decides whether a linkage exists, which is all a census reads.
 It first routes the pairs one after another along BFS-shortest paths, and
 searches only when that leaves a pair cut off.  `oracle_linkage` builds a
@@ -69,31 +71,11 @@ class _Bits:
                 m |= 1 << index[v]
         return m
 
-    def reach(self, a, b, free):
-        """Steps from vertex a to vertex b through the vertices of the mask
-        `free`, flooded level by level; 0 when b is cut off from a."""
-        nbr, goal = self.nbr, 1 << b
-        front = 1 << a
-        free &= ~front
-        steps = 0
-        while front:
-            steps += 1
-            new = 0
-            while front:
-                low = front & -front
-                new |= nbr[low.bit_length() - 1]
-                front ^= low
-            if new & goal:
-                return steps
-            front = new & free
-            free ^= front
-        return 0
-
     def route(self, a, b, free):
         """The vertex mask of a shortest path from vertex a to vertex b
         through the mask `free`, a and b included; 0 when b is cut off.  It
-        floods as `reach` does and walks back from b, taking the least
-        vertex of each level that is adjacent to the one after it."""
+        floods from a, level by level, and walks back from b, taking the
+        least vertex of each level that is adjacent to the one after it."""
         nbr, goal = self.nbr, 1 << b
         front = 1 << a
         free &= ~front
@@ -130,7 +112,7 @@ class _Bits:
     def cut_off(self, ps, frees, taken):
         """Whether a pair of ps is cut off once the vertices `taken` are."""
         for (a, b), free in zip(ps, frees):
-            if not self.reach(a, b, free & ~taken):
+            if not self.route(a, b, free & ~taken):
                 return True
         return False
 
@@ -169,9 +151,11 @@ def oracle_linkage(G, pairs, avoid=(), deadline=None):
     index, verts, nbr = B.index, B.verts, B.nbr
     n = len(verts)
     free = B.full & ~B.mask(avoid)
+    # a cut-off pair counts as longer than any path, so it comes first
     order = sorted(range(len(pairs)),
-                   key=lambda i: (-(B.reach(index[pairs[i][0]],
-                                            index[pairs[i][1]], free) or n),
+                   key=lambda i: (-(B.route(index[pairs[i][0]],
+                                            index[pairs[i][1]],
+                                            free).bit_count() or n + 1),
                                   sorted(pairs[i])))
     ps, frees = B.pair_masks([tuple(sorted(pairs[i])) for i in order], avoid)
     if not _linkable_masks(B, ps, frees, deadline):
@@ -263,7 +247,7 @@ def _linkable_masks(B, ps, frees, deadline):
                     return True
                 continue
             # s alone takes nothing a later pair may use
-            if not B.reach(u, t, full & ~seen) or (
+            if not B.route(u, t, full & ~seen) or (
                     u != s and B.cut_off(*later, used | path)):
                 continue
             closed = seen | nbr[u]

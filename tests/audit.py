@@ -4,8 +4,9 @@ connectivity, internally disjoint paths, the tuple-node Menger router,
 separators, complexes, the facets' closure under intersection, cube faces
 and their per-bit maps onto smaller cubes, the per-face cube certificate,
 the cube symmetry key and the unpruned oracle; the paper's vertex-link
-facets; the ridge-by-ridge star injection; and capped polytopes and
-zonotopes, cubical hosts that are not cubes."""
+facets; the ridge-by-ridge star injection; capped polytopes and
+zonotopes, cubical hosts that are not cubes; and the square grids on a
+torus or a Klein bottle, which are no polytopes."""
 
 import itertools
 import time
@@ -565,6 +566,19 @@ def zonotope(d, n) -> Polytope:
     index = {v: i for i, v in enumerate(verts)}
     return build_from_incidence(d, len(verts),
                                 [[index[v] for v in f] for f in facets])
+
+
+def grid_surface(m, n, twist=False):
+    """The facets of the m x n grid of squares with opposite sides glued,
+    vertex (r, c) as n * r + c: the torus T(m, n), or with `twist` a Klein
+    bottle, whose columns wrap with the rows reversed.  For m, n >= 4 both
+    pass the cubical facet certificate, yet neither is a 2-sphere."""
+    def v(r, c):
+        if twist and c >= n:
+            r = -r
+        return n * (r % m) + c % n
+    return [[v(r, c), v(r, c + 1), v(r + 1, c), v(r + 1, c + 1)]
+            for r in range(m) for c in range(n)]
 
 
 def embed_by_bfs(graph, f):

@@ -14,10 +14,11 @@ and function the dotted name of the enclosing defs (`<module>` at top
 level).  Source text, not a line number, names the statement, so an edit
 elsewhere in the file leaves the entry as it was.
 
-The list is compared, as a multiset, with tests/unreached_lines.txt: an
-unreached statement that is not listed fails the session, and a listed one
-that is now reached is only reported, so that it can be taken off.  Lines
-of that file that are blank or start with `#` are ignored.
+The list is compared, as a multiset, with tests/unreached_lines.txt and
+must equal it: an unreached statement that is not listed fails the session,
+and so does a listed one that a test reaches now or that no longer exists,
+so that the list names exactly what no test reaches.  Lines of that file
+that are blank or start with `#` are ignored.
 """
 
 import ast
@@ -126,7 +127,8 @@ class LineTrace:
         listed = collections.Counter(_listed())
         self.report = (sum(now.values()), sorted((now - listed).elements()),
                        sorted((listed - now).elements()))
-        if self.report[1] and session.exitstatus == pytest.ExitCode.OK:
+        if ((self.report[1] or self.report[2])
+                and session.exitstatus == pytest.ExitCode.OK):
             session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
     def pytest_terminal_summary(self, terminalreporter):
@@ -142,8 +144,8 @@ class LineTrace:
             for entry in new:
                 write(entry)
         if gone:
-            write(f"linetrace: {len(gone)} listed in {name} are reached "
-                  f"now; take them off:")
+            write(f"linetrace: FAIL: {len(gone)} listed in {name} are "
+                  f"reached now or gone; take them off:")
             for entry in gone:
                 write(entry)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cubelink
-from audit import cap
+from audit import cap, grid_surface
 from cubelink import cli
 from cubelink.cli import main
 from cubelink.complexes import build_cube_polytope, link_polytope
@@ -450,6 +451,36 @@ def test_lattice_with_a_facet_of_lower_dimension_exit_1(capsys, tmp_path,
         {"dim": 3, "vertices": 9, "facets": squares + [[7, 8]]}))
     assert run(capsys, argv[0], "--lattice", str(path), *argv[1:]) == (
         1, "", f"error: {NON_PURE_ERROR}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lattice", "t44.json", "--pairs", "0-5,4-1"],
+    ["verify", "cert.json"],
+    ["census", "--lattice", "t44.json", "--k", "2", "--exhaustive"],
+], ids=["solve", "verify", "census"])
+def test_a_torus_lattice_exits_1(capsys, tmp_path, monkeypatch, argv):
+    # on the torus T(4,4) the diagonals of the square [0, 1, 4, 5] match
+    # config-3F, yet they link: [[0, 3, 2, 6, 5], [4, 8, 9, 13, 1]].  Unless
+    # the host is refused, verify PASSes this witness.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t44.json").write_text(json.dumps(
+        {"dim": 3, "vertices": 16, "facets": grid_surface(4, 4)}))
+    (tmp_path / "cert.json").write_text(json.dumps({
+        "instance": {"host": {"kind": "lattice", "path": "t44.json",
+                              "dim": 3},
+                     "pairs": [["0", "5"], ["4", "1"]], "avoid": []},
+        "result": {"obstruction": {"kind": "config-3F",
+                                   "facet": ["0", "1", "4", "5"],
+                                   "pair": ["0", "5"],
+                                   "blocking": ["1", "4"]}}}))
+    assert run(capsys, *argv) == (
+        1, "", "error: the squares make no 2-sphere: V - E + F is 0, not 2\n")
+
+
+def test_gen_refuses_a_target_it_does_not_know():
+    # argparse's choices refuse it first on the command line
+    with pytest.raises(ValueError, match="unknown gen target 'torus'"):
+        cli.cmd_gen(argparse.Namespace(what="torus"))
 
 
 def test_an_edge_blocks_no_pair():

@@ -1,18 +1,20 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubelink.complexes import (Complex, Polytope, build_cube_polytope,
-                                build_from_incidence, link_polytope,
-                                star_complex)
-from cubelink.errors import InconsistentIncidence, NoPath, NotCubical
+from cubelink.complexes import (LINK_CACHE_SIZE, Complex, Polytope,
+                                build_cube_polytope, build_from_incidence,
+                                link_polytope, star_complex)
+from cubelink.errors import InconsistentIncidence, NotCubical, NotSphere
 from cubelink.hypercube import cube_graph, vertex_to_str, whole_cube
 from cubelink.linkage.cubical import vertex_link
 
 from audit import (ReferencePolytope, antistar_complex, cap,
-                   closure_by_intersection, embed_by_bfs, link_complex,
-                   link_reference, technical_decomposition)
+                   closure_by_intersection, embed_by_bfs, grid_surface,
+                   link_complex, link_reference, technical_decomposition,
+                   zonotope)
 
 
 def comb(n, k):
@@ -39,6 +41,9 @@ def test_cube_polytope_face_queries():
     assert P.opposite_subface(F, {0, 1}) == frozenset({2, 3})
     assert P.project_in_face(F, frozenset({2, 3}), 0) == 2
     assert P.project_in_face(F, frozenset({2, 3}), 3) == 3
+    with pytest.raises(ValueError, match="not unique"):
+        P.project_in_face(F, frozenset({3}), 0)
+    assert build_cube_polytope(1).ridges_of_facet({0}) == []
 
 
 def test_opposite_in_face_matches_bitmask_cube():
@@ -55,6 +60,80 @@ def test_opposite_in_face_matches_bitmask_cube():
 def test_simplex_is_rejected():
     with pytest.raises(NotCubical):
         Polytope(3, range(4), [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}])
+
+
+def _rebuilt(P):
+    j = P.to_json()
+    return build_from_incidence(j["dim"], j["vertices"], j["facets"])
+
+
+def test_3_polytopes_rebuilt_from_their_incidence_are_2_spheres():
+    Q3 = build_cube_polytope(3)
+    for P in [Q3, cap(Q3, Q3.facets[0])] + [link_polytope(4, v)
+                                            for v in range(16)]:
+        assert _rebuilt(P).to_json()["facets"] == P.to_json()["facets"]
+    for n in range(4, 9):
+        assert zonotope(3, n).dim == 3
+
+
+def _glued_cubes(shared):
+    """Two copies of Q3's squares that share the vertices `shared`."""
+    squares = build_cube_polytope(3).to_json()["facets"]
+    rest = iter(range(8, 16))
+    twin = {v: v if v in shared else next(rest) for v in range(8)}
+    return 16 - len(shared), squares + [[twin[v] for v in f] for f in squares]
+
+
+# each passes the cubical facet certificate; the message names the first of
+# the sphere's conditions that it fails
+NO_SPHERES = {
+    "torus": ((16, grid_surface(4, 4)), "V - E + F is 0, not 2"),
+    "klein-bottle": ((16, grid_surface(4, 4, twist=True)),
+                     "V - E + F is 0, not 2"),
+    "spheres-at-a-vertex": (_glued_cubes({0}),
+                            "those at vertex 0 form more than one cycle"),
+    # V - E + F = 14 - 24 + 12 = 2: only the cycle of squares tells
+    "spheres-at-two-vertices": (_glued_cubes({0, 7}),
+                                "those at vertex 0 form more than one cycle"),
+    "spheres-along-an-edge": (_glued_cubes({0, 1}), "edge 0-1 lies on 4"),
+    # V - E + F = 2, every edge on two squares, every vertex on one cycle
+    "sphere-and-torus": ((24, build_cube_polytope(3).to_json()["facets"]
+                          + [[8 + v for v in f] for f in grid_surface(4, 4)]),
+                         "the graph is not connected"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_SPHERES))
+def test_a_3_lattice_that_is_no_2_sphere_is_refused(name):
+    (n, facets), why = NO_SPHERES[name]
+    with pytest.raises(NotSphere, match=re.escape(
+            f"the squares make no 2-sphere: {why}")):
+        build_from_incidence(3, n, facets)
+
+
+@pytest.mark.parametrize("build", [lambda: build_cube_polytope(5),
+                                   lambda: link_polytope(5, 3),
+                                   lambda: zonotope(3, 8)],
+                         ids=["Q5", "link(Q5,3)", "Z(3,8)"])
+def test_facets_keep_sorted_vertex_list_order(build):
+    # the solvers break ties between facets by this order alone
+    P = build()
+    assert P.facets == sorted(P.facets, key=sorted)
+    for v in P.vertices:
+        for S in [{v}] + [{v, w} for w in P.graph[v]]:
+            assert P.facets_containing(S) == [F for F in P.facets if S <= F]
+
+
+def test_link_cache_is_bounded():
+    link_polytope.cache_clear()
+    for _ in range(2):
+        for v in range(16):
+            link_polytope(4, v)
+    assert link_polytope.cache_info().hits == 16
+    for _ in range(2):
+        for v in range(64):
+            link_polytope(6, v)
+    assert link_polytope.cache_info().currsize <= LINK_CACHE_SIZE
 
 
 def test_inconsistent_incidence_rejected():
@@ -148,20 +227,6 @@ def test_strong_connectivity_of_star_antistar_link(d):
         assert link_complex(P, 0).is_strongly_connected()
 
 
-def test_facet_ridge_path():
-    P = build_cube_polytope(3)
-    B = Complex.boundary(P)
-    f = frozenset({0, 1, 2, 3})
-    g = frozenset({4, 5, 6, 7})
-    path = B.facet_ridge_path(f, g)
-    assert path[0] == f and path[-1] == g
-    for a, b in zip(path, path[1:]):
-        assert P.face_dim[a & b] == 1
-    with pytest.raises(NoPath):
-        others = [h for h in P.facets if h not in (f, g)]
-        B.facet_ridge_path(f, g, forbidden=others)
-
-
 def test_complex_restrict_and_purity():
     P = build_cube_polytope(3)
     B = Complex.boundary(P)
@@ -169,6 +234,9 @@ def test_complex_restrict_and_purity():
     assert sq.dim == 2 and sq.is_pure()
     mixed = Complex.generated_by(P, [{0, 1, 2, 3}, {5, 7}])
     assert not mixed.is_pure()
+    assert not mixed.is_strongly_connected()
+    empty = Complex(P)
+    assert empty.dim == -1 and not empty.is_strongly_connected()
 
 
 def test_complexes_with_the_same_faces_are_equal():
@@ -297,6 +365,8 @@ def test_generated_graph_matches_its_definition(build):
                           if any(v in f and w in f for f in chosen)))
                 for v in P.vertices if any(v in f for f in chosen)]
         assert list(P.generated_graph(bits).items()) == want
+    with pytest.raises(KeyError):
+        P.generated_graph(0)[P.vertices[0]]
 
 
 @pytest.mark.parametrize("host", sorted(INDEX_HOSTS))

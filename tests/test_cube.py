@@ -11,6 +11,7 @@ from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph, facet,
 from cubelink.linkage.cube import (
     build_Mx_paths,
     cube_linkage,
+    detect_config_3F,
     facet_maps,
     scenario2_partition,
     solve_cube,
@@ -72,6 +73,8 @@ def test_solve_cube_rejects_overcapacity():
         solve_cube(4, [(0, 15), (1, 14), (2, 13)])
     with pytest.raises(ValueError):
         solve_cube(3, [(0, 7), (0, 6)])  # repeated terminal
+    with pytest.raises(ValueError, match="need at least 4 terminals"):
+        detect_config_3F(build_cube_polytope(3), [(0, 3)])
 
 
 def test_cube_linkage_avoid():

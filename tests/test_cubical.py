@@ -210,6 +210,14 @@ def test_strong_rejects_odd_dim_and_bad_x():
         solve_cubical_strong(P4, [(0, 15), (1, 14)], 1)  # x is a terminal
 
 
+def test_cubical_solvers_refuse_a_wrong_pair_count():
+    P4 = build_cube_polytope(4)
+    with pytest.raises(ValueError, match="at most 2 pairs in a cubical"):
+        solve_cubical(P4, [(0, 15), (1, 14), (2, 13)])
+    with pytest.raises(ValueError, match="need exactly 2 pairs"):
+        solve_cubical_strong(P4, [(0, 15)], 1)
+
+
 def test_cubical_deterministic():
     P = link_polytope(6, 0)
     pairs = [(1, 62), (3, 60), (7, 56)]

@@ -77,6 +77,19 @@ def test_opposite_facet():
         opposite_facet(CubeFace(4, 0b11, 0b00))
 
 
+@pytest.mark.parametrize("call,err", [
+    (lambda: facet(3, 3, 0), "axis 3 out of range"),
+    (lambda: project(0, CubeFace(3, 0b011, 0)), "target must be a facet"),
+    (lambda: smallest_face(3, []), "empty vertex set"),
+    (lambda: associated_pairs(3, []), "empty vertex set"),
+    (lambda: find_unassociated_pair(2, range(4)), "all 2 directions"),
+], ids=["facet", "project", "smallest_face", "associated_pairs",
+        "find_unassociated_pair"])
+def test_face_helpers_refuse_what_they_cannot_answer(call, err):
+    with pytest.raises(ValueError, match=err):
+        call()
+
+
 def test_cube_face_is_a_value():
     K = CubeFace(4, 0b0101, 0b1111)
     assert K.fixed_values == 0b0101  # masked to fixed_mask

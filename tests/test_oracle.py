@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubelink.complexes import build_cube_polytope, link_polytope, star_complex
-from cubelink.errors import OracleTimeout
+from cubelink.errors import NoPath, OracleTimeout
 from cubelink.hypercube import cube_graph
 from cubelink.linkage.cube import detect_config_3F
 from cubelink.linkage.cubical import solve_cubical
@@ -22,7 +22,7 @@ from cubelink.oracle import (
     oracle_linkage,
     oracle_timeout_ms,
 )
-from cubelink.paths import validate_linkage
+from cubelink.paths import shortest_path, validate_linkage
 
 from audit import (apply_cube_map, brute_cube_instance_key, cap,
                    common_neighbor_check, oracle_linkage_reference,
@@ -459,6 +459,31 @@ def test_linkable_timeout_raises():
         linkable(cube_graph(6), [(0, 63), (1, 62), (2, 61)], deadline=0.0)
 
 
+def test_route_is_a_bfs_shortest_path_and_0_when_cut_off():
+    # the oracle's one flood fill answers reachability by its mask alone
+    rng = random.Random(5)
+    cut = 0
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        G = {v: [] for v in range(n)}
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < 0.3:
+                G[a].append(b)
+                G[b].append(a)
+        a, b = rng.sample(range(n), 2)
+        free = rng.getrandbits(n)
+        mask = _Bits(G).route(a, b, free)
+        try:
+            path = shortest_path(G, a, b, [v for v in G if not free >> v & 1])
+        except NoPath:
+            assert mask == 0
+            cut += 1
+        else:
+            assert mask.bit_count() == len(path)
+            assert not mask & ~free & ~(1 << a | 1 << b)
+    assert 100 < cut < 300
+
+
 def test_linkable_rejects_bad_instances():
     G = cube_graph(3)
     assert linkable(G, [(0, 7)], avoid={1, 2})
@@ -468,6 +493,8 @@ def test_linkable_rejects_bad_instances():
         linkable(G, [(0, 7), (1, 7)])
     with pytest.raises(ValueError):
         linkable(G, [(0, 7)], avoid={7})
+    with pytest.raises(ValueError, match="terminal not in the graph"):
+        linkable(G, [(0, 8)])
 
 
 @pytest.mark.parametrize("facets,n,total,f2", [((0,), 12, 1485, 10),

@@ -91,6 +91,8 @@ def test_disjoint_paths_fan_in_cube():
     assert all(is_path(G, p) for p in fans)
     for a, b in itertools.combinations(fans, 2):
         assert not set(a[1:-1]) & set(b[1:-1])
+    with pytest.raises(ValueError, match="forbidden overlaps terminals"):
+        disjoint_paths(G, G[0], G[7], forbidden={1})
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
