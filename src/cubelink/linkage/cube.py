@@ -3,22 +3,24 @@
 solve_cube builds a Y-linkage for up to floor((d+1)/2) pairs by facet
 recursion; solve_cube_strong additionally avoids one extra terminal x.
 Both return LinkageCertificates whose paths are validated before return.
-Small dimensions (d <= 4) are settled by exhaustive search, memoised up to
-cube symmetry; the search has no deadline yet (ROADMAP item 1).  Above them
-no graph is built.  Paths inside a face come from hypercube.face_path: a
-path is written down in closed form when no forbidden vertex lies in the
-subcube between its ends, which is the usual case; when some do, the
-shortest paths that avoid them are counted and the path is walked along
-them; and it is searched by A* from both ends only when every shortest path
-is blocked.  A subproblem on a facet is moved to the (d-1)-cube and back
-by bit splices around the facet's fixed axis (hypercube.facet_maps, whose
-compress map is also each facet's embedding in build_cube_polytope), and
-certificates are checked against the implicit CubeAdjacency.
+Small dimensions (d <= 4) are settled without a search: the pairs are
+routed along shortest paths in one order, then in the other, which links
+every base instance within capacity that has a linkage once config-3F is
+ruled out.  Above them no graph is built.  Paths inside a face come from
+hypercube.face_path: a path is written down in closed form when no
+forbidden vertex lies in the subcube between its ends, which is the usual
+case; when some do, the shortest paths that avoid them are counted and the
+path is walked along them; and it is searched by A* from both ends only
+when every shortest path is blocked.  A subproblem on a facet is moved to
+the (d-1)-cube and back by bit splices around the facet's fixed axis
+(hypercube.facet_maps, whose compress map is also each facet's embedding
+in build_cube_polytope), and certificates are checked against the
+implicit CubeAdjacency.
 
 Steps that every linkage solver repeats are written once here: splicing
 routes onto a linkage found at their ends (_splice), linking the terminals'
-projections onto a facet there (_link_projected), and running a base-case
-search (_search), alone or after a config-3F check (_base_3F).  The Menger
+projections onto a facet there (_link_projected), and running a base case
+(_search), alone or after a config-3F check (_base_3F).  The Menger
 router (_route_into) sits beside _chain in star.py.
 """
 
@@ -41,7 +43,7 @@ from ..hypercube import (
     vertex_to_str,
     whole_cube,
 )
-from ..oracle import cube_instance_key, invert_cube_map, oracle_linkage
+from ..oracle import _Bits, _shortest_linkage
 from .certs import (
     LinkageCertificate,
     Unlinkable,
@@ -94,11 +96,12 @@ def _link_projected(pairs, F, trace, avoid=()):
 
 
 def _search(trace, tag, search):
-    """Tag the trace and return the linkage an exhaustive search finds.
+    """Tag the trace and return the linkage `search` finds.
 
-    Every base-case search on the solve path runs through here, with no
-    deadline yet (ROADMAP item 1).  A search that finds nothing raises
-    CaseNotCovered with its tag last in the trace.
+    Every base case on the solve path runs through here: the shortest-path
+    rule at d <= 4, and the lattice searches of cubical.py, which have no
+    deadline yet.  A search that finds nothing raises CaseNotCovered with
+    its tag last in the trace.
     """
     trace.append(tag)
     sol = search()
@@ -117,38 +120,46 @@ def _base_3F(P, pairs, trace, tags, search):
     return _search(trace, tags[1], search)
 
 
-# -- exhaustive base (d <= 4), memoised up to cube symmetry -----------------
+# -- base cases (d <= 4) by shortest paths -----------------------------------
 
-_base_cache: dict = {}
+_base_cache: dict = {}  # d -> the bit tables of Q_d
 
 
-def _oracle_base(d, pairs, avoid=()):
-    """Exhaustive linkage search in Q_d, d <= 4; None when none exists.
+def _walk(B, a, b, mask):
+    """The path from vertex a to vertex b through the vertex mask of an
+    induced path: each step has one neighbour left in the mask."""
+    path, u = [a], a
+    mask &= ~(1 << a)
+    while u != b:
+        step = B.nbr[u] & mask
+        mask ^= step
+        u = step.bit_length() - 1
+        path.append(u)
+    return path
 
-    With at most one avoided vertex, results are cached on the canonical
-    orbit key (translations and axis permutations), so whole censuses cost
-    only one search per symmetry class and the cache never outgrows the
-    classes of Q_1..Q_4.  The search runs on the canonical instance and its
-    paths are mapped back through the key's map, so the map, not just the
-    key, fixes the paths.  The key is a few table lookups per candidate
-    map.  More avoided vertices are searched directly.
+
+def _shortest_base(d, pairs, avoid=()):
+    """Linkage in Q_d, d <= 4, by shortest paths; None when cut off.
+
+    The pairs are routed in the given order, each along a BFS-shortest path
+    that avoids the other terminals, the avoided vertices and the earlier
+    paths; when a pair is cut off they are routed once more in reverse
+    order.  Within the capacity _linkage enforces, and in the link of a
+    vertex of Q_4 once config-3F is ruled out, this links every instance
+    that has a linkage (tests/test_cube.py checks all of them).
     """
-    G = cube_graph(d)
-    if len(avoid) > 1:
-        return oracle_linkage(G, pairs, avoid)
-    x = avoid[0] if avoid else None
-    key, tmap = cube_instance_key(d, pairs, x)
-    ckey = ("canon", d, key)
-    if ckey not in _base_cache:
-        cpairs = [tuple(p) for p in key[0]]
-        cavoid = [key[1]] if key[1] is not None else []
-        _base_cache[ckey] = oracle_linkage(G, cpairs, cavoid)
-    sol = _base_cache[ckey]
-    if sol is None:
-        return None
-    back = [[invert_cube_map(v, d, tmap) for v in p] for p in sol]
-    by_ends = {frozenset((p[0], p[-1])): p for p in back}
-    return [_orient(by_ends[frozenset(p)], p[0]) for p in pairs]
+    B = _base_cache.get(d)
+    if B is None:
+        B = _base_cache[d] = _Bits(cube_graph(d))
+    ps, frees = B.pair_masks(pairs, avoid)
+    masks = _shortest_linkage(B, ps, frees)
+    if masks is None:
+        masks = _shortest_linkage(B, ps[::-1], frees[::-1])
+        if masks is None:
+            return None
+        masks.reverse()
+    # Q_d's vertices are 0..2^d - 1, so each bit index is its vertex
+    return [_walk(B, a, b, m) for (a, b), m in zip(ps, masks)]
 
 
 # -- obstruction detection in 3-polytopes -----------------------------------
@@ -259,10 +270,10 @@ def _solve(d, pairs, trace):
     if d == 3:
         return _base_3F(build_cube_polytope(3), pairs, trace,
                         ("cube/d3-obstructed", "cube/base-d3"),
-                        lambda: _oracle_base(3, pairs))
+                        lambda: _shortest_base(3, pairs))
     if d <= 4:
         return _search(trace, f"cube/base-d{d}",
-                       lambda: _oracle_base(d, pairs))
+                       lambda: _shortest_base(d, pairs))
 
     X = sorted(terminals(pairs))
     K = smallest_face(d, X)
@@ -393,7 +404,7 @@ def _strong(d, pairs, x, trace):
         return [face_path(whole_cube(2), *pairs[0], {x})]
     if d == 4:
         return _search(trace, "cube/strong-base-d4",
-                       lambda: _oracle_base(4, pairs, (x,)))
+                       lambda: _shortest_base(4, pairs, (x,)))
     trace.append("cube/strong-project")
     axis = find_unassociated_pair(d, terminals(pairs))
     F = facet(d, axis, 1 - ((x >> axis) & 1))
@@ -428,7 +439,7 @@ def _linkage(d, pairs, avoid, trace):
             if witness is not None:
                 raise Unlinkable(witness)
         return _search(trace, f"cube/base-d{d}",
-                       lambda: _oracle_base(d, pairs, avoid))
+                       lambda: _shortest_base(d, pairs, avoid))
     if len(extra) % 2:
         filler = next(v for v in range(1 << d)
                       if v not in X and v not in avoid)

@@ -20,10 +20,9 @@ from ..hypercube import (
     vertex_to_str,
     whole_cube,
 )
-from ..oracle import oracle_linkage
 from .certs import LinkageCertificate, certify, take, terminals
-from .cube import (_base_3F, _hops, _link_projected, _orient, _solve_in_face,
-                   _splice)
+from .cube import (_base_3F, _hops, _link_projected, _orient, _shortest_base,
+                   _solve_in_face, _splice)
 
 
 def _reroute_through_opposite(F, vside, vother, paths, idx, pairs, trace):
@@ -61,7 +60,7 @@ def _link_solve(D, v, pairs, trace):
         P = link_polytope(D, v)
         return _base_3F(P, pairs, trace,
                         ("link/d3-obstructed", "link/d3-search"),
-                        lambda: oracle_linkage(P.graph, pairs))
+                        lambda: _shortest_base(D, pairs, (v, vo)))
 
     axis = find_unassociated_pair(D, X)
     F = facet(D, axis, (v >> axis) & 1)

@@ -1,4 +1,5 @@
-"""Ground-truth engines: exhaustive linkage search, censuses, symmetry keys.
+"""Ground-truth engines: exhaustive linkage search, censuses, and the
+symmetry keys of small cubes, which no solver calls.
 
 Every count the acceptance suite trusts is produced here, independently of the
 constructive solvers.  The one search runs on a bitset layer (`_Bits`): the
@@ -8,9 +9,11 @@ reachability question: the mask of a shortest path it returns is 0 exactly
 when the ends are cut off.
 `linkable` decides whether a linkage exists, which is all a census reads.
 It first routes the pairs one after another along BFS-shortest paths, and
-searches only when that leaves a pair cut off.  `oracle_linkage` builds a
-linkage for the constructive base and for `--method oracle` by walking it
-one vertex at a time, asking that decision before every step.
+searches only when that leaves a pair cut off.  The cube solvers' base
+cases reuse that witness (`_shortest_linkage`) and never search.
+`oracle_linkage` builds a linkage for `--method oracle` and the lattice
+searches by walking it one vertex at a time, asking that decision before
+every step.
 """
 
 from __future__ import annotations
@@ -210,22 +213,24 @@ def linkable(G, pairs, avoid=(), deadline=None):
 
 
 def _shortest_linkage(B, ps, frees):
-    """Whether routing each pair in turn along a BFS-shortest path (`route`)
-    through its free mask minus the earlier paths links every pair."""
-    used = 0
+    """Route each pair in turn along a BFS-shortest path (`route`) through
+    its free mask minus the earlier paths: the path masks in pair order,
+    or None when a pair is cut off."""
+    used, masks = 0, []
     for (a, b), free in zip(ps, frees):
         path = B.route(a, b, free & ~used)
         if not path:
-            return False
+            return None
         used |= path
-    return True
+        masks.append(path)
+    return masks
 
 
 def _linkable_masks(B, ps, frees, deadline):
     """`linkable` on bit tables: ps are the pairs by index and frees their
     free masks, as `_Bits.pair_masks` gives them."""
     _check_deadline(deadline)
-    if _shortest_linkage(B, ps, frees):
+    if _shortest_linkage(B, ps, frees) is not None:
         return True
     nbr, full = B.nbr, B.full
 

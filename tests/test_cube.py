@@ -4,11 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubelink.complexes import build_cube_polytope
+from cubelink import oracle
+from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.errors import CaseNotCovered, CertificateInvalid
 from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph, facet,
                                 opposite_facet, project)
 from cubelink.linkage.cube import (
+    _shortest_base,
     build_Mx_paths,
     cube_linkage,
     detect_config_3F,
@@ -20,10 +22,11 @@ from cubelink.linkage.cube import (
 from cubelink.linkage.cubical import solve_cubical, solve_cubical_strong
 from cubelink.linkage.link import solve_link
 from cubelink.linkage.star import solve_star
-from cubelink.oracle import all_pairings, oracle_linkage
+from cubelink.oracle import all_pairings, linkable, oracle_linkage
 from cubelink.paths import validate_linkage
 
 from audit import all_faces, face_maps_reference
+from test_oracle import _two_pairings
 
 
 def random_pairing(rng, d, k):
@@ -284,6 +287,88 @@ def test_solve_3polytope_against_oracle():
                 assert ok, msg
                 hits["linked"] += 1
     assert hits == {"linked": 204, "obstructed": 6}
+
+
+def _refused_bases(d, instances):
+    """The pairings the shortest-path base refuses, each checked against
+    `linkable`; every linkage it returns is validated."""
+    G, refused = cube_graph(d), []
+    for pairs, avoid in instances:
+        paths = _shortest_base(d, pairs, avoid)
+        assert (paths is not None) == linkable(G, pairs, avoid), (pairs, avoid)
+        if paths is None:
+            refused.append(pairs)
+        else:
+            ok, msg = validate_linkage(G, pairs, paths, avoid)
+            assert ok, (pairs, avoid, msg)
+    return refused
+
+
+def test_shortest_base_links_every_linkable_base():
+    # the base cases need no search: on Q3, on Q4 with 0 or 1 avoided
+    # vertex, and in the link of each vertex of Q4, the rule links exactly
+    # the instances that have a linkage, and refuses only config-3F ones
+    q3 = [(pairs, ()) for pairs in _two_pairings(range(8))]
+    refused = _refused_bases(3, q3)
+    assert (len(q3), len(refused)) == (210, 6)
+    P = build_cube_polytope(3)
+    assert all(detect_config_3F(P, pairs) for pairs in refused)
+
+    q4 = [(pairs, avoid) for pairs in _two_pairings(range(16))
+          for avoid in [()] + [(x,) for x in range(16)
+                               if all(x not in p for p in pairs)]]
+    assert len(q4) == 5460 + 65520
+    assert _refused_bases(4, q4) == []
+
+    total = obstructed = 0
+    for v in range(16):
+        avoid = (v, v ^ 15)
+        P = link_polytope(4, v)
+        links = [(pairs, avoid) for pairs in
+                 _two_pairings([x for x in range(16) if x not in avoid])]
+        refused = _refused_bases(4, links)
+        assert refused == [pairs for pairs, _ in links
+                           if detect_config_3F(P, pairs) is not None], v
+        total += len(links)
+        obstructed += len(refused)
+    assert (total, obstructed) == (48048, 192)
+
+
+def test_cube_and_link_solves_never_reach_the_oracle(monkeypatch):
+    def reached(*args):
+        raise AssertionError("a solve reached the oracle")
+
+    monkeypatch.setattr(oracle, "_linkable_masks", reached)
+    rng = random.Random(37)
+    tags = set()
+    for d in range(1, 8):
+        for _ in range(30):
+            k = rng.randint(1, (d + 1) // 2)
+            cert = solve_cube(d, random_pairing(rng, d, k))
+            kk = rng.randint(1, max(1, d // 2))
+            X = rng.sample(range(1 << d),
+                           rng.randint(2 * kk, max(2 * kk, d + 1)))
+            pairs = [(X[2 * i], X[2 * i + 1]) for i in range(kk)]
+            certs = [cert, cube_linkage(d, pairs, X[2 * kk:])]
+            if d % 2 == 0:
+                X = rng.sample(range(1 << d), d + 1)
+                pairs = [(X[2 * i], X[2 * i + 1]) for i in range(d // 2)]
+                certs.append(solve_cube_strong(d, pairs, X[d]))
+            for cert in certs:
+                assert cert.valid
+                tags.update(cert.trace)
+    for D in range(4, 7):
+        full = (1 << D) - 1
+        for _ in range(30):
+            v = rng.randrange(1 << D)
+            verts = [x for x in rng.sample(range(1 << D), D + 2)
+                     if x not in (v, v ^ full)]
+            pairs = [(verts[2 * i], verts[2 * i + 1]) for i in range(D // 2)]
+            cert = solve_link(D, v, pairs)
+            assert cert.valid
+            tags.update(cert.trace)
+    assert {"cube/base-d3", "cube/base-d4", "cube/strong-base-d4",
+            "link/d3-search"} <= tags
 
 
 def test_certificates_report_instance_and_trace():

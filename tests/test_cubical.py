@@ -259,9 +259,9 @@ def _golden_certificates():
     return lines
 
 
-# Recorded with the face-scanning lattice queries that predate the incidence
-# index; every certificate must stay byte-identical.
-GOLDEN_SHA256 = "293cbb69af0ce08a2a3aeddd16838a2203f6ad16d96e2aac19578f1c184777a2"
+# Recorded once the cube bases were routed by shortest paths, which changed
+# their paths and no verdict; every certificate must stay byte-identical.
+GOLDEN_SHA256 = "80dfa211c9d1af0199c830ccb77185ce2206334e41de42a83e5104767866ba8f"
 
 
 def test_certificates_match_golden_digest():
@@ -469,7 +469,7 @@ def _cube_link_and_crafted_certificates():
                      if x not in (v, v ^ full)]
             add(solve_link(D, v, random_pairing(rng, verts, D // 2)))
     # reroutes whose terminal faces the far removed vertex leave by an edge
-    for D, v, pairs in ((5, 27, [(2, 30), (26, 12)]),
+    for D, v, pairs in ((6, 44, [(63, 61), (27, 45)]),
                         (6, 36, [(56, 24), (32, 26)])):
         assert "link/one-side-reroute" in add(solve_link(D, v, pairs)).trace
     hosts = {"Q4": build_cube_polytope(4), "Q5": build_cube_polytope(5),
@@ -486,10 +486,10 @@ def _cube_link_and_crafted_certificates():
     return lines
 
 
-# Recorded before the solvers shared one router, splicer and search; every
+# Recorded once the cube bases were routed by shortest paths; every
 # certificate must stay byte-identical.
 CUBE_LINK_CRAFTED_SHA256 = (
-    "feef5d995d6facc36f51300597c54a457579c3df5c5ddd9c5dde9e17faac4614")
+    "54d24e12d93683f2303212c93354b8c43464c892b04ccde082f5304cf6f00556")
 
 
 def test_cube_link_and_crafted_certificates_match_golden_digest():

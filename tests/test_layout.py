@@ -82,9 +82,9 @@ def test_every_parameter_of_a_private_function_is_read():
 
 
 # Each seam and the functions allowed to cross it: Menger routing only in
-# the router, exhaustive search only in the memoised cube base and in the
-# searches handed to the one search function, so a budget has one home.
-SEAMS = {"disjoint_paths": {"_route_into"}, "oracle_linkage": {"_oracle_base"}}
+# the router, and exhaustive search only in the searches handed to the one
+# search function, so a budget has one home.
+SEAMS = {"disjoint_paths": {"_route_into"}, "oracle_linkage": set()}
 SEARCHES = {"_search", "_base_3F"}
 
 

@@ -411,7 +411,7 @@ def test_linkable_agrees_with_oracle_on_three_pairs():
 
 def _shortest_paths_link(G, pairs):
     B = _Bits(G)
-    return _shortest_linkage(B, *B.pair_masks(pairs, ()))
+    return _shortest_linkage(B, *B.pair_masks(pairs, ())) is not None
 
 
 def test_linkable_searches_where_shortest_paths_collide():

