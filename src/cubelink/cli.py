@@ -408,7 +408,7 @@ _GEN_UNREAD = {"cube": ("cube", "vertex", "k", "seed", "strong"),
 
 
 def cmd_gen(args):
-    _refuse(args, _GEN_UNREAD.get(args.what, ()),
+    _refuse(args, _GEN_UNREAD[args.what],
             f"does not apply to gen {args.what}")
     if args.what == "cube":
         if args.dim is None:
@@ -421,28 +421,27 @@ def cmd_gen(args):
         host = _link_host({"cube_dim": args.cube, "vertex": args.vertex})
         _emit(host.lattice().to_json())
         return 0
-    if args.what == "random-instance":
-        if args.cube is None or args.k is None:
-            raise ValueError("gen random-instance needs --cube D and --k")
-        import random
+    # random-instance, the last of the targets argparse admits
+    if args.cube is None or args.k is None:
+        raise ValueError("gen random-instance needs --cube D and --k")
+    import random
 
-        d, k = args.cube, args.k
-        # the instances solve --instance accepts: Q_d is floor((d+1)/2)-linked,
-        # and strongly d/2-linked for even d
-        if not 1 <= d <= MAX_DIM:
-            raise ValueError(f"--cube must be between 1 and {MAX_DIM}, not {d}")
-        if not 1 <= k <= (d + 1) // 2:
-            raise ValueError(
-                f"--k must be between 1 and {(d + 1) // 2} in Q_{d}, not {k}")
-        if args.strong and (d % 2 or 2 * k != d):
-            raise ValueError(f"--strong needs an even --cube D and --k D/2, "
-                             f"not D = {d} and k = {k}")
-        rng = random.Random(args.seed or 0)
-        X = rng.sample(range(1 << d), 2 * k + (1 if args.strong else 0))
-        pairs = list(zip(X[:2 * k:2], X[1:2 * k:2]))
-        _emit(_instance(_cube_host({"dim": d}), pairs, X[2 * k:], args.strong))
-        return 0
-    raise ValueError(f"unknown gen target {args.what!r}")
+    d, k = args.cube, args.k
+    # the instances solve --instance accepts: Q_d is floor((d+1)/2)-linked,
+    # and strongly d/2-linked for even d
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"--cube must be between 1 and {MAX_DIM}, not {d}")
+    if not 1 <= k <= (d + 1) // 2:
+        raise ValueError(
+            f"--k must be between 1 and {(d + 1) // 2} in Q_{d}, not {k}")
+    if args.strong and (d % 2 or 2 * k != d):
+        raise ValueError(f"--strong needs an even --cube D and --k D/2, "
+                         f"not D = {d} and k = {k}")
+    rng = random.Random(args.seed or 0)
+    X = rng.sample(range(1 << d), 2 * k + (1 if args.strong else 0))
+    pairs = list(zip(X[:2 * k:2], X[1:2 * k:2]))
+    _emit(_instance(_cube_host({"dim": d}), pairs, X[2 * k:], args.strong))
+    return 0
 
 
 # -- entry point -------------------------------------------------------------

@@ -109,9 +109,6 @@ def _break_config(P, s1, S1verts, bar, route, bpairs, witness, trace):
     ridges = [R for R in P.ridges_of_facet(F1) if bt1 in R]
     for R in ridges:
         J, RJ = _far_ridge(P, R, F1)
-        if RJ & F1:
-            raise CaseNotCovered("escape ridge meets the blocked facet",
-                                 trace=list(trace))
         touching = [x for x in sorted(route) if set(route[x]) & RJ]
         if touching:
             trace.append("cubical/config-redirect")

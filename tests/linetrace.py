@@ -17,8 +17,11 @@ elsewhere in the file leaves the entry as it was.
 The list is compared, as a multiset, with tests/unreached_lines.txt and
 must equal it: an unreached statement that is not listed fails the session,
 and so does a listed one that a test reaches now or that no longer exists,
-so that the list names exactly what no test reaches.  Lines of that file
-that are blank or start with `#` are ignored.
+so that the list names exactly what no test reaches.  Blank lines split
+that file into blocks, and a line that starts with `#` is a comment.  Each
+entry must sit under a reason: a comment line above it in its block, which
+says why the statement stays unreached.  An entry under no reason fails the
+session too.
 """
 
 import ast
@@ -91,10 +94,20 @@ def unreached(reached):
 
 
 def _listed():
-    if not LISTED.exists():
-        return []
-    return [line for line in LISTED.read_text().splitlines()
-            if line.strip() and not line.startswith("#")]
+    """The entries of LISTED, and those of them that sit under no reason:
+    no `#` line above them in their block."""
+    entries, bare, reason = [], [], False
+    lines = LISTED.read_text().splitlines() if LISTED.exists() else []
+    for line in lines:
+        if not line.strip():
+            reason = False
+        elif line.startswith("#"):
+            reason = True
+        else:
+            entries.append(line)
+            if not reason:
+                bare.append(line)
+    return entries, bare
 
 
 class LineTrace:
@@ -124,17 +137,17 @@ class LineTrace:
         threading.settrace(None)
         reached = {(os.path.realpath(f), line) for f, line in self.reached}
         now = collections.Counter(unreached(reached))
-        listed = collections.Counter(_listed())
+        entries, bare = _listed()
+        listed = collections.Counter(entries)
         self.report = (sum(now.values()), sorted((now - listed).elements()),
-                       sorted((listed - now).elements()))
-        if ((self.report[1] or self.report[2])
-                and session.exitstatus == pytest.ExitCode.OK):
+                       sorted((listed - now).elements()), bare)
+        if any(self.report[1:]) and session.exitstatus == pytest.ExitCode.OK:
             session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
     def pytest_terminal_summary(self, terminalreporter):
         if self.report is None:
             return
-        count, new, gone = self.report
+        count, new, gone, bare = self.report
         write = terminalreporter.write_line
         name = LISTED.relative_to(ROOT)
         write(f"linetrace: {count} statements of cubelink no test reached")
@@ -147,6 +160,11 @@ class LineTrace:
             write(f"linetrace: FAIL: {len(gone)} listed in {name} are "
                   f"reached now or gone; take them off:")
             for entry in gone:
+                write(entry)
+        if bare:
+            write(f"linetrace: FAIL: {len(bare)} listed in {name} sit under "
+                  f"no reason; put a `#` line saying why above them:")
+            for entry in bare:
                 write(entry)
 
 

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import functools
 import io
@@ -475,12 +474,6 @@ def test_a_torus_lattice_exits_1(capsys, tmp_path, monkeypatch, argv):
                                    "blocking": ["1", "4"]}}}))
     assert run(capsys, *argv) == (
         1, "", "error: the squares make no 2-sphere: V - E + F is 0, not 2\n")
-
-
-def test_gen_refuses_a_target_it_does_not_know():
-    # argparse's choices refuse it first on the command line
-    with pytest.raises(ValueError, match="unknown gen target 'torus'"):
-        cli.cmd_gen(argparse.Namespace(what="torus"))
 
 
 def test_an_edge_blocks_no_pair():

@@ -22,7 +22,7 @@ from cubelink.linkage.cube import (
 from cubelink.linkage.cubical import solve_cubical, solve_cubical_strong
 from cubelink.linkage.link import solve_link
 from cubelink.linkage.star import solve_star
-from cubelink.oracle import all_pairings, linkable, oracle_linkage
+from cubelink.oracle import all_pairings, oracle_linkage
 from cubelink.paths import validate_linkage
 
 from audit import all_faces, face_maps_reference
@@ -291,11 +291,14 @@ def test_solve_3polytope_against_oracle():
 
 def _refused_bases(d, instances):
     """The pairings the shortest-path base refuses, each checked against
-    `linkable`; every linkage it returns is validated."""
+    `linkable`'s search on bit tables built once for the graph; every
+    linkage it returns is validated."""
     G, refused = cube_graph(d), []
+    B = oracle._Bits(G)
     for pairs, avoid in instances:
         paths = _shortest_base(d, pairs, avoid)
-        assert (paths is not None) == linkable(G, pairs, avoid), (pairs, avoid)
+        truth = oracle._linkable_masks(B, *B.pair_masks(pairs, avoid), None)
+        assert (paths is not None) == truth, (pairs, avoid)
         if paths is None:
             refused.append(pairs)
         else:

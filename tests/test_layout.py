@@ -178,3 +178,18 @@ def test_cli_import_loads_no_introspection_modules():
         capture_output=True, text=True, check=True).stdout.split()
     assert "cubelink.cli" in added
     assert {"dataclasses", "inspect", "typing"}.isdisjoint(added)
+
+
+def test_every_unreached_entry_sits_under_a_reason(tmp_path, monkeypatch):
+    """tests/unreached_lines.txt gives each entry a `#` reason above it in
+    its block, and linetrace reports an entry whose block has none."""
+    import linetrace
+
+    entries, bare = linetrace._listed()
+    assert entries and bare == []
+    listed = tmp_path / "unreached_lines.txt"
+    listed.write_text("# header\n\n# why\na.py:f: x\n\nb.py:g: y\n# late\n"
+                      "c.py:h: z\n")
+    monkeypatch.setattr(linetrace, "LISTED", listed)
+    assert linetrace._listed() == (["a.py:f: x", "b.py:g: y", "c.py:h: z"],
+                                   ["b.py:g: y"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -480,6 +481,38 @@ def test_d5_all_in_retries_past_a_blocked_selection(monkeypatch):
     assert cert.trace == ["star/F1-terminals=6", "star/case4-d5",
                           "star/case4-d5-all-in", "cube/base-d3"]
     assert results == ["unlinkable", "linked"]
+
+
+D5_CASE4_TAGS = {
+    "star/case4-d5-adjacent", "star/case4-d5-all-in", "star/case4-d5-anti-far",
+    "star/case4-d5-anti-ridge", "star/case4-d5-anti-split",
+    "star/case4-d5-antipodal", "star/case4-d5-both-far", "star/case4-d5-hop",
+    "star/case4-d5-pair-in-R", "star/case4-d5-split",
+    "star/case4-d5-split-tight",
+}
+
+
+def test_every_case4_placement_in_a_q5_facet_is_solved():
+    # every placement of three pairs inside the facet {x4 = 0} of Q5, with
+    # 0 in pair 0: 15 partners of 0, C(14, 4) other terminals, 3 pairings.
+    # Each is case 4 at d = 5, and none reaches a CaseNotCovered; the short
+    # hops of the split branches always exist
+    P = build_cube_polytope(5)
+    calls = obstructed = 0
+    tags = set()
+    for t1 in range(1, 16):
+        rest = [v for v in range(1, 16) if v != t1]
+        for a, b, c, d in itertools.combinations(rest, 4):
+            for p2, p3 in (((a, b), (c, d)), ((a, c), (b, d)),
+                           ((a, d), (b, c))):
+                cert = solve_star(P, 0, [(0, t1), p2, p3])
+                calls += 1
+                if cert.obstruction is not None:
+                    assert cert.obstruction.kind == "config-dF"
+                    obstructed += 1
+                tags.update(cert.trace)
+    assert (calls, obstructed) == (45045, 3)
+    assert {t for t in tags if t.startswith("star/case4-d5-")} == D5_CASE4_TAGS
 
 
 def test_solve_star_builds_the_star_graph_once(monkeypatch):
