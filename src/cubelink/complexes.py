@@ -26,9 +26,10 @@ of the facets containing it (a face's mask is the AND of its vertices').  A
 face lies in the complex generated by a set of facets exactly when its mask
 meets theirs, so stars, ridges and facet queries need no subset tests.
 
-A Complex is a downward-closed set of faces of a host polytope, held as
-its faces, supporting star / antistar / link and strong connectivity via
-the dual graph.  The solvers build none: the graph of a star is
+A Complex is the downward-closed set of faces that some faces of a host
+polytope generate, with its vertices and graph; the tests' audit module
+extends it with the stars, antistars, links and strong connectivity of the
+paper's lemmas.  The solvers build none: the graph of a star is
 `Polytope.generated_graph`, a view that reads each row off the masks only
 when a row is asked for.
 """
@@ -488,17 +489,12 @@ def link_polytope(cube_dim: int, v: int) -> Polytope:
 
 
 class Complex:
-    """A downward-closed set of faces of a host polytope.  Complexes with
-    the same host and faces are equal."""
+    """A downward-closed set of faces of a host polytope: the faces that
+    some faces generate, with its vertices and graph."""
 
     def __init__(self, host, faces=frozenset()):
         self.host = host
         self.faces = faces
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     @classmethod
     def generated_by(cls, host, generators):
@@ -506,87 +502,14 @@ class Complex:
         faces = {f for f in host.proper_faces if any(f <= g for g in gens)}
         return cls(host, frozenset(faces))
 
-    @classmethod
-    def boundary(cls, host):
-        return cls(host, frozenset(host.proper_faces))
-
     def vertex_set(self):
         return {v for f in self.faces if len(f) == 1 for v in f}
-
-    @property
-    def dim(self):
-        if not self.faces:
-            return -1
-        return max(self.host.face_dim[f] for f in self.faces)
-
-    def maximal_faces(self):
-        return sorted((f for f in self.faces
-                       if not any(f < g for g in self.faces)), key=sorted)
-
-    def is_pure(self):
-        d = self.dim
-        return all(self.host.face_dim[f] == d for f in self.maximal_faces())
 
     def graph(self):
         """The 1-skeleton: the host's edges that are faces of the complex."""
         host, faces = self.host, self.faces
         return {v: tuple(w for w in host.graph[v] if frozenset((v, w)) in faces)
                 for v in sorted(self.vertex_set())}
-
-    def star(self, x):
-        """Faces containing x, plus their subfaces.  x is a vertex or face."""
-        xs = {x} if not isinstance(x, (set, frozenset)) else frozenset(x)
-        gens = [f for f in self.faces if xs <= f]
-        return Complex(self.host,
-                       frozenset(g for g in self.faces
-                                 if any(g <= f for f in gens)))
-
-    def antistar(self, X):
-        """The induced subcomplex on faces disjoint from the vertex set X."""
-        X = {X} if not isinstance(X, (set, frozenset)) else set(X)
-        return Complex(self.host,
-                       frozenset(f for f in self.faces if not (f & X)))
-
-    def link(self, x):
-        st = self.star(x)
-        xs = {x} if not isinstance(x, (set, frozenset)) else set(x)
-        return Complex(self.host,
-                       frozenset(f for f in st.faces if not (f & xs)))
-
-    def restrict_to_vertices(self, V):
-        V = set(V)
-        return Complex(self.host,
-                       frozenset(f for f in self.faces if f <= V))
-
-    def dual_graph(self):
-        """Facet adjacency: two maximal faces joined iff their intersection
-        is a ridge (a (dim-1)-face) of this complex."""
-        facets = self.maximal_faces()
-        want = self.dim - 1
-        adj = {f: [] for f in facets}
-        for i, f in enumerate(facets):
-            for g in facets[i + 1:]:
-                h = f & g
-                if h in self.faces and self.host.face_dim[h] == want:
-                    adj[f].append(g)
-                    adj[g].append(f)
-        return adj
-
-    def is_strongly_connected(self):
-        if not self.faces:
-            return False
-        if not self.is_pure():
-            return False
-        adj = self.dual_graph()
-        facets = list(adj)
-        seen = {facets[0]}
-        stack = [facets[0]]
-        while stack:
-            for g in adj[stack.pop()]:
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        return len(seen) == len(facets)
 
 
 def star_complex(P: Polytope, v) -> Complex:

@@ -88,17 +88,20 @@ class Unlinkable(CubelinkError):
 
 class LinkageCertificate:
     """A solved instance: `paths` (vertex-id lists in pair order) or an
-    `obstruction` (None for an exhausted search), the trace tags, and
-    whether the answer was checked.  Certificates with equal fields are
-    equal."""
+    `obstruction` (None for an exhausted search) and the trace tags.
+    Certificates with equal fields are equal."""
 
-    def __init__(self, instance, paths=None, obstruction=None, trace=None,
-                 valid=False):
+    def __init__(self, instance, paths=None, obstruction=None, trace=None):
         self.instance = instance
         self.paths = paths
         self.obstruction = obstruction
         self.trace = [] if trace is None else trace
-        self.valid = valid
+
+    @property
+    def valid(self):
+        """Whether the answer was checked: `certify` checks the paths, and
+        `blocking` the witness; an exhausted search has neither."""
+        return self.paths is not None or self.obstruction is not None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -156,12 +159,11 @@ def certify(host, graph, label, pairs, solve, avoid=()) -> LinkageCertificate:
         paths = solve(pairs, trace)
     except Unlinkable as e:
         return LinkageCertificate(instance=instance, obstruction=e.witness,
-                                  trace=trace, valid=e.witness is not None)
+                                  trace=trace)
     except NoPath as e:
         raise CaseNotCovered(f"solver found no path: {e}", trace=trace)
     ok, msg = validate_linkage(graph, pairs, paths, avoid)
     if not ok:
         raise CertificateInvalid(f"solver output is not a linkage: {msg}",
                                  trace=trace)
-    return LinkageCertificate(instance=instance, paths=paths, trace=trace,
-                              valid=True)
+    return LinkageCertificate(instance=instance, paths=paths, trace=trace)

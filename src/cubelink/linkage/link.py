@@ -9,7 +9,6 @@ reroutes around v and its antipode when a facet-level linkage touches them.
 from __future__ import annotations
 
 from ..complexes import LINK_DIM_ERROR, LINK_VERTEX_ERROR, link_polytope
-from ..errors import CaseNotCovered
 from ..hypercube import (
     CubeAdjacency,
     face_path,
@@ -25,9 +24,9 @@ from .cube import (_base_3F, _hops, _link_projected, _orient, _shortest_base,
                    _solve_in_face, _splice)
 
 
-def _reroute_through_opposite(F, vside, vother, paths, idx, pairs, trace):
-    """Rebuild paths[idx], which passes through vside inside the facet F,
-    as a detour through the opposite facet avoiding vother."""
+def _reroute_through_opposite(F, vother, paths, idx, pairs, trace):
+    """Rebuild paths[idx], which passes through the removed vertex inside
+    the facet F, as a detour through the opposite facet avoiding vother."""
     Fo = opposite_facet(F)
     s, t = pairs[idx]
 
@@ -35,9 +34,6 @@ def _reroute_through_opposite(F, vside, vother, paths, idx, pairs, trace):
         """x's way across, along its first edge of p when x faces vother."""
         if project(x, Fo) != vother:
             return [x, project(x, Fo)]
-        if p[1] == vside:
-            raise CaseNotCovered("terminal adjacent to the removed vertex",
-                                 trace=list(trace))
         return [x, p[1], project(p[1], Fo)]
 
     p = _orient(paths[idx], s)
@@ -77,7 +73,7 @@ def _link_solve(D, v, pairs, trace):
         if idx is not None:
             trace.append("link/one-side-reroute")
             paths[idx] = _reroute_through_opposite(
-                side, vside, vother, paths, idx, pairs, trace)
+                side, vother, paths, idx, pairs, trace)
         return paths
 
     adj_v = [x for x in X if not F.contains(x) and project(x, F) == v]

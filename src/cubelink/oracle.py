@@ -1,5 +1,5 @@
 """Ground-truth engines: exhaustive linkage search, censuses, and the
-symmetry keys of small cubes, which no solver calls.
+small-cube symmetry key `cube_instance_key`, which no solver calls.
 
 Every count the acceptance suite trusts is produced here, independently of the
 constructive solvers.  The one search runs on a bitset layer (`_Bits`): the
@@ -412,9 +412,6 @@ _TO_LOW = {d: tuple(tuple(e for e in perms
                           if e[1][diff] == (1 << diff.bit_count()) - 1)
                     for diff in range(1 << d))
            for d, perms in _PERMS.items()}
-# perm -> inverse image table
-_MAPS = {perm: tuple(sorted(range(len(table)), key=table.__getitem__))
-         for perms in _PERMS.values() for perm, table in perms}
 
 
 def _key_candidates(d, pairs):
@@ -458,10 +455,3 @@ def cube_instance_key(d, pairs, x=None):
                 best = key
                 best_map = (t, perm)
     return best, best_map
-
-
-def invert_cube_map(v, d, tmap):
-    """Undo the (translate, permute) map returned by cube_instance_key:
-    the vertex that the map sends to v."""
-    t, perm = tmap
-    return _MAPS[perm][v] ^ t

@@ -1,7 +1,8 @@
 """Brute-force auditors, called only by the tests, for the structure the
 solvers rely on: a graph that counts its row reads; distances,
 connectivity, internally disjoint paths, the tuple-node Menger router,
-separators, complexes, the facets' closure under intersection, cube faces
+separators, complexes with the star, antistar and link algebra of the
+paper's lemmas, the facets' closure under intersection, cube faces
 and their per-bit maps onto smaller cubes, the per-face cube certificate,
 the cube symmetry key and the unpruned oracle; the paper's vertex-link
 facets; the ridge-by-ridge star injection; capped polytopes and
@@ -15,8 +16,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 
-from cubelink.complexes import (Complex, Polytope, build_from_incidence,
-                                star_complex)
+from cubelink import complexes
+from cubelink.complexes import Polytope, build_from_incidence
 from cubelink.errors import (CaseNotCovered, InconsistentIncidence, NoPath,
                              NotCubical, OracleTimeout)
 from cubelink.hypercube import CubeFace, _check_dim, cube_graph, vertex_to_str
@@ -347,6 +348,80 @@ def _host_graph(D, v, vo):
             for u in G if u not in (v, vo)}
 
 
+def _vertices(x):
+    """A vertex or a face, as a set of vertices."""
+    return frozenset(x) if isinstance(x, (set, frozenset)) else {x}
+
+
+class Complex(complexes.Complex):
+    """The runtime Complex with the algebra of the paper's lemmas: boundary,
+    dimension, purity, star, antistar, link, restriction to a vertex set,
+    and strong connectivity through the dual graph.  Complexes with the
+    same host and faces are equal."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    @classmethod
+    def boundary(cls, host):
+        return cls(host, frozenset(host.proper_faces))
+
+    def _keep(self, keep):
+        """The faces that pass the filter `keep`, as a complex."""
+        return type(self)(self.host, frozenset(filter(keep, self.faces)))
+
+    @property
+    def dim(self):
+        return max(map(self.host.face_dim.__getitem__, self.faces), default=-1)
+
+    def maximal_faces(self):
+        return sorted((f for f in self.faces
+                       if not any(f < g for g in self.faces)), key=sorted)
+
+    def is_pure(self):
+        d = self.dim
+        return all(self.host.face_dim[f] == d for f in self.maximal_faces())
+
+    def star(self, x):
+        """Faces containing x, plus their subfaces.  x is a vertex or face."""
+        xs = _vertices(x)
+        gens = [f for f in self.faces if xs <= f]
+        return self._keep(lambda g: any(g <= f for f in gens))
+
+    def antistar(self, X):
+        """The faces disjoint from X, a vertex or a vertex set."""
+        X = _vertices(X)
+        return self._keep(lambda f: not f & X)
+
+    def link(self, x):
+        return self.star(x).antistar(x)
+
+    def restrict_to_vertices(self, V):
+        V = set(V)
+        return self._keep(lambda f: f <= V)
+
+    def dual_graph(self):
+        """Facet adjacency: two maximal faces joined iff their intersection
+        is a ridge (a (dim-1)-face) of this complex."""
+        facets, dim = self.maximal_faces(), self.host.face_dim
+        want = self.dim - 1
+        return {f: [g for g in facets if g != f and f & g in self.faces
+                    and dim[f & g] == want] for f in facets}
+
+    def is_strongly_connected(self):
+        if not self.faces or not self.is_pure():
+            return False
+        adj = self.dual_graph()
+        return len(reachable(adj, list(adj)[:1])) == len(adj)
+
+
+def star_complex(P: Polytope, v) -> Complex:
+    """complexes.star_complex, as an audit Complex."""
+    return Complex.generated_by(P, P.facets_containing((v,)))
+
+
 def antistar_complex(P: Polytope, X) -> Complex:
     return Complex.boundary(P).antistar(X)
 
@@ -468,9 +543,16 @@ def _apply_perm(v, perm):
 
 def apply_cube_map(v, d, tmap):
     """Apply the (translate, permute) map returned by cube_instance_key;
-    oracle.invert_cube_map undoes it."""
+    invert_cube_map undoes it."""
     t, perm = tmap
     return _apply_perm(v ^ t, perm)
+
+
+def invert_cube_map(v, d, tmap):
+    """Undo apply_cube_map: the vertex that the map sends to v, by the
+    inverse permutation, then the translation."""
+    t, perm = tmap
+    return _apply_perm(v, sorted(range(d), key=perm.__getitem__)) ^ t
 
 
 def brute_cube_instance_key(d, pairs, x=None):

@@ -14,8 +14,7 @@ import time
 import pytest
 
 from cubelink.cli import main
-from cubelink.complexes import (Complex, build_cube_polytope, link_polytope,
-                                star_complex)
+from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.errors import OracleTimeout
 from cubelink.hypercube import associated_pairs, cube_graph
 from cubelink.linkage.cube import detect_config_3F, solve_cube, solve_cube_strong
@@ -25,8 +24,9 @@ from cubelink.linkage.star import projections_star_injection
 from cubelink.oracle import all_pairings, census, oracle_linkage
 from cubelink.paths import validate_linkage
 
-from audit import (_host_graph, antistar_complex, common_neighbor_check,
-                   link_complex, separator_census, technical_decomposition)
+from audit import (Complex, _host_graph, antistar_complex,
+                   common_neighbor_check, link_complex, separator_census,
+                   star_complex, technical_decomposition)
 
 
 def random_pairing(rng, verts, k):

@@ -4,17 +4,17 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubelink.complexes import (LINK_CACHE_SIZE, Complex, Polytope,
+from cubelink.complexes import (LINK_CACHE_SIZE, Polytope,
                                 build_cube_polytope, build_from_incidence,
-                                link_polytope, star_complex)
+                                link_polytope)
 from cubelink.errors import InconsistentIncidence, NotCubical, NotSphere
 from cubelink.hypercube import cube_graph, vertex_to_str, whole_cube
 from cubelink.linkage.cubical import vertex_link
 
-from audit import (ReferencePolytope, antistar_complex, cap,
+from audit import (Complex, ReferencePolytope, antistar_complex, cap,
                    closure_by_intersection, embed_by_bfs, grid_surface,
-                   link_complex, link_reference, technical_decomposition,
-                   zonotope)
+                   link_complex, link_reference, star_complex,
+                   technical_decomposition, zonotope)
 
 
 def comb(n, k):

@@ -9,6 +9,7 @@ from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.errors import CaseNotCovered, CertificateInvalid
 from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph, facet,
                                 opposite_facet, project)
+from cubelink.linkage.certs import LinkageCertificate, ObstructionWitness
 from cubelink.linkage.cube import (
     _shortest_base,
     build_Mx_paths,
@@ -381,6 +382,14 @@ def test_certificates_report_instance_and_trace():
     assert cert.trace and all(isinstance(t, str) for t in cert.trace)
     j = cert.to_json()
     assert j["valid"] and j["result"]["linkage"]
+
+
+def test_a_certificate_with_no_answer_is_not_valid():
+    cert = LinkageCertificate({"host": "Q_3", "pairs": [], "avoid": []})
+    assert cert.valid is False and cert.to_json()["valid"] is False
+    assert LinkageCertificate({}, paths=[[0, 1]]).valid is True
+    witness = ObstructionWitness("config-3F", list(range(8)), (0, 7), [3, 5, 6])
+    assert LinkageCertificate({}, obstruction=witness).valid is True
 
 
 def test_solver_output_that_is_not_a_linkage_raises(monkeypatch):

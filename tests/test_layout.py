@@ -9,6 +9,7 @@ import importlib.util
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,49 @@ def test_tracer_targets_resolve(modname, attr):
     owner, _, name = attr.rpartition(".")
     obj = importlib.import_module(modname)
     assert name in vars(getattr(obj, owner) if owner else obj)
+
+
+# The definitions that no runtime code and no tracer target names.  The
+# tests read the faces by dimension; the lattice readers leave the package
+# with the benchmark refresh (ROADMAP item 6).
+ONLY_TESTS_NAME = {"Polytope.faces_by_dim"}
+
+
+def _names(tree):
+    """Every name a tree reads or imports, attributes included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (a.name for a in node.names)
+
+
+def test_every_runtime_definition_has_a_runtime_reference():
+    """Every `def` and `class` under src/cubelink is named somewhere in
+    src/cubelink outside its own body, or by the benchmark tracer's
+    TARGETS: code that only the tests call belongs in tests/audit.py.
+    ONLY_TESTS_NAME lists the exceptions, and an entry that is named now,
+    or gone, fails too."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "cubelink").rglob("*.py"))]
+    named = Counter(name for tree in trees for name in _names(tree))
+    traced = {part for _, attr in _tracer_targets()
+              for part in attr.split(".")}
+    unnamed = []
+    for tree in trees:
+        owner = {id(child): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for child in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            qual = ".".join(filter(None, (owner.get(id(node)), name)))
+            if not (name.startswith("__") or name in traced
+                    or named[name] > Counter(_names(node))[name]):
+                unnamed.append(qual)
+    assert sorted(unnamed) == sorted(ONLY_TESTS_NAME)
 
 
 def test_workload_references_resolve():

@@ -17,7 +17,6 @@ from cubelink.oracle import (
     all_pairings,
     census,
     cube_instance_key,
-    invert_cube_map,
     linkable,
     oracle_linkage,
     oracle_timeout_ms,
@@ -25,8 +24,8 @@ from cubelink.oracle import (
 from cubelink.paths import shortest_path, validate_linkage
 
 from audit import (apply_cube_map, brute_cube_instance_key, cap,
-                   common_neighbor_check, oracle_linkage_reference,
-                   separator_census, zonotope)
+                   common_neighbor_check, invert_cube_map,
+                   oracle_linkage_reference, separator_census, zonotope)
 from test_star import star_instance
 
 
