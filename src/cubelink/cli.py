@@ -309,7 +309,8 @@ def cmd_solve(args):
         if args.method == "auto" and cert.paths is None:
             # cross-check the witness against ground truth before emitting
             if linkable(host.graph, pairs, avoid=avoid):
-                raise CaseNotCovered("witness contradicted by search")
+                raise CaseNotCovered("witness contradicted by search",
+                                     trace=cert.trace)
     payload = cert.to_json(label=host.label_of)
     payload["instance"] = instance
     if args.trace:
@@ -381,7 +382,7 @@ def cmd_verify(args):
 def cmd_census(args):
     if args.exhaustive:
         _refuse(args, ("sample", "seed"), "does not go with --exhaustive")
-    elif not args.sample:
+    elif args.sample is None:
         raise ValueError("census needs --exhaustive or --sample N")
     host = _host_from_spec(_flags_spec(args))
 

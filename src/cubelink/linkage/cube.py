@@ -43,7 +43,7 @@ from ..hypercube import (
     vertex_to_str,
     whole_cube,
 )
-from ..oracle import _Bits, _shortest_linkage
+from ..oracle import _Bits, _shortest_linkage, _walk
 from .certs import (
     LinkageCertificate,
     Unlinkable,
@@ -123,19 +123,6 @@ def _base_3F(P, pairs, trace, tags, search):
 # -- base cases (d <= 4) by shortest paths -----------------------------------
 
 _base_cache: dict = {}  # d -> the bit tables of Q_d
-
-
-def _walk(B, a, b, mask):
-    """The path from vertex a to vertex b through the vertex mask of an
-    induced path: each step has one neighbour left in the mask."""
-    path, u = [a], a
-    mask &= ~(1 << a)
-    while u != b:
-        step = B.nbr[u] & mask
-        mask ^= step
-        u = step.bit_length() - 1
-        path.append(u)
-    return path
 
 
 def _shortest_base(d, pairs, avoid=()):

@@ -7,13 +7,14 @@ vertices are indexed in sorted order, each vertex's neighbours are one int
 mask, and one flood fill on those ints, `_Bits.route`, answers every
 reachability question: the mask of a shortest path it returns is 0 exactly
 when the ends are cut off.
-`linkable` decides whether a linkage exists, which is all a census reads.
-It first routes the pairs one after another along BFS-shortest paths, and
-searches only when that leaves a pair cut off.  The cube solvers' base
-cases reuse that witness (`_shortest_linkage`) and never search.
-`oracle_linkage` builds a linkage for `--method oracle` and the lattice
-searches by walking it one vertex at a time, asking that decision before
-every step.
+That search, `_linkable_masks`, returns the vertex masks of the linkage
+it finds: it first routes the pairs one after another along BFS-shortest
+paths, and searches only when that leaves a pair cut off.  `linkable`
+reads only whether it found one, which is all a census needs.
+`oracle_linkage` makes the same one call for `--method oracle` and the
+lattice searches, and reads each path off its mask (`_walk`).  The cube
+solvers' base cases reuse the witness (`_shortest_linkage`) and never
+search.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import os
 import time
 
-from .errors import CaseNotCovered, OracleTimeout
+from .errors import OracleTimeout
 
 DEFAULT_TIMEOUT_MS = 10_000
 TIMEOUT_VAR = "CUBELINK_ORACLE_TIMEOUT_MS"
@@ -139,65 +140,43 @@ def oracle_linkage(G, pairs, avoid=(), deadline=None):
     """A vertex-disjoint Y-linkage, one path per pair in the given order
     and orientation, or None if no linkage exists.
 
-    Pairs are routed hardest first (max distance), each from its smaller
-    end, and the linkage is the first one that a DFS over simple paths
-    meets when it tries the step to t first and then the neighbours in
-    increasing order.  It is walked, never searched: from u the walk steps
-    to t if they are adjacent, since the residual instance at u links, and
-    else to the least neighbour whose residual instance (this pair from
-    there, then the later pairs, on the vertices left) `_linkable_masks`
-    decides linkable.  `deadline` is an absolute time.monotonic() value
-    that every such call checks; when exceeded an OracleTimeout is raised.
+    It is the linkage that `linkable`'s one search finds, each path read
+    off its vertex mask (`_walk`), so its verdict is `linkable`'s.
+    `deadline` is an absolute time.monotonic() value that the search
+    checks; when exceeded an OracleTimeout is raised.
     """
     _check_instance(G, pairs, avoid)
     B = _Bits(G)
-    index, verts, nbr = B.index, B.verts, B.nbr
-    n = len(verts)
-    free = B.full & ~B.mask(avoid)
-    # a cut-off pair counts as longer than any path, so it comes first
-    order = sorted(range(len(pairs)),
-                   key=lambda i: (-(B.route(index[pairs[i][0]],
-                                            index[pairs[i][1]],
-                                            free).bit_count() or n + 1),
-                                  sorted(pairs[i])))
-    ps, frees = B.pair_masks([tuple(sorted(pairs[i])) for i in order], avoid)
-    if not _linkable_masks(B, ps, frees, deadline):
+    ps, frees = B.pair_masks(pairs, avoid)
+    masks = _linkable_masks(B, ps, frees, deadline)
+    if masks is None:
         return None
-    out = [None] * len(pairs)
-    on = 0  # the vertices of the paths so far
-    for idx, (i, (s, t), f) in enumerate(zip(order, ps, frees)):
-        later, gs = ps[idx + 1:], frees[idx + 1:]
-        path, u = [s], s
-        on |= 1 << s
-        while not nbr[u] >> t & 1:
-            steps = nbr[u] & f & ~on
-            while steps:
-                w = steps & -steps
-                steps ^= w
-                if _linkable_masks(B, [(w.bit_length() - 1, t)] + later,
-                                   [f & ~on] + [g & ~on & ~w for g in gs],
-                                   deadline):
-                    break
-            else:
-                raise CaseNotCovered(f"no step from {verts[u]!r} links the "
-                                     f"pair {pairs[i]!r}")
-            on |= w
-            u = w.bit_length() - 1
-            path.append(u)
-        on |= 1 << t
-        p = [verts[j] for j in path + [t]]
-        out[i] = p if p[0] == pairs[i][0] else p[::-1]
-    return out
+    return [[B.verts[i] for i in _walk(B, a, b, m)]
+            for (a, b), m in zip(ps, masks)]
+
+
+def _walk(B, a, b, mask):
+    """The path from vertex a to vertex b, by index, through the vertex
+    mask of an induced path: each step has one neighbour left in the
+    mask."""
+    path, u = [a], a
+    mask &= ~(1 << a)
+    while u != b:
+        step = B.nbr[u] & mask
+        mask ^= step
+        u = step.bit_length() - 1
+        path.append(u)
+    return path
 
 
 def linkable(G, pairs, avoid=(), deadline=None):
     """Whether a vertex-disjoint linkage of `pairs` avoiding `avoid` exists.
 
-    Validates like oracle_linkage and builds no paths.  It agrees with
-    `oracle_linkage(...) is not None` by construction: oracle_linkage
-    returns None exactly when this says no.  It first tries a witness: each
-    pair in the given order takes a BFS-shortest path through its free
-    vertices minus the earlier paths, and if every pair gets one, that is a
+    Validates like oracle_linkage and reads no paths.  It agrees with
+    `oracle_linkage(...) is not None` by construction: both make the same
+    `_linkable_masks` call.  That call first tries a witness: each pair in
+    the given order takes a BFS-shortest path through its free vertices
+    minus the earlier paths, and if every pair gets one, that is a
     linkage.  Otherwise pairs are taken one at a time in the given order,
     each by a DFS over induced s-t paths that stops at the first vertex
     adjacent to t; the last pair is one flood fill.  That is complete: if a
@@ -209,7 +188,8 @@ def linkable(G, pairs, avoid=(), deadline=None):
     """
     _check_instance(G, pairs, avoid)
     B = _Bits(G)
-    return _linkable_masks(B, *B.pair_masks(pairs, avoid), deadline)
+    return _linkable_masks(B, *B.pair_masks(pairs, avoid),
+                           deadline) is not None
 
 
 def _shortest_linkage(B, ps, frees):
@@ -228,10 +208,12 @@ def _shortest_linkage(B, ps, frees):
 
 def _linkable_masks(B, ps, frees, deadline):
     """`linkable` on bit tables: ps are the pairs by index and frees their
-    free masks, as `_Bits.pair_masks` gives them."""
+    free masks, as `_Bits.pair_masks` gives them.  The vertex masks of the
+    linkage found, one induced path per pair in pair order, or None."""
     _check_deadline(deadline)
-    if _shortest_linkage(B, ps, frees) is not None:
-        return True
+    masks = _shortest_linkage(B, ps, frees)
+    if masks is not None:
+        return masks
     nbr, full = B.nbr, B.full
 
     def search(idx, used):
@@ -245,11 +227,17 @@ def _linkable_masks(B, ps, frees, deadline):
             u, path, seen = stack.pop()
             _check_deadline(deadline)
             if nbr[u] & goal:
-                # the later pairs are decided here when only one is left
-                if not B.cut_off(*later, used | path) and (
-                        idx + 2 == len(ps)
-                        or search(idx + 1, used | path | goal)):
-                    return True
+                path |= goal
+                # the last pair is one flood fill
+                if idx + 2 == len(ps):
+                    a, b = ps[-1]
+                    last = B.route(a, b, frees[-1] & ~(used | path))
+                    if last:
+                        return [path, last]
+                elif not B.cut_off(*later, used | path):
+                    rest = search(idx + 1, used | path)
+                    if rest is not None:
+                        return [path] + rest
                 continue
             # s alone takes nothing a later pair may use
             if not B.route(u, t, full & ~seen) or (
@@ -261,10 +249,10 @@ def _linkable_masks(B, ps, frees, deadline):
                 low = rest & -rest
                 rest ^= low
                 stack.append((low.bit_length() - 1, path | low, closed))
-        return False
+        return None
 
     # a lone pair the witness could not route is cut off
-    return len(ps) > 1 and search(0, 0)
+    return search(0, 0) if len(ps) > 1 else None
 
 
 class CensusReport:
@@ -368,7 +356,7 @@ def census(G, k, host="", sample=None, seed=0, detector=None):
         deadline = time.monotonic() + budget if budget is not None else None
         try:
             linked = _linkable_masks(bits, *bits.pair_masks(pairs, ()),
-                                     deadline)
+                                     deadline) is not None
         except OracleTimeout:
             rep.timeouts += 1
             continue

@@ -776,7 +776,8 @@ class ReferencePolytope(Polytope):
 
 def oracle_linkage_reference(G, pairs, avoid=(), deadline=None):
     """Reference for oracle.oracle_linkage: the set-based search without
-    dead-branch pruning, whose first linkage the oracle's walk must return.
+    dead-branch pruning, whose verdict the oracle's must equal (the two may
+    return different valid linkages).
 
     Exhaustive backtracking search for a vertex-disjoint Y-linkage.
 

@@ -896,6 +896,9 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
      "k must be between 1 and 4, not 5"),
     (["census", "--cube", "3", "--k", "2", "--sample", "-1"],
      "sample must be at least 1, not -1"),
+    # 0 used to be read as a missing --sample
+    (["census", "--cube", "3", "--k", "2", "--sample", "0"],
+     "sample must be at least 1, not 0"),
     # the oracle's bit tables take about |V|^2 / 8 bytes: 128 GB here
     (["census", "--cube", "20", "--k", "2", "--sample", "1"],
      "oracle searches hold at most 16384 vertices, not 1048576"),
@@ -934,7 +937,8 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
         "unknown-label", "lattice-dim-disagrees", "solve-over-capacity-q3",
         "lattice-not-json", "missing-instance",
         "certificate-no-pairs", "census-no-pairs", "census-too-many-pairs",
-        "census-negative-sample", "census-past-the-oracle",
+        "census-negative-sample", "census-zero-sample",
+        "census-past-the-oracle",
         "oracle-past-the-oracle", "dot-past-the-limit", "null-host",
         "certificate-null-host",
         "obstruction-not-an-object", "obstruction-pair-of-one",

@@ -298,7 +298,8 @@ def _refused_bases(d, instances):
     B = oracle._Bits(G)
     for pairs, avoid in instances:
         paths = _shortest_base(d, pairs, avoid)
-        truth = oracle._linkable_masks(B, *B.pair_masks(pairs, avoid), None)
+        truth = oracle._linkable_masks(B, *B.pair_masks(pairs, avoid),
+                                       None) is not None
         assert (paths is not None) == truth, (pairs, avoid)
         if paths is None:
             refused.append(pairs)

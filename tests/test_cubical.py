@@ -486,10 +486,10 @@ def _cube_link_and_crafted_certificates():
     return lines
 
 
-# Recorded once the cube bases were routed by shortest paths; every
-# certificate must stay byte-identical.
+# Recorded once oracle_linkage returned the linkage its one search finds;
+# every certificate must stay byte-identical.
 CUBE_LINK_CRAFTED_SHA256 = (
-    "54d24e12d93683f2303212c93354b8c43464c892b04ccde082f5304cf6f00556")
+    "5384177e2835765aea802b1122a8a28fbdb1016719ef47b9042fc49aa1093efd")
 
 
 def test_cube_link_and_crafted_certificates_match_golden_digest():

@@ -310,20 +310,31 @@ def _star_instances(P, n):
         yield star_complex(P, s1).graph(), pairs
 
 
+def _agrees_with_reference(G, pairs, avoid=()):
+    """The oracle and the unpruned reference give the same verdict, and
+    the oracle's linkage is valid, avoid included, and runs each pair from
+    its first terminal."""
+    sol = oracle_linkage(G, pairs, avoid)
+    ref = oracle_linkage_reference(G, pairs, avoid)
+    assert (sol is None) == (ref is None), (len(G), pairs, avoid)
+    if sol is not None:
+        assert validate_linkage(G, pairs, sol, avoid) == (True, "ok"), \
+            (len(G), pairs, avoid)
+        assert [p[0] for p in sol] == [s for s, _ in pairs]
+
+
 @pytest.mark.parametrize("host", ["Q3", "linkQ4"])
 def test_oracle_matches_unpruned_reference_on_2_censuses(host):
     G = {"Q3": lambda: cube_graph(3),
          "linkQ4": lambda: link_polytope(4, 0).graph}[host]()
     for pairs in _two_pairings(G):
-        assert oracle_linkage(G, pairs) == \
-            oracle_linkage_reference(G, pairs), pairs
+        _agrees_with_reference(G, pairs)
 
 
 def test_oracle_matches_unpruned_reference_on_random_instances():
     hosts = [cube_graph(4), cube_graph(5), link_polytope(5, 0).graph]
     for G, pairs, avoid in _random_instances(hosts, 300, 12):
-        assert oracle_linkage(G, pairs, avoid) == \
-            oracle_linkage_reference(G, pairs, avoid), (len(G), pairs, avoid)
+        _agrees_with_reference(G, pairs, avoid)
 
 
 @pytest.mark.parametrize("host", ["Q5", "linkQ6"])
@@ -332,8 +343,7 @@ def test_oracle_matches_unpruned_reference_on_star_graphs(host):
     P = {"Q5": lambda: build_cube_polytope(5),
          "linkQ6": lambda: link_polytope(6, 0)}[host]()
     for G, pairs in _star_instances(P, 25):
-        assert oracle_linkage(G, pairs) == \
-            oracle_linkage_reference(G, pairs), pairs
+        _agrees_with_reference(G, pairs)
 
 
 @st.composite
@@ -355,11 +365,8 @@ def small_instances(draw):
 @settings(derandomize=True, deadline=None, max_examples=1000)
 @given(small_instances())
 def test_oracle_matches_unpruned_reference_on_small_graphs(inst):
-    # the walk returns the first linkage of the reference's DFS on any
-    # graph, not only on polytopes
-    G, pairs, avoid = inst
-    assert oracle_linkage(G, pairs, avoid) == \
-        oracle_linkage_reference(G, pairs, avoid)
+    # on any graph, not only on polytopes, disconnected ones too
+    _agrees_with_reference(*inst)
 
 
 @pytest.mark.parametrize("d,n,verts,facets", [(3, 4, 14, 12), (3, 7, 44, 42),
@@ -369,16 +376,42 @@ def test_zonotope_counts(d, n, verts, facets):
     assert (P.dim, len(P.vertices), len(P.facets)) == (d, verts, facets)
 
 
-@pytest.mark.parametrize("pairs", [[(36, 35), (12, 32)],
-                                   [(36, 34), (7, 29)]])
-def test_oracle_links_hard_zonotope_pairings_in_time(pairs):
-    # two 2-pairings of Z(3, 8) on which a backtracking search over simple
-    # paths ran for over 15 s; the walk takes well under a second
-    P = zonotope(3, 8)
+@pytest.mark.parametrize("n,pairs", [(8, [(36, 35), (12, 32)]),
+                                     (8, [(36, 34), (7, 29)]),
+                                     (10, [(23, 38), (5, 50)]),
+                                     (10, [(50, 12), (15, 30)])],
+                         ids=[f"pairs{i}" for i in range(4)])
+def test_oracle_links_hard_zonotope_pairings_in_time(n, pairs):
+    # 2-pairings of Z(3, 8) on which a backtracking search over simple
+    # paths ran for over 15 s, and of Z(3, 10) on which a walk that searched
+    # again before every step ran for over 20 s; one search takes
+    # milliseconds
+    P = zonotope(3, n)
     sol = oracle_linkage(P.graph, pairs, deadline=time.monotonic() + 5.0)
     assert validate_linkage(P.graph, pairs, sol) == (True, "ok")
     cert = solve_cubical(P, pairs)
     assert cert.paths is not None and "cubical/d3-search" in cert.trace
+
+
+@pytest.mark.parametrize("host", ["Q4", "Z8"])
+def test_oracle_linkage_searches_once(monkeypatch, host):
+    # on Q4 the shortest-path witness fails, so the linkage is the search's
+    import cubelink.oracle as oracle
+
+    G, pairs = {"Q4": lambda: (cube_graph(4), [(0, 3), (1, 2), (4, 5)]),
+                "Z8": lambda: (zonotope(3, 8).graph,
+                               [(36, 34), (7, 29)])}[host]()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    search = oracle._linkable_masks
+    monkeypatch.setattr(oracle, "_linkable_masks", counted)
+    sol = oracle_linkage(G, pairs)
+    assert len(calls) == 1
+    assert validate_linkage(G, pairs, sol) == (True, "ok")
 
 
 @pytest.mark.parametrize("host", ["Q3", "Q4", "linkQ4"])
