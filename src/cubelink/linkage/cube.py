@@ -122,7 +122,7 @@ def _base_3F(P, pairs, trace, tags, search):
 
 # -- base cases (d <= 4) by shortest paths -----------------------------------
 
-_base_cache: dict = {}  # d -> the bit tables of Q_d
+_base_cache: dict = {}  # d -> the bit tables of Q_d, with their geodesics
 
 
 def _shortest_base(d, pairs, avoid=()):
@@ -138,6 +138,7 @@ def _shortest_base(d, pairs, avoid=()):
     B = _base_cache.get(d)
     if B is None:
         B = _base_cache[d] = _Bits(cube_graph(d))
+        B.geo = B.geodesics()
     ps, frees = B.pair_masks(pairs, avoid)
     masks = _shortest_linkage(B, ps, frees)
     if masks is None:
@@ -158,12 +159,21 @@ def detect_config_3F(P, pairs):
     A cubical 3-polytope's 2-faces are its facets.  Per facet F, in order,
     and per pair and orientation (a, b), `certs.blocking` decides whether F
     blocks the pair: a and b antipodal in F and both F-neighbours of b
-    terminals.  The scan order makes the witness deterministic.
+    terminals.  The scan order makes the witness deterministic.  Only the
+    facets that hold a whole pair are scanned, since `blocking` needs both
+    a and b in F; their incidence bits run in facet order.
     """
     X = terminals(pairs)
     if len(X) < 4:
         raise ValueError("need at least 4 terminals")
-    for F in P.facets:
+    vf = P.vertex_facets
+    both = 0
+    for s, t in pairs:
+        both |= vf.get(s, 0) & vf.get(t, 0)
+    while both:
+        low = both & -both
+        both ^= low
+        F = P.facets[low.bit_length() - 1]
         if len(X & F) < 4:
             continue  # F blocks only with a, b and b's two neighbours in it
         for s, t in pairs:

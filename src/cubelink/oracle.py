@@ -15,6 +15,13 @@ reads only whether it found one, which is all a census needs.
 lattice searches, and reads each path off its mask (`_walk`).  The cube
 solvers' base cases reuse the witness (`_shortest_linkage`) and never
 search.
+
+Bit tables that answer many instances, those of an exhaustive census and
+the cube base cases' Q_d (d <= 4), also hold a geodesic table
+(`_Bits.geodesics`, one breadth-first search per vertex).  `route` returns
+the full graph's shortest path off that table, with no flood, whenever the
+path avoids every vertex the caller has taken; that is the flood's own
+answer, so no verdict, certificate or census count depends on the table.
 """
 
 from __future__ import annotations
@@ -67,6 +74,37 @@ class _Bits:
                 m |= 1 << index[w]
             self.nbr.append(m)
         self.full = (1 << len(self.verts)) - 1
+        self.geo = None  # geodesics(), on tables that answer many instances
+
+    def geodesics(self):
+        """geo[a][b], by index, a != b: the mask that route(a, b, full)
+        returns.
+
+        One breadth-first search per vertex a.  A vertex's path is its
+        parent's path plus itself, the parent being its least neighbour on
+        the previous level: the vertex that route's walk-back takes.  The
+        table holds |V|^2 masks, so only bit tables that answer many
+        instances build it."""
+        nbr, n, geo = self.nbr, len(self.nbr), []
+        for a in range(n):
+            path = [0] * n
+            path[a] = seen = level = 1 << a
+            while level:
+                prev, new = level, 0
+                while level:
+                    low = level & -level
+                    new |= nbr[low.bit_length() - 1]
+                    level ^= low
+                level = rest = new & ~seen
+                seen |= level
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    back = nbr[v] & prev
+                    path[v] = path[(back & -back).bit_length() - 1] | low
+            geo.append(path)
+        return geo
 
     def mask(self, vs):
         index, m = self.index, 0
@@ -79,8 +117,19 @@ class _Bits:
         """The vertex mask of a shortest path from vertex a to vertex b
         through the mask `free`, a and b included; 0 when b is cut off.  It
         floods from a, level by level, and walks back from b, taking the
-        least vertex of each level that is adjacent to the one after it."""
+        least vertex of each level that is adjacent to the one after it.
+
+        With a geodesic table (`geo`), the full graph's path geo[a][b] is
+        returned with no flood when it lies inside free | a | b.  That is
+        the flood's own answer: the path keeps its length, so each of its
+        vertices keeps its level, and a neighbour of one on the flood's
+        previous level was on the full graph's too, so the least such
+        neighbour is still the path's."""
         nbr, goal = self.nbr, 1 << b
+        if self.geo is not None:
+            path = self.geo[a][b]
+            if not path & ~(free | 1 << a | goal):
+                return path
         front = 1 << a
         free &= ~front
         levels = []
@@ -308,12 +357,13 @@ def census(G, k, host="", sample=None, seed=0, detector=None):
 
     Each verdict comes from `linkable` on bit tables built once for the run.
     With no `sample` the census is exhaustive: every X of size 2k and every
-    pairing (|V| <= 16 enforced).  Otherwise it takes `sample` random
-    instances from `seed`, each search bounded by oracle_timeout_ms() and
-    counted as a timeout when it runs out.  `detector` maps (pairs) ->
-    obstruction kind or None and is cross-tabbed against the verdict;
-    disagreements are recorded.  A k below 1 or above |V| / 2, or a sample
-    below 1, raises ValueError.
+    pairing (|V| <= 16 enforced), in the order of `all_pairings`, with
+    shortest routes read off one geodesic table.  Otherwise it takes
+    `sample` random instances from `seed`, each search bounded by
+    oracle_timeout_ms() and counted as a timeout when it runs out.
+    `detector` maps (pairs) -> obstruction kind or None and is cross-tabbed
+    against the verdict; disagreements are recorded.  A k below 1 or above
+    |V| / 2, or a sample below 1, raises ValueError.
     """
     t0 = time.monotonic()
     mode = "exhaustive" if sample is None else "sample"
@@ -330,33 +380,37 @@ def census(G, k, host="", sample=None, seed=0, detector=None):
     bits = _Bits(G)
     verts = bits.verts
     if sample is None:
-        instances = (
-            pairing
-            for X in itertools.combinations(verts, 2 * k)
-            for pairing in all_pairings(X)
-        )
+        bits.geo = bits.geodesics()
+        # the pairings of every 2k-subset, as positions in it
+        shapes = list(all_pairings(range(2 * k)))
+
+        def instances():
+            for X in itertools.combinations(range(n), 2 * k):
+                free = bits.full & ~sum(1 << i for i in X)
+                for shape in shapes:
+                    ps = [(X[i], X[j]) for i, j in shape]
+                    yield ([(verts[a], verts[b]) for a, b in ps], ps,
+                           [free | 1 << a | 1 << b for a, b in ps])
         budget = None
     else:
         import random
 
         rng = random.Random(seed)
 
-        def sampled():
+        def instances():
             for _ in range(sample):
                 X = rng.sample(verts, 2 * k)
                 rng.shuffle(X)
-                yield [(X[2 * i], X[2 * i + 1]) for i in range(k)]
-
-        instances = sampled()
+                pairs = [(X[2 * i], X[2 * i + 1]) for i in range(k)]
+                yield (pairs, *bits.pair_masks(pairs, ()))
         budget = oracle_timeout_ms() / 1000.0
 
-    for pairs in instances:
+    for pairs, ps, frees in instances():
         rep.total += 1
         kind = detector(pairs) if detector else None
         deadline = time.monotonic() + budget if budget is not None else None
         try:
-            linked = _linkable_masks(bits, *bits.pair_masks(pairs, ()),
-                                     deadline) is not None
+            linked = _linkable_masks(bits, ps, frees, deadline) is not None
         except OracleTimeout:
             rep.timeouts += 1
             continue

@@ -9,7 +9,8 @@ from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.errors import CaseNotCovered, CertificateInvalid
 from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph, facet,
                                 opposite_facet, project)
-from cubelink.linkage.certs import LinkageCertificate, ObstructionWitness
+from cubelink.linkage.certs import (LinkageCertificate, ObstructionWitness,
+                                    blocking, terminals)
 from cubelink.linkage.cube import (
     _shortest_base,
     build_Mx_paths,
@@ -26,7 +27,7 @@ from cubelink.linkage.star import solve_star
 from cubelink.oracle import all_pairings, oracle_linkage
 from cubelink.paths import validate_linkage
 
-from audit import all_faces, face_maps_reference
+from audit import all_faces, cap, face_maps_reference, zonotope
 from test_oracle import _two_pairings
 
 
@@ -79,6 +80,30 @@ def test_solve_cube_rejects_overcapacity():
         solve_cube(3, [(0, 7), (0, 6)])  # repeated terminal
     with pytest.raises(ValueError, match="need at least 4 terminals"):
         detect_config_3F(build_cube_polytope(3), [(0, 3)])
+
+
+def _first_blocking_facet(P, pairs):
+    """The config-3F witness of a plain scan of every facet, in order."""
+    X = terminals(pairs)
+    for F in P.facets:
+        for s, t in pairs:
+            for a, b in ((s, t), (t, s)):
+                witness = blocking(P, "config-3F", F, a, b, X)
+                if witness is not None:
+                    return witness
+    return None
+
+
+def test_detect_config_3F_scans_only_facets_holding_a_pair():
+    Q3 = build_cube_polytope(3)
+    hosts = [Q3, link_polytope(4, 0), zonotope(3, 5), cap(Q3, Q3.facets[0])]
+    found = 0
+    for P in hosts:
+        for pairs in _two_pairings(P.vertices):
+            witness = detect_config_3F(P, pairs)
+            assert witness == _first_blocking_facet(P, pairs), pairs
+            found += witness is not None
+    assert found == 6 + 12 + 20 + 10
 
 
 def test_cube_linkage_avoid():

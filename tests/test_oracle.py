@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -141,6 +143,82 @@ def test_census_counts_searches_past_their_budget_as_timeouts(monkeypatch):
     rep = census(cube_graph(4), 2, sample=5, seed=0)
     assert rep.timeouts == rep.total == 5
     assert rep.linked == rep.unlinked == 0
+
+
+# SHA-256 of the JSON of the exhaustive 3-pair censuses, where the DFS and
+# cut_off do the most work: Q4 has 119,312 linked and 808 unlinked
+# pairings, link(Q4, 0) 35,366 and 9,679.  With no detector every unlinked
+# pairing is listed among the mismatches, so the digest pins each verdict.
+CENSUS_K3_SHA256 = {
+    "Q4": "bfe0fba2e2d80f0b42aba7f8718df14079c27c475e4fe4e1412a94dc0fbce5a7",
+    "linkQ4":
+        "3aa25c2aed03561d3efef3c9078f33722d4a8be60ed6cf24589b0904ccc21cbd",
+}
+
+
+@pytest.mark.parametrize("host", sorted(CENSUS_K3_SHA256))
+def test_census_k3_digest(host):
+    G = cube_graph(4) if host == "Q4" else link_polytope(4, 0).graph
+    rep = census(G, 3, host=host)
+    digest = hashlib.sha256(
+        json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == CENSUS_K3_SHA256[host]
+
+
+_GEO_HOSTS = {
+    "Q3": lambda: cube_graph(3),
+    "Q4": lambda: cube_graph(4),
+    "Q5": lambda: cube_graph(5),
+    "linkQ4": lambda: link_polytope(4, 0).graph,
+    "Z(3,6)": lambda: zonotope(3, 6).graph,
+    "Z(3,8)": lambda: zonotope(3, 8).graph,
+}
+
+
+@pytest.mark.parametrize("host", ["Q3", "Q4", "linkQ4", "Z(3,6)"])
+def test_geodesics_are_the_full_routes(host):
+    B = _Bits(_GEO_HOSTS[host]())
+    geo = B.geodesics()
+    n = len(B.verts)
+    assert [[geo[a][b] for b in range(n) if b != a] for a in range(n)] == [
+        [B.route(a, b, B.full) for b in range(n) if b != a] for a in range(n)]
+
+
+@pytest.mark.parametrize("host", ["Q4", "linkQ4", "Z(3,8)", "Q5"])
+def test_route_reads_the_table_only_where_it_floods_the_same(host):
+    G = _GEO_HOSTS[host]()
+    flood, table = _Bits(G), _Bits(G)
+    table.geo = table.geodesics()
+    n = len(flood.verts)
+    rng = random.Random(11)
+    hits = 0
+    for _ in range(4000):
+        a, b = rng.sample(range(n), 2)
+        # about three vertices in four free, so both branches are taken
+        free = rng.getrandbits(n) | rng.getrandbits(n)
+        assert table.route(a, b, free) == flood.route(a, b, free), (a, b)
+        hits += not table.geo[a][b] & ~(free | 1 << a | 1 << b)
+    assert 0 < hits < 4000
+
+
+def test_only_the_exhaustive_census_builds_geodesics(monkeypatch):
+    import cubelink.oracle as oracle
+
+    built = []
+    geodesics = oracle._Bits.geodesics
+
+    def counted(self):
+        built.append(len(self.verts))
+        return geodesics(self)
+
+    monkeypatch.setattr(oracle._Bits, "geodesics", counted)
+    census(cube_graph(4), 2)
+    assert built == [16]
+    census(cube_graph(4), 2, sample=20, seed=1)
+    linkable(cube_graph(4), [(0, 3), (1, 2), (4, 5)])
+    oracle_linkage(cube_graph(4), [(0, 3), (1, 2), (4, 5)])
+    oracle_linkage(zonotope(3, 8).graph, [(36, 34), (7, 29)])
+    assert built == [16]
 
 
 @pytest.mark.parametrize("d", [3, 4])
