@@ -128,8 +128,8 @@ def certify(host, graph, label, pairs, solve, avoid=()) -> LinkageCertificate:
 
     `graph` is the one graph the certificate is checked against.  A terminal
     or avoided vertex that is not a vertex of it, a malformed pairing, or an
-    avoided vertex that is also a terminal raises ValueError before anything
-    is solved.  The certificate's instance names `host` and lists
+    avoided vertex that is repeated or a terminal raises ValueError before
+    anything is solved.  The certificate's instance names `host` and lists
     `pairs` and `avoid`, in their order, as `label` writes their vertices.
     `solve(pairs, trace)` returns one path per pair, in pair order, or raises
     Unlinkable.  A NoPath out of `solve` is a fault of the solver, not of
@@ -154,6 +154,8 @@ def certify(host, graph, label, pairs, solve, avoid=()) -> LinkageCertificate:
     clash = next((v for v in avoid if v in X), None)
     if clash is not None:
         raise ValueError(f"avoided vertex {label(clash)} is a terminal")
+    if len(set(avoid)) != len(avoid):
+        raise ValueError("avoided vertices must be distinct")
     trace: list = []
     try:
         paths = solve(pairs, trace)

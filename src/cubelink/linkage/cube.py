@@ -3,10 +3,9 @@
 solve_cube builds a Y-linkage for up to floor((d+1)/2) pairs by facet
 recursion; solve_cube_strong additionally avoids one extra terminal x.
 Both return LinkageCertificates whose paths are validated before return.
-Small dimensions (d <= 4) are settled without a search: the pairs are
-routed along shortest paths in one order, then in the other, which links
-every base instance within capacity that has a linkage once config-3F is
-ruled out.  Above them no graph is built.  Paths inside a face come from
+Small dimensions (d <= 4) are settled without a search, by the one base
+rule (_shortest_base): shortest paths in one order, then in the other.
+Above them no graph is built.  Paths inside a face come from
 hypercube.face_path: a path is written down in closed form when no
 forbidden vertex lies in the subcube between its ends, which is the usual
 case; when some do, the shortest paths that avoid them are counted and the
@@ -19,8 +18,8 @@ implicit CubeAdjacency.
 
 Steps that every linkage solver repeats are written once here: splicing
 routes onto a linkage found at their ends (_splice), linking the terminals'
-projections onto a facet there (_link_projected), and running a base case
-(_search), alone or after a config-3F check (_base_3F).  The Menger
+projections onto a facet there (_link_projected), and running the base
+rule (_search), alone or after a config-3F check (_base_3F).  The Menger
 router (_route_into) sits beside _chain in star.py.
 """
 
@@ -95,50 +94,53 @@ def _link_projected(pairs, F, trace, avoid=()):
                    lambda ep: _solve_in_face(F, ep, trace, avoid=avoid))
 
 
-def _search(trace, tag, search):
-    """Tag the trace and return the linkage `search` finds.
-
-    Every base case on the solve path runs through here: the shortest-path
-    rule at d <= 4, and the lattice searches of cubical.py, which have no
-    deadline yet.  A search that finds nothing raises CaseNotCovered with
-    its tag last in the trace.
-    """
+def _search(trace, tag, B, pairs, avoid):
+    """Tag the trace and return the base rule's linkage on the bit tables
+    B, of a cube base at d <= 4 or of a cubical.py lattice: every base case
+    on the solve path runs through here.  The rule is not proved complete,
+    so a miss raises CaseNotCovered with the tag last in the trace."""
     trace.append(tag)
-    sol = search()
+    sol = _shortest_base(B, pairs, avoid)
     if sol is None:
         raise CaseNotCovered(f"{tag} found no linkage", trace=list(trace))
     return sol
 
 
-def _base_3F(P, pairs, trace, tags, search):
+def _base_3F(P, pairs, trace, tags, B, avoid):
     """The base of a cubical 3-polytope P: Unlinkable with a config-3F
-    witness, else the search's linkage; `tags` are (obstructed, search)."""
+    witness, else the rule's linkage on B; `tags` are (obstructed, rule)."""
     witness = detect_config_3F(P, pairs)
     if witness is not None:
         trace.append(tags[0])
         raise Unlinkable(witness)
-    return _search(trace, tags[1], search)
+    return _search(trace, tags[1], B, pairs, avoid)
 
 
-# -- base cases (d <= 4) by shortest paths -----------------------------------
+# -- the base rule: shortest paths in one order, then the other -------------
 
 _base_cache: dict = {}  # d -> the bit tables of Q_d, with their geodesics
 
 
-def _shortest_base(d, pairs, avoid=()):
-    """Linkage in Q_d, d <= 4, by shortest paths; None when cut off.
-
-    The pairs are routed in the given order, each along a BFS-shortest path
-    that avoids the other terminals, the avoided vertices and the earlier
-    paths; when a pair is cut off they are routed once more in reverse
-    order.  Within the capacity _linkage enforces, and in the link of a
-    vertex of Q_4 once config-3F is ruled out, this links every instance
-    that has a linkage (tests/test_cube.py checks all of them).
-    """
+def _cube_bits(d):
+    """The bit tables of Q_d, d <= 4, built once with their geodesics."""
     B = _base_cache.get(d)
     if B is None:
         B = _base_cache[d] = _Bits(cube_graph(d))
         B.geo = B.geodesics()
+    return B
+
+
+def _shortest_base(B, pairs, avoid):
+    """Linkage on the bit tables B by shortest paths; None when cut off.
+
+    The pairs are routed in the given order, each along a BFS-shortest path
+    that avoids the other terminals, the avoided vertices and the earlier
+    paths; when a pair is cut off they are routed once more in reverse
+    order.  Measured, not proved: it links every instance that has a
+    linkage among the Q_3 and Q_4 bases within the capacity _linkage
+    enforces, the links of Q_4's vertices and the 2-pairings of the small
+    3-polytopes in tests/test_cubical.py, once config-3F is ruled out.
+    """
     ps, frees = B.pair_masks(pairs, avoid)
     masks = _shortest_linkage(B, ps, frees)
     if masks is None:
@@ -146,7 +148,6 @@ def _shortest_base(d, pairs, avoid=()):
         if masks is None:
             return None
         masks.reverse()
-    # Q_d's vertices are 0..2^d - 1, so each bit index is its vertex
     return [_walk(B, a, b, m) for (a, b), m in zip(ps, masks)]
 
 
@@ -267,10 +268,9 @@ def _solve(d, pairs, trace):
     if d == 3:
         return _base_3F(build_cube_polytope(3), pairs, trace,
                         ("cube/d3-obstructed", "cube/base-d3"),
-                        lambda: _shortest_base(3, pairs))
+                        _cube_bits(3), ())
     if d <= 4:
-        return _search(trace, f"cube/base-d{d}",
-                       lambda: _shortest_base(d, pairs))
+        return _search(trace, f"cube/base-d{d}", _cube_bits(d), pairs, ())
 
     X = sorted(terminals(pairs))
     K = smallest_face(d, X)
@@ -400,8 +400,8 @@ def _strong(d, pairs, x, trace):
         trace.append("cube/strong-base-d2")
         return [face_path(whole_cube(2), *pairs[0], {x})]
     if d == 4:
-        return _search(trace, "cube/strong-base-d4",
-                       lambda: _shortest_base(4, pairs, (x,)))
+        return _search(trace, "cube/strong-base-d4", _cube_bits(4), pairs,
+                       (x,))
     trace.append("cube/strong-project")
     axis = find_unassociated_pair(d, terminals(pairs))
     F = facet(d, axis, 1 - ((x >> axis) & 1))
@@ -414,7 +414,7 @@ def _linkage(d, pairs, avoid, trace):
     Spare capacity absorbs avoided vertices as dummy pairs; when the totals
     hit d + 1 on even d the strong solver takes over with the last avoided
     vertex as the unpaired terminal.  Past that capacity it raises
-    ValueError, at d <= 4 too, before the base-case search.
+    ValueError, at d <= 4 too, before the base rule runs.
     """
     avoid = sorted(set(avoid))
     X = terminals(pairs)
@@ -435,8 +435,8 @@ def _linkage(d, pairs, avoid, trace):
             witness = detect_config_3F(build_cube_polytope(3), pairs)
             if witness is not None:
                 raise Unlinkable(witness)
-        return _search(trace, f"cube/base-d{d}",
-                       lambda: _shortest_base(d, pairs, avoid))
+        return _search(trace, f"cube/base-d{d}", _cube_bits(d), pairs,
+                       avoid)
     if len(extra) % 2:
         filler = next(v for v in range(1 << d)
                       if v not in X and v not in avoid)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..complexes import Polytope, vertex_link
 from ..errors import CaseNotCovered
-from ..oracle import oracle_linkage
+from ..oracle import _Bits
 from ..paths import shortest_path
 from .certs import LinkageCertificate, Unlinkable, certify, take, terminals
 from .cube import _base_3F, _hops, _search, _splice
@@ -30,8 +30,7 @@ def _facet_route(P, pairs, trace):
     Facets are tried in order of decreasing terminal count, ties in facet
     order (by sorted vertex list, as P keeps them); only d = 4 can reject
     a facet (entries in a 3-cube may be obstructed), and if every facet
-    fails an exhaustive search takes over, with no deadline yet (ROADMAP
-    item 1).
+    fails the base rule runs on P's whole graph.
     """
     X = terminals(pairs)
     cand = sorted(P.facets, key=lambda f: -len(X & f))
@@ -46,8 +45,8 @@ def _facet_route(P, pairs, trace):
         except Unlinkable:
             trace.append("cubical/facet-route-obstructed")
             continue
-    return _search(trace, "cubical/facet-route-search",
-                   lambda: oracle_linkage(P.graph, pairs))
+    return _search(trace, "cubical/facet-route-search", _Bits(P.graph),
+                   pairs, ())
 
 
 def _cubical_solve(P, pairs, trace):
@@ -66,7 +65,7 @@ def _cubical_solve(P, pairs, trace):
     if d == 3:
         return _base_3F(P, pairs, trace,
                         ("cubical/d3-obstructed", "cubical/d3-search"),
-                        lambda: oracle_linkage(G, pairs))
+                        _Bits(G), ())
     if d % 2 == 0 or len(pairs) < k:
         return _facet_route(P, pairs, trace)
 
@@ -197,8 +196,7 @@ def _cubical_strong_solve(P, pairs, x, trace):
             forbidden={x}, trace=trace)
     except Unlinkable:
         # only d = 4: the entries may be blocked in the 3-dimensional link
-        return _search(trace, "cubical/strong-search",
-                       lambda: oracle_linkage(G, pairs, avoid={x}))
+        return _search(trace, "cubical/strong-search", _Bits(G), pairs, (x,))
 
 
 def solve_cubical(P: Polytope, pairs) -> LinkageCertificate:

@@ -20,7 +20,7 @@ from ..hypercube import (
     whole_cube,
 )
 from .certs import LinkageCertificate, certify, take, terminals
-from .cube import (_base_3F, _hops, _link_projected, _orient, _shortest_base,
+from .cube import (_base_3F, _cube_bits, _hops, _link_projected, _orient,
                    _solve_in_face, _splice)
 
 
@@ -56,7 +56,7 @@ def _link_solve(D, v, pairs, trace):
         P = link_polytope(D, v)
         return _base_3F(P, pairs, trace,
                         ("link/d3-obstructed", "link/d3-search"),
-                        lambda: _shortest_base(D, pairs, (v, vo)))
+                        _cube_bits(D), (v, vo))
 
     axis = find_unassociated_pair(D, X)
     F = facet(D, axis, (v >> axis) & 1)

@@ -11,10 +11,9 @@ That search, `_linkable_masks`, returns the vertex masks of the linkage
 it finds: it first routes the pairs one after another along BFS-shortest
 paths, and searches only when that leaves a pair cut off.  `linkable`
 reads only whether it found one, which is all a census needs.
-`oracle_linkage` makes the same one call for `--method oracle` and the
-lattice searches, and reads each path off its mask (`_walk`).  The cube
-solvers' base cases reuse the witness (`_shortest_linkage`) and never
-search.
+`oracle_linkage` makes the same one call for `--method oracle` and reads
+each path off its mask (`_walk`).  No solver searches: every base case
+reuses the witness (`_shortest_linkage`) and `_walk`.
 
 Bit tables that answer many instances, those of an exhaustive census and
 the cube base cases' Q_d (d <= 4), also hold a geodesic table
@@ -200,21 +199,21 @@ def oracle_linkage(G, pairs, avoid=(), deadline=None):
     masks = _linkable_masks(B, ps, frees, deadline)
     if masks is None:
         return None
-    return [[B.verts[i] for i in _walk(B, a, b, m)]
-            for (a, b), m in zip(ps, masks)]
+    return [_walk(B, a, b, m) for (a, b), m in zip(ps, masks)]
 
 
 def _walk(B, a, b, mask):
-    """The path from vertex a to vertex b, by index, through the vertex
-    mask of an induced path: each step has one neighbour left in the
-    mask."""
-    path, u = [a], a
+    """The path, as vertices of B, from index a to index b through the
+    vertex mask of an induced path: each step has one neighbour left in
+    the mask."""
+    nbr, verts = B.nbr, B.verts
+    path, u = [verts[a]], a
     mask &= ~(1 << a)
     while u != b:
-        step = B.nbr[u] & mask
+        step = nbr[u] & mask
         mask ^= step
         u = step.bit_length() - 1
-        path.append(u)
+        path.append(verts[u])
     return path
 
 

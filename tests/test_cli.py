@@ -883,6 +883,8 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
      "facets have dimension 2, expected 3"),
     (["solve", "--cube", "3", "--pairs", "111-001,011-101", "--avoid", "110"],
      "2 pairs + 1 avoided exceed the capacity of Q_3"),
+    (["solve", "--cube", "4", "--pairs", "0000-1111", "--avoid", "0001,0001"],
+     "avoided vertices must be distinct"),
     (["solve", "--lattice", "not-json.json", "--pairs", "000-111"],
      "bad lattice file not-json.json: Expecting property name enclosed in "
      "double quotes: line 1 column 2 (char 1)"),
@@ -935,6 +937,7 @@ def test_solve_instance_replays_strong(capsys, tmp_path, host, tag):
         "gen-instance-no-dim", "gen-instance-strong-odd-d",
         "gen-instance-strong-too-few-pairs", "torus-host", "lattice-no-path",
         "unknown-label", "lattice-dim-disagrees", "solve-over-capacity-q3",
+        "solve-repeated-avoid",
         "lattice-not-json", "missing-instance",
         "certificate-no-pairs", "census-no-pairs", "census-too-many-pairs",
         "census-negative-sample", "census-zero-sample",

@@ -12,6 +12,7 @@ from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph, facet,
 from cubelink.linkage.certs import (LinkageCertificate, ObstructionWitness,
                                     blocking, terminals)
 from cubelink.linkage.cube import (
+    _cube_bits,
     _shortest_base,
     build_Mx_paths,
     cube_linkage,
@@ -196,6 +197,14 @@ def test_an_avoided_terminal_is_rejected(solve, label):
         solve()
 
 
+def test_a_repeated_avoided_vertex_is_rejected():
+    """certify refuses a repeated avoided vertex, as it refuses a repeated
+    terminal: deduplicated, these three would fit Q_5's capacity."""
+    with pytest.raises(ValueError,
+                       match="^avoided vertices must be distinct$"):
+        cube_linkage(5, [(0, 31), (1, 30)], [2, 2, 2])
+
+
 def test_certificates_and_witnesses_compare_by_value():
     # Q3's config-3F, certified twice
     a, b = (solve_cube(3, [(0, 3), (1, 2)]) for _ in range(2))
@@ -322,7 +331,7 @@ def _refused_bases(d, instances):
     G, refused = cube_graph(d), []
     B = oracle._Bits(G)
     for pairs, avoid in instances:
-        paths = _shortest_base(d, pairs, avoid)
+        paths = _shortest_base(_cube_bits(d), pairs, avoid)
         truth = oracle._linkable_masks(B, *B.pair_masks(pairs, avoid),
                                        None) is not None
         assert (paths is not None) == truth, (pairs, avoid)

@@ -512,14 +512,91 @@ def test_routing_cut_raises_with_the_separator_last():
     assert e.value.trace == ["test/route", [2]]
 
 
-def test_empty_search_raises_with_its_tag_last(monkeypatch):
-    import cubelink.linkage.cubical as cubical
+@pytest.mark.parametrize("d,pairs,x,tag", [
+    (3, [(0, 7), (1, 2)], None, "cubical/d3-search"),
+    (4, [(13, 8), (12, 9)], None, "cubical/facet-route-search"),
+    (4, [(13, 8), (12, 9)], 5, "cubical/strong-search"),
+], ids=["d3", "facet-route", "strong"])
+def test_empty_search_raises_with_its_tag_last(monkeypatch, d, pairs, x, tag):
+    import cubelink.linkage.cube as cube
     from cubelink.errors import CaseNotCovered
 
-    P = build_cube_polytope(3)
-    pairs = [(0, 7), (1, 2)]
-    assert solve_cubical(P, pairs).paths is not None
-    monkeypatch.setattr(cubical, "oracle_linkage", lambda *a, **k: None)
+    P = build_cube_polytope(d)
+
+    def solve():
+        if x is None:
+            return solve_cubical(P, pairs)
+        return solve_cubical_strong(P, pairs, x)
+
+    cert = solve()
+    assert cert.paths is not None and tag in cert.trace
+    # the rule misses where cubical.py runs it on P's whole graph
+    rule, verts = cube._shortest_base, sorted(P.graph)
+    monkeypatch.setattr(cube, "_shortest_base", lambda B, *a: (
+        None if B.verts == verts else rule(B, *a)))
     with pytest.raises(CaseNotCovered) as e:
-        solve_cubical(P, pairs)
-    assert e.value.trace[-1] == "cubical/d3-search"
+        solve()
+    assert e.value.trace[-1] == tag
+
+
+def _two_pairings(verts):
+    from itertools import combinations
+
+    from cubelink.oracle import all_pairings
+
+    return [pairs for X in combinations(verts, 4) for pairs in all_pairings(X)]
+
+
+def test_cubical_solves_never_reach_the_oracle(monkeypatch):
+    """Every 2-pairing of five small hosts and every strong Q4 instance
+    avoiding 5 is settled by the base rule: an obstruction exactly when
+    config-3F applies, and each verdict is `linkable`'s."""
+    from cubelink import oracle
+    from cubelink.linkage.cube import detect_config_3F
+
+    from audit import cap, zonotope
+
+    Q3 = build_cube_polytope(3)
+    c1 = cap(Q3, Q3.facets[0])
+    Q4 = build_cube_polytope(4)
+    hosts = {"Z(3,4)": zonotope(3, 4), "Z(3,5)": zonotope(3, 5),
+             "capped Q3": c1, "twice-capped Q3": cap(c1, c1.facets[1]),
+             "Q4": Q4}
+    x = 5
+    # (host, pairs, avoided x or None, linkable), the truth computed
+    # before the oracle is shut off
+    runs = [(name, pairs, None, linkable(P.graph, pairs))
+            for name, P in hosts.items()
+            for pairs in _two_pairings(P.vertices)]
+    runs += [("Q4", pairs, x, linkable(Q4.graph, pairs, (x,)))
+             for pairs in _two_pairings([v for v in Q4.vertices if v != x])]
+
+    def reached(*args):
+        raise AssertionError("a solve reached the oracle")
+
+    monkeypatch.setattr(oracle, "_linkable_masks", reached)
+    tags, certs = set(), {}
+    for name, pairs, avoid, truth in runs:
+        P = hosts[name]
+        if avoid is None:
+            cert = solve_cubical(P, pairs)
+            blocked = P.dim == 3 and detect_config_3F(P, pairs) is not None
+        else:
+            cert = solve_cubical_strong(P, pairs, avoid)
+            blocked = False
+        assert (cert.obstruction is not None) == blocked, (name, pairs)
+        assert (cert.paths is not None) == truth, (name, pairs, avoid)
+        tags.update(cert.trace)
+        certs[name, tuple(pairs), avoid] = cert
+    assert {"cubical/d3-search", "cubical/facet-route-search",
+            "cubical/strong-search"} <= tags
+
+    # instances the rule links only with the pairs in reversed order
+    for name, pairs, avoid in (("Z(3,5)", [(1, 8), (4, 7)], None),
+                               ("twice-capped Q3", [(2, 14), (8, 12)], None),
+                               ("Q4", [(0, 9), (1, 8)], x)):
+        B = oracle._Bits(hosts[name].graph)
+        ps, frees = B.pair_masks(pairs, () if avoid is None else (avoid,))
+        assert oracle._shortest_linkage(B, ps, frees) is None
+        assert oracle._shortest_linkage(B, ps[::-1], frees[::-1]) is not None
+        assert certs[name, tuple(pairs), avoid].paths is not None

@@ -126,36 +126,51 @@ def test_every_parameter_of_a_private_function_is_read():
 
 
 # Each seam and the functions allowed to cross it: Menger routing only in
-# the router, and exhaustive search only in the searches handed to the one
-# search function, so a budget has one home.
-SEAMS = {"disjoint_paths": {"_route_into"}, "oracle_linkage": set()}
-SEARCHES = {"_search", "_base_3F"}
+# the router, and no oracle search anywhere under linkage/, since every
+# base case reads its linkage off the shortest-path witness.
+SEAMS = {"disjoint_paths": {"_route_into"}, "oracle_linkage": set(),
+         "linkable": set(), "_linkable_masks": set()}
+# the only cubelink.oracle names a linkage module may import
+ORACLE_NAMES = {"_Bits", "_shortest_linkage", "_walk"}
 
 
 def _callee(call):
     return getattr(call.func, "id", getattr(call.func, "attr", None))
 
 
+def _oracle_imports(tree):
+    """The names a module imports from cubelink.oracle, "oracle" for the
+    module itself."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == "oracle":
+                names |= {a.name for a in node.names}
+            else:
+                names |= {"oracle" for a in node.names if a.name == "oracle"}
+        elif isinstance(node, ast.Import):
+            names |= {"oracle" for a in node.names
+                      if a.name.rpartition(".")[2] == "oracle"}
+    return names
+
+
 def test_routing_and_search_each_have_one_seam():
-    stray = []
+    stray, imported = [], set()
     for path in sorted((ROOT / "src" / "cubelink" / "linkage").glob("*.py")):
         tree = ast.parse(path.read_text())
+        imported |= _oracle_imports(tree)
         inside = {name: set() for name in SEAMS}
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 for name, homes in SEAMS.items():
                     if node.name in homes:
                         inside[name] |= {id(n) for n in ast.walk(node)}
-            elif isinstance(node, ast.Call) and _callee(node) in SEARCHES:
-                for arg in node.args + [k.value for k in node.keywords]:
-                    if isinstance(arg, ast.Lambda):
-                        inside["oracle_linkage"] |= {
-                            id(n) for n in ast.walk(arg)}
         stray += [f"{path.name}:{node.lineno} {_callee(node)}"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and _callee(node) in SEAMS
                   and id(node) not in inside[_callee(node)]]
     assert stray == []
+    assert imported <= ORACLE_NAMES, imported - ORACLE_NAMES
 
 
 def test_every_star_tag_is_pinned():
