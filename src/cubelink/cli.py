@@ -5,7 +5,8 @@ the host flags are turned into one, and an instance file or certificate
 carries one.  Exit codes encode verdicts so harnesses never parse prose: 0 a
 linkage was found (or the requested action succeeded), 2 an obstruction
 witness was returned, 3 the constructive case analysis fell through or a
-certificate failed its own check (a bug signal; nothing is emitted), and 1
+certificate failed its own check (a bug signal; nothing is emitted), 4 an
+oracle search spent its budget (CUBELINK_ORACLE_TIMEOUT_MS), and 1
 malformed input, which is raised as a ValueError.  A solver fault, a NoPath
 inside a solver included, exits 3 too.  A command line that argparse
 refuses, or that sets a flag its command would not read, is malformed input.
@@ -18,16 +19,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .complexes import build_cube_polytope, build_from_incidence, link_polytope
-from .errors import CaseNotCovered, CubelinkError
+from .errors import CaseNotCovered, CubelinkError, OracleTimeout
 from .hypercube import MAX_DIM, CubeAdjacency, vertex_from_str, vertex_to_str
 from .linkage.certs import Unlinkable, blocking, certify, check_pairing
 from .linkage.cube import (cube_linkage, detect_config_3F, solve_cube,
                            solve_cube_strong)
 from .linkage.cubical import solve_cubical, solve_cubical_strong
 from .linkage.link import solve_link
-from .oracle import MAX_SEARCH_VERTICES, census, linkable, oracle_linkage
+from .oracle import (MAX_SEARCH_VERTICES, census, linkable, oracle_linkage,
+                     oracle_timeout_ms)
 from .paths import validate_linkage
 
 # what a JSON file that does not hold the expected document raises when read
@@ -244,10 +247,15 @@ def _flags_instance(args):
 # -- solve -------------------------------------------------------------------
 
 
+def _deadline():
+    """When an oracle search that starts now runs out of its budget."""
+    return time.monotonic() + oracle_timeout_ms() / 1000
+
+
 def _oracle_solve(host, pairs, avoid):
     def search(ps, trace):
         trace.append("oracle/search")
-        sol = oracle_linkage(host.graph, ps, avoid=avoid)
+        sol = oracle_linkage(host.graph, ps, avoid, _deadline())
         if sol is None:
             raise Unlinkable(host.witness(ps))
         return sol
@@ -308,7 +316,7 @@ def cmd_solve(args):
                 else host.solve(pairs, avoid))
         if args.method == "auto" and cert.paths is None:
             # cross-check the witness against ground truth before emitting
-            if linkable(host.graph, pairs, avoid=avoid):
+            if linkable(host.graph, pairs, avoid, _deadline()):
                 raise CaseNotCovered("witness contradicted by search",
                                      trace=cert.trace)
     payload = cert.to_json(label=host.label_of)
@@ -517,7 +525,7 @@ def main(argv=None):
         return 3
     except (ValueError, CubelinkError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 4 if isinstance(e, OracleTimeout) else 1
 
 
 if __name__ == "__main__":

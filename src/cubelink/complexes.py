@@ -1,15 +1,14 @@
 """Abstract polytopal complexes from vertex-facet incidence.
 
 A Polytope stores its facets, the facet mask of each vertex, the graph and
-each facet's cube embedding.  One certificate reads all four off the facets
-and their pairwise intersections: each facet's cube coordinates come from
-its ridges, and every other intersection of two facets must be a subcube,
-so the faces are exactly the subcubes of the facets; in dimension 3 the
-squares must also make a 2-sphere.  Q_d (`build_cube_polytope`) and vertex
-links are written down: Q_d's facets, graph and facet embeddings are known
-in closed form, and a link's are its host's ridges, rows and embeddings,
-which the host's certificate already proves to be a cubical polytope's
-(see vertex_link).
+each facet's cube embedding.  One certificate, run on outside input only,
+reads all four off the facets and their pairwise intersections: each
+facet's cube coordinates come from its ridges, every other intersection of
+two facets must be a subcube, and no ridge may lie on a third facet; in
+dimension 3 the squares must also make a 2-sphere.  Q_d
+(`build_cube_polytope`) and vertex links are written down, unchecked: Q_d's
+facets, graph and facet embeddings are known in closed form, and a link's
+are its host's ridges, rows and embeddings (see vertex_link).
 `vertex_link` is the one way a link is built, on demand and with no cache:
 a strong solve builds the link of its avoided vertex, and a link host
 (`link_polytope`, which keeps the last few in a bounded cache) is the
@@ -49,16 +48,17 @@ class Polytope:
     """A cubical polytope given abstractly by its vertex-facet incidence."""
 
     def __init__(self, dim, vertices, facets, labels=None):
-        """The facets certify themselves (_certify_facets): each must be a
-        cube of one dimension on its ridges, and each nonempty intersection
-        of two a subcube of both, or NotCubical is raised; the graph and
-        facet embeddings are read off the facets.  In dimension 3 the
-        squares must also make a 2-sphere (_check_sphere), or NotSphere is
-        raised.
+        """The one place an incidence, read from outside, is checked: an
+        empty facet, facets that miss a vertex and nested facets raise
+        InconsistentIncidence (_check_incidence), and then the facets
+        certify themselves (_certify_facets), reading off the graph and
+        facet embeddings.  In dimension 3 the squares must also make a
+        2-sphere (_check_sphere), or NotSphere is raised.
 
         The polytope keeps only its facets, masks, graph and facet
         embeddings; its lower faces are read off the embeddings when first
         asked for, which no solver does."""
+        _check_incidence(vertices, facets)
         self._set_incidence(dim, vertices, facets, labels)
         self._certify_facets()
         j = len(max(self.facets, key=len)).bit_length() - 1
@@ -71,26 +71,16 @@ class Polytope:
     # -- lattice -----------------------------------------------------------
 
     def _set_incidence(self, dim, vertices, facets, labels):
+        """Keep and index the incidence, checking nothing."""
         self.dim = dim
         self.vertices = sorted(vertices)
         self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
         self.labels = labels or {v: str(v) for v in self.vertices}
         self._embed_cache = {}
-        self._index_facets()
-
-    def _index_facets(self):
-        if not self.facets or any(not f for f in self.facets):
-            raise InconsistentIncidence("empty facet")
-        if set().union(*self.facets) != set(self.vertices):
-            raise InconsistentIncidence("facets do not cover the vertex set")
         # each facet's vertex bitset: bit i stands for self.vertices[i]
         bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        facet_bits = [sum(map(bit.__getitem__, f)) for f in self.facets]
-        for i, a in enumerate(facet_bits):
-            for b in facet_bits[i + 1:]:
-                if (a & b) in (a, b):
-                    raise InconsistentIncidence("facet contained in another facet")
-        self._facet_bits = dict(zip(self.facets, facet_bits))
+        self._facet_bits = {f: sum(map(bit.__getitem__, f))
+                            for f in self.facets}
         # the incidence index: bit i stands for self.facets[i]
         vmask = dict.fromkeys(self.vertices, 0)
         for i, f in enumerate(self.facets):
@@ -110,12 +100,14 @@ class Polytope:
         vertex's code records which axes hold it, and the codes must be
         distinct, so they make F a cube.  Every nonempty F & G other than F
         must be a subcube in those codes: a ridge then fixes one axis, so
-        the ridges are j complementary pairs.  Every subcube of F is then an
-        intersection of ridges, so of facets, and two subcubes of F meet in
-        one: the facets' closure is exactly the subcubes of the facets, each
-        face is a cube, and the edges are the Hamming-1 pairs inside
-        facets.  Each row is sorted, and each facet's embedding is its codes
-        in the canonical labelling (see _canonical)."""
+        the ridges are j complementary pairs, and a third facet through one
+        meets F in it alone, which raises InconsistentIncidence (at d = 3,
+        _check_sphere refuses the edge on three squares).  Every subcube of
+        F is then an intersection of ridges, so of facets, and two subcubes
+        of F meet in one: the facets' closure is exactly the subcubes of the
+        facets, each face is a cube, and the edges are the Hamming-1 pairs
+        inside facets.  Each row is sorted, and each facet's embedding is
+        its codes in the canonical labelling (see _canonical)."""
         sizes = sorted({len(F) for F in self.facets})
         n = sizes[-1]
         if len(sizes) > 1 or n & (n - 1):
@@ -126,21 +118,24 @@ class Polytope:
         nbrs = {v: set() for v in self.vertices}
         bits = self._facet_bits
         for F, a in bits.items():
-            cuts = {a & b for b in bits.values()} - {0, a}
-            ridges = {r for r in cuts if r.bit_count() == n >> 1}
+            cuts = [a & b for b in bits.values()]
+            ridges = {r for r in cuts if r and r.bit_count() == n >> 1}
             axes = [r for r in ridges if r < a ^ r]
             coords = {v: sum(1 << i for i, r in enumerate(axes) if r & bit[v])
                       for v in F}
             at = {c: v for v, c in coords.items()}
             if len(ridges) != 2 * j or len(at) != n:
                 raise NotCubical(f"facet {sorted(F)} is not a {j}-cube on "
-                                 f"its ridges", face=sorted(F))
-            for s in cuts:
+                                 f"its ridges")
+            if self.dim != 3 and sum(r in ridges for r in cuts) > 2 * j:
+                raise InconsistentIncidence(f"a ridge of facet {sorted(F)} "
+                                            f"lies on a third facet")
+            for s in set(cuts) - {0, a}:
                 free = sum(1 for r in axes if s & r and s & (a ^ r))
                 if s.bit_count() != 1 << free:
                     face = sorted(v for v in F if bit[v] & s)
                     raise NotCubical(f"face {face} is no subcube of facet "
-                                     f"{sorted(F)}", face=face)
+                                     f"{sorted(F)}")
             for v, c in coords.items():
                 nbrs[v].update(at[c ^ 1 << i] for i in range(j))
             root = min(F)
@@ -360,6 +355,21 @@ class GeneratedGraph(Mapping):
         return sum(1 for _ in self)
 
 
+def _check_incidence(vertices, facets):
+    """Refuse an empty facet, facets that miss a vertex, and nested facets:
+    the checks that the tests' reference lattice shares with Polytope."""
+    facets = {frozenset(f) for f in facets}
+    if not facets or not all(facets):
+        raise InconsistentIncidence("empty facet")
+    if set().union(*facets) != set(vertices):
+        raise InconsistentIncidence("facets do not cover the vertex set")
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    masks = [sum(map(bit.__getitem__, f)) for f in facets]
+    if any((a & b) in (a, b) for i, a in enumerate(masks)
+           for b in masks[i + 1:]):
+        raise InconsistentIncidence("facet contained in another facet")
+
+
 def _subcubes(coords, j):
     """The subcubes of a j-cube whose vertices have the codes `coords`: one
     for each set of fixed axes and each choice of their values."""
@@ -448,7 +458,9 @@ def vertex_link(P: Polytope, x) -> Polytope:
     in each star facet through v they meet in the face through v
     complementary to the least face holding x and v.  The link's faces,
     the faces of the star that miss x, are then its facets' closure, with
-    P's edges and embeddings.
+    P's edges and embeddings.  A link ridge, in a star facet F, lies on
+    two link facets: the halves of F through it that miss x, or one per
+    facet of P through the least face holding it and x, a ridge of P.
     """
     if x not in P.vertex_facets:
         raise ValueError(f"vertex {x} is not in cubical {P.dim}-polytope "

@@ -8,10 +8,6 @@ class CubelinkError(Exception):
 class NotCubical(CubelinkError):
     """A face of the input lattice is not combinatorially a cube."""
 
-    def __init__(self, message, face=None):
-        super().__init__(message)
-        self.face = face
-
 
 class InconsistentIncidence(CubelinkError):
     """Vertex-facet incidence does not describe a polytope lattice."""

@@ -30,7 +30,6 @@ from ..errors import CaseNotCovered, NoPath
 from ..hypercube import (
     CubeAdjacency,
     CubeFace,
-    cube_graph,
     dist,
     face_path,
     facet,
@@ -106,14 +105,14 @@ def _search(trace, tag, B, pairs, avoid):
     return sol
 
 
-def _base_3F(P, pairs, trace, tags, B, avoid):
+def _base_3F(P, pairs, trace, tags):
     """The base of a cubical 3-polytope P: Unlinkable with a config-3F
-    witness, else the rule's linkage on B; `tags` are (obstructed, rule)."""
+    witness, else the rule's linkage on P's graph; tags (obstructed, rule)."""
     witness = detect_config_3F(P, pairs)
     if witness is not None:
         trace.append(tags[0])
         raise Unlinkable(witness)
-    return _search(trace, tags[1], B, pairs, avoid)
+    return _search(trace, tags[1], _Bits(P.graph), pairs, ())
 
 
 # -- the base rule: shortest paths in one order, then the other -------------
@@ -125,7 +124,7 @@ def _cube_bits(d):
     """The bit tables of Q_d, d <= 4, built once with their geodesics."""
     B = _base_cache.get(d)
     if B is None:
-        B = _base_cache[d] = _Bits(cube_graph(d))
+        B = _base_cache[d] = _Bits(CubeAdjacency(d))
         B.geo = B.geodesics()
     return B
 
@@ -267,8 +266,7 @@ def _solve(d, pairs, trace):
         return [face_path(whole_cube(d), *pairs[0])]
     if d == 3:
         return _base_3F(build_cube_polytope(3), pairs, trace,
-                        ("cube/d3-obstructed", "cube/base-d3"),
-                        _cube_bits(3), ())
+                        ("cube/d3-obstructed", "cube/base-d3"))
     if d <= 4:
         return _search(trace, f"cube/base-d{d}", _cube_bits(d), pairs, ())
 

@@ -64,8 +64,7 @@ def _cubical_solve(P, pairs, trace):
         return [shortest_path(G, *pairs[0])]
     if d == 3:
         return _base_3F(P, pairs, trace,
-                        ("cubical/d3-obstructed", "cubical/d3-search"),
-                        _Bits(G), ())
+                        ("cubical/d3-obstructed", "cubical/d3-search"))
     if d % 2 == 0 or len(pairs) < k:
         return _facet_route(P, pairs, trace)
 

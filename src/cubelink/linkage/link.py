@@ -20,8 +20,8 @@ from ..hypercube import (
     whole_cube,
 )
 from .certs import LinkageCertificate, certify, take, terminals
-from .cube import (_base_3F, _cube_bits, _hops, _link_projected, _orient,
-                   _solve_in_face, _splice)
+from .cube import (_base_3F, _hops, _link_projected, _orient, _solve_in_face,
+                   _splice)
 
 
 def _reroute_through_opposite(F, vother, paths, idx, pairs, trace):
@@ -53,10 +53,8 @@ def _link_solve(D, v, pairs, trace):
         trace.append("link/single-pair")
         return [face_path(whole_cube(D), *pairs[0], forbidden=(v, vo))]
     if D == 4:  # the link is a 3-polytope
-        P = link_polytope(D, v)
-        return _base_3F(P, pairs, trace,
-                        ("link/d3-obstructed", "link/d3-search"),
-                        _cube_bits(D), (v, vo))
+        return _base_3F(link_polytope(D, v), pairs, trace,
+                        ("link/d3-obstructed", "link/d3-search"))
 
     axis = find_unassociated_pair(D, X)
     F = facet(D, axis, (v >> axis) & 1)

@@ -39,7 +39,7 @@ MAX_SEARCH_VERTICES = 1 << 14
 
 
 def oracle_timeout_ms() -> int:
-    """The per-search budget of `census --sample`: a positive integer of
+    """The budget of each CLI or census oracle search: a positive integer of
     milliseconds from CUBELINK_ORACLE_TIMEOUT_MS, else the default."""
     raw = os.environ.get(TIMEOUT_VAR)
     if raw is None:
@@ -357,9 +357,9 @@ def census(G, k, host="", sample=None, seed=0, detector=None):
     Each verdict comes from `linkable` on bit tables built once for the run.
     With no `sample` the census is exhaustive: every X of size 2k and every
     pairing (|V| <= 16 enforced), in the order of `all_pairings`, with
-    shortest routes read off one geodesic table.  Otherwise it takes
-    `sample` random instances from `seed`, each search bounded by
-    oracle_timeout_ms() and counted as a timeout when it runs out.
+    shortest routes read off one geodesic table; else `sample` random ones
+    from `seed`.  Each search is bounded by oracle_timeout_ms(), and counted
+    as a timeout when it runs out.
     `detector` maps (pairs) -> obstruction kind or None and is cross-tabbed
     against the verdict; disagreements are recorded.  A k below 1 or above
     |V| / 2, or a sample below 1, raises ValueError.
@@ -390,7 +390,6 @@ def census(G, k, host="", sample=None, seed=0, detector=None):
                     ps = [(X[i], X[j]) for i, j in shape]
                     yield ([(verts[a], verts[b]) for a, b in ps], ps,
                            [free | 1 << a | 1 << b for a, b in ps])
-        budget = None
     else:
         import random
 
@@ -402,12 +401,12 @@ def census(G, k, host="", sample=None, seed=0, detector=None):
                 rng.shuffle(X)
                 pairs = [(X[2 * i], X[2 * i + 1]) for i in range(k)]
                 yield (pairs, *bits.pair_masks(pairs, ()))
-        budget = oracle_timeout_ms() / 1000.0
 
+    budget = oracle_timeout_ms() / 1000.0
     for pairs, ps, frees in instances():
         rep.total += 1
         kind = detector(pairs) if detector else None
-        deadline = time.monotonic() + budget if budget is not None else None
+        deadline = time.monotonic() + budget
         try:
             linked = _linkable_masks(bits, ps, frees, deadline) is not None
         except OracleTimeout:

@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from cubelink import complexes
-from cubelink.complexes import Polytope, build_from_incidence
+from cubelink.complexes import (Polytope, _check_incidence,
+                                build_cube_polytope, build_from_incidence)
 from cubelink.errors import (CaseNotCovered, InconsistentIncidence, NoPath,
                              NotCubical, OracleTimeout)
 from cubelink.hypercube import CubeFace, _check_dim, cube_graph, vertex_to_str
@@ -650,6 +651,17 @@ def zonotope(d, n) -> Polytope:
                                 [[index[v] for v in f] for f in facets])
 
 
+def glued_along_a_facet(d):
+    """(vertex count, facets) of two boundaries of Q_d that share their
+    first facet F, vertices and all.  Every facet is a cube and every
+    intersection of two a subcube, yet each ridge of F lies on three
+    facets: F and its neighbour across the ridge in each copy."""
+    facets = build_cube_polytope(d).to_json()["facets"]
+    rest = iter(range(1 << d, 2 << d))
+    twin = {v: v if v in facets[0] else next(rest) for v in range(1 << d)}
+    return 3 << d - 1, facets + [[twin[v] for v in f] for f in facets]
+
+
 def grid_surface(m, n, twist=False):
     """The facets of the m x n grid of squares with opposite sides glued,
     vertex (r, c) as n * r + c: the torus T(m, n), or with `twist` a Klein
@@ -674,7 +686,7 @@ def embed_by_bfs(graph, f):
     root = verts[0]
     j = len(adj[root])
     if len(f) != 1 << j:
-        raise NotCubical(f"face size {len(f)} but degree {j}", face=verts)
+        raise NotCubical(f"face size {len(f)} but degree {j}")
     coords = {root: 0}
     for i, w in enumerate(adj[root]):  # graph rows are sorted
         coords[w] = 1 << i
@@ -687,29 +699,29 @@ def embed_by_bfs(graph, f):
                 dist[w] = dist[u] + 1
                 queue.append(w)
     if len(dist) != len(f):
-        raise NotCubical("face graph disconnected", face=verts)
+        raise NotCubical("face graph disconnected")
     for v in sorted(verts, key=dist.__getitem__):  # by (dist, v)
         if v in coords:
             continue
         preds = [coords[w] for w in adj[v] if w in coords]
         if len(preds) < 2:
-            raise NotCubical("vertex with single predecessor", face=verts)
+            raise NotCubical("vertex with single predecessor")
         code = 0
         for p in preds:
             code |= p
         coords[v] = code
     if len(set(coords.values())) != len(f):
-        raise NotCubical("coordinate collision", face=verts)
+        raise NotCubical("coordinate collision")
     # codes are distinct, so the neighbour codes are exactly the j
     # Hamming-1 flips when there are j of them and each differs in one bit
     for v, nbrs in adj.items():
         c = coords[v]
         if len(nbrs) != j:
-            raise NotCubical("adjacency not Hamming-1", face=verts)
+            raise NotCubical("adjacency not Hamming-1")
         for w in nbrs:
             x = coords[w] ^ c
             if x & (x - 1):
-                raise NotCubical("adjacency not Hamming-1", face=verts)
+                raise NotCubical("adjacency not Hamming-1")
     return coords, j
 
 
@@ -734,9 +746,10 @@ class ReferencePolytope(Polytope):
     """Reference for Polytope's facet certificate: the facets' closed face
     lattice, whose 2-vertex faces are the edges, with every face embedded
     by its own BFS, every vertex a face and every facet as large as the
-    largest.  It keeps Polytope's incidence index and face queries, not its
-    certificate or its faces, read off the facet embeddings: it closes the
-    facets under intersection itself.  It is always built from an
+    largest.  It keeps Polytope's incidence checks (`_check_incidence`),
+    index and face queries, not its certificate, ridge rule or faces, read
+    off the facet embeddings: it closes the facets under intersection
+    itself.  It is always built from an
     incidence alone."""
 
     @cached_property
@@ -747,6 +760,7 @@ class ReferencePolytope(Polytope):
                 for f in faces}
 
     def __init__(self, dim, vertices, facets, labels=None):
+        _check_incidence(vertices, facets)
         self._set_incidence(dim, vertices, facets, labels)
         # the edges come in face order, each as (a, b) with a < b, so every
         # vertex meets its neighbours in sorted order

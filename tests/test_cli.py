@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cubelink
-from audit import cap, grid_surface
+from audit import cap, glued_along_a_facet, grid_surface, zonotope
 from cubelink import cli
 from cubelink.cli import main
 from cubelink.complexes import build_cube_polytope, link_polytope
@@ -476,6 +476,44 @@ def test_a_torus_lattice_exits_1(capsys, tmp_path, monkeypatch, argv):
         1, "", "error: the squares make no 2-sphere: V - E + F is 0, not 2\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lattice", "glued.json", "--pairs", "1-30,3-28,5-26"],
+    ["verify", "cert.json"],
+], ids=["solve", "verify"])
+def test_a_ridge_on_three_facets_exits_1_before_any_solve(
+        capsys, tmp_path, monkeypatch, argv):
+    # two Q5 boundaries glued along a facet: full-capacity solves on it used
+    # to fail mid-solve, some with CaseNotCovered (exit 3)
+    def no_solve(*args):
+        raise RuntimeError("solved")
+    monkeypatch.setattr(cli, "solve_cubical", no_solve)
+    monkeypatch.chdir(tmp_path)
+    n, facets = glued_along_a_facet(5)
+    (tmp_path / "glued.json").write_text(json.dumps(
+        {"dim": 5, "vertices": n, "facets": facets}))
+    (tmp_path / "cert.json").write_text(json.dumps({
+        "instance": {"host": {"kind": "lattice", "path": "glued.json",
+                              "dim": 5},
+                     "pairs": [["1", "30"], ["3", "28"]], "avoid": []},
+        "result": {"linkage": [["1", "30"], ["3", "28"]]}}))
+    assert run(capsys, *argv) == (
+        1, "", f"error: a ridge of facet {facets[0]} lies on a third facet\n")
+
+
+@pytest.mark.parametrize("method", ["auto", "oracle"])
+def test_an_oracle_search_past_its_budget_exits_4(
+        capsys, tmp_path, monkeypatch, method):
+    # the diagonals of Z(3,8)'s first square: config-3F, whose refutation
+    # by search takes seconds, in the auto cross-check and --method oracle
+    Z = zonotope(3, 8)
+    assert detect_config_3F(Z, [(0, 3), (1, 2)]) is not None
+    (tmp_path / "z38.json").write_text(json.dumps(Z.to_json()))
+    monkeypatch.setenv("CUBELINK_ORACLE_TIMEOUT_MS", "50")
+    assert run(capsys, "solve", "--lattice", str(tmp_path / "z38.json"),
+               "--pairs", "0-3,1-2", "--method", method) == (
+        4, "", "error: oracle budget exceeded\n")
+
+
 def test_an_edge_blocks_no_pair():
     # its ends are antipodal in it and one is the other's one neighbour
     # there, all terminals, but config-3F needs a 2-face
@@ -716,15 +754,17 @@ def test_census_outside_dimension_3_builds_no_lattice(capsys, monkeypatch):
 
 
 def test_solve_builds_no_cube_graph(capsys, monkeypatch):
-    # the exhaustive base (d <= 4) builds Q_3 and Q_4, and nothing else may
-    def no_graph(d):
-        if d > 4:
-            raise RuntimeError(f"graph of Q_{d} built")
-        return cube_graph(d)
-    monkeypatch.setattr("cubelink.linkage.cube.cube_graph", no_graph)
+    # the base tables of Q_3 and Q_4 are read off CubeAdjacency, so no
+    # solve builds a cube graph, the bases' own included
+    monkeypatch.setattr("cubelink.linkage.cube._base_cache", {})
+    cube_graph.cache_clear()
     code, _, _ = run(capsys, "solve", "--cube", "6", "--pairs",
                      "000000-111111,100000-011111,010000-101111")
     assert code == 0
+    code, out, _ = run(capsys, "solve", "--cube", "4", "--trace", "--pairs",
+                       "0000-1111,1000-0111")
+    assert code == 0 and "cube/base-d4" in json.loads(out)["trace"]
+    assert cube_graph.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

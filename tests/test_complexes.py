@@ -4,16 +4,18 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubelink import complexes
 from cubelink.complexes import (LINK_CACHE_SIZE, Polytope,
                                 build_cube_polytope, build_from_incidence,
                                 link_polytope)
 from cubelink.errors import InconsistentIncidence, NotCubical, NotSphere
 from cubelink.hypercube import cube_graph, vertex_to_str, whole_cube
-from cubelink.linkage.cubical import vertex_link
+from cubelink.linkage.cubical import solve_cubical_strong, vertex_link
+from cubelink.paths import validate_linkage
 
 from audit import (Complex, ReferencePolytope, antistar_complex, cap,
-                   closure_by_intersection, embed_by_bfs, grid_surface,
-                   link_complex, link_reference, star_complex,
+                   closure_by_intersection, embed_by_bfs, glued_along_a_facet,
+                   grid_surface, link_complex, link_reference, star_complex,
                    technical_decomposition, zonotope)
 
 
@@ -134,6 +136,39 @@ def test_link_cache_is_bounded():
         for v in range(64):
             link_polytope(6, v)
     assert link_polytope.cache_info().currsize <= LINK_CACHE_SIZE
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_boundaries_glued_along_a_facet_are_refused(d):
+    # every facet is a cube and every intersection a subcube, so the
+    # per-face reference, which has no ridge rule, takes it; the ridges of
+    # the shared facet lie on three facets, which Polytope refuses
+    n, facets = glued_along_a_facet(d)
+    assert len(ReferencePolytope(d, range(n), facets).facets) == 4 * d - 1
+    with pytest.raises(InconsistentIncidence, match=re.escape(
+            f"a ridge of facet {facets[0]} lies on a third facet")):
+        build_from_incidence(d, n, facets)
+
+
+def test_written_down_hosts_run_no_incidence_check(monkeypatch):
+    # Q_d and vertex links are written down from checked hosts, so neither
+    # they, nor links of links, nor the links strong solves take, are checked
+    def refuse(*args):
+        raise RuntimeError("incidence checked")
+    monkeypatch.setattr(complexes, "_check_incidence", refuse)
+    for name in ("_certify_facets", "_check_sphere"):
+        monkeypatch.setattr(Polytope, name, refuse)
+    rng = random.Random("written-down")
+    for d in range(5, 9):
+        Q = build_cube_polytope.__wrapped__(d)
+        for x in rng.sample(Q.vertices, 2):
+            L = vertex_link(Q, x)
+            assert vertex_link(L, rng.choice(L.vertices)).dim == d - 2
+        for _ in range(10 if d % 2 == 0 else 0):
+            X = rng.sample(Q.vertices, d + 1)
+            pairs = [(X[2 * i], X[2 * i + 1]) for i in range(d // 2)]
+            cert = solve_cubical_strong(Q, pairs, X[d])
+            assert validate_linkage(Q.graph, pairs, cert.paths, [X[d]])[0]
 
 
 def test_inconsistent_incidence_rejected():

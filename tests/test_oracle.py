@@ -145,6 +145,15 @@ def test_census_counts_searches_past_their_budget_as_timeouts(monkeypatch):
     assert rep.linked == rep.unlinked == 0
 
 
+def test_an_exhaustive_census_runs_under_the_budget_too(monkeypatch):
+    import cubelink.oracle as oracle
+
+    monkeypatch.setattr(oracle, "oracle_timeout_ms", lambda: -1000)
+    rep = census(cube_graph(3), 2)
+    assert rep.timeouts == rep.total == 210
+    assert rep.linked == rep.unlinked == 0
+
+
 # SHA-256 of the JSON of the exhaustive 3-pair censuses, where the DFS and
 # cut_off do the most work: Q4 has 119,312 linked and 808 unlinked
 # pairings, link(Q4, 0) 35,366 and 9,679.  With no detector every unlinked
