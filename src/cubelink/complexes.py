@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property, lru_cache, reduce
+from itertools import combinations
 from operator import and_
 
 from .errors import InconsistentIncidence, NotCubical, NotSphere
@@ -58,8 +59,8 @@ class Polytope:
         The polytope keeps only its facets, masks, graph and facet
         embeddings; its lower faces are read off the embeddings when first
         asked for, which no solver does."""
-        _check_incidence(vertices, facets)
-        self._set_incidence(dim, vertices, facets, labels)
+        self._set_incidence(dim, vertices, _check_incidence(vertices, facets),
+                            labels)
         self._certify_facets()
         j = len(max(self.facets, key=len)).bit_length() - 1
         if j != self.dim - 1:
@@ -70,17 +71,14 @@ class Polytope:
 
     # -- lattice -----------------------------------------------------------
 
-    def _set_incidence(self, dim, vertices, facets, labels):
-        """Keep and index the incidence, checking nothing."""
+    def _set_incidence(self, dim, vertices, facet_bits, labels):
+        """Keep and index the incidence (facet_bits, its _index), unchecked."""
         self.dim = dim
         self.vertices = sorted(vertices)
-        self.facets = sorted({frozenset(f) for f in facets}, key=sorted)
+        self.facets = list(facet_bits)
         self.labels = labels or {v: str(v) for v in self.vertices}
         self._embed_cache = {}
-        # each facet's vertex bitset: bit i stands for self.vertices[i]
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        self._facet_bits = {f: sum(map(bit.__getitem__, f))
-                            for f in self.facets}
+        self._facet_bits = facet_bits
         # the incidence index: bit i stands for self.facets[i]
         vmask = dict.fromkeys(self.vertices, 0)
         for i, f in enumerate(self.facets):
@@ -355,19 +353,26 @@ class GeneratedGraph(Mapping):
         return sum(1 for _ in self)
 
 
+def _index(vertices, facets):
+    """The distinct facets, sorted, each mapped to its vertex bitset: bit i
+    stands for the i-th least vertex."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(vertices))}
+    return {f: sum(map(bit.__getitem__, f))
+            for f in sorted(set(map(frozenset, facets)), key=sorted)}
+
+
 def _check_incidence(vertices, facets):
-    """Refuse an empty facet, facets that miss a vertex, and nested facets:
-    the checks that the tests' reference lattice shares with Polytope."""
+    """Refuse an empty facet, facets that miss a vertex, and nested facets,
+    as the tests' reference lattice does too; return the facets' _index."""
     facets = {frozenset(f) for f in facets}
     if not facets or not all(facets):
         raise InconsistentIncidence("empty facet")
     if set().union(*facets) != set(vertices):
         raise InconsistentIncidence("facets do not cover the vertex set")
-    bit = {v: 1 << i for i, v in enumerate(vertices)}
-    masks = [sum(map(bit.__getitem__, f)) for f in facets]
-    if any((a & b) in (a, b) for i, a in enumerate(masks)
-           for b in masks[i + 1:]):
+    index = _index(vertices, facets)
+    if any((a & b) in (a, b) for a, b in combinations(index.values(), 2)):
         raise InconsistentIncidence("facet contained in another facet")
+    return index
 
 
 def _subcubes(coords, j):
@@ -410,9 +415,10 @@ def build_cube_polytope(d: int) -> Polytope:
             # compress, v less its bit i, is the BFS labelling from
             # min(F) = val << i
             compress, _ = facet_maps(facet(d, i, val))
-            embeddings[F] = ({v: compress(v) for v in F}, d - 1)
+            vs = list(F)
+            embeddings[F] = (dict(zip(vs, compress(vs))), d - 1)
     P = Polytope.__new__(Polytope)
-    P._set_incidence(d, verts, embeddings,
+    P._set_incidence(d, verts, _index(verts, embeddings),
                      {v: vertex_to_str(v, d) for v in verts})
     # Q1's facets are its two vertices, and no edge is a face
     P.graph = {v: tuple(sorted(v ^ (1 << i) for i in range(d)))
@@ -470,7 +476,7 @@ def vertex_link(P: Polytope, x) -> Polytope:
               if x not in R}
     verts = set().union(*star_facets) - {x}
     L = Polytope.__new__(Polytope)
-    L._set_incidence(P.dim - 1, verts, facets,
+    L._set_incidence(P.dim - 1, verts, _index(verts, facets),
                      {v: P.labels[v] for v in verts})
     vf = L.vertex_facets
     L.graph = {v: tuple([w for w in P.graph[v] if vf.get(w, 0) & m])

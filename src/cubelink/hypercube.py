@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heappop, heappush
 from math import factorial
 from types import MappingProxyType
@@ -72,54 +72,58 @@ class CubeFace(namedtuple("CubeFace", "d fixed_mask fixed_values")):
         return (v & self.fixed_mask) == self.fixed_values
 
     def vertices(self) -> list[int]:
-        free = [i for i in range(self.d) if not (self.fixed_mask >> i) & 1]
-        out = []
-        for bits in range(1 << len(free)):
-            v = self.fixed_values
-            for j, i in enumerate(free):
-                if (bits >> j) & 1:
-                    v |= 1 << i
-            out.append(v)
+        """In increasing order, as the submasks of free_mask increase."""
+        free, sub, out = self.free_mask, 0, [self.fixed_values]
+        while sub != free:
+            sub = (sub - free) & free
+            out.append(self.fixed_values | sub)
         return out
 
 
+def _face(d, fixed_mask, fixed_values) -> CubeFace:
+    """CubeFace(...) less its checks, for faces derived from checked ones."""
+    return tuple.__new__(CubeFace, (d, fixed_mask, fixed_values & fixed_mask))
+
+
 def whole_cube(d: int) -> CubeFace:
-    _check_dim(d)
     return CubeFace(d, 0, 0)
 
 
 def facet(d: int, axis: int, value: int) -> CubeFace:
-    """The facet {x_axis = value} of Q_d."""
+    """The facet {x_axis = value} of Q_d: d and axis checked, then _face."""
     _check_dim(d)
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range")
-    return CubeFace(d, 1 << axis, value << axis)
+    return _face(d, 1 << axis, value << axis)
 
 
 def opposite_facet(F: CubeFace) -> CubeFace:
-    """F^o: same axis, flipped value.  Requires F to be a facet."""
+    """F^o: same axis, flipped value, by _face.  Requires F to be a facet."""
     if F.fixed_mask.bit_count() != 1:
         raise ValueError("opposite_facet requires a facet (one fixed coordinate)")
-    return CubeFace(F.d, F.fixed_mask, F.fixed_values ^ F.fixed_mask)
+    return _face(F.d, F.fixed_mask, F.fixed_values ^ F.fixed_mask)
 
 
 def facet_maps(F: CubeFace):
     """(compress, expand) bijections between V(F) and the (d-1)-cube, for a
     facet F: compress drops F's fixed axis and closes the gap, expand opens
-    it and puts F's fixed value back.  A face that is not a facet raises
-    ValueError."""
+    it and puts F's fixed value back.  Each maps a vertex, or a list of
+    them in one call.  A face that is not a facet raises ValueError."""
     if F.fixed_mask.bit_count() != 1:
         raise ValueError("facet_maps requires a facet (one fixed coordinate)")
     axis = F.fixed_mask.bit_length() - 1
     low = F.fixed_mask - 1  # the axes below the fixed one
+    return (partial(_facet_shift, low, axis + 1, axis, 0),
+            partial(_facet_shift, low, axis, axis + 1, F.fixed_values))
 
-    def compress(v):
-        return (v & low) | (v >> (axis + 1) << axis)
 
-    def expand(w):
-        return (w & low) | (w >> axis << (axis + 1)) | F.fixed_values
-
-    return compress, expand
+def _facet_shift(low, down, up, value, vs):
+    """facet_maps' one formula, on a vertex or on each of a list: keep the
+    bits in `low`, move those from bit `down` on to bit `up`, and set
+    `value`.  A module function, so a map holds no reference cycle."""
+    if isinstance(vs, int):
+        return _facet_shift(low, down, up, value, [vs])[0]
+    return [(v & low) | (v >> down << up) | value for v in vs]
 
 
 def project(x: int, F_target: CubeFace) -> int:
@@ -134,7 +138,7 @@ def project(x: int, F_target: CubeFace) -> int:
 
 
 def smallest_face(d: int, S) -> CubeFace:
-    """The inclusion-minimal face of Q_d containing the vertex set S."""
+    """The inclusion-minimal face of Q_d holding the vertex set S, by _face."""
     S = list(S)
     if not S:
         raise ValueError("empty vertex set")
@@ -144,9 +148,8 @@ def smallest_face(d: int, S) -> CubeFace:
     for v in S[1:]:
         ones &= v
         zeros &= ~v
-    full = (1 << d) - 1
-    mask = (ones | zeros) & full
-    return CubeFace(d, mask, ones & mask)
+    mask = (ones | zeros) & ((1 << d) - 1)
+    return _face(d, mask, ones)
 
 
 def associated_pairs(d: int, Z) -> set[int]:
@@ -221,11 +224,12 @@ class CubeAdjacency(Mapping):
         return isinstance(v, int) and 0 <= v < 1 << self.d
 
     def has_edge(self, a, b):
-        """Whether b is in ``self[a]``, read off ``a ^ b`` without building
-        the row; KeyError when a is not a vertex, as ``self[a]`` raises."""
-        if a not in self:
+        """Whether b is in ``self[a]``: ``a ^ b`` is one bit below 2^d;
+        KeyError when a is not a vertex, as ``self[a]`` raises."""
+        if not (isinstance(a, int) and 0 <= a < 1 << self.d):
             raise KeyError(a)
-        return b in self and (a ^ b).bit_count() == 1
+        x = a ^ b if isinstance(b, int) else 0
+        return 0 < x < 1 << self.d and x.bit_count() == 1
 
     def __iter__(self):
         return iter(range(1 << self.d))

@@ -5,15 +5,12 @@ recursion; solve_cube_strong additionally avoids one extra terminal x.
 Both return LinkageCertificates whose paths are validated before return.
 Small dimensions (d <= 4) are settled without a search, by the one base
 rule (_shortest_base): shortest paths in one order, then in the other.
-Above them no graph is built.  Paths inside a face come from
-hypercube.face_path: a path is written down in closed form when no
-forbidden vertex lies in the subcube between its ends, which is the usual
-case; when some do, the shortest paths that avoid them are counted and the
-path is walked along them; and it is searched by A* from both ends only
-when every shortest path is blocked.  A subproblem on a facet is moved to
-the (d-1)-cube and back by bit splices around the facet's fixed axis
-(hypercube.facet_maps, whose compress map is also each facet's embedding
-in build_cube_polytope), and certificates are checked against the
+Above them no graph is built: paths inside a face come from
+hypercube.face_path, which searches only when every shortest path is
+blocked.  A subproblem on a facet is moved to the (d-1)-cube and back by
+bit splices around the facet's fixed axis (hypercube.facet_maps, whose
+compress map is also each facet's embedding in build_cube_polytope), a
+list of vertices per call, and certificates are checked against the
 implicit CubeAdjacency.
 
 Steps that every linkage solver repeats are written once here: splicing
@@ -241,8 +238,8 @@ def build_Mx_paths(d, F: CubeFace, pairs, classes):
     for x in classes[3]:
         y = partner[x]
         M[x] = [x, project(y, F), y]
+    taken = X.union(*M.values())
     for x in classes[4]:
-        taken = X.union(*M.values())
         cands = [w for w in (x ^ (1 << a) for a in free_axes)
                  if w not in taken and project(w, Fo) not in taken]
         if not cands:
@@ -250,6 +247,7 @@ def build_Mx_paths(d, F: CubeFace, pairs, classes):
                                  trace=["cube/scenario-2/Mx"])
         w = min(cands)
         M[x] = [x, w, project(w, Fo)]
+        taken.update(M[x])
     return M
 
 
@@ -275,30 +273,29 @@ def _solve(d, pairs, trace):
     if K.fixed_mask:
         axis = (K.fixed_mask & -K.fixed_mask).bit_length() - 1
         F = facet(d, axis, (K.fixed_values >> axis) & 1)
-        return _scenario1(F, pairs, trace)
+        return _scenario1(F, pairs, X, trace)
     for i, (s, t) in enumerate(pairs):
         if dist(s, t) < d:
             agree = ~(s ^ t)
-            axis = next(a for a in range(d) if (agree >> a) & 1)
+            axis = (agree & -agree).bit_length() - 1
             F = facet(d, axis, (s >> axis) & 1)
-            return _scenario2(d, F, i, pairs, trace)
-    return _scenario3(d, pairs, trace)
+            return _scenario2(d, F, i, pairs, X, trace)
+    return _scenario3(d, pairs, X, trace)
 
 
 def _solve_in_face(F: CubeFace, pairs, trace, avoid=()):
     """Linkage within the facet F, via the padded solver on its cube."""
     compress, expand = facet_maps(F)
-    cpairs = [(compress(s), compress(t)) for s, t in pairs]
-    cavoid = [compress(v) for v in avoid]
-    sub = _linkage(F.dim, cpairs, cavoid, trace)
-    return [[expand(v) for v in p] for p in sub]
+    ends = compress([v for p in pairs for v in p])
+    sub = _linkage(F.dim, list(zip(ends[::2], ends[1::2])), compress(avoid),
+                   trace)
+    return [expand(p) for p in sub]
 
 
-def _scenario1(F, pairs, trace):
-    """All terminals inside the facet F: settle the first pair with a path
-    in F, link the rest across in the opposite facet."""
+def _scenario1(F, pairs, X, trace):
+    """All terminals X inside the facet F: settle the first pair with a
+    path in F, link the rest across in the opposite facet."""
     trace.append("cube/scenario-1")
-    X = terminals(pairs)
     for i, (s, t) in enumerate(pairs):
         try:
             path = face_path(F, s, t, X)
@@ -311,7 +308,7 @@ def _scenario1(F, pairs, trace):
                          trace=list(trace))
 
 
-def _scenario2(d, F, idx, pairs, trace):
+def _scenario2(d, F, idx, pairs, X, trace):
     """Pair `idx` lies in the facet F but some terminal is outside it.  The
     other pairs with no end in classes 0, 1, 3 are linked in the opposite
     facet between their escapes' ends, which differ (build_Mx_paths)."""
@@ -320,22 +317,20 @@ def _scenario2(d, F, idx, pairs, trace):
     pairs1 = [pairs[i] for i in order]
     s1, t1 = pairs1[0]
     Fo = opposite_facet(F)
-    X = terminals(pairs1)
 
     classes = scenario2_partition(d, F, pairs1)
     M = build_Mx_paths(d, F, pairs1, classes)
-    c0, c1, c3 = set(classes[0]), set(classes[1]), set(classes[3])
-    Y3 = {M[x][-1] for x in c3}
-    piX1 = {project(x, Fo) for x in c1}
-    for x in sorted(X):
-        if Fo.contains(x) and x not in Y3 | piX1 and x not in (s1, t1):
+    c01, c3 = {*classes[0], *classes[1]}, set(classes[3])
+    skip = {M[x][-1] for x in c3} | {project(x, Fo) for x in classes[1]}
+    for x in X:
+        if Fo.contains(x) and x not in skip:
             M.setdefault(x, [x])
 
     paths1 = [None] * len(pairs1)
     link_slots = []
     for i in range(1, len(pairs1)):
         a, b = pairs1[i]
-        if a in c0 | c1 or b in c0 | c1:
+        if a in c01 or b in c01:
             paths1[i] = [a, b]
         elif a in c3:
             paths1[i] = M[a]
@@ -347,11 +342,14 @@ def _scenario2(d, F, idx, pairs, trace):
         trace.append("cube/scenario-2/opposite-linkage")
         sub = _splice([pairs1[i] for i in link_slots], M,
                       lambda ep: _solve_in_face(Fo, ep, trace,
-                                                avoid=sorted(Y3 | piX1)))
+                                                avoid=sorted(skip)))
         for i, p in zip(link_slots, sub):
             paths1[i] = p
 
-    used = {v for p in paths1[1:] for v in p}
+    # in F the other paths hold only its other terminals and the middle
+    # vertices of the class-3 and class-4 paths; the rest lies in Fo
+    used = {x for c in classes.values() for x in c}
+    used.update(M[x][1] for x in classes[3] + classes[4])
     try:
         paths1[0] = face_path(F, s1, t1, used)
     except NoPath:
@@ -365,12 +363,11 @@ def _scenario2(d, F, idx, pairs, trace):
     return paths
 
 
-def _scenario3(d, pairs, trace):
+def _scenario3(d, pairs, X, trace):
     """Every pair antipodal: split across an unassociated facet pair."""
     trace.append("cube/scenario-3")
     s1 = pairs[0][0]
-    X = terminals(pairs)
-    axis = find_unassociated_pair(d, X - {s1})
+    axis = find_unassociated_pair(d, [x for x in X if x != s1])
     Fo = facet(d, axis, (s1 >> axis) & 1)
     F = opposite_facet(Fo)
     # each pair as (s, t) with s in Fo and t in F
@@ -415,7 +412,6 @@ def _linkage(d, pairs, avoid, trace):
     ValueError, at d <= 4 too, before the base rule runs.
     """
     avoid = sorted(set(avoid))
-    X = terminals(pairs)
     if not pairs:
         return []
     k_max = (d + 1) // 2
@@ -436,6 +432,7 @@ def _linkage(d, pairs, avoid, trace):
         return _search(trace, f"cube/base-d{d}", _cube_bits(d), pairs,
                        avoid)
     if len(extra) % 2:
+        X = terminals(pairs)
         filler = next(v for v in range(1 << d)
                       if v not in X and v not in avoid)
         extra = extra + [filler]

@@ -221,21 +221,20 @@ def validate_linkage(G, pairs, paths, avoid=()):
     has_edge = getattr(G, "has_edge", None)
     avoid = set(avoid)
     seen = set()
-    for i, (pair, p) in enumerate(zip(pairs, paths)):
+    for i, ((s, t), p) in enumerate(zip(pairs, paths)):
         if not p:
             return False, f"path {i} empty"
-        if {p[0], p[-1]} != set(pair):
-            return False, f"path {i} joins {p[0]}-{p[-1]}, wanted {sorted(pair)}"
-        if len(set(p)) != len(p):
+        if (p[0], p[-1]) not in ((s, t), (t, s)):
+            return False, f"path {i} joins {p[0]}-{p[-1]}, wanted {sorted((s, t))}"
+        vs = set(p)
+        if len(vs) != len(p):
             return False, f"path {i} repeats a vertex"
         for a, b in zip(p, p[1:]):
             if not (has_edge(a, b) if has_edge else b in G[a]):
                 return False, f"path {i} uses non-edge {a}-{b}"
-        overlap = seen & set(p)
-        if overlap:
-            return False, f"paths share vertex {sorted(overlap)[0]}"
-        hit = avoid & set(p)
-        if hit:
-            return False, f"path {i} meets avoided vertex {sorted(hit)[0]}"
-        seen |= set(p)
+        if not seen.isdisjoint(vs):
+            return False, f"paths share vertex {min(seen & vs)}"
+        if not avoid.isdisjoint(vs):
+            return False, f"path {i} meets avoided vertex {min(avoid & vs)}"
+        seen |= vs
     return True, "ok"

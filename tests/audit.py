@@ -760,8 +760,8 @@ class ReferencePolytope(Polytope):
                 for f in faces}
 
     def __init__(self, dim, vertices, facets, labels=None):
-        _check_incidence(vertices, facets)
-        self._set_incidence(dim, vertices, facets, labels)
+        self._set_incidence(dim, vertices, _check_incidence(vertices, facets),
+                            labels)
         # the edges come in face order, each as (a, b) with a < b, so every
         # vertex meets its neighbours in sorted order
         graph = {v: [] for v in self.vertices}

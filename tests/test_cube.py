@@ -485,3 +485,85 @@ def test_full_capacity_at_large_dimension(d):
         assert cert.valid
         ok, msg = validate_linkage(CubeAdjacency(d), pairs, cert.paths)
         assert ok, msg
+
+
+def _large_cube_certificates():
+    """Seeded full-capacity certificates at d = 13..16: random, clustered
+    and antipodal solve_cube pairings, cube_linkage with d + 1 terminals
+    and avoided vertices, and solve_cube_strong at even d."""
+    import json
+
+    rng = random.Random(1802_09230 + 13)
+    lines = []
+
+    def add(cert):
+        lines.append(json.dumps(cert.to_json(), sort_keys=True))
+
+    for d in range(13, 17):
+        k = (d + 1) // 2
+        full = (1 << d) - 1
+        for _ in range(10):
+            add(solve_cube(d, random_pairing(rng, d, k)))
+        for _ in range(4):  # every terminal in one 6-face
+            free = sum(1 << a for a in rng.sample(range(d), 6))
+            base = rng.randrange(1 << d) & ~free
+            X = rng.sample([v for v in range(1 << d) if v & ~free == base],
+                           2 * k)
+            add(solve_cube(d, [(X[2 * i], X[2 * i + 1]) for i in range(k)]))
+        X = rng.sample(range(1 << d), k)  # every pair antipodal
+        if len({min(v, v ^ full) for v in X}) == k:
+            add(solve_cube(d, [(v, v ^ full) for v in X]))
+        for _ in range(8):
+            kk = rng.randint(1, d // 2)
+            X = rng.sample(range(1 << d), d + 1)
+            add(cube_linkage(d, [(X[2 * i], X[2 * i + 1]) for i in range(kk)],
+                             X[2 * kk:]))
+        if d % 2 == 0:
+            for _ in range(6):
+                X = rng.sample(range(1 << d), d + 1)
+                add(solve_cube_strong(
+                    d, [(X[2 * i], X[2 * i + 1]) for i in range(d // 2)],
+                    X[d]))
+    return lines
+
+
+# Recorded before the induction steps were made cheaper; every certificate
+# must stay byte-identical.
+LARGE_CUBE_SHA256 = (
+    "339390c391199f69fb513b7db654b5cf620c7b12ff634ad60711303bb38712c2")
+
+
+def test_full_capacity_large_cube_certificates_match_golden_digest():
+    import hashlib
+
+    lines = _large_cube_certificates()
+    assert len(lines) == 104
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LARGE_CUBE_SHA256
+
+
+def test_cube_and_link_solves_leave_no_reference_cycles():
+    # every facet move calls facet_maps; maps that held themselves in a
+    # cycle left garbage that only the collector frees, and its runs then
+    # fell on whichever solves were under way
+    import gc
+
+    rng = random.Random(13)
+    gc.collect()
+    gc.disable()
+    try:
+        for d in range(5, 15):
+            X = rng.sample(range(1 << d), d + 1)
+            k = (d + 1) // 2
+            solve_cube(d, [(X[2 * i], X[2 * i + 1]) for i in range(k)])
+            cube_linkage(d, [(X[0], X[1])], X[2:k + 1])
+            if d % 2 == 0:
+                solve_cube_strong(d, [(X[2 * i], X[2 * i + 1])
+                                      for i in range(d // 2)], X[d])
+            if d <= 10:  # X[d] and its antipode out of the link of X[0]
+                Y = [x for x in X[1:] if x ^ X[0] != (1 << d) - 1]
+                solve_link(d, X[0], [(Y[2 * i], Y[2 * i + 1])
+                                     for i in range(d // 2 - 1)])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

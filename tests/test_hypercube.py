@@ -3,7 +3,7 @@ import random
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cubelink import hypercube
 from cubelink.errors import NoPath
@@ -403,6 +403,49 @@ def test_cube_adjacency_edge_test_matches_its_rows():
         b = rng.choice((rng.randrange(-1, (1 << 30) + 1),
                         a ^ 1 << rng.randrange(31)))
         agree(A, a, b)
+
+
+def test_has_edge_answers_row_membership():
+    # one range test and a popcount must give `b in A[a]` for every vertex
+    # a and every b in or just outside Q_d, KeyError for an a that is no
+    # vertex, and False for a b that is none
+    for d in range(1, 9):
+        A = CubeAdjacency(d)
+        n = 1 << d
+        for a in range(n):
+            row = A[a]
+            assert [A.has_edge(a, b) for b in range(-1, n + 1)] == [
+                b in row for b in range(-1, n + 1)], (d, a)
+            for b in ("0", 1.0, None, -2, -n, 2 * n, a ^ n):
+                assert A.has_edge(a, b) is False, (d, a, b)
+        for a in (-1, -n, n, 2 * n, "0", 1.0, None):
+            with pytest.raises(KeyError):
+                A.has_edge(a, 0)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_derived_faces_equal_checked_faces(d, data):
+    # the faces the solver derives skip CubeFace's checks, so each must be
+    # the checked face, fixed_values masked, and a CubeFace
+    def same(F, mask, values):
+        want = CubeFace(d, mask, values)
+        assert type(F) is CubeFace and F == want
+        assert (F.d, F.fixed_mask, F.fixed_values) == (d, mask, values & mask)
+
+    axis = data.draw(st.integers(0, d - 1))
+    value = data.draw(st.integers(-2, 3))
+    F = facet(d, axis, value)
+    same(F, 1 << axis, value << axis)
+    same(opposite_facet(F), 1 << axis, (value << axis) ^ (1 << axis))
+    same(whole_cube(d), 0, 0)
+    S = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1,
+                           max_size=6))
+    fixed = sum(1 << i for i in range(d) if len({v >> i & 1 for v in S}) == 1)
+    same(smallest_face(d, S), fixed, S[0])
+    mask = data.draw(st.integers(0, (1 << d) - 1))
+    values = data.draw(st.integers(-(1 << d), 1 << d))
+    same(hypercube._face(d, mask, values), mask, values)
 
 
 def test_cube_adjacency_matches_cube_graph():
