@@ -29,9 +29,8 @@ from .linkage.cube import (cube_linkage, detect_config_3F, solve_cube,
                            solve_cube_strong)
 from .linkage.cubical import solve_cubical, solve_cubical_strong
 from .linkage.link import solve_link
-from .oracle import (MAX_SEARCH_VERTICES, census, linkable, oracle_linkage,
-                     oracle_timeout_ms)
-from .paths import validate_linkage
+from .oracle import census, linkable, oracle_linkage, oracle_timeout_ms
+from .paths import MAX_SEARCH_VERTICES, validate_linkage
 
 # what a JSON file that does not hold the expected document raises when read
 _UNREADABLE = (OSError, json.JSONDecodeError, LookupError, TypeError,

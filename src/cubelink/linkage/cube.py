@@ -13,11 +13,11 @@ compress map is also each facet's embedding in build_cube_polytope), a
 list of vertices per call, and certificates are checked against the
 implicit CubeAdjacency.
 
-Steps that every linkage solver repeats are written once here: splicing
-routes onto a linkage found at their ends (_splice), linking the terminals'
-projections onto a facet there (_link_projected), and running the base
-rule (_search), alone or after a config-3F check (_base_3F).  The Menger
-router (_route_into) sits beside _chain in star.py.
+Steps that every linkage solver repeats are public here, for link.py,
+star.py and cubical.py: splicing routes onto a linkage found at their ends
+(splice), linking the terminals' projections onto a facet there
+(link_projected), and the base rule on paths.Bits tables (base_rule),
+alone or after a config-3F check (base_3F).  star.py has the Menger router.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..hypercube import (
     vertex_to_str,
     whole_cube,
 )
-from ..oracle import _Bits, _shortest_linkage, _walk
+from ..paths import Bits
 from .certs import (
     LinkageCertificate,
     Unlinkable,
@@ -51,12 +51,12 @@ from .certs import (
 # -- solver steps shared by every linkage solver ----------------------------
 
 
-def _orient(path, start):
+def orient(path, start):
     """The path, reversed if need be so that it begins at `start`."""
     return path if path[0] == start else path[::-1]
 
 
-def _hops(X, proj):
+def hops(X, proj):
     """Routes of one edge from each x in X to proj(x), or just [x] where
     proj fixes x."""
     routes = {}
@@ -71,7 +71,7 @@ def _partners(pairs):
     return {x: y for a, b in pairs for x, y in ((a, b), (b, a))}
 
 
-def _splice(pairs, route, solve):
+def splice(pairs, route, solve):
     """Link the pairs through their routes.
 
     route[x] runs from the terminal x to its entry vertex.  `solve` links
@@ -79,18 +79,18 @@ def _splice(pairs, route, solve):
     either way round, and is joined to the routes at its ends.
     """
     sub = solve([(route[a][-1], route[b][-1]) for a, b in pairs])
-    return [route[a][:-1] + _orient(p, route[a][-1]) + route[b][-2::-1]
+    return [route[a][:-1] + orient(p, route[a][-1]) + route[b][-2::-1]
             for (a, b), p in zip(pairs, sub)]
 
 
-def _link_projected(pairs, F, trace, avoid=()):
+def link_projected(pairs, F, trace, avoid=()):
     """Link the pairs inside the facet F, avoiding `avoid`, each terminal
     reaching F along one edge (or none, when it lies in F)."""
-    return _splice(pairs, _hops(terminals(pairs), lambda x: project(x, F)),
-                   lambda ep: _solve_in_face(F, ep, trace, avoid=avoid))
+    return splice(pairs, hops(terminals(pairs), lambda x: project(x, F)),
+                  lambda ep: solve_in_face(F, ep, trace, avoid=avoid))
 
 
-def _search(trace, tag, B, pairs, avoid):
+def base_rule(trace, tag, B, pairs, avoid):
     """Tag the trace and return the base rule's linkage on the bit tables
     B, of a cube base at d <= 4 or of a cubical.py lattice: every base case
     on the solve path runs through here.  The rule is not proved complete,
@@ -102,14 +102,14 @@ def _search(trace, tag, B, pairs, avoid):
     return sol
 
 
-def _base_3F(P, pairs, trace, tags):
+def base_3F(P, pairs, trace, tags):
     """The base of a cubical 3-polytope P: Unlinkable with a config-3F
     witness, else the rule's linkage on P's graph; tags (obstructed, rule)."""
     witness = detect_config_3F(P, pairs)
     if witness is not None:
         trace.append(tags[0])
         raise Unlinkable(witness)
-    return _search(trace, tags[1], _Bits(P.graph), pairs, ())
+    return base_rule(trace, tags[1], Bits(P.graph), pairs, ())
 
 
 # -- the base rule: shortest paths in one order, then the other -------------
@@ -121,7 +121,7 @@ def _cube_bits(d):
     """The bit tables of Q_d, d <= 4, built once with their geodesics."""
     B = _base_cache.get(d)
     if B is None:
-        B = _base_cache[d] = _Bits(CubeAdjacency(d))
+        B = _base_cache[d] = Bits(CubeAdjacency(d))
         B.geo = B.geodesics()
     return B
 
@@ -133,18 +133,18 @@ def _shortest_base(B, pairs, avoid):
     that avoids the other terminals, the avoided vertices and the earlier
     paths; when a pair is cut off they are routed once more in reverse
     order.  Measured, not proved: it links every instance that has a
-    linkage among the Q_3 and Q_4 bases within the capacity _linkage
+    linkage among the Q_3 and Q_4 bases within the capacity cube_paths
     enforces, the links of Q_4's vertices and the 2-pairings of the small
     3-polytopes in tests/test_cubical.py, once config-3F is ruled out.
     """
     ps, frees = B.pair_masks(pairs, avoid)
-    masks = _shortest_linkage(B, ps, frees)
+    masks = B.shortest_linkage(ps, frees)
     if masks is None:
-        masks = _shortest_linkage(B, ps[::-1], frees[::-1])
+        masks = B.shortest_linkage(ps[::-1], frees[::-1])
         if masks is None:
             return None
         masks.reverse()
-    return [_walk(B, a, b, m) for (a, b), m in zip(ps, masks)]
+    return [B.walk(a, b, m) for (a, b), m in zip(ps, masks)]
 
 
 # -- obstruction detection in 3-polytopes -----------------------------------
@@ -184,7 +184,7 @@ def detect_config_3F(P, pairs):
 # -- scenario 2 machinery ----------------------------------------------------
 
 
-def scenario2_partition(d, F: CubeFace, pairs):
+def scenario2_partition(F: CubeFace, pairs):
     """Partition of the in-facet terminals (pair 0 excluded) into classes 0-4.
 
     Pair 0 lies in F.  Classes: 0 partner adjacent within F; 1 partner is the
@@ -263,10 +263,10 @@ def _solve(d, pairs, trace):
         trace.append("cube/single-pair")
         return [face_path(whole_cube(d), *pairs[0])]
     if d == 3:
-        return _base_3F(build_cube_polytope(3), pairs, trace,
-                        ("cube/d3-obstructed", "cube/base-d3"))
+        return base_3F(build_cube_polytope(3), pairs, trace,
+                       ("cube/d3-obstructed", "cube/base-d3"))
     if d <= 4:
-        return _search(trace, f"cube/base-d{d}", _cube_bits(d), pairs, ())
+        return base_rule(trace, f"cube/base-d{d}", _cube_bits(d), pairs, ())
 
     X = sorted(terminals(pairs))
     K = smallest_face(d, X)
@@ -283,12 +283,12 @@ def _solve(d, pairs, trace):
     return _scenario3(d, pairs, X, trace)
 
 
-def _solve_in_face(F: CubeFace, pairs, trace, avoid=()):
+def solve_in_face(F: CubeFace, pairs, trace, avoid=()):
     """Linkage within the facet F, via the padded solver on its cube."""
     compress, expand = facet_maps(F)
     ends = compress([v for p in pairs for v in p])
-    sub = _linkage(F.dim, list(zip(ends[::2], ends[1::2])), compress(avoid),
-                   trace)
+    sub = cube_paths(F.dim, list(zip(ends[::2], ends[1::2])),
+                     compress(avoid), trace)
     return [expand(p) for p in sub]
 
 
@@ -301,8 +301,8 @@ def _scenario1(F, pairs, X, trace):
             path = face_path(F, s, t, X)
         except NoPath:
             continue
-        sub = _link_projected(pairs[:i] + pairs[i + 1:], opposite_facet(F),
-                              trace)
+        sub = link_projected(pairs[:i] + pairs[i + 1:], opposite_facet(F),
+                             trace)
         return sub[:i] + [path] + sub[i:]
     raise CaseNotCovered("no terminal-avoiding path in the common facet",
                          trace=list(trace))
@@ -318,7 +318,7 @@ def _scenario2(d, F, idx, pairs, X, trace):
     s1, t1 = pairs1[0]
     Fo = opposite_facet(F)
 
-    classes = scenario2_partition(d, F, pairs1)
+    classes = scenario2_partition(F, pairs1)
     M = build_Mx_paths(d, F, pairs1, classes)
     c01, c3 = {*classes[0], *classes[1]}, set(classes[3])
     skip = {M[x][-1] for x in c3} | {project(x, Fo) for x in classes[1]}
@@ -340,9 +340,9 @@ def _scenario2(d, F, idx, pairs, X, trace):
             link_slots.append(i)
     if link_slots:
         trace.append("cube/scenario-2/opposite-linkage")
-        sub = _splice([pairs1[i] for i in link_slots], M,
-                      lambda ep: _solve_in_face(Fo, ep, trace,
-                                                avoid=sorted(skip)))
+        sub = splice([pairs1[i] for i in link_slots], M,
+                     lambda ep: solve_in_face(Fo, ep, trace,
+                                              avoid=sorted(skip)))
         for i, p in zip(link_slots, sub):
             paths1[i] = p
 
@@ -359,7 +359,7 @@ def _scenario2(d, F, idx, pairs, X, trace):
 
     paths = [None] * len(pairs)
     for slot, i in enumerate(order):
-        paths[i] = _orient(paths1[slot], pairs[i][0])
+        paths[i] = orient(paths1[slot], pairs[i][0])
     return paths
 
 
@@ -376,13 +376,13 @@ def _scenario3(d, pairs, X, trace):
              if project(oriented[i][1], Fo) != s1)
     front = [0, j]
     rest = [i for i in range(len(pairs)) if i not in front]
-    out = dict(zip(rest, _link_projected(
+    out = dict(zip(rest, link_projected(
         [oriented[i] for i in rest], F, trace,
         avoid=[oriented[i][1] for i in front])))
-    out.update(zip(front, _link_projected(
+    out.update(zip(front, link_projected(
         [oriented[i] for i in front], Fo, trace,
         avoid=[oriented[i][0] for i in rest])))
-    return [_orient(out[i], pair[0]) for i, pair in enumerate(pairs)]
+    return [orient(out[i], pair[0]) for i, pair in enumerate(pairs)]
 
 
 def _strong(d, pairs, x, trace):
@@ -395,15 +395,15 @@ def _strong(d, pairs, x, trace):
         trace.append("cube/strong-base-d2")
         return [face_path(whole_cube(2), *pairs[0], {x})]
     if d == 4:
-        return _search(trace, "cube/strong-base-d4", _cube_bits(4), pairs,
-                       (x,))
+        return base_rule(trace, "cube/strong-base-d4", _cube_bits(4), pairs,
+                         (x,))
     trace.append("cube/strong-project")
     axis = find_unassociated_pair(d, terminals(pairs))
     F = facet(d, axis, 1 - ((x >> axis) & 1))
-    return _link_projected(pairs, F, trace)
+    return link_projected(pairs, F, trace)
 
 
-def _linkage(d, pairs, avoid, trace):
+def cube_paths(d, pairs, avoid, trace):
     """Linkage of ell <= floor((d+1)/2) pairs avoiding a vertex set.
 
     Spare capacity absorbs avoided vertices as dummy pairs; when the totals
@@ -429,8 +429,8 @@ def _linkage(d, pairs, avoid, trace):
             witness = detect_config_3F(build_cube_polytope(3), pairs)
             if witness is not None:
                 raise Unlinkable(witness)
-        return _search(trace, f"cube/base-d{d}", _cube_bits(d), pairs,
-                       avoid)
+        return base_rule(trace, f"cube/base-d{d}", _cube_bits(d), pairs,
+                         avoid)
     if len(extra) % 2:
         X = terminals(pairs)
         filler = next(v for v in range(1 << d)
@@ -457,7 +457,7 @@ def cube_linkage(d, pairs, avoid=()) -> LinkageCertificate:
     """Linkage in Q_d avoiding a vertex set, within proven capacity."""
     avoid = sorted(avoid)
     return _certify(d, pairs,
-                    lambda ps, trace: _linkage(d, ps, avoid, trace), avoid)
+                    lambda ps, trace: cube_paths(d, ps, avoid, trace), avoid)
 
 
 def solve_cube(d, pairs) -> LinkageCertificate:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from ..complexes import Polytope, vertex_link
 from ..errors import CaseNotCovered
-from ..oracle import _Bits
-from ..paths import shortest_path
+from ..paths import Bits, shortest_path
 from .certs import LinkageCertificate, Unlinkable, certify, take, terminals
-from .cube import _base_3F, _hops, _search, _splice
-from .star import (_Induced, _face_link, _far_ridge, _route_into,
-                   _StarSolver, detect_config_dF, link_via_subgraph)
+from .cube import base_3F, base_rule, hops, splice
+from .star import (Induced, StarSolver, detect_config_dF, face_link,
+                   far_ridge, link_via_subgraph, route_into)
 
 
 def _facet_route(P, pairs, trace):
@@ -41,12 +40,12 @@ def _facet_route(P, pairs, trace):
             trace.append("cubical/facet-route")
             return link_via_subgraph(
                 P.graph, pairs, F,
-                lambda ep: _face_link(P, F, ep, trace=trace), trace=trace)
+                lambda ep: face_link(P, F, ep, trace=trace), trace=trace)
         except Unlinkable:
             trace.append("cubical/facet-route-obstructed")
             continue
-    return _search(trace, "cubical/facet-route-search", _Bits(P.graph),
-                   pairs, ())
+    return base_rule(trace, "cubical/facet-route-search", Bits(P.graph),
+                     pairs, ())
 
 
 def _cubical_solve(P, pairs, trace):
@@ -63,8 +62,8 @@ def _cubical_solve(P, pairs, trace):
         trace.append("cubical/single-pair")
         return [shortest_path(G, *pairs[0])]
     if d == 3:
-        return _base_3F(P, pairs, trace,
-                        ("cubical/d3-obstructed", "cubical/d3-search"))
+        return base_3F(P, pairs, trace,
+                       ("cubical/d3-obstructed", "cubical/d3-search"))
     if d % 2 == 0 or len(pairs) < k:
         return _facet_route(P, pairs, trace)
 
@@ -75,8 +74,8 @@ def _cubical_solve(P, pairs, trace):
     _, t1, rest = take(pairs, s1)
     S1g = P.generated_graph(P.vertex_facets[s1])
     S1verts = set(S1g)
-    route = _route_into(G, X - {s1}, S1verts - {s1}, forbidden={s1},
-                        trace=trace)
+    route = route_into(G, X - {s1}, S1verts - {s1}, forbidden={s1},
+                       trace=trace)
     route[s1] = [s1]
     bar = {x: route[x][-1] for x in X}
 
@@ -89,8 +88,8 @@ def _cubical_solve(P, pairs, trace):
         out = _break_config(P, s1, S1verts, bar, route, bar_pairs(), witness,
                             trace)
     if out is None:
-        out = _StarSolver(P, s1, bar_pairs(), trace, S1g).solve()
-    return _splice(pairs, route, lambda ep: [out[frozenset(e)] for e in ep])
+        out = StarSolver(P, s1, bar_pairs(), trace, S1g).solve()
+    return splice(pairs, route, lambda ep: [out[frozenset(e)] for e in ep])
 
 
 def _break_config(P, s1, S1verts, bar, route, bpairs, witness, trace):
@@ -106,7 +105,7 @@ def _break_config(P, s1, S1verts, bar, route, bpairs, witness, trace):
     barX = set(bar.values()) | {s1}
     ridges = [R for R in P.ridges_of_facet(F1) if bt1 in R]
     for R in ridges:
-        J, RJ = _far_ridge(P, R, F1)
+        J, RJ = far_ridge(P, R, F1)
         touching = [x for x in sorted(route) if set(route[x]) & RJ]
         if touching:
             trace.append("cubical/config-redirect")
@@ -137,8 +136,8 @@ def _redirect_path(P, bar, route, barX, R, J, RJ, bt1, touching, S1verts,
     for y in route:
         if y != pick:
             used |= set(route[y])
-    M = _route_into(_Induced(P.graph, RJ), [p[i]], good - used,
-                    forbidden=used, trace=trace)[p[i]]
+    M = route_into(Induced(P.graph, RJ), [p[i]], good - used,
+                   forbidden=used, trace=trace)[p[i]]
     newpath = p[:i] + M
     if M[-1] not in S1verts:
         newpath = newpath + [P.project_in_face(J, R, M[-1])]
@@ -155,17 +154,17 @@ def _relink_through_neighbour(P, s1, bpairs, F1, R, bt1, trace):
     is projected into that far ridge and linked there.
     """
     RF = P.opposite_subface(F1, R)
-    J, RJ = _far_ridge(P, R, F1)
+    J, RJ = far_ridge(P, R, F1)
     sk = P.project_in_face(F1, RF, bt1)
     _, tk, others = take(bpairs, sk)
     rpairs = [(s1, bt1)] + others[1:]
     pi = lambda v: P.project_in_face(J, RJ, v)
-    route = _hops(terminals(rpairs) - {s1}, pi)
+    route = hops(terminals(rpairs) - {s1}, pi)
     s1p = P.project_in_face(F1, R, s1)
     route[s1] = [s1, s1p, pi(s1p)]
     try:
-        sub = _splice(rpairs, route,
-                      lambda ep: _face_link(P, RJ, ep, trace=trace))
+        sub = splice(rpairs, route,
+                     lambda ep: face_link(P, RJ, ep, trace=trace))
     except Unlinkable:
         raise CaseNotCovered("escape ridge linkage obstructed",
                              trace=list(trace))
@@ -195,7 +194,8 @@ def _cubical_strong_solve(P, pairs, x, trace):
             forbidden={x}, trace=trace)
     except Unlinkable:
         # only d = 4: the entries may be blocked in the 3-dimensional link
-        return _search(trace, "cubical/strong-search", _Bits(G), pairs, (x,))
+        return base_rule(trace, "cubical/strong-search", Bits(G), pairs,
+                         (x,))
 
 
 def solve_cubical(P: Polytope, pairs) -> LinkageCertificate:

@@ -20,8 +20,8 @@ from ..hypercube import (
     whole_cube,
 )
 from .certs import LinkageCertificate, certify, take, terminals
-from .cube import (_base_3F, _hops, _link_projected, _orient, _solve_in_face,
-                   _splice)
+from .cube import (base_3F, hops, link_projected, orient, solve_in_face,
+                   splice)
 
 
 def _reroute_through_opposite(F, vother, paths, idx, pairs, trace):
@@ -36,12 +36,12 @@ def _reroute_through_opposite(F, vother, paths, idx, pairs, trace):
             return [x, project(x, Fo)]
         return [x, p[1], project(p[1], Fo)]
 
-    p = _orient(paths[idx], s)
-    return _splice([(s, t)], {s: route(s, p), t: route(t, p[::-1])},
-                   lambda ep: _solve_in_face(Fo, ep, trace, avoid=[vother]))[0]
+    p = orient(paths[idx], s)
+    return splice([(s, t)], {s: route(s, p), t: route(t, p[::-1])},
+                  lambda ep: solve_in_face(Fo, ep, trace, avoid=[vother]))[0]
 
 
-def _link_solve(D, v, pairs, trace):
+def link_paths(D, v, pairs, trace):
     """Linkage in Q_D avoiding v and its antipode; paths aligned to pairs."""
     if len(pairs) > D // 2:
         raise ValueError(f"at most {D // 2} pairs in the link of a vertex "
@@ -53,8 +53,8 @@ def _link_solve(D, v, pairs, trace):
         trace.append("link/single-pair")
         return [face_path(whole_cube(D), *pairs[0], forbidden=(v, vo))]
     if D == 4:  # the link is a 3-polytope
-        return _base_3F(link_polytope(D, v), pairs, trace,
-                        ("link/d3-obstructed", "link/d3-search"))
+        return base_3F(link_polytope(D, v), pairs, trace,
+                       ("link/d3-obstructed", "link/d3-search"))
 
     axis = find_unassociated_pair(D, X)
     F = facet(D, axis, (v >> axis) & 1)
@@ -66,7 +66,7 @@ def _link_solve(D, v, pairs, trace):
         # vertex through the other side if needed
         side, vside, vother = ((F, v, vo) if in_F else (Fo, vo, v))
         trace.append("link/one-side")
-        paths = _solve_in_face(side, pairs, trace)
+        paths = solve_in_face(side, pairs, trace)
         idx = next((i for i, p in enumerate(paths) if vside in p), None)
         if idx is not None:
             trace.append("link/one-side-reroute")
@@ -89,25 +89,25 @@ def _link_solve(D, v, pairs, trace):
             # both endpoints across from the removed vertex: settle the pair
             # there and link everyone else through projections on this side
             L1 = face_path(other, s1, t1, forbidden=X | {vother})
-            sub = _link_projected(rest, side, trace, avoid=[vside])
+            sub = link_projected(rest, side, trace, avoid=[vside])
         else:
-            M1, *sub = _link_projected([(s1, vside)] + rest, side, trace)
+            M1, *sub = link_projected([(s1, vside)] + rest, side, trace)
             head = [s1] if project(s1, other) != vother else [s1, M1[1]]
             L1 = head + face_path(other, project(head[-1], other), t1,
                                   forbidden=X | {vother})
         sub = iter(sub)
-        return [_orient(L1, a) if i == i1 else next(sub)
+        return [orient(L1, a) if i == i1 else next(sub)
                 for i, (a, b) in enumerate(pairs)]
 
     # no terminal adjacent to v across the split, nor to its antipode: work
     # with the projections on the v side and reroute through the far side
     trace.append("link/projected")
-    paths = _link_projected(pairs, F, trace)
+    paths = link_projected(pairs, F, trace)
     idx = next((i for i, p in enumerate(paths) if v in p), None)
     if idx is not None:
         trace.append("link/projected-reroute")
-        paths[idx] = _splice(
-            pairs[idx:idx + 1], _hops(pairs[idx], lambda x: project(x, Fo)),
+        paths[idx] = splice(
+            pairs[idx:idx + 1], hops(pairs[idx], lambda x: project(x, Fo)),
             lambda ep: [face_path(Fo, *ep[0], forbidden=X | {vo})])[0]
     return paths
 
@@ -121,5 +121,5 @@ def solve_link(D, v, pairs) -> LinkageCertificate:
     vo = v ^ ((1 << D) - 1)
     return certify(f"link(Q_{D}, {vertex_to_str(v, D)})", CubeAdjacency(D),
                    lambda u: vertex_to_str(u, D), pairs,
-                   lambda ps, trace: _link_solve(D, v, ps, trace),
+                   lambda ps, trace: link_paths(D, v, ps, trace),
                    avoid=(v, vo))

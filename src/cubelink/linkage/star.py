@@ -20,14 +20,14 @@ from ..hypercube import dist, find_unassociated_pair
 from ..paths import Cut, disjoint_paths, shortest_path
 from .certs import (LinkageCertificate, Unlinkable, blocking, certify, take,
                     terminals)
-from .cube import _hops, _linkage, _orient, _splice
-from .link import _link_solve
+from .cube import cube_paths, hops, orient, splice
+from .link import link_paths
 
 
 # -- face-level helpers ------------------------------------------------------
 
 
-class _Induced(Mapping):
+class Induced(Mapping):
     """The subgraph of G on verts, a read-only view: ``G[v]`` kept to verts
     is computed when it is read.  Keys iterate in sorted order; a key
     outside verts raises KeyError."""
@@ -52,16 +52,22 @@ class _Induced(Mapping):
 
 
 def _face_path(P, f, s, t, forbidden=()):
-    return shortest_path(_Induced(P.graph, f), s, t, forbidden)
+    return shortest_path(Induced(P.graph, f), s, t, forbidden)
 
 
-def _face_link(P, f, pairs, avoid=(), *, trace):
-    """Cube linkage inside a face of P, through its canonical coordinates."""
+def _in_cube(P, f, pairs, solve):
+    """Link the pairs in the face f of P through its cube coordinates: the
+    paths of `solve(coords, j, cube_pairs)` in Q_j, mapped back to P."""
     coords, j = P.embed_face(f)
     inv = {c: v for v, c in coords.items()}
-    sub = _linkage(j, [(coords[s], coords[t]) for s, t in pairs],
-                   [coords[a] for a in avoid], trace)
+    sub = solve(coords, j, [(coords[s], coords[t]) for s, t in pairs])
     return [[inv[c] for c in p] for p in sub]
+
+
+def face_link(P, f, pairs, avoid=(), *, trace):
+    """Cube linkage inside a face of P, through its canonical coordinates."""
+    return _in_cube(P, f, pairs, lambda coords, j, cube_pairs: cube_paths(
+        j, cube_pairs, [coords[a] for a in avoid], trace))
 
 
 def _face_dist(P, f, u, v):
@@ -89,7 +95,7 @@ def _other_facet(P, R, F):
     return next(g for g in P.facets_containing(R) if g != F)
 
 
-def _far_ridge(P, R, F):
+def far_ridge(P, R, F):
     """The facet J across the ridge R from F, and R's opposite in J."""
     J = _other_facet(P, R, F)
     return J, P.opposite_subface(J, R)
@@ -113,7 +119,7 @@ def _chain(*segs):
     return out
 
 
-def _route_into(G, X, B, forbidden=(), *, trace):
+def route_into(G, X, B, forbidden=(), *, trace):
     """One path per vertex of X into B, pairwise disjoint, keyed by start.
 
     Terminals already in B stay put as single-vertex paths; every other path
@@ -132,9 +138,9 @@ def _route_into(G, X, B, forbidden=(), *, trace):
 def link_via_subgraph(G, pairs, subV, sub_solver, forbidden=(), *, trace):
     """Linkage through a linked subgraph: route every terminal into subV,
     link the entry vertices there, and concatenate."""
-    route = _route_into(G, terminals(pairs), subV, forbidden=forbidden,
-                        trace=trace)
-    return _splice(pairs, route, sub_solver)
+    route = route_into(G, terminals(pairs), subV, forbidden=forbidden,
+                       trace=trace)
+    return splice(pairs, route, sub_solver)
 
 
 # -- dF-configuration --------------------------------------------------------
@@ -197,7 +203,7 @@ def detect_config_dF(P, s1, pairs):
 # -- the star solver ---------------------------------------------------------
 
 
-class _StarSolver:
+class StarSolver:
     """The star linkage of `pairs`, one of them at s1, in the star of s1.
 
     S1g is the graph of the star, which holds every terminal; the pairs are
@@ -235,7 +241,7 @@ class _StarSolver:
         return CaseNotCovered(why, trace=list(self.trace))
 
     def record(self, s, t, path):
-        path = _orient(path, s)
+        path = orient(path, s)
         if path[0] != s or path[-1] != t:
             raise self.fail(f"path {path} does not join {s} and {t}")
         self.out[frozenset((s, t))] = path
@@ -246,10 +252,10 @@ class _StarSolver:
 
     def splice(self, pairs, route, solve):
         """Record the pairs linked through their routes by `solve`."""
-        self.record_sub(pairs, _splice(pairs, route, solve))
+        self.record_sub(pairs, splice(pairs, route, solve))
 
     def face_link(self, face, pairs, avoid=()):
-        return _face_link(self.P, face, pairs, avoid, trace=self.trace)
+        return face_link(self.P, face, pairs, avoid, trace=self.trace)
 
     def cross(self, a, b):
         """a's way to b across the antistar; an end in F1 reaches it by the
@@ -261,19 +267,15 @@ class _StarSolver:
         """Two disjoint paths in the antistar via a ridge-cube inside it."""
         P, F1 = self.P, self.F1
         R1 = next(R for R in P.ridges_of_facet(F1) if self.s1 in R)
-        _, RA = _far_ridge(P, R1, F1)
+        _, RA = far_ridge(P, R1, F1)
         return link_via_subgraph(self.S1g, pairs2, RA,
                                  lambda ep: self.face_link(RA, ep),
                                  forbidden=F1, trace=self.trace)
 
     def link_in_F1(self, lpairs):
         """Linkage in the link of s1 inside the cube F1 (avoids s1 and s1o)."""
-        coords, j = self.P.embed_face(self.F1)
-        inv = {c: v for v, c in coords.items()}
-        sub = _link_solve(j, coords[self.s1],
-                          [(coords[a], coords[b]) for a, b in lpairs],
-                          self.trace)
-        return [[inv[c] for c in p] for p in sub]
+        return _in_cube(self.P, self.F1, lpairs, lambda coords, j, cube_pairs:
+                        link_paths(j, coords[self.s1], cube_pairs, self.trace))
 
     def _detour(self, lpairs, sub, T):
         """s1's way across the antistar to T in F1, around the F1 linkage
@@ -360,7 +362,7 @@ class _StarSolver:
         s2bar = min(w for w in NR2 if w not in self.X)
         self.record(s2, t2, _chain([s2], self.cross(s2bar, t2)))
         inside = [(s1, t1)] + rest
-        route = _hops(terminals(inside), piRo)
+        route = hops(terminals(inside), piRo)
         ent = lambda x: route[x][-1]
         try:
             self.splice(inside, route, lambda ep: self.face_link(Ro, ep))
@@ -384,13 +386,13 @@ class _StarSolver:
         a1_terms = sorted(self.X - F1)
         if t1 in R:
             self.trace.append("star/case2-near-ridge")
-            route = _hops((self.X & F1) - {s1, t1}, piRo)
+            route = hops((self.X & F1) - {s1, t1}, piRo)
             XRo = {r[-1] for r in route.values()}
             pool = sorted(set(Ro) - XRo - {self.s1o})
             zbars = self._pick_zbars(P, Ro, XRo, pool, len(a1_terms))
             z2bar = {self.inj[zb]: zb for zb in zbars}
-            for x, p in _route_into(self.S1g, a1_terms, z2bar, forbidden=F1,
-                                    trace=self.trace).items():
+            for x, p in route_into(self.S1g, a1_terms, z2bar, forbidden=F1,
+                                   trace=self.trace).items():
                 route[x] = p + [z2bar[p[-1]]]
             self.splice(self.rest, route, lambda ep: self._must_link(Ro, ep))
             self.record(s1, t1, _face_path(P, R, s1, t1, forbidden=self.X))
@@ -399,10 +401,10 @@ class _StarSolver:
         ps1 = piRo(s1)
         p1 = _face_path(P, Ro, ps1, t1, forbidden=self.X)
         self.record(s1, t1, _chain([s1], p1))
-        J, RJ = _far_ridge(P, R, F1)
-        route = _route_into(self.S1g, a1_terms, RJ, forbidden=F1,
-                            trace=self.trace)
-        route.update(_hops((self.X & F1) - {s1, t1}, piR))
+        J, RJ = far_ridge(P, R, F1)
+        route = route_into(self.S1g, a1_terms, RJ, forbidden=F1,
+                           trace=self.trace)
+        route.update(hops((self.X & F1) - {s1, t1}, piR))
         self.splice(self.rest, route,
                     lambda ep: self.face_link(J, ep, avoid=[s1]))
 
@@ -444,9 +446,9 @@ class _StarSolver:
         outside = [x for x in a1_terms if x not in gamma_verts]
         if outside:
             resident = self.X & gamma_verts
-            route.update(_route_into(self.S1g, outside, gamma_verts - resident,
-                                     forbidden=resident | F1,
-                                     trace=self.trace))
+            route.update(route_into(self.S1g, outside, gamma_verts - resident,
+                                    forbidden=resident | F1,
+                                    trace=self.trace))
         hat = {x: route[x][-1] for x in a1_terms}
         F12 = next(f for f in S12_facets if hat[t2] in f)
         if t1 in F12:
@@ -461,7 +463,7 @@ class _StarSolver:
         if len(S12_facets) > 1:
             # several facets around s1-s2: funnel strays through a far ridge
             U = next(u for u in P.ridges_of_facet(F12) if s1 in u and s2 in u)
-            J12, UJ = _far_ridge(P, U, F12)
+            J12, UJ = far_ridge(P, U, F12)
             hatX = set(hat.values())
             blocked = {P.project_in_face(J12, UJ, v)
                        for v in (hatX | {s1}) & set(U)}
@@ -470,8 +472,8 @@ class _StarSolver:
             if len(W) < len(strays):
                 raise self.fail("not enough landing spots off the far ridge")
             if strays:
-                back = _route_into(G12_all, [hat[x] for x in strays], W,
-                                   forbidden=F1 | F12, trace=self.trace)
+                back = route_into(G12_all, [hat[x] for x in strays], W,
+                                  forbidden=F1 | F12, trace=self.trace)
                 for x in strays:
                     p = back[hat[x]]
                     route[x] = _chain(route[x], p,
@@ -533,7 +535,7 @@ class _StarSolver:
         sub = self.link_in_F1(lpairs)
         p1 = self._detour(lpairs, sub, t1)
         self.record(s1, t1, p1)
-        self.record(s2, t2, _chain([s2], _orient(sub[0], s2F)))
+        self.record(s2, t2, _chain([s2], orient(sub[0], s2F)))
         self.record_sub(others, sub[1:])
 
     # -- case 4 at d = 5 -------------------------------------------------
@@ -547,7 +549,7 @@ class _StarSolver:
         axis = agree[0]
         lo, hi = _coord_split(P, F1, axis)
         R = lo if anchor_a in lo else hi
-        return (R, frozenset(F1) - R) + _far_ridge(P, R, F1)
+        return (R, frozenset(F1) - R) + far_ridge(P, R, F1)
 
     def case4_d5(self):
         self.trace.append("star/case4-d5")
@@ -574,7 +576,7 @@ class _StarSolver:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             two = [allp[i], allp[j]]
             try:
-                self.splice(two, _hops(terminals(two), piRJ),
+                self.splice(two, hops(terminals(two), piRJ),
                             lambda ep: self.face_link(RJ, ep))
             except Unlinkable:
                 continue
@@ -615,7 +617,7 @@ class _StarSolver:
                                          avoid=[v for v in T3 if v in J1])
                 else:
                     sub = self.face_link(J1, [(s1, t1), (s3, t3r)])
-                    self.record(s3, t3, _chain(_orient(sub[1], s3),
+                    self.record(s3, t3, _chain(orient(sub[1], s3),
                                                T3[::-1][1:]))
                 self.record(s1, t1, sub[0])
                 p2 = _face_path(P, RF, s2, t2,
@@ -720,7 +722,7 @@ class _StarSolver:
             s2, t2 = self.rest[inR]
             s3, t3 = self.rest[1 - inR]
             two = [(s1, t1), (s2, t2)]
-            route = _hops((s1, s2, t2), piRJ)
+            route = hops((s1, s2, t2), piRJ)
             route[t1] = [t1, t1p, piRJ(t1p)]
             self.splice(two, route, lambda ep: self._must_link(RJ, ep))
             e3 = lambda x: x if x in RF else piRF(x)
@@ -771,8 +773,8 @@ def solve_star(P, s1, pairs) -> LinkageCertificate:
         if witness is not None:
             trace.append("star/config-dF")
             raise Unlinkable(witness)
-        out = _StarSolver(P, s1, ps, trace, S1g).solve()
-        return [_orient(out[frozenset(p)], p[0]) for p in ps]
+        out = StarSolver(P, s1, ps, trace, S1g).solve()
+        return [orient(out[frozenset(p)], p[0]) for p in ps]
 
     return certify(f"star({P.labels.get(s1, s1)}) in {d}-polytope", S1g,
                    P.labels.__getitem__, pairs, solve)

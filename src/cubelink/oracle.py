@@ -2,25 +2,14 @@
 small-cube symmetry key `cube_instance_key`, which no solver calls.
 
 Every count the acceptance suite trusts is produced here, independently of the
-constructive solvers.  The one search runs on a bitset layer (`_Bits`): the
-vertices are indexed in sorted order, each vertex's neighbours are one int
-mask, and one flood fill on those ints, `_Bits.route`, answers every
-reachability question: the mask of a shortest path it returns is 0 exactly
-when the ends are cut off.
+constructive solvers, by one search on the bitset router `paths.Bits`.
 That search, `_linkable_masks`, returns the vertex masks of the linkage
 it finds: it first routes the pairs one after another along BFS-shortest
 paths, and searches only when that leaves a pair cut off.  `linkable`
 reads only whether it found one, which is all a census needs.
 `oracle_linkage` makes the same one call for `--method oracle` and reads
-each path off its mask (`_walk`).  No solver searches: every base case
-reuses the witness (`_shortest_linkage`) and `_walk`.
-
-Bit tables that answer many instances, those of an exhaustive census and
-the cube base cases' Q_d (d <= 4), also hold a geodesic table
-(`_Bits.geodesics`, one breadth-first search per vertex).  `route` returns
-the full graph's shortest path off that table, with no flood, whenever the
-path avoids every vertex the caller has taken; that is the flood's own
-answer, so no verdict, certificate or census count depends on the table.
+each path off its mask (`Bits.walk`).  No solver imports this module:
+each base case reads `Bits.shortest_linkage` and `Bits.walk` in `paths`.
 """
 
 from __future__ import annotations
@@ -30,12 +19,10 @@ import os
 import time
 
 from .errors import OracleTimeout
+from .paths import Bits
 
 DEFAULT_TIMEOUT_MS = 10_000
 TIMEOUT_VAR = "CUBELINK_ORACLE_TIMEOUT_MS"
-# the bit tables hold one |V|-bit mask per vertex, about |V|^2 / 8 bytes:
-# 32 MB at 2^14 vertices, 0.5 GB at 2^16
-MAX_SEARCH_VERTICES = 1 << 14
 
 
 def oracle_timeout_ms() -> int:
@@ -52,121 +39,6 @@ def oracle_timeout_ms() -> int:
         raise ValueError(f"{TIMEOUT_VAR} must be a positive integer of "
                          f"milliseconds, not {raw!r}")
     return ms
-
-
-class _Bits:
-    """Bit tables of one graph: vertex i of the sorted vertex list is the
-    bit 1 << i, and nbr[i] is the mask of its neighbours.  A graph of more
-    than MAX_SEARCH_VERTICES vertices raises ValueError before anything is
-    built."""
-
-    def __init__(self, G):
-        if len(G) > MAX_SEARCH_VERTICES:
-            raise ValueError(f"oracle searches hold at most "
-                             f"{MAX_SEARCH_VERTICES} vertices, not {len(G)}")
-        self.verts = sorted(G)
-        self.index = index = {v: i for i, v in enumerate(self.verts)}
-        self.nbr = []
-        for v in self.verts:
-            m = 0
-            for w in G[v]:
-                m |= 1 << index[w]
-            self.nbr.append(m)
-        self.full = (1 << len(self.verts)) - 1
-        self.geo = None  # geodesics(), on tables that answer many instances
-
-    def geodesics(self):
-        """geo[a][b], by index, a != b: the mask that route(a, b, full)
-        returns.
-
-        One breadth-first search per vertex a.  A vertex's path is its
-        parent's path plus itself, the parent being its least neighbour on
-        the previous level: the vertex that route's walk-back takes.  The
-        table holds |V|^2 masks, so only bit tables that answer many
-        instances build it."""
-        nbr, n, geo = self.nbr, len(self.nbr), []
-        for a in range(n):
-            path = [0] * n
-            path[a] = seen = level = 1 << a
-            while level:
-                prev, new = level, 0
-                while level:
-                    low = level & -level
-                    new |= nbr[low.bit_length() - 1]
-                    level ^= low
-                level = rest = new & ~seen
-                seen |= level
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    v = low.bit_length() - 1
-                    back = nbr[v] & prev
-                    path[v] = path[(back & -back).bit_length() - 1] | low
-            geo.append(path)
-        return geo
-
-    def mask(self, vs):
-        index, m = self.index, 0
-        for v in vs:
-            if v in index:
-                m |= 1 << index[v]
-        return m
-
-    def route(self, a, b, free):
-        """The vertex mask of a shortest path from vertex a to vertex b
-        through the mask `free`, a and b included; 0 when b is cut off.  It
-        floods from a, level by level, and walks back from b, taking the
-        least vertex of each level that is adjacent to the one after it.
-
-        With a geodesic table (`geo`), the full graph's path geo[a][b] is
-        returned with no flood when it lies inside free | a | b.  That is
-        the flood's own answer: the path keeps its length, so each of its
-        vertices keeps its level, and a neighbour of one on the flood's
-        previous level was on the full graph's too, so the least such
-        neighbour is still the path's."""
-        nbr, goal = self.nbr, 1 << b
-        if self.geo is not None:
-            path = self.geo[a][b]
-            if not path & ~(free | 1 << a | goal):
-                return path
-        front = 1 << a
-        free &= ~front
-        levels = []
-        while front:
-            levels.append(front)
-            new = 0
-            while front:
-                low = front & -front
-                new |= nbr[low.bit_length() - 1]
-                front ^= low
-            if new & goal:
-                path, v = goal, b
-                for level in reversed(levels):
-                    back = nbr[v] & level
-                    low = back & -back
-                    path |= low
-                    v = low.bit_length() - 1
-                return path
-            front = new & free
-            free ^= front
-        return 0
-
-    def pair_masks(self, pairs, avoid):
-        """Per pair (a, b) by index, the vertices its path may use: neither
-        avoided nor a terminal of another pair."""
-        index = self.index
-        ps = [(index[s], index[t]) for s, t in pairs]
-        free = self.full & ~self.mask(avoid)
-        for a, b in ps:
-            free &= ~(1 << a | 1 << b)
-        return ps, [free | 1 << a | 1 << b for a, b in ps]
-
-    def cut_off(self, ps, frees, taken):
-        """Whether a pair of ps is cut off once the vertices `taken` are."""
-        for (a, b), free in zip(ps, frees):
-            if not self.route(a, b, free & ~taken):
-                return True
-        return False
 
 
 def _check_instance(G, pairs, avoid):
@@ -189,32 +61,17 @@ def oracle_linkage(G, pairs, avoid=(), deadline=None):
     and orientation, or None if no linkage exists.
 
     It is the linkage that `linkable`'s one search finds, each path read
-    off its vertex mask (`_walk`), so its verdict is `linkable`'s.
+    off its vertex mask (`Bits.walk`), so its verdict is `linkable`'s.
     `deadline` is an absolute time.monotonic() value that the search
     checks; when exceeded an OracleTimeout is raised.
     """
     _check_instance(G, pairs, avoid)
-    B = _Bits(G)
+    B = Bits(G)
     ps, frees = B.pair_masks(pairs, avoid)
     masks = _linkable_masks(B, ps, frees, deadline)
     if masks is None:
         return None
-    return [_walk(B, a, b, m) for (a, b), m in zip(ps, masks)]
-
-
-def _walk(B, a, b, mask):
-    """The path, as vertices of B, from index a to index b through the
-    vertex mask of an induced path: each step has one neighbour left in
-    the mask."""
-    nbr, verts = B.nbr, B.verts
-    path, u = [verts[a]], a
-    mask &= ~(1 << a)
-    while u != b:
-        step = nbr[u] & mask
-        mask ^= step
-        u = step.bit_length() - 1
-        path.append(verts[u])
-    return path
+    return [B.walk(a, b, m) for (a, b), m in zip(ps, masks)]
 
 
 def linkable(G, pairs, avoid=(), deadline=None):
@@ -235,31 +92,17 @@ def linkable(G, pairs, avoid=(), deadline=None):
     pop.
     """
     _check_instance(G, pairs, avoid)
-    B = _Bits(G)
+    B = Bits(G)
     return _linkable_masks(B, *B.pair_masks(pairs, avoid),
                            deadline) is not None
 
 
-def _shortest_linkage(B, ps, frees):
-    """Route each pair in turn along a BFS-shortest path (`route`) through
-    its free mask minus the earlier paths: the path masks in pair order,
-    or None when a pair is cut off."""
-    used, masks = 0, []
-    for (a, b), free in zip(ps, frees):
-        path = B.route(a, b, free & ~used)
-        if not path:
-            return None
-        used |= path
-        masks.append(path)
-    return masks
-
-
 def _linkable_masks(B, ps, frees, deadline):
     """`linkable` on bit tables: ps are the pairs by index and frees their
-    free masks, as `_Bits.pair_masks` gives them.  The vertex masks of the
+    free masks, as `Bits.pair_masks` gives them.  The vertex masks of the
     linkage found, one induced path per pair in pair order, or None."""
     _check_deadline(deadline)
-    masks = _shortest_linkage(B, ps, frees)
+    masks = B.shortest_linkage(ps, frees)
     if masks is not None:
         return masks
     nbr, full = B.nbr, B.full
@@ -376,7 +219,7 @@ def census(G, k, host="", sample=None, seed=0, detector=None):
     elif sample < 1:
         raise ValueError(f"sample must be at least 1, not {sample}")
 
-    bits = _Bits(G)
+    bits = Bits(G)
     verts = bits.verts
     if sample is None:
         bits.geo = bits.geodesics()

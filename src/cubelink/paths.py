@@ -1,4 +1,4 @@
-"""Disjoint-path primitives over plain adjacency dicts.
+"""Disjoint-path primitives over plain adjacency dicts and a bitset router.
 
 A graph here is a dict mapping each vertex to an iterable of neighbours
 (undirected: both directions present).  A path is a list of vertices.
@@ -11,6 +11,16 @@ access.  Each augmenting search stops as soon as it reaches a free vertex
 of B, which gives the path a search run to the sink would give and reads
 no row past it.  Everything is deterministic: neighbours are scanned in
 sorted order so repeated runs produce identical certificates.
+
+The router (`Bits`) indexes the vertices in sorted order, keeps each
+vertex's neighbours as one int mask, and answers every reachability
+question with one flood fill on those ints, `Bits.route`: the mask of a
+shortest path it returns is 0 exactly when the ends are cut off.  Tables
+that answer many instances (an exhaustive census, the cube bases' Q_d,
+d <= 4) also hold a geodesic table (`Bits.geodesics`), off which `route`
+reads the full graph's shortest path, with no flood, whenever that path
+avoids every vertex the caller has taken: the flood's own answer, so no
+verdict, certificate or census count depends on the table.
 """
 
 from __future__ import annotations
@@ -18,6 +28,10 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import NoPath
+
+# the bit tables hold one |V|-bit mask per vertex, about |V|^2 / 8 bytes:
+# 32 MB at 2^14 vertices, 0.5 GB at 2^16
+MAX_SEARCH_VERTICES = 1 << 14
 
 
 class Cut(Exception):
@@ -238,3 +252,145 @@ def validate_linkage(G, pairs, paths, avoid=()):
             return False, f"path {i} meets avoided vertex {min(avoid & vs)}"
         seen |= vs
     return True, "ok"
+
+
+class Bits:
+    """Bit tables of one graph: vertex i of the sorted vertex list is the
+    bit 1 << i, and nbr[i] is the mask of its neighbours.  A graph of more
+    than MAX_SEARCH_VERTICES vertices raises ValueError before anything is
+    built."""
+
+    def __init__(self, G):
+        if len(G) > MAX_SEARCH_VERTICES:
+            raise ValueError(f"oracle searches hold at most "
+                             f"{MAX_SEARCH_VERTICES} vertices, not {len(G)}")
+        self.verts = sorted(G)
+        self.index = index = {v: i for i, v in enumerate(self.verts)}
+        self.nbr = []
+        for v in self.verts:
+            m = 0
+            for w in G[v]:
+                m |= 1 << index[w]
+            self.nbr.append(m)
+        self.full = (1 << len(self.verts)) - 1
+        self.geo = None  # geodesics(), on tables that answer many instances
+
+    def geodesics(self):
+        """geo[a][b], by index, a != b: the mask that route(a, b, full)
+        returns.
+
+        One breadth-first search per vertex a.  A vertex's path is its
+        parent's path plus itself, the parent being its least neighbour on
+        the previous level: the vertex that route's walk-back takes.  The
+        table holds |V|^2 masks, so only bit tables that answer many
+        instances build it."""
+        nbr, n, geo = self.nbr, len(self.nbr), []
+        for a in range(n):
+            path = [0] * n
+            path[a] = seen = level = 1 << a
+            while level:
+                prev, new = level, 0
+                while level:
+                    low = level & -level
+                    new |= nbr[low.bit_length() - 1]
+                    level ^= low
+                level = rest = new & ~seen
+                seen |= level
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    back = nbr[v] & prev
+                    path[v] = path[(back & -back).bit_length() - 1] | low
+            geo.append(path)
+        return geo
+
+    def mask(self, vs):
+        index, m = self.index, 0
+        for v in vs:
+            if v in index:
+                m |= 1 << index[v]
+        return m
+
+    def route(self, a, b, free):
+        """The vertex mask of a shortest path from vertex a to vertex b
+        through the mask `free`, a and b included; 0 when b is cut off.  It
+        floods from a, level by level, and walks back from b, taking the
+        least vertex of each level that is adjacent to the one after it.
+
+        With a geodesic table (`geo`), the full graph's path geo[a][b] is
+        returned with no flood when it lies inside free | a | b.  That is
+        the flood's own answer: the path keeps its length, so each of its
+        vertices keeps its level, and a neighbour of one on the flood's
+        previous level was on the full graph's too, so the least such
+        neighbour is still the path's."""
+        nbr, goal = self.nbr, 1 << b
+        if self.geo is not None:
+            path = self.geo[a][b]
+            if not path & ~(free | 1 << a | goal):
+                return path
+        front = 1 << a
+        free &= ~front
+        levels = []
+        while front:
+            levels.append(front)
+            new = 0
+            while front:
+                low = front & -front
+                new |= nbr[low.bit_length() - 1]
+                front ^= low
+            if new & goal:
+                path, v = goal, b
+                for level in reversed(levels):
+                    back = nbr[v] & level
+                    low = back & -back
+                    path |= low
+                    v = low.bit_length() - 1
+                return path
+            front = new & free
+            free ^= front
+        return 0
+
+    def pair_masks(self, pairs, avoid):
+        """Per pair (a, b) by index, the vertices its path may use: neither
+        avoided nor a terminal of another pair."""
+        index = self.index
+        ps = [(index[s], index[t]) for s, t in pairs]
+        free = self.full & ~self.mask(avoid)
+        for a, b in ps:
+            free &= ~(1 << a | 1 << b)
+        return ps, [free | 1 << a | 1 << b for a, b in ps]
+
+    def cut_off(self, ps, frees, taken):
+        """Whether a pair of ps is cut off once the vertices `taken` are."""
+        for (a, b), free in zip(ps, frees):
+            if not self.route(a, b, free & ~taken):
+                return True
+        return False
+
+    def shortest_linkage(self, ps, frees):
+        """Route each pair in turn along a BFS-shortest path (`route`)
+        through its free mask minus the earlier paths: the path masks in
+        pair order, or None when a pair is cut off."""
+        used, masks = 0, []
+        for (a, b), free in zip(ps, frees):
+            path = self.route(a, b, free & ~used)
+            if not path:
+                return None
+            used |= path
+            masks.append(path)
+        return masks
+
+    def walk(self, a, b, mask):
+        """The path, as vertices, from index a to index b through the
+        vertex mask of an induced path: each step has one neighbour left
+        in the mask."""
+        nbr, verts = self.nbr, self.verts
+        path, u = [verts[a]], a
+        mask &= ~(1 << a)
+        while u != b:
+            step = nbr[u] & mask
+            mask ^= step
+            u = step.bit_length() - 1
+            path.append(verts[u])
+        return path

@@ -22,7 +22,7 @@ from cubelink.complexes import (Polytope, _check_incidence,
 from cubelink.errors import (CaseNotCovered, InconsistentIncidence, NoPath,
                              NotCubical, OracleTimeout)
 from cubelink.hypercube import CubeFace, _check_dim, cube_graph, vertex_to_str
-from cubelink.linkage.star import _far_ridge
+from cubelink.linkage.star import far_ridge
 from cubelink.paths import Cut, _menger_flow, reachable, shortest_path
 
 
@@ -484,7 +484,7 @@ def projections_star_injection_reference(P, s, F, trace=()):
     ridges = [R for R in P.ridges_of_facet(F) if s in R]
     f = {}
     for R in ridges:
-        J, Ro = _far_ridge(P, R, F)
+        J, Ro = far_ridge(P, R, F)
         for v in sorted(R):
             if v not in f:
                 f[v] = P.project_in_face(J, Ro, v)

@@ -26,7 +26,7 @@ from cubelink.linkage.cubical import solve_cubical, solve_cubical_strong
 from cubelink.linkage.link import solve_link
 from cubelink.linkage.star import solve_star
 from cubelink.oracle import all_pairings, oracle_linkage
-from cubelink.paths import validate_linkage
+from cubelink.paths import Bits, validate_linkage
 
 from audit import all_faces, cap, face_maps_reference, zonotope
 from test_oracle import _two_pairings
@@ -239,7 +239,7 @@ def test_scenario2_partition_classes():
     # pair 0 in F; one adjacent pair, one projection pair, one free pair
     pairs = [(0b00000, 0b00011), (0b00100, 0b00101), (0b01000, 0b11000),
              ]
-    classes = scenario2_partition(d, F, pairs)
+    classes = scenario2_partition(F, pairs)
     assert 0b00100 in classes[0] and 0b00101 in classes[0]
     assert 0b01000 in classes[1]
     M = build_Mx_paths(d, F, pairs, classes)
@@ -329,7 +329,7 @@ def _refused_bases(d, instances):
     `linkable`'s search on bit tables built once for the graph; every
     linkage it returns is validated."""
     G, refused = cube_graph(d), []
-    B = oracle._Bits(G)
+    B = Bits(G)
     for pairs, avoid in instances:
         paths = _shortest_base(_cube_bits(d), pairs, avoid)
         truth = oracle._linkable_masks(B, *B.pair_masks(pairs, avoid),

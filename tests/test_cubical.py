@@ -7,7 +7,7 @@ from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.linkage.cube import solve_cube_strong
 from cubelink.linkage.cubical import solve_cubical, solve_cubical_strong
 from cubelink.oracle import linkable, oracle_linkage
-from cubelink.paths import validate_linkage
+from cubelink.paths import Bits, validate_linkage
 
 
 def random_pairing(rng, verts, k):
@@ -503,12 +503,12 @@ def test_cube_link_and_crafted_certificates_match_golden_digest():
 
 def test_routing_cut_raises_with_the_separator_last():
     from cubelink.errors import CaseNotCovered
-    from cubelink.linkage.star import _route_into
+    from cubelink.linkage.star import route_into
 
     # both terminals must pass through vertex 2 to reach {3, 4}
     G = {0: (2,), 1: (2,), 2: (0, 1, 3, 4), 3: (2,), 4: (2,)}
     with pytest.raises(CaseNotCovered) as e:
-        _route_into(G, [0, 1], [3, 4], trace=["test/route"])
+        route_into(G, [0, 1], [3, 4], trace=["test/route"])
     assert e.value.trace == ["test/route", [2]]
 
 
@@ -595,8 +595,8 @@ def test_cubical_solves_never_reach_the_oracle(monkeypatch):
     for name, pairs, avoid in (("Z(3,5)", [(1, 8), (4, 7)], None),
                                ("twice-capped Q3", [(2, 14), (8, 12)], None),
                                ("Q4", [(0, 9), (1, 8)], x)):
-        B = oracle._Bits(hosts[name].graph)
+        B = Bits(hosts[name].graph)
         ps, frees = B.pair_masks(pairs, () if avoid is None else (avoid,))
-        assert oracle._shortest_linkage(B, ps, frees) is None
-        assert oracle._shortest_linkage(B, ps[::-1], frees[::-1]) is not None
+        assert B.shortest_linkage(ps, frees) is None
+        assert B.shortest_linkage(ps[::-1], frees[::-1]) is not None
         assert certs[name, tuple(pairs), avoid].paths is not None

@@ -14,8 +14,6 @@ from cubelink.linkage.cube import detect_config_3F
 from cubelink.linkage.cubical import solve_cubical
 from cubelink.oracle import (
     TIMEOUT_VAR,
-    _Bits,
-    _shortest_linkage,
     all_pairings,
     census,
     cube_instance_key,
@@ -23,7 +21,7 @@ from cubelink.oracle import (
     oracle_linkage,
     oracle_timeout_ms,
 )
-from cubelink.paths import shortest_path, validate_linkage
+from cubelink.paths import Bits, shortest_path, validate_linkage
 
 from audit import (apply_cube_map, brute_cube_instance_key, cap,
                    common_neighbor_check, invert_cube_map,
@@ -186,7 +184,7 @@ _GEO_HOSTS = {
 
 @pytest.mark.parametrize("host", ["Q3", "Q4", "linkQ4", "Z(3,6)"])
 def test_geodesics_are_the_full_routes(host):
-    B = _Bits(_GEO_HOSTS[host]())
+    B = Bits(_GEO_HOSTS[host]())
     geo = B.geodesics()
     n = len(B.verts)
     assert [[geo[a][b] for b in range(n) if b != a] for a in range(n)] == [
@@ -196,7 +194,7 @@ def test_geodesics_are_the_full_routes(host):
 @pytest.mark.parametrize("host", ["Q4", "linkQ4", "Z(3,8)", "Q5"])
 def test_route_reads_the_table_only_where_it_floods_the_same(host):
     G = _GEO_HOSTS[host]()
-    flood, table = _Bits(G), _Bits(G)
+    flood, table = Bits(G), Bits(G)
     table.geo = table.geodesics()
     n = len(flood.verts)
     rng = random.Random(11)
@@ -211,16 +209,14 @@ def test_route_reads_the_table_only_where_it_floods_the_same(host):
 
 
 def test_only_the_exhaustive_census_builds_geodesics(monkeypatch):
-    import cubelink.oracle as oracle
-
     built = []
-    geodesics = oracle._Bits.geodesics
+    geodesics = Bits.geodesics
 
     def counted(self):
         built.append(len(self.verts))
         return geodesics(self)
 
-    monkeypatch.setattr(oracle._Bits, "geodesics", counted)
+    monkeypatch.setattr(Bits, "geodesics", counted)
     census(cube_graph(4), 2)
     assert built == [16]
     census(cube_graph(4), 2, sample=20, seed=1)
@@ -529,8 +525,8 @@ def test_linkable_agrees_with_oracle_on_three_pairs():
 
 
 def _shortest_paths_link(G, pairs):
-    B = _Bits(G)
-    return _shortest_linkage(B, *B.pair_masks(pairs, ())) is not None
+    B = Bits(G)
+    return B.shortest_linkage(*B.pair_masks(pairs, ())) is not None
 
 
 def test_linkable_searches_where_shortest_paths_collide():
@@ -591,7 +587,7 @@ def test_route_is_a_bfs_shortest_path_and_0_when_cut_off():
                 G[b].append(a)
         a, b = rng.sample(range(n), 2)
         free = rng.getrandbits(n)
-        mask = _Bits(G).route(a, b, free)
+        mask = Bits(G).route(a, b, free)
         try:
             path = shortest_path(G, a, b, [v for v in G if not free >> v & 1])
         except NoPath:

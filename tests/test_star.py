@@ -9,7 +9,7 @@ from cubelink.linkage.certs import Unlinkable
 from cubelink.linkage.cubical import solve_cubical
 from cubelink.linkage.link import solve_link
 from cubelink.linkage.star import (
-    _Induced,
+    Induced,
     detect_config_dF,
     projections_star_injection,
     solve_star,
@@ -163,7 +163,7 @@ def test_star_solves_build_the_injection_only_when_they_read_it(monkeypatch):
     import hashlib
     import json
 
-    from cubelink.linkage.star import _StarSolver
+    from cubelink.linkage.star import StarSolver
 
     def digest_and_builds():
         lines, builds = [], []
@@ -177,8 +177,8 @@ def test_star_solves_build_the_injection_only_when_they_read_it(monkeypatch):
 
     lazy, builds = digest_and_builds()
     assert max(builds) == 1 and 0 in builds
-    setup = _StarSolver.setup
-    monkeypatch.setattr(_StarSolver, "setup",
+    setup = StarSolver.setup
+    monkeypatch.setattr(StarSolver, "setup",
                         lambda self: setup(self) or self.inj)
     eager, eager_builds = digest_and_builds()
     assert eager == lazy
@@ -240,7 +240,7 @@ def test_induced_view_matches_its_definition():
             verts = rng.sample(keys, n)
             vs = set(verts)
             want = {v: tuple([w for w in G[v] if w in vs]) for v in sorted(vs)}
-            H = _Induced(G, verts)
+            H = Induced(G, verts)
             assert list(H) == list(want) and len(H) == len(want)
             assert list(H.items()) == list(want.items()) and H == want
             for v in [*P.vertices, -1, "0"]:
@@ -291,11 +291,11 @@ def test_star_deterministic():
 def test_broken_invariants_raise_case_not_covered(monkeypatch):
     # plain checks, not asserts: they hold under python -O too
     from cubelink.errors import CaseNotCovered
-    from cubelink.linkage.star import _StarSolver
+    from cubelink.linkage.star import StarSolver
 
     P = build_cube_polytope(5)
     S1g = P.generated_graph(P.vertex_facets[0])
-    solver = _StarSolver(P, 0, [(0, 30), (5, 9), (18, 24)], ["star/tag"],
+    solver = StarSolver(P, 0, [(0, 30), (5, 9), (18, 24)], ["star/tag"],
                          S1g)
     with pytest.raises(CaseNotCovered) as e:
         solver.record(5, 9, [5, 7])
@@ -463,7 +463,7 @@ def test_d5_all_in_retries_past_a_blocked_selection(monkeypatch):
     import cubelink.linkage.star as star
 
     results = []
-    face_link = star._StarSolver.face_link
+    face_link = star.StarSolver.face_link
 
     def recording(self, face, pairs, avoid=()):
         try:
@@ -474,7 +474,7 @@ def test_d5_all_in_retries_past_a_blocked_selection(monkeypatch):
         results.append("linked")
         return out
 
-    monkeypatch.setattr(star._StarSolver, "face_link", recording)
+    monkeypatch.setattr(star.StarSolver, "face_link", recording)
     P, s1, pairs = build_cube_polytope(5), 0, [(0, 3), (1, 2), (8, 9)]
     cert = solve_star(P, s1, pairs)
     assert_star_linked(P, s1, pairs, cert)
