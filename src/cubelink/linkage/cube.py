@@ -4,20 +4,23 @@ solve_cube builds a Y-linkage for up to floor((d+1)/2) pairs by facet
 recursion; solve_cube_strong additionally avoids one extra terminal x.
 Both return LinkageCertificates whose paths are validated before return.
 Small dimensions (d <= 4) are settled without a search, by the one base
-rule (_shortest_base): shortest paths in one order, then in the other.
-Above them no graph is built: paths inside a face come from
-hypercube.face_path, which searches only when every shortest path is
-blocked.  A subproblem on a facet is moved to the (d-1)-cube and back by
-bit splices around the facet's fixed axis (hypercube.facet_maps, whose
-compress map is also each facet's embedding in build_cube_polytope), a
-list of vertices per call, and certificates are checked against the
-implicit CubeAdjacency.
+rule (_shortest_base): shortest paths in one order, then in the other, on
+Q_d's bit tables (cube_bits), built once.  Above them no graph is built.
+Scenario 2 of the induction classifies the terminals and writes their
+escape paths in one pass (scenario2_escapes), in the caller's pair order.
+Paths inside a face come from hypercube.face_path, which searches only
+when every shortest path is blocked.  A subproblem on a facet is moved to
+the (d-1)-cube and back by bit splices around the facet's fixed axis
+(hypercube.facet_maps, whose compress map is also each facet's embedding
+in build_cube_polytope), a list of vertices per call, and certificates
+are checked against the implicit CubeAdjacency.
 
 Steps that every linkage solver repeats are public here, for link.py,
 star.py and cubical.py: splicing routes onto a linkage found at their ends
 (splice), linking the terminals' projections onto a facet there
 (link_projected), and the base rule on paths.Bits tables (base_rule),
-alone or after a config-3F check (base_3F).  star.py has the Menger router.
+alone or after a config-3F check (base_3F), which the Q_3 and link(Q_4, v)
+bases run on Q_d's tables.  star.py has the Menger router.
 """
 
 from __future__ import annotations
@@ -66,11 +69,6 @@ def hops(X, proj):
     return routes
 
 
-def _partners(pairs):
-    """Each terminal of the pairing mapped to its partner."""
-    return {x: y for a, b in pairs for x, y in ((a, b), (b, a))}
-
-
 def splice(pairs, route, solve):
     """Link the pairs through their routes.
 
@@ -102,14 +100,16 @@ def base_rule(trace, tag, B, pairs, avoid):
     return sol
 
 
-def base_3F(P, pairs, trace, tags):
+def base_3F(P, pairs, trace, tags, B=None, avoid=()):
     """The base of a cubical 3-polytope P: Unlinkable with a config-3F
-    witness, else the rule's linkage on P's graph; tags (obstructed, rule)."""
+    witness, else the rule's linkage; tags (obstructed, rule).  The rule
+    runs on the bit tables B of a graph that is P's once `avoid` is left
+    out, or on P's own, built only once config-3F is ruled out."""
     witness = detect_config_3F(P, pairs)
     if witness is not None:
         trace.append(tags[0])
         raise Unlinkable(witness)
-    return base_rule(trace, tags[1], Bits(P.graph), pairs, ())
+    return base_rule(trace, tags[1], B or Bits(P.graph), pairs, avoid)
 
 
 # -- the base rule: shortest paths in one order, then the other -------------
@@ -117,7 +117,7 @@ def base_3F(P, pairs, trace, tags):
 _base_cache: dict = {}  # d -> the bit tables of Q_d, with their geodesics
 
 
-def _cube_bits(d):
+def cube_bits(d):
     """The bit tables of Q_d, d <= 4, built once with their geodesics."""
     B = _base_cache.get(d)
     if B is None:
@@ -184,21 +184,29 @@ def detect_config_3F(P, pairs):
 # -- scenario 2 machinery ----------------------------------------------------
 
 
-def scenario2_partition(F: CubeFace, pairs):
-    """Partition of the in-facet terminals (pair 0 excluded) into classes 0-4.
+def scenario2_escapes(F: CubeFace, Fo: CubeFace, pairs, idx, trace):
+    """The terminals in F off pair `idx`, which lies in F, in classes 0-4,
+    and their disjoint terminal-avoiding escapes M into Fo = F-opposite.
 
-    Pair 0 lies in F.  Classes: 0 partner adjacent within F; 1 partner is the
-    projection across; 2 projection is not a terminal; 3 partner sits across
-    with a unique terminal-avoiding path of length 2 through its projection;
-    4 everything else.
+    Classes: 0 partner adjacent within F; 1 partner is the projection
+    across; 2 projection is not a terminal; 3 partner sits across with a
+    unique terminal-avoiding path of length 2 through its projection; 4
+    everything else.  One pass over the sorted terminals classifies each
+    and writes its class-2 escape [x, x'] or class-3 escape [x, y', y].
+
+    Each escape meets the terminal set only in its own endpoints.  Class 4
+    then picks the least F-neighbour w with w and its projection off the
+    terminals and the earlier escapes; no neighbour raises CaseNotCovered,
+    which the counting argument rules out.  A free w projecting onto x's
+    partner would be the partner's projection, and x would be class 3, so
+    class-2 and class-4 escapes end off the terminals and apart.
     """
-    s1, t1 = pairs[0]
-    Fo = opposite_facet(F)
-    partner = _partners(pairs)
-    X = set(partner)
+    s1, t1 = pairs[idx]
+    partner = {x: y for a, b in pairs for x, y in ((a, b), (b, a))}
     classes = {0: [], 1: [], 2: [], 3: [], 4: []}
-    for x in sorted(X - {s1, t1}):
-        if not F.contains(x):
+    M = {}
+    for x in sorted(partner):
+        if x == s1 or x == t1 or not F.contains(x):
             continue
         y = partner[x]
         xp = project(x, Fo)
@@ -206,49 +214,28 @@ def scenario2_partition(F: CubeFace, pairs):
             classes[0].append(x)
         elif y == xp:
             classes[1].append(x)
-        elif xp not in X:
+        elif xp not in partner:
             classes[2].append(x)
+            M[x] = [x, xp]
         else:
-            yp = project(y, F) if Fo.contains(y) else None
-            if yp is not None and dist(x, yp) == 1 and yp not in X:
+            yp = project(y, F)
+            if Fo.contains(y) and dist(x, yp) == 1 and yp not in partner:
                 classes[3].append(x)
+                M[x] = [x, yp, y]
             else:
                 classes[4].append(x)
-    return classes
-
-
-def build_Mx_paths(d, F: CubeFace, pairs, classes):
-    """Disjoint terminal-avoiding escape paths of length <= 2 into F-opposite.
-
-    One path per vertex of classes 2, 3, 4; each meets the terminal set only
-    in its own endpoints.  Class 4 picks the least F-neighbour w with w and
-    its projection off the terminals and the earlier paths; no neighbour
-    raises CaseNotCovered, which the counting argument rules out.  A free
-    w projecting onto x's partner would be the partner's projection, and
-    x would be class 3, so class-2 and class-4 paths end off the terminals
-    and apart.
-    """
-    Fo = opposite_facet(F)
-    partner = _partners(pairs)
-    X = set(partner)
-    free_axes = [i for i in range(d) if (F.free_mask >> i) & 1]
-    M = {}
-    for x in classes[2]:
-        M[x] = [x, project(x, Fo)]
-    for x in classes[3]:
-        y = partner[x]
-        M[x] = [x, project(y, F), y]
-    taken = X.union(*M.values())
+    taken = set(partner).union(*M.values())
+    bits = [1 << a for a in range(F.d) if (F.free_mask >> a) & 1]
     for x in classes[4]:
-        cands = [w for w in (x ^ (1 << a) for a in free_axes)
+        cands = [w for w in (x ^ b for b in bits)
                  if w not in taken and project(w, Fo) not in taken]
         if not cands:
             raise CaseNotCovered(f"no free escape neighbour at {x}",
-                                 trace=["cube/scenario-2/Mx"])
+                                 trace=list(trace) + ["cube/scenario-2/Mx"])
         w = min(cands)
         M[x] = [x, w, project(w, Fo)]
         taken.update(M[x])
-    return M
+    return classes, M
 
 
 # -- the main induction ------------------------------------------------------
@@ -264,9 +251,9 @@ def _solve(d, pairs, trace):
         return [face_path(whole_cube(d), *pairs[0])]
     if d == 3:
         return base_3F(build_cube_polytope(3), pairs, trace,
-                       ("cube/d3-obstructed", "cube/base-d3"))
+                       ("cube/d3-obstructed", "cube/base-d3"), cube_bits(3))
     if d <= 4:
-        return base_rule(trace, f"cube/base-d{d}", _cube_bits(d), pairs, ())
+        return base_rule(trace, f"cube/base-d{d}", cube_bits(d), pairs, ())
 
     X = sorted(terminals(pairs))
     K = smallest_face(d, X)
@@ -279,7 +266,7 @@ def _solve(d, pairs, trace):
             agree = ~(s ^ t)
             axis = (agree & -agree).bit_length() - 1
             F = facet(d, axis, (s >> axis) & 1)
-            return _scenario2(d, F, i, pairs, X, trace)
+            return _scenario2(F, i, pairs, X, trace)
     return _scenario3(d, pairs, X, trace)
 
 
@@ -308,58 +295,51 @@ def _scenario1(F, pairs, X, trace):
                          trace=list(trace))
 
 
-def _scenario2(d, F, idx, pairs, X, trace):
+def _scenario2(F, idx, pairs, X, trace):
     """Pair `idx` lies in the facet F but some terminal is outside it.  The
     other pairs with no end in classes 0, 1, 3 are linked in the opposite
-    facet between their escapes' ends, which differ (build_Mx_paths)."""
+    facet between their escapes' ends, which differ (scenario2_escapes)."""
     trace.append("cube/scenario-2")
-    order = [idx] + [i for i in range(len(pairs)) if i != idx]
-    pairs1 = [pairs[i] for i in order]
-    s1, t1 = pairs1[0]
     Fo = opposite_facet(F)
-
-    classes = scenario2_partition(F, pairs1)
-    M = build_Mx_paths(d, F, pairs1, classes)
+    classes, M = scenario2_escapes(F, Fo, pairs, idx, trace)
     c01, c3 = {*classes[0], *classes[1]}, set(classes[3])
     skip = {M[x][-1] for x in c3} | {project(x, Fo) for x in classes[1]}
     for x in X:
         if Fo.contains(x) and x not in skip:
             M.setdefault(x, [x])
 
-    paths1 = [None] * len(pairs1)
+    # every path starts at its pair's first end
+    paths = [None] * len(pairs)
     link_slots = []
-    for i in range(1, len(pairs1)):
-        a, b = pairs1[i]
+    for i, (a, b) in enumerate(pairs):
+        if i == idx:
+            continue
         if a in c01 or b in c01:
-            paths1[i] = [a, b]
+            paths[i] = [a, b]
         elif a in c3:
-            paths1[i] = M[a]
+            paths[i] = M[a]
         elif b in c3:
-            paths1[i] = M[b][::-1]
+            paths[i] = M[b][::-1]
         else:
             link_slots.append(i)
     if link_slots:
         trace.append("cube/scenario-2/opposite-linkage")
-        sub = splice([pairs1[i] for i in link_slots], M,
+        sub = splice([pairs[i] for i in link_slots], M,
                      lambda ep: solve_in_face(Fo, ep, trace,
                                               avoid=sorted(skip)))
         for i, p in zip(link_slots, sub):
-            paths1[i] = p
+            paths[i] = p
 
     # in F the other paths hold only its other terminals and the middle
     # vertices of the class-3 and class-4 paths; the rest lies in Fo
     used = {x for c in classes.values() for x in c}
     used.update(M[x][1] for x in classes[3] + classes[4])
     try:
-        paths1[0] = face_path(F, s1, t1, used)
+        paths[idx] = face_path(F, *pairs[idx], used)
     except NoPath:
         raise CaseNotCovered("in-facet pair cannot dodge the escape paths",
                              trace=list(trace) + ["cube/scenario-2/L1"])
     trace.append("cube/scenario-2/L1")
-
-    paths = [None] * len(pairs)
-    for slot, i in enumerate(order):
-        paths[i] = orient(paths1[slot], pairs[i][0])
     return paths
 
 
@@ -395,7 +375,7 @@ def _strong(d, pairs, x, trace):
         trace.append("cube/strong-base-d2")
         return [face_path(whole_cube(2), *pairs[0], {x})]
     if d == 4:
-        return base_rule(trace, "cube/strong-base-d4", _cube_bits(4), pairs,
+        return base_rule(trace, "cube/strong-base-d4", cube_bits(4), pairs,
                          (x,))
     trace.append("cube/strong-project")
     axis = find_unassociated_pair(d, terminals(pairs))
@@ -429,7 +409,7 @@ def cube_paths(d, pairs, avoid, trace):
             witness = detect_config_3F(build_cube_polytope(3), pairs)
             if witness is not None:
                 raise Unlinkable(witness)
-        return base_rule(trace, f"cube/base-d{d}", _cube_bits(d), pairs,
+        return base_rule(trace, f"cube/base-d{d}", cube_bits(d), pairs,
                          avoid)
     if len(extra) % 2:
         X = terminals(pairs)

@@ -20,8 +20,8 @@ from ..hypercube import (
     whole_cube,
 )
 from .certs import LinkageCertificate, certify, take, terminals
-from .cube import (base_3F, hops, link_projected, orient, solve_in_face,
-                   splice)
+from .cube import (base_3F, cube_bits, hops, link_projected, orient,
+                   solve_in_face, splice)
 
 
 def _reroute_through_opposite(F, vother, paths, idx, pairs, trace):
@@ -53,8 +53,10 @@ def link_paths(D, v, pairs, trace):
         trace.append("link/single-pair")
         return [face_path(whole_cube(D), *pairs[0], forbidden=(v, vo))]
     if D == 4:  # the link is a 3-polytope
+        # Q_4's tables less v and vo route as the link's own would
         return base_3F(link_polytope(D, v), pairs, trace,
-                       ("link/d3-obstructed", "link/d3-search"))
+                       ("link/d3-obstructed", "link/d3-search"),
+                       cube_bits(4), (v, vo))
 
     axis = find_unassociated_pair(D, X)
     F = facet(D, axis, (v >> axis) & 1)

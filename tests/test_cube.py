@@ -12,13 +12,12 @@ from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph, facet,
 from cubelink.linkage.certs import (LinkageCertificate, ObstructionWitness,
                                     blocking, terminals)
 from cubelink.linkage.cube import (
-    _cube_bits,
     _shortest_base,
-    build_Mx_paths,
+    cube_bits,
     cube_linkage,
     detect_config_3F,
     facet_maps,
-    scenario2_partition,
+    scenario2_escapes,
     solve_cube,
     solve_cube_strong,
 )
@@ -239,10 +238,9 @@ def test_scenario2_partition_classes():
     # pair 0 in F; one adjacent pair, one projection pair, one free pair
     pairs = [(0b00000, 0b00011), (0b00100, 0b00101), (0b01000, 0b11000),
              ]
-    classes = scenario2_partition(F, pairs)
+    classes, M = scenario2_escapes(F, opposite_facet(F), pairs, 0, [])
     assert 0b00100 in classes[0] and 0b00101 in classes[0]
     assert 0b01000 in classes[1]
-    M = build_Mx_paths(d, F, pairs, classes)
     for x, p in M.items():
         assert p[0] == x and len(p) <= 3
         assert opposite_facet(F).contains(p[-1])
@@ -270,16 +268,16 @@ def test_scenario2_escapes_end_apart_and_off_the_terminals():
     or 3 to the opposite linkage: class-2 and class-4 escapes end off the
     terminals and pairwise apart, and no class-4 terminal has a free
     F-neighbour projecting onto its partner (that would make it class 3).
-    Each build_Mx_paths call is checked as it returns, so a break shows as
+    Each scenario2_escapes call is checked as it returns, so a break shows as
     the drawn instance that met it."""
     import cubelink.linkage.cube as cube
 
     class4 = []
-    build = cube.build_Mx_paths
+    build = cube.scenario2_escapes
 
-    def checked(d, F, pairs, classes):
-        M = build(d, F, pairs, classes)
-        Fo = opposite_facet(F)
+    def checked(F, Fo, pairs, idx, trace):
+        classes, M = build(F, Fo, pairs, idx, trace)
+        d = F.d
         X = {v for p in pairs for v in p}
         partner = {x: y for a, b in pairs for x, y in ((a, b), (b, a))}
         ends = [M[x][-1] for x in classes[2] + classes[4]]
@@ -291,7 +289,7 @@ def test_scenario2_escapes_end_apart_and_off_the_terminals():
                 if F.contains(w) and w not in X:
                     assert project(w, Fo) != partner[x]
         class4.extend(classes[4])
-        return M
+        return classes, M
 
     @settings(derandomize=True, deadline=None, max_examples=400,
               database=None)
@@ -302,9 +300,50 @@ def test_scenario2_escapes_end_apart_and_off_the_terminals():
         assert_linked(cert, d, pairs, avoid)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cube, "build_Mx_paths", checked)
+        m.setattr(cube, "scenario2_escapes", checked)
         solve()
     assert len(class4) >= 20
+
+
+def test_scenario2_escape_failure_keeps_the_trace():
+    """Past capacity on purpose, class 4 is [1, 2] and both F-neighbours of
+    1 are terminals, so 1 has no escape: the raise carries the running
+    trace with its tag last."""
+    F = facet(3, 2, 0)
+    trace = ["cube/scenario-2"]
+    with pytest.raises(CaseNotCovered, match="no free escape neighbour at 1"
+                       ) as info:
+        scenario2_escapes(F, opposite_facet(F), [(0, 3), (1, 6), (2, 5)],
+                          0, trace)
+    assert info.value.trace == ["cube/scenario-2", "cube/scenario-2/Mx"]
+    assert trace == ["cube/scenario-2"]
+
+
+def test_q3_and_q4_link_bases_read_the_cached_cube_tables(monkeypatch):
+    """Once Q_3's and Q_4's tables are built, the Q_3 base and the base of
+    the link of a vertex of Q_4 build no bit tables of their own."""
+    cube_bits(3), cube_bits(4)
+    built = []
+    init = Bits.__init__
+
+    def counted(self, G):
+        built.append(len(G))
+        init(self, G)
+
+    monkeypatch.setattr(Bits, "__init__", counted)
+    tags = set()
+    for v in (0, 5):
+        for pairs in _two_pairings([x for x in range(16)
+                                    if x not in (v, 15 - v)][:6]):
+            cert = solve_link(4, v, pairs)
+            assert cert.valid
+            tags.update(cert.trace)
+    for pairs in _two_pairings(range(1, 7)):
+        cert = solve_cube(3, pairs)
+        assert cert.valid
+        tags.update(cert.trace)
+    assert {"cube/base-d3", "link/d3-search"} <= tags
+    assert built == []
 
 
 def test_solve_3polytope_against_oracle():
@@ -331,7 +370,7 @@ def _refused_bases(d, instances):
     G, refused = cube_graph(d), []
     B = Bits(G)
     for pairs, avoid in instances:
-        paths = _shortest_base(_cube_bits(d), pairs, avoid)
+        paths = _shortest_base(cube_bits(d), pairs, avoid)
         truth = oracle._linkable_masks(B, *B.pair_masks(pairs, avoid),
                                        None) is not None
         assert (paths is not None) == truth, (pairs, avoid)
