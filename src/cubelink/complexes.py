@@ -59,9 +59,10 @@ class Polytope:
         The polytope keeps only its facets, masks, graph and facet
         embeddings; its lower faces are read off the embeddings when first
         asked for, which no solver does."""
-        self._set_incidence(dim, vertices, _check_incidence(vertices, facets),
+        bit = _vertex_bits(vertices)
+        self._set_incidence(dim, vertices, _check_incidence(bit, facets),
                             labels)
-        self._certify_facets()
+        self._certify_facets(bit)
         j = len(max(self.facets, key=len)).bit_length() - 1
         if j != self.dim - 1:
             raise InconsistentIncidence(
@@ -87,9 +88,10 @@ class Polytope:
                 vmask[v] |= b
         self.vertex_facets = vmask
 
-    def _certify_facets(self):
+    def _certify_facets(self, bit):
         """Certify the facets from their pairwise intersections alone, and
-        read the graph and facet embeddings off them.
+        read the graph and facet embeddings off them; `bit` is the vertex
+        bits (_vertex_bits) that index them.
 
         Every facet must have as many vertices as the largest, a power of 2,
         2^j.  A facet F's ridges are its intersections with the facets that
@@ -112,7 +114,6 @@ class Polytope:
             raise NotCubical(f"facets have {' and '.join(map(str, sizes))} "
                              f"vertices: they are not cubes of one dimension")
         j = n.bit_length() - 1
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
         nbrs = {v: set() for v in self.vertices}
         bits = self._facet_bits
         for F, a in bits.items():
@@ -353,23 +354,29 @@ class GeneratedGraph(Mapping):
         return sum(1 for _ in self)
 
 
-def _index(vertices, facets):
-    """The distinct facets, sorted, each mapped to its vertex bitset: bit i
-    stands for the i-th least vertex."""
-    bit = {v: 1 << i for i, v in enumerate(sorted(vertices))}
+def _vertex_bits(vertices):
+    """Each vertex's bit in the incidence index: bit i stands for the i-th
+    least vertex."""
+    return {v: 1 << i for i, v in enumerate(sorted(vertices))}
+
+
+def _index(bit, facets):
+    """The distinct facets, sorted, each mapped to its vertex bitset under
+    `bit`, the vertex bits (_vertex_bits)."""
     return {f: sum(map(bit.__getitem__, f))
             for f in sorted(set(map(frozenset, facets)), key=sorted)}
 
 
-def _check_incidence(vertices, facets):
+def _check_incidence(bit, facets):
     """Refuse an empty facet, facets that miss a vertex, and nested facets,
-    as the tests' reference lattice does too; return the facets' _index."""
+    as the tests' reference lattice does too; return the facets' _index.
+    `bit` is the vertex bits (_vertex_bits), keyed by the vertex set."""
     facets = {frozenset(f) for f in facets}
     if not facets or not all(facets):
         raise InconsistentIncidence("empty facet")
-    if set().union(*facets) != set(vertices):
+    if set().union(*facets) != bit.keys():
         raise InconsistentIncidence("facets do not cover the vertex set")
-    index = _index(vertices, facets)
+    index = _index(bit, facets)
     if any((a & b) in (a, b) for a, b in combinations(index.values(), 2)):
         raise InconsistentIncidence("facet contained in another facet")
     return index
@@ -418,7 +425,7 @@ def build_cube_polytope(d: int) -> Polytope:
             vs = list(F)
             embeddings[F] = (dict(zip(vs, compress(vs))), d - 1)
     P = Polytope.__new__(Polytope)
-    P._set_incidence(d, verts, _index(verts, embeddings),
+    P._set_incidence(d, verts, _index(_vertex_bits(verts), embeddings),
                      {v: vertex_to_str(v, d) for v in verts})
     # Q1's facets are its two vertices, and no edge is a face
     P.graph = {v: tuple(sorted(v ^ (1 << i) for i in range(d)))
@@ -476,7 +483,7 @@ def vertex_link(P: Polytope, x) -> Polytope:
               if x not in R}
     verts = set().union(*star_facets) - {x}
     L = Polytope.__new__(Polytope)
-    L._set_incidence(P.dim - 1, verts, _index(verts, facets),
+    L._set_incidence(P.dim - 1, verts, _index(_vertex_bits(verts), facets),
                      {v: P.labels[v] for v in verts})
     vf = L.vertex_facets
     L.graph = {v: tuple([w for w in P.graph[v] if vf.get(w, 0) & m])

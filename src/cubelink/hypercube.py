@@ -108,7 +108,8 @@ def facet_maps(F: CubeFace):
     """(compress, expand) bijections between V(F) and the (d-1)-cube, for a
     facet F: compress drops F's fixed axis and closes the gap, expand opens
     it and puts F's fixed value back.  Each maps a vertex, or a list of
-    them in one call.  A face that is not a facet raises ValueError."""
+    them in one call.  A face that is not a facet raises ValueError.  Q_d's
+    facet embeddings (build_cube_polytope) are its compress map."""
     if F.fixed_mask.bit_count() != 1:
         raise ValueError("facet_maps requires a facet (one fixed coordinate)")
     axis = F.fixed_mask.bit_length() - 1
@@ -135,6 +136,46 @@ def project(x: int, F_target: CubeFace) -> int:
     if F_target.fixed_mask.bit_count() != 1:
         raise ValueError("projection target must be a facet")
     return (x & ~F_target.fixed_mask) | F_target.fixed_values
+
+
+def facet_pair(K: CubeFace, axis: int, value: int):
+    """The facets {x_axis = value} and {x_axis = 1 - value} of the face K,
+    for a free axis of K, by _face: the axis set, then flipped.  The cube
+    induction splits a face with it as facet and opposite_facet split Q_d."""
+    bit = 1 << axis
+    mask, values = K.fixed_mask | bit, K.fixed_values | (value << axis)
+    return _face(K.d, mask, values), _face(K.d, mask, values ^ bit)
+
+
+def face_to_cube(K: CubeFace, vs) -> list[int]:
+    """The vertices vs of the face K in the coordinates of Q_dim(K): K's
+    fixed axes dropped and the gaps closed, one shift per run of adjacent
+    fixed axes, highest first.  This is facet_maps' compress applied one
+    fixed axis at a time, so it keeps the order of the vertices and of the
+    free axes.  A list in, a list out."""
+    mask = K.fixed_mask
+    while mask:
+        hi = mask.bit_length()
+        lo = (~mask & ((1 << hi) - 1)).bit_length()
+        low = (1 << lo) - 1
+        vs = [(v & low) | (v >> hi << lo) for v in vs]
+        mask &= low
+    return vs
+
+
+def cube_to_face(K: CubeFace, ws) -> list[int]:
+    """face_to_cube's inverse: the vertices ws of Q_dim(K) as vertices of
+    K, each run of K's fixed axes opened, lowest first, and set to K's
+    values."""
+    mask = K.fixed_mask
+    while mask:
+        lo = (mask & -mask).bit_length() - 1
+        top = mask + (mask & -mask)  # the run carried into the bit above it
+        hi = (top & -top).bit_length() - 1
+        low, values = (1 << lo) - 1, K.fixed_values & ((1 << hi) - 1)
+        ws = [(w & low) | (w >> lo << hi) | values for w in ws]
+        mask &= top
+    return ws
 
 
 def smallest_face(d: int, S) -> CubeFace:
@@ -179,6 +220,14 @@ def find_unassociated_pair(d: int, Z) -> int:
         if a not in assoc:
             return a
     raise ValueError(f"all {d} directions associated with Z (|Z|={len(list(Z))})")
+
+
+def lowest_unassociated_axis(K: CubeFace, Z) -> int:
+    """Lowest free axis of the face K whose facet pair in K is not
+    associated with Z, a set of at most dim(K) vertices of K, so that one
+    exists by the association bound."""
+    assoc, free = associated_pairs(K.d, Z), K.free_mask
+    return next(a for a in range(K.d) if (free >> a) & 1 and a not in assoc)
 
 
 @lru_cache(maxsize=None)
@@ -392,7 +441,8 @@ def face_path(K: CubeFace, s: int, t: int, forbidden=()) -> list[int]:
         return _walk(s, t)
     if _geodesics(s, t, inside):
         return _counted_walk(s, t, inside)
-    bits = [1 << i for i in range(K.d) if (K.free_mask >> i) & 1]
+    free = K.free_mask
+    bits = [1 << i for i in range(K.d) if (free >> i) & 1]
     to_t = {}  # v -> steps of a shortest v-t path avoiding forbidden
 
     def learn(path):

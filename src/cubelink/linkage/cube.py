@@ -3,24 +3,30 @@
 solve_cube builds a Y-linkage for up to floor((d+1)/2) pairs by facet
 recursion; solve_cube_strong additionally avoids one extra terminal x.
 Both return LinkageCertificates whose paths are validated before return.
-Small dimensions (d <= 4) are settled without a search, by the one base
-rule (_shortest_base): shortest paths in one order, then in the other, on
-Q_d's bit tables (cube_bits), built once.  Above them no graph is built.
-Scenario 2 of the induction classifies the terminals and writes their
-escape paths in one pass (scenario2_escapes), in the caller's pair order.
-Paths inside a face come from hypercube.face_path, which searches only
-when every shortest path is blocked.  A subproblem on a facet is moved to
-the (d-1)-cube and back by bit splices around the facet's fixed axis
-(hypercube.facet_maps, whose compress map is also each facet's embedding
-in build_cube_polytope), a list of vertices per call, and certificates
-are checked against the implicit CubeAdjacency.
+
+The induction runs on faces of Q_d, and every vertex stays its own Q_d
+integer.  A facet subproblem of the face K is the same call on K with one
+more fixed axis (hypercube.facet_pair), so nothing is moved between
+levels.  Dropping fixed axes keeps the order of the vertices and of the
+free axes, so every least vertex, lowest axis and sorted choice picks what
+it would pick in the (dim K)-cube.  Faces of dimension at most 4 are
+settled without a search, by the one base rule (_shortest_base): shortest
+paths in one order, then in the other, on Q_j's bit tables (cube_bits),
+built once.  That is the one place coordinates change: each base call maps
+its ends into Q_j once (hypercube.face_to_cube) and its paths back once
+(cube_to_face).  Above the bases no graph is built.  Scenario 2 classifies
+the terminals and writes their escape paths in one pass
+(scenario2_escapes), in the caller's pair order.  Paths inside a face come
+from hypercube.face_path, which searches only when every shortest path is
+blocked.  Certificates are checked against the implicit CubeAdjacency.
 
 Steps that every linkage solver repeats are public here, for link.py,
 star.py and cubical.py: splicing routes onto a linkage found at their ends
-(splice), linking the terminals' projections onto a facet there
-(link_projected), and the base rule on paths.Bits tables (base_rule),
-alone or after a config-3F check (base_3F), which the Q_3 and link(Q_4, v)
-bases run on Q_d's tables.  star.py has the Menger router.
+(splice), linking inside a face (solve_in_face) and linking the
+terminals' projections onto a facet there (link_projected), and the base
+rule on paths.Bits tables (base_rule), alone or after a config-3F check
+(base_3F), which the Q_3 and link(Q_4, v) bases run on Q_d's tables.
+star.py has the Menger router.
 """
 
 from __future__ import annotations
@@ -30,13 +36,12 @@ from ..errors import CaseNotCovered, NoPath
 from ..hypercube import (
     CubeAdjacency,
     CubeFace,
+    cube_to_face,
     dist,
     face_path,
-    facet,
-    facet_maps,
-    find_unassociated_pair,
-    opposite_facet,
-    project,
+    face_to_cube,
+    facet_pair,
+    lowest_unassociated_axis,
     smallest_face,
     vertex_to_str,
     whole_cube,
@@ -82,9 +87,11 @@ def splice(pairs, route, solve):
 
 
 def link_projected(pairs, F, trace, avoid=()):
-    """Link the pairs inside the facet F, avoiding `avoid`, each terminal
-    reaching F along one edge (or none, when it lies in F)."""
-    return splice(pairs, hops(terminals(pairs), lambda x: project(x, F)),
+    """Link the pairs inside F, a facet of a face holding their terminals,
+    avoiding `avoid`, each terminal reaching F along one edge (or none,
+    when it lies in F)."""
+    keep, values = ~F.fixed_mask, F.fixed_values
+    return splice(pairs, hops(terminals(pairs), lambda x: (x & keep) | values),
                   lambda ep: solve_in_face(F, ep, trace, avoid=avoid))
 
 
@@ -194,6 +201,7 @@ def scenario2_escapes(F: CubeFace, Fo: CubeFace, pairs, idx, trace):
     everything else.  One pass over the sorted terminals classifies each
     and writes its class-2 escape [x, x'] or class-3 escape [x, y', y].
 
+    F and Fo are the two facets of one face, which holds every terminal.
     Each escape meets the terminal set only in its own endpoints.  Class 4
     then picks the least F-neighbour w with w and its projection off the
     terminals and the earlier escapes; no neighbour raises CaseNotCovered,
@@ -202,6 +210,7 @@ def scenario2_escapes(F: CubeFace, Fo: CubeFace, pairs, idx, trace):
     class-2 and class-4 escapes end off the terminals and apart.
     """
     s1, t1 = pairs[idx]
+    across = F.fixed_values ^ Fo.fixed_values  # the axis between F and Fo
     partner = {x: y for a, b in pairs for x, y in ((a, b), (b, a))}
     classes = {0: [], 1: [], 2: [], 3: [], 4: []}
     M = {}
@@ -209,7 +218,7 @@ def scenario2_escapes(F: CubeFace, Fo: CubeFace, pairs, idx, trace):
         if x == s1 or x == t1 or not F.contains(x):
             continue
         y = partner[x]
-        xp = project(x, Fo)
+        xp = x ^ across
         if F.contains(y) and dist(x, y) == 1:
             classes[0].append(x)
         elif y == xp:
@@ -218,22 +227,23 @@ def scenario2_escapes(F: CubeFace, Fo: CubeFace, pairs, idx, trace):
             classes[2].append(x)
             M[x] = [x, xp]
         else:
-            yp = project(y, F)
+            yp = y ^ across
             if Fo.contains(y) and dist(x, yp) == 1 and yp not in partner:
                 classes[3].append(x)
                 M[x] = [x, yp, y]
             else:
                 classes[4].append(x)
     taken = set(partner).union(*M.values())
-    bits = [1 << a for a in range(F.d) if (F.free_mask >> a) & 1]
+    free = F.free_mask
+    bits = [1 << a for a in range(F.d) if (free >> a) & 1]
     for x in classes[4]:
         cands = [w for w in (x ^ b for b in bits)
-                 if w not in taken and project(w, Fo) not in taken]
+                 if w not in taken and w ^ across not in taken]
         if not cands:
             raise CaseNotCovered(f"no free escape neighbour at {x}",
                                  trace=list(trace) + ["cube/scenario-2/Mx"])
         w = min(cands)
-        M[x] = [x, w, project(w, Fo)]
+        M[x] = [x, w, w ^ across]
         taken.update(M[x])
     return classes, M
 
@@ -241,69 +251,129 @@ def scenario2_escapes(F: CubeFace, Fo: CubeFace, pairs, idx, trace):
 # -- the main induction ------------------------------------------------------
 
 
-def _solve(d, pairs, trace):
-    """Y-linkage in Q_d; paths aligned and oriented to `pairs`."""
+def _cube_ends(K, pairs, avoid):
+    """The pairs and avoided vertices of the face K in Q_dim(K)'s
+    coordinates, for a base: one face_to_cube call for all of them."""
+    ends = face_to_cube(K, [v for p in pairs for v in p] + list(avoid))
+    n = 2 * len(pairs)
+    return list(zip(ends[:n:2], ends[1:n:2])), ends[n:]
+
+
+def _solve(K, pairs, trace):
+    """Y-linkage in the face K; paths aligned and oriented to `pairs`."""
+    d = K.dim
     k_max = (d + 1) // 2
     if len(pairs) > k_max:
         raise ValueError(f"at most {k_max} pairs in Q_{d}")
     if len(pairs) == 1:
         trace.append("cube/single-pair")
-        return [face_path(whole_cube(d), *pairs[0])]
-    if d == 3:
-        return base_3F(build_cube_polytope(3), pairs, trace,
-                       ("cube/d3-obstructed", "cube/base-d3"), cube_bits(3))
+        return [face_path(K, *pairs[0])]
     if d <= 4:
-        return base_rule(trace, f"cube/base-d{d}", cube_bits(d), pairs, ())
+        ps, _ = _cube_ends(K, pairs, ())
+        if d == 3:
+            sol = base_3F(build_cube_polytope(3), ps, trace,
+                          ("cube/d3-obstructed", "cube/base-d3"),
+                          cube_bits(3))
+        else:
+            sol = base_rule(trace, "cube/base-d4", cube_bits(4), ps, ())
+        return [cube_to_face(K, p) for p in sol]
 
     X = sorted(terminals(pairs))
-    K = smallest_face(d, X)
-    if K.fixed_mask:
-        axis = (K.fixed_mask & -K.fixed_mask).bit_length() - 1
-        F = facet(d, axis, (K.fixed_values >> axis) & 1)
-        return _scenario1(F, pairs, X, trace)
+    S = smallest_face(K.d, X)
+    new = S.fixed_mask & ~K.fixed_mask
+    if new:
+        axis = (new & -new).bit_length() - 1
+        return _scenario1(*facet_pair(K, axis, (S.fixed_values >> axis) & 1),
+                          pairs, X, trace)
     for i, (s, t) in enumerate(pairs):
         if dist(s, t) < d:
-            agree = ~(s ^ t)
+            agree = ~(s ^ t) & K.free_mask
             axis = (agree & -agree).bit_length() - 1
-            F = facet(d, axis, (s >> axis) & 1)
-            return _scenario2(F, i, pairs, X, trace)
-    return _scenario3(d, pairs, X, trace)
+            return _scenario2(*facet_pair(K, axis, (s >> axis) & 1), i,
+                              pairs, X, trace)
+    return _scenario3(K, pairs, X, trace)
 
 
-def solve_in_face(F: CubeFace, pairs, trace, avoid=()):
-    """Linkage within the facet F, via the padded solver on its cube."""
-    compress, expand = facet_maps(F)
-    ends = compress([v for p in pairs for v in p])
-    sub = cube_paths(F.dim, list(zip(ends[::2], ends[1::2])),
-                     compress(avoid), trace)
-    return [expand(p) for p in sub]
+def solve_in_face(K: CubeFace, pairs, trace, avoid=()):
+    """Linkage of ell <= floor((dim K + 1)/2) pairs inside the face K of
+    Q_d, avoiding a vertex set of K.
+
+    Every facet subproblem of the induction is this call on a face with
+    one more fixed axis, and its paths come back in Q_d's coordinates: no
+    map runs between levels.  Only at dim K <= 4 do coordinates change,
+    where the base rule reads Q_dim(K)'s tables: the ends and the avoided
+    vertices map into Q_dim(K) once (face_to_cube), and each path maps back
+    once (cube_to_face).
+
+    Spare capacity absorbs avoided vertices as dummy pairs; when the totals
+    hit dim K + 1 on even dim K the strong solver takes over with the last
+    avoided vertex as the unpaired terminal.  Past that capacity it raises
+    ValueError, at dim K <= 4 too, before the base rule runs.
+    """
+    avoid = sorted(set(avoid))
+    if not pairs:
+        return []
+    d = K.dim
+    k_max = (d + 1) // 2
+    total = 2 * len(pairs) + len(avoid)
+    if total <= 2 * k_max:
+        extra, x = avoid, None
+    elif total == d + 1 and d % 2 == 0:
+        extra, x = avoid[:-1], avoid[-1]
+    else:
+        raise ValueError(f"{len(pairs)} pairs + {len(avoid)} avoided "
+                         f"exceed the capacity of Q_{d}")
+    if d <= 4:
+        ps, av = _cube_ends(K, pairs, avoid)
+        # a config-3F witness means no linkage exists, so it may come first
+        if d == 3 and not avoid and len(pairs) == 2:
+            witness = detect_config_3F(build_cube_polytope(3), ps)
+            if witness is not None:
+                raise Unlinkable(witness)
+        sol = base_rule(trace, f"cube/base-d{d}", cube_bits(d), ps, av)
+        return [cube_to_face(K, p) for p in sol]
+    if len(extra) % 2:
+        # the least vertex of K off the terminals and the avoided ones
+        X, free = terminals(pairs), K.free_mask
+        sub, filler = 0, K.fixed_values
+        while filler in X or filler in avoid:
+            sub = (sub - free) & free
+            filler = K.fixed_values | sub
+        extra = extra + [filler]
+    dummies = [(extra[i], extra[i + 1]) for i in range(0, len(extra), 2)]
+    padded = list(pairs) + dummies
+    if x is None:
+        sol = _solve(K, padded, trace)
+    else:
+        sol = _strong(K, padded, x, trace)
+    return sol[: len(pairs)]
 
 
-def _scenario1(F, pairs, X, trace):
+def _scenario1(F, Fo, pairs, X, trace):
     """All terminals X inside the facet F: settle the first pair with a
-    path in F, link the rest across in the opposite facet."""
+    path in F, link the rest across in the opposite facet Fo."""
     trace.append("cube/scenario-1")
     for i, (s, t) in enumerate(pairs):
         try:
             path = face_path(F, s, t, X)
         except NoPath:
             continue
-        sub = link_projected(pairs[:i] + pairs[i + 1:], opposite_facet(F),
-                             trace)
+        sub = link_projected(pairs[:i] + pairs[i + 1:], Fo, trace)
         return sub[:i] + [path] + sub[i:]
     raise CaseNotCovered("no terminal-avoiding path in the common facet",
                          trace=list(trace))
 
 
-def _scenario2(F, idx, pairs, X, trace):
-    """Pair `idx` lies in the facet F but some terminal is outside it.  The
-    other pairs with no end in classes 0, 1, 3 are linked in the opposite
-    facet between their escapes' ends, which differ (scenario2_escapes)."""
+def _scenario2(F, Fo, idx, pairs, X, trace):
+    """Pair `idx` lies in the facet F but some terminal is outside it, in
+    the opposite facet Fo.  The other pairs with no end in classes 0, 1, 3
+    are linked in Fo between their escapes' ends, which differ
+    (scenario2_escapes)."""
     trace.append("cube/scenario-2")
-    Fo = opposite_facet(F)
     classes, M = scenario2_escapes(F, Fo, pairs, idx, trace)
+    across = F.fixed_values ^ Fo.fixed_values
     c01, c3 = {*classes[0], *classes[1]}, set(classes[3])
-    skip = {M[x][-1] for x in c3} | {project(x, Fo) for x in classes[1]}
+    skip = {M[x][-1] for x in c3} | {x ^ across for x in classes[1]}
     for x in X:
         if Fo.contains(x) and x not in skip:
             M.setdefault(x, [x])
@@ -343,17 +413,17 @@ def _scenario2(F, idx, pairs, X, trace):
     return paths
 
 
-def _scenario3(d, pairs, X, trace):
-    """Every pair antipodal: split across an unassociated facet pair."""
+def _scenario3(K, pairs, X, trace):
+    """Every pair antipodal in the face K: split across an unassociated
+    facet pair of K."""
     trace.append("cube/scenario-3")
     s1 = pairs[0][0]
-    axis = find_unassociated_pair(d, [x for x in X if x != s1])
-    Fo = facet(d, axis, (s1 >> axis) & 1)
-    F = opposite_facet(Fo)
+    axis = lowest_unassociated_axis(K, [x for x in X if x != s1])
+    Fo, F = facet_pair(K, axis, (s1 >> axis) & 1)
     # each pair as (s, t) with s in Fo and t in F
     oriented = [p if Fo.contains(p[0]) else p[::-1] for p in pairs]
     j = next(i for i in range(1, len(pairs))
-             if project(oriented[i][1], Fo) != s1)
+             if oriented[i][1] ^ (1 << axis) != s1)
     front = [0, j]
     rest = [i for i in range(len(pairs)) if i not in front]
     out = dict(zip(rest, link_projected(
@@ -365,64 +435,30 @@ def _scenario3(d, pairs, X, trace):
     return [orient(out[i], pair[0]) for i, pair in enumerate(pairs)]
 
 
-def _strong(d, pairs, x, trace):
-    """Linkage of d/2 pairs in Q_d (d even) avoiding the extra terminal x."""
+def _strong(K, pairs, x, trace):
+    """Linkage of dim(K)/2 pairs in the face K (dim K even) avoiding the
+    extra terminal x."""
+    d = K.dim
     if d % 2:
         raise ValueError("strong linkage needs even d")
     if 2 * len(pairs) != d:
         raise ValueError(f"need exactly {d // 2} pairs")
     if d == 2:
         trace.append("cube/strong-base-d2")
-        return [face_path(whole_cube(2), *pairs[0], {x})]
+        return [face_path(K, *pairs[0], {x})]
     if d == 4:
-        return base_rule(trace, "cube/strong-base-d4", cube_bits(4), pairs,
-                         (x,))
+        ps, av = _cube_ends(K, pairs, (x,))
+        sol = base_rule(trace, "cube/strong-base-d4", cube_bits(4), ps, av)
+        return [cube_to_face(K, p) for p in sol]
     trace.append("cube/strong-project")
-    axis = find_unassociated_pair(d, terminals(pairs))
-    F = facet(d, axis, 1 - ((x >> axis) & 1))
+    axis = lowest_unassociated_axis(K, terminals(pairs))
+    F, _ = facet_pair(K, axis, 1 - ((x >> axis) & 1))
     return link_projected(pairs, F, trace)
 
 
 def cube_paths(d, pairs, avoid, trace):
-    """Linkage of ell <= floor((d+1)/2) pairs avoiding a vertex set.
-
-    Spare capacity absorbs avoided vertices as dummy pairs; when the totals
-    hit d + 1 on even d the strong solver takes over with the last avoided
-    vertex as the unpaired terminal.  Past that capacity it raises
-    ValueError, at d <= 4 too, before the base rule runs.
-    """
-    avoid = sorted(set(avoid))
-    if not pairs:
-        return []
-    k_max = (d + 1) // 2
-    total = 2 * len(pairs) + len(avoid)
-    if total <= 2 * k_max:
-        extra, x = avoid, None
-    elif total == d + 1 and d % 2 == 0:
-        extra, x = avoid[:-1], avoid[-1]
-    else:
-        raise ValueError(f"{len(pairs)} pairs + {len(avoid)} avoided "
-                         f"exceed the capacity of Q_{d}")
-    if d <= 4:
-        # a config-3F witness means no linkage exists, so it may come first
-        if d == 3 and not avoid and len(pairs) == 2:
-            witness = detect_config_3F(build_cube_polytope(3), pairs)
-            if witness is not None:
-                raise Unlinkable(witness)
-        return base_rule(trace, f"cube/base-d{d}", cube_bits(d), pairs,
-                         avoid)
-    if len(extra) % 2:
-        X = terminals(pairs)
-        filler = next(v for v in range(1 << d)
-                      if v not in X and v not in avoid)
-        extra = extra + [filler]
-    dummies = [(extra[i], extra[i + 1]) for i in range(0, len(extra), 2)]
-    padded = list(pairs) + dummies
-    if x is None:
-        sol = _solve(d, padded, trace)
-    else:
-        sol = _strong(d, padded, x, trace)
-    return sol[: len(pairs)]
+    """solve_in_face on the whole of Q_d."""
+    return solve_in_face(whole_cube(d), pairs, trace, avoid)
 
 
 # -- public API --------------------------------------------------------------
@@ -445,10 +481,12 @@ def solve_cube(d, pairs) -> LinkageCertificate:
 
     d = 3 at two pairs may return an obstruction certificate instead.
     """
-    return _certify(d, pairs, lambda ps, trace: _solve(d, ps, trace))
+    return _certify(d, pairs,
+                    lambda ps, trace: _solve(whole_cube(d), ps, trace))
 
 
 def solve_cube_strong(d, pairs, x) -> LinkageCertificate:
     """Linkage of d/2 pairs in Q_d (d even) whose paths avoid x."""
-    return _certify(d, pairs, lambda ps, trace: _strong(d, ps, x, trace),
+    return _certify(d, pairs,
+                    lambda ps, trace: _strong(whole_cube(d), ps, x, trace),
                     (x,))

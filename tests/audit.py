@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from cubelink import complexes
-from cubelink.complexes import (Polytope, _check_incidence,
+from cubelink.complexes import (Polytope, _check_incidence, _vertex_bits,
                                 build_cube_polytope, build_from_incidence)
 from cubelink.errors import (CaseNotCovered, InconsistentIncidence, NoPath,
                              NotCubical, OracleTimeout)
@@ -760,8 +760,9 @@ class ReferencePolytope(Polytope):
                 for f in faces}
 
     def __init__(self, dim, vertices, facets, labels=None):
-        self._set_incidence(dim, vertices, _check_incidence(vertices, facets),
-                            labels)
+        self._set_incidence(
+            dim, vertices, _check_incidence(_vertex_bits(vertices), facets),
+            labels)
         # the edges come in face order, each as (a, b) with a < b, so every
         # vertex meets its neighbours in sorted order
         graph = {v: [] for v in self.vertices}

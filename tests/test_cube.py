@@ -8,7 +8,7 @@ from cubelink import oracle
 from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.errors import CaseNotCovered, CertificateInvalid
 from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph, facet,
-                                opposite_facet, project)
+                                facet_maps, opposite_facet)
 from cubelink.linkage.certs import (LinkageCertificate, ObstructionWitness,
                                     blocking, terminals)
 from cubelink.linkage.cube import (
@@ -16,7 +16,6 @@ from cubelink.linkage.cube import (
     cube_bits,
     cube_linkage,
     detect_config_3F,
-    facet_maps,
     scenario2_escapes,
     solve_cube,
     solve_cube_strong,
@@ -287,7 +286,8 @@ def test_scenario2_escapes_end_apart_and_off_the_terminals():
             for a in range(d):
                 w = x ^ (1 << a)
                 if F.contains(w) and w not in X:
-                    assert project(w, Fo) != partner[x]
+                    assert ((w & ~Fo.fixed_mask) | Fo.fixed_values
+                            != partner[x])
         class4.extend(classes[4])
         return classes, M
 
@@ -581,9 +581,69 @@ def test_full_capacity_large_cube_certificates_match_golden_digest():
     assert digest == LARGE_CUBE_SHA256
 
 
+def _deep_cube_certificates():
+    """Seeded full-capacity certificates at d = 20, 24, 28 and 30, where the
+    induction runs 16 to 26 levels deep: random and clustered solve_cube
+    pairings (every terminal in one 6-face), cube_linkage with d + 1
+    terminals and avoided vertices, and solve_cube_strong, random and
+    clustered; and at each d a solve_cube and a solve_cube_strong with every
+    pair antipodal, which reach scenario 3 and the d = 4 base."""
+    import json
+
+    rng = random.Random(1802_09230 + 20)
+    lines = []
+
+    def add(cert):
+        lines.append(json.dumps(cert.to_json(), sort_keys=True))
+
+    def clustered(d, n):
+        free = sum(1 << a for a in rng.sample(range(d), 6))
+        K = CubeFace(d, ((1 << d) - 1) & ~free, rng.randrange(1 << d))
+        return rng.sample(K.vertices(), n)
+
+    for d in (20, 24, 28, 30):
+        k = (d + 1) // 2
+        for _ in range(3):
+            add(solve_cube(d, random_pairing(rng, d, k)))
+        for _ in range(2):
+            X = clustered(d, 2 * k)
+            add(solve_cube(d, [(X[2 * i], X[2 * i + 1]) for i in range(k)]))
+        for _ in range(2):
+            kk = rng.randint(1, d // 2)
+            X = rng.sample(range(1 << d), d + 1)
+            add(cube_linkage(d, [(X[2 * i], X[2 * i + 1]) for i in range(kk)],
+                             X[2 * kk:]))
+        for X in (rng.sample(range(1 << d), d + 1), clustered(d, d + 1)):
+            add(solve_cube_strong(
+                d, [(X[2 * i], X[2 * i + 1]) for i in range(d // 2)], X[d]))
+        # every pair antipodal: scenario 3 at every level, down to the
+        # d = 4 base
+        full = (1 << d) - 1
+        X = rng.sample(range(1 << (d - 1)), k)
+        add(solve_cube(d, [(v, v ^ full) for v in X]))
+        add(solve_cube_strong(d, [(v, v ^ full) for v in X],
+                              next(v for v in range(d) if v not in X)))
+    return lines
+
+
+# Recorded before the induction recursed on faces of Q_d; every certificate
+# must stay byte-identical.
+DEEP_CUBE_SHA256 = (
+    "3eeb3295e586b599e6667dfe4b8f662b0fe2a71c0a0f3e16965fa0a7bc9aef35")
+
+
+def test_deep_cube_certificates_match_golden_digest():
+    import hashlib
+
+    lines = _deep_cube_certificates()
+    assert len(lines) == 44
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DEEP_CUBE_SHA256
+
+
 def test_cube_and_link_solves_leave_no_reference_cycles():
-    # every facet move calls facet_maps; maps that held themselves in a
-    # cycle left garbage that only the collector frees, and its runs then
+    # facet moves once called facet_maps, and maps that held themselves in
+    # a cycle left garbage that only the collector frees, and its runs then
     # fell on whichever solves were under way
     import gc
 

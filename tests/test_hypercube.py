@@ -12,11 +12,16 @@ from cubelink.hypercube import (
     CubeFace,
     associated_pairs,
     cube_graph,
+    cube_to_face,
     dist,
     face_graph,
     face_path,
+    face_to_cube,
     facet,
+    facet_maps,
+    facet_pair,
     find_unassociated_pair,
+    lowest_unassociated_axis,
     opposite_facet,
     project,
     smallest_face,
@@ -179,6 +184,59 @@ def test_find_unassociated_pair_defines_unassociated_split():
             for z in Z:
                 assert (z ^ (1 << axis)) not in Z
                 _ = F1  # split exists for every returned axis
+
+
+def _compress_axis_by_axis(K, vs):
+    """facet_maps' compress for each fixed axis of K, highest first, as the
+    cube induction once applied it one level at a time."""
+    d = K.d
+    for a in reversed(range(K.d)):
+        if (K.fixed_mask >> a) & 1:
+            compress, _ = facet_maps(facet(d, a, (K.fixed_values >> a) & 1))
+            vs = compress(vs)
+            d -= 1
+    return vs
+
+
+def test_face_to_cube_is_facet_maps_one_fixed_axis_at_a_time():
+    """On every face K of Q_d, d <= 8 and dim K <= 4: face_to_cube maps
+    V(K), in increasing order, onto range(2^dim K) in increasing order, so
+    it is an order-preserving bijection; cube_to_face inverts it; and it
+    equals facet_maps' compress applied one fixed axis at a time, which is
+    what keeps the cube induction's certificates unchanged."""
+    for d in range(1, 9):
+        for dim in range(min(d, 4) + 1):
+            for K in all_faces(d, dim):
+                V = K.vertices()
+                W = face_to_cube(K, V)
+                assert W == list(range(1 << dim))
+                assert cube_to_face(K, W) == V
+                assert W == _compress_axis_by_axis(K, V)
+
+
+def test_face_steps_are_the_cube_steps_in_face_coordinates():
+    """facet_pair and lowest_unassociated_axis on a face K answer what
+    facet, opposite_facet and find_unassociated_pair answer on Q_dim(K),
+    seen through face_to_cube."""
+    rng = random.Random(11)
+    for _ in range(400):
+        d = rng.randint(2, 12)
+        n_fixed = rng.randint(0, d - 2)
+        fixed = sum(1 << a for a in rng.sample(range(d), n_fixed))
+        K = CubeFace(d, fixed, rng.randrange(1 << d))
+        free = [a for a in range(d) if (K.free_mask >> a) & 1]
+        j, value = rng.randrange(K.dim), rng.randint(0, 1)
+        F, Fo = facet_pair(K, free[j], value)
+        assert F == CubeFace(d, fixed | 1 << free[j],
+                             K.fixed_values | value << free[j])
+        assert Fo == CubeFace(d, F.fixed_mask, F.fixed_values ^ 1 << free[j])
+        assert type(F) is type(Fo) is CubeFace
+        sub = facet(K.dim, j, value)
+        for G, H in ((F, sub), (Fo, opposite_facet(sub))):
+            assert face_to_cube(K, G.vertices()) == H.vertices()
+        Z = rng.sample(K.vertices(), rng.randint(1, K.dim))
+        axis = find_unassociated_pair(K.dim, face_to_cube(K, Z))
+        assert lowest_unassociated_axis(K, Z) == free[axis]
 
 
 def test_cube_graph_is_read_only():

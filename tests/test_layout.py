@@ -180,6 +180,16 @@ def test_no_linkage_module_imports_the_oracle():
     assert found == set()
 
 
+def test_the_cube_induction_moves_no_subproblem_between_levels():
+    """The cube induction recurses on faces of Q_d in Q_d's coordinates,
+    and the link solver enters it through solve_in_face: neither module
+    names facet_maps, the map that once moved every facet subproblem into
+    a smaller cube and back."""
+    for name in ("cube.py", "link.py"):
+        text = (ROOT / "src" / "cubelink" / "linkage" / name).read_text()
+        assert "facet_maps" not in text, name
+
+
 def test_no_private_name_crosses_a_module():
     """A name that another cubelink module imports is public in the
     module that defines it: no module under src/cubelink imports a
