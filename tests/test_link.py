@@ -143,3 +143,88 @@ def test_links_below_q3_are_refused(D):
         link_polytope(D, 0)
     with pytest.raises(ValueError, match=err):
         solve_link(D, 0, [(1, 2)])
+
+
+# Instances built to reach each branch of link_paths: (D, v, pairs, tag,
+# where the partner s1 of the terminal next to a removed vertex across the
+# split lies, for link/adjacent-terminal: "near" on that vertex's side,
+# "across" on the terminal's own).
+LINK_CRAFTED = [
+    (9, 5, [(1, 300)], "link/single-pair", None),
+    (4, 0, [(1, 7), (3, 5)], "link/d3-obstructed", None),
+    (4, 5, [(1, 14), (2, 13)], "link/d3-search", None),
+    (6, 51, [(55, 35), (46, 47)], "link/one-side", None),
+    (8, 253, [(162, 132), (120, 78), (72, 90)], "link/one-side", None),
+    (5, 18, [(14, 2), (6, 10)], "link/one-side-reroute", None),
+    (7, 30, [(101, 99), (9, 127), (55, 5)], "link/one-side-reroute", None),
+    (8, 212, [(196, 171), (28, 154)], "link/projected", None),
+    (6, 1, [(54, 9), (34, 31), (18, 8)], "link/projected-reroute", None),
+    (6, 38, [(36, 39), (26, 23), (59, 22)], "link/adjacent-terminal",
+     "near"),
+    (7, 125, [(124, 3), (93, 33), (18, 78)], "link/adjacent-terminal",
+     "near"),
+    (8, 125, [(131, 162), (66, 229), (174, 117), (119, 132)],
+     "link/adjacent-terminal", "near"),
+    (6, 51, [(3, 48), (56, 50)], "link/adjacent-terminal", "across"),
+    (7, 55, [(8, 23), (51, 70), (73, 107)], "link/adjacent-terminal",
+     "across"),
+]
+
+
+def _adjacent_side(D, v, pairs):
+    """Where the partner s1 of the terminal t1 next to v across the split
+    axis (the lowest one no two terminals differ in alone), else next to
+    v's antipode, lies: "near" on the removed vertex's side, else
+    "across"."""
+    from cubelink.hypercube import lowest_unassociated_axis, whole_cube
+
+    X = {x for p in pairs for x in p}
+    bit = 1 << lowest_unassociated_axis(whole_cube(D), X)
+    t1 = v ^ bit if v ^ bit in X else v ^ ((1 << D) - 1) ^ bit
+    (s1,) = [a if b == t1 else b for a, b in pairs if t1 in (a, b)]
+    return "near" if (s1 ^ t1) & bit else "across"
+
+
+def _link_certificates():
+    """Seeded link certificates at D = 5..16, 1 to D/2 pairs, then
+    LINK_CRAFTED, each checked for its tag."""
+    import json
+
+    rng = random.Random(1802_09230)
+    lines, tags = [], set()
+
+    def add(cert):
+        lines.append(json.dumps(cert.to_json(), sort_keys=True))
+        tags.update(t for t in cert.trace if isinstance(t, str))
+        return cert
+
+    for D in range(5, 17):
+        full = (1 << D) - 1
+        for _ in range(6 if D <= 10 else 3):
+            v = rng.randrange(1 << D)
+            X = [x for x in rng.sample(range(1 << D), D + 2)
+                 if x not in (v, v ^ full)]
+            add(solve_link(D, v, random_pairing(rng, X, rng.randint(1, D // 2))))
+    for D, v, pairs, tag, side in LINK_CRAFTED:
+        cert = add(solve_link(D, v, pairs))
+        assert tag in cert.trace, (D, v, pairs, cert.trace)
+        if side is not None:
+            assert _adjacent_side(D, v, pairs) == side, (D, v, pairs)
+    assert {t for t in tags if t.startswith("link/")} == {
+        tag for _, _, _, tag, _ in LINK_CRAFTED}
+    return lines
+
+
+# Recorded before link_paths moved onto the face vocabulary of hypercube;
+# every certificate must stay byte-identical.
+LINK_SHA256 = (
+    "7662dcc492889deafad8c11ed2fe98b01645328e85fe0c3d937d65ac495d2bcd")
+
+
+def test_link_certificates_match_golden_digest():
+    import hashlib
+
+    lines = _link_certificates()
+    assert len(lines) == 68
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LINK_SHA256
