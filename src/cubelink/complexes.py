@@ -41,7 +41,7 @@ from itertools import combinations
 from operator import and_
 
 from .errors import InconsistentIncidence, NotCubical, NotSphere
-from .hypercube import facet, facet_maps, smallest_face, vertex_to_str
+from .hypercube import face_to_cube, facet, smallest_face, vertex_to_str
 from .paths import reachable
 
 
@@ -419,11 +419,10 @@ def build_cube_polytope(d: int) -> Polytope:
     for i in range(d):
         for val in (0, 1):
             F = frozenset(v for v in verts if (v >> i) & 1 == val)
-            # compress, v less its bit i, is the BFS labelling from
-            # min(F) = val << i
-            compress, _ = facet_maps(facet(d, i, val))
+            # v less its bit i is the BFS labelling from min(F) = val << i
             vs = list(F)
-            embeddings[F] = (dict(zip(vs, compress(vs))), d - 1)
+            embeddings[F] = (dict(zip(vs, face_to_cube(facet(d, i, val), vs))),
+                             d - 1)
     P = Polytope.__new__(Polytope)
     P._set_incidence(d, verts, _index(_vertex_bits(verts), embeddings),
                      {v: vertex_to_str(v, d) for v in verts})

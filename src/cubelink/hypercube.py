@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import lru_cache, partial
+from functools import lru_cache
 from heapq import heappop, heappush
 from math import factorial
 from types import MappingProxyType
@@ -97,36 +97,6 @@ def facet(d: int, axis: int, value: int) -> CubeFace:
     return _face(d, 1 << axis, value << axis)
 
 
-def opposite_facet(F: CubeFace) -> CubeFace:
-    """F^o: same axis, flipped value, by _face.  Requires F to be a facet."""
-    if F.fixed_mask.bit_count() != 1:
-        raise ValueError("opposite_facet requires a facet (one fixed coordinate)")
-    return _face(F.d, F.fixed_mask, F.fixed_values ^ F.fixed_mask)
-
-
-def facet_maps(F: CubeFace):
-    """(compress, expand) bijections between V(F) and the (d-1)-cube, for a
-    facet F: compress drops F's fixed axis and closes the gap, expand opens
-    it and puts F's fixed value back.  Each maps a vertex, or a list of
-    them in one call.  A face that is not a facet raises ValueError.  Q_d's
-    facet embeddings (build_cube_polytope) are its compress map."""
-    if F.fixed_mask.bit_count() != 1:
-        raise ValueError("facet_maps requires a facet (one fixed coordinate)")
-    axis = F.fixed_mask.bit_length() - 1
-    low = F.fixed_mask - 1  # the axes below the fixed one
-    return (partial(_facet_shift, low, axis + 1, axis, 0),
-            partial(_facet_shift, low, axis, axis + 1, F.fixed_values))
-
-
-def _facet_shift(low, down, up, value, vs):
-    """facet_maps' one formula, on a vertex or on each of a list: keep the
-    bits in `low`, move those from bit `down` on to bit `up`, and set
-    `value`.  A module function, so a map holds no reference cycle."""
-    if isinstance(vs, int):
-        return _facet_shift(low, down, up, value, [vs])[0]
-    return [(v & low) | (v >> down << up) | value for v in vs]
-
-
 def project(x: int, F_target: CubeFace) -> int:
     """Projection of a vertex onto F_target of an opposite facet pair.
 
@@ -140,8 +110,9 @@ def project(x: int, F_target: CubeFace) -> int:
 
 def facet_pair(K: CubeFace, axis: int, value: int):
     """The facets {x_axis = value} and {x_axis = 1 - value} of the face K,
-    for a free axis of K, by _face: the axis set, then flipped.  The cube
-    induction splits a face with it as facet and opposite_facet split Q_d."""
+    for a free axis of K, by _face: the axis set, then flipped.  Every
+    facet split of the cube induction and of the link solver is this call,
+    the link's on K = whole_cube(D)."""
     bit = 1 << axis
     mask, values = K.fixed_mask | bit, K.fixed_values | (value << axis)
     return _face(K.d, mask, values), _face(K.d, mask, values ^ bit)
@@ -150,9 +121,10 @@ def facet_pair(K: CubeFace, axis: int, value: int):
 def face_to_cube(K: CubeFace, vs) -> list[int]:
     """The vertices vs of the face K in the coordinates of Q_dim(K): K's
     fixed axes dropped and the gaps closed, one shift per run of adjacent
-    fixed axes, highest first.  This is facet_maps' compress applied one
-    fixed axis at a time, so it keeps the order of the vertices and of the
-    free axes.  A list in, a list out."""
+    fixed axes, highest first.  Dropping one axis at a time gives the same
+    map, so it keeps the order of the vertices and of the free axes.  On a
+    facet of Q_d it is that facet's embedding (build_cube_polytope).  A
+    list in, a list out."""
     mask = K.fixed_mask
     while mask:
         hi = mask.bit_length()
@@ -210,24 +182,17 @@ def associated_pairs(d: int, Z) -> set[int]:
     return out
 
 
-def find_unassociated_pair(d: int, Z) -> int:
-    """Lowest axis whose opposite facet pair is not associated with Z.
-
-    Exists whenever |Z| <= d by the association bound.
-    """
-    assoc = associated_pairs(d, Z)
-    for a in range(d):
-        if a not in assoc:
-            return a
-    raise ValueError(f"all {d} directions associated with Z (|Z|={len(list(Z))})")
-
-
 def lowest_unassociated_axis(K: CubeFace, Z) -> int:
     """Lowest free axis of the face K whose facet pair in K is not
     associated with Z, a set of at most dim(K) vertices of K, so that one
-    exists by the association bound."""
+    exists by the association bound.  When every free axis is associated
+    it raises ValueError."""
     assoc, free = associated_pairs(K.d, Z), K.free_mask
-    return next(a for a in range(K.d) if (free >> a) & 1 and a not in assoc)
+    for a in range(K.d):
+        if (free >> a) & 1 and a not in assoc:
+            return a
+    raise ValueError(f"all {K.dim} directions associated with Z "
+                     f"(|Z|={len(Z)})")
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,8 @@ free axes, so every least vertex, lowest axis and sorted choice picks what
 it would pick in the (dim K)-cube.  Faces of dimension at most 4 are
 settled without a search, by the one base rule (_shortest_base): shortest
 paths in one order, then in the other, on Q_j's bit tables (cube_bits),
-built once.  That is the one place coordinates change: each base call maps
-its ends into Q_j once (hypercube.face_to_cube) and its paths back once
+built once.  _base is the one place coordinates change: it maps a base's
+ends into Q_j once (hypercube.face_to_cube) and its paths back once
 (cube_to_face).  Above the bases no graph is built.  Scenario 2 classifies
 the terminals and writes their escape paths in one pass
 (scenario2_escapes), in the caller's pair order.  Paths inside a face come
@@ -140,7 +140,7 @@ def _shortest_base(B, pairs, avoid):
     that avoids the other terminals, the avoided vertices and the earlier
     paths; when a pair is cut off they are routed once more in reverse
     order.  Measured, not proved: it links every instance that has a
-    linkage among the Q_3 and Q_4 bases within the capacity cube_paths
+    linkage among the Q_3 and Q_4 bases within the capacity solve_in_face
     enforces, the links of Q_4's vertices and the 2-pairings of the small
     3-polytopes in tests/test_cubical.py, once config-3F is ruled out.
     """
@@ -251,12 +251,23 @@ def scenario2_escapes(F: CubeFace, Fo: CubeFace, pairs, idx, trace):
 # -- the main induction ------------------------------------------------------
 
 
-def _cube_ends(K, pairs, avoid):
-    """The pairs and avoided vertices of the face K in Q_dim(K)'s
-    coordinates, for a base: one face_to_cube call for all of them."""
+def _base(K, pairs, avoid, trace, tag, obstructed=None):
+    """The base rule, tagged `tag`, on the face K, dim K <= 4, avoiding a
+    vertex set of K: the ends and the avoided vertices map into Q_dim(K)
+    in one face_to_cube call, and each path maps back by cube_to_face.
+    Where config-3F can hold (dim K = 3, two pairs, nothing avoided) a
+    witness raises Unlinkable first, after tagging `obstructed` if given."""
     ends = face_to_cube(K, [v for p in pairs for v in p] + list(avoid))
     n = 2 * len(pairs)
-    return list(zip(ends[:n:2], ends[1:n:2])), ends[n:]
+    ps = list(zip(ends[:n:2], ends[1:n:2]))
+    if K.dim == 3 and n == 4 and not avoid:
+        witness = detect_config_3F(build_cube_polytope(3), ps)
+        if witness is not None:
+            if obstructed:
+                trace.append(obstructed)
+            raise Unlinkable(witness)
+    sol = base_rule(trace, tag, cube_bits(K.dim), ps, ends[n:])
+    return [cube_to_face(K, p) for p in sol]
 
 
 def _solve(K, pairs, trace):
@@ -269,14 +280,8 @@ def _solve(K, pairs, trace):
         trace.append("cube/single-pair")
         return [face_path(K, *pairs[0])]
     if d <= 4:
-        ps, _ = _cube_ends(K, pairs, ())
-        if d == 3:
-            sol = base_3F(build_cube_polytope(3), ps, trace,
-                          ("cube/d3-obstructed", "cube/base-d3"),
-                          cube_bits(3))
-        else:
-            sol = base_rule(trace, "cube/base-d4", cube_bits(4), ps, ())
-        return [cube_to_face(K, p) for p in sol]
+        return _base(K, pairs, (), trace, f"cube/base-d{d}",
+                     "cube/d3-obstructed")
 
     X = sorted(terminals(pairs))
     S = smallest_face(K.d, X)
@@ -301,9 +306,7 @@ def solve_in_face(K: CubeFace, pairs, trace, avoid=()):
     Every facet subproblem of the induction is this call on a face with
     one more fixed axis, and its paths come back in Q_d's coordinates: no
     map runs between levels.  Only at dim K <= 4 do coordinates change,
-    where the base rule reads Q_dim(K)'s tables: the ends and the avoided
-    vertices map into Q_dim(K) once (face_to_cube), and each path maps back
-    once (cube_to_face).
+    in _base, where the base rule reads Q_dim(K)'s tables.
 
     Spare capacity absorbs avoided vertices as dummy pairs; when the totals
     hit dim K + 1 on even dim K the strong solver takes over with the last
@@ -324,14 +327,7 @@ def solve_in_face(K: CubeFace, pairs, trace, avoid=()):
         raise ValueError(f"{len(pairs)} pairs + {len(avoid)} avoided "
                          f"exceed the capacity of Q_{d}")
     if d <= 4:
-        ps, av = _cube_ends(K, pairs, avoid)
-        # a config-3F witness means no linkage exists, so it may come first
-        if d == 3 and not avoid and len(pairs) == 2:
-            witness = detect_config_3F(build_cube_polytope(3), ps)
-            if witness is not None:
-                raise Unlinkable(witness)
-        sol = base_rule(trace, f"cube/base-d{d}", cube_bits(d), ps, av)
-        return [cube_to_face(K, p) for p in sol]
+        return _base(K, pairs, avoid, trace, f"cube/base-d{d}")
     if len(extra) % 2:
         # the least vertex of K off the terminals and the avoided ones
         X, free = terminals(pairs), K.free_mask
@@ -447,18 +443,11 @@ def _strong(K, pairs, x, trace):
         trace.append("cube/strong-base-d2")
         return [face_path(K, *pairs[0], {x})]
     if d == 4:
-        ps, av = _cube_ends(K, pairs, (x,))
-        sol = base_rule(trace, "cube/strong-base-d4", cube_bits(4), ps, av)
-        return [cube_to_face(K, p) for p in sol]
+        return _base(K, pairs, (x,), trace, "cube/strong-base-d4")
     trace.append("cube/strong-project")
     axis = lowest_unassociated_axis(K, terminals(pairs))
     F, _ = facet_pair(K, axis, 1 - ((x >> axis) & 1))
     return link_projected(pairs, F, trace)
-
-
-def cube_paths(d, pairs, avoid, trace):
-    """solve_in_face on the whole of Q_d."""
-    return solve_in_face(whole_cube(d), pairs, trace, avoid)
 
 
 # -- public API --------------------------------------------------------------
@@ -472,8 +461,8 @@ def _certify(d, pairs, solve, avoid=()):
 def cube_linkage(d, pairs, avoid=()) -> LinkageCertificate:
     """Linkage in Q_d avoiding a vertex set, within proven capacity."""
     avoid = sorted(avoid)
-    return _certify(d, pairs,
-                    lambda ps, trace: cube_paths(d, ps, avoid, trace), avoid)
+    return _certify(d, pairs, lambda ps, trace: solve_in_face(
+        whole_cube(d), ps, trace, avoid), avoid)
 
 
 def solve_cube(d, pairs) -> LinkageCertificate:

@@ -12,9 +12,8 @@ from ..complexes import LINK_DIM_ERROR, LINK_VERTEX_ERROR, link_polytope
 from ..hypercube import (
     CubeAdjacency,
     face_path,
-    facet,
-    find_unassociated_pair,
-    opposite_facet,
+    facet_pair,
+    lowest_unassociated_axis,
     project,
     vertex_to_str,
     whole_cube,
@@ -24,10 +23,9 @@ from .cube import (base_3F, cube_bits, hops, link_projected, orient,
                    solve_in_face, splice)
 
 
-def _reroute_through_opposite(F, vother, paths, idx, pairs, trace):
+def _reroute_through_opposite(Fo, vother, paths, idx, pairs, trace):
     """Rebuild paths[idx], which passes through the removed vertex inside
-    the facet F, as a detour through the opposite facet avoiding vother."""
-    Fo = opposite_facet(F)
+    the facet opposite Fo, as a detour through Fo avoiding vother."""
     s, t = pairs[idx]
 
     def route(x, p):
@@ -58,22 +56,22 @@ def link_paths(D, v, pairs, trace):
                        ("link/d3-obstructed", "link/d3-search"),
                        cube_bits(4), (v, vo))
 
-    axis = find_unassociated_pair(D, X)
-    F = facet(D, axis, (v >> axis) & 1)
-    Fo = opposite_facet(F)
+    Q = whole_cube(D)
+    axis = lowest_unassociated_axis(Q, X)
+    F, Fo = facet_pair(Q, axis, (v >> axis) & 1)
     in_F = [x for x in X if F.contains(x)]
 
     if len(in_F) == len(X) or not in_F:
         # every terminal on one side: link there, reroute around the removed
         # vertex through the other side if needed
-        side, vside, vother = ((F, v, vo) if in_F else (Fo, vo, v))
+        side, other, vside, vother = (F, Fo, v, vo) if in_F else (Fo, F, vo, v)
         trace.append("link/one-side")
         paths = solve_in_face(side, pairs, trace)
         idx = next((i for i, p in enumerate(paths) if vside in p), None)
         if idx is not None:
             trace.append("link/one-side-reroute")
             paths[idx] = _reroute_through_opposite(
-                side, vother, paths, idx, pairs, trace)
+                other, vother, paths, idx, pairs, trace)
         return paths
 
     adj_v = [x for x in X if not F.contains(x) and project(x, F) == v]

@@ -16,11 +16,11 @@ from operator import and_
 
 from ..complexes import Polytope
 from ..errors import CaseNotCovered, NoPath
-from ..hypercube import dist, find_unassociated_pair
+from ..hypercube import dist, lowest_unassociated_axis, whole_cube
 from ..paths import Cut, disjoint_paths, shortest_path
 from .certs import (LinkageCertificate, Unlinkable, blocking, certify, take,
                     terminals)
-from .cube import cube_paths, hops, orient, splice
+from .cube import hops, orient, solve_in_face, splice
 from .link import link_paths
 
 
@@ -66,8 +66,8 @@ def _in_cube(P, f, pairs, solve):
 
 def face_link(P, f, pairs, avoid=(), *, trace):
     """Cube linkage inside a face of P, through its canonical coordinates."""
-    return _in_cube(P, f, pairs, lambda coords, j, cube_pairs: cube_paths(
-        j, cube_pairs, [coords[a] for a in avoid], trace))
+    return _in_cube(P, f, pairs, lambda coords, j, cube_pairs: solve_in_face(
+        whole_cube(j), cube_pairs, trace, [coords[a] for a in avoid]))
 
 
 def _face_dist(P, f, u, v):
@@ -85,7 +85,7 @@ def _coord_split(P, f, axis):
 def _unassoc_ridge(P, f, pts, anchor):
     """An opposite-ridge pair of f unassociated with pts; anchor's side first."""
     coords, j = P.embed_face(f)
-    axis = find_unassociated_pair(j, [coords[x] for x in pts])
+    axis = lowest_unassociated_axis(whole_cube(j), [coords[x] for x in pts])
     lo, hi = _coord_split(P, f, axis)
     return (lo, hi) if anchor in lo else (hi, lo)
 

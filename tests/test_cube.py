@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cubelink import oracle
 from cubelink.complexes import build_cube_polytope, link_polytope
 from cubelink.errors import CaseNotCovered, CertificateInvalid
-from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph, facet,
-                                facet_maps, opposite_facet)
+from cubelink.hypercube import (CubeAdjacency, CubeFace, cube_graph,
+                                cube_to_face, face_to_cube, facet, facet_pair,
+                                whole_cube)
 from cubelink.linkage.certs import (LinkageCertificate, ObstructionWitness,
                                     blocking, terminals)
 from cubelink.linkage.cube import (
@@ -212,37 +213,32 @@ def test_certificates_and_witnesses_compare_by_value():
 
 
 def test_facet_maps_match_the_per_bit_reference():
-    # compress drops the facet's fixed axis and closes the gap; expand
-    # inverts it, as the per-bit map over the free axes does
+    # on a facet, face_to_cube drops the fixed axis and closes the gap;
+    # cube_to_face inverts it, as the per-bit map over the free axes does
     for d in range(1, 9):
         for F in all_faces(d, d - 1):
-            compress, expand = facet_maps(F)
             ref_compress, ref_expand = face_maps_reference(F)
             V = F.vertices()
-            assert sorted(compress(v) for v in V) == list(range(1 << (d - 1)))
-            for v in V:
-                assert compress(v) == ref_compress(v)
-                assert expand(compress(v)) == v
-            for w in range(1 << (d - 1)):
-                assert expand(w) == ref_expand(w)
-    with pytest.raises(ValueError):
-        facet_maps(CubeFace(4, 0b0101, 0b0001))
-    with pytest.raises(ValueError):
-        facet_maps(CubeFace(4, 0, 0))
+            W = face_to_cube(F, V)
+            assert sorted(W) == list(range(1 << (d - 1)))
+            assert W == [ref_compress(v) for v in V]
+            assert cube_to_face(F, W) == V
+            ws = list(range(1 << (d - 1)))
+            assert cube_to_face(F, ws) == [ref_expand(w) for w in ws]
 
 
 def test_scenario2_partition_classes():
     d = 5
-    F = facet(d, 4, 0)
+    F, Fo = facet_pair(whole_cube(d), 4, 0)
     # pair 0 in F; one adjacent pair, one projection pair, one free pair
     pairs = [(0b00000, 0b00011), (0b00100, 0b00101), (0b01000, 0b11000),
              ]
-    classes, M = scenario2_escapes(F, opposite_facet(F), pairs, 0, [])
+    classes, M = scenario2_escapes(F, Fo, pairs, 0, [])
     assert 0b00100 in classes[0] and 0b00101 in classes[0]
     assert 0b01000 in classes[1]
     for x, p in M.items():
         assert p[0] == x and len(p) <= 3
-        assert opposite_facet(F).contains(p[-1])
+        assert Fo.contains(p[-1])
 
 
 @st.composite
@@ -309,12 +305,11 @@ def test_scenario2_escape_failure_keeps_the_trace():
     """Past capacity on purpose, class 4 is [1, 2] and both F-neighbours of
     1 are terminals, so 1 has no escape: the raise carries the running
     trace with its tag last."""
-    F = facet(3, 2, 0)
+    F, Fo = facet_pair(whole_cube(3), 2, 0)
     trace = ["cube/scenario-2"]
     with pytest.raises(CaseNotCovered, match="no free escape neighbour at 1"
                        ) as info:
-        scenario2_escapes(F, opposite_facet(F), [(0, 3), (1, 6), (2, 5)],
-                          0, trace)
+        scenario2_escapes(F, Fo, [(0, 3), (1, 6), (2, 5)], 0, trace)
     assert info.value.trace == ["cube/scenario-2", "cube/scenario-2/Mx"]
     assert trace == ["cube/scenario-2"]
 
@@ -642,8 +637,8 @@ def test_deep_cube_certificates_match_golden_digest():
 
 
 def test_cube_and_link_solves_leave_no_reference_cycles():
-    # facet moves once called facet_maps, and maps that held themselves in
-    # a cycle left garbage that only the collector frees, and its runs then
+    # facet moves once went through maps that held themselves in a cycle,
+    # which left garbage that only the collector frees, and its runs then
     # fell on whichever solves were under way
     import gc
 

@@ -18,11 +18,8 @@ from cubelink.hypercube import (
     face_path,
     face_to_cube,
     facet,
-    facet_maps,
     facet_pair,
-    find_unassociated_pair,
     lowest_unassociated_axis,
-    opposite_facet,
     project,
     smallest_face,
     vertex_from_str,
@@ -31,7 +28,7 @@ from cubelink.hypercube import (
 )
 from cubelink.paths import shortest_path
 
-from audit import all_faces
+from audit import all_faces, face_maps_reference
 
 
 def test_dist_basics():
@@ -72,14 +69,12 @@ def test_vertex_from_str_rejects_garbage():
 
 
 def test_opposite_facet():
-    F = facet(4, 0, 0)
-    Fo = opposite_facet(F)
+    F, Fo = facet_pair(whole_cube(4), 0, 0)
+    assert F == facet(4, 0, 0)
     assert Fo == facet(4, 0, 1)
-    assert opposite_facet(Fo) == F
+    assert facet_pair(whole_cube(4), 0, 1) == (Fo, F)
     assert not set(F.vertices()) & set(Fo.vertices())
     assert len(F.vertices()) == 8
-    with pytest.raises(ValueError):
-        opposite_facet(CubeFace(4, 0b11, 0b00))
 
 
 @pytest.mark.parametrize("call,err", [
@@ -87,9 +82,10 @@ def test_opposite_facet():
     (lambda: project(0, CubeFace(3, 0b011, 0)), "target must be a facet"),
     (lambda: smallest_face(3, []), "empty vertex set"),
     (lambda: associated_pairs(3, []), "empty vertex set"),
-    (lambda: find_unassociated_pair(2, range(4)), "all 2 directions"),
+    (lambda: lowest_unassociated_axis(whole_cube(2), range(4)),
+     "all 2 directions"),
 ], ids=["facet", "project", "smallest_face", "associated_pairs",
-        "find_unassociated_pair"])
+        "lowest_unassociated_axis"])
 def test_face_helpers_refuse_what_they_cannot_answer(call, err):
     with pytest.raises(ValueError, match=err):
         call()
@@ -119,8 +115,7 @@ def test_cube_face_refuses_a_mask_outside_its_cube(d, mask):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_project_is_adjacency_preserving_bijection(d):
     for axis in range(d):
-        F = facet(d, axis, 0)
-        Fo = opposite_facet(F)
+        F, Fo = facet_pair(whole_cube(d), axis, 0)
         img = {project(v, Fo) for v in F.vertices()}
         assert img == set(Fo.vertices())
         for v in F.vertices():
@@ -173,12 +168,12 @@ def test_association_bound_sampled(d):
         assert len(associated_pairs(d, Z)) <= len(Z) - 1
 
 
-def test_find_unassociated_pair_defines_unassociated_split():
+def test_lowest_unassociated_axis_defines_unassociated_split():
     rng = random.Random(0)
     for d in (3, 4, 5, 6):
         for _ in range(300):
             Z = rng.sample(range(1 << d), rng.randint(1, d))
-            axis = find_unassociated_pair(d, Z)
+            axis = lowest_unassociated_axis(whole_cube(d), Z)
             assert axis == min(set(range(d)) - associated_pairs(d, Z))
             F1 = facet(d, axis, 1)
             for z in Z:
@@ -187,22 +182,24 @@ def test_find_unassociated_pair_defines_unassociated_split():
 
 
 def _compress_axis_by_axis(K, vs):
-    """facet_maps' compress for each fixed axis of K, highest first, as the
-    cube induction once applied it one level at a time."""
+    """The per-bit reference's compress onto a facet, for each fixed axis
+    of K, highest first, as the cube induction once moved a subproblem one
+    level at a time."""
     d = K.d
     for a in reversed(range(K.d)):
         if (K.fixed_mask >> a) & 1:
-            compress, _ = facet_maps(facet(d, a, (K.fixed_values >> a) & 1))
-            vs = compress(vs)
+            compress, _ = face_maps_reference(
+                facet(d, a, (K.fixed_values >> a) & 1))
+            vs = [compress(v) for v in vs]
             d -= 1
     return vs
 
 
-def test_face_to_cube_is_facet_maps_one_fixed_axis_at_a_time():
+def test_face_to_cube_is_the_facet_map_one_fixed_axis_at_a_time():
     """On every face K of Q_d, d <= 8 and dim K <= 4: face_to_cube maps
     V(K), in increasing order, onto range(2^dim K) in increasing order, so
     it is an order-preserving bijection; cube_to_face inverts it; and it
-    equals facet_maps' compress applied one fixed axis at a time, which is
+    equals a facet's compress applied one fixed axis at a time, which is
     what keeps the cube induction's certificates unchanged."""
     for d in range(1, 9):
         for dim in range(min(d, 4) + 1):
@@ -216,8 +213,8 @@ def test_face_to_cube_is_facet_maps_one_fixed_axis_at_a_time():
 
 def test_face_steps_are_the_cube_steps_in_face_coordinates():
     """facet_pair and lowest_unassociated_axis on a face K answer what
-    facet, opposite_facet and find_unassociated_pair answer on Q_dim(K),
-    seen through face_to_cube."""
+    facet_pair on Q_dim(K) and the least unassociated axis of Q_dim(K)
+    answer, seen through face_to_cube."""
     rng = random.Random(11)
     for _ in range(400):
         d = rng.randint(2, 12)
@@ -231,11 +228,11 @@ def test_face_steps_are_the_cube_steps_in_face_coordinates():
                              K.fixed_values | value << free[j])
         assert Fo == CubeFace(d, F.fixed_mask, F.fixed_values ^ 1 << free[j])
         assert type(F) is type(Fo) is CubeFace
-        sub = facet(K.dim, j, value)
-        for G, H in ((F, sub), (Fo, opposite_facet(sub))):
+        for G, H in zip((F, Fo), facet_pair(whole_cube(K.dim), j, value)):
             assert face_to_cube(K, G.vertices()) == H.vertices()
         Z = rng.sample(K.vertices(), rng.randint(1, K.dim))
-        axis = find_unassociated_pair(K.dim, face_to_cube(K, Z))
+        axis = min(set(range(K.dim))
+                   - associated_pairs(K.dim, face_to_cube(K, Z)))
         assert lowest_unassociated_axis(K, Z) == free[axis]
 
 
@@ -493,9 +490,10 @@ def test_derived_faces_equal_checked_faces(d, data):
 
     axis = data.draw(st.integers(0, d - 1))
     value = data.draw(st.integers(-2, 3))
-    F = facet(d, axis, value)
+    same(facet(d, axis, value), 1 << axis, value << axis)
+    F, Fo = facet_pair(whole_cube(d), axis, value)
     same(F, 1 << axis, value << axis)
-    same(opposite_facet(F), 1 << axis, (value << axis) ^ (1 << axis))
+    same(Fo, 1 << axis, (value << axis) ^ (1 << axis))
     same(whole_cube(d), 0, 0)
     S = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1,
                            max_size=6))

@@ -126,10 +126,12 @@ def test_every_parameter_of_a_function_is_read():
 
 
 # Each seam and the functions allowed to cross it: Menger routing only in
-# the router, and no oracle search anywhere under linkage/, since every
-# base case reads its linkage off the shortest-path witness.
+# the router, no oracle search anywhere under linkage/, since every base
+# case reads its linkage off the shortest-path witness, and coordinates
+# change only in the cube bases, the one place that reads Q_j's tables.
 SEAMS = {"disjoint_paths": {"route_into"}, "oracle_linkage": set(),
-         "linkable": set(), "_linkable_masks": set()}
+         "linkable": set(), "_linkable_masks": set(),
+         "face_to_cube": {"_base"}, "cube_to_face": {"_base"}}
 
 
 def _callee(call):

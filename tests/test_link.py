@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cubelink.hypercube import lowest_unassociated_axis, whole_cube
 from cubelink.linkage.link import solve_link
 from cubelink.oracle import all_pairings, oracle_linkage
 from cubelink.paths import validate_linkage
@@ -176,8 +177,6 @@ def _adjacent_side(D, v, pairs):
     axis (the lowest one no two terminals differ in alone), else next to
     v's antipode, lies: "near" on the removed vertex's side, else
     "across"."""
-    from cubelink.hypercube import lowest_unassociated_axis, whole_cube
-
     X = {x for p in pairs for x in p}
     bit = 1 << lowest_unassociated_axis(whole_cube(D), X)
     t1 = v ^ bit if v ^ bit in X else v ^ ((1 << D) - 1) ^ bit
@@ -204,7 +203,8 @@ def _link_certificates():
             v = rng.randrange(1 << D)
             X = [x for x in rng.sample(range(1 << D), D + 2)
                  if x not in (v, v ^ full)]
-            add(solve_link(D, v, random_pairing(rng, X, rng.randint(1, D // 2))))
+            k = rng.randint(1, D // 2)
+            add(solve_link(D, v, random_pairing(rng, X, k)))
     for D, v, pairs, tag, side in LINK_CRAFTED:
         cert = add(solve_link(D, v, pairs))
         assert tag in cert.trace, (D, v, pairs, cert.trace)
